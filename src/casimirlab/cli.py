@@ -133,8 +133,10 @@ def epsilon(xi_spec, material, drude_only, config_path, out):
     cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, drude_only, material)
     grid = parse_grid(xi_spec)
-    rows = [(e, model.eps(energy_ev_to_angular_frequency(e))) for e in grid]
-    atomic_write(out, csv_text(cfg, ["xi_ev", "eps"], rows))
+    # one call on the whole grid; a tuple because perfbench/tracer.py keeps
+    # the eps arguments in a set
+    eps = model.eps(tuple(energy_ev_to_angular_frequency(e) for e in grid))
+    atomic_write(out, csv_text(cfg, ["xi_ev", "eps"], zip(grid, eps)))
 
 
 @main.command()

@@ -20,8 +20,9 @@ import numpy as np
 from .constants import CONST
 from .dielectric import DielectricModel
 from .errors import ValidityError
-from .lifshitz import (DEFAULT_GEOMETRY, DEFAULT_QUADRATURE, QuadratureParams,
-                       SphereGeometry, casimir_force_sphere_plate)
+from .lifshitz import (DEFAULT_GEOMETRY, DEFAULT_QUADRATURE, ForceEstimate,
+                       QuadratureParams, SphereGeometry,
+                       casimir_force_sphere_plate)
 
 ROUGHNESS_SERIES_MAX_RATIO = 0.3  # A/z validity edge of the quartic series
 
@@ -140,15 +141,19 @@ class TheoryParams:
             raise ValueError(f"cap offset must be >= 0, got {self.cap_offset}")
 
 
-def corrected_force(z: float, params: TheoryParams) -> float:
+def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     """Lifshitz force times the enabled correction factors, all at the
-    metal-to-metal separation z, in N."""
+    metal-to-metal separation z, in N.
+
+    The closed-form factors scale the quadrature's error bound with the force.
+    """
     force = casimir_force_sphere_plate(z, params.geom, params.model, params.quad)
+    factor = 1.0
     if params.enable_roughness:
-        force *= roughness_factor(z, params.rough)
+        factor *= roughness_factor(z, params.rough)
     if params.enable_temperature:
-        force *= temperature_factor(z, params.temp)
-    return force
+        factor *= temperature_factor(z, params.temp)
+    return ForceEstimate(force * factor, force.error_bound * factor)
 
 
 def theoretical_force(z_gap: float, params: TheoryParams) -> float:
@@ -168,7 +173,8 @@ class TheoryCurve:
     The Lifshitz double integral is too slow to sit inside chi-squared loops;
     the pipeline evaluates it once on a log grid of metal-to-metal separations
     and interpolates log|F| in log z. Callable with z in meters (scalar or
-    array), returning N.
+    array), returning N. ``max_rel_error`` is the largest quadrature error
+    bound relative to the force over the nodes.
     """
 
     def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int = 160):
@@ -180,9 +186,11 @@ class TheoryCurve:
         self.z_min = float(z_min)
         self.z_max = float(z_max)
         nodes = np.geomspace(z_min, z_max, n_nodes)
-        forces = np.array([corrected_force(z, params) for z in nodes])
+        estimates = [corrected_force(z, params) for z in nodes]
+        forces = np.array(estimates)
         if np.any(~np.isfinite(forces)) or np.any(forces >= 0):
             raise ValueError("theory force must be finite and attractive on the grid")
+        self.max_rel_error = max(f.error_bound / abs(f) for f in estimates)
         self._spline = CubicSpline(np.log(nodes), np.log(-forces))
 
     def __call__(self, z_metal):

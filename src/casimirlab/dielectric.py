@@ -16,7 +16,6 @@ last table point.
 from __future__ import annotations
 
 import io
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,11 +126,16 @@ def _read_lines(source):
     return io.StringIO(data.decode("utf-8")).read().splitlines()
 
 
-def drude_eps_imag_axis(xi: float, d: DrudeParams) -> float:
-    """Drude closed form eps(i*xi) = 1 + omega_p^2/(xi^2 + gamma*xi)."""
-    if xi <= 0:
-        raise ValueError(f"xi must be > 0, got {xi}")
+def drude_eps_imag_axis(xi, d: DrudeParams):
+    """Drude closed form eps(i*xi) = 1 + omega_p^2/(xi^2 + gamma*xi), elementwise."""
+    _check_xi(xi)
     return 1.0 + d.omega_p**2 / (xi**2 + d.gamma * xi)
+
+
+def _check_xi(xi):
+    xi = np.asarray(xi)
+    if not np.all(xi > 0):
+        raise ValueError(f"xi must be > 0, got min {xi.min()}")
 
 
 def drude_eps2_real_axis(omega, d: DrudeParams):
@@ -141,28 +145,19 @@ def drude_eps2_real_axis(omega, d: DrudeParams):
 
 
 class DielectricModel:
-    """Base class; subclasses implement ``_eps`` for a single xi > 0.
+    """Base class; subclasses implement ``_eps`` elementwise on an array of xi > 0.
 
-    Evaluations are memoized per xi value. Instances are immutable apart
-    from the cache, whose fill is idempotent and therefore safe under
-    concurrent reads.
+    Instances are immutable, so one model may be shared between threads.
     """
 
-    def __init__(self):
-        self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
+    def eps(self, xi):
+        """eps(i*xi) for xi in rad/s: a float for a scalar, else an array of xi's shape."""
+        x = np.asarray(xi, dtype=float)
+        _check_xi(x)
+        out = self._eps(x)
+        return float(out) if x.ndim == 0 else out
 
-    def eps(self, xi: float) -> float:
-        if xi <= 0:
-            raise ValueError(f"xi must be > 0, got {xi}")
-        cached = self._cache.get(xi)
-        if cached is None:
-            cached = self._eps(float(xi))
-            with self._lock:
-                self._cache[xi] = cached
-        return cached
-
-    def _eps(self, xi: float) -> float:
+    def _eps(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -170,20 +165,18 @@ class ConstantModel(DielectricModel):
     """xi-independent permittivity; the ideal-limit test harness."""
 
     def __init__(self, eps_const: float):
-        super().__init__()
         if eps_const < 1:
             raise ValueError(f"constant eps must be >= 1, got {eps_const}")
         self.eps_const = float(eps_const)
 
     def _eps(self, xi):
-        return self.eps_const
+        return np.full(xi.shape, self.eps_const)
 
 
 class DrudeModel(DielectricModel):
     """Pure Drude closed form."""
 
     def __init__(self, drude: DrudeParams = AL_DRUDE):
-        super().__init__()
         self.drude = drude
 
     def _eps(self, xi):
@@ -200,7 +193,6 @@ class TabulatedModel(DielectricModel):
 
     def __init__(self, table: OpticalTable, drude: DrudeParams | None = AL_DRUDE,
                  crossover_ev: float = 0.04, refine: int = 4):
-        super().__init__()
         if crossover_ev < table.energies_ev[0] - 1e-12:
             raise ValueError(
                 f"crossover {crossover_ev} eV below the table's lower edge "
@@ -218,18 +210,22 @@ class TabulatedModel(DielectricModel):
         keep = table.energies_ev >= crossover_ev - 1e-12
         omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev[keep]
         eps2 = table.eps2[keep]
-        self._omega_grid, self._eps2_grid = _refine_log_grid(omega, eps2, self.refine)
+        w, s = _refine_log_grid(omega, eps2, self.refine)
+        # trapezoid rule in ln(omega) on omega * eps''/(omega^2 + xi^2), whose
+        # xi-independent factors are folded into the weights
+        h = np.diff(np.log(w))
+        trapezoid = np.concatenate(([h[0]], h[:-1] + h[1:], [h[-1]])) / 2
+        self._omega_sq = w * w
+        self._weights = trapezoid * w * w * s
         self._omega_start = omega[0]
         self._omega_end = omega[-1]
         self._eps2_end = eps2[-1]
 
     def _eps(self, xi):
-        total = 0.0
+        x = xi[..., None]
+        total = np.sum(self._weights / (self._omega_sq + x * x), axis=-1)
         if self.drude is not None:
             total += _drude_segment_integral(xi, self.drude, self._omega_start)
-        w, s = self._omega_grid, self._eps2_grid
-        f = w * w * s / (w * w + xi * xi)  # integrand * omega for d(ln omega)
-        total += np.trapezoid(f, np.log(w))
         total += _powerlaw_tail_integral(xi, self._omega_end, self._eps2_end)
         return 1.0 + (2.0 / np.pi) * total
 
@@ -250,29 +246,30 @@ def _refine_log_grid(omega, eps2, refine):
 
 
 def _drude_segment_integral(xi, d, omega_c):
-    """int_0^omega_c omega*eps''_Drude/(omega^2+xi^2) domega, closed form."""
+    """int_0^omega_c omega*eps''_Drude/(omega^2+xi^2) domega, closed form, elementwise."""
     g = d.gamma
     if g == 0:
-        return 0.0
-    if abs(xi - g) > 1e-6 * g:
-        return d.omega_p**2 * g / (xi**2 - g**2) * (
-            np.arctan(omega_c / g) / g - np.arctan(omega_c / xi) / xi
-        )
+        return np.zeros_like(xi)
+    near = np.abs(xi - g) <= 1e-6 * g
+    x = np.where(near, 2 * g, xi)  # keeps the discarded general branch finite
+    general = d.omega_p**2 * g / (x**2 - g**2) * (
+        np.arctan(omega_c / g) / g - np.arctan(omega_c / x) / x
+    )
     # degenerate xi ~ gamma: int omega_p^2 g / (w^2+g^2)^2 dw
-    return d.omega_p**2 * g * (
+    degenerate = d.omega_p**2 * g * (
         omega_c / (2 * g**2 * (omega_c**2 + g**2)) + np.arctan(omega_c / g) / (2 * g**3)
     )
+    return np.where(near, degenerate, general)
 
 
 def _powerlaw_tail_integral(xi, omega_n, eps2_n):
     """Tail beyond the table with eps''(omega) = eps2_n * (omega_n/omega)^3."""
     if eps2_n == 0:
-        return 0.0
+        return np.zeros_like(xi)
     u = xi / omega_n
-    if u < 1e-4:
-        bracket = (u * u / 3 - u**4 / 5 + u**6 / 7) / omega_n
-    else:
-        bracket = 1.0 / omega_n - np.arctan(u) / xi
+    bracket = np.where(u < 1e-4,
+                       (u * u / 3 - u**4 / 5 + u**6 / 7) / omega_n,  # series: no cancellation
+                       1.0 / omega_n - np.arctan(u) / xi)
     return eps2_n * omega_n**3 / xi**2 * bracket
 
 

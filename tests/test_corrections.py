@@ -136,6 +136,10 @@ def test_theory_curve_matches_direct(drude_params, drude_curve):
         drude_curve(5e-6)
 
 
+def test_theory_curve_error_within_tolerance(drude_params, drude_curve):
+    assert 0 < drude_curve.max_rel_error <= drude_params.quad.rel_tol
+
+
 def test_theory_params_validation(drude_model):
     with pytest.raises(ValueError):
         TheoryParams(model=drude_model, cap_offset=-1e-9)

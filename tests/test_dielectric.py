@@ -1,5 +1,5 @@
 import importlib.resources
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,21 +129,33 @@ def test_load_optical_table_errors(text, fragment):
         load_optical_table(text)
 
 
-def test_memoization_and_thread_safety():
-    model = drude_only()
-    xi = XI_GRID[5]
-    first = model.eps(xi)
-    results = []
+ARRAY_MODELS = [constant(30.0), drude_only(),
+                tabulated_with_drude_tail(shipped_table())]
 
-    def worker():
-        results.extend(model.eps(x) for x in XI_GRID)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert model.eps(xi) == first
-    expected = [model.eps(x) for x in XI_GRID]
-    for i in range(4):
-        assert results[i * len(XI_GRID):(i + 1) * len(XI_GRID)] == expected
+def array_grid():
+    """XI_GRID plus xi = gamma (degenerate Drude-segment branch) and a point
+    far below the table's last frequency (series branch of the tail)."""
+    omega_end = energy_ev_to_angular_frequency(shipped_table().energies_ev[-1])
+    extra = [AL_DRUDE.gamma, AL_DRUDE.gamma * (1 + 5e-7), 1e-5 * omega_end]
+    return np.array(sorted(XI_GRID + extra))
+
+
+@pytest.mark.parametrize("model", ARRAY_MODELS)
+def test_array_eps_equals_scalar_eps_bitwise(model):
+    grid = array_grid()
+    scalars = [model.eps(xi) for xi in grid]
+    assert all(type(v) is float for v in scalars)
+    assert model.eps(grid).tolist() == scalars
+    assert model.eps(grid.reshape(2, -1)).tolist() == \
+        np.reshape(scalars, (2, -1)).tolist()
+    with pytest.raises(ValueError):
+        model.eps(np.array([1e14, 0.0]))
+
+
+def test_array_eps_thread_determinism():
+    grid = array_grid()
+    expected = [model.eps(grid).tolist() for model in ARRAY_MODELS]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda m: m.eps(grid).tolist(), ARRAY_MODELS * 8))
+    assert results == expected * 8
