@@ -22,16 +22,13 @@ from .constants import CONST
 from .corrections import TheoryCurve
 from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
 from .errors import CalibrationError, DataError, FitError
-from .forcecurve import REGION2_MAX_NM, CalibrationParams, ForceCurve
+from .forcecurve import CalibrationParams, ForceCurve
 
 MIN_CALIBRATION_POINTS = 20
 MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
 Z0_BRACKET_NM = (0.0, 200.0)
-DEFAULT_POOLED_NOISE_PN = 7.0
-DEFAULT_WINDOW_NM = (100.0, 500.0)
-DEFAULT_WINDOW_POINTS = 441
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
 
 def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
                            cfg: ElectrostaticConfig, cap_offset_nm: float,
-                           pooled_noise_pn: float = DEFAULT_POOLED_NOISE_PN) -> Z0FitResult:
+                           pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
     The model is the proximity electrostatic force plus the corrected theory
@@ -224,10 +221,8 @@ VARIANT_SHIFTS_NM = {
 
 
 def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
-                      theory: TheoryCurve,
-                      window_nm=DEFAULT_WINDOW_NM,
-                      n_nodes: int = DEFAULT_WINDOW_POINTS,
-                      pooled_noise_pn: float = DEFAULT_POOLED_NOISE_PN) -> ComparisonStats:
+                      theory: TheoryCurve, window_nm, n_nodes: int,
+                      pooled_noise_pn: float) -> ComparisonStats:
     """Statistics of experiment vs theory over the comparison window.
 
     The mean curve (metal-to-metal axis) and the theory sampled on its grid
@@ -271,15 +266,15 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
                            pooled_noise_pn=pooled_noise_pn, variants=variants)
 
 
+# Region 3, where the drift is fitted: separation from contact > 516 nm.
+DRIFT_REGION_MIN_NM = 516.0
+
+
 def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
                      cfg: ElectrostaticConfig, cap_offset_nm: float,
-                     window_nm=DEFAULT_WINDOW_NM,
-                     n_nodes: int = DEFAULT_WINDOW_POINTS,
-                     pooled_noise_pn: float = DEFAULT_POOLED_NOISE_PN,
-                     spring_constant=None) -> dict:
+                     window_nm, n_nodes: int, pooled_noise_pn: float,
+                     spring_constant=None) -> tuple[dict, ForceCurve, np.ndarray]:
     """End-to-end pipeline on calibrated scans.
-
-    Returns (results dict, mean extracted curve, per-point std array).
 
     voltage_scans: force-valued scans at applied voltages 0.3-0.8 V used for
     the z0 fits. casimir_scans: force-valued grounded scans sharing a common
@@ -304,7 +299,7 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
     extracted = []
     drifts = []
     for scan in casimir_scans:
-        region3 = scan.piezo_nm > REGION2_MAX_NM
+        region3 = scan.piezo_nm > DRIFT_REGION_MIN_NM
         drift = fit_drift_coefficient(scan.piezo_nm[region3], scan.force_pn[region3],
                                       z0, theory, cfg, cap_offset_nm)
         drifts.append(drift.C_pn_per_nm)

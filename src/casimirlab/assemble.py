@@ -32,7 +32,6 @@ def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
                             coeffs=(cfg.roughness_c2, cfg.roughness_c3,
                                     cfg.roughness_c4)),
         temp=TemperatureParams(T=cfg.temperature_k),
-        cap_offset=cfg.cap_offset_nm * 1e-9,
         quad=QuadratureParams(rel_tol=cfg.rel_tol,
                               xi_cut_multiplier=cfg.xi_cut_multiplier),
         enable_roughness=cfg.enable_roughness,
@@ -40,7 +39,9 @@ def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
     )
 
 
-def theory_curve(cfg: RunConfig, params: TheoryParams) -> TheoryCurve:
+def theory_curve(cfg: RunConfig) -> TheoryCurve:
+    """The configured theory cache: model, corrections and range from cfg alone."""
+    params = theory_params(cfg, dielectric_model(cfg))
     return TheoryCurve(params, cfg.theory_cache_lo_nm * 1e-9,
                        cfg.theory_cache_hi_nm * 1e-9, cfg.theory_cache_points)
 
@@ -53,7 +54,6 @@ def electrostatic_config(cfg: RunConfig, V1: float = 0.0) -> ElectrostaticConfig
 def calibration_params(cfg: RunConfig) -> CalibrationParams:
     return CalibrationParams(k=cfg.spring_constant_n_per_m,
                              deflection_sensitivity=cfg.deflection_sensitivity_nm,
-                             V2_residual=cfg.v2_residual_mv * 1e-3,
                              temperature=cfg.temperature_k)
 
 

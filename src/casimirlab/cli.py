@@ -24,14 +24,14 @@ from .config import RunConfig, load_config
 from .corrections import TheoryCurve
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
-                     DataError, FitError, ParseError, SegmentationError,
-                     ValidityError)
-from .forcecurve import ForceCurve, load_scan, signal_to_force
+                     DataError, FitError, ParseError, ValidityError)
+from .forcecurve import ForceCurve, _read_csv, load_scan, signal_to_force
 from .synth import load_campaign, write_campaign
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_FIT = 4
+MEAN_CURVE_COLUMNS = ("separation_nm", "force_pn", "std_pn")
 
 
 def guarded(fn):
@@ -44,7 +44,7 @@ def guarded(fn):
         except ConvergenceError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except (FitError, CalibrationError, SegmentationError) as exc:
+        except (FitError, CalibrationError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FIT)
         except (ParseError, DataError, ValidityError, CasimirLabError,
@@ -95,7 +95,7 @@ def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
     if seed is not None:
         doc["meta"]["seed"] = seed
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_cfg(config_path) -> RunConfig:
@@ -215,9 +215,7 @@ def fit_z0(scan_path, emit_curve, config_path, out):
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
-    model = assemble.dielectric_model(cfg)
-    params = assemble.theory_params(cfg, model)
-    th = assemble.theory_curve(cfg, params)
+    th = assemble.theory_curve(cfg)
     e_cfg = assemble.electrostatic_config(cfg)
     fit = fit_contact_separation(curve, th, e_cfg, cfg.cap_offset_nm,
                                  cfg.pooled_noise_pn)
@@ -246,9 +244,7 @@ def synth(seed, out_dir, config_path):
     """Generate a deterministic synthetic campaign directory."""
     cfg = _load_cfg(config_path)
     truth = assemble.synth_truth(cfg, seed)
-    model = assemble.dielectric_model(cfg)
-    params = assemble.theory_params(cfg, model)
-    th = assemble.theory_curve(cfg, params)
+    th = assemble.theory_curve(cfg)
     e_cfg = assemble.electrostatic_config(cfg)
     write_campaign(out_dir, truth, th, e_cfg)
     manifest = meta_header(cfg, seed=truth.seed)
@@ -269,9 +265,7 @@ def analyze(scans_dir, out_dir, config_path):
     spring = None
     if stiffness:
         spring, _sigma = calibrate_spring_constant(stiffness, e_cfg, cal)
-    model = assemble.dielectric_model(cfg)
-    params = assemble.theory_params(cfg, model)
-    th = assemble.theory_curve(cfg, params)
+    th = assemble.theory_curve(cfg)
     results, mean_curve, std = analyze_campaign(
         voltage_scans, grounded, th, e_cfg, cfg.cap_offset_nm,
         (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
@@ -280,7 +274,7 @@ def analyze(scans_dir, out_dir, config_path):
     atomic_write(out_dir / "results.json", json_text(cfg, results))
     rows = list(zip(mean_curve.piezo_nm, mean_curve.force_pn, std))
     atomic_write(out_dir / "mean_curve.csv",
-                 csv_text(cfg, ["separation_nm", "force_pn", "std_pn"], rows))
+                 csv_text(cfg, MEAN_CURVE_COLUMNS, rows))
 
 
 @main.command()
@@ -295,11 +289,9 @@ def analyze(scans_dir, out_dir, config_path):
 def compare(curve_path, n_scans, emit_curve, config_path, out):
     """Compare an extracted mean force curve against the theory."""
     cfg = _load_cfg(config_path)
-    axis, force, std = _read_mean_curve(curve_path)
+    axis, force, std = _read_csv(curve_path, 3, (MEAN_CURVE_COLUMNS,)).columns
     mean_curve = ForceCurve("mean", 0.0, axis, force_pn=force)
-    model = assemble.dielectric_model(cfg)
-    params = assemble.theory_params(cfg, model)
-    th = assemble.theory_curve(cfg, params)
+    th = assemble.theory_curve(cfg)
     stats = compare_to_theory(mean_curve, std, n_scans, th,
                               (cfg.window_lo_nm, cfg.window_hi_nm),
                               cfg.window_points, cfg.pooled_noise_pn)
@@ -316,37 +308,6 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_exp_pn",
                                     "force_theory_pn"], rows))
-
-
-def _read_mean_curve(path):
-    axis, force, std = [], [], []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != \
-                        ["separation_nm", "force_pn", "std_pn"]:
-                    raise ParseError("expected header separation_nm,force_pn,std_pn",
-                                     line=lineno)
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError("expected three columns", line=lineno)
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"malformed number in {line!r}",
-                                 line=lineno) from None
-            axis.append(values[0])
-            force.append(values[1])
-            std.append(values[2])
-    if not header_seen:
-        raise ParseError("missing mean-curve header")
-    return np.array(axis), np.array(force), np.array(std)
 
 
 if __name__ == "__main__":

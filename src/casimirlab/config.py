@@ -102,6 +102,9 @@ def parse_config(text: str) -> RunConfig:
             setattr(cfg, key, _coerce(value, types[key]))
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", line=lineno) from None
+        if key == "cap_offset_nm" and not cfg.cap_offset_nm >= 0:
+            raise ParseError(f"bad value for {key!r}: must be >= 0, got {value}",
+                             line=lineno)
     return cfg
 
 

@@ -119,10 +119,6 @@ def temperature_factor(z: float, temp: TemperatureParams) -> float:
     return 1.0 + 720.0 / np.pi**2 * f
 
 
-# Transparent Au/Pd cap on each surface: 7.9 nm, two surfaces.
-DEFAULT_CAP_OFFSET = 2 * 7.9e-9
-
-
 @dataclass(frozen=True)
 class TheoryParams:
     """Everything needed to evaluate the zero-adjustable-parameter force."""
@@ -131,14 +127,9 @@ class TheoryParams:
     model: DielectricModel = None
     rough: RoughnessSpec = field(default_factory=RoughnessSpec)
     temp: TemperatureParams = field(default_factory=TemperatureParams)
-    cap_offset: float = DEFAULT_CAP_OFFSET
     quad: QuadratureParams = DEFAULT_QUADRATURE
     enable_roughness: bool = True
     enable_temperature: bool = True
-
-    def __post_init__(self):
-        if self.cap_offset < 0:
-            raise ValueError(f"cap offset must be >= 0, got {self.cap_offset}")
 
 
 def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
@@ -154,17 +145,6 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     if params.enable_temperature:
         factor *= temperature_factor(z, params.temp)
     return ForceEstimate(force * factor, force.error_bound * factor)
-
-
-def theoretical_force(z_gap: float, params: TheoryParams) -> float:
-    """Corrected theory force at an outer-surface (cap-to-cap) gap, in N.
-
-    The metal-to-metal separation is z_gap + cap_offset; the Lifshitz force
-    and both correction factors are evaluated there.
-    """
-    if z_gap <= 0:
-        raise ValueError(f"gap must be > 0, got {z_gap}")
-    return corrected_force(z_gap + params.cap_offset, params)
 
 
 class TheoryCurve:

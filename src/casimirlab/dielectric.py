@@ -10,18 +10,20 @@ or from tabulated eps''(omega) data through the dispersion integral
 
 with a Drude low-frequency segment below the table, trapezoid quadrature on a
 log-omega grid over the table, and an analytic eps'' ~ omega^-3 tail beyond the
-last table point.
+last table point. Optical tables are read with the package's CSV reader
+(``forcecurve._read_csv``): a source is a path or a file object, never CSV
+text in a string.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, energy_ev_to_angular_frequency
+from .constants import energy_ev_to_angular_frequency
 from .errors import ParseError
+from .forcecurve import _read_csv
 
 
 @dataclass(frozen=True)
@@ -73,57 +75,19 @@ class OpticalTable:
 
 
 def load_optical_table(source) -> OpticalTable:
-    """Parse the optical-table CSV dialect.
+    """Parse the optical-table CSV dialect from a path or a file object.
 
     '#'-prefixed comment lines, an optional '# material=<label>' line, then
     one 'energy_ev,eps2' pair per line. Ordering violations are reported,
     not silently repaired.
     """
-    lines = _read_lines(source)
-    label = ""
-    energies, eps2 = [], []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("material="):
-                label = body[len("material="):].strip()
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'energy_ev,eps2', got {line!r}", line=lineno)
-        try:
-            e, s = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line=lineno) from None
-        if energies and e <= energies[-1]:
-            raise ParseError("non-increasing energy", line=lineno)
-        if s < 0:
-            raise ParseError("negative eps2", line=lineno)
-        energies.append(e)
-        eps2.append(s)
-    if len(energies) < 2:
+    table = _read_csv(source, 2)
+    energies, eps2 = table.columns
+    table.reject(np.diff(energies, prepend=-np.inf) <= 0, "non-increasing energy")
+    table.reject(eps2 < 0, "negative eps2")
+    if energies.size < 2:
         raise ParseError("optical table needs at least 2 data rows")
-    return OpticalTable(np.array(energies), np.array(eps2), label)
-
-
-def _read_lines(source):
-    if isinstance(source, (str, bytes)) and b"\n" not in (
-        source.encode() if isinstance(source, str) else source
-    ):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, (str, bytes)):
-        data = source.encode() if isinstance(source, str) else source
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode()
-    else:
-        raise TypeError(f"unsupported source type {type(source)!r}")
-    return io.StringIO(data.decode("utf-8")).read().splitlines()
+    return OpticalTable(energies, eps2, table.meta.get("material", ""))
 
 
 def drude_eps_imag_axis(xi, d: DrudeParams):
@@ -136,12 +100,6 @@ def _check_xi(xi):
     xi = np.asarray(xi)
     if not np.all(xi > 0):
         raise ValueError(f"xi must be > 0, got min {xi.min()}")
-
-
-def drude_eps2_real_axis(omega, d: DrudeParams):
-    """Drude eps''(omega) = omega_p^2 * gamma / (omega * (omega^2 + gamma^2))."""
-    omega = np.asarray(omega, dtype=float)
-    return d.omega_p**2 * d.gamma / (omega * (omega**2 + d.gamma**2))
 
 
 class DielectricModel:
@@ -284,8 +242,3 @@ def drude_only(drude: DrudeParams = AL_DRUDE) -> DrudeModel:
 def tabulated_with_drude_tail(table: OpticalTable, drude: DrudeParams | None = AL_DRUDE,
                               crossover_ev: float = 0.04, refine: int = 4) -> TabulatedModel:
     return TabulatedModel(table, drude, crossover_ev, refine)
-
-
-def eps_imag_axis(model: DielectricModel, xi: float) -> float:
-    """Evaluate eps(i*xi) for any model variant; xi in rad/s."""
-    return model.eps(xi)

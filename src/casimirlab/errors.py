@@ -37,8 +37,4 @@ class DataError(CasimirLabError, ValueError):
 
 
 class CalibrationError(CasimirLabError, ValueError):
-    """Calibration inputs are unusable (zero voltage, non-monotone map, ...)."""
-
-
-class SegmentationError(CasimirLabError, ValueError):
-    """Approach curve could not be segmented (e.g. contact never reached)."""
+    """Calibration inputs are unusable (zero voltage, force already present, ...)."""

@@ -1,24 +1,28 @@
-"""AFM approach-scan data model and calibration transforms.
+"""AFM approach-scan data model, the package's CSV reader, and the Hooke
+conversion.
 
 A ForceCurve is immutable: every transform returns a new curve. The piezo
 axis is plate displacement toward the sphere in nm, strictly increasing, so
 contact (if reached) sits at the end of the arrays. Attractive forces are
-negative; deflection toward the plate (negative signal) shortens the true
-gap.
+negative.
+
+All three CSV inputs (scans here, optical tables in ``dielectric``, mean
+curves in ``cli``) share one dialect, read by ``_read_csv``: ``# key=value``
+metadata lines, other ``#`` comment lines, blank lines, an optional column
+header, then comma-separated rows of finite floats.
 """
 
 from __future__ import annotations
 
-import io
+import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, ParseError, SegmentationError
+from .errors import CalibrationError, ParseError
 
 MIN_SAMPLES = 10
-REGION2_MIN_NM = 16.0    # region 2: separation-from-contact in (16, 516] nm
-REGION2_MAX_NM = 516.0
 
 
 @dataclass(frozen=True)
@@ -57,18 +61,14 @@ class ForceCurve:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Cantilever and piezo calibration inputs.
+    """Cantilever calibration inputs.
 
-    ``hysteresis_poly`` holds coefficients (c1, c2, ...) of the monotone map
-    commanded -> true displacement, true = sum_k c_k * piezo^k; the constant
-    term is fixed at zero. The deflection sensitivity (nm per diode unit) is
-    a required input; it is not published separately from k.
+    The deflection sensitivity (nm per diode unit) is a required input; it is
+    not published separately from k.
     """
 
     k: float = 0.0169                      # N/m
     deflection_sensitivity: float = 1.0    # nm per signal unit
-    hysteresis_poly: tuple = (1.0,)
-    V2_residual: float = 7.9e-3            # V
     temperature: float = 300.0             # K
 
     def __post_init__(self):
@@ -76,81 +76,27 @@ class CalibrationParams:
             raise ValueError(f"spring constant must be > 0, got {self.k}")
         if self.deflection_sensitivity <= 0:
             raise ValueError("deflection sensitivity must be > 0")
-        if not self.hysteresis_poly:
-            raise ValueError("hysteresis polynomial needs at least one coefficient")
-
-    def hysteresis_map(self, piezo_nm):
-        piezo_nm = np.asarray(piezo_nm, dtype=float)
-        out = np.zeros_like(piezo_nm)
-        for power, coeff in enumerate(self.hysteresis_poly, start=1):
-            out += coeff * piezo_nm**power
-        return out
 
 
-@dataclass(frozen=True)
-class RegionBounds:
-    """Index partition of one scan, ordered region 3 -> 2 -> 1 along the array."""
-
-    contact_index: int
-    contact_displacement_nm: float
-    region1: range   # near/post contact (separation <= 16 nm)
-    region2: range   # separation in (16, 516] nm
-    region3: range   # separation > 516 nm
+SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
 
 
 def load_scan(source) -> ForceCurve:
     """Parse the scan CSV dialect (see save_scan for the writer)."""
-    lines = _read_lines(source)
-    meta = {}
-    header = None
-    piezo, obs = [], []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = [c.strip() for c in line.split(",")]
-            if header not in (["piezo_nm", "signal"], ["piezo_nm", "force_pn"]):
-                if "signal" in header and "force_pn" in header:
-                    raise ParseError("ambiguous observable: both signal and force present",
-                                     line=lineno)
-                raise ParseError(f"unrecognized header {line!r}", line=lineno)
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected two columns, got {line!r}", line=lineno)
-        try:
-            p, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line=lineno) from None
-        if piezo and p <= piezo[-1]:
-            raise ParseError("non-monotone piezo", line=lineno)
-        piezo.append(p)
-        obs.append(v)
-    if header is None:
-        raise ParseError("missing column header")
+    table = _read_csv(source, 2, SCAN_HEADERS)
     for key in ("scan_id", "applied_voltage_v"):
-        if key not in meta:
+        if key not in table.meta:
             raise ParseError(f"missing metadata key '{key}'")
+    voltage = table.meta_float("applied_voltage_v")
+    kwargs = {name: table.meta_float(key)
+              for name, key in (("spring_constant", "spring_constant_n_per_m"),
+                                ("temperature_k", "temperature_k"))
+              if key in table.meta}
+    piezo, obs = table.columns
+    table.reject(np.diff(piezo, prepend=-np.inf) <= 0, "non-monotone piezo")
     try:
-        voltage = float(meta["applied_voltage_v"])
-    except ValueError:
-        raise ParseError("malformed applied_voltage_v") from None
-    kwargs = {}
-    if "spring_constant_n_per_m" in meta:
-        kwargs["spring_constant"] = float(meta["spring_constant_n_per_m"])
-    if "temperature_k" in meta:
-        kwargs["temperature_k"] = float(meta["temperature_k"])
-    observable = {"signal": "signal", "force_pn": "force_pn"}[header[1]]
-    try:
-        return ForceCurve(meta["scan_id"], voltage, np.array(piezo),
-                          **{observable: np.array(obs)}, **kwargs)
+        return ForceCurve(table.meta["scan_id"], voltage, piezo,
+                          **{table.header[1]: obs}, **kwargs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -170,15 +116,96 @@ def save_scan(curve: ForceCurve, fh) -> None:
         fh.write(f"{p:.9g},{v:.9g}\n")
 
 
-def _read_lines(source):
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-    else:
+@dataclass(frozen=True)
+class _Csv:
+    """One parsed CSV input, with the source line of every entry."""
+
+    meta: dict           # '# key=value' lines
+    meta_line: dict      # line number of each metadata key
+    header: tuple | None
+    columns: np.ndarray  # (columns, rows) float, each column contiguous
+    line: list           # line number of each data row
+
+    def reject(self, bad: np.ndarray, message: str) -> None:
+        """Raise ParseError at the first data row where ``bad`` holds."""
+        if bad.any():
+            raise ParseError(message, line=self.line[int(np.argmax(bad))])
+
+    def meta_float(self, key: str) -> float:
+        """A metadata value that must be a finite number."""
+        try:
+            value = float(self.meta[key])
+        except ValueError:
+            raise ParseError(f"malformed {key}", line=self.meta_line[key]) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite {key}", line=self.meta_line[key])
+        return value
+
+
+def _read_csv(source, ncols: int, headers=None) -> _Csv:
+    """Read the package's CSV dialect from a path or a text/binary file object.
+
+    With ``headers`` (a tuple of accepted column-name tuples) the first line
+    that is neither blank nor a comment must be one of them. Every other line
+    is a row of ``ncols`` finite floats. Errors tied to a line carry its number.
+    """
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            data = fh.read()
-    return io.StringIO(data).read().splitlines()
+            text = fh.read()
+    else:
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    meta, meta_line, header, rows, line = {}, {}, None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped[0] == "#":
+            key, eq, value = stripped[1:].partition("=")
+            if eq:
+                key = key.strip()
+                meta[key] = value.strip()
+                meta_line[key] = lineno
+            continue
+        if headers is not None and header is None:
+            header = tuple(c.strip() for c in stripped.split(","))
+            if header not in headers:
+                expected = " or ".join(",".join(h) for h in headers)
+                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
+                                 line=lineno)
+            continue
+        rows.append(stripped)
+        line.append(lineno)
+    if headers is not None and header is None:
+        raise ParseError("missing column header")
+    table = _Csv(meta, meta_line, header, _parse_columns(rows, line, ncols), line)
+    table.reject(~np.isfinite(table.columns).all(axis=0), "non-finite value")
+    return table
+
+
+def _parse_columns(rows, line, ncols: int) -> np.ndarray:
+    """Rows of comma-separated floats as an (ncols, n) array.
+
+    numpy parses the whole block at once; only when that fails are the rows
+    parsed one by one to find the offending line.
+    """
+    if not rows:
+        return np.empty((ncols, 0))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == ncols:
+            return np.ascontiguousarray(data.T)
+    except ValueError:
+        pass
+    for row, lineno in zip(rows, line):
+        if row.count(",") != ncols - 1:
+            raise ParseError(f"expected {ncols} columns, got {row!r}", line=lineno)
+        try:
+            np.loadtxt([row], delimiter=",", comments=None)
+        except ValueError:
+            raise ParseError(f"malformed number in {row!r}", line=lineno) from None
+    raise ParseError("malformed rows")  # not reached: some row fails above
 
 
 def signal_to_force(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:
@@ -189,68 +216,3 @@ def signal_to_force(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:
     force_pn = cal.k * deflection_nm * 1e3  # N/m * nm -> pN
     return replace(curve, signal=None, force_pn=force_pn,
                    spring_constant=cal.k, temperature_k=cal.temperature)
-
-
-def correct_separation_axis(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:
-    """Apply piezo hysteresis and cantilever-deflection corrections.
-
-    The corrected axis is hysteresis(piezo) + F/k: attraction (F < 0) pulls
-    the sphere toward the plate, shortening the true gap.
-    """
-    if not curve.has_force:
-        raise CalibrationError("force must be populated before axis correction")
-    mapped = cal.hysteresis_map(curve.piezo_nm)
-    if not np.all(np.diff(mapped) > 0):
-        raise CalibrationError("hysteresis polynomial non-monotone over the scan range")
-    deflection_nm = curve.force_pn / (cal.k * 1e3)
-    return replace(curve, piezo_nm=mapped + deflection_nm)
-
-
-def segment_regions(curve: ForceCurve) -> RegionBounds:
-    """Locate contact and partition the scan into the three analysis regions.
-
-    Contact is the intersection of the least-squares line through the steep
-    post-contact flexing segment with the far-field baseline; the flexing
-    slope must exceed 5x the baseline noise slope.
-    """
-    if not curve.has_force:
-        raise SegmentationError("force must be populated before segmentation")
-    piezo = curve.piezo_nm
-    force = curve.force_pn
-    n = piezo.size
-    n_base = max(MIN_SAMPLES, n // 4)
-    b1, b0 = np.polyfit(piezo[:n_base], force[:n_base], 1)
-    sigma = float(np.std(force[:n_base] - (b0 + b1 * piezo[:n_base])))
-    spacing = float(np.median(np.diff(piezo)))
-    noise_slope = sigma * np.sqrt(2.0) / spacing
-    threshold = 5.0 * max(abs(b1), noise_slope, 1e-12)
-
-    slopes = np.diff(force) / np.diff(piezo)
-    i = n - 1
-    while i > 0 and slopes[i - 1] >= threshold:
-        i -= 1
-    flex = range(i, n)
-    if len(flex) < 3:
-        raise SegmentationError("no flexing segment detected; scan never reaches contact")
-    a1, a0 = np.polyfit(piezo[flex.start:], force[flex.start:], 1)
-    if a1 <= b1:
-        raise SegmentationError("flexing slope does not exceed the baseline slope")
-    contact = (b0 - a0) / (a1 - b1)
-    separation = contact - piezo
-    contact_index = int(np.searchsorted(piezo, contact))
-
-    i2 = int(np.searchsorted(-separation, -REGION2_MAX_NM))   # first with sep <= 516
-    i1 = int(np.searchsorted(-separation, -REGION2_MIN_NM))   # first with sep <= 16
-    bounds = RegionBounds(
-        contact_index=min(contact_index, n - 1),
-        contact_displacement_nm=float(contact),
-        region1=range(i1, n),
-        region2=range(i2, i1),
-        region3=range(0, i2),
-    )
-    return bounds
-
-
-def separation_from_contact(curve: ForceCurve, bounds: RegionBounds) -> np.ndarray:
-    """Separation-from-contact axis in nm (positive before contact)."""
-    return bounds.contact_displacement_nm - curve.piezo_nm

@@ -37,8 +37,15 @@ def drude_params(default_cfg, drude_model):
 
 
 @pytest.fixture(scope="session")
-def drude_curve(default_cfg, drude_params):
-    return assemble.theory_curve(default_cfg, drude_params)
+def drude_curve(default_cfg):
+    return assemble.theory_curve(default_cfg)   # the default model is Drude
+
+
+@pytest.fixture(scope="session")
+def window(default_cfg):
+    """(window_nm, n_nodes, pooled_noise_pn) of the default config."""
+    return ((default_cfg.window_lo_nm, default_cfg.window_hi_nm),
+            default_cfg.window_points, default_cfg.pooled_noise_pn)
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +65,8 @@ def campaign(truth, drude_curve, e_cfg):
 
 
 @pytest.fixture(scope="session")
-def campaign_results(campaign, drude_curve, e_cfg, truth):
+def campaign_results(campaign, drude_curve, e_cfg, truth, window):
     grounded, voltage_scans = campaign
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded, drude_curve, e_cfg, truth.cap_offset_nm)
+        voltage_scans, grounded, drude_curve, e_cfg, truth.cap_offset_nm, *window)
     return results, mean_curve, std

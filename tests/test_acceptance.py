@@ -166,11 +166,11 @@ def test_criterion_10_determinism(tmp_path):
           f"{len(names)} synth files + results.json + mean_curve.csv compared")
 
 
-def test_criterion_11_noiseless_inversion(truth, drude_curve, e_cfg):
+def test_criterion_11_noiseless_inversion(truth, drude_curve, e_cfg, window):
     quiet = replace(truth, noise_sigma_pn=0.0, n_scans=2)
     grounded, voltage_scans = generate_scans(quiet, drude_curve, e_cfg)
     results, _, _ = analyze_campaign(voltage_scans, grounded, drude_curve,
-                                     e_cfg, quiet.cap_offset_nm)
+                                     e_cfg, quiet.cap_offset_nm, *window)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)
     dc = abs(results["drift_pn_per_nm"] / quiet.C_true_pn_per_nm - 1.0)
     srms = results["sigma_rms_pn"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from casimirlab.analysis import (_pfa_force_pn, average_scans,
+from casimirlab.analysis import (DRIFT_REGION_MIN_NM, _pfa_force_pn, average_scans,
                                  calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
                                  fit_drift_coefficient, resample_force)
@@ -35,34 +35,37 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg, truth)
     assert abs(best - quiet.z0_true_nm) <= 1.0
 
 
-def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):
+def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg,
+                                          default_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     fit = fit_contact_separation(voltage_scans[0], drude_curve, e_cfg,
-                                 quiet.cap_offset_nm)
+                                 quiet.cap_offset_nm, default_cfg.pooled_noise_pn)
     assert fit.z0_nm == pytest.approx(quiet.z0_true_nm, rel=1e-6)
     assert fit.z0_sigma_nm > 0
     assert fit.voltage == voltage_scans[0].applied_voltage
 
 
-def test_fit_voltage_range_guard(noiseless_scans, drude_curve, e_cfg):
+def test_fit_voltage_range_guard(noiseless_scans, drude_curve, e_cfg, default_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     bad = replace(voltage_scans[0], applied_voltage=0.9)
     with pytest.raises(DataError, match="voltage"):
-        fit_contact_separation(bad, drude_curve, e_cfg, quiet.cap_offset_nm)
+        fit_contact_separation(bad, drude_curve, e_cfg, quiet.cap_offset_nm,
+                               default_cfg.pooled_noise_pn)
 
 
-def test_fit_bracket_edge_raises(drude_curve, e_cfg):
+def test_fit_bracket_edge_raises(drude_curve, e_cfg, default_cfg):
     # zero data pulls chi2 monotonically toward the far bracket edge
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
     with pytest.raises(FitError):
-        fit_contact_separation(flat, drude_curve, e_cfg, 15.8)
+        fit_contact_separation(flat, drude_curve, e_cfg, 15.8,
+                               default_cfg.pooled_noise_pn)
 
 
 def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg):
     quiet, (grounded, _) = noiseless_scans
     scan = grounded[0]
-    mask = scan.piezo_nm > 516.0
+    mask = scan.piezo_nm > DRIFT_REGION_MIN_NM
     z = scan.piezo_nm[mask]
     f = scan.force_pn[mask]
     drift = fit_drift_coefficient(z, f, quiet.z0_true_nm, drude_curve, e_cfg,
@@ -120,16 +123,16 @@ def test_resample_force_guards():
     np.testing.assert_allclose(out, [0.5, 19.5])
 
 
-def test_sigma_rms_scales_with_residual(drude_curve):
+def test_sigma_rms_scales_with_residual(drude_curve, window):
     axis = np.linspace(95.0, 505.0, 300)
     theory_pn = drude_curve(axis * 1e-9) * 1e12
     rng = np.random.default_rng(3)
     resid = rng.normal(0.0, 1.0, axis.size)
     std = np.ones_like(axis)
     s1 = compare_to_theory(ForceCurve("m", 0.0, axis, force_pn=theory_pn + resid),
-                           std, 27, drude_curve)
+                           std, 27, drude_curve, *window)
     s2 = compare_to_theory(ForceCurve("m", 0.0, axis, force_pn=theory_pn + 2 * resid),
-                           std, 27, drude_curve)
+                           std, 27, drude_curve, *window)
     assert s2.sigma_rms_pn == pytest.approx(2.0 * s1.sigma_rms_pn, rel=1e-9)
     assert s1.n_points == 441
 
@@ -141,11 +144,11 @@ def test_axis_shift_increases_sigma_rms(campaign_results):
         assert value > base
 
 
-def test_compare_window_guard(drude_curve):
+def test_compare_window_guard(drude_curve, window):
     axis = np.linspace(495.0, 600.0, 12)
     curve = ForceCurve("m", 0.0, axis, force_pn=drude_curve(axis * 1e-9) * 1e12)
     with pytest.raises(DataError, match="window"):
-        compare_to_theory(curve, np.ones(12), 27, drude_curve)
+        compare_to_theory(curve, np.ones(12), 27, drude_curve, *window)
 
 
 def test_calibrate_spring_constant(truth, e_cfg):

@@ -189,3 +189,41 @@ def test_exit_code_fit_failure(runner, workdir, tmp_path):
                                   "--config", str(workdir / "run.cfg"),
                                   "--out", str(tmp_path / "z.json")])
     assert result.exit_code == 4
+
+
+def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path):
+    scans = tmp_path / "campaign"
+    scans.mkdir()
+    for path in campaign_dir.glob("*.csv"):
+        (scans / path.name).write_text(path.read_text())
+    lines = (scans / "scan_000.csv").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("piezo_nm")) + 2
+    lines[row] = lines[row].split(",")[0] + ",nan"
+    (scans / "scan_000.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"non-finite value at line {row + 1}" in result.output
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("lineno,bad", [
+    (3, "separation_nm,force_pn,sigma_pn"),
+    (5, "100.5,-160.2"),
+    (5, "100.5,-160.2,abc"),
+])
+def test_compare_rejects_bad_mean_curve(runner, workdir, analysis_dir, tmp_path,
+                                        lineno, bad):
+    lines = (analysis_dir / "mean_curve.csv").read_text().splitlines()
+    assert lines[2] == "separation_nm,force_pn,std_pn"
+    lines[lineno - 1] = bad
+    curve = tmp_path / "mean_curve.csv"
+    curve.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "compare.json"
+    result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"at line {lineno}" in result.output
+    assert not out.exists()

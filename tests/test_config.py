@@ -31,6 +31,9 @@ def test_bad_values_rejected():
         parse_config("enable_roughness=maybe\n")
     with pytest.raises(ParseError, match="key=value"):
         parse_config("just a line\n")
+    with pytest.raises(ParseError, match="'cap_offset_nm'.* at line 2"):
+        parse_config("seed=1\ncap_offset_nm=-0.5\n")
+    assert parse_config("cap_offset_nm=0\n").cap_offset_nm == 0.0
 
 
 def test_digest_stable():

@@ -7,7 +7,7 @@ from casimirlab.corrections import (RoughnessSpec, TemperatureParams,
                                     TheoryCurve, TheoryParams, corrected_force,
                                     roughness_factor,
                                     roughness_factor_from_distribution,
-                                    temperature_factor, theoretical_force)
+                                    temperature_factor)
 from casimirlab.errors import ValidityError
 
 ROUGH = RoughnessSpec()
@@ -116,14 +116,6 @@ def test_corrected_force_composition(drude_params):
     assert abs(full / bare - 1.0) < 0.025
 
 
-def test_theoretical_force_offsets_cap(drude_params):
-    z_gap = 120e-9
-    direct = corrected_force(z_gap + drude_params.cap_offset, drude_params)
-    assert theoretical_force(z_gap, drude_params) == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        theoretical_force(0.0, drude_params)
-
-
 def test_theory_curve_matches_direct(drude_params, drude_curve):
     for z in (101e-9, 237e-9, 480e-9, 900e-9):
         assert drude_curve(z) == pytest.approx(corrected_force(z, drude_params),
@@ -141,7 +133,5 @@ def test_theory_curve_error_within_tolerance(drude_params, drude_curve):
 
 
 def test_theory_params_validation(drude_model):
-    with pytest.raises(ValueError):
-        TheoryParams(model=drude_model, cap_offset=-1e-9)
     with pytest.raises(ValueError):
         TheoryCurve(TheoryParams(model=drude_model), 2e-7, 1e-7)

@@ -1,4 +1,5 @@
 import importlib.resources
+import io
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_crossover_bounds_checked():
 
 def test_load_optical_table_dialect():
     text = "# comment\n# material=Al\n0.04,100.0\n1.0,2.5\n"
-    table = load_optical_table(text)
+    table = load_optical_table(io.StringIO(text))
     assert table.material_label == "Al"
     assert table.energies_ev.tolist() == [0.04, 1.0]
 
@@ -123,10 +124,11 @@ def test_load_optical_table_dialect():
     ("0.04,1.0\n1.0,-2.0\n", "negative"),
     ("0.04,abc\n1.0,2.0\n", "malformed"),
     ("0.04,1.0\n", "at least 2"),
+    ("0.04,1.0\n1.0,nan\n", "non-finite value at line 2"),
 ])
 def test_load_optical_table_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
-        load_optical_table(text)
+        load_optical_table(io.StringIO(text))
 
 
 ARRAY_MODELS = [constant(30.0), drude_only(),
