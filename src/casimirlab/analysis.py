@@ -8,6 +8,10 @@ the systematic terms, scan averaging, and the comparison against theory.
 Axis conventions: scans enter with a separation-from-contact axis z in nm;
 extraction re-expresses it as the metal-to-metal separation z + z0 + cap.
 All fits run in nm / pN, physics calls in SI.
+
+``model_force_pn`` is the one forward model: the synthetic generator draws
+its scans from it and the z0 and drift fits fit it, so the loop closes on
+the same expression.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ class ComparisonStats:
     sigma_rms_pn: float
     n_points: int
     reduced_chi2: float
-    pooled_noise_pn: float
     variants: dict
 
 
@@ -63,6 +66,23 @@ def _pfa_force_pn(z_nm, cfg: ElectrostaticConfig, dv: float):
     """Vectorized proximity electrostatic force in pN for separations in nm."""
     z_m = np.asarray(z_nm, dtype=float) * 1e-9
     return -math.pi * CONST.eps0 * cfg.R * dv * dv / z_m * 1e12
+
+
+def model_force_pn(z_nm, z0_nm: float, voltage: float, theory: TheoryCurve,
+                   cfg: ElectrostaticConfig, cap_offset_nm: float,
+                   drift_pn_per_nm: float = 0.0):
+    """Force in pN a scan measures at separations from contact z_nm.
+
+    The theory force at the metal-to-metal separation z + z0 + cap, plus
+    the proximity electrostatic force of the plate voltage against the
+    sphere's residual potential at z + z0, plus the linear drift C * z.
+    """
+    sep = z_nm + z0_nm
+    force = (theory((sep + cap_offset_nm) * 1e-9) * 1e12
+             + _pfa_force_pn(sep, cfg, voltage - cfg.V2))
+    if drift_pn_per_nm:
+        force = force + drift_pn_per_nm * z_nm
+    return force
 
 
 def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
@@ -100,8 +120,8 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
                            pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
-    The model is the proximity electrostatic force plus the corrected theory
-    force; z0 is found by a 1 nm coarse scan followed by bracketed scalar
+    The model is ``model_force_pn`` at the scan's voltage, without drift;
+    z0 is found by a 1 nm coarse scan followed by bracketed scalar
     minimization, and its uncertainty from the delta-chi2 = 1 curvature.
     """
     if not curve.has_force:
@@ -111,13 +131,10 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
         raise DataError(f"applied voltage {v} V outside {Z0_VOLTAGE_RANGE}")
     z = curve.piezo_nm
     f = curve.force_pn
-    dv = v - cfg.V2
     sigma = pooled_noise_pn
 
     def chi2(z0):
-        sep = z + z0
-        model = (_pfa_force_pn(sep, cfg, dv)
-                 + theory((sep + cap_offset_nm) * 1e-9) * 1e12)
+        model = model_force_pn(z, z0, v, theory, cfg, cap_offset_nm)
         r = (f - model) / sigma
         return float(np.dot(r, r))
 
@@ -146,17 +163,15 @@ def fit_drift_coefficient(z_nm, force_pn, z0_nm: float, theory: TheoryCurve,
                           cfg: ElectrostaticConfig, cap_offset_nm: float) -> DriftFit:
     """Closed-form linear least squares for the scattered-light/drift slope C.
 
-    The theory and residual-potential terms are subtracted first; the
-    remaining F = C * z is solved by the normal equation.
+    The grounded model without drift (``model_force_pn`` at 0 V) is
+    subtracted first; the remaining F = C * z is solved by the normal
+    equation.
     """
     z = np.asarray(z_nm, dtype=float)
     f = np.asarray(force_pn, dtype=float)
     if z.size == 0:
         raise DataError("region 3 is empty")
-    sep = z + z0_nm
-    model = (_pfa_force_pn(sep, cfg, -cfg.V2)
-             + theory((sep + cap_offset_nm) * 1e-9) * 1e12)
-    resid = f - model
+    resid = f - model_force_pn(z, z0_nm, 0.0, theory, cfg, cap_offset_nm)
     denom = float(np.dot(z, z))
     c = float(np.dot(z, resid) / denom)
     r = resid - c * z
@@ -221,8 +236,7 @@ VARIANT_SHIFTS_NM = {
 
 
 def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
-                      theory: TheoryCurve, window_nm, n_nodes: int,
-                      pooled_noise_pn: float) -> ComparisonStats:
+                      theory: TheoryCurve, window_nm, n_nodes: int) -> ComparisonStats:
     """Statistics of experiment vs theory over the comparison window.
 
     The mean curve (metal-to-metal axis) and the theory sampled on its grid
@@ -262,8 +276,7 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
 
     return ComparisonStats(sigma_rms_pn=sigma_rms, n_points=int(grid.size),
-                           reduced_chi2=reduced_chi2,
-                           pooled_noise_pn=pooled_noise_pn, variants=variants)
+                           reduced_chi2=reduced_chi2, variants=variants)
 
 
 # Region 3, where the drift is fitted: separation from contact > 516 nm.
@@ -307,7 +320,7 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
 
     mean_curve, std = average_scans(extracted)
     stats = compare_to_theory(mean_curve, std, len(extracted), theory,
-                              window_nm, n_nodes, pooled_noise_pn)
+                              window_nm, n_nodes)
     results = {
         "z0_nm": z0,
         "z0_sigma_nm": z0_sigma,

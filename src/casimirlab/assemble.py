@@ -10,7 +10,6 @@ from .dielectric import (DielectricModel, DrudeParams, drude_only,
 from .electrostatics import ElectrostaticConfig
 from .forcecurve import CalibrationParams
 from .lifshitz import QuadratureParams, SphereGeometry
-from .synth import SynthTruth
 
 
 def dielectric_model(cfg: RunConfig, force_drude: bool = False,
@@ -56,16 +55,3 @@ def calibration_params(cfg: RunConfig) -> CalibrationParams:
                              deflection_sensitivity=cfg.deflection_sensitivity_nm,
                              temperature=cfg.temperature_k)
 
-
-def synth_truth(cfg: RunConfig, seed: int | None = None) -> SynthTruth:
-    return SynthTruth(
-        z0_true_nm=cfg.z0_true_nm,
-        C_true_pn_per_nm=cfg.c_true_pn_per_nm,
-        k_true=cfg.spring_constant_n_per_m,
-        V2_residual=cfg.v2_residual_mv * 1e-3,
-        noise_sigma_pn=cfg.noise_pn,
-        n_scans=cfg.n_scans,
-        grid_nm=(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points),
-        seed=cfg.seed if seed is None else seed,
-        cap_offset_nm=cfg.cap_offset_nm,
-    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -19,13 +20,14 @@ import numpy as np
 
 from . import __version__, assemble
 from .analysis import (analyze_campaign, calibrate_spring_constant,
-                       compare_to_theory, fit_contact_separation, _pfa_force_pn)
+                       compare_to_theory, fit_contact_separation, model_force_pn)
 from .config import RunConfig, load_config
 from .corrections import TheoryCurve
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
                      DataError, FitError, ParseError, ValidityError)
-from .forcecurve import ForceCurve, _read_csv, load_scan, signal_to_force
+from .forcecurve import (ForceCurve, _csv_rows, _read_csv, load_scan,
+                         signal_to_force)
 from .synth import load_campaign, write_campaign
 
 EXIT_INPUT = 2
@@ -84,10 +86,8 @@ def meta_header(cfg: RunConfig, seed=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_text(cfg: RunConfig, header_cols, rows, seed=None) -> str:
-    out = [meta_header(cfg, seed), ",".join(header_cols), "\n"]
-    body = "\n".join(",".join(f"{v:.9g}" for v in row) for row in rows)
-    return "".join(out) + body + "\n"
+def csv_text(cfg: RunConfig, header_cols, columns, seed=None) -> str:
+    return meta_header(cfg, seed) + ",".join(header_cols) + "\n" + _csv_rows(*columns)
 
 
 def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
@@ -136,7 +136,7 @@ def epsilon(xi_spec, material, drude_only, config_path, out):
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
     # the eps arguments in a set
     eps = model.eps(tuple(energy_ev_to_angular_frequency(e) for e in grid))
-    atomic_write(out, csv_text(cfg, ["xi_ev", "eps"], zip(grid, eps)))
+    atomic_write(out, csv_text(cfg, ["xi_ev", "eps"], (grid, eps)))
 
 
 @main.command()
@@ -155,8 +155,8 @@ def theory(z_spec, material, drude_only, config_path, out):
     grid = parse_grid(z_spec)
     curve = TheoryCurve(params, grid[0] * 1e-9 / 1.001, grid[-1] * 1e-9 * 1.001,
                         cfg.theory_cache_points)
-    rows = [(z, curve(z * 1e-9) * 1e12) for z in grid]
-    atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], rows))
+    force = [curve(z * 1e-9) * 1e12 for z in grid]
+    atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], (grid, force)))
 
 
 @main.command()
@@ -171,12 +171,10 @@ def electro(z_spec, voltage, config_path, out):
     cfg = _load_cfg(config_path)
     e_cfg = assemble.electrostatic_config(cfg, V1=voltage)
     grid = parse_grid(z_spec)
-    rows = [(z,
-             sphere_plane_force_exact(z * 1e-9, e_cfg) * 1e12,
-             sphere_plane_force_pfa(z * 1e-9, e_cfg) * 1e12)
-            for z in grid]
+    exact = [sphere_plane_force_exact(z * 1e-9, e_cfg) * 1e12 for z in grid]
+    pfa = [sphere_plane_force_pfa(z * 1e-9, e_cfg) * 1e12 for z in grid]
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_exact_pn",
-                                     "force_pfa_pn"], rows))
+                                     "force_pfa_pn"], (grid, exact, pfa)))
 
 
 @main.command("calibrate-k")
@@ -227,12 +225,11 @@ def fit_z0(scan_path, emit_curve, config_path, out):
         "voltage_v": fit.voltage,
     }))
     if emit_curve:
-        sep = curve.piezo_nm + fit.z0_nm
-        model_pn = (_pfa_force_pn(sep, e_cfg, fit.voltage - e_cfg.V2)
-                    + th((sep + cfg.cap_offset_nm) * 1e-9) * 1e12)
-        rows = list(zip(sep, curve.force_pn, model_pn))
+        model_pn = model_force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage, th, e_cfg,
+                                  cfg.cap_offset_nm)
+        columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
         atomic_write(Path(out).with_suffix(".curve.csv"),
-                     csv_text(cfg, ["separation_nm", "force_pn", "model_pn"], rows))
+                     csv_text(cfg, ["separation_nm", "force_pn", "model_pn"], columns))
 
 
 @main.command()
@@ -243,12 +240,12 @@ def fit_z0(scan_path, emit_curve, config_path, out):
 def synth(seed, out_dir, config_path):
     """Generate a deterministic synthetic campaign directory."""
     cfg = _load_cfg(config_path)
-    truth = assemble.synth_truth(cfg, seed)
+    run = cfg if seed is None else replace(cfg, seed=seed)
     th = assemble.theory_curve(cfg)
     e_cfg = assemble.electrostatic_config(cfg)
-    write_campaign(out_dir, truth, th, e_cfg)
-    manifest = meta_header(cfg, seed=truth.seed)
-    atomic_write(Path(out_dir) / "manifest.txt", manifest)
+    write_campaign(out_dir, run, th, e_cfg)
+    # the config hash is that of the file as loaded, without the --seed override
+    atomic_write(Path(out_dir) / "manifest.txt", meta_header(cfg, seed=run.seed))
 
 
 @main.command()
@@ -272,15 +269,16 @@ def analyze(scans_dir, out_dir, config_path):
         cfg.pooled_noise_pn, spring_constant=spring)
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))
-    rows = list(zip(mean_curve.piezo_nm, mean_curve.force_pn, std))
     atomic_write(out_dir / "mean_curve.csv",
-                 csv_text(cfg, MEAN_CURVE_COLUMNS, rows))
+                 csv_text(cfg, MEAN_CURVE_COLUMNS,
+                          (mean_curve.piezo_nm, mean_curve.force_pn, std)))
 
 
 @main.command()
 @click.option("--curve", "curve_path", required=True, type=click.Path(exists=True),
               help="mean-curve CSV (separation_nm,force_pn,std_pn)")
-@click.option("--n-scans", type=int, default=27, show_default=True)
+@click.option("--n-scans", type=int, default=None,
+              help="scans averaged into the mean curve (default: n_scans of the config)")
 @click.option("--emit-curve", is_flag=True,
               help="also write experiment-vs-theory plot data")
 @config_option
@@ -292,9 +290,9 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     axis, force, std = _read_csv(curve_path, 3, (MEAN_CURVE_COLUMNS,)).columns
     mean_curve = ForceCurve("mean", 0.0, axis, force_pn=force)
     th = assemble.theory_curve(cfg)
-    stats = compare_to_theory(mean_curve, std, n_scans, th,
-                              (cfg.window_lo_nm, cfg.window_hi_nm),
-                              cfg.window_points, cfg.pooled_noise_pn)
+    stats = compare_to_theory(mean_curve, std,
+                              cfg.n_scans if n_scans is None else n_scans, th,
+                              (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points)
     atomic_write(out, json_text(cfg, {
         "sigma_rms_pn": stats.sigma_rms_pn,
         "reduced_chi2": stats.reduced_chi2,
@@ -303,11 +301,9 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
         "window_nm": [cfg.window_lo_nm, cfg.window_hi_nm],
     }))
     if emit_curve:
-        theory_pn = th(axis * 1e-9) * 1e12
-        rows = list(zip(axis, force, theory_pn))
         atomic_write(Path(out).with_suffix(".curve.csv"),
-                     csv_text(cfg, ["separation_nm", "force_exp_pn",
-                                    "force_theory_pn"], rows))
+                     csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],
+                              (axis, force, th(axis * 1e-9) * 1e12)))
 
 
 if __name__ == "__main__":

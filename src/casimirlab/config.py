@@ -1,13 +1,15 @@
 """Plain-text key=value run configuration.
 
 Every tunable default of the pipeline lives here; unknown keys are
-rejected and the canonical rendering of the config is hashed into output
-metadata so reruns are attributable.
+rejected, every value is checked against one range table, and the
+canonical rendering of the config is hashed into output metadata so reruns
+are attributable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ParseError
@@ -57,6 +59,11 @@ class RunConfig:
     grid_hi_nm: float = 920.0
     grid_points: int = 982
 
+    def __post_init__(self):
+        broken = _broken_rule(self)
+        if broken is not None:
+            raise ValueError(broken[1])
+
     def to_text(self) -> str:
         """Canonical key=value rendering (field order, one per line)."""
         lines = []
@@ -71,6 +78,35 @@ class RunConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+# The range table: (keys, requirement, test). The first key is the one
+# bounded; a cross-field rule also lists the keys it reads. Every RunConfig
+# runs it, whether parsed, built in code or made by replace().
+_RANGES = (
+    (("cap_offset_nm",), ">= 0", lambda c: c.cap_offset_nm >= 0),
+    *(((key,), "finite", lambda c, key=key: math.isfinite(getattr(c, key)))
+      for key, kind in _TYPES.items() if kind is float),
+    (("noise_pn",), ">= 0", lambda c: c.noise_pn >= 0),
+    (("n_scans",), ">= 1", lambda c: c.n_scans >= 1),
+    (("grid_points",), ">= 10", lambda c: c.grid_points >= 10),
+    (("grid_hi_nm", "grid_lo_nm"), "> grid_lo_nm",
+     lambda c: c.grid_hi_nm > c.grid_lo_nm),
+    (("grid_lo_nm", "z0_true_nm"), "> -z0_true_nm (above contact)",
+     lambda c: c.grid_lo_nm > -c.z0_true_nm),
+)
+
+
+def _broken_rule(cfg: RunConfig):
+    """(keys, message) of the first range rule cfg breaks, or None."""
+    for keys, requirement, holds in _RANGES:
+        if not holds(cfg):
+            key = keys[0]
+            return keys, (f"bad value for {key!r}: must be {requirement}, "
+                          f"got {getattr(cfg, key)}")
+    return None
+
+
 def _coerce(value: str, target_type):
     if target_type is bool:
         lowered = value.lower()
@@ -83,10 +119,13 @@ def _coerce(value: str, target_type):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines; '#' comments allowed; unknown keys rejected."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+    """Parse key=value lines; '#' comments allowed; unknown keys rejected.
+
+    A value outside the range table raises ParseError naming the key and
+    the line that set it (the last such line for a cross-field rule).
+    """
     cfg = RunConfig()
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -96,15 +135,18 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _TYPES:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
         try:
-            setattr(cfg, key, _coerce(value, types[key]))
+            setattr(cfg, key, _coerce(value, _TYPES[key]))
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", line=lineno) from None
-        if key == "cap_offset_nm" and not cfg.cap_offset_nm >= 0:
-            raise ParseError(f"bad value for {key!r}: must be >= 0, got {value}",
-                             line=lineno)
+        line_of[key] = lineno
+    broken = _broken_rule(cfg)
+    if broken is not None:
+        keys, message = broken
+        raise ParseError(message, line=max((line_of[k] for k in keys if k in line_of),
+                                           default=None))
     return cfg
 
 

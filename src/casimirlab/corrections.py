@@ -29,24 +29,16 @@ ROUGHNESS_SERIES_MAX_RATIO = 0.3  # A/z validity edge of the quartic series
 
 @dataclass(frozen=True)
 class RoughnessSpec:
-    """Effective amplitude A plus the quartic correction coefficients.
-
-    ``distribution`` optionally carries the measured height model as
-    (height_m, probability) pairs; it must have zero mean, matching the
-    definition of the effective amplitude.
-    """
+    """Effective amplitude A plus the quartic correction coefficients."""
 
     A: float = 11.8e-9
     coeffs: tuple = (0.86, 1.02, 1.90)
-    distribution: tuple | None = None
 
     def __post_init__(self):
         if self.A < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.A}")
         if len(self.coeffs) != 3:
             raise ValueError("coeffs must be (c2, c3, c4)")
-        if self.distribution is not None:
-            _validate_distribution(self.distribution, scale=max(self.A, 1e-12))
 
 
 def _validate_distribution(distribution, scale):

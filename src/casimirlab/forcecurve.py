@@ -102,18 +102,26 @@ def load_scan(source) -> ForceCurve:
 
 
 def save_scan(curve: ForceCurve, fh) -> None:
-    """Write a curve in the CSV dialect accepted by load_scan."""
-    fh.write(f"# scan_id={curve.scan_id}\n")
-    fh.write(f"# applied_voltage_v={curve.applied_voltage:.9g}\n")
+    """Write a curve in the CSV dialect accepted by load_scan, in one write."""
+    head = f"# scan_id={curve.scan_id}\n# applied_voltage_v={curve.applied_voltage:.9g}\n"
     if curve.spring_constant is not None:
-        fh.write(f"# spring_constant_n_per_m={curve.spring_constant:.9g}\n")
+        head += f"# spring_constant_n_per_m={curve.spring_constant:.9g}\n"
     if curve.temperature_k is not None:
-        fh.write(f"# temperature_k={curve.temperature_k:.9g}\n")
+        head += f"# temperature_k={curve.temperature_k:.9g}\n"
     column = "force_pn" if curve.has_force else "signal"
     values = curve.force_pn if curve.has_force else curve.signal
-    fh.write(f"piezo_nm,{column}\n")
-    for p, v in zip(curve.piezo_nm, values):
-        fh.write(f"{p:.9g},{v:.9g}\n")
+    fh.write(f"{head}piezo_nm,{column}\n" + _csv_rows(curve.piezo_nm, values))
+
+
+def _csv_rows(*columns) -> str:
+    """Equal-length float columns as CSV rows of 9 significant digits.
+
+    The one row formatter of the package's writers (scans here, the command
+    outputs in ``cli``); every row ends in a newline.
+    """
+    row = ",".join(["{:.9g}"] * len(columns)) + "\n"
+    return "".join(map(row.format, *(np.asarray(c, dtype=float).tolist()
+                                     for c in columns)))
 
 
 @dataclass(frozen=True)

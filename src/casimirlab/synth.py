@@ -1,157 +1,108 @@
 """Deterministic synthetic-scan generator.
 
-Produces the inverse of the analysis pipeline: grounded scans carrying
-theory + residual electrostatic + linear drift + iid Gaussian noise, and
-applied-voltage scans for the z0 fit. Sub-seeds derive deterministically
-from (seed, scan index) via numpy's SeedSequence, so identical seeds give
-byte-identical output.
+Produces the inverse of the analysis pipeline from the run configuration
+(``RunConfig`` for the truth, grid, noise and seed; ``ElectrostaticConfig``
+for the sphere's residual potential): grounded scans carrying theory +
+residual electrostatic + linear drift + iid Gaussian noise, and
+applied-voltage scans for the z0 fit. The force comes from
+``analysis.model_force_pn``, the model the fits use. Sub-seeds derive
+deterministically from (seed, scan index) via numpy's SeedSequence, so
+identical seeds give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from .analysis import _pfa_force_pn
+from .analysis import model_force_pn
+from .config import RunConfig
 from .corrections import TheoryCurve
-from .electrostatics import ElectrostaticConfig
+from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
 from .errors import DataError
-from .forcecurve import ForceCurve, save_scan
+from .forcecurve import ForceCurve, load_scan, save_scan
 
-DEFAULT_GRID_NM = (30.0, 920.0, 982)
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 
-@dataclass(frozen=True)
-class SynthTruth:
-    """Ground-truth parameters injected into a synthetic campaign."""
-
-    z0_true_nm: float = 48.9
-    C_true_pn_per_nm: float = 1.0e-3
-    k_true: float = 0.0169
-    cal_voltages: tuple = DEFAULT_CAL_VOLTAGES
-    V2_residual: float = 7.9e-3
-    noise_sigma_pn: float = 7.0
-    n_scans: int = 27
-    grid_nm: tuple = DEFAULT_GRID_NM      # (lo, hi, n) separation-from-contact
-    seed: int = 0
-    cap_offset_nm: float = 15.8
-
-    def __post_init__(self):
-        if self.noise_sigma_pn < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if self.n_scans < 1:
-            raise ValueError("need at least one scan")
-        lo, hi, n = self.grid_nm
-        if not (lo < hi and n >= 10):
-            raise ValueError(f"bad grid spec {self.grid_nm}")
-        if lo <= -self.z0_true_nm:
-            raise ValueError("grid enters separations at or below contact")
-
-    def grid(self) -> np.ndarray:
-        lo, hi, n = self.grid_nm
-        return np.linspace(lo, hi, int(n))
-
-    def to_dict(self) -> dict:
-        return {
-            "z0_true_nm": self.z0_true_nm,
-            "c_true_pn_per_nm": self.C_true_pn_per_nm,
-            "k_true_n_per_m": self.k_true,
-            "cal_voltages_v": list(self.cal_voltages),
-            "v2_residual_v": self.V2_residual,
-            "noise_sigma_pn": self.noise_sigma_pn,
-            "n_scans": self.n_scans,
-            "grid_nm": list(self.grid_nm),
-            "seed": self.seed,
-            "cap_offset_nm": self.cap_offset_nm,
-        }
-
-
-def _model_force_pn(z_nm, truth: SynthTruth, theory: TheoryCurve,
-                    cfg: ElectrostaticConfig, applied_voltage: float,
-                    with_drift: bool):
-    sep = z_nm + truth.z0_true_nm
-    force = (theory((sep + truth.cap_offset_nm) * 1e-9) * 1e12
-             + _pfa_force_pn(sep, cfg, applied_voltage - truth.V2_residual))
-    if with_drift:
-        force = force + truth.C_true_pn_per_nm * z_nm
-    return force
-
-
-def generate_scans(truth: SynthTruth, theory: TheoryCurve,
-                   cfg: ElectrostaticConfig):
+def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConfig):
     """Generate (grounded scans, applied-voltage scans) as ForceCurve lists.
 
     Grounded scans carry the drift term; voltage scans do not, matching the
     z0 fit model. Noise streams are independent per scan and reproducible
-    from (seed, scan index).
+    from (seed, scan index): grounded scan i draws from stream i, voltage
+    scan j from stream 10000 + j.
     """
-    z = truth.grid()
-    grounded = []
-    for i in range(truth.n_scans):
-        rng = np.random.default_rng(np.random.SeedSequence([truth.seed, i]))
-        force = _model_force_pn(z, truth, theory, cfg, 0.0, with_drift=True)
-        if truth.noise_sigma_pn > 0:
-            force = force + rng.normal(0.0, truth.noise_sigma_pn, z.size)
-        grounded.append(ForceCurve(f"scan_{i:03d}", 0.0, z, force_pn=force,
-                                   spring_constant=truth.k_true))
-    voltage_scans = []
-    for j, v in enumerate(truth.cal_voltages):
-        rng = np.random.default_rng(np.random.SeedSequence([truth.seed, 10_000 + j]))
-        force = _model_force_pn(z, truth, theory, cfg, v, with_drift=False)
-        if truth.noise_sigma_pn > 0:
-            force = force + rng.normal(0.0, truth.noise_sigma_pn, z.size)
-        voltage_scans.append(ForceCurve(f"cal_{j:02d}", v, z, force_pn=force,
-                                        spring_constant=truth.k_true))
-    return grounded, voltage_scans
+    z = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)
+    plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
+    plan += [(f"cal_{j:02d}", v, 10_000 + j, 0.0)
+             for j, v in enumerate(DEFAULT_CAL_VOLTAGES)]
+    scans = []
+    for scan_id, voltage, stream, drift in plan:
+        force = model_force_pn(z, cfg.z0_true_nm, voltage, theory, e_cfg,
+                               cfg.cap_offset_nm, drift)
+        if cfg.noise_pn > 0:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
+            force = force + rng.normal(0.0, cfg.noise_pn, z.size)
+        scans.append(ForceCurve(scan_id, voltage, z, force_pn=force,
+                                spring_constant=cfg.spring_constant_n_per_m))
+    return scans[:cfg.n_scans], scans[cfg.n_scans:]
 
 
-def generate_stiffness_scans(truth: SynthTruth, cfg: ElectrostaticConfig,
-                             deflection_sensitivity: float = 1.0,
+def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,
                              separations_nm=(2050.0, 3000.0, 40),
                              voltages=(0.31, 0.5)):
     """Raw-signal scans at separations > 2 um for the spring-constant fit.
 
-    The deflection is the exact electrostatic force over k_true, so a
-    noiseless fit must return k_true; noise (in pN) is added on the force
-    before conversion to signal.
+    The deflection is the exact electrostatic force over the configured
+    spring constant, so a noiseless fit must return it; noise (in pN) is
+    added on the force before conversion to signal.
     """
-    from .electrostatics import sphere_plane_force_exact
-
     lo, hi, n = separations_nm
     z = np.linspace(lo, hi, int(n))
     scans = []
     for j, v in enumerate(voltages):
-        rng = np.random.default_rng(np.random.SeedSequence([truth.seed, 20_000 + j]))
-        e_cfg = replace(cfg, V1=v, V2=truth.V2_residual)
-        force_n = np.array([sphere_plane_force_exact(zi * 1e-9, e_cfg) for zi in z])
-        if truth.noise_sigma_pn > 0:
-            force_n = force_n + rng.normal(0.0, truth.noise_sigma_pn, z.size) * 1e-12
-        deflection_nm = force_n / truth.k_true * 1e9
-        signal = deflection_nm / deflection_sensitivity
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 20_000 + j]))
+        v_cfg = replace(e_cfg, V1=v)
+        force_n = np.array([sphere_plane_force_exact(zi * 1e-9, v_cfg) for zi in z])
+        if cfg.noise_pn > 0:
+            force_n = force_n + rng.normal(0.0, cfg.noise_pn, z.size) * 1e-12
+        deflection_nm = force_n / cfg.spring_constant_n_per_m * 1e9
+        signal = deflection_nm / cfg.deflection_sensitivity_nm
         scans.append(ForceCurve(f"stiff_{j:02d}", v, z, signal=signal))
     return scans
 
 
-def write_campaign(outdir, truth: SynthTruth, theory: TheoryCurve,
-                   cfg: ElectrostaticConfig) -> None:
+def write_campaign(outdir, cfg: RunConfig, theory: TheoryCurve,
+                   e_cfg: ElectrostaticConfig) -> None:
     """Emit a campaign directory: scan CSVs plus the truth.json sidecar."""
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grounded, voltage_scans = generate_scans(truth, theory, cfg)
+    grounded, voltage_scans = generate_scans(cfg, theory, e_cfg)
     for curve in grounded + voltage_scans:
         path = outdir / f"{curve.scan_id}.csv"
         tmp = path.with_suffix(".csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             save_scan(curve, fh)
         tmp.replace(path)
+    truth = {
+        "z0_true_nm": cfg.z0_true_nm,
+        "c_true_pn_per_nm": cfg.c_true_pn_per_nm,
+        "k_true_n_per_m": cfg.spring_constant_n_per_m,
+        "cal_voltages_v": list(DEFAULT_CAL_VOLTAGES),
+        "v2_residual_v": e_cfg.V2,
+        "noise_sigma_pn": cfg.noise_pn,
+        "n_scans": cfg.n_scans,
+        "grid_nm": [cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points],
+        "seed": cfg.seed,
+        "cap_offset_nm": cfg.cap_offset_nm,
+    }
     tmp = outdir / "truth.json.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(truth.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
     tmp.replace(outdir / "truth.json")
 
@@ -163,10 +114,6 @@ def load_campaign(indir):
     truth dict or None). Signal-valued curves are stiffness-calibration
     scans; force-valued ones split on applied voltage.
     """
-    from pathlib import Path
-
-    from .forcecurve import load_scan
-
     indir = Path(indir)
     grounded, voltage_scans, stiffness = [], [], []
     for path in sorted(indir.glob("*.csv")):

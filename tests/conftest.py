@@ -43,9 +43,9 @@ def drude_curve(default_cfg):
 
 @pytest.fixture(scope="session")
 def window(default_cfg):
-    """(window_nm, n_nodes, pooled_noise_pn) of the default config."""
+    """(window_nm, n_nodes) of the default config."""
     return ((default_cfg.window_lo_nm, default_cfg.window_hi_nm),
-            default_cfg.window_points, default_cfg.pooled_noise_pn)
+            default_cfg.window_points)
 
 
 @pytest.fixture(scope="session")
@@ -54,19 +54,15 @@ def e_cfg(default_cfg):
 
 
 @pytest.fixture(scope="session")
-def truth(default_cfg):
-    return assemble.synth_truth(default_cfg)
+def campaign(default_cfg, drude_curve, e_cfg):
+    """(grounded scans, applied-voltage scans) at the default 27-scan config."""
+    return generate_scans(default_cfg, drude_curve, e_cfg)
 
 
 @pytest.fixture(scope="session")
-def campaign(truth, drude_curve, e_cfg):
-    """(grounded scans, applied-voltage scans) at the default 27-scan truth."""
-    return generate_scans(truth, drude_curve, e_cfg)
-
-
-@pytest.fixture(scope="session")
-def campaign_results(campaign, drude_curve, e_cfg, truth, window):
+def campaign_results(campaign, drude_curve, e_cfg, default_cfg, window):
     grounded, voltage_scans = campaign
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded, drude_curve, e_cfg, truth.cap_offset_nm, *window)
+        voltage_scans, grounded, drude_curve, e_cfg, default_cfg.cap_offset_nm,
+        *window, default_cfg.pooled_noise_pn)
     return results, mean_curve, std

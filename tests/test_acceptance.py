@@ -116,9 +116,9 @@ def test_criterion_07_electrostatic_pfa_convergence():
           f"100 nm: {devs[100e-9]:.3%}, 500 nm: {devs[500e-9]:.3%}")
 
 
-def test_criterion_08_end_to_end_statistics(campaign_results, truth):
+def test_criterion_08_end_to_end_statistics(campaign_results, default_cfg):
     results, _, _ = campaign_results
-    dz = abs(results["z0_nm"] - truth.z0_true_nm)
+    dz = abs(results["z0_nm"] - default_cfg.z0_true_nm)
     chi2 = results["reduced_chi2"]
     srms = results["sigma_rms_pn"]
     ok = dz <= 1.5 and 0.7 <= chi2 <= 1.3 and 1.0 <= srms <= 1.8
@@ -166,13 +166,14 @@ def test_criterion_10_determinism(tmp_path):
           f"{len(names)} synth files + results.json + mean_curve.csv compared")
 
 
-def test_criterion_11_noiseless_inversion(truth, drude_curve, e_cfg, window):
-    quiet = replace(truth, noise_sigma_pn=0.0, n_scans=2)
+def test_criterion_11_noiseless_inversion(default_cfg, drude_curve, e_cfg, window):
+    quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
     grounded, voltage_scans = generate_scans(quiet, drude_curve, e_cfg)
     results, _, _ = analyze_campaign(voltage_scans, grounded, drude_curve,
-                                     e_cfg, quiet.cap_offset_nm, *window)
+                                     e_cfg, quiet.cap_offset_nm, *window,
+                                     quiet.pooled_noise_pn)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)
-    dc = abs(results["drift_pn_per_nm"] / quiet.C_true_pn_per_nm - 1.0)
+    dc = abs(results["drift_pn_per_nm"] / quiet.c_true_pn_per_nm - 1.0)
     srms = results["sigma_rms_pn"]
     ok = dz0 <= 1e-6 and dc <= 1e-6 and srms < 1e-3
     check(11, "noiseless pipeline recovers z0 and C to 1e-6, sigma_rms < 1e-3 pN",

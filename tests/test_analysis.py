@@ -9,17 +9,16 @@ from casimirlab.analysis import (DRIFT_REGION_MIN_NM, _pfa_force_pn, average_sca
                                  fit_drift_coefficient, resample_force)
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import CalibrationParams, ForceCurve
-from casimirlab.synth import (SynthTruth, generate_scans,
-                              generate_stiffness_scans)
+from casimirlab.synth import generate_scans, generate_stiffness_scans
 
 
 @pytest.fixture(scope="module")
-def noiseless_scans(truth, drude_curve, e_cfg):
-    quiet = replace(truth, noise_sigma_pn=0.0, n_scans=2)
+def noiseless_scans(default_cfg, drude_curve, e_cfg):
+    quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
     return quiet, generate_scans(quiet, drude_curve, e_cfg)
 
 
-def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg, truth):
+def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     scan = voltage_scans[0]
     dv = scan.applied_voltage - e_cfg.V2
@@ -35,11 +34,10 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg, truth)
     assert abs(best - quiet.z0_true_nm) <= 1.0
 
 
-def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg,
-                                          default_cfg):
+def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     fit = fit_contact_separation(voltage_scans[0], drude_curve, e_cfg,
-                                 quiet.cap_offset_nm, default_cfg.pooled_noise_pn)
+                                 quiet.cap_offset_nm, quiet.pooled_noise_pn)
     assert fit.z0_nm == pytest.approx(quiet.z0_true_nm, rel=1e-6)
     assert fit.z0_sigma_nm > 0
     assert fit.voltage == voltage_scans[0].applied_voltage
@@ -70,7 +68,7 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg)
     f = scan.force_pn[mask]
     drift = fit_drift_coefficient(z, f, quiet.z0_true_nm, drude_curve, e_cfg,
                                   quiet.cap_offset_nm)
-    assert drift.C_pn_per_nm == pytest.approx(quiet.C_true_pn_per_nm, rel=1e-9)
+    assert drift.C_pn_per_nm == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
     # independent least-squares check on the same residuals
     sep = z + quiet.z0_true_nm
     resid = f - (_pfa_force_pn(sep, e_cfg, -e_cfg.V2)
@@ -151,22 +149,23 @@ def test_compare_window_guard(drude_curve, window):
         compare_to_theory(curve, np.ones(12), 27, drude_curve, *window)
 
 
-def test_calibrate_spring_constant(truth, e_cfg):
-    quiet = replace(truth, noise_sigma_pn=0.0)
-    cal = CalibrationParams(k=truth.k_true)
+def test_calibrate_spring_constant(default_cfg, e_cfg):
+    k_true = default_cfg.spring_constant_n_per_m
+    quiet = replace(default_cfg, noise_pn=0.0)
+    cal = CalibrationParams(k=k_true)
     scans = generate_stiffness_scans(quiet, e_cfg)
     k, k_sigma = calibrate_spring_constant(scans, e_cfg, cal)
-    assert k == pytest.approx(truth.k_true, rel=1e-12)
+    assert k == pytest.approx(k_true, rel=1e-12)
     assert k_sigma >= 0
     # noisy scans still land within a few percent
-    noisy = generate_stiffness_scans(truth, e_cfg)
+    noisy = generate_stiffness_scans(default_cfg, e_cfg)
     k_n, _ = calibrate_spring_constant(noisy, e_cfg, cal)
-    assert k_n == pytest.approx(truth.k_true, rel=0.05)
+    assert k_n == pytest.approx(k_true, rel=0.05)
 
 
-def test_calibrate_spring_constant_guards(truth, e_cfg):
-    cal = CalibrationParams(k=truth.k_true)
-    quiet = replace(truth, noise_sigma_pn=0.0)
+def test_calibrate_spring_constant_guards(default_cfg, e_cfg):
+    cal = CalibrationParams(k=default_cfg.spring_constant_n_per_m)
+    quiet = replace(default_cfg, noise_pn=0.0)
     scans = generate_stiffness_scans(quiet, e_cfg)
     forced = ForceCurve("f", 0.31, scans[0].piezo_nm,
                         force_pn=np.ones_like(scans[0].piezo_nm))

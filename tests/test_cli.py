@@ -137,6 +137,21 @@ def test_compare_command(runner, workdir, analysis_dir):
     assert (workdir / "compare.curve.csv").exists()
 
 
+def test_compare_defaults_to_config_n_scans(runner, workdir, analysis_dir):
+    # without --n-scans the standard error uses the config's n_scans (2 here),
+    # so compare reproduces analyze's chi2 up to the 9-digit mean-curve CSV
+    out = workdir / "compare_default.json"
+    result = runner.invoke(main, ["compare",
+                                  "--curve", str(analysis_dir / "mean_curve.csv"),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    analyzed = json.loads((analysis_dir / "results.json").read_text())
+    compared = json.loads(out.read_text())
+    assert compared["reduced_chi2"] == pytest.approx(analyzed["reduced_chi2"],
+                                                     rel=1e-6)
+
+
 def test_fit_z0_command(runner, workdir, campaign_dir):
     out = workdir / "z0.json"
     scan = sorted(campaign_dir.glob("cal_*.csv"))[0]
@@ -152,13 +167,14 @@ def test_fit_z0_command(runner, workdir, campaign_dir):
 
 
 def test_calibrate_k_command(runner, workdir, tmp_path_factory):
+    from casimirlab.assemble import electrostatic_config
+    from casimirlab.config import RunConfig
     from casimirlab.forcecurve import save_scan
-    from casimirlab.synth import SynthTruth, generate_stiffness_scans
-    from casimirlab.electrostatics import ElectrostaticConfig
+    from casimirlab.synth import generate_stiffness_scans
 
     stiff_dir = tmp_path_factory.mktemp("stiff")
-    truth = SynthTruth(noise_sigma_pn=0.0, seed=11)
-    for scan in generate_stiffness_scans(truth, ElectrostaticConfig()):
+    cfg = RunConfig(noise_pn=0.0, seed=11)
+    for scan in generate_stiffness_scans(cfg, electrostatic_config(cfg)):
         with open(stiff_dir / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
     out = workdir / "k.json"
@@ -178,6 +194,21 @@ def test_exit_code_input_errors(runner, workdir, tmp_path):
     result = runner.invoke(main, ["fit-z0", "--scan", str(bad),
                                   "--out", str(tmp_path / "y.json")])
     assert result.exit_code == 2
+
+
+def test_config_out_of_range_exits_2(runner, tmp_path):
+    out = tmp_path / "e.csv"
+    for line in ("sphere_radius_um=nan", "v2_residual_mv=inf", "noise_pn=-1",
+                 "n_scans=0", "grid_points=9", "grid_hi_nm=20", "grid_lo_nm=-60"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed=1\n{line}\n")
+        result = runner.invoke(main, ["electro", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, line
+        key = line.partition("=")[0]
+        assert f"bad value for '{key}'" in result.output
+        assert "at line 2" in result.output
+        assert not out.exists()
 
 
 def test_exit_code_fit_failure(runner, workdir, tmp_path):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from casimirlab.config import RunConfig, parse_config
@@ -42,3 +45,39 @@ def test_digest_stable():
     b = RunConfig(seed=7)
     assert a.digest() == b.digest()
     assert len(a.digest()) == 16
+
+
+def test_synth_ranges_rejected():
+    # the ranges of the synthetic campaign, on a parsed file (with the line)
+    # and on replace()
+    cases = [("noise_pn", -1.0, ">= 0"),
+             ("n_scans", 0, ">= 1"),
+             ("grid_points", 9, ">= 10"),
+             ("grid_hi_nm", 30.0, "> grid_lo_nm"),
+             ("grid_lo_nm", -48.9, "> -z0_true_nm")]
+    for key, value, requirement in cases:
+        with pytest.raises(ParseError, match=rf"'{key}': must be {requirement}.* at line 2"):
+            parse_config(f"seed=1\n{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"'{key}': must be {requirement}"):
+            replace(RunConfig(), **{key: value})
+    assert parse_config("noise_pn=0\nn_scans=1\ngrid_points=10\n").grid_points == 10
+
+
+def test_non_finite_rejected():
+    floats = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
+    assert {"cap_offset_nm", "sphere_radius_um", "grid_lo_nm"} <= set(floats)
+    for key in floats:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError, match=rf"'{key}'.* at line 2"):
+                parse_config(f"seed=1\n{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"'{key}'"):
+            replace(RunConfig(), **{key: math.nan})
+
+
+def test_cross_field_ranges_read_the_whole_file():
+    # the grid may move past the default upper bound in either key order
+    cfg = parse_config("grid_lo_nm=1000\ngrid_hi_nm=2000\n")
+    assert (cfg.grid_lo_nm, cfg.grid_hi_nm) == (1000.0, 2000.0)
+    # a cross-field rule names the last line among the keys it reads
+    with pytest.raises(ParseError, match="'grid_lo_nm'.* at line 3"):
+        parse_config("grid_lo_nm=-10\nseed=2\nz0_true_nm=5\n")

@@ -4,30 +4,20 @@ import numpy as np
 import pytest
 
 from casimirlab.analysis import _pfa_force_pn
-from casimirlab.synth import (SynthTruth, generate_scans,
+from casimirlab.config import RunConfig
+from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_scans,
                               generate_stiffness_scans, load_campaign,
                               write_campaign)
 
 
-def small_truth(**kw):
-    base = dict(n_scans=4, grid_nm=(30.0, 920.0, 160), seed=5)
+def small_cfg(**kw):
+    base = dict(n_scans=4, grid_points=160, seed=5)
     base.update(kw)
-    return SynthTruth(**base)
-
-
-def test_truth_validation():
-    with pytest.raises(ValueError):
-        SynthTruth(noise_sigma_pn=-1.0)
-    with pytest.raises(ValueError):
-        SynthTruth(n_scans=0)
-    with pytest.raises(ValueError):
-        SynthTruth(grid_nm=(100.0, 50.0, 100))
-    with pytest.raises(ValueError):
-        SynthTruth(grid_nm=(-60.0, 500.0, 100), z0_true_nm=48.9)
+    return RunConfig(**base)
 
 
 def test_generation_is_deterministic(drude_curve, e_cfg):
-    t = small_truth()
+    t = small_cfg()
     g1, v1 = generate_scans(t, drude_curve, e_cfg)
     g2, v2 = generate_scans(t, drude_curve, e_cfg)
     for a, b in zip(g1 + v1, g2 + v2):
@@ -39,12 +29,12 @@ def test_generation_is_deterministic(drude_curve, e_cfg):
 
 
 def test_noiseless_voltage_scans_equal_model(drude_curve, e_cfg):
-    t = small_truth(noise_sigma_pn=0.0, n_scans=1)
+    t = small_cfg(noise_pn=0.0, n_scans=1)
     _, voltage_scans = generate_scans(t, drude_curve, e_cfg)
     scan = voltage_scans[0]
     sep = scan.piezo_nm + t.z0_true_nm
     model = (drude_curve((sep + t.cap_offset_nm) * 1e-9) * 1e12
-             + _pfa_force_pn(sep, e_cfg, scan.applied_voltage - t.V2_residual))
+             + _pfa_force_pn(sep, e_cfg, scan.applied_voltage - t.v2_residual_mv * 1e-3))
     np.testing.assert_allclose(scan.force_pn, model, rtol=1e-14)
 
 
@@ -52,9 +42,9 @@ def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
     sigma = 7.0
     rms = {}
     for n in (27, 108):
-        t = small_truth(n_scans=n, noise_sigma_pn=sigma)
+        t = small_cfg(n_scans=n, noise_pn=sigma)
         grounded, _ = generate_scans(t, drude_curve, e_cfg)
-        quiet, _ = generate_scans(replace(t, noise_sigma_pn=0.0, n_scans=1),
+        quiet, _ = generate_scans(replace(t, noise_pn=0.0, n_scans=1),
                                   drude_curve, e_cfg)
         stack = np.vstack([s.force_pn for s in grounded])
         rms[n] = float(np.sqrt(np.mean((stack.mean(axis=0)
@@ -65,14 +55,19 @@ def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
 
 
 def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
-    t = small_truth(n_scans=2)
+    t = small_cfg(n_scans=2)
     write_campaign(tmp_path, t, drude_curve, e_cfg)
     grounded, voltage_scans, stiffness, truth_doc = load_campaign(tmp_path)
     assert len(grounded) == 2
-    assert len(voltage_scans) == len(t.cal_voltages)
+    assert len(voltage_scans) == len(DEFAULT_CAL_VOLTAGES)
     assert stiffness == []
-    assert truth_doc["z0_true_nm"] == t.z0_true_nm
-    assert truth_doc["seed"] == t.seed
+    assert truth_doc == {
+        "z0_true_nm": t.z0_true_nm, "c_true_pn_per_nm": t.c_true_pn_per_nm,
+        "k_true_n_per_m": t.spring_constant_n_per_m,
+        "cal_voltages_v": list(DEFAULT_CAL_VOLTAGES), "v2_residual_v": e_cfg.V2,
+        "noise_sigma_pn": t.noise_pn, "n_scans": 2,
+        "grid_nm": [t.grid_lo_nm, t.grid_hi_nm, t.grid_points], "seed": 5,
+        "cap_offset_nm": t.cap_offset_nm}
     fresh_g, fresh_v = generate_scans(t, drude_curve, e_cfg)
     for disk, fresh in zip(grounded + voltage_scans, fresh_g + fresh_v):
         np.testing.assert_allclose(disk.piezo_nm, fresh.piezo_nm, rtol=1e-8)
@@ -83,7 +78,7 @@ def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
 def test_load_campaign_classifies_stiffness(tmp_path, drude_curve, e_cfg):
     from casimirlab.forcecurve import save_scan
 
-    t = small_truth(n_scans=1)
+    t = small_cfg(n_scans=1)
     write_campaign(tmp_path, t, drude_curve, e_cfg)
     for scan in generate_stiffness_scans(t, e_cfg):
         with open(tmp_path / f"{scan.scan_id}.csv", "w") as fh:
