@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .constants import CONST
 from .corrections import TheoryCurve
-from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
+from .electrostatics import (ElectrostaticConfig, sphere_plane_force_exact,
+                             sphere_plane_force_pfa)
 from .errors import CalibrationError, DataError, FitError
 from .forcecurve import CalibrationParams, ForceCurve
 
@@ -62,12 +62,6 @@ class ComparisonStats:
     variants: dict
 
 
-def _pfa_force_pn(z_nm, cfg: ElectrostaticConfig, dv: float):
-    """Vectorized proximity electrostatic force in pN for separations in nm."""
-    z_m = np.asarray(z_nm, dtype=float) * 1e-9
-    return -math.pi * CONST.eps0 * cfg.R * dv * dv / z_m * 1e12
-
-
 def model_force_pn(z_nm, z0_nm: float, voltage: float, theory: TheoryCurve,
                    cfg: ElectrostaticConfig, cap_offset_nm: float,
                    drift_pn_per_nm: float = 0.0):
@@ -79,7 +73,7 @@ def model_force_pn(z_nm, z0_nm: float, voltage: float, theory: TheoryCurve,
     """
     sep = z_nm + z0_nm
     force = (theory((sep + cap_offset_nm) * 1e-9) * 1e12
-             + _pfa_force_pn(sep, cfg, voltage - cfg.V2))
+             + sphere_plane_force_pfa(sep * 1e-9, replace(cfg, V1=voltage)) * 1e12)
     if drift_pn_per_nm:
         force = force + drift_pn_per_nm * z_nm
     return force
@@ -191,7 +185,7 @@ def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
         raise DataError("curve must be force-valued")
     z = curve.piezo_nm
     sep = z + z0_nm
-    f_e = _pfa_force_pn(sep, cfg, -cfg.V2)
+    f_e = sphere_plane_force_pfa(sep * 1e-9, replace(cfg, V1=0.0)) * 1e12
     force = curve.force_pn - f_e - drift.C_pn_per_nm * z
     return replace(curve, piezo_nm=sep + cap_offset_nm, force_pn=force)
 

@@ -1,11 +1,15 @@
-"""Builders turning a RunConfig into the physics and pipeline objects."""
+"""Builders turning a RunConfig into the physics and pipeline objects.
+
+The physics objects have no defaults of their own: this is the only code
+that reads a physical value from the config and converts it to SI.
+"""
 
 from __future__ import annotations
 
 from .config import RunConfig
 from .corrections import (RoughnessSpec, TemperatureParams, TheoryCurve,
                           TheoryParams)
-from .dielectric import (DielectricModel, DrudeParams, drude_only,
+from .dielectric import (DielectricModel, DrudeModel, DrudeParams,
                          load_optical_table, tabulated_with_drude_tail)
 from .electrostatics import ElectrostaticConfig
 from .forcecurve import CalibrationParams
@@ -17,7 +21,7 @@ def dielectric_model(cfg: RunConfig, force_drude: bool = False,
     drude = DrudeParams.from_ev(cfg.drude_wp_ev, cfg.drude_gamma_ev)
     path = material_csv if material_csv else cfg.material_csv
     if force_drude or not path:
-        return drude_only(drude)
+        return DrudeModel(drude)
     table = load_optical_table(path)
     return tabulated_with_drude_tail(table, drude, cfg.crossover_ev,
                                      cfg.table_refine)
@@ -52,6 +56,5 @@ def electrostatic_config(cfg: RunConfig, V1: float = 0.0) -> ElectrostaticConfig
 
 def calibration_params(cfg: RunConfig) -> CalibrationParams:
     return CalibrationParams(k=cfg.spring_constant_n_per_m,
-                             deflection_sensitivity=cfg.deflection_sensitivity_nm,
-                             temperature=cfg.temperature_k)
+                             deflection_sensitivity=cfg.deflection_sensitivity_nm)
 

@@ -155,7 +155,7 @@ def theory(z_spec, material, drude_only, config_path, out):
     grid = parse_grid(z_spec)
     curve = TheoryCurve(params, grid[0] * 1e-9 / 1.001, grid[-1] * 1e-9 * 1.001,
                         cfg.theory_cache_points)
-    force = [curve(z * 1e-9) * 1e12 for z in grid]
+    force = curve(grid * 1e-9) * 1e12
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], (grid, force)))
 
 
@@ -172,7 +172,7 @@ def electro(z_spec, voltage, config_path, out):
     e_cfg = assemble.electrostatic_config(cfg, V1=voltage)
     grid = parse_grid(z_spec)
     exact = [sphere_plane_force_exact(z * 1e-9, e_cfg) * 1e12 for z in grid]
-    pfa = [sphere_plane_force_pfa(z * 1e-9, e_cfg) * 1e12 for z in grid]
+    pfa = sphere_plane_force_pfa(grid * 1e-9, e_cfg) * 1e12
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_exact_pn",
                                      "force_pfa_pn"], (grid, exact, pfa)))
 

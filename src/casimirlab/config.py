@@ -1,9 +1,10 @@
 """Plain-text key=value run configuration.
 
-Every tunable default of the pipeline lives here; unknown keys are
-rejected, every value is checked against one range table, and the
-canonical rendering of the config is hashed into output metadata so reruns
-are attributable.
+Every default of the pipeline lives here, and only here: the physics
+objects take their values from ``RunConfig`` through ``assemble``. Unknown
+keys are rejected, every value is checked against one range table (below
+the defaults), and the canonical rendering of the config is hashed into
+output metadata so reruns are attributable.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from .analysis import MIN_WINDOW_POINTS
 from .errors import ParseError
+from .lifshitz import U_CUT
 
 
 @dataclass
 class RunConfig:
     # geometry / material
     sphere_radius_um: float = 100.85
+    # aluminium: plasma wavelength 100 nm (12.398 eV), relaxation 63 meV
     drude_wp_ev: float = 12.398
     drude_gamma_ev: float = 0.063
     material_csv: str = ""
@@ -94,6 +98,27 @@ _RANGES = (
      lambda c: c.grid_hi_nm > c.grid_lo_nm),
     (("grid_lo_nm", "z0_true_nm"), "> -z0_true_nm (above contact)",
      lambda c: c.grid_lo_nm > -c.z0_true_nm),
+    (("sphere_radius_um",), "> 0", lambda c: c.sphere_radius_um > 0),
+    (("drude_wp_ev",), "> 0", lambda c: c.drude_wp_ev > 0),
+    (("drude_gamma_ev",), ">= 0", lambda c: c.drude_gamma_ev >= 0),
+    (("table_refine",), ">= 1", lambda c: c.table_refine >= 1),
+    (("roughness_amplitude_nm",), ">= 0", lambda c: c.roughness_amplitude_nm >= 0),
+    (("temperature_k",), ">= 0", lambda c: c.temperature_k >= 0),
+    (("rel_tol",), "in (0, 1e-2]", lambda c: 0 < c.rel_tol <= 1e-2),
+    (("xi_cut_multiplier",), f"in [20, {U_CUT:g})",
+     lambda c: 20 <= c.xi_cut_multiplier < U_CUT),
+    (("theory_cache_lo_nm",), "> 0", lambda c: c.theory_cache_lo_nm > 0),
+    (("theory_cache_hi_nm", "theory_cache_lo_nm"), "> theory_cache_lo_nm",
+     lambda c: c.theory_cache_hi_nm > c.theory_cache_lo_nm),
+    (("theory_cache_points",), ">= 2", lambda c: c.theory_cache_points >= 2),
+    (("spring_constant_n_per_m",), "> 0", lambda c: c.spring_constant_n_per_m > 0),
+    (("deflection_sensitivity_nm",), "> 0",
+     lambda c: c.deflection_sensitivity_nm > 0),
+    (("window_hi_nm", "window_lo_nm"), "> window_lo_nm",
+     lambda c: c.window_hi_nm > c.window_lo_nm),
+    (("window_points",), f">= {MIN_WINDOW_POINTS}",
+     lambda c: c.window_points >= MIN_WINDOW_POINTS),
+    (("pooled_noise_pn",), "> 0", lambda c: c.pooled_noise_pn > 0),
 )
 
 

@@ -26,13 +26,6 @@ class PhysicalConstants:
 
 CONST = PhysicalConstants()
 
-# Interface <-> internal conversions (exact powers of ten).
-NM_PER_M = 1e9
-M_PER_NM = 1e-9
-PN_PER_N = 1e12
-N_PER_PN = 1e-12
-
-
 def energy_ev_to_angular_frequency(energy_ev: float) -> float:
     """Convert a photon energy in eV to an angular frequency in rad/s."""
     if energy_ev < 0:

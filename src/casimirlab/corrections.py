@@ -2,26 +2,27 @@
 
 Both corrections are multiplicative factors on the Lifshitz force:
 
-    roughness:    1 + 0.86 (A/z)^2 + 1.02 (A/z)^3 + 1.90 (A/z)^4
+    roughness:    1 + c2 (A/z)^2 + c3 (A/z)^3 + c4 (A/z)^4
     temperature:  1 + (720/pi^2) f(eta),
                   f(eta) = (zeta(3)/(2 pi)) eta^3 - (pi^2/45) eta^4,
                   eta = 2 pi kB T z / (h c)
 
-The roughness polynomial has a brute-force oracle: the z^-3 sphere-plate law
-averaged over independent zero-mean surface-height distributions.
+A, c2-c4 and T are measured inputs, written once in ``RunConfig`` and
+turned into these objects by ``assemble``. The roughness polynomial has a
+brute-force oracle: the z^-3 sphere-plate law averaged over independent
+zero-mean surface-height distributions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONST
 from .dielectric import DielectricModel
 from .errors import ValidityError
-from .lifshitz import (DEFAULT_GEOMETRY, DEFAULT_QUADRATURE, ForceEstimate,
-                       QuadratureParams, SphereGeometry,
+from .lifshitz import (ForceEstimate, QuadratureParams, SphereGeometry,
                        casimir_force_sphere_plate)
 
 ROUGHNESS_SERIES_MAX_RATIO = 0.3  # A/z validity edge of the quartic series
@@ -31,8 +32,8 @@ ROUGHNESS_SERIES_MAX_RATIO = 0.3  # A/z validity edge of the quartic series
 class RoughnessSpec:
     """Effective amplitude A plus the quartic correction coefficients."""
 
-    A: float = 11.8e-9
-    coeffs: tuple = (0.86, 1.02, 1.90)
+    A: float
+    coeffs: tuple
 
     def __post_init__(self):
         if self.A < 0:
@@ -55,7 +56,7 @@ def _validate_distribution(distribution, scale):
 class TemperatureParams:
     """Absolute temperature; eta(z) = 2 pi kB T z / (h c) is derived."""
 
-    T: float = 300.0
+    T: float
 
     def __post_init__(self):
         if self.T < 0:
@@ -115,13 +116,13 @@ def temperature_factor(z: float, temp: TemperatureParams) -> float:
 class TheoryParams:
     """Everything needed to evaluate the zero-adjustable-parameter force."""
 
-    geom: SphereGeometry = DEFAULT_GEOMETRY
-    model: DielectricModel = None
-    rough: RoughnessSpec = field(default_factory=RoughnessSpec)
-    temp: TemperatureParams = field(default_factory=TemperatureParams)
-    quad: QuadratureParams = DEFAULT_QUADRATURE
-    enable_roughness: bool = True
-    enable_temperature: bool = True
+    geom: SphereGeometry
+    model: DielectricModel
+    rough: RoughnessSpec
+    temp: TemperatureParams
+    quad: QuadratureParams
+    enable_roughness: bool
+    enable_temperature: bool
 
 
 def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
@@ -149,7 +150,7 @@ class TheoryCurve:
     bound relative to the force over the nodes.
     """
 
-    def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int = 160):
+    def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int):
         from scipy.interpolate import CubicSpline
 
         if not z_min < z_max:

@@ -12,7 +12,8 @@ with a Drude low-frequency segment below the table, trapezoid quadrature on a
 log-omega grid over the table, and an analytic eps'' ~ omega^-3 tail beyond the
 last table point. Optical tables are read with the package's CSV reader
 (``forcecurve._read_csv``): a source is a path or a file object, never CSV
-text in a string.
+text in a string. The Drude parameters, the crossover energy and the
+table refinement come from ``RunConfig`` through ``assemble``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class DrudeParams:
             energy_ev_to_angular_frequency(omega_p_ev),
             energy_ev_to_angular_frequency(gamma_ev),
         )
-
-
-# Aluminum defaults: plasma wavelength 100 nm (12.398 eV), relaxation 63 meV.
-AL_DRUDE = DrudeParams.from_ev(12.398, 0.063)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ class ConstantModel(DielectricModel):
 class DrudeModel(DielectricModel):
     """Pure Drude closed form."""
 
-    def __init__(self, drude: DrudeParams = AL_DRUDE):
+    def __init__(self, drude: DrudeParams):
         self.drude = drude
 
     def _eps(self, xi):
@@ -149,8 +146,8 @@ class TabulatedModel(DielectricModel):
     quadrature-resolution knob used by the convergence tests.
     """
 
-    def __init__(self, table: OpticalTable, drude: DrudeParams | None = AL_DRUDE,
-                 crossover_ev: float = 0.04, refine: int = 4):
+    def __init__(self, table: OpticalTable, drude: DrudeParams | None,
+                 crossover_ev: float, refine: int):
         if crossover_ev < table.energies_ev[0] - 1e-12:
             raise ValueError(
                 f"crossover {crossover_ev} eV below the table's lower edge "
@@ -231,14 +228,6 @@ def _powerlaw_tail_integral(xi, omega_n, eps2_n):
     return eps2_n * omega_n**3 / xi**2 * bracket
 
 
-def constant(eps_const: float) -> ConstantModel:
-    return ConstantModel(eps_const)
-
-
-def drude_only(drude: DrudeParams = AL_DRUDE) -> DrudeModel:
-    return DrudeModel(drude)
-
-
-def tabulated_with_drude_tail(table: OpticalTable, drude: DrudeParams | None = AL_DRUDE,
-                              crossover_ev: float = 0.04, refine: int = 4) -> TabulatedModel:
+def tabulated_with_drude_tail(table: OpticalTable, drude: DrudeParams | None,
+                              crossover_ev: float, refine: int) -> TabulatedModel:
     return TabulatedModel(table, drude, crossover_ev, refine)

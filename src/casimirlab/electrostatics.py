@@ -7,7 +7,8 @@ Exact (Smythe) series at potential difference V = V1 - V2:
 
 summed with scaled exponentials (n a reaches ~10^3 terms at small gaps).
 The proximity form F = -pi eps0 R V^2 / z fixes the normalization; the
-series approaches it from below as z/R -> 0.
+series approaches it from below as z/R -> 0. The radius and the residual
+potential V2 come from ``RunConfig`` through ``assemble``.
 """
 
 from __future__ import annotations
@@ -15,24 +16,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONST
 from .errors import ConvergenceError, ValidityError
 from .lifshitz import PROXIMITY_RATIO_MAX
 
+SERIES_TOL = 1e-9  # relative size of the last term and of the tail bound
+
 
 @dataclass(frozen=True)
 class ElectrostaticConfig:
-    R: float = 100.85e-6
-    V1: float = 0.0
-    V2: float = 7.9e-3          # residual potential of the grounded sphere
-    series_tol: float = 1e-9
+    R: float
+    V2: float                   # residual potential of the grounded sphere
+    V1: float = 0.0             # applied plate voltage
     max_terms: int = 100000
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError(f"sphere radius must be > 0, got {self.R}")
-        if not (0 < self.series_tol <= 1e-6):
-            raise ValueError(f"series_tol must be in (0, 1e-6], got {self.series_tol}")
         if self.max_terms < 10:
             raise ValueError("max_terms must be >= 10")
 
@@ -61,7 +63,7 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig) -> float:
     """Converged image-series force in N; attractive = negative.
 
     Terms decay like e^{-n a}; summation stops when the relative term drops
-    below cfg.series_tol and the geometric tail bound confirms the
+    below SERIES_TOL and the geometric tail bound confirms the
     truncation. Invariant under V -> -V.
     """
     if z <= 0:
@@ -75,10 +77,10 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig) -> float:
     for n in range(1, cfg.max_terms + 1):
         term = _csch(n * a) * (coth_a - n * _coth(n * a))
         total += term
-        if n >= 10 and abs(term) < cfg.series_tol * abs(total):
+        if n >= 10 and abs(term) < SERIES_TOL * abs(total):
             ratio = math.exp(-a)
             tail_bound = abs(term) * ratio / (1.0 - ratio)
-            if tail_bound < cfg.series_tol * abs(total):
+            if tail_bound < SERIES_TOL * abs(total):
                 break
     else:
         raise ConvergenceError(
@@ -89,13 +91,15 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig) -> float:
     return 2.0 * math.pi * CONST.eps0 * dv * dv * total
 
 
-def sphere_plane_force_pfa(z: float, cfg: ElectrostaticConfig) -> float:
-    """Proximity form -pi eps0 R (V1-V2)^2 / z; requires z/R < 0.05."""
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
-    if z / cfg.R >= PROXIMITY_RATIO_MAX:
+def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig):
+    """Proximity form -pi eps0 R (V1-V2)^2 / z in N, for z in m, a scalar or
+    an array; requires z/R < 0.05 at every separation."""
+    if np.any(z <= 0):
+        raise ValueError(f"separation must be > 0, got {np.min(z)}")
+    if np.any(z / cfg.R >= PROXIMITY_RATIO_MAX):
         raise ValidityError(
-            f"z/R = {z / cfg.R:.3g} outside the proximity regime (< {PROXIMITY_RATIO_MAX})"
+            f"z/R = {np.max(z) / cfg.R:.3g} outside the proximity regime "
+            f"(< {PROXIMITY_RATIO_MAX})"
         )
     dv = cfg.V1 - cfg.V2
     return -math.pi * CONST.eps0 * cfg.R * dv * dv / z

@@ -35,7 +35,6 @@ class ForceCurve:
     signal: np.ndarray | None = None
     force_pn: np.ndarray | None = None
     spring_constant: float | None = None
-    temperature_k: float | None = None
 
     def __post_init__(self):
         piezo = np.asarray(self.piezo_nm, dtype=float)
@@ -61,15 +60,14 @@ class ForceCurve:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Cantilever calibration inputs.
+    """Cantilever calibration inputs, from ``RunConfig`` through ``assemble``.
 
     The deflection sensitivity (nm per diode unit) is a required input; it is
     not published separately from k.
     """
 
-    k: float = 0.0169                      # N/m
-    deflection_sensitivity: float = 1.0    # nm per signal unit
-    temperature: float = 300.0             # K
+    k: float                        # N/m
+    deflection_sensitivity: float   # nm per signal unit
 
     def __post_init__(self):
         if self.k <= 0:
@@ -88,15 +86,13 @@ def load_scan(source) -> ForceCurve:
         if key not in table.meta:
             raise ParseError(f"missing metadata key '{key}'")
     voltage = table.meta_float("applied_voltage_v")
-    kwargs = {name: table.meta_float(key)
-              for name, key in (("spring_constant", "spring_constant_n_per_m"),
-                                ("temperature_k", "temperature_k"))
-              if key in table.meta}
+    spring = (table.meta_float("spring_constant_n_per_m")
+              if "spring_constant_n_per_m" in table.meta else None)
     piezo, obs = table.columns
     table.reject(np.diff(piezo, prepend=-np.inf) <= 0, "non-monotone piezo")
     try:
         return ForceCurve(table.meta["scan_id"], voltage, piezo,
-                          **{table.header[1]: obs}, **kwargs)
+                          **{table.header[1]: obs}, spring_constant=spring)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -106,8 +102,6 @@ def save_scan(curve: ForceCurve, fh) -> None:
     head = f"# scan_id={curve.scan_id}\n# applied_voltage_v={curve.applied_voltage:.9g}\n"
     if curve.spring_constant is not None:
         head += f"# spring_constant_n_per_m={curve.spring_constant:.9g}\n"
-    if curve.temperature_k is not None:
-        head += f"# temperature_k={curve.temperature_k:.9g}\n"
     column = "force_pn" if curve.has_force else "signal"
     values = curve.force_pn if curve.has_force else curve.signal
     fh.write(f"{head}piezo_nm,{column}\n" + _csv_rows(curve.piezo_nm, values))
@@ -222,5 +216,4 @@ def signal_to_force(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:
         raise CalibrationError("curve already carries force")
     deflection_nm = curve.signal * cal.deflection_sensitivity
     force_pn = cal.k * deflection_nm * 1e3  # N/m * nm -> pN
-    return replace(curve, signal=None, force_pn=force_pn,
-                   spring_constant=cal.k, temperature_k=cal.temperature)
+    return replace(curve, signal=None, force_pn=force_pn, spring_constant=cal.k)

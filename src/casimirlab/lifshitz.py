@@ -13,14 +13,15 @@ anchored to the perfect-conductor limit -pi^3 hbar c R / (360 z^3), which
 this form reproduces analytically as eps -> inf.
 
 Quadrature is nested Gauss-Legendre on geometric panels, evaluated as one
-2-D array per separation. With u = p*y the inner axis runs over [y, u_cut],
-u_cut ~ 60; the y axis is truncated at xi_max = multiplier * c/(2z). Both
+2-D array per separation. With u = p*y the inner axis runs over [y, U_CUT],
+U_CUT = 60; the y axis is truncated at xi_max = multiplier * c/(2z). Both
 truncations leave exponentially small remainders. The Drude eps(i xi) grows
 like 1/(gamma xi) as y -> 0, so the first y panel [0, 0.5] is graded
 geometrically toward 0 (edges 0.5 * 10^-k, k = 1..3); this makes the rule
 converge geometrically in the order instead of algebraically. The order is
 doubled until two successive estimates agree to the tolerance, and their
-difference is the error estimate.
+difference is the error estimate. The tolerance and the multiplier come from
+``RunConfig`` (``rel_tol``, ``xi_cut_multiplier``) through ``assemble``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .errors import ConvergenceError, ValidityError
 
 PROXIMITY_RATIO_MAX = 0.05  # z/R guard for the proximity regime
 Y_GRADED_EDGES = (5e-4, 5e-3, 5e-2)  # interior edges of the graded y panel [0, 0.5]
+U_CUT = 60.0    # upper end of the inner axis u = 2 p xi z / c
+ABS_TOL = 1e-18  # N, added to rel_tol * |F| in the convergence test
 
 
 @dataclass(frozen=True)
@@ -50,36 +53,24 @@ class SphereGeometry:
             raise ValueError(f"sphere radius must be > 0, got {self.R}")
 
 
-# Default sphere: diameter 201.7 um.
-DEFAULT_GEOMETRY = SphereGeometry(R=100.85e-6)
-
-
 @dataclass(frozen=True)
 class QuadratureParams:
-    rel_tol: float = 1e-4
-    abs_tol: float = 1e-18          # N
+    rel_tol: float
+    xi_cut_multiplier: float  # xi_max = multiplier * c/(2z)
     max_refinements: int = 6
-    xi_cut_multiplier: float = 40.0  # xi_max = multiplier * c/(2z)
-    u_cut: float = 60.0              # p upper bound via u = 2 p xi z / c
     base_order: int = 8
 
     def __post_init__(self):
         if not (0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if not self.abs_tol >= 0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
         if self.base_order < 1:
             raise ValueError(f"base_order must be >= 1, got {self.base_order}")
-        if self.xi_cut_multiplier < 20:
-            raise ValueError("xi_cut_multiplier must be >= 20")
-        # the inner axis runs over u in [y, u_cut] for every y up to the multiplier
-        if not self.u_cut > self.xi_cut_multiplier:
-            raise ValueError(f"u_cut must exceed xi_cut_multiplier, got {self.u_cut}")
-
-
-DEFAULT_QUADRATURE = QuadratureParams()
+        # the inner axis runs over u in [y, U_CUT] for every y up to the multiplier
+        if not 20 <= self.xi_cut_multiplier < U_CUT:
+            raise ValueError(f"xi_cut_multiplier must be in [20, {U_CUT:g}), "
+                             f"got {self.xi_cut_multiplier}")
 
 
 def reflection_terms(eps, p):
@@ -98,7 +89,7 @@ def reflection_terms(eps, p):
     return s, r_te, r_tm
 
 
-def ideal_casimir_sphere_plate(z: float, geom: SphereGeometry = DEFAULT_GEOMETRY) -> float:
+def ideal_casimir_sphere_plate(z: float, geom: SphereGeometry) -> float:
     """Perfect-conductor sphere-plate force -pi^3 hbar c R / (360 z^3), in N."""
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
@@ -133,19 +124,19 @@ def _geometric_edges(lo, hi, first=1.0):
 
 
 @functools.lru_cache(maxsize=32)
-def _rule(y_max, u_cut, order):
+def _rule(y_max, order):
     """The (y, u) rule at one order, independent of the separation.
 
     Returns the y nodes and, on a (y, u) grid, p = u/y, e^-u and the
     combined weight w_y * w_u * u. Each row holds the inner rule on
-    [y, u_cut]; rows with fewer panels are padded with zero weights.
+    [y, U_CUT]; rows with fewer panels are padded with zero weights.
     The arrays are read-only because every caller shares them.
     """
     y_edges = np.concatenate(([0.0], Y_GRADED_EDGES, _geometric_edges(0.5, y_max)))
     ys, yw = _gauss_panels(y_edges, order)
-    rows = [_gauss_panels(_geometric_edges(y, u_cut), order) for y in ys]
+    rows = [_gauss_panels(_geometric_edges(y, U_CUT), order) for y in ys]
     width = max(len(u) for u, _ in rows)
-    u = np.full((len(ys), width), u_cut)
+    u = np.full((len(ys), width), U_CUT)
     w = np.zeros((len(ys), width))
     for i, (ui, wi) in enumerate(rows):
         u[i, :len(ui)] = ui
@@ -157,7 +148,7 @@ def _rule(y_max, u_cut, order):
 
 
 def _force_estimate(z, geom, model, q, order):
-    ys, p, damp, weight = _rule(q.xi_cut_multiplier, q.u_cut, order)
+    ys, p, damp, weight = _rule(q.xi_cut_multiplier, order)
     xi = ys * (CONST.c / (2.0 * z))
     # A tuple, not an array: perfbench/tracer.py counts distinct eps
     # arguments in a set, so the argument has to be hashable.
@@ -173,7 +164,7 @@ def _force_with_error(z, geom, model, q):
 
     The bound is the difference of the last two estimates. Raises
     ConvergenceError carrying both once q.max_refinements doublings
-    have not met q.rel_tol * |F| + q.abs_tol.
+    have not met q.rel_tol * |F| + ABS_TOL.
     """
     order = q.base_order
     prev = _force_estimate(z, geom, model, q, order)
@@ -181,7 +172,7 @@ def _force_with_error(z, geom, model, q):
         order *= 2
         cur = _force_estimate(z, geom, model, q, order)
         err = abs(cur - prev)
-        if err <= q.rel_tol * abs(cur) + q.abs_tol:
+        if err <= q.rel_tol * abs(cur) + ABS_TOL:
             return cur, err
         prev = cur
     raise ConvergenceError(
@@ -199,18 +190,15 @@ class ForceEstimate(float):
         return self
 
 
-def casimir_force_sphere_plate(z: float, geom: SphereGeometry = DEFAULT_GEOMETRY,
-                               model: DielectricModel = None,
-                               q: QuadratureParams = DEFAULT_QUADRATURE) -> ForceEstimate:
+def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: DielectricModel,
+                               q: QuadratureParams) -> ForceEstimate:
     """Lifshitz sphere-plate force in N (attractive = negative).
 
     Converged by order-doubling until successive estimates agree to
-    q.rel_tol (plus q.abs_tol); the returned float carries that difference
+    q.rel_tol (plus ABS_TOL); the returned float carries that difference
     as ``error_bound``. Raises ConvergenceError carrying the last estimate
     and error bound otherwise.
     """
-    if model is None:
-        raise TypeError("a DielectricModel is required")
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
     if z / geom.R >= PROXIMITY_RATIO_MAX:

@@ -15,16 +15,14 @@ import pytest
 from click.testing import CliRunner
 
 import conftest
+from casimirlab import assemble
 from casimirlab.analysis import analyze_campaign
 from casimirlab.cli import main
-from casimirlab.corrections import (RoughnessSpec, TemperatureParams,
-                                    corrected_force, roughness_factor,
+from casimirlab.corrections import (corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
                                     temperature_factor)
-from casimirlab.dielectric import constant, load_optical_table, \
-    tabulated_with_drude_tail
-from casimirlab.electrostatics import (ElectrostaticConfig,
-                                       sphere_plane_force_exact,
+from casimirlab.dielectric import ConstantModel
+from casimirlab.electrostatics import (sphere_plane_force_exact,
                                        sphere_plane_force_pfa)
 from casimirlab.lifshitz import (casimir_force_sphere_plate,
                                  ideal_casimir_sphere_plate)
@@ -39,20 +37,22 @@ def check(num, desc, ok, detail):
     assert ok, line
 
 
-def test_criterion_01_ideal_limit_oracle():
-    closed = ideal_casimir_sphere_plate(100e-9)
+def test_criterion_01_ideal_limit_oracle(drude_params):
+    geom, q = drude_params.geom, drude_params.quad
+    closed = ideal_casimir_sphere_plate(100e-9, geom)
     closed_ok = abs(closed * 1e12 + 274.6) <= 0.001 * 274.6
-    model = constant(1e6)
-    devs = [abs(casimir_force_sphere_plate(z, model=model)
-                / ideal_casimir_sphere_plate(z) - 1.0) for z in Z_SET]
+    model = ConstantModel(1e6)
+    devs = [abs(casimir_force_sphere_plate(z, geom, model, q)
+                / ideal_casimir_sphere_plate(z, geom) - 1.0) for z in Z_SET]
     ok = closed_ok and max(devs) <= 0.01
     check(1, "ideal-limit oracle (eps=1e6 within 1%, closed form -274.6 pN)",
           ok, f"closed={closed * 1e12:.4g} pN, max deviation={max(devs):.3%}")
 
 
-def test_criterion_02_vacuum_null():
-    model = constant(1.0)
-    worst = max(abs(casimir_force_sphere_plate(z, model=model)) for z in Z_SET)
+def test_criterion_02_vacuum_null(drude_params):
+    model = ConstantModel(1.0)
+    worst = max(abs(casimir_force_sphere_plate(z, drude_params.geom, model,
+                                               drude_params.quad)) for z in Z_SET)
     check(2, "vacuum null (eps=1 gives |F| < 1e-15 N)", worst < 1e-15,
           f"max |F|={worst:.3g} N")
 
@@ -63,23 +63,24 @@ def test_criterion_03_full_theory_bracket(drude_params):
           -185.0 <= f_pn <= -140.0, f"F={f_pn:.4g} pN")
 
 
-def test_criterion_04_representation_spread(drude_model):
+def test_criterion_04_representation_spread(default_cfg, drude_params):
     path = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
     if not path.is_file():
         conftest.ACCEPTANCE_LINES.append(
             "criterion 04: SKIP - no tabulated Al dataset provided")
         pytest.skip("no tabulated Al dataset provided")
-    tab = tabulated_with_drude_tail(load_optical_table(str(path)))
+    tab = assemble.dielectric_model(default_cfg, material_csv=str(path))
+    geom, drude, q = drude_params.geom, drude_params.model, drude_params.quad
     spread = max(
-        abs(casimir_force_sphere_plate(z, model=tab)
-            / casimir_force_sphere_plate(z, model=drude_model) - 1.0)
+        abs(casimir_force_sphere_plate(z, geom, tab, q)
+            / casimir_force_sphere_plate(z, geom, drude, q) - 1.0)
         for z in np.linspace(100e-9, 500e-9, 5))
     check(4, "Drude vs tabulated forces within 5% over 100-500 nm",
           spread <= 0.05, f"max spread={spread:.3%}")
 
 
-def test_criterion_05_temperature_bound():
-    temp = TemperatureParams(T=300.0)
+def test_criterion_05_temperature_bound(drude_params):
+    temp = drude_params.temp   # 300 K
     worst = max(temperature_factor(z, temp) - 1.0
                 for z in np.linspace(60e-9, 500e-9, 45))
     at_100 = temperature_factor(100e-9, temp) - 1.0
@@ -88,8 +89,8 @@ def test_criterion_05_temperature_bound():
           ok, f"max={worst:.3g}, at 100 nm={at_100:.4g}")
 
 
-def test_criterion_06_roughness_consistency():
-    excess = roughness_factor(100e-9, RoughnessSpec()) - 1.0
+def test_criterion_06_roughness_consistency(drude_params):
+    excess = roughness_factor(100e-9, drude_params.rough) - 1.0
     ok = excess <= 0.015
     worst = 0.0
     for ratio in (0.05, 0.10, 0.15):
@@ -105,8 +106,8 @@ def test_criterion_06_roughness_consistency():
           ok, f"excess={excess:.4%}, oracle gap / omitted term={worst:.2f}")
 
 
-def test_criterion_07_electrostatic_pfa_convergence():
-    cfg = ElectrostaticConfig(V1=0.31)
+def test_criterion_07_electrostatic_pfa_convergence(e_cfg):
+    cfg = replace(e_cfg, V1=0.31)
     devs = {}
     for z in (100e-9, 500e-9):
         ratio = sphere_plane_force_exact(z, cfg) / sphere_plane_force_pfa(z, cfg)

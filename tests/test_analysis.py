@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from casimirlab.analysis import (DRIFT_REGION_MIN_NM, _pfa_force_pn, average_scans,
+from casimirlab import assemble
+from casimirlab.analysis import (DRIFT_REGION_MIN_NM, average_scans,
                                  calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
                                  fit_drift_coefficient, resample_force)
+from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
-from casimirlab.forcecurve import CalibrationParams, ForceCurve
+from casimirlab.forcecurve import ForceCurve
 from casimirlab.synth import generate_scans, generate_stiffness_scans
 
 
@@ -21,11 +23,11 @@ def noiseless_scans(default_cfg, drude_curve, e_cfg):
 def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     scan = voltage_scans[0]
-    dv = scan.applied_voltage - e_cfg.V2
+    v_cfg = replace(e_cfg, V1=scan.applied_voltage)
 
     def chi2(z0):
         sep = scan.piezo_nm + z0
-        model = _pfa_force_pn(sep, e_cfg, dv) \
+        model = sphere_plane_force_pfa(sep * 1e-9, v_cfg) * 1e12 \
             + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12
         return float(np.sum((scan.force_pn - model) ** 2))
 
@@ -56,7 +58,7 @@ def test_fit_bracket_edge_raises(drude_curve, e_cfg, default_cfg):
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
     with pytest.raises(FitError):
-        fit_contact_separation(flat, drude_curve, e_cfg, 15.8,
+        fit_contact_separation(flat, drude_curve, e_cfg, default_cfg.cap_offset_nm,
                                default_cfg.pooled_noise_pn)
 
 
@@ -71,7 +73,7 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg)
     assert drift.C_pn_per_nm == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
     # independent least-squares check on the same residuals
     sep = z + quiet.z0_true_nm
-    resid = f - (_pfa_force_pn(sep, e_cfg, -e_cfg.V2)
+    resid = f - (sphere_plane_force_pfa(sep * 1e-9, e_cfg) * 1e12
                  + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12)
     lstsq_c = float(np.linalg.lstsq(z[:, None], resid, rcond=None)[0][0])
     assert drift.C_pn_per_nm == pytest.approx(lstsq_c, rel=1e-12)
@@ -152,7 +154,7 @@ def test_compare_window_guard(drude_curve, window):
 def test_calibrate_spring_constant(default_cfg, e_cfg):
     k_true = default_cfg.spring_constant_n_per_m
     quiet = replace(default_cfg, noise_pn=0.0)
-    cal = CalibrationParams(k=k_true)
+    cal = assemble.calibration_params(default_cfg)
     scans = generate_stiffness_scans(quiet, e_cfg)
     k, k_sigma = calibrate_spring_constant(scans, e_cfg, cal)
     assert k == pytest.approx(k_true, rel=1e-12)
@@ -164,7 +166,7 @@ def test_calibrate_spring_constant(default_cfg, e_cfg):
 
 
 def test_calibrate_spring_constant_guards(default_cfg, e_cfg):
-    cal = CalibrationParams(k=default_cfg.spring_constant_n_per_m)
+    cal = assemble.calibration_params(default_cfg)
     quiet = replace(default_cfg, noise_pn=0.0)
     scans = generate_stiffness_scans(quiet, e_cfg)
     forced = ForceCurve("f", 0.31, scans[0].piezo_nm,

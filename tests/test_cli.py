@@ -196,19 +196,46 @@ def test_exit_code_input_errors(runner, workdir, tmp_path):
     assert result.exit_code == 2
 
 
-def test_config_out_of_range_exits_2(runner, tmp_path):
+def assert_config_line_exits_2(runner, tmp_path, line, key):
+    """`electro` with ``line`` on line 2 of its config exits 2 naming key and line."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed=1\n{line}\n")
     out = tmp_path / "e.csv"
+    result = runner.invoke(main, ["electro", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, line
+    assert f"bad value for '{key}'" in result.output
+    assert "at line 2" in result.output
+    assert not out.exists()
+
+
+def test_config_out_of_range_exits_2(runner, tmp_path):
     for line in ("sphere_radius_um=nan", "v2_residual_mv=inf", "noise_pn=-1",
                  "n_scans=0", "grid_points=9", "grid_hi_nm=20", "grid_lo_nm=-60"):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"seed=1\n{line}\n")
-        result = runner.invoke(main, ["electro", "--config", str(cfg),
-                                      "--out", str(out)])
-        assert result.exit_code == 2, line
-        key = line.partition("=")[0]
-        assert f"bad value for '{key}'" in result.output
-        assert "at line 2" in result.output
-        assert not out.exists()
+        assert_config_line_exits_2(runner, tmp_path, line, line.partition("=")[0])
+
+
+@pytest.mark.parametrize("line,key", [
+    ("theory_cache_points=1", "theory_cache_points"),
+    ("window_points=9", "window_points"),
+    ("pooled_noise_pn=0", "pooled_noise_pn"),
+    ("spring_constant_n_per_m=0", "spring_constant_n_per_m"),
+    ("deflection_sensitivity_nm=0", "deflection_sensitivity_nm"),
+    ("table_refine=0", "table_refine"),
+    ("rel_tol=0", "rel_tol"),
+    ("rel_tol=0.02", "rel_tol"),
+    ("sphere_radius_um=-5", "sphere_radius_um"),
+    ("xi_cut_multiplier=5", "xi_cut_multiplier"),
+    ("xi_cut_multiplier=60", "xi_cut_multiplier"),
+    ("temperature_k=-1", "temperature_k"),
+    ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
+    ("drude_wp_ev=0", "drude_wp_ev"),
+    ("drude_gamma_ev=-0.01", "drude_gamma_ev"),
+    ("theory_cache_lo_nm=0", "theory_cache_lo_nm"),
+    ("theory_cache_lo_nm=2000", "theory_cache_hi_nm"),
+    ("window_hi_nm=50", "window_hi_nm"),
+])
+def test_config_range_entry_exits_2(runner, tmp_path, line, key):
+    assert_config_line_exits_2(runner, tmp_path, line, key)
 
 
 def test_exit_code_fit_failure(runner, workdir, tmp_path):

@@ -1,8 +1,10 @@
+import importlib.resources
 import math
 from dataclasses import fields, replace
 
 import pytest
 
+from casimirlab import assemble
 from casimirlab.config import RunConfig, parse_config
 from casimirlab.errors import ParseError
 
@@ -81,3 +83,19 @@ def test_cross_field_ranges_read_the_whole_file():
     # a cross-field rule names the last line among the keys it reads
     with pytest.raises(ParseError, match="'grid_lo_nm'.* at line 3"):
         parse_config("grid_lo_nm=-10\nseed=2\nz0_true_nm=5\n")
+
+
+def test_range_edges_accepted():
+    # the closed edge of every range is a valid config, and the physics
+    # objects built from it accept it too
+    cfg = parse_config("theory_cache_points=2\nwindow_points=10\ntable_refine=1\n"
+                       "rel_tol=0.01\nxi_cut_multiplier=20\ntemperature_k=0\n"
+                       "roughness_amplitude_nm=0\ndrude_gamma_ev=0\n")
+    table = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
+    for model in (assemble.dielectric_model(cfg),
+                  assemble.dielectric_model(cfg, material_csv=str(table))):
+        params = assemble.theory_params(cfg, model)
+        assert params.quad.xi_cut_multiplier == 20.0
+        assert params.rough.A == 0.0 and params.temp.T == 0.0
+    with pytest.raises(ValueError, match="'window_points': must be >= 10"):
+        replace(cfg, window_points=9)

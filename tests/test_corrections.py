@@ -3,43 +3,51 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from casimirlab.corrections import (RoughnessSpec, TemperatureParams,
-                                    TheoryCurve, TheoryParams, corrected_force,
-                                    roughness_factor,
+from casimirlab.corrections import (TemperatureParams, TheoryCurve,
+                                    corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
                                     temperature_factor)
 from casimirlab.errors import ValidityError
 
-ROUGH = RoughnessSpec()
-TEMP = TemperatureParams()
 FLAT = ((0.0, 1.0),)
 
 
-def test_roughness_polynomial_value():
+@pytest.fixture(scope="module")
+def rough(drude_params):
+    return drude_params.rough
+
+
+@pytest.fixture(scope="module")
+def temp(drude_params):
+    return drude_params.temp
+
+
+def test_roughness_polynomial_value(rough):
+    # the paper's amplitude and coefficients, against the configured spec
     z = 100e-9
     x = 11.8e-9 / z
     expected = 1.0 + 0.86 * x**2 + 1.02 * x**3 + 1.90 * x**4
-    assert roughness_factor(z, ROUGH) == pytest.approx(expected, rel=1e-14)
-    assert roughness_factor(z, ROUGH) - 1.0 <= 0.015
+    assert roughness_factor(z, rough) == pytest.approx(expected, rel=1e-14)
+    assert roughness_factor(z, rough) - 1.0 <= 0.015
 
 
-def test_roughness_monotone_to_one():
+def test_roughness_monotone_to_one(rough):
     zs = np.geomspace(60e-9, 5e-6, 30)
-    vals = [roughness_factor(z, ROUGH) for z in zs]
+    vals = [roughness_factor(z, rough) for z in zs]
     assert all(v >= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0, abs=1e-4)
 
 
-def test_roughness_guards():
+def test_roughness_guards(rough):
     with pytest.raises(ValidityError):
-        roughness_factor(30e-9, ROUGH)   # A/z >= 0.3
+        roughness_factor(30e-9, rough)   # A/z >= 0.3
     with pytest.raises(ValueError):
-        roughness_factor(0.0, ROUGH)
+        roughness_factor(0.0, rough)
     with pytest.raises(ValueError):
-        RoughnessSpec(A=-1e-9)
+        replace(rough, A=-1e-9)
     with pytest.raises(ValueError):
-        RoughnessSpec(coeffs=(1.0, 2.0))
+        replace(rough, coeffs=(1.0, 2.0))
 
 
 def test_distribution_oracle_matches_symmetric_pair_expansion():
@@ -77,31 +85,31 @@ def test_distribution_validation():
         roughness_factor_from_distribution(10e-9, ((6e-9, 0.5), (-6e-9, 0.5)))
 
 
-def test_temperature_factor_values():
-    assert temperature_factor(100e-9, TEMP) - 1.0 == pytest.approx(3.09e-5, rel=0.05)
+def test_temperature_factor_values(temp):
+    assert temperature_factor(100e-9, temp) - 1.0 == pytest.approx(3.09e-5, rel=0.05)
     zs = np.linspace(60e-9, 500e-9, 23)
-    vals = [temperature_factor(z, TEMP) for z in zs]
+    vals = [temperature_factor(z, temp) for z in zs]
     assert all(1.0 <= v < 1.01 for v in vals)
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_eta_slope():
+def test_eta_slope(temp):
     # eta = 0.131e-3 per nm at 300 K, within 0.5%
-    assert TEMP.eta(1e-9) == pytest.approx(0.131e-3, rel=5e-3)
+    assert temp.eta(1e-9) == pytest.approx(0.131e-3, rel=5e-3)
 
 
-def test_temperature_guards():
+def test_temperature_guards(temp):
     with pytest.raises(ValidityError):
-        temperature_factor(4e-6, TEMP)   # eta >= 0.5
+        temperature_factor(4e-6, temp)   # eta >= 0.5
     with pytest.raises(ValueError):
-        temperature_factor(-1.0, TEMP)
+        temperature_factor(-1.0, temp)
     with pytest.raises(ValueError):
         TemperatureParams(T=-1.0)
 
 
-def test_corrections_small_over_window():
+def test_corrections_small_over_window(rough, temp):
     for z in np.linspace(100e-9, 500e-9, 9):
-        total = roughness_factor(z, ROUGH) * temperature_factor(z, TEMP)
+        total = roughness_factor(z, rough) * temperature_factor(z, temp)
         assert total - 1.0 < 0.025
 
 
@@ -132,6 +140,6 @@ def test_theory_curve_error_within_tolerance(drude_params, drude_curve):
     assert 0 < drude_curve.max_rel_error <= drude_params.quad.rel_tol
 
 
-def test_theory_params_validation(drude_model):
+def test_theory_params_validation(drude_params, default_cfg):
     with pytest.raises(ValueError):
-        TheoryCurve(TheoryParams(model=drude_model), 2e-7, 1e-7)
+        TheoryCurve(drude_params, 2e-7, 1e-7, default_cfg.theory_cache_points)

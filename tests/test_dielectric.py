@@ -1,22 +1,27 @@
 import importlib.resources
 import io
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from casimirlab import assemble
+from casimirlab.config import RunConfig
 from casimirlab.constants import energy_ev_to_angular_frequency
-from casimirlab.dielectric import (AL_DRUDE, DrudeParams, OpticalTable,
-                                   TabulatedModel, constant,
-                                   drude_eps_imag_axis, drude_only,
-                                   load_optical_table,
-                                   tabulated_with_drude_tail)
+from casimirlab.dielectric import (ConstantModel, DrudeParams, OpticalTable,
+                                   TabulatedModel, drude_eps_imag_axis,
+                                   load_optical_table)
 from casimirlab.errors import ParseError
+
+TABLE_PATH = str(importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv")
+CFG = RunConfig()
+DRUDE = assemble.dielectric_model(CFG, force_drude=True)
+TABULATED = assemble.dielectric_model(CFG, material_csv=TABLE_PATH)
 
 
 def shipped_table():
-    path = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
-    return load_optical_table(str(path))
+    return load_optical_table(TABLE_PATH)
 
 
 XI_GRID = [energy_ev_to_angular_frequency(e)
@@ -24,7 +29,7 @@ XI_GRID = [energy_ev_to_angular_frequency(e)
 
 
 def test_drude_closed_form_value():
-    d = DrudeParams.from_ev(12.398, 0.063)
+    d = DRUDE.drude
     xi = energy_ev_to_angular_frequency(1.0)
     expected = 1.0 + d.omega_p**2 / (xi**2 + d.gamma * xi)
     assert drude_eps_imag_axis(xi, d) == pytest.approx(expected, rel=1e-14)
@@ -40,8 +45,7 @@ def test_drude_params_validation():
 
 
 @pytest.mark.parametrize("model", [
-    constant(1.0), constant(1e4), drude_only(),
-    tabulated_with_drude_tail(shipped_table()),
+    ConstantModel(1.0), ConstantModel(1e4), DRUDE, TABULATED,
 ])
 def test_eps_at_least_one_and_monotone(model):
     values = [model.eps(xi) for xi in XI_GRID]
@@ -52,16 +56,15 @@ def test_eps_at_least_one_and_monotone(model):
 def test_tabulated_matches_drude_closed_form():
     # the shipped table is Drude-derived, so the dispersion integral must
     # land back on the closed form
-    model = tabulated_with_drude_tail(shipped_table())
     for xi in XI_GRID:
-        closed = drude_eps_imag_axis(xi, AL_DRUDE)
-        assert model.eps(xi) == pytest.approx(closed, rel=5e-3)
+        closed = drude_eps_imag_axis(xi, DRUDE.drude)
+        assert TABULATED.eps(xi) == pytest.approx(closed, rel=5e-3)
 
 
 def test_quadrature_doubling_within_tolerance():
-    table = shipped_table()
-    coarse = tabulated_with_drude_tail(table, refine=4)
-    fine = tabulated_with_drude_tail(table, refine=8)
+    coarse = TABULATED
+    fine = assemble.dielectric_model(replace(CFG, table_refine=2 * CFG.table_refine),
+                                     material_csv=TABLE_PATH)
     for xi in XI_GRID:
         assert fine.eps(xi) == pytest.approx(coarse.eps(xi), rel=1e-4)
 
@@ -72,43 +75,42 @@ def test_tail_insensitivity():
     table = shipped_table()
     eps2 = table.eps2.copy()
     eps2[-1] = 0.0
-    no_tail = TabulatedModel(OpticalTable(table.energies_ev, eps2))
-    with_tail = tabulated_with_drude_tail(table)
+    no_tail = TabulatedModel(OpticalTable(table.energies_ev, eps2), TABULATED.drude,
+                             TABULATED.crossover_ev, TABULATED.refine)
     for xi in XI_GRID:
-        assert no_tail.eps(xi) == pytest.approx(with_tail.eps(xi), rel=1e-3)
+        assert no_tail.eps(xi) == pytest.approx(TABULATED.eps(xi), rel=1e-3)
 
 
 def test_degenerate_xi_near_gamma_branch_continuous():
-    model = drude_only()
-    g = AL_DRUDE.gamma
-    table = tabulated_with_drude_tail(shipped_table())
-    at = table.eps(g)
-    just_off = table.eps(g * (1 + 5e-7))
+    g = DRUDE.drude.gamma
+    at = TABULATED.eps(g)
+    just_off = TABULATED.eps(g * (1 + 5e-7))
     assert at == pytest.approx(just_off, rel=1e-6)
-    assert at == pytest.approx(model.eps(g), rel=5e-3)
+    assert at == pytest.approx(DRUDE.eps(g), rel=5e-3)
 
 
 def test_all_zero_table_without_drude_gives_vacuum():
     table = OpticalTable(np.array([0.04, 1.0, 100.0]), np.zeros(3))
-    model = TabulatedModel(table, drude=None)
+    model = TabulatedModel(table, None, TABULATED.crossover_ev, TABULATED.refine)
     assert model.eps(energy_ev_to_angular_frequency(1.0)) == pytest.approx(1.0)
 
 
 def test_constant_model_validation():
     with pytest.raises(ValueError):
-        constant(0.5)
+        ConstantModel(0.5)
     with pytest.raises(ValueError):
-        drude_only().eps(0.0)
+        DRUDE.eps(0.0)
 
 
 def test_crossover_bounds_checked():
     table = shipped_table()
+    d, crossover, refine = TABULATED.drude, TABULATED.crossover_ev, TABULATED.refine
     with pytest.raises(ValueError):
-        TabulatedModel(table, crossover_ev=0.001)
+        TabulatedModel(table, d, 0.001, refine)
     with pytest.raises(ValueError):
-        TabulatedModel(table, crossover_ev=2000.0)
+        TabulatedModel(table, d, 2000.0, refine)
     with pytest.raises(ValueError):
-        TabulatedModel(table, refine=0)
+        TabulatedModel(table, d, crossover, 0)
 
 
 def test_load_optical_table_dialect():
@@ -131,15 +133,15 @@ def test_load_optical_table_errors(text, fragment):
         load_optical_table(io.StringIO(text))
 
 
-ARRAY_MODELS = [constant(30.0), drude_only(),
-                tabulated_with_drude_tail(shipped_table())]
+ARRAY_MODELS = [ConstantModel(30.0), DRUDE, TABULATED]
 
 
 def array_grid():
     """XI_GRID plus xi = gamma (degenerate Drude-segment branch) and a point
     far below the table's last frequency (series branch of the tail)."""
     omega_end = energy_ev_to_angular_frequency(shipped_table().energies_ev[-1])
-    extra = [AL_DRUDE.gamma, AL_DRUDE.gamma * (1 + 5e-7), 1e-5 * omega_end]
+    gamma = DRUDE.drude.gamma
+    extra = [gamma, gamma * (1 + 5e-7), 1e-5 * omega_end]
     return np.array(sorted(XI_GRID + extra))
 
 

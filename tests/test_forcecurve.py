@@ -1,8 +1,11 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from casimirlab import assemble
+from casimirlab.config import RunConfig
 from casimirlab.errors import CalibrationError, ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, load_scan,
                                    save_scan, signal_to_force)
@@ -31,14 +34,13 @@ def test_curve_validation():
 def test_save_load_round_trip():
     curve = ForceCurve("rt", 0.31, np.linspace(5.0, 400.0, 40),
                        force_pn=np.sin(np.arange(40)) * 100.0,
-                       spring_constant=0.0169, temperature_k=300.0)
+                       spring_constant=0.0169)
     buf = io.StringIO()
     save_scan(curve, buf)
     back = load_scan(io.StringIO(buf.getvalue()))
     assert back.scan_id == "rt"
     assert back.applied_voltage == pytest.approx(0.31, rel=1e-9)
     assert back.spring_constant == pytest.approx(0.0169, rel=1e-9)
-    assert back.temperature_k == 300.0
     np.testing.assert_allclose(back.piezo_nm, curve.piezo_nm, rtol=1e-8)
     np.testing.assert_allclose(back.force_pn, curve.force_pn, rtol=1e-8)
 
@@ -63,8 +65,6 @@ def test_save_load_round_trip():
      "non-finite applied_voltage_v at line 2"),
     ("# scan_id=a\n# applied_voltage_v=0\n# spring_constant_n_per_m=nan\n"
      "piezo_nm,signal\n1,1\n", "non-finite spring_constant_n_per_m at line 3"),
-    ("# scan_id=a\n# applied_voltage_v=0\n# temperature_k=-inf\n"
-     "piezo_nm,signal\n1,1\n", "non-finite temperature_k at line 3"),
 ])
 def test_load_scan_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -87,7 +87,8 @@ def test_signal_to_force_hooke():
 
 
 def test_calibration_params_validation():
+    cal = assemble.calibration_params(RunConfig())
     with pytest.raises(ValueError):
-        CalibrationParams(k=0.0)
+        replace(cal, k=0.0)
     with pytest.raises(ValueError):
-        CalibrationParams(deflection_sensitivity=0.0)
+        replace(cal, deflection_sensitivity=0.0)

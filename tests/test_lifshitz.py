@@ -7,10 +7,9 @@ import pytest
 
 from casimirlab import assemble
 from casimirlab.config import RunConfig
-from casimirlab.dielectric import constant, drude_only
+from casimirlab.dielectric import ConstantModel
 from casimirlab.errors import ConvergenceError, ValidityError
-from casimirlab.lifshitz import (DEFAULT_GEOMETRY, DEFAULT_QUADRATURE,
-                                 QuadratureParams, SphereGeometry,
+from casimirlab.lifshitz import (U_CUT, SphereGeometry,
                                  casimir_force_sphere_plate,
                                  ideal_casimir_parallel_plates,
                                  ideal_casimir_sphere_plate, reflection_terms)
@@ -55,63 +54,65 @@ def test_reflection_terms_broadcast_eps_column():
         assert r_tm[i].tolist() == tm.tolist()
 
 
-def test_ideal_formulas():
+def test_ideal_formulas(drude_params):
     z = 100e-9
+    geom = drude_params.geom
     expected = -np.pi**3 * 1.0545718176461565e-34 * 2.99792458e8 \
-        * 100.85e-6 / (360.0 * z**3)
-    assert ideal_casimir_sphere_plate(z) == pytest.approx(expected, rel=1e-9)
+        * geom.R / (360.0 * z**3)
+    assert ideal_casimir_sphere_plate(z, geom) == pytest.approx(expected, rel=1e-9)
     assert ideal_casimir_parallel_plates(z) < 0
     with pytest.raises(ValueError):
-        ideal_casimir_sphere_plate(0.0)
+        ideal_casimir_sphere_plate(0.0, geom)
     with pytest.raises(ValueError):
         ideal_casimir_parallel_plates(-1.0)
 
 
-def test_vacuum_is_null():
-    model = constant(1.0)
+def test_vacuum_is_null(drude_params):
+    model = ConstantModel(1.0)
     for z in Z_GRID:
-        assert abs(casimir_force_sphere_plate(z, model=model)) < 1e-15
+        f = casimir_force_sphere_plate(z, drude_params.geom, model, drude_params.quad)
+        assert abs(f) < 1e-15
 
 
-def test_force_negative_decreasing_and_bounded(drude_model):
-    forces = np.array([casimir_force_sphere_plate(z, model=drude_model)
-                       for z in Z_GRID])
+def test_force_negative_decreasing_and_bounded(drude_params):
+    geom, model, q = drude_params.geom, drude_params.model, drude_params.quad
+    forces = np.array([casimir_force_sphere_plate(z, geom, model, q) for z in Z_GRID])
     assert np.all(forces < 0)
     assert np.all(np.diff(np.abs(forces)) < 0)
-    ideal = np.array([ideal_casimir_sphere_plate(z) for z in Z_GRID])
+    ideal = np.array([ideal_casimir_sphere_plate(z, geom) for z in Z_GRID])
     assert np.all(np.abs(forces) <= np.abs(ideal))
 
 
-def test_effective_power_law_band(drude_model):
+def test_effective_power_law_band(drude_params):
     # finite conductivity weakens the short-range force, so the effective
     # exponent sits below 3 and F(2z)/F(z) lands above the ideal 1/8
+    geom, model, q = drude_params.geom, drude_params.model, drude_params.quad
     for z in (100e-9, 200e-9, 500e-9):
-        f1 = casimir_force_sphere_plate(z, model=drude_model)
-        f2 = casimir_force_sphere_plate(2 * z, model=drude_model)
+        f1 = casimir_force_sphere_plate(z, geom, model, q)
+        f2 = casimir_force_sphere_plate(2 * z, geom, model, q)
         ratio = f2 / f1
         assert 1.0 / 8.0 <= ratio <= 1.0 / 4.0
 
 
-def test_convergence_on_tolerance_halving(drude_model):
+def test_convergence_on_tolerance_halving(drude_params):
     z = 100e-9
-    loose = casimir_force_sphere_plate(z, model=drude_model,
-                                       q=replace(DEFAULT_QUADRATURE, rel_tol=1e-4))
-    tight = casimir_force_sphere_plate(z, model=drude_model,
-                                       q=replace(DEFAULT_QUADRATURE, rel_tol=5e-5))
+    geom, model, q = drude_params.geom, drude_params.model, drude_params.quad
+    loose = casimir_force_sphere_plate(z, geom, model, replace(q, rel_tol=1e-4))
+    tight = casimir_force_sphere_plate(z, geom, model, replace(q, rel_tol=5e-5))
     assert abs(tight - loose) <= 1e-4 * abs(tight)
 
 
-def test_tight_tolerance_converges(drude_model):
-    q = replace(DEFAULT_QUADRATURE, rel_tol=1e-8)
-    f = casimir_force_sphere_plate(100e-9, model=drude_model, q=q)
+def test_tight_tolerance_converges(drude_params):
+    q = replace(drude_params.quad, rel_tol=1e-8)
+    f = casimir_force_sphere_plate(100e-9, drude_params.geom, drude_params.model, q)
     assert f.error_bound <= 1e-8 * abs(f)
     assert f == pytest.approx(REFERENCE_FORCES["drude"][0], rel=1e-8)
 
 
-def test_nonconvergence_carries_estimate_and_bound(drude_model):
-    q = QuadratureParams(rel_tol=1e-8, max_refinements=1, base_order=2)
+def test_nonconvergence_carries_estimate_and_bound(drude_params):
+    q = replace(drude_params.quad, rel_tol=1e-8, max_refinements=1, base_order=2)
     with pytest.raises(ConvergenceError) as info:
-        casimir_force_sphere_plate(100e-9, model=drude_model, q=q)
+        casimir_force_sphere_plate(100e-9, drude_params.geom, drude_params.model, q)
     assert info.value.estimate < 0
     assert info.value.error_bound > 1e-8 * abs(info.value.estimate)
 
@@ -119,49 +120,50 @@ def test_nonconvergence_carries_estimate_and_bound(drude_model):
 @pytest.mark.parametrize("kind", sorted(REFERENCE_FORCES))
 def test_forces_match_independent_reference(kind):
     table = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
-    model = assemble.dielectric_model(RunConfig(), force_drude=kind == "drude",
+    cfg = RunConfig()
+    model = assemble.dielectric_model(cfg, force_drude=kind == "drude",
                                       material_csv=str(table))
+    params = assemble.theory_params(cfg, model)
     for z, expected in zip(REFERENCE_Z, REFERENCE_FORCES[kind]):
-        f = casimir_force_sphere_plate(z, model=model)
+        f = casimir_force_sphere_plate(z, params.geom, model, params.quad)
         assert f == pytest.approx(expected, rel=1e-7)
-        assert f.error_bound <= DEFAULT_QUADRATURE.rel_tol * abs(f)
+        assert f.error_bound <= params.quad.rel_tol * abs(f)
 
 
-def test_parallel_grid_bitwise_identical(drude_model):
-    serial = [casimir_force_sphere_plate(z, model=drude_model) for z in Z_GRID]
+def test_parallel_grid_bitwise_identical(drude_params):
+    geom, model, q = drude_params.geom, drude_params.model, drude_params.quad
+    serial = [casimir_force_sphere_plate(z, geom, model, q) for z in Z_GRID]
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(
-            lambda z: casimir_force_sphere_plate(z, model=drude_model), Z_GRID))
+            lambda z: casimir_force_sphere_plate(z, geom, model, q), Z_GRID))
     assert threaded == serial
 
 
-def test_guards():
-    model = constant(10.0)
+def test_guards(drude_params):
+    geom, q = drude_params.geom, drude_params.quad
+    model = ConstantModel(10.0)
     with pytest.raises(ValidityError):
-        casimir_force_sphere_plate(10e-6, model=model)   # z/R too large
+        casimir_force_sphere_plate(10e-6, geom, model, q)   # z/R too large
     with pytest.raises(ValueError):
-        casimir_force_sphere_plate(-1e-9, model=model)
-    with pytest.raises(TypeError):
-        casimir_force_sphere_plate(100e-9)
+        casimir_force_sphere_plate(-1e-9, geom, model, q)
     with pytest.raises(ValueError):
         SphereGeometry(R=0.0)
     with pytest.raises(ValueError):
-        QuadratureParams(rel_tol=0.5)
+        replace(q, rel_tol=0.5)
     with pytest.raises(ValueError):
-        QuadratureParams(xi_cut_multiplier=10.0)
+        replace(q, xi_cut_multiplier=10.0)
     with pytest.raises(ValueError):
-        QuadratureParams(max_refinements=0)
+        replace(q, xi_cut_multiplier=U_CUT)   # the inner axis must reach past it
     with pytest.raises(ValueError):
-        QuadratureParams(base_order=0)
+        replace(q, max_refinements=0)
     with pytest.raises(ValueError):
-        QuadratureParams(abs_tol=-1e-18)
-    with pytest.raises(ValueError):
-        QuadratureParams(u_cut=0.5)
+        replace(q, base_order=0)
 
 
-def test_geometry_linearity(drude_model):
+def test_geometry_linearity(drude_params):
     # proximity force is linear in R
     z = 150e-9
-    f1 = casimir_force_sphere_plate(z, SphereGeometry(100e-6), drude_model)
-    f2 = casimir_force_sphere_plate(z, SphereGeometry(200e-6), drude_model)
+    model, q = drude_params.model, drude_params.quad
+    f1 = casimir_force_sphere_plate(z, SphereGeometry(100e-6), model, q)
+    f2 = casimir_force_sphere_plate(z, SphereGeometry(200e-6), model, q)
     assert f2 == pytest.approx(2.0 * f1, rel=1e-9)

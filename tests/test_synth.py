@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from casimirlab.analysis import _pfa_force_pn
 from casimirlab.config import RunConfig
+from casimirlab.constants import CONST
 from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_scans,
                               generate_stiffness_scans, load_campaign,
                               write_campaign)
@@ -33,8 +34,10 @@ def test_noiseless_voltage_scans_equal_model(drude_curve, e_cfg):
     _, voltage_scans = generate_scans(t, drude_curve, e_cfg)
     scan = voltage_scans[0]
     sep = scan.piezo_nm + t.z0_true_nm
-    model = (drude_curve((sep + t.cap_offset_nm) * 1e-9) * 1e12
-             + _pfa_force_pn(sep, e_cfg, scan.applied_voltage - t.v2_residual_mv * 1e-3))
+    dv = scan.applied_voltage - t.v2_residual_mv * 1e-3
+    radius = t.sphere_radius_um * 1e-6
+    pfa_pn = -math.pi * CONST.eps0 * radius * dv * dv / (sep * 1e-9) * 1e12
+    model = drude_curve((sep + t.cap_offset_nm) * 1e-9) * 1e12 + pfa_pn
     np.testing.assert_allclose(scan.force_pn, model, rtol=1e-14)
 
 
