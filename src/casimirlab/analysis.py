@@ -11,7 +11,9 @@ All fits run in nm / pN, physics calls in SI.
 
 ``model_force_pn`` is the one forward model: the synthetic generator draws
 its scans from it and the z0 and drift fits fit it, so the loop closes on
-the same expression.
+the same expression. The z0 fit needs no optimisation library: a 1 nm
+coarse chi2 scan brackets the minimum and a golden-section search
+locates it to 1e-9 nm.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .corrections import TheoryCurve
 from .electrostatics import (ElectrostaticConfig, sphere_plane_force_exact,
@@ -33,6 +34,7 @@ MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
 Z0_BRACKET_NM = (0.0, 200.0)
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,31 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
+def _golden_section_min(f, a: float, b: float, xtol: float):
+    """(x, f(x)) at the minimum of f, unimodal on [a, b], located to xtol."""
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    return (float(c), fc) if fc < fd else (float(d), fd)
+
+
 def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
                            cfg: ElectrostaticConfig, cap_offset_nm: float,
                            pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
     The model is ``model_force_pn`` at the scan's voltage, without drift;
-    z0 is found by a 1 nm coarse scan followed by bracketed scalar
-    minimization, and its uncertainty from the delta-chi2 = 1 curvature.
+    z0 is found by a 1 nm coarse scan followed by a golden-section search
+    of the +-1 nm bracket around its minimum, and its uncertainty from the
+    delta-chi2 = 1 curvature.
     """
     if not curve.has_force:
         raise DataError("curve must be force-valued")
@@ -142,15 +161,14 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     if int(interior.sum()) > 1:
         raise FitError("non-unimodal chi2 over the coarse scan")
 
-    res = minimize_scalar(chi2, bounds=(coarse[imin - 1], coarse[imin + 1]),
-                          method="bounded", options={"xatol": 1e-9})
-    z0 = float(res.x)
+    z0, chi2_min = _golden_section_min(chi2, coarse[imin - 1], coarse[imin + 1],
+                                       1e-9)
     h = 1e-2
     curvature = (chi2(z0 + h) - 2.0 * chi2(z0) + chi2(z0 - h)) / h**2
     if curvature <= 0:
         raise FitError("non-positive chi2 curvature at the minimum")
     return Z0FitResult(z0_nm=z0, z0_sigma_nm=float(np.sqrt(2.0 / curvature)),
-                       chi2=float(res.fun), n_points=int(z.size), voltage=v)
+                       chi2=chi2_min, n_points=int(z.size), voltage=v)
 
 
 def fit_drift_coefficient(z_nm, force_pn, z0_nm: float, theory: TheoryCurve,
@@ -252,7 +270,11 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
         )
     grid = np.linspace(lo, hi, n_nodes)
     exp = resample_force(axis, mean_curve.force_pn, grid)
-    th = resample_force(axis, theory(axis * 1e-9) * 1e12, grid)
+    # the theory is needed only on the curve points that bracket the window:
+    # linear resampling onto the window grid reads no other point
+    near = axis[max(int(np.searchsorted(axis, lo, side="right")) - 1, 0):
+                int(np.searchsorted(axis, hi, side="left")) + 1]
+    th = resample_force(near, theory(near * 1e-9) * 1e12, grid)
     resid = th - exp
     sigma_rms = float(np.sqrt(np.mean(resid**2)))
 
@@ -266,7 +288,7 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
 
     variants = {}
     for label, shift in VARIANT_SHIFTS_NM.items():
-        th_s = resample_force(axis, theory((axis + shift) * 1e-9) * 1e12, grid)
+        th_s = resample_force(near, theory((near + shift) * 1e-9) * 1e12, grid)
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
 
     return ComparisonStats(sigma_rms_pn=sigma_rms, n_points=int(grid.size),

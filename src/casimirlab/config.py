@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .analysis import MIN_WINDOW_POINTS
+from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_NM
 from .errors import ParseError
 from .lifshitz import U_CUT
 
@@ -43,7 +43,7 @@ class RunConfig:
     # theory cache (metal-to-metal separations)
     theory_cache_lo_nm: float = 45.0
     theory_cache_hi_nm: float = 1250.0
-    theory_cache_points: int = 160
+    theory_cache_points: int = 20
     # electrostatics / calibration
     v2_residual_mv: float = 7.9
     spring_constant_n_per_m: float = 0.0169
@@ -98,6 +98,9 @@ _RANGES = (
      lambda c: c.grid_hi_nm > c.grid_lo_nm),
     (("grid_lo_nm", "z0_true_nm"), "> -z0_true_nm (above contact)",
      lambda c: c.grid_lo_nm > -c.z0_true_nm),
+    (("seed",), ">= 0", lambda c: c.seed >= 0),
+    (("z0_true_nm",), f"in the z0 fit bracket {Z0_BRACKET_NM}",
+     lambda c: Z0_BRACKET_NM[0] < c.z0_true_nm < Z0_BRACKET_NM[1]),
     (("sphere_radius_um",), "> 0", lambda c: c.sphere_radius_um > 0),
     (("drude_wp_ev",), "> 0", lambda c: c.drude_wp_ev > 0),
     (("drude_gamma_ev",), ">= 0", lambda c: c.drude_gamma_ev >= 0),

@@ -11,6 +11,12 @@ A, c2-c4 and T are measured inputs, written once in ``RunConfig`` and
 turned into these objects by ``assemble``. The roughness polynomial has a
 brute-force oracle: the z^-3 sphere-plate law averaged over independent
 zero-mean surface-height distributions.
+
+``TheoryCurve`` caches the composed force for the fits as a Chebyshev
+interpolant of log|F| in log z (numpy only). The force is analytic in z, so
+the series converges geometrically and its trailing coefficients estimate
+the interpolation error (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .constants import CONST
 from .dielectric import DielectricModel
@@ -141,34 +148,46 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
 
 
 class TheoryCurve:
-    """Cubic-spline cache of the corrected theory force over a separation range.
+    """Chebyshev cache of the corrected theory force over a separation range.
 
     The Lifshitz double integral is too slow to sit inside chi-squared loops;
-    the pipeline evaluates it once on a log grid of metal-to-metal separations
-    and interpolates log|F| in log z. Callable with z in meters (scalar or
-    array), returning N. ``max_rel_error`` is the largest quadrature error
-    bound relative to the force over the nodes.
+    the pipeline evaluates it once at ``n_nodes`` first-kind Chebyshev points
+    in log z and interpolates log|F| with the Chebyshev series through them.
+    Callable with z in meters (scalar or array), returning N; a separation
+    outside [z_min, z_max] raises ValueError, since a polynomial extrapolates
+    without warning. ``max_rel_error`` is the largest quadrature error bound
+    relative to the force over the nodes; ``interp_rel_error`` estimates the
+    interpolation's relative error as the size of the series' last two
+    coefficients, which decay geometrically for the analytic log|F|.
     """
 
     def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int):
-        from scipy.interpolate import CubicSpline
-
         if not z_min < z_max:
             raise ValueError("need z_min < z_max")
         self.params = params
         self.z_min = float(z_min)
         self.z_max = float(z_max)
-        nodes = np.geomspace(z_min, z_max, n_nodes)
-        estimates = [corrected_force(z, params) for z in nodes]
+        log_lo, log_hi = np.log(self.z_min), np.log(self.z_max)
+        self._log_mid, self._log_half = (log_hi + log_lo) / 2, (log_hi - log_lo) / 2
+        x = chebyshev.chebpts1(n_nodes)
+        estimates = [corrected_force(z, params)
+                     for z in np.exp(self._log_mid + self._log_half * x)]
         forces = np.array(estimates)
         if np.any(~np.isfinite(forces)) or np.any(forces >= 0):
             raise ValueError("theory force must be finite and attractive on the grid")
         self.max_rel_error = max(f.error_bound / abs(f) for f in estimates)
-        self._spline = CubicSpline(np.log(nodes), np.log(-forces))
+        self._coef = chebyshev.chebfit(x, np.log(-forces), n_nodes - 1)
+        self.interp_rel_error = float(np.max(np.abs(self._coef[-2:])))
 
     def __call__(self, z_metal):
         z = np.asarray(z_metal, dtype=float)
-        if np.any(z < self.z_min * (1 - 1e-12)) or np.any(z > self.z_max * (1 + 1e-12)):
-            raise ValueError("separation outside the cached range")
-        out = -np.exp(self._spline(np.log(z)))
+        outside = (z < self.z_min * (1 - 1e-12)) | (z > self.z_max * (1 + 1e-12))
+        if np.any(outside):
+            raise ValueError(
+                f"separation {z[outside][0] * 1e9:.6g} nm outside the cached "
+                f"theory range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm "
+                "(theory_cache_lo_nm, theory_cache_hi_nm)"
+            )
+        x = (np.log(z) - self._log_mid) / self._log_half
+        out = -np.exp(chebyshev.chebval(x, self._coef))
         return float(out) if np.isscalar(z_metal) else out

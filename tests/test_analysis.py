@@ -7,7 +7,8 @@ from casimirlab import assemble
 from casimirlab.analysis import (DRIFT_REGION_MIN_NM, average_scans,
                                  calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
-                                 fit_drift_coefficient, resample_force)
+                                 fit_drift_coefficient, model_force_pn,
+                                 resample_force)
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import ForceCurve
@@ -43,6 +44,25 @@ def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):
     assert fit.z0_nm == pytest.approx(quiet.z0_true_nm, rel=1e-6)
     assert fit.z0_sigma_nm > 0
     assert fit.voltage == voltage_scans[0].applied_voltage
+
+
+def test_fit_matches_bounded_brent(campaign, drude_curve, e_cfg, default_cfg):
+    # reference: scipy's bounded Brent on the same chi2 and +-1 nm bracket
+    from scipy.optimize import minimize_scalar
+
+    cap, sigma = default_cfg.cap_offset_nm, default_cfg.pooled_noise_pn
+    for scan in campaign[1]:
+        fit = fit_contact_separation(scan, drude_curve, e_cfg, cap, sigma)
+
+        def chi2(z0):
+            model = model_force_pn(scan.piezo_nm, z0, scan.applied_voltage,
+                                   drude_curve, e_cfg, cap)
+            return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
+
+        ref = minimize_scalar(chi2, bounds=(round(fit.z0_nm) - 1.0, round(fit.z0_nm) + 1.0),
+                              method="bounded", options={"xatol": 1e-9})
+        assert abs(fit.z0_nm - ref.x) <= 1e-6
+        assert fit.chi2 == pytest.approx(ref.fun, rel=1e-10)
 
 
 def test_fit_voltage_range_guard(noiseless_scans, drude_curve, e_cfg, default_cfg):

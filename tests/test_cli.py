@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import casimirlab
 from casimirlab import __version__
-from casimirlab.cli import main, parse_grid
-from casimirlab.config import parse_config
+from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main, parse_grid
+from casimirlab.config import RunConfig, parse_config
 from casimirlab.errors import ParseError
 
 FAST_CONFIG = """\
@@ -152,6 +157,57 @@ def test_compare_defaults_to_config_n_scans(runner, workdir, analysis_dir):
                                                      rel=1e-6)
 
 
+def test_compare_needs_the_cache_only_around_the_window(runner, campaign_results,
+                                                       tmp_path):
+    # a default-config mean curve reaches ~985 nm; the window ends at 500 nm
+    _, mean_curve, std = campaign_results
+    curve = tmp_path / "mean_curve.csv"
+    curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
+                              (mean_curve.piezo_nm, mean_curve.force_pn, std)))
+
+    def compare(hi):
+        cfg = tmp_path / f"hi{hi}.cfg"
+        cfg.write_text(f"theory_cache_hi_nm={hi}\n")
+        out = tmp_path / f"compare{hi}.json"
+        result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                      "--config", str(cfg), "--out", str(out)])
+        return result, out
+
+    sigma = []
+    for hi in (1250, 600):
+        result, out = compare(hi)
+        assert result.exit_code == 0, result.output
+        sigma.append(json.loads(out.read_text())["sigma_rms_pn"])
+    assert sigma[1] == pytest.approx(sigma[0], rel=1e-6)
+    result, _ = compare(400)   # the window itself leaves the cache
+    assert result.exit_code == 2
+    assert "nm outside the cached theory range" in result.output
+    assert "theory_cache_hi_nm" in result.output
+
+
+def test_commands_import_no_scipy(workdir, campaign_dir, tmp_path):
+    # numpy is the package's only numerical library: a fresh process that runs
+    # theory and fit-z0 (cache build plus z0 fit) never loads scipy
+    script = f"""
+import sys
+from casimirlab.cli import main
+main(["theory", "--z", "100:500:5", "--out", {str(tmp_path / "t.csv")!r}],
+     standalone_mode=False)
+main(["fit-z0", "--scan", {str(campaign_dir / "cal_00.csv")!r},
+      "--config", {str(workdir / "run.cfg")!r}, "--out", {str(tmp_path / "z.json")!r}],
+     standalone_mode=False)
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    src = str(Path(casimirlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "z.json").exists()
+    assert proc.stdout.strip() == ""
+
+
 def test_fit_z0_command(runner, workdir, campaign_dir):
     out = workdir / "z0.json"
     scan = sorted(campaign_dir.glob("cal_*.csv"))[0]
@@ -233,6 +289,8 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("theory_cache_lo_nm=0", "theory_cache_lo_nm"),
     ("theory_cache_lo_nm=2000", "theory_cache_hi_nm"),
     ("window_hi_nm=50", "window_hi_nm"),
+    ("seed=-1", "seed"),
+    ("z0_true_nm=250", "z0_true_nm"),
 ])
 def test_config_range_entry_exits_2(runner, tmp_path, line, key):
     assert_config_line_exits_2(runner, tmp_path, line, key)

@@ -3,6 +3,8 @@ import math
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from casimirlab import assemble
 from casimirlab.config import RunConfig, parse_config
@@ -99,3 +101,27 @@ def test_range_edges_accepted():
         assert params.rough.A == 0.0 and params.temp.T == 0.0
     with pytest.raises(ValueError, match="'window_points': must be >= 10"):
         replace(cfg, window_points=9)
+
+
+def _near_default(f):
+    """Values of one RunConfig field around its default, of the field's type."""
+    default = f.default
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(0, max(4 * default, 100))
+    if isinstance(default, float):
+        return st.floats(0.5, 2.0).map(lambda x: default * x)
+    return st.text(st.sampled_from("abcxyz019_-./"), max_size=20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fixed_dictionaries({f.name: _near_default(f) for f in fields(RunConfig)}))
+def test_to_text_round_trips_through_parse(values):
+    try:
+        cfg = RunConfig(**values)
+    except ValueError:   # outside a range rule
+        assume(False)
+    again = parse_config(cfg.to_text())
+    assert again == cfg
+    assert again.digest() == cfg.digest()

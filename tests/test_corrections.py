@@ -1,8 +1,10 @@
+import importlib.resources
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from casimirlab import assemble
 from casimirlab.corrections import (TemperatureParams, TheoryCurve,
                                     corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
@@ -125,15 +127,51 @@ def test_corrected_force_composition(drude_params):
 
 
 def test_theory_curve_matches_direct(drude_params, drude_curve):
+    rel = drude_curve.max_rel_error + drude_curve.interp_rel_error
     for z in (101e-9, 237e-9, 480e-9, 900e-9):
         assert drude_curve(z) == pytest.approx(corrected_force(z, drude_params),
-                                               rel=2e-6)
+                                               rel=rel)
     arr = drude_curve(np.array([100e-9, 200e-9]))
     assert arr.shape == (2,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"separation 10 nm outside .*"
+                                         r"\[45, 1250\] nm .*theory_cache_hi_nm"):
         drude_curve(10e-9)
-    with pytest.raises(ValueError):
-        drude_curve(5e-6)
+    with pytest.raises(ValueError, match="separation 5000 nm"):
+        drude_curve(np.array([200e-9, 5e-6]))
+
+
+# The default cache range, sampled densely enough to find the interpolation
+# error's peaks between the Chebyshev nodes.
+CACHE_Z = np.geomspace(45e-9, 1250e-9, 97)
+
+
+@pytest.fixture(scope="module")
+def tabulated_params(default_cfg):
+    table = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
+    return assemble.theory_params(
+        default_cfg, assemble.dielectric_model(default_cfg, material_csv=str(table)))
+
+
+def cache_errors(params, n_nodes):
+    """(measured relative error against the direct corrected force, cache)
+    for an n-node cache over the default range."""
+    curve = TheoryCurve(params, CACHE_Z[0], CACHE_Z[-1], n_nodes)
+    direct = np.array([float(corrected_force(z, params)) for z in CACHE_Z])
+    return float(np.max(np.abs(curve(CACHE_Z) / direct - 1.0))), curve
+
+
+@pytest.mark.parametrize("n_nodes", [12, 16, 20])
+def test_interp_rel_error_bounds_measured_error(drude_params, n_nodes):
+    measured, curve = cache_errors(drude_params, n_nodes)
+    assert measured <= curve.interp_rel_error
+
+
+@pytest.mark.parametrize("model", ["drude", "tabulated"])
+def test_default_cache_accuracy(default_cfg, drude_params, tabulated_params, model):
+    params = drude_params if model == "drude" else tabulated_params
+    measured, curve = cache_errors(params, default_cfg.theory_cache_points)
+    assert measured <= 1e-9
+    assert measured <= curve.max_rel_error + curve.interp_rel_error
 
 
 def test_theory_curve_error_within_tolerance(drude_params, drude_curve):

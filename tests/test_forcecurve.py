@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirlab import assemble
 from casimirlab.config import RunConfig
@@ -43,6 +45,33 @@ def test_save_load_round_trip():
     assert back.spring_constant == pytest.approx(0.0169, rel=1e-9)
     np.testing.assert_allclose(back.piezo_nm, curve.piezo_nm, rtol=1e-8)
     np.testing.assert_allclose(back.force_pn, curve.force_pn, rtol=1e-8)
+
+
+def written(x):
+    """The value save_scan writes for x: 9 significant digits."""
+    return float(f"{x:.9g}")
+
+
+FINITE = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(piezo=st.lists(FINITE, min_size=10, max_size=40,
+                      unique_by=written).map(sorted),
+       obs=st.data(), voltage=FINITE, spring=st.none() | st.floats(1e-4, 1.0),
+       observable=st.sampled_from(["force_pn", "signal"]))
+def test_save_load_round_trips_written_values(piezo, obs, voltage, spring, observable):
+    values = obs.draw(st.lists(FINITE, min_size=len(piezo), max_size=len(piezo)))
+    curve = ForceCurve("scan_07", voltage, piezo, **{observable: values},
+                       spring_constant=spring)
+    buf = io.StringIO()
+    save_scan(curve, buf)
+    back = load_scan(io.StringIO(buf.getvalue()))
+    assert back.scan_id == "scan_07"
+    assert back.applied_voltage == written(voltage)
+    assert back.spring_constant == (None if spring is None else written(spring))
+    assert back.piezo_nm.tolist() == [written(x) for x in piezo]
+    assert getattr(back, observable).tolist() == [written(x) for x in values]
 
 
 @pytest.mark.parametrize("text,fragment", [
