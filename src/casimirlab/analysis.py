@@ -13,7 +13,9 @@ All fits run in nm / pN, physics calls in SI.
 its scans from it and the z0 and drift fits fit it, so the loop closes on
 the same expression. The z0 fit needs no optimisation library: a 1 nm
 coarse chi2 scan brackets the minimum and a golden-section search
-locates it to 1e-9 nm.
+locates it to 1e-9 nm. The coarse scan evaluates the model for a block of
+z0 values per call, since ``TheoryCurve`` and the proximity force broadcast,
+so numpy's per-call overhead is paid once per block, not once per z0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
 Z0_BRACKET_NM = (0.0, 200.0)
+# model values per block of the coarse z0 scan: at most 2**14 float64
+# (128 KiB) per temporary array, small enough to stay in cache
+COARSE_BLOCK_ELEMENTS = 2**14
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -69,7 +74,8 @@ def model_force_pn(z_nm, z0_nm: float, voltage: float, theory: TheoryCurve,
                    drift_pn_per_nm: float = 0.0):
     """Force in pN a scan measures at separations from contact z_nm.
 
-    The theory force at the metal-to-metal separation z + z0 + cap, plus
+    z0_nm may be a column of values, giving one model row per value. The
+    theory force at the metal-to-metal separation z + z0 + cap, plus
     the proximity electrostatic force of the plate voltage against the
     sphere's residual potential at z + z0, plus the linear drift C * z.
     """
@@ -127,15 +133,30 @@ def _golden_section_min(f, a: float, b: float, xtol: float):
     return (float(c), fc) if fc < fd else (float(d), fd)
 
 
+def _coarse_chi2(z, f, z0_values, voltage, theory, cfg, cap_offset_nm, sigma):
+    """chi2 of the no-drift model at each of z0_values, a block of rows at a time.
+
+    Each row's chi2 is the same dot product the one-z0 chi2 takes, so the
+    values are bitwise those of evaluating one z0 at a time.
+    """
+    rows = max(1, COARSE_BLOCK_ELEMENTS // z.size)
+    values = np.empty(z0_values.size)
+    for start in range(0, z0_values.size, rows):
+        block = z0_values[start:start + rows, None]
+        r = (f - model_force_pn(z, block, voltage, theory, cfg, cap_offset_nm)) / sigma
+        values[start:start + rows] = [float(np.dot(ri, ri)) for ri in r]
+    return values
+
+
 def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
                            cfg: ElectrostaticConfig, cap_offset_nm: float,
                            pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
     The model is ``model_force_pn`` at the scan's voltage, without drift;
-    z0 is found by a 1 nm coarse scan followed by a golden-section search
-    of the +-1 nm bracket around its minimum, and its uncertainty from the
-    delta-chi2 = 1 curvature.
+    z0 is found by a 1 nm coarse scan (``_coarse_chi2``) followed by a
+    golden-section search of the +-1 nm bracket around its minimum, and its
+    uncertainty from the delta-chi2 = 1 curvature.
     """
     if not curve.has_force:
         raise DataError("curve must be force-valued")
@@ -153,7 +174,7 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
 
     lo, hi = Z0_BRACKET_NM
     coarse = np.arange(max(lo, 1.0), hi + 0.5, 1.0)
-    values = np.array([chi2(z0) for z0 in coarse])
+    values = _coarse_chi2(z, f, coarse, v, theory, cfg, cap_offset_nm, sigma)
     imin = int(np.argmin(values))
     if imin in (0, values.size - 1):
         raise FitError("chi2 minimum at the bracket edge")

@@ -293,6 +293,9 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     stats = compare_to_theory(mean_curve, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
                               (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points)
+    # before any write: a cache that covers the window but not the whole
+    # curve must fail without leaving the stats file behind
+    theory_pn = th(axis * 1e-9) * 1e12 if emit_curve else None
     atomic_write(out, json_text(cfg, {
         "sigma_rms_pn": stats.sigma_rms_pn,
         "reduced_chi2": stats.reduced_chi2,
@@ -303,7 +306,7 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     if emit_curve:
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],
-                              (axis, force, th(axis * 1e-9) * 1e12)))
+                              (axis, force, theory_pn)))
 
 
 if __name__ == "__main__":

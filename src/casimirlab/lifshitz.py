@@ -22,6 +22,9 @@ converge geometrically in the order instead of algebraically. The order is
 doubled until two successive estimates agree to the tolerance, and their
 difference is the error estimate. The tolerance and the multiplier come from
 ``RunConfig`` (``rel_tol``, ``xi_cut_multiplier``) through ``assemble``.
+A Gauss-Legendre rule depends only on its order (Golub & Welsch, Math.
+Comp. 23, 221 (1969)), so each order's rule is computed once and mapped onto
+every y panel and every inner row.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def ideal_casimir_parallel_plates(z: float) -> float:
     return -np.pi**2 * CONST.hbar * CONST.c / (240.0 * z**4)
 
 
-def _gauss_panels(edges, order):
-    x, w = leggauss(order)
+def _gauss_panels(edges, x, w):
+    """The Gauss-Legendre rule (x, w) on [-1, 1] mapped onto each panel."""
     a = np.asarray(edges[:-1])[:, None]
     b = np.asarray(edges[1:])[:, None]
     nodes = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
@@ -132,9 +135,10 @@ def _rule(y_max, order):
     [y, U_CUT]; rows with fewer panels are padded with zero weights.
     The arrays are read-only because every caller shares them.
     """
+    gl = leggauss(order)  # one rule per order, mapped onto every panel
     y_edges = np.concatenate(([0.0], Y_GRADED_EDGES, _geometric_edges(0.5, y_max)))
-    ys, yw = _gauss_panels(y_edges, order)
-    rows = [_gauss_panels(_geometric_edges(y, U_CUT), order) for y in ys]
+    ys, yw = _gauss_panels(y_edges, *gl)
+    rows = [_gauss_panels(_geometric_edges(y, U_CUT), *gl) for y in ys]
     width = max(len(u) for u, _ in rows)
     u = np.full((len(ys), width), U_CUT)
     w = np.zeros((len(ys), width))

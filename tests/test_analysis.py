@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from casimirlab import assemble
-from casimirlab.analysis import (DRIFT_REGION_MIN_NM, average_scans,
+from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
+                                 Z0_BRACKET_NM, _coarse_chi2, average_scans,
                                  calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
                                  fit_drift_coefficient, model_force_pn,
@@ -35,6 +36,29 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     coarse = np.arange(1.0, 200.5, 1.0)
     best = coarse[int(np.argmin([chi2(z) for z in coarse]))]
     assert abs(best - quiet.z0_true_nm) <= 1.0
+
+
+@pytest.mark.parametrize("grid_points", [982, 4910])
+def test_blocked_coarse_chi2_is_bitwise_the_one_at_a_time_chi2(
+        default_cfg, drude_curve, e_cfg, grid_points):
+    cfg = replace(default_cfg, n_scans=1, grid_points=grid_points)
+    _, voltage_scans = generate_scans(cfg, drude_curve, e_cfg)
+    scan = voltage_scans[0]
+    z, f, v = scan.piezo_nm, scan.force_pn, scan.applied_voltage
+    sigma = cfg.pooled_noise_pn
+    coarse = np.arange(max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1] + 0.5, 1.0)
+    rows = COARSE_BLOCK_ELEMENTS // z.size
+    # blocks of several rows, the last one short, none filling COARSE_BLOCK_ELEMENTS
+    assert 1 < rows and coarse.size % rows and COARSE_BLOCK_ELEMENTS % z.size
+
+    def chi2(z0):
+        r = (f - model_force_pn(z, z0, v, drude_curve, e_cfg, cfg.cap_offset_nm)) / sigma
+        return float(np.dot(r, r))
+
+    one_at_a_time = np.array([chi2(z0) for z0 in coarse])
+    blocked = _coarse_chi2(z, f, coarse, v, drude_curve, e_cfg, cfg.cap_offset_nm,
+                           sigma)
+    assert blocked.tobytes() == one_at_a_time.tobytes()
 
 
 def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,12 +166,12 @@ def test_compare_needs_the_cache_only_around_the_window(runner, campaign_results
     curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
                               (mean_curve.piezo_nm, mean_curve.force_pn, std)))
 
-    def compare(hi):
+    def compare(hi, *flags):
         cfg = tmp_path / f"hi{hi}.cfg"
         cfg.write_text(f"theory_cache_hi_nm={hi}\n")
-        out = tmp_path / f"compare{hi}.json"
+        out = tmp_path / f"compare{hi}{''.join(flags)}.json"
         result = runner.invoke(main, ["compare", "--curve", str(curve),
-                                      "--config", str(cfg), "--out", str(out)])
+                                      "--config", str(cfg), "--out", str(out), *flags])
         return result, out
 
     sigma = []
@@ -183,6 +184,15 @@ def test_compare_needs_the_cache_only_around_the_window(runner, campaign_results
     assert result.exit_code == 2
     assert "nm outside the cached theory range" in result.output
     assert "theory_cache_hi_nm" in result.output
+    # the emitted curve needs the whole mean curve, beyond 600 nm: exit 2,
+    # naming the separation, before anything is written
+    result, out = compare(600, "--emit-curve")
+    assert result.exit_code == 2
+    named = re.search(r"separation ([0-9.]+) nm outside the cached theory range",
+                      result.output)
+    assert named and float(named.group(1)) > 600, result.output
+    assert not out.exists()
+    assert not out.with_suffix(".curve.csv").exists()
 
 
 def test_commands_import_no_scipy(workdir, campaign_dir, tmp_path):

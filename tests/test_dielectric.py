@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirlab import assemble
 from casimirlab.config import RunConfig
@@ -118,6 +120,26 @@ def test_load_optical_table_dialect():
     table = load_optical_table(io.StringIO(text))
     assert table.material_label == "Al"
     assert table.energies_ev.tolist() == [0.04, 1.0]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(energies=st.lists(FINITE, min_size=2, max_size=30, unique=True).map(sorted),
+       data=st.data(),
+       label=st.text("Al-gold_2 (ref)", max_size=12).map(str.strip))
+def test_load_optical_table_round_trips_written_values(energies, data, label):
+    # any finite, strictly increasing grid with eps2 >= 0, written in the
+    # dialect with repr (shortest exact digits), loads back to the same floats
+    eps2 = data.draw(st.lists(st.floats(0.0, allow_infinity=False),
+                              min_size=len(energies), max_size=len(energies)))
+    text = (f"# optical table\n# material={label}\n\n"
+            + "".join(f"{e!r},{s!r}\n" for e, s in zip(energies, eps2)))
+    table = load_optical_table(io.StringIO(text))
+    assert table.material_label == label
+    assert table.energies_ev.tolist() == energies
+    assert table.eps2.tolist() == eps2
 
 
 @pytest.mark.parametrize("text,fragment", [

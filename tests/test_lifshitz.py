@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from casimirlab import assemble
+from casimirlab import assemble, lifshitz
 from casimirlab.config import RunConfig
 from casimirlab.dielectric import ConstantModel
 from casimirlab.errors import ConvergenceError, ValidityError
@@ -167,3 +168,46 @@ def test_geometry_linearity(drude_params):
     f1 = casimir_force_sphere_plate(z, SphereGeometry(100e-6), model, q)
     f2 = casimir_force_sphere_plate(z, SphereGeometry(200e-6), model, q)
     assert f2 == pytest.approx(2.0 * f1, rel=1e-9)
+
+
+def _per_row_rule(y_max, order):
+    """The (y, u) rule with a Gauss-Legendre rule computed afresh for every
+    panel set: the bitwise reference for ``lifshitz._rule``."""
+    def panels(edges):
+        x, w = leggauss(order)
+        a, b = edges[:-1, None], edges[1:, None]
+        return (0.5 * (b - a) * x + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * w).ravel()
+
+    y_edges = np.concatenate(([0.0], lifshitz.Y_GRADED_EDGES,
+                              lifshitz._geometric_edges(0.5, y_max)))
+    ys, yw = panels(y_edges)
+    rows = [panels(lifshitz._geometric_edges(y, U_CUT)) for y in ys]
+    width = max(len(u) for u, _ in rows)
+    u = np.full((len(ys), width), U_CUT)
+    w = np.zeros((len(ys), width))
+    for i, (ui, wi) in enumerate(rows):
+        u[i, :len(ui)] = ui
+        w[i, :len(wi)] = wi
+    return ys, u / ys[:, None], np.exp(-u), yw[:, None] * w * u
+
+
+def test_rule_computes_one_gauss_legendre_rule_per_order(monkeypatch):
+    calls = []
+
+    def counting_leggauss(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(lifshitz, "leggauss", counting_leggauss)
+    y_max = RunConfig().xi_cut_multiplier
+    lifshitz._rule.cache_clear()
+    try:
+        for order in (8, 16, 32):
+            rule = lifshitz._rule(y_max, order)
+            reference = _per_row_rule(y_max, order)
+            for got, want in zip(rule, reference, strict=True):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert calls == [8, 16, 32]
+    finally:
+        lifshitz._rule.cache_clear()
