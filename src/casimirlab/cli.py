@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# numpy's BLAS calls here are tiny vector products: OpenBLAS's default thread
+# pool only costs start-up time and spins a second CPU, so one thread unless set
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -87,6 +92,9 @@ def meta_header(cfg: RunConfig, seed=None) -> str:
 
 
 def csv_text(cfg: RunConfig, header_cols, columns, seed=None) -> str:
+    # as json_text's allow_nan=False: an output never holds NaN or inf
+    if not np.isfinite(np.asarray(columns, dtype=float)).all():
+        raise ValueError(f"non-finite value in the {', '.join(header_cols)} output")
     return meta_header(cfg, seed) + ",".join(header_cols) + "\n" + _csv_rows(*columns)
 
 
@@ -96,6 +104,13 @@ def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
         doc["meta"]["seed"] = seed
     doc.update(payload)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite(ctx, param, value: float) -> float:
+    """Click callback: reject a NaN or infinite option value (exit 2)."""
+    if not np.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}", param=param)
+    return value
 
 
 def _load_cfg(config_path) -> RunConfig:
@@ -162,6 +177,7 @@ def theory(z_spec, material, drude_only, config_path, out):
 @main.command()
 @click.option("--z", "z_spec", default="100:500:41", show_default=True)
 @click.option("--voltage", type=float, default=0.31, show_default=True,
+              callback=_finite,
               help="plate voltage V1 in volts")
 @config_option
 @out_option
@@ -277,7 +293,7 @@ def analyze(scans_dir, out_dir, config_path):
 @main.command()
 @click.option("--curve", "curve_path", required=True, type=click.Path(exists=True),
               help="mean-curve CSV (separation_nm,force_pn,std_pn)")
-@click.option("--n-scans", type=int, default=None,
+@click.option("--n-scans", type=click.IntRange(min=1), default=None,
               help="scans averaged into the mean curve (default: n_scans of the config)")
 @click.option("--emit-curve", is_flag=True,
               help="also write experiment-vs-theory plot data")

@@ -16,7 +16,9 @@ zero-mean surface-height distributions.
 interpolant of log|F| in log z (numpy only). The force is analytic in z, so
 the series converges geometrically and its trailing coefficients estimate
 the interpolation error (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013).
+Practice, SIAM 2013). The fits evaluate it thousands of times per command,
+so the series is summed by an in-place Clenshaw recurrence that is bitwise
+``chebyshev.chebval`` without its per-coefficient temporaries.
 """
 
 from __future__ import annotations
@@ -147,6 +149,28 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     return ForceEstimate(force * factor, force.error_bound * factor)
 
 
+def _chebval(x, coef):
+    """``chebyshev.chebval(x, coef)`` for at least two coefficients, in place.
+
+    The same Clenshaw recurrence in the same order (Clenshaw, Math. Comp. 9,
+    118 (1955)), so the result is bitwise chebval's; the c0 buffer and the
+    rotating c1 / product pair are allocated once instead of three
+    temporaries per coefficient.
+    """
+    x = np.asarray(x, dtype=float)
+    x2 = x * 2
+    c0 = np.full_like(x, coef[-2])
+    c1 = np.full_like(x, coef[-1])
+    tmp = np.empty_like(x)
+    for c in coef[-3::-1]:
+        np.multiply(c1, x2, out=tmp)
+        np.add(c0, tmp, out=tmp)       # new c1 = c0 + c1 * 2x
+        np.subtract(c, c1, out=c0)     # new c0 = c - c1
+        c1, tmp = tmp, c1
+    np.multiply(c1, x, out=tmp)
+    return np.add(c0, tmp, out=tmp)
+
+
 class TheoryCurve:
     """Chebyshev cache of the corrected theory force over a separation range.
 
@@ -162,6 +186,8 @@ class TheoryCurve:
     """
 
     def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int):
+        if not z_min > 0:
+            raise ValueError(f"theory cache separation {z_min * 1e9:.6g} nm must be > 0")
         if not z_min < z_max:
             raise ValueError("need z_min < z_max")
         self.params = params
@@ -189,5 +215,5 @@ class TheoryCurve:
                 "(theory_cache_lo_nm, theory_cache_hi_nm)"
             )
         x = (np.log(z) - self._log_mid) / self._log_half
-        out = -np.exp(chebyshev.chebval(x, self._coef))
+        out = -np.exp(_chebval(x, self._coef))
         return float(out) if np.isscalar(z_metal) else out

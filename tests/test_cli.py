@@ -54,6 +54,14 @@ def analysis_dir(runner, workdir, campaign_dir):
     return out
 
 
+def run_fresh(script, env):
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    src = str(Path(casimirlab.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def read_meta(path):
     meta = {}
     for line in path.read_text().splitlines():
@@ -110,6 +118,33 @@ def test_electro_command(runner, workdir):
         assert abs(float(exact) / float(pfa) - 1.0) < 0.03
 
 
+@pytest.mark.parametrize("voltage", ["nan", "inf", "-inf"])
+def test_electro_rejects_non_finite_voltage(runner, tmp_path, voltage):
+    out = tmp_path / "electro.csv"
+    result = runner.invoke(main, ["electro", "--voltage", voltage, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--voltage" in result.output
+    assert not out.exists()
+
+
+def test_csv_text_refuses_non_finite_cells():
+    assert csv_text(RunConfig(), ["a", "b"], ([1.0], [2.0])).endswith("a,b\n1,2\n")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            csv_text(RunConfig(), ["a", "b"], ([1.0, 2.0], [3.0, bad]))
+
+
+@pytest.mark.parametrize("spec", ["-10:500:5", "0:500:5"])
+def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
+    # refused before any log of the separation: no RuntimeWarning on the way
+    out = tmp_path / "theory.csv"
+    result = runner.invoke(main, ["theory", "--z", spec, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert re.search(r"separation \S+ nm must be > 0", result.output)
+    assert "RuntimeWarning" not in result.output
+    assert not out.exists()
+
+
 def test_synth_campaign_layout(campaign_dir):
     assert (campaign_dir / "truth.json").exists()
     assert (campaign_dir / "manifest.txt").exists()
@@ -156,6 +191,19 @@ def test_compare_defaults_to_config_n_scans(runner, workdir, analysis_dir):
     compared = json.loads(out.read_text())
     assert compared["reduced_chi2"] == pytest.approx(analyzed["reduced_chi2"],
                                                      rel=1e-6)
+
+
+@pytest.mark.parametrize("n_scans", ["0", "-3"])
+def test_compare_rejects_non_positive_n_scans(runner, workdir, analysis_dir, tmp_path,
+                                              n_scans):
+    out = tmp_path / "compare.json"
+    result = runner.invoke(main, ["compare",
+                                  "--curve", str(analysis_dir / "mean_curve.csv"),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--n-scans", n_scans, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--n-scans" in result.output
+    assert not out.exists()
 
 
 def test_compare_needs_the_cache_only_around_the_window(runner, campaign_results,
@@ -208,14 +256,30 @@ main(["fit-z0", "--scan", {str(campaign_dir / "cal_00.csv")!r},
      standalone_mode=False)
 print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
-    src = str(Path(casimirlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_fresh(script, os.environ)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "z.json").exists()
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_set(setting):
+    # importing the CLI, and with it numpy, starts no OpenBLAS worker thread;
+    # a value the user set is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = run_fresh("import os, casimirlab.cli\n"
+                     "print(len(os.listdir('/proc/self/task')),"
+                     " os.environ['OPENBLAS_NUM_THREADS'])", env)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    if setting is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == setting
 
 
 def test_fit_z0_command(runner, workdir, campaign_dir):
