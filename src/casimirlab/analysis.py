@@ -174,7 +174,11 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
 
     lo, hi = Z0_BRACKET_NM
     coarse = np.arange(max(lo, 1.0), hi + 0.5, 1.0)
-    values = _coarse_chi2(z, f, coarse, v, theory, cfg, cap_offset_nm, sigma)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values = _coarse_chi2(z, f, coarse, v, theory, cfg, cap_offset_nm, sigma)
+    if not np.isfinite(values).all():
+        raise FitError(f"non-finite chi2 over the coarse scan "
+                       f"(pooled_noise_pn={sigma:g} pN)")
     imin = int(np.argmin(values))
     if imin in (0, values.size - 1):
         raise FitError("chi2 minimum at the bracket edge")

@@ -99,11 +99,31 @@ def csv_text(cfg: RunConfig, header_cols, columns, seed=None) -> str:
 
 
 def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
+    bad = _non_finite_key(payload)
+    if bad is not None:
+        raise ValueError(f"non-finite value at {bad!r} in the JSON output")
     doc = {"meta": {"version": __version__, "config_hash": cfg.digest()}}
     if seed is not None:
         doc["meta"]["seed"] = seed
     doc.update(payload)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _non_finite_key(value, path=""):
+    """Key path ('sigma_rms_pn', 'variants.opaque_cap') of the first NaN or inf."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else path
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_key(item, key)
+        if found is not None:
+            return found
+    return None
 
 
 def _finite(ctx, param, value: float) -> float:

@@ -9,13 +9,22 @@ negative.
 All three CSV inputs (scans here, optical tables in ``dielectric``, mean
 curves in ``cli``) share one dialect, read by ``_read_csv``: ``# key=value``
 metadata lines, other ``#`` comment lines, blank lines, an optional column
-header, then comma-separated rows of finite floats.
+header, then comma-separated rows of finite floats. The reader walks the
+lines up to the first row, then parses the rest in one numpy call; only a
+body that call refuses (a comment or blank line among the rows, or a bad
+row) is read line by line, which finds the line of a bad row.
+
+``_csv_rows`` formats every row of the package's writers with one ``%``
+template. Its first column's text is memoised for the last axis seen: all
+scans of a campaign share one piezo grid, so it is formatted once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,11 +120,26 @@ def _csv_rows(*columns) -> str:
     """Equal-length float columns as CSV rows of 9 significant digits.
 
     The one row formatter of the package's writers (scans here, the command
-    outputs in ``cli``); every row ends in a newline.
+    outputs in ``cli``); every row ends in a newline. One ``%`` template
+    formats all cells (``'%.9g' % v`` is ``'{:.9g}'.format(v)`` for every
+    float), with the first column's text from ``_axis_text``.
     """
-    row = ",".join(["{:.9g}"] * len(columns)) + "\n"
-    return "".join(map(row.format, *(np.asarray(c, dtype=float).tolist()
-                                     for c in columns)))
+    first, *rest = (np.asarray(c, dtype=float) for c in columns)
+    width = len(columns)
+    cells = [None] * (first.size * width)
+    cells[::width] = _axis_text(first.tobytes())
+    for k, column in enumerate(rest, start=1):
+        cells[k::width] = column.tolist()
+    return (("%s" + ",%.9g" * (width - 1) + "\n") * first.size) % tuple(cells)
+
+
+@functools.lru_cache(maxsize=1)
+def _axis_text(axis: bytes) -> tuple:
+    """The ``%.9g`` text of each float64 in ``axis``, its raw bytes.
+
+    A memo of the last axis: every scan a campaign writes shares one grid.
+    """
+    return tuple("%.9g" % v for v in np.frombuffer(axis).tolist())
 
 
 @dataclass(frozen=True)
@@ -126,7 +150,7 @@ class _Csv:
     meta_line: dict      # line number of each metadata key
     header: tuple | None
     columns: np.ndarray  # (columns, rows) float, each column contiguous
-    line: list           # line number of each data row
+    line: Sequence[int]  # line number of each data row
 
     def reject(self, bad: np.ndarray, message: str) -> None:
         """Raise ParseError at the first data row where ``bad`` holds."""
@@ -144,6 +168,40 @@ class _Csv:
         return value
 
 
+class _Lines:
+    """The line classification of the dialect, with the metadata and header seen."""
+
+    def __init__(self, headers):
+        self.headers, self.header = headers, None
+        self.meta, self.meta_line = {}, {}
+
+    def row(self, lineno: int, raw: str) -> str | None:
+        """The stripped data row on line ``lineno``; None for any other line.
+
+        Blank and comment lines are skipped, a ``# key=value`` line registers
+        its key, and with ``headers`` the first other line must be one of them.
+        """
+        stripped = raw.strip()
+        if not stripped:
+            return None
+        if stripped[0] == "#":
+            key, eq, value = stripped[1:].partition("=")
+            if eq:
+                key = key.strip()
+                self.meta[key] = value.strip()
+                self.meta_line[key] = lineno
+            return None
+        if self.headers is not None and self.header is None:
+            header = tuple(c.strip() for c in stripped.split(","))
+            if header not in self.headers:
+                expected = " or ".join(",".join(h) for h in self.headers)
+                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
+                                 line=lineno)
+            self.header = header
+            return None
+        return stripped
+
+
 def _read_csv(source, ncols: int, headers=None) -> _Csv:
     """Read the package's CSV dialect from a path or a text/binary file object.
 
@@ -158,48 +216,39 @@ def _read_csv(source, ncols: int, headers=None) -> _Csv:
         text = source.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-    meta, meta_line, header, rows, line = {}, {}, None, [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped[0] == "#":
-            key, eq, value = stripped[1:].partition("=")
-            if eq:
-                key = key.strip()
-                meta[key] = value.strip()
-                meta_line[key] = lineno
-            continue
-        if headers is not None and header is None:
-            header = tuple(c.strip() for c in stripped.split(","))
-            if header not in headers:
-                expected = " or ".join(",".join(h) for h in headers)
-                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
-                                 line=lineno)
-            continue
-        rows.append(stripped)
-        line.append(lineno)
-    if headers is not None and header is None:
+    lines = text.splitlines()
+    kinds = _Lines(headers)
+    start = len(lines)
+    for index, raw in enumerate(lines):
+        if kinds.row(index + 1, raw) is not None:
+            start = index
+            break
+    if headers is not None and kinds.header is None:
         raise ParseError("missing column header")
-    table = _Csv(meta, meta_line, header, _parse_columns(rows, line, ncols), line)
+    # one row per remaining line parses in one call; else classify each line
+    columns, line = _bulk_columns(lines[start:], ncols), range(start + 1, len(lines) + 1)
+    if columns is None:
+        columns, line = _read_body_by_line(lines, start, ncols, kinds)
+    table = _Csv(kinds.meta, kinds.meta_line, kinds.header, columns, line)
     table.reject(~np.isfinite(table.columns).all(axis=0), "non-finite value")
     return table
 
 
-def _parse_columns(rows, line, ncols: int) -> np.ndarray:
-    """Rows of comma-separated floats as an (ncols, n) array.
+def _read_body_by_line(lines, start: int, ncols: int, kinds: _Lines):
+    """(columns, line numbers) of the rows from ``lines[start]`` on, line by line.
 
-    numpy parses the whole block at once; only when that fails are the rows
-    parsed one by one to find the offending line.
+    Comment, metadata and blank lines among the rows are classified as in the
+    leading lines; the first row numpy refuses raises ParseError with its line.
     """
-    if not rows:
-        return np.empty((ncols, 0))
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == ncols:
-            return np.ascontiguousarray(data.T)
-    except ValueError:
-        pass
+    rows, line = [], []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        row = kinds.row(lineno, raw)
+        if row is not None:
+            rows.append(row)
+            line.append(lineno)
+    columns = _bulk_columns(rows, ncols)
+    if columns is not None:
+        return columns, line
     for row, lineno in zip(rows, line):
         if row.count(",") != ncols - 1:
             raise ParseError(f"expected {ncols} columns, got {row!r}", line=lineno)
@@ -208,6 +257,21 @@ def _parse_columns(rows, line, ncols: int) -> np.ndarray:
         except ValueError:
             raise ParseError(f"malformed number in {row!r}", line=lineno) from None
     raise ParseError("malformed rows")  # not reached: some row fails above
+
+
+def _bulk_columns(rows, ncols: int) -> np.ndarray | None:
+    """Rows of comma-separated floats as an (ncols, n) array, in one numpy call.
+
+    None unless every row is one row of ``ncols`` numbers (numpy skips a
+    blank line and refuses a comment).
+    """
+    if not rows:
+        return np.empty((ncols, 0))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return np.ascontiguousarray(data.T) if data.shape == (len(rows), ncols) else None
 
 
 def signal_to_force(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:

@@ -40,10 +40,13 @@ def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConf
     plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
     plan += [(f"cal_{j:02d}", v, 10_000 + j, 0.0)
              for j, v in enumerate(DEFAULT_CAL_VOLTAGES)]
-    scans = []
+    scans, models = [], {}
     for scan_id, voltage, stream, drift in plan:
-        force = model_force_pn(z, cfg.z0_true_nm, voltage, theory, e_cfg,
-                               cfg.cap_offset_nm, drift)
+        # one noiseless model per (voltage, drift): all grounded scans share one
+        if (voltage, drift) not in models:
+            models[voltage, drift] = model_force_pn(z, cfg.z0_true_nm, voltage, theory,
+                                                    e_cfg, cfg.cap_offset_nm, drift)
+        force = models[voltage, drift]
         if cfg.noise_pn > 0:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
             force = force + rng.normal(0.0, cfg.noise_pn, z.size)

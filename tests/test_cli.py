@@ -417,3 +417,46 @@ def test_compare_rejects_bad_mean_curve(runner, workdir, analysis_dir, tmp_path,
     assert result.exit_code == 2
     assert f"at line {lineno}" in result.output
     assert not out.exists()
+
+
+def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, analysis_dir):
+    # the line-by-line reader is only for bodies numpy refuses in one call
+    from casimirlab import forcecurve
+    from casimirlab.synth import load_campaign
+
+    def refuse(*args):
+        raise AssertionError("package-written CSV read line by line")
+
+    monkeypatch.setattr(forcecurve, "_read_body_by_line", refuse)
+    grounded, voltage_scans, _, _ = load_campaign(campaign_dir)
+    assert len(grounded) == 2 and len(voltage_scans) == 6
+    table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+    assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
+
+
+# the overflowing sums warn in numpy before the output check names the key
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_analyze_names_a_non_finite_result(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c_true_pn_per_nm=1e300\nn_scans=3\ngrid_points=120\n")
+    campaign, out = tmp_path / "campaign", tmp_path / "analysis"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(campaign)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                  "--scans", str(campaign), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "non-finite value at 'sigma_rms_pn'" in result.output
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-z0", "analyze"])
+def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CONFIG + "pooled_noise_pn=1e-300\n")
+    args = (["fit-z0", "--scan", str(campaign_dir / "cal_00.csv"),
+             "--out", str(tmp_path / "z.json")] if command == "fit-z0" else
+            ["analyze", "--scans", str(campaign_dir), "--out", str(tmp_path / "analysis")])
+    result = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert result.exit_code == 4
+    assert "non-finite chi2" in result.output and "pooled_noise_pn" in result.output
+    assert not any(p.suffix == ".json" for p in tmp_path.rglob("*"))

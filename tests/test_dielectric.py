@@ -149,10 +149,32 @@ def test_load_optical_table_round_trips_written_values(energies, data, label):
     ("0.04,abc\n1.0,2.0\n", "malformed"),
     ("0.04,1.0\n", "at least 2"),
     ("0.04,1.0\n1.0,nan\n", "non-finite value at line 2"),
+    # comment, metadata, blank and whitespace lines among the rows
+    ("# c\n0.04,1.0\n# note\n1.0,abc\n", "malformed number in '1.0,abc' at line 4"),
+    ("0.04,1.0\n# material=x\n0.03,2.0\n", "non-increasing energy at line 3"),
+    ("0.04,1.0\n\n1.0,abc\n", "malformed number in '1.0,abc' at line 3"),
+    ("0.04,1.0\n  \t\n1.0,nan\n", "non-finite value at line 3"),
+    # leading and trailing spaces or tabs, bad numbers and column counts
+    ("\t0.04 , 1.0\n 1.0,2.0,3\t\n", "expected 2 columns, got '1.0,2.0,3' at line 2"),
+    (" 0.04,1.0 \n\t1.0,-2.0\n", "negative eps2 at line 2"),
+    ("0.04,1.0\n1.0,2.0x\n", "malformed number in '1.0,2.0x' at line 2"),
 ])
 def test_load_optical_table_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         load_optical_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", [
+    "0.04,1.0\n# note\n1.0,2.0\n",
+    "0.04,1.0\n# material=Al\n1.0,2.0\n",
+    "0.04,1.0\n\n \t\n1.0,2.0\n\n",
+    " 0.04 ,\t1.0\t\n\t1.0 , 2.0 \n",
+])
+def test_load_optical_table_accepts_the_dialect_among_the_rows(text):
+    table = load_optical_table(io.StringIO(text))
+    assert table.energies_ev.tolist() == [0.04, 1.0]
+    assert table.eps2.tolist() == [1.0, 2.0]
+    assert table.material_label == ("Al" if "material" in text else "")
 
 
 ARRAY_MODELS = [ConstantModel(30.0), DRUDE, TABULATED]
