@@ -12,10 +12,10 @@ All fits run in nm / pN, physics calls in SI.
 ``model_force_pn`` is the one forward model: the synthetic generator draws
 its scans from it and the z0 and drift fits fit it, so the loop closes on
 the same expression. The z0 fit needs no optimisation library: a 1 nm
-coarse chi2 scan brackets the minimum and a golden-section search
-locates it to 1e-9 nm. The coarse scan evaluates the model for a block of
-z0 values per call, since ``TheoryCurve`` and the proximity force broadcast,
-so numpy's per-call overhead is paid once per block, not once per z0.
+coarse chi2 scan brackets the minimum and Gauss-Newton on the closed-form
+dF/dz0 refines it (Numerical Recipes 3rd ed. 15.5). The coarse scan evaluates
+the model for a block of z0 values per call, since ``TheoryCurve`` and the
+proximity force broadcast, so numpy pays its per-call overhead once per block.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ Z0_BRACKET_NM = (0.0, 200.0)
 # model values per block of the coarse z0 scan: at most 2**14 float64
 # (128 KiB) per temporary array, small enough to stay in cache
 COARSE_BLOCK_ELEMENTS = 2**14
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GAUSS_NEWTON_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,6 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
-def _golden_section_min(f, a: float, b: float, xtol: float):
-    """(x, f(x)) at the minimum of f, unimodal on [a, b], located to xtol."""
-    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return (float(c), fc) if fc < fd else (float(d), fd)
-
-
 def _coarse_chi2(z, f, z0_values, voltage, theory, cfg, cap_offset_nm, sigma):
     """chi2 of the no-drift model at each of z0_values, a block of rows at a time.
 
@@ -153,10 +137,10 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
                            pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
-    The model is ``model_force_pn`` at the scan's voltage, without drift;
-    z0 is found by a 1 nm coarse scan (``_coarse_chi2``) followed by a
-    golden-section search of the +-1 nm bracket around its minimum, and its
-    uncertainty from the delta-chi2 = 1 curvature.
+    The model is ``model_force_pn`` at the scan's voltage, without drift. A
+    1 nm coarse scan (``_coarse_chi2``) brackets the minimum; Gauss-Newton
+    from there, on dF/dz0 = theory slope - F_el / (z + z0), stops at a step
+    below 1e-10 nm; sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
     """
     if not curve.has_force:
         raise DataError("curve must be force-valued")
@@ -166,36 +150,43 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     z = curve.piezo_nm
     f = curve.force_pn
     sigma = pooled_noise_pn
-
-    def chi2(z0):
-        model = model_force_pn(z, z0, v, theory, cfg, cap_offset_nm)
-        r = (f - model) / sigma
-        return float(np.dot(r, r))
-
     lo, hi = Z0_BRACKET_NM
     coarse = np.arange(max(lo, 1.0), hi + 0.5, 1.0)
     with np.errstate(over="ignore"):  # an overflow is reported just below
         values = _coarse_chi2(z, f, coarse, v, theory, cfg, cap_offset_nm, sigma)
     if not np.isfinite(values).all():
-        raise FitError(f"non-finite chi2 over the coarse scan "
+        raise FitError(f"scan {curve.scan_id}: non-finite chi2 over the coarse scan "
                        f"(pooled_noise_pn={sigma:g} pN)")
     imin = int(np.argmin(values))
     if imin in (0, values.size - 1):
-        raise FitError("chi2 minimum at the bracket edge")
+        raise FitError(f"scan {curve.scan_id}: chi2 minimum at the bracket edge")
     interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
     if int(interior.sum()) > 1:
-        raise FitError("non-unimodal chi2 over the coarse scan")
+        raise FitError(f"scan {curve.scan_id}: non-unimodal chi2 over the coarse scan")
 
-    z0, chi2_min = _golden_section_min(chi2, coarse[imin - 1], coarse[imin + 1],
-                                       1e-9)
-    h = 1e-2
-    curvature = (chi2(z0 + h) - 2.0 * chi2(z0) + chi2(z0 - h)) / h**2
-    if curvature <= 0:
-        raise FitError("non-positive chi2 curvature at the minimum")
-    return Z0FitResult(z0_nm=z0, z0_sigma_nm=float(np.sqrt(2.0 / curvature)),
-                       chi2=chi2_min, n_points=int(z.size), voltage=v)
+    v_cfg = replace(cfg, V1=v)
+    z0 = float(coarse[imin])
+    for _ in range(GAUSS_NEWTON_MAX_STEPS):
+        sep = z + z0
+        r = (f - model_force_pn(z, z0, v, theory, cfg, cap_offset_nm)) / sigma
+        jac = (theory.slope((sep + cap_offset_nm) * 1e-9) * 1e3
+               - sphere_plane_force_pfa(sep * 1e-9, v_cfg) * 1e12 / sep) / sigma
+        jtj = np.dot(jac, jac)
+        with np.errstate(all="ignore"):  # a non-finite step is reported just below
+            step = float(np.dot(jac, r) / jtj)
+        if not math.isfinite(step):
+            raise FitError(f"scan {curve.scan_id}: non-finite Gauss-Newton step (J^T J = {jtj:g})")
+        z0 += step
+        if not coarse[imin - 1] <= z0 <= coarse[imin + 1]:
+            raise FitError(f"scan {curve.scan_id}: Gauss-Newton left the +-1 nm bracket")
+        if abs(step) < 1e-10:  # r and J, from < 1e-10 nm back, give chi2 and sigma at z0
+            return Z0FitResult(z0_nm=z0, z0_sigma_nm=1.0 / math.sqrt(jtj),
+                               chi2=float(np.dot(r, r)), n_points=int(z.size), voltage=v)
+    raise FitError(f"scan {curve.scan_id}: Gauss-Newton not converged in "
+                   f"{GAUSS_NEWTON_MAX_STEPS} steps")
 
 
+@np.errstate(over="ignore")  # an overflow is reported as a non-finite C sigma
 def fit_drift_coefficient(z_nm, force_pn, z0_nm: float, theory: TheoryCurve,
                           cfg: ElectrostaticConfig, cap_offset_nm: float) -> DriftFit:
     """Closed-form linear least squares for the scattered-light/drift slope C.
@@ -214,6 +205,8 @@ def fit_drift_coefficient(z_nm, force_pn, z0_nm: float, theory: TheoryCurve,
     r = resid - c * z
     dof = max(z.size - 1, 1)
     c_sigma = float(np.sqrt(np.dot(r, r) / (dof * denom)))
+    if not math.isfinite(c_sigma):  # also when C is not finite
+        raise DataError(f"drift fit overflows: C = {c:g} +- {c_sigma:g} pN/nm")
     return DriftFit(C_pn_per_nm=c, C_sigma_pn_per_nm=c_sigma)
 
 
@@ -272,6 +265,7 @@ VARIANT_SHIFTS_NM = {
 }
 
 
+@np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
 def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
                       theory: TheoryCurve, window_nm, n_nodes: int) -> ComparisonStats:
     """Statistics of experiment vs theory over the comparison window.
@@ -315,6 +309,10 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
     for label, shift in VARIANT_SHIFTS_NM.items():
         th_s = resample_force(near, theory((near + shift) * 1e-9) * 1e12, grid)
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
+    for name, value in {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
+                        **variants}.items():
+        if not math.isfinite(value):
+            raise DataError(f"comparison statistic '{name}' overflows: {value:g}")
 
     return ComparisonStats(sigma_rms_pn=sigma_rms, n_points=int(grid.size),
                            reduced_chi2=reduced_chi2, variants=variants)

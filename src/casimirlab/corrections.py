@@ -203,6 +203,8 @@ class TheoryCurve:
             raise ValueError("theory force must be finite and attractive on the grid")
         self.max_rel_error = max(f.error_bound / abs(f) for f in estimates)
         self._coef = chebyshev.chebfit(x, np.log(-forces), n_nodes - 1)
+        # a trailing zero keeps n_nodes = 2 at the two coefficients _chebval needs
+        self._dcoef = np.append(chebyshev.chebder(self._coef), 0.0)
         self.interp_rel_error = float(np.max(np.abs(self._coef[-2:])))
 
     def __call__(self, z_metal):
@@ -216,4 +218,14 @@ class TheoryCurve:
             )
         x = (np.log(z) - self._log_mid) / self._log_half
         out = -np.exp(_chebval(x, self._coef))
+        return float(out) if np.isscalar(z_metal) else out
+
+    def slope(self, z_metal):
+        """dF/dz in N/m: F P'(x) / (half-width of log z * z), P the log|F| series.
+
+        The force call checks the range before any log is taken."""
+        z = np.asarray(z_metal, dtype=float)
+        force = self(z)
+        x = (np.log(z) - self._log_mid) / self._log_half
+        out = force * _chebval(x, self._dcoef) / (self._log_half * z)
         return float(out) if np.isscalar(z_metal) else out

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from casimirlab import assemble
+from casimirlab import analysis, assemble
 from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
                                  Z0_BRACKET_NM, _coarse_chi2, average_scans,
                                  calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
                                  fit_drift_coefficient, model_force_pn,
                                  resample_force)
+from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import ForceCurve
@@ -89,6 +90,81 @@ def test_fit_matches_bounded_brent(campaign, drude_curve, e_cfg, default_cfg):
         assert fit.chi2 == pytest.approx(ref.fun, rel=1e-10)
 
 
+@pytest.fixture(scope="module")
+def cal_fits(campaign, drude_curve, e_cfg, default_cfg):
+    """(scan id, z0 fit, chi2 as a function of z0) for each cal scan."""
+    cap, sigma = default_cfg.cap_offset_nm, default_cfg.pooled_noise_pn
+    fits = []
+    for scan in campaign[1]:
+        def chi2(z0, scan=scan):
+            model = model_force_pn(scan.piezo_nm, z0, scan.applied_voltage, drude_curve,
+                                   e_cfg, cap)
+            return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
+
+        fit = fit_contact_separation(scan, drude_curve, e_cfg, cap, sigma)
+        fits.append((scan.scan_id, fit, chi2))
+    return fits
+
+
+def test_fit_z0_is_a_stationary_point_of_chi2(cal_fits):
+    # the offset to the minimum that the chi2 slope implies, slope * sigma^2 / 2,
+    # is far below z0_sigma (>= 4e-3 nm): the fit stops on the minimum, not near it
+    h = 1e-4
+    for scan_id, fit, chi2 in cal_fits:
+        slope = (chi2(fit.z0_nm + h) - chi2(fit.z0_nm - h)) / (2 * h)
+        assert abs(slope * fit.z0_sigma_nm**2 / 2) < 1e-9, scan_id
+
+
+def test_fit_z0_sigma_is_the_delta_chi2_of_one(cal_fits):
+    for scan_id, fit, chi2 in cal_fits:
+        rise = (chi2(fit.z0_nm + fit.z0_sigma_nm) + chi2(fit.z0_nm - fit.z0_sigma_nm)) / 2
+        assert rise - fit.chi2 == pytest.approx(1.0, abs=1e-3), scan_id
+
+
+@pytest.fixture()
+def balanced_scan(default_cfg, drude_curve, e_cfg):
+    """A noiseless scan at z0 = 48.9 nm whose voltage equals the residual
+    potential, so the Jacobian is the theory slope alone; with its config."""
+    cfg = replace(e_cfg, V2=0.5)
+    z = np.linspace(30.0, 920.0, 120)
+    force = model_force_pn(z, 48.9, 0.5, drude_curve, cfg, default_cfg.cap_offset_nm)
+    return ForceCurve("balanced", 0.5, z, force_pn=force), cfg
+
+
+def fit_balanced(balanced_scan, drude_curve, default_cfg):
+    scan, cfg = balanced_scan
+    return fit_contact_separation(scan, drude_curve, cfg, default_cfg.cap_offset_nm,
+                                  default_cfg.pooled_noise_pn)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_gauss_newton_refuses_a_non_finite_step(monkeypatch, balanced_scan, drude_curve,
+                                                default_cfg, fill):
+    # a zero slope makes J^T J = 0, a NaN slope a NaN Jacobian
+    monkeypatch.setattr(TheoryCurve, "slope", lambda self, z: np.full_like(z, fill))
+    with pytest.raises(FitError, match="scan balanced: non-finite Gauss-Newton step"):
+        fit_balanced(balanced_scan, drude_curve, default_cfg)
+
+
+def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_scan,
+                                                        drude_curve, default_cfg):
+    # a slope 1e6 times too flat turns the 0.1 nm step into 1e5 nm
+    slope = TheoryCurve.slope
+    monkeypatch.setattr(TheoryCurve, "slope", lambda self, z: slope(self, z) * 1e-6)
+    with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the \+-1 nm"):
+        fit_balanced(balanced_scan, drude_curve, default_cfg)
+
+
+def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan, drude_curve,
+                                                  default_cfg):
+    # the scan the failure tests patch fits unpatched
+    assert fit_balanced(balanced_scan, drude_curve, default_cfg).z0_nm == \
+        pytest.approx(48.9, abs=1e-9)
+    monkeypatch.setattr(analysis, "GAUSS_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(FitError, match="scan balanced: Gauss-Newton not converged in 1 "):
+        fit_balanced(balanced_scan, drude_curve, default_cfg)
+
+
 def test_fit_voltage_range_guard(noiseless_scans, drude_curve, e_cfg, default_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     bad = replace(voltage_scans[0], applied_voltage=0.9)
@@ -101,7 +177,7 @@ def test_fit_bracket_edge_raises(drude_curve, e_cfg, default_cfg):
     # zero data pulls chi2 monotonically toward the far bracket edge
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="scan flat: chi2 minimum at the bracket edge"):
         fit_contact_separation(flat, drude_curve, e_cfg, default_cfg.cap_offset_nm,
                                default_cfg.pooled_noise_pn)
 
@@ -186,6 +262,20 @@ def test_axis_shift_increases_sigma_rms(campaign_results):
     base = results["sigma_rms_pn"]
     for value in results["variants"].values():
         assert value > base
+
+
+def test_compare_names_an_overflowing_statistic(drude_curve, window):
+    axis = np.linspace(95.0, 505.0, 300)
+    huge = ForceCurve("m", 0.0, axis, force_pn=np.full_like(axis, 1e300))
+    with pytest.raises(DataError, match="'sigma_rms_pn' overflows: inf"):
+        compare_to_theory(huge, np.ones_like(axis), 27, drude_curve, *window)
+
+
+def test_drift_fit_names_an_overflow(drude_curve, e_cfg, default_cfg):
+    z = np.linspace(520.0, 920.0, 50)
+    with pytest.raises(DataError, match="drift fit overflows"):
+        fit_drift_coefficient(z, 1e300 * z * (1 + 1e-3 * np.sin(z)), 48.9, drude_curve,
+                              e_cfg, default_cfg.cap_offset_nm)
 
 
 def test_compare_window_guard(drude_curve, window):

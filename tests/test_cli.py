@@ -379,6 +379,30 @@ def test_exit_code_fit_failure(runner, workdir, tmp_path):
                                   "--config", str(workdir / "run.cfg"),
                                   "--out", str(tmp_path / "z.json")])
     assert result.exit_code == 4
+    assert "scan flat: chi2 minimum at the bracket edge" in result.output
+
+
+def test_analyze_names_the_scan_whose_z0_fit_failed(monkeypatch, runner, workdir,
+                                                    campaign_dir, tmp_path):
+    monkeypatch.setattr("casimirlab.analysis.GAUSS_NEWTON_MAX_STEPS", 1)
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(campaign_dir), "--out", str(out)])
+    assert result.exit_code == 4
+    assert "scan cal_00: Gauss-Newton not converged in 1 steps" in result.output
+    assert not (out / "results.json").exists()
+
+
+def test_fit_z0_on_a_two_node_theory_cache(runner, campaign_dir, tmp_path):
+    # two nodes leave the derivative series of TheoryCurve.slope one coefficient
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CONFIG.replace("theory_cache_points=40", "theory_cache_points=2"))
+    out = tmp_path / "z.json"
+    result = runner.invoke(main, ["fit-z0", "--scan", str(campaign_dir / "cal_00.csv"),
+                                  "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    fit = json.loads(out.read_text())
+    assert fit["z0_nm"] > 0 and fit["z0_sigma_nm"] > 0
 
 
 def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path):
@@ -434,8 +458,6 @@ def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, anal
     assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
 
 
-# the overflowing sums warn in numpy before the output check names the key
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_analyze_names_a_non_finite_result(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("c_true_pn_per_nm=1e300\nn_scans=3\ngrid_points=120\n")
@@ -445,7 +467,7 @@ def test_analyze_names_a_non_finite_result(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--config", str(cfg),
                                   "--scans", str(campaign), "--out", str(out)])
     assert result.exit_code == 2
-    assert "non-finite value at 'sigma_rms_pn'" in result.output
+    assert "drift fit overflows: C = 1e+300" in result.output
     assert not (out / "results.json").exists()
 
 

@@ -196,3 +196,28 @@ def test_in_place_clenshaw_is_bitwise_chebval(n_coef):
         ours, ref = _chebval(x, coef), chebyshev.chebval(x, coef)
         assert np.shape(ours) == np.shape(ref)
         assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [2, 20])
+def test_theory_slope_is_the_derivative_of_the_cache(drude_params, n_nodes):
+    # at n_nodes = 2 the derivative series has a single coefficient
+    curve = TheoryCurve(drude_params, CACHE_Z[0], CACHE_Z[-1], n_nodes)
+    h = 1e-5
+    # interior points, and the two points whose stencil reaches a range end
+    for z in (CACHE_Z[0] / (1 - h), 101e-9, 480e-9, CACHE_Z[-1] / (1 + h)):
+        central = (curve(z * (1 + h)) - curve(z * (1 - h))) / (2 * h * z)
+        slope = curve.slope(z)
+        assert isinstance(slope, float) and slope > 0
+        assert slope == pytest.approx(central, rel=1e-8)
+    zs = np.array([[100e-9, 200e-9], [300e-9, 400e-9]])
+    np.testing.assert_array_equal(curve.slope(zs), [[curve.slope(z) for z in row]
+                                                    for row in zs])
+
+
+def test_theory_slope_refuses_what_the_cache_refuses(drude_curve):
+    for z in (10e-9, np.array([200e-9, 5e-6])):
+        with pytest.raises(ValueError) as force:
+            drude_curve(z)
+        with pytest.raises(ValueError) as slope:
+            drude_curve.slope(z)
+        assert str(slope.value) == str(force.value)
