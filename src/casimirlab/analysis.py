@@ -11,11 +11,12 @@ All fits run in nm / pN, physics calls in SI.
 
 ``model_force_pn`` is the one forward model: the synthetic generator draws
 its scans from it and the z0 and drift fits fit it, so the loop closes on
-the same expression. The z0 fit needs no optimisation library: a 1 nm
-coarse chi2 scan brackets the minimum and Gauss-Newton on the closed-form
-dF/dz0 refines it (Numerical Recipes 3rd ed. 15.5). The coarse scan evaluates
-the model for a block of z0 values per call, since ``TheoryCurve`` and the
-proximity force broadcast, so numpy pays its per-call overhead once per block.
+the same expression. The z0 fit needs no optimisation library: a coarse
+chi2 scan of about 1 nm steps on the scan's joint grid brackets the minimum
+and Gauss-Newton on the closed-form dF/dz0 refines it (Numerical Recipes 3rd
+ed. 15.5). Without drift the model depends on z + z0 alone, so on a uniform
+axis the coarse scan evaluates it once, on a grid that holds every z + z0 it
+needs, and reads each z0's row as a strided window of that one array.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corrections import TheoryCurve
 from .electrostatics import (ElectrostaticConfig, sphere_plane_force_exact,
@@ -117,19 +119,49 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
-def _coarse_chi2(z, f, z0_values, voltage, theory, cfg, cap_offset_nm, sigma):
-    """chi2 of the no-drift model at each of z0_values, a block of rows at a time.
+def _coarse_chi2(z, f, voltage, theory, cfg, cap_offset_nm, sigma):
+    """Coarse z0 values about 1 nm apart, and the no-drift chi2 at each.
 
-    Each row's chi2 is the same dot product the one-z0 chi2 takes, so the
-    values are bitwise those of evaluating one z0 at a time.
+    With h the axis step, the joint step g = h / ceil(h) divides h, and the
+    coarse step m * g is the multiple of g nearest 1 nm, so every separation
+    z_i + z0_k lies on one joint grid z[0] + j g. On a uniform axis the model
+    is evaluated once on that grid and row k is a strided window of it; any
+    other axis, or a joint grid longer than the rows it replaces, evaluates a
+    block of z0 rows per call. An axis is uniform when it lies within
+    1e-8 max|z| of z[0] + i h, as a uniform axis read back from the 9
+    significant digits of the CSV dialect does.
+    Each row's chi2 is one dot product.
     """
-    rows = max(1, COARSE_BLOCK_ELEMENTS // z.size)
-    values = np.empty(z0_values.size)
-    for start in range(0, z0_values.size, rows):
-        block = z0_values[start:start + rows, None]
-        r = (f - model_force_pn(z, block, voltage, theory, cfg, cap_offset_nm)) / sigma
-        values[start:start + rows] = [float(np.dot(ri, ri)) for ri in r]
-    return values
+    n = z.size
+    # finite for any finite axis, where z[-1] - z[0] can overflow
+    h = z[-1] / (n - 1) - z[0] / (n - 1)
+    q = max(1, math.ceil(h))
+    g = h / q
+    m = max(1, round(1 / g))
+    lo, hi = max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1]
+    coarse = lo + m * g * np.arange(int((hi - lo) / (m * g)) + 1)
+    coarse = coarse[coarse <= hi]
+    width = (n - 1) * q + 1
+    joint_size = width + (coarse.size - 1) * m
+    uniform = np.abs(z - (z[0] + h * np.arange(n))).max() <= 1e-8 * np.abs(z).max()
+    if uniform and joint_size <= coarse.size * n:
+        joint = model_force_pn(z[0] + g * np.arange(joint_size), lo, voltage, theory,
+                               cfg, cap_offset_nm)
+        windows = sliding_window_view(joint, width)[::m, ::q]
+
+        def model_rows(block):
+            return windows[block]
+    else:
+        def model_rows(block):
+            return model_force_pn(z, coarse[block, None], voltage, theory, cfg,
+                                  cap_offset_nm)
+    rows = max(1, COARSE_BLOCK_ELEMENTS // n)
+    values = np.empty(coarse.size)
+    for start in range(0, coarse.size, rows):
+        block = slice(start, start + rows)
+        r = (f - model_rows(block)) / sigma
+        values[block] = [float(np.dot(ri, ri)) for ri in r]
+    return coarse, values
 
 
 def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
@@ -138,9 +170,10 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     """Chi-squared fit of the separation on contact from one voltage scan.
 
     The model is ``model_force_pn`` at the scan's voltage, without drift. A
-    1 nm coarse scan (``_coarse_chi2``) brackets the minimum; Gauss-Newton
-    from there, on dF/dz0 = theory slope - F_el / (z + z0), stops at a step
-    below 1e-10 nm; sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
+    coarse scan of about 1 nm steps on the scan's joint grid
+    (``_coarse_chi2``) brackets the minimum; Gauss-Newton from there, on
+    dF/dz0 = theory slope - F_el / (z + z0), stops at a step below 1e-10 nm;
+    sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
     """
     if not curve.has_force:
         raise DataError("curve must be force-valued")
@@ -150,10 +183,8 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     z = curve.piezo_nm
     f = curve.force_pn
     sigma = pooled_noise_pn
-    lo, hi = Z0_BRACKET_NM
-    coarse = np.arange(max(lo, 1.0), hi + 0.5, 1.0)
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        values = _coarse_chi2(z, f, coarse, v, theory, cfg, cap_offset_nm, sigma)
+        coarse, values = _coarse_chi2(z, f, v, theory, cfg, cap_offset_nm, sigma)
     if not np.isfinite(values).all():
         raise FitError(f"scan {curve.scan_id}: non-finite chi2 over the coarse scan "
                        f"(pooled_noise_pn={sigma:g} pN)")
@@ -178,7 +209,8 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
             raise FitError(f"scan {curve.scan_id}: non-finite Gauss-Newton step (J^T J = {jtj:g})")
         z0 += step
         if not coarse[imin - 1] <= z0 <= coarse[imin + 1]:
-            raise FitError(f"scan {curve.scan_id}: Gauss-Newton left the +-1 nm bracket")
+            raise FitError(f"scan {curve.scan_id}: Gauss-Newton left the coarse bracket "
+                           f"[{coarse[imin - 1]:.6g}, {coarse[imin + 1]:.6g}] nm")
         if abs(step) < 1e-10:  # r and J, from < 1e-10 nm back, give chi2 and sigma at z0
             return Z0FitResult(z0_nm=z0, z0_sigma_nm=1.0 / math.sqrt(jtj),
                                chi2=float(np.dot(r, r)), n_points=int(z.size), voltage=v)
@@ -187,19 +219,18 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite C sigma
-def fit_drift_coefficient(z_nm, force_pn, z0_nm: float, theory: TheoryCurve,
-                          cfg: ElectrostaticConfig, cap_offset_nm: float) -> DriftFit:
+def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> DriftFit:
     """Closed-form linear least squares for the scattered-light/drift slope C.
 
-    The grounded model without drift (``model_force_pn`` at 0 V) is
-    subtracted first; the remaining F = C * z is solved by the normal
-    equation.
+    grounded_pn, the model without drift (``model_force_pn`` at 0 V) on
+    z_nm, is subtracted first; the remaining F = C * z is solved by the
+    normal equation.
     """
     z = np.asarray(z_nm, dtype=float)
     f = np.asarray(force_pn, dtype=float)
     if z.size == 0:
         raise DataError("region 3 is empty")
-    resid = f - model_force_pn(z, z0_nm, 0.0, theory, cfg, cap_offset_nm)
+    resid = f - grounded_pn
     denom = float(np.dot(z, z))
     c = float(np.dot(z, resid) / denom)
     r = resid - c * z
@@ -350,10 +381,14 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
 
     extracted = []
     drifts = []
+    z3 = None
     for scan in casimir_scans:
         region3 = scan.piezo_nm > DRIFT_REGION_MIN_NM
-        drift = fit_drift_coefficient(scan.piezo_nm[region3], scan.force_pn[region3],
-                                      z0, theory, cfg, cap_offset_nm)
+        # one grounded model per distinct region-3 axis: a campaign shares one
+        if z3 is None or not np.array_equal(scan.piezo_nm[region3], z3):
+            z3 = scan.piezo_nm[region3]
+            grounded = model_force_pn(z3, z0, 0.0, theory, cfg, cap_offset_nm)
+        drift = fit_drift_coefficient(z3, scan.force_pn[region3], grounded)
         drifts.append(drift.C_pn_per_nm)
         extracted.append(extract_casimir(scan, z0, drift, cfg, cap_offset_nm))
 

@@ -13,7 +13,7 @@ from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
-from casimirlab.forcecurve import ForceCurve
+from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
 from casimirlab.synth import generate_scans, generate_stiffness_scans
 
 
@@ -39,27 +39,125 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     assert abs(best - quiet.z0_true_nm) <= 1.0
 
 
-@pytest.mark.parametrize("grid_points", [982, 4910])
-def test_blocked_coarse_chi2_is_bitwise_the_one_at_a_time_chi2(
-        default_cfg, drude_curve, e_cfg, grid_points):
+def voltage_scan(default_cfg, drude_curve, e_cfg, grid_points):
+    """The first applied-voltage scan of a one-scan campaign, and its config."""
     cfg = replace(default_cfg, n_scans=1, grid_points=grid_points)
-    _, voltage_scans = generate_scans(cfg, drude_curve, e_cfg)
-    scan = voltage_scans[0]
-    z, f, v = scan.piezo_nm, scan.force_pn, scan.applied_voltage
-    sigma = cfg.pooled_noise_pn
-    coarse = np.arange(max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1] + 0.5, 1.0)
-    rows = COARSE_BLOCK_ELEMENTS // z.size
-    # blocks of several rows, the last one short, none filling COARSE_BLOCK_ELEMENTS
-    assert 1 < rows and coarse.size % rows and COARSE_BLOCK_ELEMENTS % z.size
+    return generate_scans(cfg, drude_curve, e_cfg)[1][0], cfg
 
+
+def coarse_scan(scan, cfg, theory, e_cfg):
+    """(coarse z0 values, chi2 at each) of the scan's coarse z0 scan."""
+    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, theory,
+                        e_cfg, cfg.cap_offset_nm, cfg.pooled_noise_pn)
+
+
+def one_at_a_time_chi2(z, scan, cfg, theory, e_cfg, z0_values):
+    """chi2 of the no-drift model on axis z, one model call per z0."""
     def chi2(z0):
-        r = (f - model_force_pn(z, z0, v, drude_curve, e_cfg, cfg.cap_offset_nm)) / sigma
+        model = model_force_pn(z, z0, scan.applied_voltage, theory, e_cfg,
+                               cfg.cap_offset_nm)
+        r = (scan.force_pn - model) / cfg.pooled_noise_pn
         return float(np.dot(r, r))
+    return np.array([chi2(z0) for z0 in z0_values])
 
-    one_at_a_time = np.array([chi2(z0) for z0 in coarse])
-    blocked = _coarse_chi2(z, f, coarse, v, drude_curve, e_cfg, cfg.cap_offset_nm,
-                           sigma)
-    assert blocked.tobytes() == one_at_a_time.tobytes()
+
+def count_model_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return model_force_pn(*args, **kwargs)
+    monkeypatch.setattr(analysis, "model_force_pn", counted)
+    return calls
+
+
+# 10 points: an axis step of 98.9 nm, split in 99 joint steps (q > 1);
+# 982 points: 0.907 nm, the coarse step (m = 1); 4910 points: 0.181 nm, six of
+# them per coarse step (m > 1)
+@pytest.mark.parametrize("grid_points, coarse_over_axis_step",
+                         [(10, 1 / 99), (120, 1 / 8), (982, 1), (4910, 6)])
+def test_joint_grid_coarse_chi2_is_the_one_at_a_time_chi2(
+        default_cfg, drude_curve, e_cfg, grid_points, coarse_over_axis_step):
+    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, grid_points)
+    z = scan.piezo_nm
+    coarse, values = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    axis_step = (z[-1] - z[0]) / (z.size - 1)
+    assert (coarse[1] - coarse[0]) / axis_step == pytest.approx(coarse_over_axis_step)
+    np.testing.assert_allclose(
+        values, one_at_a_time_chi2(z, scan, cfg, drude_curve, e_cfg, coarse), rtol=1e-12)
+
+
+def test_joint_grid_coarse_chi2_on_an_axis_read_back_from_csv(
+        monkeypatch, tmp_path, default_cfg, drude_curve, e_cfg):
+    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, 982)
+    with open(tmp_path / "cal.csv", "w", encoding="utf-8") as fh:
+        save_scan(scan, fh)
+    back = load_scan(tmp_path / "cal.csv")
+    z = back.piezo_nm
+    assert 0 < np.abs(z - scan.piezo_nm).max() < 1e-6  # the 9 digits of the CSV
+    calls = count_model_calls(monkeypatch)
+    coarse, values = coarse_scan(back, cfg, drude_curve, e_cfg)
+    assert len(calls) == 1  # the rounded axis counts as uniform
+    # the joint grid samples the uniform axis the CSV rounds ...
+    uniform = np.linspace(z[0], z[-1], z.size)
+    np.testing.assert_allclose(
+        values, one_at_a_time_chi2(uniform, back, cfg, drude_curve, e_cfg, coarse),
+        rtol=1e-12)
+    # ... which moves chi2 by about 1e-8 relative from the chi2 on the rounded
+    # axis (the model's slope times <= 5e-7 nm), far below the steps between
+    # neighbouring coarse values
+    rounded = one_at_a_time_chi2(z, back, cfg, drude_curve, e_cfg, coarse)
+    np.testing.assert_allclose(values, rounded, rtol=1e-6)
+    assert np.argmin(values) == np.argmin(rounded)
+
+
+@pytest.mark.parametrize("grid_points", [982, 3000])
+def test_jittered_axis_coarse_chi2_is_bitwise_the_one_at_a_time_chi2(
+        monkeypatch, default_cfg, drude_curve, e_cfg, grid_points):
+    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, grid_points)
+    z = scan.piezo_nm.copy()
+    z[1:-1] += np.random.default_rng(1).uniform(-0.1, 0.1, z.size - 2) * (z[1] - z[0])
+    jittered = replace(scan, piezo_nm=z)
+    uniform_coarse, _ = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    calls = count_model_calls(monkeypatch)
+    coarse, values = coarse_scan(jittered, cfg, drude_curve, e_cfg)
+    # the coarse values of the uniform axis, in blocks of several rows, the
+    # last one short, none filling COARSE_BLOCK_ELEMENTS
+    np.testing.assert_array_equal(coarse, uniform_coarse)
+    rows = COARSE_BLOCK_ELEMENTS // z.size
+    assert 1 < rows and coarse.size % rows and COARSE_BLOCK_ELEMENTS % z.size
+    assert calls == [z.size] * -(-coarse.size // rows)
+    one_at_a_time = one_at_a_time_chi2(z, jittered, cfg, drude_curve, e_cfg, coarse)
+    assert values.tobytes() == one_at_a_time.tobytes()
+
+
+def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, drude_curve,
+                                              e_cfg):
+    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, 982)
+    calls = count_model_calls(monkeypatch)
+    coarse, _ = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    assert calls == [982 + coarse.size - 1]
+    # a 0.01 nm axis step would need a joint grid of 100 points per coarse
+    # step: one longer than the rows it replaces takes the blocked path
+    z = np.linspace(30.0, 30.09, 10)
+    fine = ForceCurve("fine", scan.applied_voltage, z, force_pn=np.zeros_like(z))
+    calls.clear()
+    coarse, _ = coarse_scan(fine, cfg, drude_curve, e_cfg)
+    assert calls == [10] * -(-coarse.size // (COARSE_BLOCK_ELEMENTS // 10))
+
+
+# axis steps 98.9, 7.5, 1 (coarse values on whole nm), 0.907, 0.181 and 0.11 nm
+@pytest.mark.parametrize("lo, hi, n", [(30.0, 920.0, 10), (30.0, 920.0, 120),
+                                       (30.0, 920.0, 891), (30.0, 920.0, 982),
+                                       (30.0, 920.0, 4910), (30.0, 31.0, 10)])
+def test_coarse_values_stay_in_the_bracket(default_cfg, drude_curve, e_cfg, lo, hi, n):
+    z = np.linspace(lo, hi, n)
+    scan = ForceCurve("axis", 0.5, z, force_pn=np.zeros_like(z))
+    coarse, _ = coarse_scan(scan, default_cfg, drude_curve, e_cfg)
+    assert max(Z0_BRACKET_NM[0], 1.0) == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
+    step = np.diff(coarse)
+    np.testing.assert_allclose(step, step[0], rtol=1e-12)
+    assert 0.5 <= step[0] <= 1.5 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
 
 
 def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):
@@ -151,7 +249,8 @@ def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_sc
     # a slope 1e6 times too flat turns the 0.1 nm step into 1e5 nm
     slope = TheoryCurve.slope
     monkeypatch.setattr(TheoryCurve, "slope", lambda self, z: slope(self, z) * 1e-6)
-    with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the \+-1 nm"):
+    with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the coarse "
+                                       r"bracket \[[0-9.]+, [0-9.]+\] nm"):
         fit_balanced(balanced_scan, drude_curve, default_cfg)
 
 
@@ -188,8 +287,9 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg)
     mask = scan.piezo_nm > DRIFT_REGION_MIN_NM
     z = scan.piezo_nm[mask]
     f = scan.force_pn[mask]
-    drift = fit_drift_coefficient(z, f, quiet.z0_true_nm, drude_curve, e_cfg,
-                                  quiet.cap_offset_nm)
+    grounded_pn = model_force_pn(z, quiet.z0_true_nm, 0.0, drude_curve, e_cfg,
+                                 quiet.cap_offset_nm)
+    drift = fit_drift_coefficient(z, f, grounded_pn)
     assert drift.C_pn_per_nm == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
     # independent least-squares check on the same residuals
     sep = z + quiet.z0_true_nm
@@ -198,16 +298,15 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg)
     lstsq_c = float(np.linalg.lstsq(z[:, None], resid, rcond=None)[0][0])
     assert drift.C_pn_per_nm == pytest.approx(lstsq_c, rel=1e-12)
     with pytest.raises(DataError):
-        fit_drift_coefficient(np.array([]), np.array([]), 48.9, drude_curve,
-                              e_cfg, quiet.cap_offset_nm)
+        fit_drift_coefficient(np.array([]), np.array([]), np.array([]))
 
 
 def test_extract_casimir_axis(noiseless_scans, drude_curve, e_cfg):
     quiet, (grounded, _) = noiseless_scans
     scan = grounded[0]
-    drift = fit_drift_coefficient(scan.piezo_nm, scan.force_pn - 0.0,
-                                  quiet.z0_true_nm, drude_curve, e_cfg,
-                                  quiet.cap_offset_nm)
+    grounded_pn = model_force_pn(scan.piezo_nm, quiet.z0_true_nm, 0.0, drude_curve,
+                                 e_cfg, quiet.cap_offset_nm)
+    drift = fit_drift_coefficient(scan.piezo_nm, scan.force_pn - 0.0, grounded_pn)
     out = extract_casimir(scan, quiet.z0_true_nm, drift, e_cfg,
                           quiet.cap_offset_nm)
     np.testing.assert_allclose(
@@ -274,8 +373,9 @@ def test_compare_names_an_overflowing_statistic(drude_curve, window):
 def test_drift_fit_names_an_overflow(drude_curve, e_cfg, default_cfg):
     z = np.linspace(520.0, 920.0, 50)
     with pytest.raises(DataError, match="drift fit overflows"):
-        fit_drift_coefficient(z, 1e300 * z * (1 + 1e-3 * np.sin(z)), 48.9, drude_curve,
-                              e_cfg, default_cfg.cap_offset_nm)
+        fit_drift_coefficient(z, 1e300 * z * (1 + 1e-3 * np.sin(z)),
+                              model_force_pn(z, 48.9, 0.0, drude_curve, e_cfg,
+                                             default_cfg.cap_offset_nm))
 
 
 def test_compare_window_guard(drude_curve, window):

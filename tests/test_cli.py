@@ -1,19 +1,24 @@
 import json
 import os
+import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import casimirlab
 from casimirlab import __version__
 from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main, parse_grid
 from casimirlab.config import RunConfig, parse_config
 from casimirlab.errors import ParseError
+from casimirlab.forcecurve import _read_csv
 
 FAST_CONFIG = """\
 theory_cache_points=40
@@ -382,6 +387,19 @@ def test_exit_code_fit_failure(runner, workdir, tmp_path):
     assert "scan flat: chi2 minimum at the bracket edge" in result.output
 
 
+def test_fit_z0_on_an_axis_whose_span_overflows_exits_2(runner, workdir, tmp_path):
+    # 1.5e308 - (-1e308) is not a float; the ends lie outside any theory cache
+    axis = [-1e308, *(k * 1e307 for k in range(-8, 10, 2)), 1e308, 1.5e308]
+    lines = ["# scan_id=wide", "# applied_voltage_v=0.5", "piezo_nm,force_pn"]
+    scan = tmp_path / "wide.csv"
+    scan.write_text("\n".join(lines + [f"{z!r},1" for z in axis]) + "\n")
+    result = runner.invoke(main, ["fit-z0", "--scan", str(scan),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(tmp_path / "z.json")])
+    assert result.exit_code == 2, result.output
+    assert "separation -1e+308 nm outside the cached theory range" in result.output
+
+
 def test_analyze_names_the_scan_whose_z0_fit_failed(monkeypatch, runner, workdir,
                                                     campaign_dir, tmp_path):
     monkeypatch.setattr("casimirlab.analysis.GAUSS_NEWTON_MAX_STEPS", 1)
@@ -482,3 +500,38 @@ def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_pat
     assert result.exit_code == 4
     assert "non-finite chi2" in result.output and "pooled_noise_pn" in result.output
     assert not any(p.suffix == ".json" for p in tmp_path.rglob("*"))
+
+
+# grid ends around the default cache and window, where the z0 fits run
+@settings(max_examples=40, deadline=None)
+@given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
+       grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_synth_analyze_over_the_grid_keys_ends_in_a_documented_exit(
+        grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed):
+    # the coarse z0 step follows the axis step, so every grid the range table
+    # passes must reach exit 0 with finite results, or 2, 3 or 4 with a message
+    values = dict(grid_lo_nm=grid_lo_nm, grid_hi_nm=grid_hi_nm, grid_points=grid_points,
+                  z0_true_nm=z0_true_nm, seed=seed, n_scans=2)
+    try:
+        RunConfig(**values)
+    except ValueError:   # outside a range rule
+        assume(False)
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
+        cfg = ["--config", str(tmp / "run.cfg")]
+        result = runner.invoke(main, ["synth", *cfg, "--out", str(tmp / "campaign")])
+        if result.exit_code == 0:
+            result = runner.invoke(main, ["analyze", *cfg, "--scans", str(tmp / "campaign"),
+                                          "--out", str(tmp / "analysis")])
+        assert result.exit_code in (0, 2, 3, 4), result.output
+        assert "Traceback" not in result.output and "RuntimeWarning" not in result.output
+        if result.exit_code:
+            assert result.output.startswith("error: "), result.output
+            return
+        results = json.loads((tmp / "analysis" / "results.json").read_text())
+        assert all(math.isfinite(v) for v in results.values() if isinstance(v, float))
+        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+        assert np.isfinite(curve.columns).all()
