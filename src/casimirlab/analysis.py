@@ -38,6 +38,8 @@ MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
 Z0_BRACKET_NM = (0.0, 200.0)
+# first and last z0 of the coarse scan, in nm
+COARSE_Z0_NM = (max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1])
 # model values per block of the coarse z0 scan: at most 2**14 float64
 # (128 KiB) per temporary array, small enough to stay in cache
 COARSE_BLOCK_ELEMENTS = 2**14
@@ -138,7 +140,7 @@ def _coarse_chi2(z, f, voltage, theory, cfg, cap_offset_nm, sigma):
     q = max(1, math.ceil(h))
     g = h / q
     m = max(1, round(1 / g))
-    lo, hi = max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1]
+    lo, hi = COARSE_Z0_NM
     coarse = lo + m * g * np.arange(int((hi - lo) / (m * g)) + 1)
     coarse = coarse[coarse <= hi]
     width = (n - 1) * q + 1
@@ -257,22 +259,24 @@ def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
     return replace(curve, piezo_nm=sep + cap_offset_nm, force_pn=force)
 
 
-def average_scans(scans):
-    """Arithmetic mean and per-point sample standard deviation over scans."""
-    if len(scans) < 2:
+def average_scans(first: ForceCurve, forces: np.ndarray):
+    """Arithmetic mean and per-point sample standard deviation over scans.
+
+    ``forces`` holds one scan per row on the axis of ``first``, whose fields
+    the mean curve carries. The matrix is consumed: the standard deviation
+    is taken in place on it, by the two-pass form and in the order of
+    ``np.std(ddof=1)``, so mean and std are bitwise numpy's.
+    """
+    n = forces.shape[0]
+    if n < 2:
         raise DataError("need at least 2 scans to average")
-    grid = scans[0].piezo_nm
-    for scan in scans[1:]:
-        if scan.piezo_nm.size != grid.size or not np.allclose(
-                scan.piezo_nm, grid, rtol=0, atol=1e-9):
-            raise DataError("scan grids differ; resample before averaging")
-        if not scan.has_force:
-            raise DataError("scans must be force-valued")
-    stack = np.vstack([scan.force_pn for scan in scans])
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0, ddof=1)
-    mean_curve = replace(scans[0], scan_id="mean", force_pn=mean)
-    return mean_curve, std
+    mean = forces.mean(axis=0)
+    np.subtract(forces, mean, out=forces)
+    np.square(forces, out=forces)
+    std = np.add.reduce(forces, axis=0)
+    std /= n - 1
+    np.sqrt(std, out=std)
+    return replace(first, scan_id="mean", force_pn=mean), std
 
 
 def resample_force(z_nm, force_pn, grid_nm):
@@ -312,6 +316,11 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
         raise DataError("mean curve must be force-valued")
     axis = mean_curve.piezo_nm
     lo, hi = window_nm
+    if axis[0] > lo + 1e-9 or axis[-1] < hi - 1e-9:  # resample_force's tolerance
+        raise DataError(
+            f"mean curve spans [{axis[0]:.6g}, {axis[-1]:.6g}] nm and does not cover "
+            f"the comparison window [{lo:.6g}, {hi:.6g}] nm (window_lo_nm, window_hi_nm)"
+        )
     in_window = (axis >= lo) & (axis <= hi)
     if int(in_window.sum()) < MIN_WINDOW_POINTS:
         raise DataError(
@@ -361,7 +370,9 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
 
     voltage_scans: force-valued scans at applied voltages 0.3-0.8 V used for
     the z0 fits. casimir_scans: force-valued grounded scans sharing a common
-    separation-from-contact grid.
+    separation-from-contact grid. Each grounded scan is drift-fitted and
+    extracted in turn, and only its force is kept, as one row of a
+    preallocated (scans x points) matrix that ``average_scans`` consumes.
     """
     if not voltage_scans:
         raise DataError("no voltage scans for the z0 fit")
@@ -379,10 +390,10 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
         z0_rms = 0.0
         z0_sigma = z0_fits[0].z0_sigma_nm
 
-    extracted = []
+    forces = first = None
     drifts = []
     z3 = None
-    for scan in casimir_scans:
+    for i, scan in enumerate(casimir_scans):
         region3 = scan.piezo_nm > DRIFT_REGION_MIN_NM
         # one grounded model per distinct region-3 axis: a campaign shares one
         if z3 is None or not np.array_equal(scan.piezo_nm[region3], z3):
@@ -390,10 +401,17 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
             grounded = model_force_pn(z3, z0, 0.0, theory, cfg, cap_offset_nm)
         drift = fit_drift_coefficient(z3, scan.force_pn[region3], grounded)
         drifts.append(drift.C_pn_per_nm)
-        extracted.append(extract_casimir(scan, z0, drift, cfg, cap_offset_nm))
+        curve = extract_casimir(scan, z0, drift, cfg, cap_offset_nm)
+        if first is None:
+            first = curve
+            forces = np.empty((len(casimir_scans), curve.piezo_nm.size))
+        elif curve.piezo_nm.size != first.piezo_nm.size or not np.allclose(
+                curve.piezo_nm, first.piezo_nm, rtol=0, atol=1e-9):
+            raise DataError("scan grids differ; resample before averaging")
+        forces[i] = curve.force_pn
 
-    mean_curve, std = average_scans(extracted)
-    stats = compare_to_theory(mean_curve, std, len(extracted), theory,
+    mean_curve, std = average_scans(first, forces)
+    stats = compare_to_theory(mean_curve, std, len(casimir_scans), theory,
                               window_nm, n_nodes)
     results = {
         "z0_nm": z0,

@@ -33,7 +33,7 @@ from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
                      DataError, FitError, ParseError, ValidityError)
 from .forcecurve import (ForceCurve, _csv_rows, _read_csv, load_scan,
                          signal_to_force)
-from .synth import load_campaign, write_campaign
+from .synth import check_fit_range, load_campaign, write_campaign
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -276,6 +276,7 @@ def fit_z0(scan_path, emit_curve, config_path, out):
 def synth(seed, out_dir, config_path):
     """Generate a deterministic synthetic campaign directory."""
     cfg = _load_cfg(config_path)
+    check_fit_range(cfg)  # before anything is written: analyze must run on it
     run = cfg if seed is None else replace(cfg, seed=seed)
     th = assemble.theory_curve(cfg)
     e_cfg = assemble.electrostatic_config(cfg)

@@ -15,8 +15,8 @@ body that call refuses (a comment or blank line among the rows, or a bad
 row) is read line by line, which finds the line of a bad row.
 
 ``_csv_rows`` formats every row of the package's writers with one ``%``
-template. Its first column's text is memoised for the last axis seen: all
-scans of a campaign share one piezo grid, so it is formatted once.
+template, memoised for the last axis seen with the axis text written into
+it: all scans of a campaign share one piezo grid, so it is formatted once.
 """
 
 from __future__ import annotations
@@ -120,26 +120,28 @@ def _csv_rows(*columns) -> str:
     """Equal-length float columns as CSV rows of 9 significant digits.
 
     The one row formatter of the package's writers (scans here, the command
-    outputs in ``cli``); every row ends in a newline. One ``%`` template
-    formats all cells (``'%.9g' % v`` is ``'{:.9g}'.format(v)`` for every
-    float), with the first column's text from ``_axis_text``.
+    outputs in ``cli``); every row ends in a newline. One ``%`` template,
+    which holds the first column's text (``_row_template``), formats the
+    other columns' cells, row by row (``'%.9g' % v`` is
+    ``'{:.9g}'.format(v)`` for every float).
     """
     first, *rest = (np.asarray(c, dtype=float) for c in columns)
-    width = len(columns)
-    cells = [None] * (first.size * width)
-    cells[::width] = _axis_text(first.tobytes())
-    for k, column in enumerate(rest, start=1):
-        cells[k::width] = column.tolist()
-    return (("%s" + ",%.9g" * (width - 1) + "\n") * first.size) % tuple(cells)
+    cells = [None] * (first.size * len(rest))
+    for k, column in enumerate(rest):
+        cells[k::len(rest)] = column.tolist()
+    return _row_template(first.tobytes(), len(columns)) % tuple(cells)
 
 
 @functools.lru_cache(maxsize=1)
-def _axis_text(axis: bytes) -> tuple:
-    """The ``%.9g`` text of each float64 in ``axis``, its raw bytes.
+def _row_template(axis: bytes, width: int) -> str:
+    """The ``%`` template of ``width``-column rows whose first cells are ``axis``.
 
+    ``axis`` is the raw float64 bytes of the first column, written as
+    ``%.9g`` text (which never holds a ``%``); each other cell is ``%.9g``.
     A memo of the last axis: every scan a campaign writes shares one grid.
     """
-    return tuple("%.9g" % v for v in np.frombuffer(axis).tolist())
+    cells = ",%.9g" * (width - 1) + "\n"
+    return "".join(["%.9g" % v + cells for v in np.frombuffer(axis).tolist()])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import model_force_pn
+from .analysis import COARSE_Z0_NM, model_force_pn
 from .config import RunConfig
 from .corrections import TheoryCurve
 from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
@@ -53,6 +53,25 @@ def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConf
         scans.append(ForceCurve(scan_id, voltage, z, force_pn=force,
                                 spring_constant=cfg.spring_constant_n_per_m))
     return scans[:cfg.n_scans], scans[cfg.n_scans:]
+
+
+def check_fit_range(cfg: RunConfig) -> None:
+    """Raise DataError unless ``analyze`` can fit z0 on the campaign of cfg.
+
+    The coarse z0 scan reads the theory at z + z0 + cap for every z of the
+    grid and every z0 of ``COARSE_Z0_NM``: that span of metal-to-metal
+    separations must lie inside the theory cache.
+    """
+    lo = cfg.grid_lo_nm + COARSE_Z0_NM[0] + cfg.cap_offset_nm
+    hi = cfg.grid_hi_nm + COARSE_Z0_NM[1] + cfg.cap_offset_nm
+    if lo < cfg.theory_cache_lo_nm or hi > cfg.theory_cache_hi_nm:
+        raise DataError(
+            f"the z0 fit would read the theory over [{lo:.6g}, {hi:.6g}] nm "
+            f"(grid_lo_nm + {COARSE_Z0_NM[0]:g} to grid_hi_nm + {COARSE_Z0_NM[1]:g}, "
+            f"plus cap_offset_nm), beyond the theory cache "
+            f"[{cfg.theory_cache_lo_nm:.6g}, {cfg.theory_cache_hi_nm:.6g}] nm "
+            "(theory_cache_lo_nm, theory_cache_hi_nm)"
+        )
 
 
 def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,

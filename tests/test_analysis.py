@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from casimirlab import analysis, assemble
 from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
-                                 Z0_BRACKET_NM, _coarse_chi2, average_scans,
-                                 calibrate_spring_constant, compare_to_theory,
+                                 Z0_BRACKET_NM, _coarse_chi2, analyze_campaign,
+                                 average_scans, calibrate_spring_constant,
+                                 compare_to_theory,
                                  extract_casimir, fit_contact_separation,
                                  fit_drift_coefficient, model_force_pn,
                                  resample_force)
@@ -318,18 +320,59 @@ def test_extract_casimir_axis(noiseless_scans, drude_curve, e_cfg):
                                atol=1e-6)
 
 
-def test_average_scans():
+def test_average_scans(noiseless_scans, drude_curve, e_cfg, window):
     z = np.linspace(0, 10, 11)
     a = ForceCurve("a", 0.0, z, force_pn=np.ones(11))
-    b = ForceCurve("b", 0.0, z, force_pn=3.0 * np.ones(11))
-    mean, std = average_scans([a, b])
+    mean, std = average_scans(a, np.vstack([np.ones(11), 3.0 * np.ones(11)]))
     np.testing.assert_allclose(mean.force_pn, 2.0)
     np.testing.assert_allclose(std, np.sqrt(2.0))
     with pytest.raises(DataError):
-        average_scans([a])
-    c = ForceCurve("c", 0.0, z + 0.5, force_pn=np.ones(11))
-    with pytest.raises(DataError):
-        average_scans([a, c])
+        average_scans(a, np.ones((1, 11)))
+    # the grids are checked as analyze_campaign fills the force matrix
+    quiet, (grounded, voltage_scans) = noiseless_scans
+    shifted = replace(grounded[1], piezo_nm=grounded[1].piezo_nm + 0.5)
+    with pytest.raises(DataError, match="scan grids differ"):
+        analyze_campaign(voltage_scans, [grounded[0], shifted], drude_curve, e_cfg,
+                         quiet.cap_offset_nm, *window, quiet.pooled_noise_pn)
+
+
+@pytest.mark.parametrize("n", [2, 37])
+def test_average_scans_is_bitwise_numpys_mean_and_std(n):
+    rng = np.random.default_rng(n)
+    rows = [rng.normal(-100.0, 7.0, 982) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
+    first = ForceCurve("scan_000", 0.0, np.linspace(46.8, 936.8, 982), force_pn=rows[0],
+                       spring_constant=0.0169)
+    mean, std = average_scans(first, np.vstack(rows))
+    np.testing.assert_array_equal(mean.force_pn, np.vstack(rows).mean(0))
+    np.testing.assert_array_equal(std, np.vstack(rows).std(0, ddof=1))
+    assert mean == replace(first, scan_id="mean", force_pn=mean.force_pn)
+
+
+def traced_peak_above_inputs(fn):
+    """Peak traced memory, in bytes, that ``fn()`` allocates above what exists."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, drude_curve,
+                                                           e_cfg, window):
+    # the grounded forces are held once, as one matrix row per scan: doubling
+    # the scans adds about n_scans rows to the peak, not one per copy of them
+    n_scans = 40
+    peaks = []
+    for n in (n_scans, 2 * n_scans):
+        quiet = replace(default_cfg, noise_pn=0.0, n_scans=n)
+        grounded, voltage_scans = generate_scans(quiet, drude_curve, e_cfg)
+        peaks.append(traced_peak_above_inputs(lambda: analyze_campaign(
+            voltage_scans, grounded, drude_curve, e_cfg, quiet.cap_offset_nm,
+            *window, quiet.pooled_noise_pn)))
+    row_bytes = default_cfg.grid_points * 8
+    assert peaks[1] - peaks[0] <= 1.5 * n_scans * row_bytes, peaks
 
 
 def test_resample_force_guards():

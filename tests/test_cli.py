@@ -489,6 +489,39 @@ def test_analyze_names_a_non_finite_result(runner, tmp_path):
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("line,span", [("grid_lo_nm=20", "[36.8, 1135.8] nm"),
+                                       ("grid_hi_nm=1100", "[46.8, 1315.8] nm")])
+def test_synth_refuses_a_grid_whose_z0_fit_leaves_the_cache(runner, tmp_path, line, span):
+    # the coarse z0 scan reads the theory from grid_lo_nm + 1 + cap to
+    # grid_hi_nm + 200 + cap: a campaign beyond the cache is never written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_scans=2\ngrid_points=120\n{line}\n")
+    out = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert span in result.output
+    for key in ("grid_lo_nm", "grid_hi_nm", "theory_cache_lo_nm", "theory_cache_hi_nm"):
+        assert key in result.output
+    assert not out.exists()
+
+
+def test_analyze_names_the_window_a_mean_curve_misses(runner, tmp_path):
+    # the mean curve starts near 60 + z0 + cap = 124.7 nm, above the 100 nm window
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_scans=2\ngrid_points=120\ngrid_lo_nm=60\n")
+    campaign, out = tmp_path / "campaign", tmp_path / "analysis"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(campaign)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                  "--scans", str(campaign), "--out", str(out)])
+    assert result.exit_code == 2
+    assert re.search(r"mean curve spans \[12[0-9.]+, [0-9.]+\] nm", result.output), \
+        result.output
+    assert ("comparison window [100, 500] nm (window_lo_nm, window_hi_nm)"
+            in result.output)
+    assert not (out / "results.json").exists()
+
+
 @pytest.mark.parametrize("command", ["fit-z0", "analyze"])
 def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_path, command):
     cfg = tmp_path / "run.cfg"
