@@ -362,21 +362,22 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
 DRIFT_REGION_MIN_NM = 516.0
 
 
-def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
-                     cfg: ElectrostaticConfig, cap_offset_nm: float,
+def analyze_campaign(voltage_scans, first: ForceCurve | None, forces: np.ndarray,
+                     theory: TheoryCurve, cfg: ElectrostaticConfig, cap_offset_nm: float,
                      window_nm, n_nodes: int, pooled_noise_pn: float,
                      spring_constant=None) -> tuple[dict, ForceCurve, np.ndarray]:
     """End-to-end pipeline on calibrated scans.
 
     voltage_scans: force-valued scans at applied voltages 0.3-0.8 V used for
-    the z0 fits. casimir_scans: force-valued grounded scans sharing a common
-    separation-from-contact grid. Each grounded scan is drift-fitted and
-    extracted in turn, and only its force is kept, as one row of a
-    preallocated (scans x points) matrix that ``average_scans`` consumes.
+    the z0 fits. The grounded scans come as ``load_campaign`` returns them:
+    ``first``, whose separation-from-contact axis they all share, and
+    ``forces``, one grounded scan per row. Each row is drift-fitted and
+    extracted in turn and overwritten with its extracted force; the matrix
+    is then consumed by ``average_scans``.
     """
     if not voltage_scans:
         raise DataError("no voltage scans for the z0 fit")
-    if not casimir_scans:
+    if first is None or not len(forces):
         raise DataError("no grounded scans to analyze")
 
     z0_fits = [fit_contact_separation(c, theory, cfg, cap_offset_nm, pooled_noise_pn)
@@ -390,28 +391,20 @@ def analyze_campaign(voltage_scans, casimir_scans, theory: TheoryCurve,
         z0_rms = 0.0
         z0_sigma = z0_fits[0].z0_sigma_nm
 
-    forces = first = None
+    region3 = first.piezo_nm > DRIFT_REGION_MIN_NM
+    z3 = first.piezo_nm[region3]
+    grounded = model_force_pn(z3, z0, 0.0, theory, cfg, cap_offset_nm)
     drifts = []
-    z3 = None
-    for i, scan in enumerate(casimir_scans):
-        region3 = scan.piezo_nm > DRIFT_REGION_MIN_NM
-        # one grounded model per distinct region-3 axis: a campaign shares one
-        if z3 is None or not np.array_equal(scan.piezo_nm[region3], z3):
-            z3 = scan.piezo_nm[region3]
-            grounded = model_force_pn(z3, z0, 0.0, theory, cfg, cap_offset_nm)
-        drift = fit_drift_coefficient(z3, scan.force_pn[region3], grounded)
+    for row in forces:
+        drift = fit_drift_coefficient(z3, row[region3], grounded)
         drifts.append(drift.C_pn_per_nm)
-        curve = extract_casimir(scan, z0, drift, cfg, cap_offset_nm)
-        if first is None:
-            first = curve
-            forces = np.empty((len(casimir_scans), curve.piezo_nm.size))
-        elif curve.piezo_nm.size != first.piezo_nm.size or not np.allclose(
-                curve.piezo_nm, first.piezo_nm, rtol=0, atol=1e-9):
-            raise DataError("scan grids differ; resample before averaging")
-        forces[i] = curve.force_pn
+        curve = extract_casimir(replace(first, force_pn=row), z0, drift, cfg,
+                                cap_offset_nm)
+        row[:] = curve.force_pn
 
-    mean_curve, std = average_scans(first, forces)
-    stats = compare_to_theory(mean_curve, std, len(casimir_scans), theory,
+    # every extracted curve carries first's fields on the one extracted axis
+    mean_curve, std = average_scans(curve, forces)
+    stats = compare_to_theory(mean_curve, std, len(forces), theory,
                               window_nm, n_nodes)
     results = {
         "z0_nm": z0,

@@ -293,7 +293,7 @@ def synth(seed, out_dir, config_path):
 def analyze(scans_dir, out_dir, config_path):
     """Run the full pipeline on a campaign directory."""
     cfg = _load_cfg(config_path)
-    grounded, voltage_scans, stiffness, _ = load_campaign(scans_dir)
+    first, forces, voltage_scans, stiffness = load_campaign(scans_dir)
     cal = assemble.calibration_params(cfg)
     e_cfg = assemble.electrostatic_config(cfg)
     spring = None
@@ -301,7 +301,7 @@ def analyze(scans_dir, out_dir, config_path):
         spring, _sigma = calibrate_spring_constant(stiffness, e_cfg, cal)
     th = assemble.theory_curve(cfg)
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded, th, e_cfg, cfg.cap_offset_nm,
+        voltage_scans, first, forces, th, e_cfg, cfg.cap_offset_nm,
         (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
         cfg.pooled_noise_pn, spring_constant=spring)
     out_dir = Path(out_dir)

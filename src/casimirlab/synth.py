@@ -7,7 +7,10 @@ residual electrostatic + linear drift + iid Gaussian noise, and
 applied-voltage scans for the z0 fit. The force comes from
 ``analysis.model_force_pn``, the model the fits use. Sub-seeds derive
 deterministically from (seed, scan index) via numpy's SeedSequence, so
-identical seeds give byte-identical output.
+identical seeds give byte-identical output. Both directions hold one scan
+at a time: ``write_campaign`` writes each scan as it is drawn, and
+``load_campaign`` keeps a grounded scan only as one row of the force matrix
+that ``analysis.analyze_campaign`` averages.
 """
 
 from __future__ import annotations
@@ -29,18 +32,21 @@ DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 
 def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConfig):
-    """Generate (grounded scans, applied-voltage scans) as ForceCurve lists.
+    """Yield the campaign's scans one at a time, as ForceCurves.
 
-    Grounded scans carry the drift term; voltage scans do not, matching the
-    z0 fit model. Noise streams are independent per scan and reproducible
-    from (seed, scan index): grounded scan i draws from stream i, voltage
-    scan j from stream 10000 + j.
+    The grounded scans come first, then the applied-voltage scans, in the
+    order ``write_campaign`` writes them. Grounded scans carry the drift
+    term; voltage scans do not, matching the z0 fit model. Noise streams are
+    independent per scan and reproducible from (seed, scan index): grounded
+    scan i draws from stream i, voltage scan j from stream 10000 + j. A scan
+    is drawn only when it is asked for, so a caller that drops each one
+    holds one scan at a time.
     """
     z = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)
     plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
     plan += [(f"cal_{j:02d}", v, 10_000 + j, 0.0)
              for j, v in enumerate(DEFAULT_CAL_VOLTAGES)]
-    scans, models = [], {}
+    models = {}
     for scan_id, voltage, stream, drift in plan:
         # one noiseless model per (voltage, drift): all grounded scans share one
         if (voltage, drift) not in models:
@@ -50,9 +56,8 @@ def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConf
         if cfg.noise_pn > 0:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
             force = force + rng.normal(0.0, cfg.noise_pn, z.size)
-        scans.append(ForceCurve(scan_id, voltage, z, force_pn=force,
-                                spring_constant=cfg.spring_constant_n_per_m))
-    return scans[:cfg.n_scans], scans[cfg.n_scans:]
+        yield ForceCurve(scan_id, voltage, z, force_pn=force,
+                         spring_constant=cfg.spring_constant_n_per_m)
 
 
 def check_fit_range(cfg: RunConfig) -> None:
@@ -100,11 +105,13 @@ def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,
 
 def write_campaign(outdir, cfg: RunConfig, theory: TheoryCurve,
                    e_cfg: ElectrostaticConfig) -> None:
-    """Emit a campaign directory: scan CSVs plus the truth.json sidecar."""
+    """Emit a campaign directory: scan CSVs plus the truth.json sidecar.
+
+    Each scan is written as it is drawn, so one scan is held at a time.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grounded, voltage_scans = generate_scans(cfg, theory, e_cfg)
-    for curve in grounded + voltage_scans:
+    for curve in generate_scans(cfg, theory, e_cfg):
         path = outdir / f"{curve.scan_id}.csv"
         tmp = path.with_suffix(".csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -130,26 +137,38 @@ def write_campaign(outdir, cfg: RunConfig, theory: TheoryCurve,
 
 
 def load_campaign(indir):
-    """Read back a campaign directory.
+    """Read back a campaign directory, one scan file at a time.
 
-    Returns (grounded scans, applied-voltage scans, raw stiffness scans,
-    truth dict or None). Signal-valued curves are stiffness-calibration
-    scans; force-valued ones split on applied voltage.
+    Returns (first grounded scan, grounded forces, applied-voltage scans,
+    raw stiffness scans). Signal-valued curves are stiffness-calibration
+    scans; force-valued ones split on applied voltage. A grounded scan is
+    kept only as its force, one row of a (scans x points) matrix whose k-th
+    row is the k-th grounded file in name order; the first grounded scan
+    gives the axis, and every other one must share it (``DataError`` naming
+    the scan otherwise). The matrix is allocated at the first grounded scan
+    with one row per file, and the rows of the other files are never
+    written. Without grounded scans the first is None and the matrix empty.
     """
     indir = Path(indir)
-    grounded, voltage_scans, stiffness = [], [], []
-    for path in sorted(indir.glob("*.csv")):
+    paths = sorted(indir.glob("*.csv"))
+    if not paths:
+        raise DataError(f"no scan files found in {indir}")
+    first, forces, k = None, np.empty((0, 0)), 0
+    voltage_scans, stiffness = [], []
+    for path in paths:
         curve = load_scan(path)
         if not curve.has_force:
             stiffness.append(curve)
-        elif curve.applied_voltage == 0.0:
-            grounded.append(curve)
-        else:
+        elif curve.applied_voltage != 0.0:
             voltage_scans.append(curve)
-    truth = None
-    truth_path = indir / "truth.json"
-    if truth_path.exists():
-        truth = json.loads(truth_path.read_text())
-    if not grounded and not voltage_scans and not stiffness:
-        raise DataError(f"no scan files found in {indir}")
-    return grounded, voltage_scans, stiffness, truth
+        else:
+            if first is None:
+                first = curve
+                forces = np.empty((len(paths), curve.piezo_nm.size))
+            elif (curve.piezo_nm.size != first.piezo_nm.size
+                  or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
+                raise DataError(f"scan {curve.scan_id} ({path.name}): scan grids differ "
+                                f"from scan {first.scan_id}'s; resample before averaging")
+            forces[k] = curve.force_pn
+            k += 1
+    return first, forces[:k], voltage_scans, stiffness

@@ -1,6 +1,8 @@
 """Shared fixtures: the expensive theory-curve cache and a reference
 synthetic campaign, built once per session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,31 @@ from casimirlab import assemble
 from casimirlab.analysis import analyze_campaign
 from casimirlab.config import RunConfig
 from casimirlab.synth import generate_scans
+
+
+def campaign_scans(cfg, theory, e_cfg):
+    """(grounded scans, applied-voltage scans, grounded force matrix) of cfg.
+
+    ``generate_scans`` yields the scans one at a time, grounded first; this
+    collects them into lists. ``analyze_campaign`` takes the grounded scans
+    as ``load_campaign`` returns them, the first scan and the matrix of their
+    forces (one row per scan), and consumes the matrix.
+    """
+    scans = list(generate_scans(cfg, theory, e_cfg))
+    grounded = scans[:cfg.n_scans]
+    return grounded, scans[cfg.n_scans:], np.vstack([s.force_pn for s in grounded])
+
+
+def traced_peak_above_inputs(fn):
+    """Peak traced memory, in bytes, that ``fn()`` allocates above what exists."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
 
 # Pass/fail lines emitted by the acceptance module; printed in the
 # terminal summary so every run shows one line per criterion.
@@ -56,13 +83,13 @@ def e_cfg(default_cfg):
 @pytest.fixture(scope="session")
 def campaign(default_cfg, drude_curve, e_cfg):
     """(grounded scans, applied-voltage scans) at the default 27-scan config."""
-    return generate_scans(default_cfg, drude_curve, e_cfg)
+    return campaign_scans(default_cfg, drude_curve, e_cfg)[:2]
 
 
 @pytest.fixture(scope="session")
-def campaign_results(campaign, drude_curve, e_cfg, default_cfg, window):
-    grounded, voltage_scans = campaign
+def campaign_results(drude_curve, e_cfg, default_cfg, window):
+    grounded, voltage_scans, forces = campaign_scans(default_cfg, drude_curve, e_cfg)
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded, drude_curve, e_cfg, default_cfg.cap_offset_nm,
+        voltage_scans, grounded[0], forces, drude_curve, e_cfg, default_cfg.cap_offset_nm,
         *window, default_cfg.pooled_noise_pn)
     return results, mean_curve, std

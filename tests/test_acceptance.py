@@ -26,7 +26,6 @@ from casimirlab.electrostatics import (sphere_plane_force_exact,
                                        sphere_plane_force_pfa)
 from casimirlab.lifshitz import (casimir_force_sphere_plate,
                                  ideal_casimir_sphere_plate)
-from casimirlab.synth import generate_scans
 
 Z_SET = (100e-9, 200e-9, 300e-9, 500e-9)
 
@@ -169,8 +168,8 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_noiseless_inversion(default_cfg, drude_curve, e_cfg, window):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    grounded, voltage_scans = generate_scans(quiet, drude_curve, e_cfg)
-    results, _, _ = analyze_campaign(voltage_scans, grounded, drude_curve,
+    grounded, voltage_scans, forces = conftest.campaign_scans(quiet, drude_curve, e_cfg)
+    results, _, _ = analyze_campaign(voltage_scans, grounded[0], forces, drude_curve,
                                      e_cfg, quiet.cap_offset_nm, *window,
                                      quiet.pooled_noise_pn)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)

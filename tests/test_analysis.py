@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +15,14 @@ from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
-from casimirlab.synth import generate_scans, generate_stiffness_scans
+from casimirlab.synth import generate_stiffness_scans
+from conftest import campaign_scans, traced_peak_above_inputs
 
 
 @pytest.fixture(scope="module")
 def noiseless_scans(default_cfg, drude_curve, e_cfg):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    return quiet, generate_scans(quiet, drude_curve, e_cfg)
+    return quiet, campaign_scans(quiet, drude_curve, e_cfg)[:2]
 
 
 def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
@@ -44,7 +44,7 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
 def voltage_scan(default_cfg, drude_curve, e_cfg, grid_points):
     """The first applied-voltage scan of a one-scan campaign, and its config."""
     cfg = replace(default_cfg, n_scans=1, grid_points=grid_points)
-    return generate_scans(cfg, drude_curve, e_cfg)[1][0], cfg
+    return campaign_scans(cfg, drude_curve, e_cfg)[1][0], cfg
 
 
 def coarse_scan(scan, cfg, theory, e_cfg):
@@ -320,7 +320,7 @@ def test_extract_casimir_axis(noiseless_scans, drude_curve, e_cfg):
                                atol=1e-6)
 
 
-def test_average_scans(noiseless_scans, drude_curve, e_cfg, window):
+def test_average_scans():
     z = np.linspace(0, 10, 11)
     a = ForceCurve("a", 0.0, z, force_pn=np.ones(11))
     mean, std = average_scans(a, np.vstack([np.ones(11), 3.0 * np.ones(11)]))
@@ -328,12 +328,6 @@ def test_average_scans(noiseless_scans, drude_curve, e_cfg, window):
     np.testing.assert_allclose(std, np.sqrt(2.0))
     with pytest.raises(DataError):
         average_scans(a, np.ones((1, 11)))
-    # the grids are checked as analyze_campaign fills the force matrix
-    quiet, (grounded, voltage_scans) = noiseless_scans
-    shifted = replace(grounded[1], piezo_nm=grounded[1].piezo_nm + 0.5)
-    with pytest.raises(DataError, match="scan grids differ"):
-        analyze_campaign(voltage_scans, [grounded[0], shifted], drude_curve, e_cfg,
-                         quiet.cap_offset_nm, *window, quiet.pooled_noise_pn)
 
 
 @pytest.mark.parametrize("n", [2, 37])
@@ -348,28 +342,18 @@ def test_average_scans_is_bitwise_numpys_mean_and_std(n):
     assert mean == replace(first, scan_id="mean", force_pn=mean.force_pn)
 
 
-def traced_peak_above_inputs(fn):
-    """Peak traced memory, in bytes, that ``fn()`` allocates above what exists."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, drude_curve,
                                                            e_cfg, window):
-    # the grounded forces are held once, as one matrix row per scan: doubling
-    # the scans adds about n_scans rows to the peak, not one per copy of them
+    # the grounded forces are held once, as the input matrix (one row per
+    # scan) that analyze_campaign works on in place: doubling the scans adds
+    # well under n_scans rows to the peak above its inputs, not one per copy
     n_scans = 40
     peaks = []
     for n in (n_scans, 2 * n_scans):
         quiet = replace(default_cfg, noise_pn=0.0, n_scans=n)
-        grounded, voltage_scans = generate_scans(quiet, drude_curve, e_cfg)
+        grounded, voltage_scans, forces = campaign_scans(quiet, drude_curve, e_cfg)
         peaks.append(traced_peak_above_inputs(lambda: analyze_campaign(
-            voltage_scans, grounded, drude_curve, e_cfg, quiet.cap_offset_nm,
+            voltage_scans, grounded[0], forces, drude_curve, e_cfg, quiet.cap_offset_nm,
             *window, quiet.pooled_noise_pn)))
     row_bytes = default_cfg.grid_points * 8
     assert peaks[1] - peaks[0] <= 1.5 * n_scans * row_bytes, peaks

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -423,11 +424,16 @@ def test_fit_z0_on_a_two_node_theory_cache(runner, campaign_dir, tmp_path):
     assert fit["z0_nm"] > 0 and fit["z0_sigma_nm"] > 0
 
 
-def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path):
+def copy_campaign(campaign_dir, tmp_path):
     scans = tmp_path / "campaign"
     scans.mkdir()
-    for path in campaign_dir.glob("*.csv"):
-        (scans / path.name).write_text(path.read_text())
+    for path in campaign_dir.iterdir():
+        (scans / path.name).write_bytes(path.read_bytes())
+    return scans
+
+
+def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path):
+    scans = copy_campaign(campaign_dir, tmp_path)
     lines = (scans / "scan_000.csv").read_text().splitlines()
     row = next(i for i, line in enumerate(lines) if line.startswith("piezo_nm")) + 2
     lines[row] = lines[row].split(",")[0] + ",nan"
@@ -438,6 +444,36 @@ def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path
     assert result.exit_code == 2
     assert f"non-finite value at line {row + 1}" in result.output
     assert not (out / "results.json").exists()
+
+
+def test_analyze_does_not_read_truth_json(runner, workdir, campaign_dir, analysis_dir,
+                                          tmp_path):
+    # truth.json is the generator's record for the tests, not an analyze input
+    scans = copy_campaign(campaign_dir, tmp_path)
+    (scans / "truth.json").write_text("{not json")
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "results.json").read_bytes() == \
+        (analysis_dir / "results.json").read_bytes()
+
+
+def test_analyze_names_the_scan_whose_grid_differs(runner, workdir, campaign_dir,
+                                                   tmp_path):
+    from casimirlab.forcecurve import load_scan, save_scan
+
+    scans = copy_campaign(campaign_dir, tmp_path)
+    scan = load_scan(scans / "scan_001.csv")
+    with open(scans / "scan_001.csv", "w", encoding="utf-8") as fh:
+        save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "scan grids differ" in result.output
+    assert "scan scan_001 (scan_001.csv)" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lineno,bad", [
@@ -470,8 +506,8 @@ def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, anal
         raise AssertionError("package-written CSV read line by line")
 
     monkeypatch.setattr(forcecurve, "_read_body_by_line", refuse)
-    grounded, voltage_scans, _, _ = load_campaign(campaign_dir)
-    assert len(grounded) == 2 and len(voltage_scans) == 6
+    _, forces, voltage_scans, _ = load_campaign(campaign_dir)
+    assert len(forces) == 2 and len(voltage_scans) == 6
     table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
     assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
 

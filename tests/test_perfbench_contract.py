@@ -1,11 +1,17 @@
 """The benchmark's tracer wraps package functions by name; every name it
-lists must still resolve, or every traced benchmark run fails at install."""
+lists must still resolve, or every traced benchmark run fails at install,
+and the ones a campaign passes through must still be called, or the
+per-layer metrics they feed read 0."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from casimirlab.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -27,3 +33,47 @@ def test_traced_name_resolves(module_name, path):
     for part in path.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+REACHED_BY_SYNTH_AND_ANALYZE = (
+    "synth.generate_scans", "synth.write_campaign", "synth.load_campaign",
+    "forcecurve.load_scan", "analysis.fit_drift_coefficient",
+    "analysis.extract_casimir", "analysis.average_scans",
+)
+
+
+def test_synth_and_analyze_reach_the_traced_functions(monkeypatch, tmp_path):
+    # the tracer replaces every casimirlab module attribute bound to a traced
+    # function (cli and synth import names directly); count calls the same way
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "casimirlab" or n.startswith("casimirlab."))]
+    calls = {}
+    for module_name, path in traced_names():
+        name = f"{module_name}.{path}"
+        calls[name] = 0
+        owner, fn = None, importlib.import_module(f"casimirlab.{module_name}")
+        for part in path.split("."):
+            owner, fn = fn, getattr(fn, part)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        if "." in path:  # a method: count it on the class
+            monkeypatch.setattr(owner, path.rsplit(".", 1)[1], counted)
+            continue
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("theory_cache_points=8\nn_scans=2\ngrid_points=120\n")
+    runner = CliRunner()
+    for args in (["synth", "--out", str(tmp_path / "campaign")],
+                 ["analyze", "--scans", str(tmp_path / "campaign"),
+                  "--out", str(tmp_path / "analysis")]):
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+    assert {name: calls[name] for name in REACHED_BY_SYNTH_AND_ANALYZE
+            if not calls[name]} == {}

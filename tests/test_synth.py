@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,9 +7,9 @@ import pytest
 
 from casimirlab.config import RunConfig
 from casimirlab.constants import CONST
-from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_scans,
-                              generate_stiffness_scans, load_campaign,
-                              write_campaign)
+from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_stiffness_scans,
+                              load_campaign, write_campaign)
+from conftest import campaign_scans, traced_peak_above_inputs
 
 
 def small_cfg(**kw):
@@ -19,11 +20,11 @@ def small_cfg(**kw):
 
 def test_generation_is_deterministic(drude_curve, e_cfg):
     t = small_cfg()
-    g1, v1 = generate_scans(t, drude_curve, e_cfg)
-    g2, v2 = generate_scans(t, drude_curve, e_cfg)
+    g1, v1, _ = campaign_scans(t, drude_curve, e_cfg)
+    g2, v2, _ = campaign_scans(t, drude_curve, e_cfg)
     for a, b in zip(g1 + v1, g2 + v2):
         np.testing.assert_array_equal(a.force_pn, b.force_pn)
-    g3, _ = generate_scans(replace(t, seed=6), drude_curve, e_cfg)
+    g3, _, _ = campaign_scans(replace(t, seed=6), drude_curve, e_cfg)
     assert not np.array_equal(g1[0].force_pn, g3[0].force_pn)
     # scan streams are mutually independent
     assert not np.array_equal(g1[0].force_pn, g1[1].force_pn)
@@ -31,7 +32,7 @@ def test_generation_is_deterministic(drude_curve, e_cfg):
 
 def test_noiseless_voltage_scans_equal_model(drude_curve, e_cfg):
     t = small_cfg(noise_pn=0.0, n_scans=1)
-    _, voltage_scans = generate_scans(t, drude_curve, e_cfg)
+    _, voltage_scans, _ = campaign_scans(t, drude_curve, e_cfg)
     scan = voltage_scans[0]
     sep = scan.piezo_nm + t.z0_true_nm
     dv = scan.applied_voltage - t.v2_residual_mv * 1e-3
@@ -46,9 +47,9 @@ def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
     rms = {}
     for n in (27, 108):
         t = small_cfg(n_scans=n, noise_pn=sigma)
-        grounded, _ = generate_scans(t, drude_curve, e_cfg)
-        quiet, _ = generate_scans(replace(t, noise_pn=0.0, n_scans=1),
-                                  drude_curve, e_cfg)
+        grounded, _, _ = campaign_scans(t, drude_curve, e_cfg)
+        quiet, _, _ = campaign_scans(replace(t, noise_pn=0.0, n_scans=1),
+                                     drude_curve, e_cfg)
         stack = np.vstack([s.force_pn for s in grounded])
         rms[n] = float(np.sqrt(np.mean((stack.mean(axis=0)
                                         - quiet[0].force_pn) ** 2)))
@@ -60,8 +61,9 @@ def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
 def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
     t = small_cfg(n_scans=2)
     write_campaign(tmp_path, t, drude_curve, e_cfg)
-    grounded, voltage_scans, stiffness, truth_doc = load_campaign(tmp_path)
-    assert len(grounded) == 2
+    first, forces, voltage_scans, stiffness = load_campaign(tmp_path)
+    truth_doc = json.loads((tmp_path / "truth.json").read_text())
+    assert len(forces) == 2
     assert len(voltage_scans) == len(DEFAULT_CAL_VOLTAGES)
     assert stiffness == []
     assert truth_doc == {
@@ -71,8 +73,11 @@ def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
         "noise_sigma_pn": t.noise_pn, "n_scans": 2,
         "grid_nm": [t.grid_lo_nm, t.grid_hi_nm, t.grid_points], "seed": 5,
         "cap_offset_nm": t.cap_offset_nm}
-    fresh_g, fresh_v = generate_scans(t, drude_curve, e_cfg)
+    fresh_g, fresh_v, _ = campaign_scans(t, drude_curve, e_cfg)
+    grounded = [replace(first, scan_id=f"scan_{k:03d}", force_pn=row)
+                for k, row in enumerate(forces)]
     for disk, fresh in zip(grounded + voltage_scans, fresh_g + fresh_v):
+        assert disk.scan_id == fresh.scan_id
         np.testing.assert_allclose(disk.piezo_nm, fresh.piezo_nm, rtol=1e-8)
         np.testing.assert_allclose(disk.force_pn, fresh.force_pn, rtol=1e-8,
                                    atol=1e-7)
@@ -86,7 +91,7 @@ def test_load_campaign_classifies_stiffness(tmp_path, drude_curve, e_cfg):
     for scan in generate_stiffness_scans(t, e_cfg):
         with open(tmp_path / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
-    grounded, voltage_scans, stiffness, _ = load_campaign(tmp_path)
+    _, _, _, stiffness = load_campaign(tmp_path)
     assert len(stiffness) == 2
     assert all(not s.has_force for s in stiffness)
 
@@ -96,3 +101,33 @@ def test_load_campaign_empty_dir(tmp_path):
 
     with pytest.raises(DataError):
         load_campaign(tmp_path)
+
+
+
+
+def rows_added_by_doubling(fn):
+    """Growth of the traced peak of ``fn(n_scans)`` from 40 to 80 scans, in
+    rows of the default 982-point grid. An untraced call first fills what
+    only a first call allocates."""
+    fn(40)
+    peaks = [traced_peak_above_inputs(lambda: fn(n)) for n in (40, 80)]
+    return (peaks[1] - peaks[0]) / (RunConfig().grid_points * 8)
+
+
+def test_write_campaign_memory_holds_one_scan(tmp_path, drude_curve, e_cfg):
+    # each scan is written as it is drawn: doubling the scans leaves the peak
+    # where it was. The scans are noisy because only a drawn scan has a force
+    # array of its own; noiseless ones share their model's.
+    rows = rows_added_by_doubling(lambda n: write_campaign(
+        tmp_path / str(n), RunConfig(n_scans=n), drude_curve, e_cfg))
+    assert rows <= 0.5 * 40, rows
+
+
+def test_load_campaign_memory_grows_by_one_row_per_scan(tmp_path, drude_curve, e_cfg):
+    # a grounded scan is kept only as its force row: doubling the scans adds
+    # about 40 rows, not the axis and the force of every scan
+    for n in (40, 80):
+        write_campaign(tmp_path / str(n), RunConfig(n_scans=n, noise_pn=0.0),
+                       drude_curve, e_cfg)
+    rows = rows_added_by_doubling(lambda n: load_campaign(tmp_path / str(n)))
+    assert rows <= 1.5 * 40, rows
