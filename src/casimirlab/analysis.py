@@ -9,14 +9,17 @@ Axis conventions: scans enter with a separation-from-contact axis z in nm;
 extraction re-expresses it as the metal-to-metal separation z + z0 + cap.
 All fits run in nm / pN, physics calls in SI.
 
-``model_force_pn`` is the one forward model: the synthetic generator draws
-its scans from it and the z0 and drift fits fit it, so the loop closes on
+``ForwardModel`` is the one forward model, and the only code that composes
+the theory, the electrostatics, the cap offset, the units and the drift:
+the synthetic generator draws its scans from it, the z0 and drift fits fit
+it and extraction subtracts its electrostatic term, so the loop closes on
 the same expression. The z0 fit needs no optimisation library: a coarse
 chi2 scan of about 1 nm steps on the scan's joint grid brackets the minimum
-and Gauss-Newton on the closed-form dF/dz0 refines it (Numerical Recipes 3rd
-ed. 15.5). Without drift the model depends on z + z0 alone, so on a uniform
-axis the coarse scan evaluates it once, on a grid that holds every z + z0 it
-needs, and reads each z0's row as a strided window of that one array.
+and Gauss-Newton on the model's closed-form dF/dz0 refines it (Numerical
+Recipes 3rd ed. 15.5). Without drift the model depends on z + z0 alone, so
+on a uniform axis the coarse scan evaluates it once, on a grid that holds
+every z + z0 it needs, and reads each z0's row as a strided window of that
+one array.
 """
 
 from __future__ import annotations
@@ -73,22 +76,39 @@ class ComparisonStats:
     variants: dict
 
 
-def model_force_pn(z_nm, z0_nm: float, voltage: float, theory: TheoryCurve,
-                   cfg: ElectrostaticConfig, cap_offset_nm: float,
-                   drift_pn_per_nm: float = 0.0):
-    """Force in pN a scan measures at separations from contact z_nm.
-
-    z0_nm may be a column of values, giving one model row per value. The
-    theory force at the metal-to-metal separation z + z0 + cap, plus
-    the proximity electrostatic force of the plate voltage against the
-    sphere's residual potential at z + z0, plus the linear drift C * z.
+@dataclass(frozen=True)
+class ForwardModel:
+    """The force in pN a scan measures at separations from contact z in nm:
+    the theory at the metal-to-metal separation z + z0 + cap, plus the
+    proximity electrostatic force of the plate voltage against the sphere's
+    residual potential at z + z0, plus the linear drift C * z.
+    ``assemble.forward_model`` builds it from a ``RunConfig``.
     """
-    sep = z_nm + z0_nm
-    force = (theory((sep + cap_offset_nm) * 1e-9) * 1e12
-             + sphere_plane_force_pfa(sep * 1e-9, replace(cfg, V1=voltage)) * 1e12)
-    if drift_pn_per_nm:
-        force = force + drift_pn_per_nm * z_nm
-    return force
+
+    theory: TheoryCurve
+    electro: ElectrostaticConfig
+    cap_offset_nm: float
+
+    def electrostatic_pn(self, sep_nm, voltage: float):
+        """The electrostatic term in pN at separations sep_nm = z + z0."""
+        return sphere_plane_force_pfa(sep_nm * 1e-9, self.electro, voltage) * 1e12
+
+    def force_pn(self, z_nm, z0_nm, voltage: float, drift_pn_per_nm: float = 0.0):
+        """The force at z_nm; z0_nm may be a column, giving one row per value."""
+        sep = z_nm + z0_nm
+        force = (self.theory((sep + self.cap_offset_nm) * 1e-9) * 1e12
+                 + self.electrostatic_pn(sep, voltage))
+        if drift_pn_per_nm:
+            force = force + drift_pn_per_nm * z_nm
+        return force
+
+    def force_and_dz0_pn(self, z_nm, z0_nm: float, voltage: float):
+        """(force without drift, dF/dz0) in pN and pN/nm, from one theory and
+        one electrostatic evaluation: dF/dz0 = theory slope - F_el / (z + z0)."""
+        sep = z_nm + z0_nm
+        f_th, slope = self.theory.force_and_slope((sep + self.cap_offset_nm) * 1e-9)
+        f_el = self.electrostatic_pn(sep, voltage)
+        return f_th * 1e12 + f_el, slope * 1e3 - f_el / sep
 
 
 def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
@@ -105,10 +125,10 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
         if curve.applied_voltage == 0:
             raise CalibrationError(f"scan {curve.scan_id}: zero applied voltage")
         mask = curve.piezo_nm > CALIBRATION_MIN_SEPARATION_NM
-        e_cfg = replace(cfg, V1=curve.applied_voltage)
         for z_nm, sig in zip(curve.piezo_nm[mask], curve.signal[mask]):
             deflections.append(sig * cal.deflection_sensitivity * 1e-9)  # m
-            forces.append(sphere_plane_force_exact(z_nm * 1e-9, e_cfg))  # N
+            forces.append(sphere_plane_force_exact(z_nm * 1e-9, cfg,
+                                                   curve.applied_voltage))  # N
     if len(forces) < MIN_CALIBRATION_POINTS:
         raise DataError(
             f"need >= {MIN_CALIBRATION_POINTS} usable points, got {len(forces)}"
@@ -121,7 +141,7 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
-def _coarse_chi2(z, f, voltage, theory, cfg, cap_offset_nm, sigma):
+def _coarse_chi2(z, f, voltage, model: ForwardModel, sigma):
     """Coarse z0 values about 1 nm apart, and the no-drift chi2 at each.
 
     With h the axis step, the joint step g = h / ceil(h) divides h, and the
@@ -147,16 +167,14 @@ def _coarse_chi2(z, f, voltage, theory, cfg, cap_offset_nm, sigma):
     joint_size = width + (coarse.size - 1) * m
     uniform = np.abs(z - (z[0] + h * np.arange(n))).max() <= 1e-8 * np.abs(z).max()
     if uniform and joint_size <= coarse.size * n:
-        joint = model_force_pn(z[0] + g * np.arange(joint_size), lo, voltage, theory,
-                               cfg, cap_offset_nm)
+        joint = model.force_pn(z[0] + g * np.arange(joint_size), lo, voltage)
         windows = sliding_window_view(joint, width)[::m, ::q]
 
         def model_rows(block):
             return windows[block]
     else:
         def model_rows(block):
-            return model_force_pn(z, coarse[block, None], voltage, theory, cfg,
-                                  cap_offset_nm)
+            return model.force_pn(z, coarse[block, None], voltage)
     rows = max(1, COARSE_BLOCK_ELEMENTS // n)
     values = np.empty(coarse.size)
     for start in range(0, coarse.size, rows):
@@ -166,15 +184,14 @@ def _coarse_chi2(z, f, voltage, theory, cfg, cap_offset_nm, sigma):
     return coarse, values
 
 
-def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
-                           cfg: ElectrostaticConfig, cap_offset_nm: float,
+def fit_contact_separation(curve: ForceCurve, model: ForwardModel,
                            pooled_noise_pn: float) -> Z0FitResult:
     """Chi-squared fit of the separation on contact from one voltage scan.
 
-    The model is ``model_force_pn`` at the scan's voltage, without drift. A
-    coarse scan of about 1 nm steps on the scan's joint grid
-    (``_coarse_chi2``) brackets the minimum; Gauss-Newton from there, on
-    dF/dz0 = theory slope - F_el / (z + z0), stops at a step below 1e-10 nm;
+    The model is ``model`` at the scan's voltage, without drift. A coarse
+    scan of about 1 nm steps on the scan's joint grid (``_coarse_chi2``)
+    brackets the minimum; Gauss-Newton from there, on
+    ``ForwardModel.force_and_dz0_pn``, stops at a step below 1e-10 nm;
     sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
     """
     if not curve.has_force:
@@ -186,7 +203,7 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     f = curve.force_pn
     sigma = pooled_noise_pn
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        coarse, values = _coarse_chi2(z, f, v, theory, cfg, cap_offset_nm, sigma)
+        coarse, values = _coarse_chi2(z, f, v, model, sigma)
     if not np.isfinite(values).all():
         raise FitError(f"scan {curve.scan_id}: non-finite chi2 over the coarse scan "
                        f"(pooled_noise_pn={sigma:g} pN)")
@@ -197,13 +214,11 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
     if int(interior.sum()) > 1:
         raise FitError(f"scan {curve.scan_id}: non-unimodal chi2 over the coarse scan")
 
-    v_cfg = replace(cfg, V1=v)
     z0 = float(coarse[imin])
     for _ in range(GAUSS_NEWTON_MAX_STEPS):
-        sep = z + z0
-        r = (f - model_force_pn(z, z0, v, theory, cfg, cap_offset_nm)) / sigma
-        jac = (theory.slope((sep + cap_offset_nm) * 1e-9) * 1e3
-               - sphere_plane_force_pfa(sep * 1e-9, v_cfg) * 1e12 / sep) / sigma
+        force, dz0 = model.force_and_dz0_pn(z, z0, v)
+        r = (f - force) / sigma
+        jac = dz0 / sigma
         jtj = np.dot(jac, jac)
         with np.errstate(all="ignore"):  # a non-finite step is reported just below
             step = float(np.dot(jac, r) / jtj)
@@ -224,7 +239,7 @@ def fit_contact_separation(curve: ForceCurve, theory: TheoryCurve,
 def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> DriftFit:
     """Closed-form linear least squares for the scattered-light/drift slope C.
 
-    grounded_pn, the model without drift (``model_force_pn`` at 0 V) on
+    grounded_pn, the model without drift (``ForwardModel.force_pn`` at 0 V) on
     z_nm, is subtracted first; the remaining F = C * z is solved by the
     normal equation.
     """
@@ -244,8 +259,8 @@ def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> DriftFit:
 
 
 def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
-                    cfg: ElectrostaticConfig, cap_offset_nm: float) -> ForceCurve:
-    """Subtract the residual electrostatic and drift terms from one scan.
+                    model: ForwardModel) -> ForceCurve:
+    """Subtract the model's grounded electrostatic and drift terms from one scan.
 
     Returns a curve whose axis is the metal-to-metal separation
     z + z0 + cap and whose force is the measured Casimir force.
@@ -254,9 +269,8 @@ def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
         raise DataError("curve must be force-valued")
     z = curve.piezo_nm
     sep = z + z0_nm
-    f_e = sphere_plane_force_pfa(sep * 1e-9, replace(cfg, V1=0.0)) * 1e12
-    force = curve.force_pn - f_e - drift.C_pn_per_nm * z
-    return replace(curve, piezo_nm=sep + cap_offset_nm, force_pn=force)
+    force = curve.force_pn - model.electrostatic_pn(sep, 0.0) - drift.C_pn_per_nm * z
+    return replace(curve, piezo_nm=sep + model.cap_offset_nm, force_pn=force)
 
 
 def average_scans(first: ForceCurve, forces: np.ndarray):
@@ -363,8 +377,7 @@ DRIFT_REGION_MIN_NM = 516.0
 
 
 def analyze_campaign(voltage_scans, first: ForceCurve | None, forces: np.ndarray,
-                     theory: TheoryCurve, cfg: ElectrostaticConfig, cap_offset_nm: float,
-                     window_nm, n_nodes: int, pooled_noise_pn: float,
+                     model: ForwardModel, window_nm, n_nodes: int, pooled_noise_pn: float,
                      spring_constant=None) -> tuple[dict, ForceCurve, np.ndarray]:
     """End-to-end pipeline on calibrated scans.
 
@@ -380,8 +393,7 @@ def analyze_campaign(voltage_scans, first: ForceCurve | None, forces: np.ndarray
     if first is None or not len(forces):
         raise DataError("no grounded scans to analyze")
 
-    z0_fits = [fit_contact_separation(c, theory, cfg, cap_offset_nm, pooled_noise_pn)
-               for c in voltage_scans]
+    z0_fits = [fit_contact_separation(c, model, pooled_noise_pn) for c in voltage_scans]
     z0_values = np.array([fit.z0_nm for fit in z0_fits])
     z0 = float(z0_values.mean())
     if z0_values.size > 1:
@@ -393,18 +405,17 @@ def analyze_campaign(voltage_scans, first: ForceCurve | None, forces: np.ndarray
 
     region3 = first.piezo_nm > DRIFT_REGION_MIN_NM
     z3 = first.piezo_nm[region3]
-    grounded = model_force_pn(z3, z0, 0.0, theory, cfg, cap_offset_nm)
+    grounded = model.force_pn(z3, z0, 0.0)
     drifts = []
     for row in forces:
         drift = fit_drift_coefficient(z3, row[region3], grounded)
         drifts.append(drift.C_pn_per_nm)
-        curve = extract_casimir(replace(first, force_pn=row), z0, drift, cfg,
-                                cap_offset_nm)
+        curve = extract_casimir(replace(first, force_pn=row), z0, drift, model)
         row[:] = curve.force_pn
 
     # every extracted curve carries first's fields on the one extracted axis
     mean_curve, std = average_scans(curve, forces)
-    stats = compare_to_theory(mean_curve, std, len(forces), theory,
+    stats = compare_to_theory(mean_curve, std, len(forces), model.theory,
                               window_nm, n_nodes)
     results = {
         "z0_nm": z0,

@@ -6,6 +6,7 @@ that reads a physical value from the config and converts it to SI.
 
 from __future__ import annotations
 
+from .analysis import ForwardModel
 from .config import RunConfig
 from .corrections import (RoughnessSpec, TemperatureParams, TheoryCurve,
                           TheoryParams)
@@ -49,9 +50,14 @@ def theory_curve(cfg: RunConfig) -> TheoryCurve:
                        cfg.theory_cache_hi_nm * 1e-9, cfg.theory_cache_points)
 
 
-def electrostatic_config(cfg: RunConfig, V1: float = 0.0) -> ElectrostaticConfig:
-    return ElectrostaticConfig(R=cfg.sphere_radius_um * 1e-6, V1=V1,
+def electrostatic_config(cfg: RunConfig) -> ElectrostaticConfig:
+    return ElectrostaticConfig(R=cfg.sphere_radius_um * 1e-6,
                                V2=cfg.v2_residual_mv * 1e-3)
+
+
+def forward_model(cfg: RunConfig) -> ForwardModel:
+    """The measured-force model of cfg: its theory cache, electrostatics and cap."""
+    return ForwardModel(theory_curve(cfg), electrostatic_config(cfg), cfg.cap_offset_nm)
 
 
 def calibration_params(cfg: RunConfig) -> CalibrationParams:

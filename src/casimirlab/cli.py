@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, assemble
 from .analysis import (analyze_campaign, calibrate_spring_constant,
-                       compare_to_theory, fit_contact_separation, model_force_pn)
+                       compare_to_theory, fit_contact_separation)
 from .config import RunConfig, load_config
 from .corrections import TheoryCurve
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
@@ -71,6 +71,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(f"malformed grid spec {spec!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ParseError(f"need finite lo and hi in {spec!r}")
     if not (lo < hi and n >= 2):
         raise ParseError(f"need lo < hi and n >= 2 in {spec!r}")
     return np.linspace(lo, hi, n)
@@ -92,10 +94,8 @@ def meta_header(cfg: RunConfig, seed=None) -> str:
 
 
 def csv_text(cfg: RunConfig, header_cols, columns, seed=None) -> str:
-    # as json_text's allow_nan=False: an output never holds NaN or inf
-    if not np.isfinite(np.asarray(columns, dtype=float)).all():
-        raise ValueError(f"non-finite value in the {', '.join(header_cols)} output")
-    return meta_header(cfg, seed) + ",".join(header_cols) + "\n" + _csv_rows(*columns)
+    rows = _csv_rows(f"the {', '.join(header_cols)} output", *columns)
+    return meta_header(cfg, seed) + ",".join(header_cols) + "\n" + rows
 
 
 def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
@@ -205,10 +205,10 @@ def theory(z_spec, material, drude_only, config_path, out):
 def electro(z_spec, voltage, config_path, out):
     """Tabulate the exact and proximity electrostatic forces."""
     cfg = _load_cfg(config_path)
-    e_cfg = assemble.electrostatic_config(cfg, V1=voltage)
+    e_cfg = assemble.electrostatic_config(cfg)
     grid = parse_grid(z_spec)
-    exact = [sphere_plane_force_exact(z * 1e-9, e_cfg) * 1e12 for z in grid]
-    pfa = sphere_plane_force_pfa(grid * 1e-9, e_cfg) * 1e12
+    exact = [sphere_plane_force_exact(z * 1e-9, e_cfg, voltage) * 1e12 for z in grid]
+    pfa = sphere_plane_force_pfa(grid * 1e-9, e_cfg, voltage) * 1e12
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_exact_pn",
                                      "force_pfa_pn"], (grid, exact, pfa)))
 
@@ -249,10 +249,8 @@ def fit_z0(scan_path, emit_curve, config_path, out):
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
-    th = assemble.theory_curve(cfg)
-    e_cfg = assemble.electrostatic_config(cfg)
-    fit = fit_contact_separation(curve, th, e_cfg, cfg.cap_offset_nm,
-                                 cfg.pooled_noise_pn)
+    model = assemble.forward_model(cfg)
+    fit = fit_contact_separation(curve, model, cfg.pooled_noise_pn)
     atomic_write(out, json_text(cfg, {
         "z0_nm": fit.z0_nm,
         "z0_sigma_nm": fit.z0_sigma_nm,
@@ -261,8 +259,7 @@ def fit_z0(scan_path, emit_curve, config_path, out):
         "voltage_v": fit.voltage,
     }))
     if emit_curve:
-        model_pn = model_force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage, th, e_cfg,
-                                  cfg.cap_offset_nm)
+        model_pn = model.force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage)
         columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_pn", "model_pn"], columns))
@@ -278,9 +275,7 @@ def synth(seed, out_dir, config_path):
     cfg = _load_cfg(config_path)
     check_fit_range(cfg)  # before anything is written: analyze must run on it
     run = cfg if seed is None else replace(cfg, seed=seed)
-    th = assemble.theory_curve(cfg)
-    e_cfg = assemble.electrostatic_config(cfg)
-    write_campaign(out_dir, run, th, e_cfg)
+    write_campaign(out_dir, run, assemble.forward_model(cfg))
     # the config hash is that of the file as loaded, without the --seed override
     atomic_write(Path(out_dir) / "manifest.txt", meta_header(cfg, seed=run.seed))
 
@@ -295,13 +290,12 @@ def analyze(scans_dir, out_dir, config_path):
     cfg = _load_cfg(config_path)
     first, forces, voltage_scans, stiffness = load_campaign(scans_dir)
     cal = assemble.calibration_params(cfg)
-    e_cfg = assemble.electrostatic_config(cfg)
     spring = None
     if stiffness:
-        spring, _sigma = calibrate_spring_constant(stiffness, e_cfg, cal)
-    th = assemble.theory_curve(cfg)
+        spring, _sigma = calibrate_spring_constant(
+            stiffness, assemble.electrostatic_config(cfg), cal)
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, first, forces, th, e_cfg, cfg.cap_offset_nm,
+        voltage_scans, first, forces, assemble.forward_model(cfg),
         (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
         cfg.pooled_noise_pn, spring_constant=spring)
     out_dir = Path(out_dir)

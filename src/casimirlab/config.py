@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_NM
-from .errors import ParseError
+from .errors import ParseError, names_its_file
 from .lifshitz import U_CUT
 
 
@@ -178,6 +178,7 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+@names_its_file
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

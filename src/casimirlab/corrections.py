@@ -220,12 +220,15 @@ class TheoryCurve:
         out = -np.exp(_chebval(x, self._coef))
         return float(out) if np.isscalar(z_metal) else out
 
-    def slope(self, z_metal):
-        """dF/dz in N/m: F P'(x) / (half-width of log z * z), P the log|F| series.
+    def force_and_slope(self, z_metal):
+        """(F in N, dF/dz in N/m) from one force call, with
+        dF/dz = F P'(x) / (half-width of log z * z), P the log|F| series.
 
         The force call checks the range before any log is taken."""
         z = np.asarray(z_metal, dtype=float)
         force = self(z)
         x = (np.log(z) - self._log_mid) / self._log_half
-        out = force * _chebval(x, self._dcoef) / (self._log_half * z)
-        return float(out) if np.isscalar(z_metal) else out
+        slope = force * _chebval(x, self._dcoef) / (self._log_half * z)
+        if np.isscalar(z_metal):
+            return float(force), float(slope)
+        return force, slope

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import energy_ev_to_angular_frequency
-from .errors import ParseError
+from .errors import ParseError, names_its_file
 from .forcecurve import _read_csv
 
 
@@ -71,6 +71,7 @@ class OpticalTable:
             raise ValueError("negative eps2")
 
 
+@names_its_file
 def load_optical_table(source) -> OpticalTable:
     """Parse the optical-table CSV dialect from a path or a file object.
 

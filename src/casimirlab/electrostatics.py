@@ -8,7 +8,8 @@ Exact (Smythe) series at potential difference V = V1 - V2:
 summed with scaled exponentials (n a reaches ~10^3 terms at small gaps).
 The proximity form F = -pi eps0 R V^2 / z fixes the normalization; the
 series approaches it from below as z/R -> 0. The radius and the residual
-potential V2 come from ``RunConfig`` through ``assemble``.
+potential V2 of the grounded sphere come from ``RunConfig`` through
+``assemble``; the plate voltage V1 is an argument of each force.
 """
 
 from __future__ import annotations
@@ -23,20 +24,17 @@ from .errors import ConvergenceError, ValidityError
 from .lifshitz import PROXIMITY_RATIO_MAX
 
 SERIES_TOL = 1e-9  # relative size of the last term and of the tail bound
+MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
 class ElectrostaticConfig:
     R: float
     V2: float                   # residual potential of the grounded sphere
-    V1: float = 0.0             # applied plate voltage
-    max_terms: int = 100000
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError(f"sphere radius must be > 0, got {self.R}")
-        if self.max_terms < 10:
-            raise ValueError("max_terms must be >= 10")
 
 
 def alpha(z: float, R: float) -> float:
@@ -59,47 +57,56 @@ def _coth(x):
     return (1.0 + e) / (1.0 - e)
 
 
-def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig) -> float:
-    """Converged image-series force in N; attractive = negative.
+def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> float:
+    """Converged image-series force in N at plate voltage V1; attractive =
+    negative.
 
     Terms decay like e^{-n a}; summation stops when the relative term drops
     below SERIES_TOL and the geometric tail bound confirms the
-    truncation. Invariant under V -> -V.
+    truncation. Invariant under V -> -V. A separation whose e^{-a} rounds
+    to 1 leaves the series and its tail bound without a decay to sum, and
+    raises ValidityError naming it.
     """
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
-    dv = cfg.V1 - cfg.V2
+    dv = V1 - cfg.V2
     if dv == 0.0:
         return 0.0
     a = alpha(z, cfg.R)
+    ratio = math.exp(-a)
+    if ratio == 1.0:
+        raise ValidityError(
+            f"separation {z * 1e9:.6g} nm too small for the image series at "
+            f"R = {cfg.R * 1e6:.6g} um: e^-alpha rounds to 1 at alpha = {a:.3g}"
+        )
     coth_a = _coth(a)
     total = 0.0
-    for n in range(1, cfg.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         term = _csch(n * a) * (coth_a - n * _coth(n * a))
         total += term
         if n >= 10 and abs(term) < SERIES_TOL * abs(total):
-            ratio = math.exp(-a)
             tail_bound = abs(term) * ratio / (1.0 - ratio)
             if tail_bound < SERIES_TOL * abs(total):
                 break
     else:
         raise ConvergenceError(
-            f"series not converged after {cfg.max_terms} terms at alpha={a:.3g}",
+            f"series not converged after {MAX_TERMS} terms at separation "
+            f"{z * 1e9:.6g} nm (alpha={a:.3g})",
             estimate=2.0 * math.pi * CONST.eps0 * dv * dv * total,
             error_bound=abs(term),
         )
     return 2.0 * math.pi * CONST.eps0 * dv * dv * total
 
 
-def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig):
-    """Proximity form -pi eps0 R (V1-V2)^2 / z in N, for z in m, a scalar or
-    an array; requires z/R < 0.05 at every separation."""
+def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig, V1: float):
+    """Proximity form -pi eps0 R (V1-V2)^2 / z in N at plate voltage V1, for
+    z in m, a scalar or an array; requires z/R < 0.05 at every separation."""
     if np.any(z <= 0):
         raise ValueError(f"separation must be > 0, got {np.min(z)}")
-    if np.any(z / cfg.R >= PROXIMITY_RATIO_MAX):
+    if np.any(z >= PROXIMITY_RATIO_MAX * cfg.R):  # z / R overflows at a tiny R
         raise ValidityError(
-            f"z/R = {np.max(z) / cfg.R:.3g} outside the proximity regime "
+            f"z/R = {float(np.max(z)) / cfg.R:.3g} outside the proximity regime "
             f"(< {PROXIMITY_RATIO_MAX})"
         )
-    dv = cfg.V1 - cfg.V2
+    dv = V1 - cfg.V2
     return -math.pi * CONST.eps0 * cfg.R * dv * dv / z

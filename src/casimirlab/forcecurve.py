@@ -17,6 +17,7 @@ row) is read line by line, which finds the line of a bad row.
 ``_csv_rows`` formats every row of the package's writers with one ``%``
 template, memoised for the last axis seen with the axis text written into
 it: all scans of a campaign share one piezo grid, so it is formatted once.
+It refuses a NaN or infinite cell, so no writer emits one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, ParseError
+from .errors import CalibrationError, ParseError, names_its_file
 
 MIN_SAMPLES = 10
 
@@ -88,6 +89,7 @@ class CalibrationParams:
 SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
 
 
+@names_its_file
 def load_scan(source) -> ForceCurve:
     """Parse the scan CSV dialect (see save_scan for the writer)."""
     table = _read_csv(source, 2, SCAN_HEADERS)
@@ -113,19 +115,23 @@ def save_scan(curve: ForceCurve, fh) -> None:
         head += f"# spring_constant_n_per_m={curve.spring_constant:.9g}\n"
     column = "force_pn" if curve.has_force else "signal"
     values = curve.force_pn if curve.has_force else curve.signal
-    fh.write(f"{head}piezo_nm,{column}\n" + _csv_rows(curve.piezo_nm, values))
+    rows = _csv_rows(f"scan {curve.scan_id}", curve.piezo_nm, values)
+    fh.write(f"{head}piezo_nm,{column}\n" + rows)
 
 
-def _csv_rows(*columns) -> str:
+def _csv_rows(what: str, *columns) -> str:
     """Equal-length float columns as CSV rows of 9 significant digits.
 
     The one row formatter of the package's writers (scans here, the command
-    outputs in ``cli``); every row ends in a newline. One ``%`` template,
-    which holds the first column's text (``_row_template``), formats the
-    other columns' cells, row by row (``'%.9g' % v`` is
+    outputs in ``cli``); every row ends in a newline, and a NaN or infinite
+    cell raises ValueError naming ``what``, the output the rows are for. One
+    ``%`` template, which holds the first column's text (``_row_template``),
+    formats the other columns' cells, row by row (``'%.9g' % v`` is
     ``'{:.9g}'.format(v)`` for every float).
     """
     first, *rest = (np.asarray(c, dtype=float) for c in columns)
+    if not all(np.isfinite(c).all() for c in (first, *rest)):
+        raise ValueError(f"non-finite value in {what}")
     cells = [None] * (first.size * len(rest))
     for k, column in enumerate(rest):
         cells[k::len(rest)] = column.tolist()
@@ -204,6 +210,7 @@ class _Lines:
         return stripped
 
 
+@names_its_file
 def _read_csv(source, ncols: int, headers=None) -> _Csv:
     """Read the package's CSV dialect from a path or a text/binary file object.
 

@@ -205,8 +205,9 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
     """
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
-    if z / geom.R >= PROXIMITY_RATIO_MAX:
+    ratio = float(z) / geom.R  # Python's division overflows to inf without a warning
+    if ratio >= PROXIMITY_RATIO_MAX:
         raise ValidityError(
-            f"z/R = {z / geom.R:.3g} outside the proximity regime (< {PROXIMITY_RATIO_MAX})"
+            f"z/R = {ratio:.3g} outside the proximity regime (< {PROXIMITY_RATIO_MAX})"
         )
     return ForceEstimate(*_force_with_error(z, geom, model, q))

@@ -1,11 +1,10 @@
 """Deterministic synthetic-scan generator.
 
 Produces the inverse of the analysis pipeline from the run configuration
-(``RunConfig`` for the truth, grid, noise and seed; ``ElectrostaticConfig``
-for the sphere's residual potential): grounded scans carrying theory +
+(``RunConfig`` for the truth, grid, noise and seed) and the
+``analysis.ForwardModel`` the fits use: grounded scans carrying theory +
 residual electrostatic + linear drift + iid Gaussian noise, and
-applied-voltage scans for the z0 fit. The force comes from
-``analysis.model_force_pn``, the model the fits use. Sub-seeds derive
+applied-voltage scans for the z0 fit. Sub-seeds derive
 deterministically from (seed, scan index) via numpy's SeedSequence, so
 identical seeds give byte-identical output. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
@@ -16,14 +15,12 @@ that ``analysis.analyze_campaign`` averages.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import COARSE_Z0_NM, model_force_pn
+from .analysis import COARSE_Z0_NM, ForwardModel
 from .config import RunConfig
-from .corrections import TheoryCurve
 from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
 from .errors import DataError
 from .forcecurve import ForceCurve, load_scan, save_scan
@@ -31,7 +28,7 @@ from .forcecurve import ForceCurve, load_scan, save_scan
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 
-def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConfig):
+def generate_scans(cfg: RunConfig, model: ForwardModel):
     """Yield the campaign's scans one at a time, as ForceCurves.
 
     The grounded scans come first, then the applied-voltage scans, in the
@@ -50,8 +47,7 @@ def generate_scans(cfg: RunConfig, theory: TheoryCurve, e_cfg: ElectrostaticConf
     for scan_id, voltage, stream, drift in plan:
         # one noiseless model per (voltage, drift): all grounded scans share one
         if (voltage, drift) not in models:
-            models[voltage, drift] = model_force_pn(z, cfg.z0_true_nm, voltage, theory,
-                                                    e_cfg, cfg.cap_offset_nm, drift)
+            models[voltage, drift] = model.force_pn(z, cfg.z0_true_nm, voltage, drift)
         force = models[voltage, drift]
         if cfg.noise_pn > 0:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
@@ -93,8 +89,7 @@ def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,
     scans = []
     for j, v in enumerate(voltages):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 20_000 + j]))
-        v_cfg = replace(e_cfg, V1=v)
-        force_n = np.array([sphere_plane_force_exact(zi * 1e-9, v_cfg) for zi in z])
+        force_n = np.array([sphere_plane_force_exact(zi * 1e-9, e_cfg, v) for zi in z])
         if cfg.noise_pn > 0:
             force_n = force_n + rng.normal(0.0, cfg.noise_pn, z.size) * 1e-12
         deflection_nm = force_n / cfg.spring_constant_n_per_m * 1e9
@@ -103,15 +98,15 @@ def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,
     return scans
 
 
-def write_campaign(outdir, cfg: RunConfig, theory: TheoryCurve,
-                   e_cfg: ElectrostaticConfig) -> None:
+@np.errstate(over="ignore")  # an overflowing model gives non-finite cells, refused below
+def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     """Emit a campaign directory: scan CSVs plus the truth.json sidecar.
 
     Each scan is written as it is drawn, so one scan is held at a time.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for curve in generate_scans(cfg, theory, e_cfg):
+    for curve in generate_scans(cfg, model):
         path = outdir / f"{curve.scan_id}.csv"
         tmp = path.with_suffix(".csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -122,7 +117,7 @@ def write_campaign(outdir, cfg: RunConfig, theory: TheoryCurve,
         "c_true_pn_per_nm": cfg.c_true_pn_per_nm,
         "k_true_n_per_m": cfg.spring_constant_n_per_m,
         "cal_voltages_v": list(DEFAULT_CAL_VOLTAGES),
-        "v2_residual_v": e_cfg.V2,
+        "v2_residual_v": model.electro.V2,
         "noise_sigma_pn": cfg.noise_pn,
         "n_scans": cfg.n_scans,
         "grid_nm": [cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points],

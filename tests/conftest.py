@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from casimirlab import assemble
-from casimirlab.analysis import analyze_campaign
+from casimirlab.analysis import ForwardModel, analyze_campaign
 from casimirlab.config import RunConfig
 from casimirlab.synth import generate_scans
 
 
-def campaign_scans(cfg, theory, e_cfg):
+def campaign_scans(cfg, model):
     """(grounded scans, applied-voltage scans, grounded force matrix) of cfg.
 
     ``generate_scans`` yields the scans one at a time, grounded first; this
@@ -20,7 +20,7 @@ def campaign_scans(cfg, theory, e_cfg):
     as ``load_campaign`` returns them, the first scan and the matrix of their
     forces (one row per scan), and consumes the matrix.
     """
-    scans = list(generate_scans(cfg, theory, e_cfg))
+    scans = list(generate_scans(cfg, model))
     grounded = scans[:cfg.n_scans]
     return grounded, scans[cfg.n_scans:], np.vstack([s.force_pn for s in grounded])
 
@@ -81,15 +81,21 @@ def e_cfg(default_cfg):
 
 
 @pytest.fixture(scope="session")
-def campaign(default_cfg, drude_curve, e_cfg):
-    """(grounded scans, applied-voltage scans) at the default 27-scan config."""
-    return campaign_scans(default_cfg, drude_curve, e_cfg)[:2]
+def forward_model(default_cfg, drude_curve, e_cfg):
+    """The default config's forward model, on the shared theory cache."""
+    return ForwardModel(drude_curve, e_cfg, default_cfg.cap_offset_nm)
 
 
 @pytest.fixture(scope="session")
-def campaign_results(drude_curve, e_cfg, default_cfg, window):
-    grounded, voltage_scans, forces = campaign_scans(default_cfg, drude_curve, e_cfg)
+def campaign(default_cfg, forward_model):
+    """(grounded scans, applied-voltage scans) at the default 27-scan config."""
+    return campaign_scans(default_cfg, forward_model)[:2]
+
+
+@pytest.fixture(scope="session")
+def campaign_results(forward_model, default_cfg, window):
+    grounded, voltage_scans, forces = campaign_scans(default_cfg, forward_model)
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded[0], forces, drude_curve, e_cfg, default_cfg.cap_offset_nm,
-        *window, default_cfg.pooled_noise_pn)
+        voltage_scans, grounded[0], forces, forward_model, *window,
+        default_cfg.pooled_noise_pn)
     return results, mean_curve, std

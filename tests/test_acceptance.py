@@ -106,10 +106,10 @@ def test_criterion_06_roughness_consistency(drude_params):
 
 
 def test_criterion_07_electrostatic_pfa_convergence(e_cfg):
-    cfg = replace(e_cfg, V1=0.31)
     devs = {}
     for z in (100e-9, 500e-9):
-        ratio = sphere_plane_force_exact(z, cfg) / sphere_plane_force_pfa(z, cfg)
+        ratio = (sphere_plane_force_exact(z, e_cfg, 0.31)
+                 / sphere_plane_force_pfa(z, e_cfg, 0.31))
         devs[z] = abs(ratio - 1.0)
     ok = devs[100e-9] <= 0.01 and devs[500e-9] <= 0.03
     check(7, "exact/pfa within 1% at 100 nm and 3% at 500 nm", ok,
@@ -166,12 +166,11 @@ def test_criterion_10_determinism(tmp_path):
           f"{len(names)} synth files + results.json + mean_curve.csv compared")
 
 
-def test_criterion_11_noiseless_inversion(default_cfg, drude_curve, e_cfg, window):
+def test_criterion_11_noiseless_inversion(default_cfg, forward_model, window):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    grounded, voltage_scans, forces = conftest.campaign_scans(quiet, drude_curve, e_cfg)
-    results, _, _ = analyze_campaign(voltage_scans, grounded[0], forces, drude_curve,
-                                     e_cfg, quiet.cap_offset_nm, *window,
-                                     quiet.pooled_noise_pn)
+    grounded, voltage_scans, forces = conftest.campaign_scans(quiet, forward_model)
+    results, _, _ = analyze_campaign(voltage_scans, grounded[0], forces, forward_model,
+                                     *window, quiet.pooled_noise_pn)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)
     dc = abs(results["drift_pn_per_nm"] / quiet.c_true_pn_per_nm - 1.0)
     srms = results["sigma_rms_pn"]

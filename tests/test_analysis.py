@@ -5,12 +5,11 @@ import pytest
 
 from casimirlab import analysis, assemble
 from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
-                                 Z0_BRACKET_NM, _coarse_chi2, analyze_campaign,
-                                 average_scans, calibrate_spring_constant,
-                                 compare_to_theory,
+                                 Z0_BRACKET_NM, ForwardModel, _coarse_chi2,
+                                 analyze_campaign, average_scans,
+                                 calibrate_spring_constant, compare_to_theory,
                                  extract_casimir, fit_contact_separation,
-                                 fit_drift_coefficient, model_force_pn,
-                                 resample_force)
+                                 fit_drift_coefficient, resample_force)
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
@@ -20,19 +19,18 @@ from conftest import campaign_scans, traced_peak_above_inputs
 
 
 @pytest.fixture(scope="module")
-def noiseless_scans(default_cfg, drude_curve, e_cfg):
+def noiseless_scans(default_cfg, forward_model):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    return quiet, campaign_scans(quiet, drude_curve, e_cfg)[:2]
+    return quiet, campaign_scans(quiet, forward_model)[:2]
 
 
 def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     scan = voltage_scans[0]
-    v_cfg = replace(e_cfg, V1=scan.applied_voltage)
 
     def chi2(z0):
         sep = scan.piezo_nm + z0
-        model = sphere_plane_force_pfa(sep * 1e-9, v_cfg) * 1e12 \
+        model = sphere_plane_force_pfa(sep * 1e-9, e_cfg, scan.applied_voltage) * 1e12 \
             + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12
         return float(np.sum((scan.force_pn - model) ** 2))
 
@@ -41,35 +39,35 @@ def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
     assert abs(best - quiet.z0_true_nm) <= 1.0
 
 
-def voltage_scan(default_cfg, drude_curve, e_cfg, grid_points):
+def voltage_scan(default_cfg, forward_model, grid_points):
     """The first applied-voltage scan of a one-scan campaign, and its config."""
     cfg = replace(default_cfg, n_scans=1, grid_points=grid_points)
-    return campaign_scans(cfg, drude_curve, e_cfg)[1][0], cfg
+    return campaign_scans(cfg, forward_model)[1][0], cfg
 
 
-def coarse_scan(scan, cfg, theory, e_cfg):
+def coarse_scan(scan, cfg, model):
     """(coarse z0 values, chi2 at each) of the scan's coarse z0 scan."""
-    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, theory,
-                        e_cfg, cfg.cap_offset_nm, cfg.pooled_noise_pn)
+    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, model,
+                        cfg.pooled_noise_pn)
 
 
-def one_at_a_time_chi2(z, scan, cfg, theory, e_cfg, z0_values):
+def one_at_a_time_chi2(z, scan, cfg, model, z0_values):
     """chi2 of the no-drift model on axis z, one model call per z0."""
     def chi2(z0):
-        model = model_force_pn(z, z0, scan.applied_voltage, theory, e_cfg,
-                               cfg.cap_offset_nm)
-        r = (scan.force_pn - model) / cfg.pooled_noise_pn
+        model_pn = model.force_pn(z, z0, scan.applied_voltage)
+        r = (scan.force_pn - model_pn) / cfg.pooled_noise_pn
         return float(np.dot(r, r))
     return np.array([chi2(z0) for z0 in z0_values])
 
 
 def count_model_calls(monkeypatch):
     calls = []
+    force_pn = ForwardModel.force_pn
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(args[0].size)
-        return model_force_pn(*args, **kwargs)
-    monkeypatch.setattr(analysis, "model_force_pn", counted)
+        return force_pn(self, *args, **kwargs)
+    monkeypatch.setattr(ForwardModel, "force_pn", counted)
     return calls
 
 
@@ -79,72 +77,71 @@ def count_model_calls(monkeypatch):
 @pytest.mark.parametrize("grid_points, coarse_over_axis_step",
                          [(10, 1 / 99), (120, 1 / 8), (982, 1), (4910, 6)])
 def test_joint_grid_coarse_chi2_is_the_one_at_a_time_chi2(
-        default_cfg, drude_curve, e_cfg, grid_points, coarse_over_axis_step):
-    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, grid_points)
+        default_cfg, forward_model, grid_points, coarse_over_axis_step):
+    scan, cfg = voltage_scan(default_cfg, forward_model, grid_points)
     z = scan.piezo_nm
-    coarse, values = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    coarse, values = coarse_scan(scan, cfg, forward_model)
     axis_step = (z[-1] - z[0]) / (z.size - 1)
     assert (coarse[1] - coarse[0]) / axis_step == pytest.approx(coarse_over_axis_step)
     np.testing.assert_allclose(
-        values, one_at_a_time_chi2(z, scan, cfg, drude_curve, e_cfg, coarse), rtol=1e-12)
+        values, one_at_a_time_chi2(z, scan, cfg, forward_model, coarse), rtol=1e-12)
 
 
 def test_joint_grid_coarse_chi2_on_an_axis_read_back_from_csv(
-        monkeypatch, tmp_path, default_cfg, drude_curve, e_cfg):
-    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, 982)
+        monkeypatch, tmp_path, default_cfg, forward_model):
+    scan, cfg = voltage_scan(default_cfg, forward_model, 982)
     with open(tmp_path / "cal.csv", "w", encoding="utf-8") as fh:
         save_scan(scan, fh)
     back = load_scan(tmp_path / "cal.csv")
     z = back.piezo_nm
     assert 0 < np.abs(z - scan.piezo_nm).max() < 1e-6  # the 9 digits of the CSV
     calls = count_model_calls(monkeypatch)
-    coarse, values = coarse_scan(back, cfg, drude_curve, e_cfg)
+    coarse, values = coarse_scan(back, cfg, forward_model)
     assert len(calls) == 1  # the rounded axis counts as uniform
     # the joint grid samples the uniform axis the CSV rounds ...
     uniform = np.linspace(z[0], z[-1], z.size)
     np.testing.assert_allclose(
-        values, one_at_a_time_chi2(uniform, back, cfg, drude_curve, e_cfg, coarse),
+        values, one_at_a_time_chi2(uniform, back, cfg, forward_model, coarse),
         rtol=1e-12)
     # ... which moves chi2 by about 1e-8 relative from the chi2 on the rounded
     # axis (the model's slope times <= 5e-7 nm), far below the steps between
     # neighbouring coarse values
-    rounded = one_at_a_time_chi2(z, back, cfg, drude_curve, e_cfg, coarse)
+    rounded = one_at_a_time_chi2(z, back, cfg, forward_model, coarse)
     np.testing.assert_allclose(values, rounded, rtol=1e-6)
     assert np.argmin(values) == np.argmin(rounded)
 
 
 @pytest.mark.parametrize("grid_points", [982, 3000])
 def test_jittered_axis_coarse_chi2_is_bitwise_the_one_at_a_time_chi2(
-        monkeypatch, default_cfg, drude_curve, e_cfg, grid_points):
-    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, grid_points)
+        monkeypatch, default_cfg, forward_model, grid_points):
+    scan, cfg = voltage_scan(default_cfg, forward_model, grid_points)
     z = scan.piezo_nm.copy()
     z[1:-1] += np.random.default_rng(1).uniform(-0.1, 0.1, z.size - 2) * (z[1] - z[0])
     jittered = replace(scan, piezo_nm=z)
-    uniform_coarse, _ = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    uniform_coarse, _ = coarse_scan(scan, cfg, forward_model)
     calls = count_model_calls(monkeypatch)
-    coarse, values = coarse_scan(jittered, cfg, drude_curve, e_cfg)
+    coarse, values = coarse_scan(jittered, cfg, forward_model)
     # the coarse values of the uniform axis, in blocks of several rows, the
     # last one short, none filling COARSE_BLOCK_ELEMENTS
     np.testing.assert_array_equal(coarse, uniform_coarse)
     rows = COARSE_BLOCK_ELEMENTS // z.size
     assert 1 < rows and coarse.size % rows and COARSE_BLOCK_ELEMENTS % z.size
     assert calls == [z.size] * -(-coarse.size // rows)
-    one_at_a_time = one_at_a_time_chi2(z, jittered, cfg, drude_curve, e_cfg, coarse)
+    one_at_a_time = one_at_a_time_chi2(z, jittered, cfg, forward_model, coarse)
     assert values.tobytes() == one_at_a_time.tobytes()
 
 
-def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, drude_curve,
-                                              e_cfg):
-    scan, cfg = voltage_scan(default_cfg, drude_curve, e_cfg, 982)
+def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, forward_model):
+    scan, cfg = voltage_scan(default_cfg, forward_model, 982)
     calls = count_model_calls(monkeypatch)
-    coarse, _ = coarse_scan(scan, cfg, drude_curve, e_cfg)
+    coarse, _ = coarse_scan(scan, cfg, forward_model)
     assert calls == [982 + coarse.size - 1]
     # a 0.01 nm axis step would need a joint grid of 100 points per coarse
     # step: one longer than the rows it replaces takes the blocked path
     z = np.linspace(30.0, 30.09, 10)
     fine = ForceCurve("fine", scan.applied_voltage, z, force_pn=np.zeros_like(z))
     calls.clear()
-    coarse, _ = coarse_scan(fine, cfg, drude_curve, e_cfg)
+    coarse, _ = coarse_scan(fine, cfg, forward_model)
     assert calls == [10] * -(-coarse.size // (COARSE_BLOCK_ELEMENTS // 10))
 
 
@@ -152,36 +149,34 @@ def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, drude_cu
 @pytest.mark.parametrize("lo, hi, n", [(30.0, 920.0, 10), (30.0, 920.0, 120),
                                        (30.0, 920.0, 891), (30.0, 920.0, 982),
                                        (30.0, 920.0, 4910), (30.0, 31.0, 10)])
-def test_coarse_values_stay_in_the_bracket(default_cfg, drude_curve, e_cfg, lo, hi, n):
+def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n):
     z = np.linspace(lo, hi, n)
     scan = ForceCurve("axis", 0.5, z, force_pn=np.zeros_like(z))
-    coarse, _ = coarse_scan(scan, default_cfg, drude_curve, e_cfg)
+    coarse, _ = coarse_scan(scan, default_cfg, forward_model)
     assert max(Z0_BRACKET_NM[0], 1.0) == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
     step = np.diff(coarse)
     np.testing.assert_allclose(step, step[0], rtol=1e-12)
     assert 0.5 <= step[0] <= 1.5 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
 
 
-def test_fit_contact_separation_noiseless(noiseless_scans, drude_curve, e_cfg):
+def test_fit_contact_separation_noiseless(noiseless_scans, forward_model):
     quiet, (_, voltage_scans) = noiseless_scans
-    fit = fit_contact_separation(voltage_scans[0], drude_curve, e_cfg,
-                                 quiet.cap_offset_nm, quiet.pooled_noise_pn)
+    fit = fit_contact_separation(voltage_scans[0], forward_model, quiet.pooled_noise_pn)
     assert fit.z0_nm == pytest.approx(quiet.z0_true_nm, rel=1e-6)
     assert fit.z0_sigma_nm > 0
     assert fit.voltage == voltage_scans[0].applied_voltage
 
 
-def test_fit_matches_bounded_brent(campaign, drude_curve, e_cfg, default_cfg):
+def test_fit_matches_bounded_brent(campaign, forward_model, default_cfg):
     # reference: scipy's bounded Brent on the same chi2 and +-1 nm bracket
     from scipy.optimize import minimize_scalar
 
-    cap, sigma = default_cfg.cap_offset_nm, default_cfg.pooled_noise_pn
+    sigma = default_cfg.pooled_noise_pn
     for scan in campaign[1]:
-        fit = fit_contact_separation(scan, drude_curve, e_cfg, cap, sigma)
+        fit = fit_contact_separation(scan, forward_model, sigma)
 
         def chi2(z0):
-            model = model_force_pn(scan.piezo_nm, z0, scan.applied_voltage,
-                                   drude_curve, e_cfg, cap)
+            model = forward_model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
             return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
 
         ref = minimize_scalar(chi2, bounds=(round(fit.z0_nm) - 1.0, round(fit.z0_nm) + 1.0),
@@ -190,18 +185,41 @@ def test_fit_matches_bounded_brent(campaign, drude_curve, e_cfg, default_cfg):
         assert fit.chi2 == pytest.approx(ref.fun, rel=1e-10)
 
 
+def test_a_gauss_newton_step_evaluates_the_theory_once(monkeypatch, default_cfg,
+                                                      forward_model):
+    # six fits at 4910 points: one theory call per coarse scan and one per
+    # Gauss-Newton step, whose force and slope share it: 6 + 21 = 27 calls
+    # (48 while a step evaluated the theory for each)
+    cfg = replace(default_cfg, n_scans=1, grid_points=4910, seed=7)
+    voltage_scans = campaign_scans(cfg, forward_model)[1]
+    calls = {"theory": 0, "steps": 0}
+    theory, force_and_slope = TheoryCurve.__call__, TheoryCurve.force_and_slope
+
+    def counted_theory(self, z):
+        calls["theory"] += 1
+        return theory(self, z)
+
+    def counted_step(self, z):
+        calls["steps"] += 1
+        return force_and_slope(self, z)
+    monkeypatch.setattr(TheoryCurve, "__call__", counted_theory)
+    monkeypatch.setattr(TheoryCurve, "force_and_slope", counted_step)
+    for scan in voltage_scans:
+        fit_contact_separation(scan, forward_model, cfg.pooled_noise_pn)
+    assert calls == {"theory": len(voltage_scans) + 21, "steps": 21}
+
+
 @pytest.fixture(scope="module")
-def cal_fits(campaign, drude_curve, e_cfg, default_cfg):
+def cal_fits(campaign, forward_model, default_cfg):
     """(scan id, z0 fit, chi2 as a function of z0) for each cal scan."""
-    cap, sigma = default_cfg.cap_offset_nm, default_cfg.pooled_noise_pn
+    sigma = default_cfg.pooled_noise_pn
     fits = []
     for scan in campaign[1]:
         def chi2(z0, scan=scan):
-            model = model_force_pn(scan.piezo_nm, z0, scan.applied_voltage, drude_curve,
-                                   e_cfg, cap)
+            model = forward_model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
             return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
 
-        fit = fit_contact_separation(scan, drude_curve, e_cfg, cap, sigma)
+        fit = fit_contact_separation(scan, forward_model, sigma)
         fits.append((scan.scan_id, fit, chi2))
     return fits
 
@@ -222,80 +240,81 @@ def test_fit_z0_sigma_is_the_delta_chi2_of_one(cal_fits):
 
 
 @pytest.fixture()
-def balanced_scan(default_cfg, drude_curve, e_cfg):
+def balanced_scan(default_cfg, forward_model):
     """A noiseless scan at z0 = 48.9 nm whose voltage equals the residual
-    potential, so the Jacobian is the theory slope alone; with its config."""
-    cfg = replace(e_cfg, V2=0.5)
+    potential, so the Jacobian is the theory slope alone; with its model."""
+    model = replace(forward_model, electro=replace(forward_model.electro, V2=0.5))
     z = np.linspace(30.0, 920.0, 120)
-    force = model_force_pn(z, 48.9, 0.5, drude_curve, cfg, default_cfg.cap_offset_nm)
-    return ForceCurve("balanced", 0.5, z, force_pn=force), cfg
+    force = model.force_pn(z, 48.9, 0.5)
+    return ForceCurve("balanced", 0.5, z, force_pn=force), model
 
 
-def fit_balanced(balanced_scan, drude_curve, default_cfg):
-    scan, cfg = balanced_scan
-    return fit_contact_separation(scan, drude_curve, cfg, default_cfg.cap_offset_nm,
-                                  default_cfg.pooled_noise_pn)
+def fit_balanced(balanced_scan, default_cfg):
+    scan, model = balanced_scan
+    return fit_contact_separation(scan, model, default_cfg.pooled_noise_pn)
 
 
 @pytest.mark.parametrize("fill", [0.0, np.nan])
-def test_gauss_newton_refuses_a_non_finite_step(monkeypatch, balanced_scan, drude_curve,
-                                                default_cfg, fill):
+def test_gauss_newton_refuses_a_non_finite_step(monkeypatch, balanced_scan, default_cfg,
+                                                fill):
     # a zero slope makes J^T J = 0, a NaN slope a NaN Jacobian
-    monkeypatch.setattr(TheoryCurve, "slope", lambda self, z: np.full_like(z, fill))
+    force_and_slope = TheoryCurve.force_and_slope
+    monkeypatch.setattr(TheoryCurve, "force_and_slope", lambda self, z: (
+        force_and_slope(self, z)[0], np.full_like(z, fill)))
     with pytest.raises(FitError, match="scan balanced: non-finite Gauss-Newton step"):
-        fit_balanced(balanced_scan, drude_curve, default_cfg)
+        fit_balanced(balanced_scan, default_cfg)
 
 
 def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_scan,
-                                                        drude_curve, default_cfg):
+                                                        default_cfg):
     # a slope 1e6 times too flat turns the 0.1 nm step into 1e5 nm
-    slope = TheoryCurve.slope
-    monkeypatch.setattr(TheoryCurve, "slope", lambda self, z: slope(self, z) * 1e-6)
+    force_and_slope = TheoryCurve.force_and_slope
+
+    def flat(self, z):
+        force, slope = force_and_slope(self, z)
+        return force, slope * 1e-6
+    monkeypatch.setattr(TheoryCurve, "force_and_slope", flat)
     with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the coarse "
                                        r"bracket \[[0-9.]+, [0-9.]+\] nm"):
-        fit_balanced(balanced_scan, drude_curve, default_cfg)
+        fit_balanced(balanced_scan, default_cfg)
 
 
-def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan, drude_curve,
-                                                  default_cfg):
+def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan, default_cfg):
     # the scan the failure tests patch fits unpatched
-    assert fit_balanced(balanced_scan, drude_curve, default_cfg).z0_nm == \
-        pytest.approx(48.9, abs=1e-9)
+    assert fit_balanced(balanced_scan, default_cfg).z0_nm == pytest.approx(48.9, abs=1e-9)
     monkeypatch.setattr(analysis, "GAUSS_NEWTON_MAX_STEPS", 1)
     with pytest.raises(FitError, match="scan balanced: Gauss-Newton not converged in 1 "):
-        fit_balanced(balanced_scan, drude_curve, default_cfg)
+        fit_balanced(balanced_scan, default_cfg)
 
 
-def test_fit_voltage_range_guard(noiseless_scans, drude_curve, e_cfg, default_cfg):
+def test_fit_voltage_range_guard(noiseless_scans, forward_model, default_cfg):
     quiet, (_, voltage_scans) = noiseless_scans
     bad = replace(voltage_scans[0], applied_voltage=0.9)
     with pytest.raises(DataError, match="voltage"):
-        fit_contact_separation(bad, drude_curve, e_cfg, quiet.cap_offset_nm,
-                               default_cfg.pooled_noise_pn)
+        fit_contact_separation(bad, forward_model, default_cfg.pooled_noise_pn)
 
 
-def test_fit_bracket_edge_raises(drude_curve, e_cfg, default_cfg):
+def test_fit_bracket_edge_raises(forward_model, default_cfg):
     # zero data pulls chi2 monotonically toward the far bracket edge
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
     with pytest.raises(FitError, match="scan flat: chi2 minimum at the bracket edge"):
-        fit_contact_separation(flat, drude_curve, e_cfg, default_cfg.cap_offset_nm,
-                               default_cfg.pooled_noise_pn)
+        fit_contact_separation(flat, forward_model, default_cfg.pooled_noise_pn)
 
 
-def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg):
+def test_drift_fit_matches_normal_equations(noiseless_scans, forward_model, drude_curve,
+                                            e_cfg):
     quiet, (grounded, _) = noiseless_scans
     scan = grounded[0]
     mask = scan.piezo_nm > DRIFT_REGION_MIN_NM
     z = scan.piezo_nm[mask]
     f = scan.force_pn[mask]
-    grounded_pn = model_force_pn(z, quiet.z0_true_nm, 0.0, drude_curve, e_cfg,
-                                 quiet.cap_offset_nm)
+    grounded_pn = forward_model.force_pn(z, quiet.z0_true_nm, 0.0)
     drift = fit_drift_coefficient(z, f, grounded_pn)
     assert drift.C_pn_per_nm == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
     # independent least-squares check on the same residuals
     sep = z + quiet.z0_true_nm
-    resid = f - (sphere_plane_force_pfa(sep * 1e-9, e_cfg) * 1e12
+    resid = f - (sphere_plane_force_pfa(sep * 1e-9, e_cfg, 0.0) * 1e12
                  + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12)
     lstsq_c = float(np.linalg.lstsq(z[:, None], resid, rcond=None)[0][0])
     assert drift.C_pn_per_nm == pytest.approx(lstsq_c, rel=1e-12)
@@ -303,14 +322,12 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, drude_curve, e_cfg)
         fit_drift_coefficient(np.array([]), np.array([]), np.array([]))
 
 
-def test_extract_casimir_axis(noiseless_scans, drude_curve, e_cfg):
+def test_extract_casimir_axis(noiseless_scans, forward_model, drude_curve):
     quiet, (grounded, _) = noiseless_scans
     scan = grounded[0]
-    grounded_pn = model_force_pn(scan.piezo_nm, quiet.z0_true_nm, 0.0, drude_curve,
-                                 e_cfg, quiet.cap_offset_nm)
+    grounded_pn = forward_model.force_pn(scan.piezo_nm, quiet.z0_true_nm, 0.0)
     drift = fit_drift_coefficient(scan.piezo_nm, scan.force_pn - 0.0, grounded_pn)
-    out = extract_casimir(scan, quiet.z0_true_nm, drift, e_cfg,
-                          quiet.cap_offset_nm)
+    out = extract_casimir(scan, quiet.z0_true_nm, drift, forward_model)
     np.testing.assert_allclose(
         out.piezo_nm,
         scan.piezo_nm + quiet.z0_true_nm + quiet.cap_offset_nm)
@@ -342,8 +359,8 @@ def test_average_scans_is_bitwise_numpys_mean_and_std(n):
     assert mean == replace(first, scan_id="mean", force_pn=mean.force_pn)
 
 
-def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, drude_curve,
-                                                           e_cfg, window):
+def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, forward_model,
+                                                           window):
     # the grounded forces are held once, as the input matrix (one row per
     # scan) that analyze_campaign works on in place: doubling the scans adds
     # well under n_scans rows to the peak above its inputs, not one per copy
@@ -351,10 +368,10 @@ def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, drude_cu
     peaks = []
     for n in (n_scans, 2 * n_scans):
         quiet = replace(default_cfg, noise_pn=0.0, n_scans=n)
-        grounded, voltage_scans, forces = campaign_scans(quiet, drude_curve, e_cfg)
+        grounded, voltage_scans, forces = campaign_scans(quiet, forward_model)
         peaks.append(traced_peak_above_inputs(lambda: analyze_campaign(
-            voltage_scans, grounded[0], forces, drude_curve, e_cfg, quiet.cap_offset_nm,
-            *window, quiet.pooled_noise_pn)))
+            voltage_scans, grounded[0], forces, forward_model, *window,
+            quiet.pooled_noise_pn)))
     row_bytes = default_cfg.grid_points * 8
     assert peaks[1] - peaks[0] <= 1.5 * n_scans * row_bytes, peaks
 
@@ -397,12 +414,11 @@ def test_compare_names_an_overflowing_statistic(drude_curve, window):
         compare_to_theory(huge, np.ones_like(axis), 27, drude_curve, *window)
 
 
-def test_drift_fit_names_an_overflow(drude_curve, e_cfg, default_cfg):
+def test_drift_fit_names_an_overflow(forward_model):
     z = np.linspace(520.0, 920.0, 50)
     with pytest.raises(DataError, match="drift fit overflows"):
         fit_drift_coefficient(z, 1e300 * z * (1 + 1e-3 * np.sin(z)),
-                              model_force_pn(z, 48.9, 0.0, drude_curve, e_cfg,
-                                             default_cfg.cap_offset_nm))
+                              forward_model.force_pn(z, 48.9, 0.0))
 
 
 def test_compare_window_guard(drude_curve, window):

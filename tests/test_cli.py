@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import casimirlab
@@ -138,6 +138,29 @@ def test_csv_text_refuses_non_finite_cells():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             csv_text(RunConfig(), ["a", "b"], ([1.0, 2.0], [3.0, bad]))
+
+
+@pytest.mark.parametrize("spec", ["100:inf:5", "-inf:500:5"])
+@pytest.mark.parametrize("command,option", [("theory", "--z"), ("electro", "--z"),
+                                            ("epsilon", "--xi-ev")])
+def test_grids_refuse_an_infinite_bound(runner, tmp_path, command, option, spec):
+    # refused before numpy spaces the grid: no RuntimeWarning on the way
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [command, option, spec, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"need finite lo and hi in {spec!r}" in result.output
+    assert "RuntimeWarning" not in result.output
+    assert not out.exists()
+
+
+def test_electro_refuses_a_separation_the_image_series_cannot_sum(runner, tmp_path):
+    # at 1e-30 nm, acosh(1 + z/R) = 4.5e-18 and e^-acosh rounds to 1: the
+    # terms would not decay, and their denominators 1 - e^-2na would be 0
+    out = tmp_path / "electro.csv"
+    result = runner.invoke(main, ["electro", "--z", "1e-30:500:5", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "separation 1e-30 nm too small for the image series" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["-10:500:5", "0:500:5"])
@@ -413,7 +436,7 @@ def test_analyze_names_the_scan_whose_z0_fit_failed(monkeypatch, runner, workdir
 
 
 def test_fit_z0_on_a_two_node_theory_cache(runner, campaign_dir, tmp_path):
-    # two nodes leave the derivative series of TheoryCurve.slope one coefficient
+    # two nodes leave the derivative series of TheoryCurve.force_and_slope one coefficient
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CONFIG.replace("theory_cache_points=40", "theory_cache_points=2"))
     out = tmp_path / "z.json"
@@ -444,6 +467,22 @@ def test_analyze_rejects_non_finite_scan(runner, workdir, campaign_dir, tmp_path
     assert result.exit_code == 2
     assert f"non-finite value at line {row + 1}" in result.output
     assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "calibrate-k"])
+def test_a_bad_scan_file_is_named_with_its_line(runner, workdir, campaign_dir, tmp_path,
+                                                command):
+    scans = copy_campaign(campaign_dir, tmp_path)
+    lines = (scans / "scan_001.csv").read_text().splitlines()
+    assert lines[3] == "piezo_nm,force_pn"
+    lines[4] = lines[4].split(",")[0] + ",inf"
+    (scans / "scan_001.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{scans / 'scan_001.csv'}: non-finite value at line 5" in result.output
+    assert not out.exists()
 
 
 def test_analyze_does_not_read_truth_json(runner, workdir, campaign_dir, analysis_dir,
@@ -571,17 +610,45 @@ def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_pat
     assert not any(p.suffix == ".json" for p in tmp_path.rglob("*"))
 
 
-# grid ends around the default cache and window, where the z0 fits run
+def test_synth_refuses_a_model_that_overflows(runner, tmp_path):
+    # a residual potential of 1e157 V overflows the electrostatic force in pN:
+    # synth names the scan and writes none whose cells are infinite
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theory_cache_points=8\nn_scans=2\ngrid_points=120\n"
+                   "v2_residual_mv=1e160\n")
+    out = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "non-finite value in scan scan_000" in result.output
+    assert "RuntimeWarning" not in result.output
+    assert not list(out.glob("*.csv"))
+
+
+def around_or_anywhere(lo, hi, **bounds):
+    """Finite floats in [lo, hi] half the time, else anywhere within ``bounds``."""
+    return st.floats(lo, hi) | st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# grid ends around the default cache and window, where the z0 fits run; the
+# sphere radius, residual potential and cap offset around their defaults or
+# anywhere in their ranges
 @settings(max_examples=40, deadline=None)
+@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8)
 @given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
        grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_synth_analyze_over_the_grid_keys_ends_in_a_documented_exit(
-        grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed):
-    # the coarse z0 step follows the axis step, so every grid the range table
-    # passes must reach exit 0 with finite results, or 2, 3 or 4 with a message
+       seed=st.integers(0, 2**32 - 1),
+       sphere_radius_um=around_or_anywhere(10.0, 1000.0, min_value=0.0, exclude_min=True),
+       v2_residual_mv=around_or_anywhere(-100.0, 100.0),
+       cap_offset_nm=around_or_anywhere(0.0, 40.0, min_value=0.0))
+def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
+        grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed, sphere_radius_um,
+        v2_residual_mv, cap_offset_nm):
+    # every config the range table passes must reach exit 0 with finite
+    # results, or 2, 3 or 4 with a message
     values = dict(grid_lo_nm=grid_lo_nm, grid_hi_nm=grid_hi_nm, grid_points=grid_points,
-                  z0_true_nm=z0_true_nm, seed=seed, n_scans=2)
+                  z0_true_nm=z0_true_nm, seed=seed, sphere_radius_um=sphere_radius_um,
+                  v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm, n_scans=2)
     try:
         RunConfig(**values)
     except ValueError:   # outside a range rule

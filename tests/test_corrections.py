@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from casimirlab import assemble
+from casimirlab.analysis import ForwardModel
 from casimirlab.corrections import (TemperatureParams, TheoryCurve, _chebval,
                                     corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
@@ -199,19 +200,30 @@ def test_in_place_clenshaw_is_bitwise_chebval(n_coef):
 
 
 @pytest.mark.parametrize("n_nodes", [2, 20])
-def test_theory_slope_is_the_derivative_of_the_cache(drude_params, n_nodes):
+def test_theory_slope_is_the_derivative_of_the_cache(drude_params, e_cfg, n_nodes):
     # at n_nodes = 2 the derivative series has a single coefficient
     curve = TheoryCurve(drude_params, CACHE_Z[0], CACHE_Z[-1], n_nodes)
     h = 1e-5
     # interior points, and the two points whose stencil reaches a range end
     for z in (CACHE_Z[0] / (1 - h), 101e-9, 480e-9, CACHE_Z[-1] / (1 + h)):
         central = (curve(z * (1 + h)) - curve(z * (1 - h))) / (2 * h * z)
-        slope = curve.slope(z)
+        force, slope = curve.force_and_slope(z)
         assert isinstance(slope, float) and slope > 0
+        assert isinstance(force, float) and force == curve(z)
         assert slope == pytest.approx(central, rel=1e-8)
     zs = np.array([[100e-9, 200e-9], [300e-9, 400e-9]])
-    np.testing.assert_array_equal(curve.slope(zs), [[curve.slope(z) for z in row]
-                                                    for row in zs])
+    force, slope = curve.force_and_slope(zs)
+    assert force.tobytes() == curve(zs).tobytes()
+    np.testing.assert_array_equal(slope, [[curve.force_and_slope(z)[1] for z in row]
+                                          for row in zs])
+    # the forward model's dF/dz0, the theory slope less F_el / (z + z0), is
+    # the derivative of its force in z0, next to that force bit for bit
+    model = ForwardModel(curve, e_cfg, 15.8)
+    z, z0, hz = np.linspace(40.0, 400.0, 7), 48.9, 1e-4
+    force, dz0 = model.force_and_dz0_pn(z, z0, 0.5)
+    assert force.tobytes() == model.force_pn(z, z0, 0.5).tobytes()
+    central = (model.force_pn(z, z0 + hz, 0.5) - model.force_pn(z, z0 - hz, 0.5)) / (2 * hz)
+    np.testing.assert_allclose(dz0, central, rtol=1e-7)
 
 
 def test_theory_slope_refuses_what_the_cache_refuses(drude_curve):
@@ -219,5 +231,5 @@ def test_theory_slope_refuses_what_the_cache_refuses(drude_curve):
         with pytest.raises(ValueError) as force:
             drude_curve(z)
         with pytest.raises(ValueError) as slope:
-            drude_curve.slope(z)
+            drude_curve.force_and_slope(z)
         assert str(slope.value) == str(force.value)

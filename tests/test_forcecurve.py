@@ -95,7 +95,7 @@ CELLS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity
 def test_csv_rows_matches_one_format_call_per_row(width, data):
     n = data.draw(st.integers(0, 12))
     columns = [data.draw(st.lists(CELLS, min_size=n, max_size=n)) for _ in range(width)]
-    assert _csv_rows(*columns) == format_rows(*columns)
+    assert _csv_rows("rows", *columns) == format_rows(*columns)
 
 
 def test_csv_rows_follows_a_changing_axis():
@@ -103,9 +103,9 @@ def test_csv_rows_follows_a_changing_axis():
     a, b = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11)
     force = np.arange(11.0)
     for axis in (a, b, a, b, b, a):
-        assert _csv_rows(axis, force) == format_rows(axis, force)
-    assert _csv_rows(a[:5], force[:5]) == format_rows(a[:5], force[:5])
-    assert _csv_rows(a[:0], force[:0]) == ""
+        assert _csv_rows("rows", axis, force) == format_rows(axis, force)
+    assert _csv_rows("rows", a[:5], force[:5]) == format_rows(a[:5], force[:5])
+    assert _csv_rows("rows", a[:0], force[:0]) == ""
 
 
 @pytest.mark.parametrize("text,fragment", [

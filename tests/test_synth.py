@@ -18,21 +18,21 @@ def small_cfg(**kw):
     return RunConfig(**base)
 
 
-def test_generation_is_deterministic(drude_curve, e_cfg):
+def test_generation_is_deterministic(forward_model):
     t = small_cfg()
-    g1, v1, _ = campaign_scans(t, drude_curve, e_cfg)
-    g2, v2, _ = campaign_scans(t, drude_curve, e_cfg)
+    g1, v1, _ = campaign_scans(t, forward_model)
+    g2, v2, _ = campaign_scans(t, forward_model)
     for a, b in zip(g1 + v1, g2 + v2):
         np.testing.assert_array_equal(a.force_pn, b.force_pn)
-    g3, _, _ = campaign_scans(replace(t, seed=6), drude_curve, e_cfg)
+    g3, _, _ = campaign_scans(replace(t, seed=6), forward_model)
     assert not np.array_equal(g1[0].force_pn, g3[0].force_pn)
     # scan streams are mutually independent
     assert not np.array_equal(g1[0].force_pn, g1[1].force_pn)
 
 
-def test_noiseless_voltage_scans_equal_model(drude_curve, e_cfg):
+def test_noiseless_voltage_scans_equal_model(drude_curve, forward_model):
     t = small_cfg(noise_pn=0.0, n_scans=1)
-    _, voltage_scans, _ = campaign_scans(t, drude_curve, e_cfg)
+    _, voltage_scans, _ = campaign_scans(t, forward_model)
     scan = voltage_scans[0]
     sep = scan.piezo_nm + t.z0_true_nm
     dv = scan.applied_voltage - t.v2_residual_mv * 1e-3
@@ -42,14 +42,13 @@ def test_noiseless_voltage_scans_equal_model(drude_curve, e_cfg):
     np.testing.assert_allclose(scan.force_pn, model, rtol=1e-14)
 
 
-def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
+def test_ensemble_mean_converges_at_root_n(forward_model):
     sigma = 7.0
     rms = {}
     for n in (27, 108):
         t = small_cfg(n_scans=n, noise_pn=sigma)
-        grounded, _, _ = campaign_scans(t, drude_curve, e_cfg)
-        quiet, _, _ = campaign_scans(replace(t, noise_pn=0.0, n_scans=1),
-                                     drude_curve, e_cfg)
+        grounded, _, _ = campaign_scans(t, forward_model)
+        quiet, _, _ = campaign_scans(replace(t, noise_pn=0.0, n_scans=1), forward_model)
         stack = np.vstack([s.force_pn for s in grounded])
         rms[n] = float(np.sqrt(np.mean((stack.mean(axis=0)
                                         - quiet[0].force_pn) ** 2)))
@@ -58,9 +57,9 @@ def test_ensemble_mean_converges_at_root_n(drude_curve, e_cfg):
     assert rms[108] < rms[27]
 
 
-def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
+def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
     t = small_cfg(n_scans=2)
-    write_campaign(tmp_path, t, drude_curve, e_cfg)
+    write_campaign(tmp_path, t, forward_model)
     first, forces, voltage_scans, stiffness = load_campaign(tmp_path)
     truth_doc = json.loads((tmp_path / "truth.json").read_text())
     assert len(forces) == 2
@@ -73,7 +72,7 @@ def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
         "noise_sigma_pn": t.noise_pn, "n_scans": 2,
         "grid_nm": [t.grid_lo_nm, t.grid_hi_nm, t.grid_points], "seed": 5,
         "cap_offset_nm": t.cap_offset_nm}
-    fresh_g, fresh_v, _ = campaign_scans(t, drude_curve, e_cfg)
+    fresh_g, fresh_v, _ = campaign_scans(t, forward_model)
     grounded = [replace(first, scan_id=f"scan_{k:03d}", force_pn=row)
                 for k, row in enumerate(forces)]
     for disk, fresh in zip(grounded + voltage_scans, fresh_g + fresh_v):
@@ -83,11 +82,11 @@ def test_campaign_round_trip(tmp_path, drude_curve, e_cfg):
                                    atol=1e-7)
 
 
-def test_load_campaign_classifies_stiffness(tmp_path, drude_curve, e_cfg):
+def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
     from casimirlab.forcecurve import save_scan
 
     t = small_cfg(n_scans=1)
-    write_campaign(tmp_path, t, drude_curve, e_cfg)
+    write_campaign(tmp_path, t, forward_model)
     for scan in generate_stiffness_scans(t, e_cfg):
         with open(tmp_path / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
@@ -114,20 +113,20 @@ def rows_added_by_doubling(fn):
     return (peaks[1] - peaks[0]) / (RunConfig().grid_points * 8)
 
 
-def test_write_campaign_memory_holds_one_scan(tmp_path, drude_curve, e_cfg):
+def test_write_campaign_memory_holds_one_scan(tmp_path, forward_model):
     # each scan is written as it is drawn: doubling the scans leaves the peak
     # where it was. The scans are noisy because only a drawn scan has a force
     # array of its own; noiseless ones share their model's.
     rows = rows_added_by_doubling(lambda n: write_campaign(
-        tmp_path / str(n), RunConfig(n_scans=n), drude_curve, e_cfg))
+        tmp_path / str(n), RunConfig(n_scans=n), forward_model))
     assert rows <= 0.5 * 40, rows
 
 
-def test_load_campaign_memory_grows_by_one_row_per_scan(tmp_path, drude_curve, e_cfg):
+def test_load_campaign_memory_grows_by_one_row_per_scan(tmp_path, forward_model):
     # a grounded scan is kept only as its force row: doubling the scans adds
     # about 40 rows, not the axis and the force of every scan
     for n in (40, 80):
         write_campaign(tmp_path / str(n), RunConfig(n_scans=n, noise_pn=0.0),
-                       drude_curve, e_cfg)
+                       forward_model)
     rows = rows_added_by_doubling(lambda n: load_campaign(tmp_path / str(n)))
     assert rows <= 1.5 * 40, rows
