@@ -19,6 +19,9 @@ class ParseError(CasimirLabError, ValueError):
             message = f"{path}: {message}"
         super().__init__(message)
 
+    def __reduce__(self):  # pickled with its line and file, not the joined message
+        return type(self), (self.reason, self.line, self.path)
+
 
 def names_its_file(read):
     """Decorate a reader whose first argument is a path or a file object: a

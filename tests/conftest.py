@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from casimirlab import assemble
+from casimirlab import assemble, synth
 from casimirlab.analysis import ForwardModel, analyze_campaign
 from casimirlab.config import RunConfig
 from casimirlab.synth import generate_scans
@@ -34,6 +34,16 @@ def traced_peak_above_inputs(fn):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Share every campaign between processes, whatever its size: the
+    break-even constants drop to one row and one byte."""
+    monkeypatch.setattr(synth, "SPLIT_MIN_ROWS", 1)
+    monkeypatch.setattr(synth, "SPLIT_MIN_BYTES", 1)
+    if synth._processes(1, 1) < 2:
+        pytest.skip("one allowed CPU: a campaign is never split")
 
 
 # Pass/fail lines emitted by the acceptance module; printed in the

@@ -612,7 +612,7 @@ def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_pat
 
 def test_synth_refuses_a_model_that_overflows(runner, tmp_path):
     # a residual potential of 1e157 V overflows the electrostatic force in pN:
-    # synth names the scan and writes none whose cells are infinite
+    # synth names the scan and leaves no file, not even a temporary one
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theory_cache_points=8\nn_scans=2\ngrid_points=120\n"
                    "v2_residual_mv=1e160\n")
@@ -621,7 +621,97 @@ def test_synth_refuses_a_model_that_overflows(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "non-finite value in scan scan_000" in result.output
     assert "RuntimeWarning" not in result.output
-    assert not list(out.glob("*.csv"))
+    assert list(out.iterdir()) == []
+
+
+def test_a_split_synth_refuses_a_model_that_overflows(runner, tmp_path, split):
+    test_synth_refuses_a_model_that_overflows(runner, tmp_path)
+
+
+def test_synth_refuses_a_grid_whose_z0_fit_reaches_contact(runner, tmp_path):
+    # the coarse z0 scan starts at z0 = 1 nm: at grid_lo_nm = -10 the model
+    # would be read at -9 nm, which analyze refuses, so synth refuses first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_scans=2\ngrid_points=120\ngrid_lo_nm=-10\ncap_offset_nm=60\n")
+    out = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and "grid_lo_nm" in result.output
+    assert "separation of -9 nm" in result.output
+    assert not out.exists()
+
+
+def run_chain(runner, cfg, out):
+    """synth then analyze on cfg, into out/campaign and out/analysis."""
+    for args in (["synth", "--out", str(out / "campaign")],
+                 ["analyze", "--scans", str(out / "campaign"), "--out", str(out / "analysis")]):
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+
+
+def test_a_split_run_writes_the_bytes_of_an_inline_one(runner, workdir, tmp_path,
+                                                       monkeypatch, split):
+    run_chain(runner, workdir / "run.cfg", tmp_path / "split")
+    monkeypatch.undo()
+    run_chain(runner, workdir / "run.cfg", tmp_path / "inline")
+    files = sorted(p.relative_to(tmp_path / "inline")
+                   for p in (tmp_path / "inline").rglob("*") if p.is_file())
+    assert len(files) == 2 + 6 + 2 + 2   # scans, truth and manifest, analysis
+    assert sorted(p.relative_to(tmp_path / "split")
+                  for p in (tmp_path / "split").rglob("*") if p.is_file()) == files
+    for name in files:
+        assert (tmp_path / "split" / name).read_bytes() == \
+            (tmp_path / "inline" / name).read_bytes(), name
+
+
+ANALYZE_IN_A_FRESH_PROCESS = """
+import os, sys
+from casimirlab import synth
+from casimirlab.cli import main
+if {split}:
+    synth.SPLIT_MIN_BYTES = 1
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+try:
+    main(["analyze", "--scans", {scans!r}, "--config", {cfg!r}, "--out", {out!r}])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process is left", file=sys.stderr)
+    except ChildProcessError:
+        pass
+    print(f"forked={{bool(forks)}}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("bad", [("scan_002", "scan_003"), ("scan_001", "scan_004")])
+def test_a_split_analyze_names_the_first_bad_file(runner, workdir, tmp_path, bad):
+    # one bad file in each process's share: with two processes, after scan_000
+    # the command reads scan_001, scan_003, ... and the worker scan_002, scan_004, ...
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one allowed CPU: a campaign is never split")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CONFIG.replace("n_scans=2", "n_scans=6"))
+    scans = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(scans)])
+    assert result.exit_code == 0, result.output
+    for name in bad:
+        lines = (scans / f"{name}.csv").read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",inf"
+        (scans / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    runs = {}
+    for split in (False, True):
+        out = tmp_path / f"analysis{split}"
+        runs[split] = run_fresh(ANALYZE_IN_A_FRESH_PROCESS.format(
+            split=split, scans=str(scans), cfg=str(cfg), out=str(out)), os.environ)
+        assert runs[split].returncode == 2, runs[split].stderr
+        assert f"forked={split}" in runs[split].stderr
+        assert not out.exists()
+    assert runs[True].stderr.replace("forked=True", "forked=False") == runs[False].stderr
+    assert (f"error: {scans / (bad[0] + '.csv')}: non-finite value at line 5"
+            in runs[True].stderr)
+    assert "child process" not in runs[True].stderr
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 def around_or_anywhere(lo, hi, **bounds):

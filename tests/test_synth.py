@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from casimirlab import synth
 from casimirlab.config import RunConfig
 from casimirlab.constants import CONST
+from casimirlab.errors import DataError, ParseError
+from casimirlab.forcecurve import load_scan, save_scan
 from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_stiffness_scans,
                               load_campaign, write_campaign)
 from conftest import campaign_scans, traced_peak_above_inputs
@@ -83,8 +86,6 @@ def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
 
 
 def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
-    from casimirlab.forcecurve import save_scan
-
     t = small_cfg(n_scans=1)
     write_campaign(tmp_path, t, forward_model)
     for scan in generate_stiffness_scans(t, e_cfg):
@@ -96,12 +97,92 @@ def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
 
 
 def test_load_campaign_empty_dir(tmp_path):
-    from casimirlab.errors import DataError
-
     with pytest.raises(DataError):
         load_campaign(tmp_path)
 
 
+def write_with_extra_scans(outdir, cfg, model, e_cfg):
+    """A campaign plus stiffness scans, which sort after the grounded ones,
+    and a voltage scan that sorts among them."""
+    write_campaign(outdir, cfg, model)
+    extra = [replace(load_scan(outdir / "cal_00.csv"), scan_id="cal_mid"),
+             *generate_stiffness_scans(cfg, e_cfg)]
+    for scan, name in zip(extra, ["scan_002v", "stiff_00", "stiff_01"]):
+        with open(outdir / f"{name}.csv", "w", encoding="utf-8") as fh:
+            save_scan(scan, fh)
+
+
+@pytest.mark.parametrize("ways", [None, 4])
+def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
+                                                monkeypatch, split, ways):
+    # ways=4: three workers, more processes than this host may have CPUs
+    if ways:
+        monkeypatch.setattr(synth, "_processes", lambda work, break_even: ways)
+    t = small_cfg(n_scans=5)
+    write_with_extra_scans(tmp_path / "split", t, forward_model, e_cfg)
+    loaded = load_campaign(tmp_path / "split")
+    monkeypatch.undo()   # back to the break-even: this campaign stays inline
+    write_with_extra_scans(tmp_path / "inline", t, forward_model, e_cfg)
+    files = sorted(p.name for p in (tmp_path / "inline").iterdir())
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == files
+    for name in files:
+        assert ((tmp_path / "split" / name).read_bytes()
+                == (tmp_path / "inline" / name).read_bytes()), name
+    first, forces, voltage_scans, stiffness = loaded
+    inline = load_campaign(tmp_path / "inline")
+    assert first.scan_id == inline[0].scan_id == "scan_000"
+    np.testing.assert_array_equal(first.piezo_nm, inline[0].piezo_nm)
+    np.testing.assert_array_equal(forces, inline[1])
+    assert forces.shape == (5, t.grid_points)
+    for k, row in enumerate(forces):
+        np.testing.assert_array_equal(
+            row, load_scan(tmp_path / "split" / f"scan_{k:03d}.csv").force_pn)
+    assert voltage_scans[-1].scan_id == "cal_mid"
+    for got, want in ((voltage_scans, inline[2]), (stiffness, inline[3])):
+        assert [c.scan_id for c in got] == [c.scan_id for c in want]
+        for a, b in zip(got, want):
+            assert a.applied_voltage == b.applied_voltage
+            for name in ("piezo_nm", "signal", "force_pn"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert [c.scan_id for c in stiffness] == ["stiff_00", "stiff_01"]
+
+
+def corrupt(path):
+    """Make the first data row of a scan file non-finite; return its line."""
+    lines = path.read_text().splitlines()
+    row = lines.index("piezo_nm,force_pn") + 1
+    lines[row] = lines[row].split(",")[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    return row + 1
+
+
+@pytest.mark.parametrize("bad", [("scan_002", "scan_003"), ("scan_001", "scan_004")])
+def test_a_split_read_raises_the_first_failing_file(tmp_path, forward_model, monkeypatch,
+                                                    split, bad):
+    # with two processes, after scan_000 this one reads scan_001, scan_003,
+    # ... and the worker scan_002, scan_004, ...: either may hold the first bad file
+    write_campaign(tmp_path, small_cfg(n_scans=6), forward_model)
+    lines = [corrupt(tmp_path / f"{name}.csv") for name in bad]
+    with pytest.raises(ParseError) as split_error:
+        load_campaign(tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(ParseError) as inline_error:
+        load_campaign(tmp_path)
+    for exc in (split_error.value, inline_error.value):
+        assert (str(exc), exc.line, exc.path) == (
+            f"{tmp_path / (bad[0] + '.csv')}: non-finite value at line {lines[0]}",
+            lines[0], tmp_path / f"{bad[0]}.csv")
+
+
+def test_a_split_read_names_the_scan_whose_grid_differs(tmp_path, forward_model, split):
+    write_campaign(tmp_path, small_cfg(n_scans=6), forward_model)
+    path = tmp_path / "scan_004.csv"   # in the worker's share, with two processes
+    scan = load_scan(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
+    with pytest.raises(DataError, match=r"scan scan_004 \(scan_004.csv\): scan grids "
+                                        r"differ from scan scan_000's"):
+        load_campaign(tmp_path)
 
 
 def rows_added_by_doubling(fn):
