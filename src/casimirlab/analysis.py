@@ -314,6 +314,32 @@ VARIANT_SHIFTS_NM = {
 }
 
 
+def theory_span_nm(axes_nm, cap_offset_nm=0.0, window_nm=None, z0_nm=COARSE_Z0_NM):
+    """(lo, hi): the metal-to-metal separations in nm at which a command reads
+    the theory, and so caches it, from the axes it reads.
+
+    A z0 fit over an axis z of separations from contact reads the model at
+    z + z0 > 0 for z0 in [z0_nm[0], z0_nm[1]] and the theory at z + z0 + cap.
+    A mean curve inside that span that covers the window (to resample_force's
+    1e-9 nm; 2e-9 here allows for rounding) is compared at its points bracketing
+    it, at most one axis step outside, unshifted and at ``VARIANT_SHIFTS_NM``. A
+    metal-to-metal axis (``compare``'s mean curve) passes z0_nm = (0, 0).
+    """
+    if not axes_nm:
+        raise DataError("no force scans to read the theory over")
+    closest = min(float(np.min(a)) for a in axes_nm) + z0_nm[0]
+    if closest <= 0:
+        raise DataError(f"the model would be read at a separation of {closest:.6g} nm, at or "
+                        f"below contact (grid_lo_nm in synth, plus z0 = {z0_nm[0]:g} nm)")
+    lo = closest + cap_offset_nm
+    hi = max(float(np.max(a)) for a in axes_nm) + z0_nm[1] + cap_offset_nm
+    if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:
+        step = max(float(np.diff(a).max(initial=0.0)) for a in axes_nm)
+        lo = min(lo, window_nm[0] - step + min(0.0, *VARIANT_SHIFTS_NM.values()))
+        hi = max(hi, window_nm[1] + step + max(0.0, *VARIANT_SHIFTS_NM.values()))
+    return lo, hi
+
+
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
 def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
                       theory: TheoryCurve, window_nm, n_nodes: int) -> ComparisonStats:

@@ -43,11 +43,11 @@ def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
     )
 
 
-def theory_curve(cfg: RunConfig) -> TheoryCurve:
-    """The configured theory cache: model, corrections and range from cfg alone."""
-    params = theory_params(cfg, dielectric_model(cfg))
-    return TheoryCurve(params, cfg.theory_cache_lo_nm * 1e-9,
-                       cfg.theory_cache_hi_nm * 1e-9, cfg.theory_cache_points)
+def theory_curve(cfg: RunConfig, span_nm, model: DielectricModel | None = None) -> TheoryCurve:
+    """The theory cache of cfg, or of ``model``, over span_nm: the (lo, hi)
+    separations in nm a command reads (``analysis.theory_span_nm``)."""
+    params = theory_params(cfg, dielectric_model(cfg) if model is None else model)
+    return TheoryCurve(params, span_nm[0] * 1e-9, span_nm[1] * 1e-9, cfg.theory_cache_points)
 
 
 def electrostatic_config(cfg: RunConfig) -> ElectrostaticConfig:
@@ -55,9 +55,9 @@ def electrostatic_config(cfg: RunConfig) -> ElectrostaticConfig:
                                V2=cfg.v2_residual_mv * 1e-3)
 
 
-def forward_model(cfg: RunConfig) -> ForwardModel:
-    """The measured-force model of cfg: its theory cache, electrostatics and cap."""
-    return ForwardModel(theory_curve(cfg), electrostatic_config(cfg), cfg.cap_offset_nm)
+def forward_model(cfg: RunConfig, span_nm) -> ForwardModel:
+    """The measured-force model of cfg: its theory cache over span_nm, electrostatics and cap."""
+    return ForwardModel(theory_curve(cfg, span_nm), electrostatic_config(cfg), cfg.cap_offset_nm)
 
 
 def calibration_params(cfg: RunConfig) -> CalibrationParams:

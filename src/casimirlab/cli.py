@@ -25,15 +25,14 @@ import numpy as np
 
 from . import __version__, assemble
 from .analysis import (analyze_campaign, calibrate_spring_constant,
-                       compare_to_theory, fit_contact_separation)
+                       compare_to_theory, fit_contact_separation, theory_span_nm)
 from .config import RunConfig, load_config
-from .corrections import TheoryCurve
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
                      DataError, FitError, ParseError, ValidityError)
 from .forcecurve import (ForceCurve, _csv_rows, _read_csv, load_scan,
                          signal_to_force)
-from .synth import check_fit_range, load_campaign, write_campaign
+from .synth import campaign_span_nm, load_campaign, write_campaign
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -186,10 +185,8 @@ def theory(z_spec, material, drude_only, config_path, out):
     """Tabulate the corrected theory force versus separation."""
     cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, drude_only, material)
-    params = assemble.theory_params(cfg, model)
     grid = parse_grid(z_spec)
-    curve = TheoryCurve(params, grid[0] * 1e-9 / 1.001, grid[-1] * 1e-9 * 1.001,
-                        cfg.theory_cache_points)
+    curve = assemble.theory_curve(cfg, (grid[0] / 1.001, grid[-1] * 1.001), model)
     force = curve(grid * 1e-9) * 1e12
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], (grid, force)))
 
@@ -249,7 +246,7 @@ def fit_z0(scan_path, emit_curve, config_path, out):
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
-    model = assemble.forward_model(cfg)
+    model = assemble.forward_model(cfg, theory_span_nm([curve.piezo_nm], cfg.cap_offset_nm))
     fit = fit_contact_separation(curve, model, cfg.pooled_noise_pn)
     atomic_write(out, json_text(cfg, {
         "z0_nm": fit.z0_nm,
@@ -273,9 +270,8 @@ def fit_z0(scan_path, emit_curve, config_path, out):
 def synth(seed, out_dir, config_path):
     """Generate a deterministic synthetic campaign directory."""
     cfg = _load_cfg(config_path)
-    check_fit_range(cfg)  # before anything is written: analyze must run on it
     run = cfg if seed is None else replace(cfg, seed=seed)
-    write_campaign(out_dir, run, assemble.forward_model(cfg))
+    write_campaign(out_dir, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
     atomic_write(Path(out_dir) / "manifest.txt", meta_header(cfg, seed=run.seed))
 
@@ -294,9 +290,11 @@ def analyze(scans_dir, out_dir, config_path):
     if stiffness:
         spring, _sigma = calibrate_spring_constant(
             stiffness, assemble.electrostatic_config(cfg), cal)
+    window = (cfg.window_lo_nm, cfg.window_hi_nm)
+    axes = [c.piezo_nm for c in (*voltage_scans, first) if c is not None]  # either may be missing
+    model = assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, first, forces, assemble.forward_model(cfg),
-        (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
+        voltage_scans, first, forces, model, window, cfg.window_points,
         cfg.pooled_noise_pn, spring_constant=spring)
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))
@@ -320,24 +318,22 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     cfg = _load_cfg(config_path)
     axis, force, std = _read_csv(curve_path, 3, (MEAN_CURVE_COLUMNS,)).columns
     mean_curve = ForceCurve("mean", 0.0, axis, force_pn=force)
-    th = assemble.theory_curve(cfg)
+    window = (cfg.window_lo_nm, cfg.window_hi_nm)
+    th = assemble.theory_curve(cfg, theory_span_nm([axis], 0.0, window, (0.0, 0.0)))
     stats = compare_to_theory(mean_curve, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
-                              (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points)
-    # before any write: a cache that covers the window but not the whole
-    # curve must fail without leaving the stats file behind
-    theory_pn = th(axis * 1e-9) * 1e12 if emit_curve else None
+                              window, cfg.window_points)
     atomic_write(out, json_text(cfg, {
         "sigma_rms_pn": stats.sigma_rms_pn,
         "reduced_chi2": stats.reduced_chi2,
         "n_points": stats.n_points,
         "variants": stats.variants,
-        "window_nm": [cfg.window_lo_nm, cfg.window_hi_nm],
+        "window_nm": list(window),
     }))
     if emit_curve:
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],
-                              (axis, force, theory_pn)))
+                              (axis, force, th(axis * 1e-9) * 1e12)))
 
 
 if __name__ == "__main__":

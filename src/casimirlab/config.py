@@ -40,9 +40,7 @@ class RunConfig:
     # quadrature
     rel_tol: float = 1e-4
     xi_cut_multiplier: float = 40.0
-    # theory cache (metal-to-metal separations)
-    theory_cache_lo_nm: float = 45.0
-    theory_cache_hi_nm: float = 1250.0
+    # theory cache: Chebyshev nodes over the separations a command reads
     theory_cache_points: int = 20
     # electrostatics / calibration
     v2_residual_mv: float = 7.9
@@ -110,9 +108,6 @@ _RANGES = (
     (("rel_tol",), "in (0, 1e-2]", lambda c: 0 < c.rel_tol <= 1e-2),
     (("xi_cut_multiplier",), f"in [20, {U_CUT:g})",
      lambda c: 20 <= c.xi_cut_multiplier < U_CUT),
-    (("theory_cache_lo_nm",), "> 0", lambda c: c.theory_cache_lo_nm > 0),
-    (("theory_cache_hi_nm", "theory_cache_lo_nm"), "> theory_cache_lo_nm",
-     lambda c: c.theory_cache_hi_nm > c.theory_cache_lo_nm),
     (("theory_cache_points",), ">= 2", lambda c: c.theory_cache_points >= 2),
     (("spring_constant_n_per_m",), "> 0", lambda c: c.spring_constant_n_per_m > 0),
     (("deflection_sensitivity_nm",), "> 0",

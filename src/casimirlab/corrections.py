@@ -13,7 +13,8 @@ brute-force oracle: the z^-3 sphere-plate law averaged over independent
 zero-mean surface-height distributions.
 
 ``TheoryCurve`` caches the composed force for the fits as a Chebyshev
-interpolant of log|F| in log z (numpy only). The force is analytic in z, so
+interpolant of log|F| in log z (numpy only), over the separations a command
+reads (``analysis.theory_span_nm``). The force is analytic in z, so
 the series converges geometrically and its trailing coefficients estimate
 the interpolation error (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013). The fits evaluate it thousands of times per command,
@@ -79,10 +80,11 @@ def roughness_factor(z: float, rough: RoughnessSpec) -> float:
     """Quartic-series roughness multiplier; valid for A/z < 0.3."""
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
-    x = rough.A / z
+    x = rough.A / float(z)  # Python's division overflows to inf without a warning
     if x >= ROUGHNESS_SERIES_MAX_RATIO:
         raise ValidityError(
-            f"A/z = {x:.3g} outside the series regime (< {ROUGHNESS_SERIES_MAX_RATIO})"
+            f"A/z = {x:.3g} at {z * 1e9:.6g} nm outside the series regime "
+            f"(< {ROUGHNESS_SERIES_MAX_RATIO})"
         )
     c2, c3, c4 = rough.coeffs
     return 1.0 + c2 * x**2 + c3 * x**3 + c4 * x**4
@@ -116,7 +118,8 @@ def temperature_factor(z: float, temp: TemperatureParams) -> float:
         raise ValueError(f"separation must be > 0, got {z}")
     eta = temp.eta(z)
     if eta >= 0.5:
-        raise ValidityError(f"eta = {eta:.3g} outside the series regime (< 0.5)")
+        raise ValidityError(f"eta = {eta:.3g} at {z * 1e9:.6g} nm outside the series "
+                            "regime (< 0.5)")
     f = CONST.zeta3 / (2.0 * np.pi) * eta**3 - np.pi**2 / 45.0 * eta**4
     return 1.0 + 720.0 / np.pi**2 * f
 
@@ -138,14 +141,14 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     """Lifshitz force times the enabled correction factors, all at the
     metal-to-metal separation z, in N.
 
-    The closed-form factors scale the quadrature's error bound with the force.
+    The closed-form factors, checked before the quadrature, scale its error bound too.
     """
-    force = casimir_force_sphere_plate(z, params.geom, params.model, params.quad)
     factor = 1.0
     if params.enable_roughness:
         factor *= roughness_factor(z, params.rough)
     if params.enable_temperature:
         factor *= temperature_factor(z, params.temp)
+    force = casimir_force_sphere_plate(z, params.geom, params.model, params.quad)
     return ForceEstimate(force * factor, force.error_bound * factor)
 
 
@@ -213,8 +216,7 @@ class TheoryCurve:
         if np.any(outside):
             raise ValueError(
                 f"separation {z[outside][0] * 1e9:.6g} nm outside the cached "
-                f"theory range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm "
-                "(theory_cache_lo_nm, theory_cache_hi_nm)"
+                f"theory range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm"
             )
         x = (np.log(z) - self._log_mid) / self._log_half
         out = -np.exp(_chebval(x, self._coef))

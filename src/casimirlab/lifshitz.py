@@ -203,8 +203,8 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
     as ``error_bound``. Raises ConvergenceError carrying the last estimate
     and error bound otherwise.
     """
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
+    if not z >= 1e-9:  # closer, a dielectric function no longer describes the plates
+        raise ValidityError(f"z = {z * 1e9:.3g} nm below the continuum regime (>= 1 nm)")
     ratio = float(z) / geom.R  # Python's division overflows to inf without a warning
     if ratio >= PROXIMITY_RATIO_MAX:
         raise ValidityError(

@@ -9,7 +9,8 @@ deterministically from (seed, scan index) via numpy's SeedSequence, so
 identical seeds give byte-identical output. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
 ``load_campaign`` keeps a grounded scan only as one row of the force matrix
-that ``analysis.analyze_campaign`` averages.
+that ``analysis.analyze_campaign`` averages. The theory cache spans what ``analyze``
+will read (``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import COARSE_Z0_NM, ForwardModel
+from .analysis import COARSE_Z0_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
 from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
 from .errors import DataError
@@ -79,31 +80,11 @@ def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
                          spring_constant=cfg.spring_constant_n_per_m)
 
 
-def check_fit_range(cfg: RunConfig) -> None:
-    """Raise DataError unless ``analyze`` can fit z0 on the campaign of cfg.
-
-    The coarse z0 scan evaluates the model at z + z0 for every z of the
-    grid and every z0 of ``COARSE_Z0_NM``: the smallest of those separations
-    must be above contact, and the theory it reads at z + z0 + cap must lie
-    inside the theory cache.
-    """
-    if cfg.grid_lo_nm + COARSE_Z0_NM[0] <= 0:
-        raise DataError(
-            f"the z0 fit would evaluate the model at a separation of "
-            f"{cfg.grid_lo_nm + COARSE_Z0_NM[0]:.6g} nm (grid_lo_nm + "
-            f"{COARSE_Z0_NM[0]:g}, the first coarse z0); grid_lo_nm must be above "
-            f"{-COARSE_Z0_NM[0]:g} nm"
-        )
-    lo = cfg.grid_lo_nm + COARSE_Z0_NM[0] + cfg.cap_offset_nm
-    hi = cfg.grid_hi_nm + COARSE_Z0_NM[1] + cfg.cap_offset_nm
-    if lo < cfg.theory_cache_lo_nm or hi > cfg.theory_cache_hi_nm:
-        raise DataError(
-            f"the z0 fit would read the theory over [{lo:.6g}, {hi:.6g}] nm "
-            f"(grid_lo_nm + {COARSE_Z0_NM[0]:g} to grid_hi_nm + {COARSE_Z0_NM[1]:g}, "
-            f"plus cap_offset_nm), beyond the theory cache "
-            f"[{cfg.theory_cache_lo_nm:.6g}, {cfg.theory_cache_hi_nm:.6g}] nm "
-            "(theory_cache_lo_nm, theory_cache_hi_nm)"
-        )
+def campaign_span_nm(cfg: RunConfig):
+    """``analyze``'s span on the campaign of cfg, widened to the draws at z0_true_nm."""
+    z0_nm = (min(COARSE_Z0_NM[0], cfg.z0_true_nm), max(COARSE_Z0_NM[1], cfg.z0_true_nm))
+    return theory_span_nm([np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)],
+                          cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm), z0_nm)
 
 
 def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,

@@ -9,7 +9,7 @@ import pytest
 from casimirlab import assemble, synth
 from casimirlab.analysis import ForwardModel, analyze_campaign
 from casimirlab.config import RunConfig
-from casimirlab.synth import generate_scans
+from casimirlab.synth import campaign_span_nm, generate_scans
 
 
 def campaign_scans(cfg, model):
@@ -75,7 +75,8 @@ def drude_params(default_cfg, drude_model):
 
 @pytest.fixture(scope="session")
 def drude_curve(default_cfg):
-    return assemble.theory_curve(default_cfg)   # the default model is Drude
+    # the cache synth builds at the default config; the default model is Drude
+    return assemble.theory_curve(default_cfg, campaign_span_nm(default_cfg))
 
 
 @pytest.fixture(scope="session")

@@ -235,43 +235,6 @@ def test_compare_rejects_non_positive_n_scans(runner, workdir, analysis_dir, tmp
     assert not out.exists()
 
 
-def test_compare_needs_the_cache_only_around_the_window(runner, campaign_results,
-                                                       tmp_path):
-    # a default-config mean curve reaches ~985 nm; the window ends at 500 nm
-    _, mean_curve, std = campaign_results
-    curve = tmp_path / "mean_curve.csv"
-    curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
-                              (mean_curve.piezo_nm, mean_curve.force_pn, std)))
-
-    def compare(hi, *flags):
-        cfg = tmp_path / f"hi{hi}.cfg"
-        cfg.write_text(f"theory_cache_hi_nm={hi}\n")
-        out = tmp_path / f"compare{hi}{''.join(flags)}.json"
-        result = runner.invoke(main, ["compare", "--curve", str(curve),
-                                      "--config", str(cfg), "--out", str(out), *flags])
-        return result, out
-
-    sigma = []
-    for hi in (1250, 600):
-        result, out = compare(hi)
-        assert result.exit_code == 0, result.output
-        sigma.append(json.loads(out.read_text())["sigma_rms_pn"])
-    assert sigma[1] == pytest.approx(sigma[0], rel=1e-6)
-    result, _ = compare(400)   # the window itself leaves the cache
-    assert result.exit_code == 2
-    assert "nm outside the cached theory range" in result.output
-    assert "theory_cache_hi_nm" in result.output
-    # the emitted curve needs the whole mean curve, beyond 600 nm: exit 2,
-    # naming the separation, before anything is written
-    result, out = compare(600, "--emit-curve")
-    assert result.exit_code == 2
-    named = re.search(r"separation ([0-9.]+) nm outside the cached theory range",
-                      result.output)
-    assert named and float(named.group(1)) > 600, result.output
-    assert not out.exists()
-    assert not out.with_suffix(".curve.csv").exists()
-
-
 def test_commands_import_no_scipy(workdir, campaign_dir, tmp_path):
     # numpy is the package's only numerical library: a fresh process that runs
     # theory and fit-z0 (cache build plus z0 fit) never loads scipy
@@ -389,14 +352,24 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
     ("drude_wp_ev=0", "drude_wp_ev"),
     ("drude_gamma_ev=-0.01", "drude_gamma_ev"),
-    ("theory_cache_lo_nm=0", "theory_cache_lo_nm"),
-    ("theory_cache_lo_nm=2000", "theory_cache_hi_nm"),
     ("window_hi_nm=50", "window_hi_nm"),
     ("seed=-1", "seed"),
     ("z0_true_nm=250", "z0_true_nm"),
 ])
 def test_config_range_entry_exits_2(runner, tmp_path, line, key):
     assert_config_line_exits_2(runner, tmp_path, line, key)
+
+
+@pytest.mark.parametrize("key", ["theory_cache_lo_nm", "theory_cache_hi_nm"])
+def test_a_config_that_sets_a_removed_key_exits_2(runner, tmp_path, key):
+    # each command derives its theory cache's span from what it reads
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"seed=1\n{key}=45\n")
+    out = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"unknown config key '{key}' at line 2" in result.output
+    assert not out.exists()
 
 
 def test_exit_code_fit_failure(runner, workdir, tmp_path):
@@ -412,7 +385,7 @@ def test_exit_code_fit_failure(runner, workdir, tmp_path):
 
 
 def test_fit_z0_on_an_axis_whose_span_overflows_exits_2(runner, workdir, tmp_path):
-    # 1.5e308 - (-1e308) is not a float; the ends lie outside any theory cache
+    # 1.5e308 - (-1e308) is not a float; the axis starts below contact
     axis = [-1e308, *(k * 1e307 for k in range(-8, 10, 2)), 1e308, 1.5e308]
     lines = ["# scan_id=wide", "# applied_voltage_v=0.5", "piezo_nm,force_pn"]
     scan = tmp_path / "wide.csv"
@@ -421,7 +394,7 @@ def test_fit_z0_on_an_axis_whose_span_overflows_exits_2(runner, workdir, tmp_pat
                                   "--config", str(workdir / "run.cfg"),
                                   "--out", str(tmp_path / "z.json")])
     assert result.exit_code == 2, result.output
-    assert "separation -1e+308 nm outside the cached theory range" in result.output
+    assert "model would be read at a separation of -1e+308 nm" in result.output
 
 
 def test_analyze_names_the_scan_whose_z0_fit_failed(monkeypatch, runner, workdir,
@@ -564,19 +537,73 @@ def test_analyze_names_a_non_finite_result(runner, tmp_path):
     assert not (out / "results.json").exists()
 
 
-@pytest.mark.parametrize("line,span", [("grid_lo_nm=20", "[36.8, 1135.8] nm"),
-                                       ("grid_hi_nm=1100", "[46.8, 1315.8] nm")])
-def test_synth_refuses_a_grid_whose_z0_fit_leaves_the_cache(runner, tmp_path, line, span):
-    # the coarse z0 scan reads the theory from grid_lo_nm + 1 + cap to
-    # grid_hi_nm + 200 + cap: a campaign beyond the cache is never written
+def test_synth_names_the_separation_a_correction_refuses(runner, tmp_path):
+    # at grid_lo_nm = 20 the z0 fit reads the theory from 20 + 1 + cap = 36.8 nm,
+    # where the roughness series no longer holds: refused before anything is written
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"n_scans=2\ngrid_points=120\n{line}\n")
+    cfg.write_text("n_scans=2\ngrid_points=120\ngrid_lo_nm=20\n")
     out = tmp_path / "campaign"
     result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert span in result.output
-    for key in ("grid_lo_nm", "grid_hi_nm", "theory_cache_lo_nm", "theory_cache_hi_nm"):
-        assert key in result.output
+    assert "A/z = 0.319 at 36.995 nm outside the series regime" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["grid_lo_nm=25", "grid_hi_nm=1100"])
+def test_a_grid_read_beyond_45_to_1250_nm_runs_the_loop(runner, tmp_path, line):
+    # the z0 fit reads the theory from 25 + 1 + cap = 41.8 nm, or up to
+    # 1100 + 200 + cap = 1315.8 nm
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_scans=2\ngrid_points=120\n{line}\n")
+    run_chain(runner, cfg, tmp_path)
+    out = tmp_path / "compare.json"
+    curve = tmp_path / "analysis" / "mean_curve.csv"
+    result = runner.invoke(main, ["compare", "--curve", str(curve), "--config", str(cfg),
+                                  "--emit-curve", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    for path in (tmp_path / "analysis" / "results.json", out):
+        doc = json.loads(path.read_text())
+        assert all(math.isfinite(v) for v in doc.values() if isinstance(v, float))
+    for path, header in ((tmp_path / "analysis" / "mean_curve.csv", MEAN_CURVE_COLUMNS),
+                         (out.with_suffix(".curve.csv"),
+                          ("separation_nm", "force_exp_pn", "force_theory_pn"))):
+        assert np.isfinite(_read_csv(path, 3, (header,)).columns).all()
+
+
+def test_synth_and_analyze_build_the_same_cache(runner, tmp_path, monkeypatch):
+    # synth derives analyze's span from the grid it writes, analyze from the
+    # scans it reads back: at the default grid the two caches are bitwise equal
+    from casimirlab import assemble
+    built, theory_curve = [], assemble.theory_curve
+
+    def recorded(cfg, span_nm, *args):
+        built.append(theory_curve(cfg, span_nm, *args))
+        return built[-1]
+
+    monkeypatch.setattr(assemble, "theory_curve", recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theory_cache_points=8\nn_scans=2\n")
+    run_chain(runner, cfg, tmp_path)
+    synth_cache, analyze_cache = built
+    assert (synth_cache.z_min, synth_cache.z_max) == pytest.approx((46.8e-9, 1135.8e-9),
+                                                                   rel=1e-15)
+    assert (analyze_cache.z_min, analyze_cache.z_max) == (synth_cache.z_min, synth_cache.z_max)
+    assert analyze_cache._coef.tobytes() == synth_cache._coef.tobytes()
+
+
+@pytest.mark.parametrize("side,message", [("cal_", "no voltage scans for the z0 fit"),
+                                          ("scan_", "no grounded scans to analyze")])
+def test_analyze_names_the_missing_side_of_a_campaign(runner, workdir, campaign_dir,
+                                                      tmp_path, side, message):
+    # the span comes from the scans analyze loaded, one side of the campaign here
+    scans = copy_campaign(campaign_dir, tmp_path)
+    for path in scans.glob(f"{side}*.csv"):
+        path.unlink()
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -595,6 +622,21 @@ def test_analyze_names_the_window_a_mean_curve_misses(runner, tmp_path):
     assert ("comparison window [100, 500] nm (window_lo_nm, window_hi_nm)"
             in result.output)
     assert not (out / "results.json").exists()
+
+
+def test_a_window_below_the_mean_curve_is_named_by_analyze(runner, tmp_path):
+    # no mean curve of this grid covers a window from 10 nm, so neither command
+    # caches the theory at its opaque-cap shift, 10 - 7.5 - 14.9 nm < 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_scans=2\ngrid_points=120\nwindow_lo_nm=10\n")
+    campaign, out = tmp_path / "campaign", tmp_path / "analysis"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(campaign)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                  "--scans", str(campaign), "--out", str(out)])
+    assert result.exit_code == 2
+    assert ("does not cover the comparison window [10, 500] nm (window_lo_nm, window_hi_nm)"
+            in result.output)
 
 
 @pytest.mark.parametrize("command", ["fit-z0", "analyze"])
@@ -719,26 +761,41 @@ def around_or_anywhere(lo, hi, **bounds):
     return st.floats(lo, hi) | st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
-# grid ends around the default cache and window, where the z0 fits run; the
-# sphere radius, residual potential and cap offset around their defaults or
-# anywhere in their ranges
+# grid ends around the default grid, where the z0 fits run; the comparison
+# window, roughness amplitude, sphere radius, residual potential and cap offset
+# around their defaults or anywhere in their ranges. The theory cache's span
+# depends on the grid, the cap, the window and, through the series regime, the
+# roughness amplitude.
 @settings(max_examples=40, deadline=None)
 @example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8)
+         sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8)
+@example(grid_lo_nm=20.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8)
+@example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=2.9487474513145085e-245,
+         seed=0, sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=0.0,
+         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0)
 @given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
        grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
        seed=st.integers(0, 2**32 - 1),
        sphere_radius_um=around_or_anywhere(10.0, 1000.0, min_value=0.0, exclude_min=True),
        v2_residual_mv=around_or_anywhere(-100.0, 100.0),
-       cap_offset_nm=around_or_anywhere(0.0, 40.0, min_value=0.0))
+       cap_offset_nm=around_or_anywhere(0.0, 40.0, min_value=0.0),
+       window_lo_nm=around_or_anywhere(50.0, 200.0),
+       window_hi_nm=around_or_anywhere(300.0, 1200.0),
+       roughness_amplitude_nm=around_or_anywhere(0.0, 20.0, min_value=0.0))
 def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
         grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed, sphere_radius_um,
-        v2_residual_mv, cap_offset_nm):
+        v2_residual_mv, cap_offset_nm, window_lo_nm, window_hi_nm, roughness_amplitude_nm):
     # every config the range table passes must reach exit 0 with finite
-    # results, or 2, 3 or 4 with a message
+    # results, or 2, 3 or 4 with a message; no command reads the theory
+    # outside the cache it built
     values = dict(grid_lo_nm=grid_lo_nm, grid_hi_nm=grid_hi_nm, grid_points=grid_points,
                   z0_true_nm=z0_true_nm, seed=seed, sphere_radius_um=sphere_radius_um,
-                  v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm, n_scans=2)
+                  v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm,
+                  window_lo_nm=window_lo_nm, window_hi_nm=window_hi_nm,
+                  roughness_amplitude_nm=roughness_amplitude_nm, n_scans=2)
     try:
         RunConfig(**values)
     except ValueError:   # outside a range rule
@@ -754,6 +811,7 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
                                           "--out", str(tmp / "analysis")])
         assert result.exit_code in (0, 2, 3, 4), result.output
         assert "Traceback" not in result.output and "RuntimeWarning" not in result.output
+        assert "outside the cached theory range" not in result.output
         if result.exit_code:
             assert result.output.startswith("error: "), result.output
             return

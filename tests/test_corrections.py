@@ -7,11 +7,13 @@ from numpy.polynomial import chebyshev
 
 from casimirlab import assemble
 from casimirlab.analysis import ForwardModel
+from casimirlab.config import RunConfig
 from casimirlab.corrections import (TemperatureParams, TheoryCurve, _chebval,
                                     corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
                                     temperature_factor)
 from casimirlab.errors import ValidityError
+from casimirlab.synth import campaign_span_nm
 
 FLAT = ((0.0, 1.0),)
 
@@ -44,7 +46,7 @@ def test_roughness_monotone_to_one(rough):
 
 
 def test_roughness_guards(rough):
-    with pytest.raises(ValidityError):
+    with pytest.raises(ValidityError, match=r"A/z = 0\.393 at 30 nm outside"):
         roughness_factor(30e-9, rough)   # A/z >= 0.3
     with pytest.raises(ValueError):
         roughness_factor(0.0, rough)
@@ -103,7 +105,7 @@ def test_eta_slope(temp):
 
 
 def test_temperature_guards(temp):
-    with pytest.raises(ValidityError):
+    with pytest.raises(ValidityError, match=r"eta = 0\.524 at 4000 nm outside"):
         temperature_factor(4e-6, temp)   # eta >= 0.5
     with pytest.raises(ValueError):
         temperature_factor(-1.0, temp)
@@ -135,16 +137,17 @@ def test_theory_curve_matches_direct(drude_params, drude_curve):
                                                rel=rel)
     arr = drude_curve(np.array([100e-9, 200e-9]))
     assert arr.shape == (2,)
-    with pytest.raises(ValueError, match=r"separation 10 nm outside .*"
-                                         r"\[45, 1250\] nm .*theory_cache_hi_nm"):
+    with pytest.raises(ValueError, match=r"^separation 10 nm outside the cached theory "
+                                         r"range \[46\.8, 1135\.8\] nm$"):
         drude_curve(10e-9)
     with pytest.raises(ValueError, match="separation 5000 nm"):
         drude_curve(np.array([200e-9, 5e-6]))
 
 
-# The default cache range, sampled densely enough to find the interpolation
-# error's peaks between the Chebyshev nodes.
-CACHE_Z = np.geomspace(45e-9, 1250e-9, 97)
+# The span synth and analyze derive at the default config, sampled densely
+# enough to find the interpolation error's peaks between the Chebyshev nodes.
+CACHE_NM = campaign_span_nm(RunConfig())
+CACHE_Z = np.geomspace(CACHE_NM[0] * 1e-9, CACHE_NM[1] * 1e-9, 97)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +159,7 @@ def tabulated_params(default_cfg):
 
 def cache_errors(params, n_nodes):
     """(measured relative error against the direct corrected force, cache)
-    for an n-node cache over the default range."""
+    for an n-node cache over the default span."""
     curve = TheoryCurve(params, CACHE_Z[0], CACHE_Z[-1], n_nodes)
     direct = np.array([float(corrected_force(z, params)) for z in CACHE_Z])
     return float(np.max(np.abs(curve(CACHE_Z) / direct - 1.0))), curve
@@ -166,6 +169,14 @@ def cache_errors(params, n_nodes):
 def test_interp_rel_error_bounds_measured_error(drude_params, n_nodes):
     measured, curve = cache_errors(drude_params, n_nodes)
     assert measured <= curve.interp_rel_error
+
+
+def test_the_derived_span_is_the_more_accurate(drude_params, drude_curve, default_cfg):
+    # Chebyshev convergence depends on the interval: the same nodes over the
+    # span the commands read beat them over the wider [45, 1250] nm
+    assert drude_curve.z_min == CACHE_Z[0] and drude_curve.z_max == CACHE_Z[-1]
+    fixed = TheoryCurve(drude_params, 45e-9, 1250e-9, default_cfg.theory_cache_points)
+    assert drude_curve.interp_rel_error < fixed.interp_rel_error
 
 
 @pytest.mark.parametrize("model", ["drude", "tabulated"])

@@ -145,6 +145,8 @@ def test_guards(drude_params):
     model = ConstantModel(10.0)
     with pytest.raises(ValidityError):
         casimir_force_sphere_plate(10e-6, geom, model, q)   # z/R too large
+    with pytest.raises(ValidityError, match=r"z = 1e-07 nm below the continuum regime"):
+        casimir_force_sphere_plate(1e-16, geom, model, q)   # no quadrature converges there
     with pytest.raises(ValueError):
         casimir_force_sphere_plate(-1e-9, geom, model, q)
     with pytest.raises(ValueError):
