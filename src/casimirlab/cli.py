@@ -248,13 +248,7 @@ def fit_z0(scan_path, emit_curve, config_path, out):
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
     model = assemble.forward_model(cfg, theory_span_nm([curve.piezo_nm], cfg.cap_offset_nm))
     fit = fit_contact_separation(curve, model, cfg.pooled_noise_pn)
-    atomic_write(out, json_text(cfg, {
-        "z0_nm": fit.z0_nm,
-        "z0_sigma_nm": fit.z0_sigma_nm,
-        "chi2": fit.chi2,
-        "n_points": fit.n_points,
-        "voltage_v": fit.voltage,
-    }))
+    atomic_write(out, json_text(cfg, fit.record()))
     if emit_curve:
         model_pn = model.force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage)
         columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
@@ -284,18 +278,14 @@ def synth(seed, out_dir, config_path):
 def analyze(scans_dir, out_dir, config_path):
     """Run the full pipeline on a campaign directory."""
     cfg = _load_cfg(config_path)
-    first, forces, voltage_scans, stiffness = load_campaign(scans_dir)
-    cal = assemble.calibration_params(cfg)
-    spring = None
-    if stiffness:
-        spring, _sigma = calibrate_spring_constant(
-            stiffness, assemble.electrostatic_config(cfg), cal)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
-    axes = [c.piezo_nm for c in (*voltage_scans, first) if c is not None]  # either may be missing
-    model = assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
+
+    def model_for(axes):
+        return assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
+
     results, mean_curve, std = analyze_campaign(
-        voltage_scans, first, forces, model, window, cfg.window_points,
-        cfg.pooled_noise_pn, spring_constant=spring)
+        functools.partial(load_campaign, scans_dir), model_for, window, cfg.window_points,
+        cfg.pooled_noise_pn, assemble.calibration_params(cfg))
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))
     atomic_write(out_dir / "mean_curve.csv",

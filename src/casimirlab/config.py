@@ -99,7 +99,9 @@ _RANGES = (
     (("seed",), ">= 0", lambda c: c.seed >= 0),
     (("z0_true_nm",), f"in the z0 fit bracket {Z0_BRACKET_NM}",
      lambda c: Z0_BRACKET_NM[0] < c.z0_true_nm < Z0_BRACKET_NM[1]),
-    (("sphere_radius_um",), "> 0", lambda c: c.sphere_radius_um > 0),
+    # 1 m: above any Casimir lens, and below radii whose proximity guard lets
+    # separations through that overflow the Lifshitz force estimate
+    (("sphere_radius_um",), "in (0, 1e6]", lambda c: 0 < c.sphere_radius_um <= 1e6),
     (("drude_wp_ev",), "> 0", lambda c: c.drude_wp_ev > 0),
     (("drude_gamma_ev",), ">= 0", lambda c: c.drude_gamma_ev >= 0),
     (("table_refine",), ">= 1", lambda c: c.table_refine >= 1),

@@ -67,6 +67,11 @@ class ForceCurve:
     def has_force(self) -> bool:
         return self.force_pn is not None
 
+    @property
+    def grounded(self) -> bool:
+        """A force scan at 0 V: a scan the campaign's mean is taken over."""
+        return self.has_force and self.applied_voltage == 0.0
+
 
 @dataclass(frozen=True)
 class CalibrationParams:

@@ -8,26 +8,28 @@ applied-voltage scans for the z0 fit. Sub-seeds derive
 deterministically from (seed, scan index) via numpy's SeedSequence, so
 identical seeds give byte-identical output. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
-``load_campaign`` keeps a grounded scan only as one row of the force matrix
-that ``analysis.analyze_campaign`` averages. The theory cache spans what ``analyze``
-will read (``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
+``load_campaign`` is a stream of the scans in file-name order, which
+``analysis.analyze_campaign`` folds into its running sums one scan at a
+time. The theory cache spans what ``analyze`` will read
+(``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
 and parsing the scan CSVs is about half of a large campaign's run, and
-serially it is at numpy's floor.
+serially it is at numpy's floor. The workers send their results back in
+turn, so either direction sees the scans in the serial loop's order.
 """
 
 from __future__ import annotations
 
+import fcntl
 import gc
 import io
 import json
-import mmap
 import os
 import pickle
-import signal
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,10 @@ DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # rows (0.73 MB), stays in one process.
 SPLIT_MIN_ROWS = 250_000      # rows to draw and write: scan files x grid points
 SPLIT_MIN_BYTES = 7_500_000   # bytes of scan files to parse
+# Capacity asked for each worker's result pipe: a dozen pickled 4910-point
+# scans (79 KB each) rather than Linux's default 64 KiB, less than one, so a
+# worker that runs ahead does not wait for this process to take each scan.
+PIPE_BYTES = 1 << 20
 
 
 def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
@@ -117,66 +123,87 @@ def _processes(work: int, break_even: int) -> int:
     return max(1, min(cpus, 1 + work // break_even))
 
 
-def _in_shares(work, processes: int) -> list:
-    """``[work(0, processes), ..., work(processes - 1, processes)]``.
+def _in_shares(work, n: int, processes: int):
+    """Yield the ``n`` results of ``work`` in order, the i-th from share
+    i % processes.
 
-    Share 0 runs in this process and every other share in a forked worker,
-    whose result comes back pickled over a pipe; ``work`` reports its
-    failures in its result, so a worker never raises. A forked worker starts
-    from this process's state (the model, the first scan) at no import cost;
-    the commands run one thread (``cli`` sets one BLAS thread), so forking
-    them is safe. A worker leaves only through ``os._exit``, and every worker
-    is reaped; if this process fails, its workers are killed first. The
-    objects that exist at the fork are frozen out of the garbage collector
-    until the workers are reaped: a collection would write to every one of
-    them, copying the pages the processes share.
+    ``work(share, processes)`` yields the results of its share's items in
+    order. Share 0 runs in this process and every other share in a forked
+    worker, which sends each result back pickled over its pipe as soon as it
+    has it; the pipe's capacity (``PIPE_BYTES``) bounds how far it runs
+    ahead. A share that raises sends the exception in place of its next
+    result, and it is raised when that item's turn comes, so the error raised
+    is the one a serial loop over the items raises first. The workers are
+    forked at the first result asked for, so they start from this process's
+    state then (the model, the first scan) at no import cost; the commands
+    run one thread (``cli`` sets one BLAS thread), so forking them is safe. A
+    worker leaves only through ``os._exit``. When the stream ends, fails or
+    is closed, the pipes are closed, so a worker still running stops at its
+    next result, and every worker is reaped. The objects that exist at the
+    fork are frozen out of the garbage collector until then: a collection
+    would write to every one of them, copying the pages the processes share.
     """
     if processes == 1:
-        return [work(0, 1)]
-    workers = []  # (pid, read end of its result pipe)
+        yield from work(0, 1)
+        return
+    workers = []  # (pid, its result pipe's read end, as a file)
     gc.freeze()
     try:
         for share in range(1, processes):
             read_fd, write_fd = os.pipe()
+            try:
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:   # over the user's pipe allowance: the default capacity
+                pass
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
                     os.close(read_fd)
-                    for _, fd in workers:
-                        os.close(fd)
+                    for _, fh in workers:
+                        fh.close()
                     with open(write_fd, "wb") as fh:
-                        pickle.dump(work(share, processes), fh, pickle.HIGHEST_PROTOCOL)
+                        for result in _reported(work(share, processes)):
+                            fh.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                            fh.flush()
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            workers.append((pid, read_fd))
-        results = [work(0, processes)]
-        for pid, fd in workers:
-            with open(fd, "rb", closefd=False) as fh:
-                try:
-                    results.append(pickle.load(fh))
-                except EOFError:
-                    raise RuntimeError(f"campaign worker {pid} exited without a "
-                                       "result") from None
-        return results
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
+            workers.append((pid, open(read_fd, "rb")))
+        shares = [_reported(work(0, processes)), *(_unpickled(*w) for w in workers)]
+        for i in range(n):
+            result = next(shares[i % processes])
+            if isinstance(result, _Failure):
+                raise result.exc
+            yield result
     finally:
-        for pid, fd in workers:
-            os.close(fd)
+        for pid, fh in workers:
+            fh.close()
             os.waitpid(pid, 0)
         gc.unfreeze()
 
 
-def _first_failure(failures):
-    """Raise the exception of the earliest (index, exception) pair, if any."""
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+class _Failure(NamedTuple):
+    """The exception a share raised, sent in place of its next result."""
+    exc: Exception
+
+
+def _reported(results):
+    """``results``, with the exception it raises, if any, as a last ``_Failure``."""
+    try:
+        yield from results
+    except Exception as exc:
+        yield _Failure(exc)
+
+
+def _unpickled(pid: int, fh):
+    """The results a worker sends over its pipe, in order."""
+    while True:
+        try:
+            yield pickle.load(fh)
+        except EOFError:
+            raise RuntimeError(f"campaign worker {pid} exited without a result") from None
 
 
 @np.errstate(over="ignore")  # an overflowing model gives non-finite cells, refused below
@@ -194,23 +221,18 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write_share(share, processes):
-        """(write-order index, exception) of the share's first scan that
-        fails, or None."""
-        index = share
-        try:
-            for curve in generate_scans(cfg, model, slice(share, None, processes)):
-                text = io.StringIO()
-                save_scan(curve, text)
-                tmp = outdir / f"{curve.scan_id}.csv.tmp"
-                tmp.write_text(text.getvalue(), encoding="utf-8")
-                tmp.replace(outdir / f"{curve.scan_id}.csv")
-                index += processes
-        except Exception as exc:
-            return index, exc
-        return None
+        for curve in generate_scans(cfg, model, slice(share, None, processes)):
+            text = io.StringIO()
+            save_scan(curve, text)
+            tmp = outdir / f"{curve.scan_id}.csv.tmp"
+            tmp.write_text(text.getvalue(), encoding="utf-8")
+            tmp.replace(outdir / f"{curve.scan_id}.csv")
+            yield None
 
-    rows = (cfg.n_scans + len(DEFAULT_CAL_VOLTAGES)) * cfg.grid_points
-    _first_failure(_in_shares(write_share, _processes(rows, SPLIT_MIN_ROWS)))
+    files = cfg.n_scans + len(DEFAULT_CAL_VOLTAGES)
+    for _ in _in_shares(write_share, files,
+                        _processes(files * cfg.grid_points, SPLIT_MIN_ROWS)):
+        pass
     truth = {
         "z0_true_nm": cfg.z0_true_nm,
         "c_true_pn_per_nm": cfg.c_true_pn_per_nm,
@@ -231,89 +253,50 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
 
 
 def load_campaign(indir):
-    """Read back a campaign directory, one scan file at a time.
+    """The scans of a campaign directory, read one file at a time in name order.
 
-    Returns (first grounded scan, grounded forces, applied-voltage scans,
-    raw stiffness scans). Signal-valued curves are stiffness-calibration
-    scans; force-valued ones split on applied voltage. A grounded scan is
-    kept only as its force, one row of a (scans x points) matrix whose k-th
-    row is the k-th grounded file in name order; the first grounded scan
-    gives the axis, and every other one must share it (``DataError`` naming
-    the scan otherwise). Without grounded scans the first is None and the
-    matrix empty.
+    Returns an iterator over the scans as ForceCurves; it reads a file only
+    when its scan is asked for, so a caller that drops each scan holds one at
+    a time. Signal-valued curves are stiffness-calibration scans; force-valued
+    ones split on applied voltage. Every grounded scan after the first must
+    share the first one's axis (``DataError`` naming the scan and its file
+    otherwise). ``truth.json``, the generator's record, is not read.
 
-    The files up to the first grounded scan are read here. From
+    The files up to the first grounded scan are read in this process. From
     ``SPLIT_MIN_BYTES`` bytes of further files on, those are shared out
-    interleaved between this process and forked workers (``_processes``).
-    The matrix has one row per file from the first grounded one on, and each
-    grounded force is written to its file's row; when the files are shared,
-    the matrix is anonymous shared memory, so a worker's rows need no copy
-    back and the peak memory does not grow. The rows are then compacted in
-    place, and only the other scans come back pickled. A failure raises the
-    error of the first failing file in name order, as reading the files in
-    turn would.
+    interleaved between this process and forked workers (``_processes``), and
+    the workers are forked when the scan after the first grounded one is
+    asked for: a caller that fits z0 and builds its model on the scans before
+    that does so once, and the workers start from it. The scans still come in
+    name order, and each error is raised when its file's turn comes, so the
+    error raised is the one of the first failing file in name order, as
+    reading the files in turn would raise.
     """
     indir = Path(indir)
     paths = sorted(indir.glob("*.csv"))
     if not paths:
         raise DataError(f"no scan files found in {indir}")
-    others, first = {}, None  # others: voltage and stiffness scans by file index
+    return _read_in_order(paths)
+
+
+def _read_in_order(paths):
     for g, path in enumerate(paths):
         curve = load_scan(path)
-        if _grounded(curve):
-            first = curve
+        yield curve
+        if curve.grounded:
             break
-        others[g] = curve
-    if first is None:
-        return None, np.empty((0, 0)), *_voltage_and_stiffness(others)
-    rest = range(g + 1, len(paths))
-    processes = _processes(sum(paths[i].stat().st_size for i in rest), SPLIT_MIN_BYTES)
-    shape = (len(paths) - g, first.piezo_nm.size)  # a row per file from the first
-    forces = _shared_matrix(shape) if processes > 1 else np.empty(shape)
-    forces[0] = first.force_pn
+    else:
+        return
+    first, rest = curve, paths[g + 1:]
 
     def read_share(share, processes):
-        """(other scans by file index, rows of the grounded ones, first failure
-        as (file index, exception) or None) of the share's files."""
-        found, grounded = {}, []
-        try:
-            for i in rest[share::processes]:
-                curve = load_scan(paths[i])
-                if not _grounded(curve):
-                    found[i] = curve
-                    continue
-                if (curve.piezo_nm.size != first.piezo_nm.size
-                        or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
-                    raise DataError(f"scan {curve.scan_id} ({paths[i].name}): scan grids "
-                                    f"differ from scan {first.scan_id}'s; resample "
-                                    "before averaging")
-                forces[i - g] = curve.force_pn
-                grounded.append(i - g)
-        except Exception as exc:
-            return found, grounded, (i, exc)
-        return found, grounded, None
+        for path in rest[share::processes]:
+            curve = load_scan(path)
+            if curve.grounded and (curve.piezo_nm.size != first.piezo_nm.size
+                                   or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
+                raise DataError(f"scan {curve.scan_id} ({path.name}): scan grids differ "
+                                f"from scan {first.scan_id}'s; resample before averaging")
+            yield curve
 
-    results = _in_shares(read_share, processes)
-    _first_failure(failure for _, _, failure in results)
-    rows = sorted([0, *(row for _, grounded, _ in results for row in grounded)])
-    for k, row in enumerate(rows):  # row >= k: each row moves up, past rows done
-        if row != k:
-            forces[k] = forces[row]
-    for found, _, _ in results:
-        others.update(found)
-    return first, forces[:len(rows)], *_voltage_and_stiffness(others)
-
-
-def _grounded(curve: ForceCurve) -> bool:
-    return curve.has_force and curve.applied_voltage == 0.0
-
-
-def _shared_matrix(shape) -> np.ndarray:
-    """A float matrix in anonymous shared memory, which forked workers write."""
-    return np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
-
-
-def _voltage_and_stiffness(scans: dict):
-    """(applied-voltage scans, stiffness scans) of {file index: scan}, in file order."""
-    ordered = [scans[i] for i in sorted(scans)]
-    return ([c for c in ordered if c.has_force], [c for c in ordered if not c.has_force])
+    processes = _processes(sum(path.stat().st_size for path in rest), SPLIT_MIN_BYTES)
+    yield from _in_shares(read_share, len(rest), processes)

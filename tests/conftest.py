@@ -3,7 +3,6 @@ synthetic campaign, built once per session."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from casimirlab import assemble, synth
@@ -13,16 +12,22 @@ from casimirlab.synth import campaign_span_nm, generate_scans
 
 
 def campaign_scans(cfg, model):
-    """(grounded scans, applied-voltage scans, grounded force matrix) of cfg.
+    """(grounded scans, applied-voltage scans) of cfg.
 
     ``generate_scans`` yields the scans one at a time, grounded first; this
-    collects them into lists. ``analyze_campaign`` takes the grounded scans
-    as ``load_campaign`` returns them, the first scan and the matrix of their
-    forces (one row per scan), and consumes the matrix.
+    collects them into lists.
     """
     scans = list(generate_scans(cfg, model))
-    grounded = scans[:cfg.n_scans]
-    return grounded, scans[cfg.n_scans:], np.vstack([s.force_pn for s in grounded])
+    return scans[:cfg.n_scans], scans[cfg.n_scans:]
+
+
+def analyze_scans(voltage_scans, grounded, model, cfg):
+    """``analyze_campaign`` on scans held in memory, in the file-name order
+    ``load_campaign`` reads a campaign in (cal_* before scan_*), with
+    ``model`` for every span and cfg's window, noise and calibration."""
+    return analyze_campaign(lambda: [*voltage_scans, *grounded], lambda axes: model,
+                            (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
+                            cfg.pooled_noise_pn, assemble.calibration_params(cfg))
 
 
 def traced_peak_above_inputs(fn):
@@ -100,13 +105,10 @@ def forward_model(default_cfg, drude_curve, e_cfg):
 @pytest.fixture(scope="session")
 def campaign(default_cfg, forward_model):
     """(grounded scans, applied-voltage scans) at the default 27-scan config."""
-    return campaign_scans(default_cfg, forward_model)[:2]
+    return campaign_scans(default_cfg, forward_model)
 
 
 @pytest.fixture(scope="session")
-def campaign_results(forward_model, default_cfg, window):
-    grounded, voltage_scans, forces = campaign_scans(default_cfg, forward_model)
-    results, mean_curve, std = analyze_campaign(
-        voltage_scans, grounded[0], forces, forward_model, *window,
-        default_cfg.pooled_noise_pn)
-    return results, mean_curve, std
+def campaign_results(forward_model, default_cfg, campaign):
+    grounded, voltage_scans = campaign
+    return analyze_scans(voltage_scans, grounded, forward_model, default_cfg)

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 
 import conftest
 from casimirlab import assemble
-from casimirlab.analysis import analyze_campaign
 from casimirlab.cli import main
 from casimirlab.corrections import (corrected_force, roughness_factor,
                                     roughness_factor_from_distribution,
@@ -166,11 +165,10 @@ def test_criterion_10_determinism(tmp_path):
           f"{len(names)} synth files + results.json + mean_curve.csv compared")
 
 
-def test_criterion_11_noiseless_inversion(default_cfg, forward_model, window):
+def test_criterion_11_noiseless_inversion(default_cfg, forward_model):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    grounded, voltage_scans, forces = conftest.campaign_scans(quiet, forward_model)
-    results, _, _ = analyze_campaign(voltage_scans, grounded[0], forces, forward_model,
-                                     *window, quiet.pooled_noise_pn)
+    grounded, voltage_scans = conftest.campaign_scans(quiet, forward_model)
+    results, _, _ = conftest.analyze_scans(voltage_scans, grounded, forward_model, quiet)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)
     dc = abs(results["drift_pn_per_nm"] / quiet.c_true_pn_per_nm - 1.0)
     srms = results["sigma_rms_pn"]

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,22 +8,22 @@ import pytest
 from casimirlab import analysis, assemble
 from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
                                  Z0_BRACKET_NM, ForwardModel, _coarse_chi2,
-                                 analyze_campaign, average_scans,
-                                 calibrate_spring_constant, compare_to_theory,
-                                 extract_casimir, fit_contact_separation,
-                                 fit_drift_coefficient, resample_force)
+                                 average_scans, calibrate_spring_constant,
+                                 compare_to_theory, extract_casimir,
+                                 fit_contact_separation, fit_drift_coefficient,
+                                 resample_force)
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
 from casimirlab.synth import generate_stiffness_scans
-from conftest import campaign_scans, traced_peak_above_inputs
+from conftest import analyze_scans, campaign_scans, traced_peak_above_inputs
 
 
 @pytest.fixture(scope="module")
 def noiseless_scans(default_cfg, forward_model):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
-    return quiet, campaign_scans(quiet, forward_model)[:2]
+    return quiet, campaign_scans(quiet, forward_model)
 
 
 def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
@@ -347,33 +349,74 @@ def test_average_scans():
         average_scans(a, np.ones((1, 11)))
 
 
+@pytest.mark.parametrize("stream", [False, True])
 @pytest.mark.parametrize("n", [2, 37])
-def test_average_scans_is_bitwise_numpys_mean_and_std(n):
+def test_average_scans_mean_is_bitwise_numpys(n, stream):
     rng = np.random.default_rng(n)
     rows = [rng.normal(-100.0, 7.0, 982) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
     first = ForceCurve("scan_000", 0.0, np.linspace(46.8, 936.8, 982), force_pn=rows[0],
                        spring_constant=0.0169)
-    mean, std = average_scans(first, np.vstack(rows))
+    mean, std = average_scans(first, iter(rows) if stream else np.vstack(rows))
     np.testing.assert_array_equal(mean.force_pn, np.vstack(rows).mean(0))
-    np.testing.assert_array_equal(std, np.vstack(rows).std(0, ddof=1))
     assert mean == replace(first, scan_id="mean", force_pn=mean.force_pn)
 
 
-def test_analyze_campaign_memory_grows_by_one_row_per_scan(default_cfg, forward_model,
-                                                           window):
-    # the grounded forces are held once, as the input matrix (one row per
-    # scan) that analyze_campaign works on in place: doubling the scans adds
-    # well under n_scans rows to the peak above its inputs, not one per copy
+def exact_std(rows):
+    """Per-column sample standard deviation of the float rows: the variance
+    exact in rationals, its square root to 40 digits."""
+    rows = np.asarray(rows)
+    n = rows.shape[0]
+    std = []
+    for column in rows.T:
+        values = [Fraction(float(v)) for v in column]
+        mean = sum(values) / n
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        std.append((Decimal(var.numerator) / Decimal(var.denominator)).sqrt())
+    return std
+
+
+def std_fixture(kind, drude_curve):
+    rng = np.random.default_rng(11)
+    if kind == "27x982":     # the default campaign's extracted forces
+        axis = np.linspace(30.0, 920.0, 982) + 48.9 + 15.8
+        return drude_curve(axis * 1e-9) * 1e12 + rng.normal(0.0, 7.0, (27, 982))
+    if kind == "270x150":
+        axis = np.linspace(100.0, 500.0, 150)
+        return drude_curve(axis * 1e-9) * 1e12 + rng.normal(0.0, 7.0, (270, 150))
+    if kind == "offset":     # a common offset 2e4 times the noise
+        return 1e4 + rng.normal(0.0, 0.5, (27, 982))
+    rows = rng.normal(-160.0, 7.0, (27, 982))   # the shift row 4 sigma off the mean
+    rows[0] = rows[1:].mean(axis=0) + 4 * 7.0
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["27x982", "270x150", "offset", "first_row_4_sigma_off"])
+def test_average_scans_std_is_within_64_eps_of_the_exact_one(kind, drude_curve):
+    # the std comes from running sums of deviations from the first row; the
+    # mean stays bitwise numpy's
+    rows = std_fixture(kind, drude_curve)
+    first = ForceCurve("scan_000", 0.0, np.arange(rows.shape[1], dtype=float),
+                       force_pn=rows[0])
+    mean, std = average_scans(first, iter(list(rows)))
+    np.testing.assert_array_equal(mean.force_pn, rows.mean(axis=0))
+    eps = Decimal(np.finfo(float).eps)
+    worst = max(abs(Decimal(float(s)) - e) / e for s, e in zip(std, exact_std(rows)))
+    assert worst <= 64 * eps, float(worst / eps)
+
+
+def test_analyze_campaign_memory_stays_flat_as_the_scans_double(default_cfg, forward_model):
+    # the grounded scans are folded into running sums one at a time: doubling
+    # the scans held in memory leaves the peak above them where it was, up to
+    # the per-scan drift list
     n_scans = 40
     peaks = []
     for n in (n_scans, 2 * n_scans):
-        quiet = replace(default_cfg, noise_pn=0.0, n_scans=n)
-        grounded, voltage_scans, forces = campaign_scans(quiet, forward_model)
-        peaks.append(traced_peak_above_inputs(lambda: analyze_campaign(
-            voltage_scans, grounded[0], forces, forward_model, *window,
-            quiet.pooled_noise_pn)))
+        noisy = replace(default_cfg, n_scans=n)
+        grounded, voltage_scans = campaign_scans(noisy, forward_model)
+        peaks.append(traced_peak_above_inputs(lambda: analyze_scans(
+            voltage_scans, grounded, forward_model, noisy)))
     row_bytes = default_cfg.grid_points * 8
-    assert peaks[1] - peaks[0] <= 1.5 * n_scans * row_bytes, peaks
+    assert peaks[1] - peaks[0] <= 2 * row_bytes, peaks
 
 
 def test_resample_force_guards():

@@ -1,11 +1,15 @@
+import functools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from casimirlab import synth
+from casimirlab import assemble, synth
+from casimirlab.analysis import analyze_campaign
+from casimirlab.cli import main
 from casimirlab.config import RunConfig
 from casimirlab.constants import CONST
 from casimirlab.errors import DataError, ParseError
@@ -23,11 +27,11 @@ def small_cfg(**kw):
 
 def test_generation_is_deterministic(forward_model):
     t = small_cfg()
-    g1, v1, _ = campaign_scans(t, forward_model)
-    g2, v2, _ = campaign_scans(t, forward_model)
+    g1, v1 = campaign_scans(t, forward_model)
+    g2, v2 = campaign_scans(t, forward_model)
     for a, b in zip(g1 + v1, g2 + v2):
         np.testing.assert_array_equal(a.force_pn, b.force_pn)
-    g3, _, _ = campaign_scans(replace(t, seed=6), forward_model)
+    g3, _ = campaign_scans(replace(t, seed=6), forward_model)
     assert not np.array_equal(g1[0].force_pn, g3[0].force_pn)
     # scan streams are mutually independent
     assert not np.array_equal(g1[0].force_pn, g1[1].force_pn)
@@ -35,7 +39,7 @@ def test_generation_is_deterministic(forward_model):
 
 def test_noiseless_voltage_scans_equal_model(drude_curve, forward_model):
     t = small_cfg(noise_pn=0.0, n_scans=1)
-    _, voltage_scans, _ = campaign_scans(t, forward_model)
+    _, voltage_scans = campaign_scans(t, forward_model)
     scan = voltage_scans[0]
     sep = scan.piezo_nm + t.z0_true_nm
     dv = scan.applied_voltage - t.v2_residual_mv * 1e-3
@@ -50,8 +54,8 @@ def test_ensemble_mean_converges_at_root_n(forward_model):
     rms = {}
     for n in (27, 108):
         t = small_cfg(n_scans=n, noise_pn=sigma)
-        grounded, _, _ = campaign_scans(t, forward_model)
-        quiet, _, _ = campaign_scans(replace(t, noise_pn=0.0, n_scans=1), forward_model)
+        grounded, _ = campaign_scans(t, forward_model)
+        quiet, _ = campaign_scans(replace(t, noise_pn=0.0, n_scans=1), forward_model)
         stack = np.vstack([s.force_pn for s in grounded])
         rms[n] = float(np.sqrt(np.mean((stack.mean(axis=0)
                                         - quiet[0].force_pn) ** 2)))
@@ -60,12 +64,20 @@ def test_ensemble_mean_converges_at_root_n(forward_model):
     assert rms[108] < rms[27]
 
 
+def sorted_out(scans):
+    """(grounded, applied-voltage, stiffness) scans of a campaign stream, each in order."""
+    scans = list(scans)
+    return ([c for c in scans if c.grounded],
+            [c for c in scans if c.has_force and not c.grounded],
+            [c for c in scans if not c.has_force])
+
+
 def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
     t = small_cfg(n_scans=2)
     write_campaign(tmp_path, t, forward_model)
-    first, forces, voltage_scans, stiffness = load_campaign(tmp_path)
+    grounded, voltage_scans, stiffness = sorted_out(load_campaign(tmp_path))
     truth_doc = json.loads((tmp_path / "truth.json").read_text())
-    assert len(forces) == 2
+    assert len(grounded) == 2
     assert len(voltage_scans) == len(DEFAULT_CAL_VOLTAGES)
     assert stiffness == []
     assert truth_doc == {
@@ -75,9 +87,7 @@ def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
         "noise_sigma_pn": t.noise_pn, "n_scans": 2,
         "grid_nm": [t.grid_lo_nm, t.grid_hi_nm, t.grid_points], "seed": 5,
         "cap_offset_nm": t.cap_offset_nm}
-    fresh_g, fresh_v, _ = campaign_scans(t, forward_model)
-    grounded = [replace(first, scan_id=f"scan_{k:03d}", force_pn=row)
-                for k, row in enumerate(forces)]
+    fresh_g, fresh_v = campaign_scans(t, forward_model)
     for disk, fresh in zip(grounded + voltage_scans, fresh_g + fresh_v):
         assert disk.scan_id == fresh.scan_id
         np.testing.assert_allclose(disk.piezo_nm, fresh.piezo_nm, rtol=1e-8)
@@ -91,7 +101,7 @@ def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
     for scan in generate_stiffness_scans(t, e_cfg):
         with open(tmp_path / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
-    _, _, _, stiffness = load_campaign(tmp_path)
+    _, _, stiffness = sorted_out(load_campaign(tmp_path))
     assert len(stiffness) == 2
     assert all(not s.has_force for s in stiffness)
 
@@ -120,7 +130,7 @@ def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
         monkeypatch.setattr(synth, "_processes", lambda work, break_even: ways)
     t = small_cfg(n_scans=5)
     write_with_extra_scans(tmp_path / "split", t, forward_model, e_cfg)
-    loaded = load_campaign(tmp_path / "split")
+    loaded = list(load_campaign(tmp_path / "split"))
     monkeypatch.undo()   # back to the break-even: this campaign stays inline
     write_with_extra_scans(tmp_path / "inline", t, forward_model, e_cfg)
     files = sorted(p.name for p in (tmp_path / "inline").iterdir())
@@ -128,17 +138,21 @@ def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
     for name in files:
         assert ((tmp_path / "split" / name).read_bytes()
                 == (tmp_path / "inline" / name).read_bytes()), name
-    first, forces, voltage_scans, stiffness = loaded
-    inline = load_campaign(tmp_path / "inline")
-    assert first.scan_id == inline[0].scan_id == "scan_000"
-    np.testing.assert_array_equal(first.piezo_nm, inline[0].piezo_nm)
-    np.testing.assert_array_equal(forces, inline[1])
+    inline = list(load_campaign(tmp_path / "inline"))
+    assert [c.scan_id for c in loaded] == [c.scan_id for c in inline]
+    grounded, voltage_scans, stiffness = sorted_out(loaded)
+    inline = sorted_out(inline)
+    first = grounded[0]
+    assert first.scan_id == inline[0][0].scan_id == "scan_000"
+    np.testing.assert_array_equal(first.piezo_nm, inline[0][0].piezo_nm)
+    forces = np.vstack([c.force_pn for c in grounded])
+    np.testing.assert_array_equal(forces, np.vstack([c.force_pn for c in inline[0]]))
     assert forces.shape == (5, t.grid_points)
     for k, row in enumerate(forces):
         np.testing.assert_array_equal(
             row, load_scan(tmp_path / "split" / f"scan_{k:03d}.csv").force_pn)
     assert voltage_scans[-1].scan_id == "cal_mid"
-    for got, want in ((voltage_scans, inline[2]), (stiffness, inline[3])):
+    for got, want in ((voltage_scans, inline[1]), (stiffness, inline[2])):
         assert [c.scan_id for c in got] == [c.scan_id for c in want]
         for a, b in zip(got, want):
             assert a.applied_voltage == b.applied_voltage
@@ -164,10 +178,10 @@ def test_a_split_read_raises_the_first_failing_file(tmp_path, forward_model, mon
     write_campaign(tmp_path, small_cfg(n_scans=6), forward_model)
     lines = [corrupt(tmp_path / f"{name}.csv") for name in bad]
     with pytest.raises(ParseError) as split_error:
-        load_campaign(tmp_path)
+        list(load_campaign(tmp_path))
     monkeypatch.undo()
     with pytest.raises(ParseError) as inline_error:
-        load_campaign(tmp_path)
+        list(load_campaign(tmp_path))
     for exc in (split_error.value, inline_error.value):
         assert (str(exc), exc.line, exc.path) == (
             f"{tmp_path / (bad[0] + '.csv')}: non-finite value at line {lines[0]}",
@@ -182,7 +196,7 @@ def test_a_split_read_names_the_scan_whose_grid_differs(tmp_path, forward_model,
         save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
     with pytest.raises(DataError, match=r"scan scan_004 \(scan_004.csv\): scan grids "
                                         r"differ from scan scan_000's"):
-        load_campaign(tmp_path)
+        list(load_campaign(tmp_path))
 
 
 def rows_added_by_doubling(fn):
@@ -203,11 +217,62 @@ def test_write_campaign_memory_holds_one_scan(tmp_path, forward_model):
     assert rows <= 0.5 * 40, rows
 
 
-def test_load_campaign_memory_grows_by_one_row_per_scan(tmp_path, forward_model):
-    # a grounded scan is kept only as its force row: doubling the scans adds
-    # about 40 rows, not the axis and the force of every scan
+def test_analyze_memory_stays_flat_as_the_campaign_doubles(tmp_path, default_cfg,
+                                                          forward_model):
+    # analyze folds each grounded scan into running sums as it is read and
+    # drops it: doubling the scans on disk leaves the peak where it was, up to
+    # the per-scan drift list. The scans are noisy, so each has a force array
+    # of its own.
     for n in (40, 80):
-        write_campaign(tmp_path / str(n), RunConfig(n_scans=n, noise_pn=0.0),
-                       forward_model)
-    rows = rows_added_by_doubling(lambda n: load_campaign(tmp_path / str(n)))
-    assert rows <= 1.5 * 40, rows
+        write_campaign(tmp_path / str(n), RunConfig(n_scans=n), forward_model)
+    window = (default_cfg.window_lo_nm, default_cfg.window_hi_nm)
+    rows = rows_added_by_doubling(lambda n: analyze_campaign(
+        functools.partial(load_campaign, tmp_path / str(n)), lambda axes: forward_model,
+        window, default_cfg.window_points, default_cfg.pooled_noise_pn,
+        assemble.calibration_params(default_cfg)))
+    assert rows <= 2, rows
+
+
+def analyze_bytes(campaign, cfg, out):
+    """(results.json, mean_curve.csv) bytes of ``analyze`` on campaign with cfg."""
+    cfg_path = out.with_suffix(".cfg")
+    cfg_path.write_text(cfg.to_text())
+    result = CliRunner().invoke(main, ["analyze", "--config", str(cfg_path),
+                                       "--scans", str(campaign), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return [(out / name).read_bytes() for name in ("results.json", "mean_curve.csv")]
+
+
+@pytest.mark.parametrize("layout", ["plain", "late_voltage_scan"])
+def test_analyze_writes_the_same_bytes_in_1_2_and_4_processes(tmp_path, forward_model,
+                                                              e_cfg, monkeypatch, layout):
+    # the scans are merged back in name order, so the split moves no bit
+    t = small_cfg(n_scans=5)
+    campaign = tmp_path / "campaign"
+    if layout == "plain":
+        write_campaign(campaign, t, forward_model)
+    else:
+        write_with_extra_scans(campaign, t, forward_model, e_cfg)
+    outputs = {}
+    for ways in (1, 2, 4):
+        monkeypatch.setattr(synth, "_processes", lambda work, break_even: ways)
+        outputs[ways] = analyze_bytes(campaign, t, tmp_path / f"analysis{ways}")
+    assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
+
+
+def test_a_late_voltage_scan_gives_the_results_of_one_read_first(tmp_path, forward_model,
+                                                                  e_cfg):
+    # scan_002v sorts among the grounded scans: analyze reads the campaign a
+    # second time with z0 fitted on every voltage scan, and writes what it
+    # writes when the same scan sorts before them (cal_mid, after cal_05)
+    t = small_cfg(n_scans=5)
+    late, early = tmp_path / "late", tmp_path / "early"
+    write_with_extra_scans(late, t, forward_model, e_cfg)
+    early.mkdir()
+    for path in late.iterdir():
+        name = "cal_mid.csv" if path.name == "scan_002v.csv" else path.name
+        (early / name).write_bytes(path.read_bytes())
+    outputs = [analyze_bytes(d, t, tmp_path / f"analysis_{d.name}") for d in (late, early)]
+    assert outputs[0] == outputs[1]
+    fits = json.loads(outputs[0][0])["z0_fits"]
+    assert [f["voltage_v"] for f in fits] == [*DEFAULT_CAL_VOLTAGES, DEFAULT_CAL_VOLTAGES[0]]
