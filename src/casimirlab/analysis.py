@@ -134,19 +134,22 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
         if curve.applied_voltage == 0:
             raise CalibrationError(f"scan {curve.scan_id}: zero applied voltage")
         mask = curve.piezo_nm > CALIBRATION_MIN_SEPARATION_NM
-        for z_nm, sig in zip(curve.piezo_nm[mask], curve.signal[mask]):
-            deflections.append(sig * cal.deflection_sensitivity * 1e-9)  # m
-            forces.append(sphere_plane_force_exact(z_nm * 1e-9, cfg,
-                                                   curve.applied_voltage))  # N
+        deflections.append(curve.signal[mask] * cal.deflection_sensitivity * 1e-9)  # m
+        forces += [sphere_plane_force_exact(z_nm * 1e-9, cfg, curve.applied_voltage)
+                   for z_nm in curve.piezo_nm[mask]]  # N
     if len(forces) < MIN_CALIBRATION_POINTS:
         raise DataError(
             f"need >= {MIN_CALIBRATION_POINTS} usable points, got {len(forces)}"
         )
-    dz = np.array(deflections)
+    dz = np.concatenate(deflections)
     f = np.array(forces)
-    k = float(np.dot(f, dz) / np.dot(dz, dz))
+    dz2 = np.dot(dz, dz)
+    if dz2 == 0:
+        raise DataError(f"the deflection is zero at every usable point ({dz.size} points "
+                        f"beyond {CALIBRATION_MIN_SEPARATION_NM:g} nm): no spring constant to fit")
+    k = float(np.dot(f, dz) / dz2)
     resid = f - k * dz
-    k_sigma = float(np.sqrt(np.dot(resid, resid) / ((dz.size - 1) * np.dot(dz, dz))))
+    k_sigma = float(np.sqrt(np.dot(resid, resid) / ((dz.size - 1) * dz2)))
     return k, k_sigma
 
 

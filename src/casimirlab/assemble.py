@@ -38,8 +38,6 @@ def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
         temp=TemperatureParams(T=cfg.temperature_k),
         quad=QuadratureParams(rel_tol=cfg.rel_tol,
                               xi_cut_multiplier=cfg.xi_cut_multiplier),
-        enable_roughness=cfg.enable_roughness,
-        enable_temperature=cfg.enable_temperature,
     )
 
 

@@ -140,8 +140,6 @@ config_option = click.option("--config", "config_path", type=click.Path(exists=T
                              default=None, help="key=value run configuration file")
 material_option = click.option("--material", "material", type=click.Path(exists=True),
                                default=None, help="optical table CSV")
-drude_option = click.option("--drude-only", is_flag=True,
-                            help="force the Drude closed form")
 out_option = click.option("--out", "out", required=True, type=click.Path(),
                           help="output path")
 
@@ -156,16 +154,15 @@ def main():
 @click.option("--xi-ev", "xi_spec", default="0.01:100:61", show_default=True,
               help="imaginary-frequency grid lo:hi:n in eV")
 @material_option
-@drude_option
 @config_option
 @out_option
 @guarded
-def epsilon(xi_spec, material, drude_only, config_path, out):
+def epsilon(xi_spec, material, config_path, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
     from .constants import energy_ev_to_angular_frequency
 
     cfg = _load_cfg(config_path)
-    model = assemble.dielectric_model(cfg, drude_only, material)
+    model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
     # the eps arguments in a set
@@ -177,14 +174,13 @@ def epsilon(xi_spec, material, drude_only, config_path, out):
 @click.option("--z", "z_spec", default="100:500:441", show_default=True,
               help="metal-to-metal separation grid lo:hi:n in nm")
 @material_option
-@drude_option
 @config_option
 @out_option
 @guarded
-def theory(z_spec, material, drude_only, config_path, out):
+def theory(z_spec, material, config_path, out):
     """Tabulate the corrected theory force versus separation."""
     cfg = _load_cfg(config_path)
-    model = assemble.dielectric_model(cfg, drude_only, material)
+    model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(z_spec)
     curve = assemble.theory_curve(cfg, (grid[0] / 1.001, grid[-1] * 1.001), model)
     force = curve(grid * 1e-9) * 1e12

@@ -35,8 +35,6 @@ class RunConfig:
     roughness_c4: float = 1.90
     temperature_k: float = 300.0
     cap_offset_nm: float = 15.8
-    enable_roughness: bool = True
-    enable_temperature: bool = True
     # quadrature
     rel_tol: float = 1e-4
     xi_cut_multiplier: float = 40.0
@@ -68,13 +66,7 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Canonical key=value rendering (field order, one per line)."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
@@ -132,17 +124,6 @@ def _broken_rule(cfg: RunConfig):
     return None
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return target_type(value)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse key=value lines; '#' comments allowed; unknown keys rejected.
 
@@ -163,7 +144,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _TYPES:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
         try:
-            setattr(cfg, key, _coerce(value, _TYPES[key]))
+            setattr(cfg, key, _TYPES[key](value))
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", line=lineno) from None
         line_of[key] = lineno

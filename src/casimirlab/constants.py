@@ -33,20 +33,6 @@ def energy_ev_to_angular_frequency(energy_ev: float) -> float:
     return energy_ev * CONST.ev / CONST.hbar
 
 
-def angular_frequency_to_energy_ev(omega: float) -> float:
-    """Inverse of :func:`energy_ev_to_angular_frequency`."""
-    if omega < 0:
-        raise ValueError(f"angular frequency must be >= 0, got {omega}")
-    return omega * CONST.hbar / CONST.ev
-
-
-def plasma_energy_from_wavelength(wavelength_m: float) -> float:
-    """Photon energy h*c/lambda in eV for a wavelength in meters."""
-    if wavelength_m <= 0:
-        raise ValueError(f"wavelength must be > 0 m, got {wavelength_m}")
-    return CONST.planck_h * CONST.c / wavelength_m / CONST.ev
-
-
 def _selfcheck():
     assert abs(CONST.planck_h - 2 * math.pi * CONST.hbar) <= 1e-12 * CONST.planck_h
 

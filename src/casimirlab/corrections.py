@@ -8,9 +8,10 @@ Both corrections are multiplicative factors on the Lifshitz force:
                   eta = 2 pi kB T z / (h c)
 
 A, c2-c4 and T are measured inputs, written once in ``RunConfig`` and
-turned into these objects by ``assemble``. The roughness polynomial has a
-brute-force oracle: the z^-3 sphere-plate law averaged over independent
-zero-mean surface-height distributions.
+turned into these objects by ``assemble``; each factor is exactly 1 at its
+physical zero (A = 0, T = 0). The roughness polynomial's brute-force oracle,
+the z^-3 sphere-plate law averaged over independent zero-mean surface-height
+distributions, is in ``tests/oracles.py``.
 
 ``TheoryCurve`` caches the composed force for the fits as a Chebyshev
 interpolant of log|F| in log z (numpy only), over the separations a command
@@ -52,16 +53,6 @@ class RoughnessSpec:
             raise ValueError("coeffs must be (c2, c3, c4)")
 
 
-def _validate_distribution(distribution, scale):
-    h = np.array([p[0] for p in distribution], dtype=float)
-    p = np.array([p[1] for p in distribution], dtype=float)
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    if abs(np.dot(p, h)) > 1e-12 * scale:
-        raise ValueError(f"distribution mean {np.dot(p, h)} m is not zero")
-    return h, p
-
-
 @dataclass(frozen=True)
 class TemperatureParams:
     """Absolute temperature; eta(z) = 2 pi kB T z / (h c) is derived."""
@@ -90,33 +81,11 @@ def roughness_factor(z: float, rough: RoughnessSpec) -> float:
     return 1.0 + c2 * x**2 + c3 * x**3 + c4 * x**4
 
 
-def roughness_factor_from_distribution(z: float, distribution,
-                                       distribution_other=None) -> float:
-    """Brute-force roughness multiplier from the z^-3 law.
-
-    Averages (1 - (h_i + h_j)/z)^-3 over independent zero-mean height
-    offsets of the two surfaces. By default both surfaces carry the same
-    distribution; pass ``distribution_other=[(0.0, 1.0)]`` for a single
-    rough surface.
-    """
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
-    h1, p1 = _validate_distribution(distribution, scale=z)
-    if distribution_other is None:
-        h2, p2 = h1, p1
-    else:
-        h2, p2 = _validate_distribution(distribution_other, scale=z)
-    shrink = 1.0 - (h1[:, None] + h2[None, :]) / z
-    if np.any(shrink <= 0):
-        raise ValueError("combined roughness height reaches the separation")
-    return float(np.sum(p1[:, None] * p2[None, :] * shrink**-3))
-
-
 def temperature_factor(z: float, temp: TemperatureParams) -> float:
     """Finite-temperature multiplier 1 + (720/pi^2) f(eta); valid for eta < 0.5."""
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z}")
-    eta = temp.eta(z)
+    eta = temp.eta(float(z))  # Python's arithmetic overflows to inf without a warning
     if eta >= 0.5:
         raise ValidityError(f"eta = {eta:.3g} at {z * 1e9:.6g} nm outside the series "
                             "regime (< 0.5)")
@@ -133,21 +102,15 @@ class TheoryParams:
     rough: RoughnessSpec
     temp: TemperatureParams
     quad: QuadratureParams
-    enable_roughness: bool
-    enable_temperature: bool
 
 
 def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
-    """Lifshitz force times the enabled correction factors, all at the
+    """Lifshitz force times the roughness and temperature factors, all at the
     metal-to-metal separation z, in N.
 
     The closed-form factors, checked before the quadrature, scale its error bound too.
     """
-    factor = 1.0
-    if params.enable_roughness:
-        factor *= roughness_factor(z, params.rough)
-    if params.enable_temperature:
-        factor *= temperature_factor(z, params.temp)
+    factor = roughness_factor(z, params.rough) * temperature_factor(z, params.temp)
     force = casimir_force_sphere_plate(z, params.geom, params.model, params.quad)
     return ForceEstimate(force * factor, force.error_bound * factor)
 

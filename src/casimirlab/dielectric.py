@@ -117,18 +117,6 @@ class DielectricModel:
         raise NotImplementedError
 
 
-class ConstantModel(DielectricModel):
-    """xi-independent permittivity; the ideal-limit test harness."""
-
-    def __init__(self, eps_const: float):
-        if eps_const < 1:
-            raise ValueError(f"constant eps must be >= 1, got {eps_const}")
-        self.eps_const = float(eps_const)
-
-    def _eps(self, xi):
-        return np.full(xi.shape, self.eps_const)
-
-
 class DrudeModel(DielectricModel):
     """Pure Drude closed form."""
 

@@ -92,20 +92,6 @@ def reflection_terms(eps, p):
     return s, r_te, r_tm
 
 
-def ideal_casimir_sphere_plate(z: float, geom: SphereGeometry) -> float:
-    """Perfect-conductor sphere-plate force -pi^3 hbar c R / (360 z^3), in N."""
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
-    return -np.pi**3 * CONST.hbar * CONST.c * geom.R / (360.0 * z**3)
-
-
-def ideal_casimir_parallel_plates(z: float) -> float:
-    """Perfect-conductor pressure -pi^2 hbar c / (240 z^4), in N/m^2."""
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
-    return -np.pi**2 * CONST.hbar * CONST.c / (240.0 * z**4)
-
-
 def _gauss_panels(edges, x, w):
     """The Gauss-Legendre rule (x, w) on [-1, 1] mapped onto each panel."""
     a = np.asarray(edges[:-1])[:, None]

@@ -35,7 +35,6 @@ import numpy as np
 
 from .analysis import COARSE_Z0_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
-from .electrostatics import ElectrostaticConfig, sphere_plane_force_exact
 from .errors import DataError
 from .forcecurve import ForceCurve, load_scan, save_scan
 
@@ -91,29 +90,6 @@ def campaign_span_nm(cfg: RunConfig):
     z0_nm = (min(COARSE_Z0_NM[0], cfg.z0_true_nm), max(COARSE_Z0_NM[1], cfg.z0_true_nm))
     return theory_span_nm([np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)],
                           cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm), z0_nm)
-
-
-def generate_stiffness_scans(cfg: RunConfig, e_cfg: ElectrostaticConfig,
-                             separations_nm=(2050.0, 3000.0, 40),
-                             voltages=(0.31, 0.5)):
-    """Raw-signal scans at separations > 2 um for the spring-constant fit.
-
-    The deflection is the exact electrostatic force over the configured
-    spring constant, so a noiseless fit must return it; noise (in pN) is
-    added on the force before conversion to signal.
-    """
-    lo, hi, n = separations_nm
-    z = np.linspace(lo, hi, int(n))
-    scans = []
-    for j, v in enumerate(voltages):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 20_000 + j]))
-        force_n = np.array([sphere_plane_force_exact(zi * 1e-9, e_cfg, v) for zi in z])
-        if cfg.noise_pn > 0:
-            force_n = force_n + rng.normal(0.0, cfg.noise_pn, z.size) * 1e-12
-        deflection_nm = force_n / cfg.spring_constant_n_per_m * 1e9
-        signal = deflection_nm / cfg.deflection_sensitivity_nm
-        scans.append(ForceCurve(f"stiff_{j:02d}", v, z, signal=signal))
-    return scans
 
 
 def _processes(work: int, break_even: int) -> int:

@@ -18,13 +18,12 @@ import conftest
 from casimirlab import assemble
 from casimirlab.cli import main
 from casimirlab.corrections import (corrected_force, roughness_factor,
-                                    roughness_factor_from_distribution,
                                     temperature_factor)
-from casimirlab.dielectric import ConstantModel
 from casimirlab.electrostatics import (sphere_plane_force_exact,
                                        sphere_plane_force_pfa)
-from casimirlab.lifshitz import (casimir_force_sphere_plate,
-                                 ideal_casimir_sphere_plate)
+from casimirlab.lifshitz import casimir_force_sphere_plate
+from oracles import (ConstantModel, ideal_casimir_sphere_plate,
+                     roughness_factor_from_distribution)
 
 Z_SET = (100e-9, 200e-9, 300e-9, 500e-9)
 

@@ -16,8 +16,8 @@ from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
 from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
-from casimirlab.synth import generate_stiffness_scans
 from conftest import analyze_scans, campaign_scans, traced_peak_above_inputs
+from oracles import generate_stiffness_scans
 
 
 @pytest.fixture(scope="module")

@@ -313,7 +313,7 @@ def test_calibrate_k_command(runner, workdir, tmp_path_factory):
     from casimirlab.assemble import electrostatic_config
     from casimirlab.config import RunConfig
     from casimirlab.forcecurve import save_scan
-    from casimirlab.synth import generate_stiffness_scans
+    from oracles import generate_stiffness_scans
 
     stiff_dir = tmp_path_factory.mktemp("stiff")
     cfg = RunConfig(noise_pn=0.0, seed=11)
@@ -326,6 +326,23 @@ def test_calibrate_k_command(runner, workdir, tmp_path_factory):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["spring_constant_n_per_m"] == pytest.approx(0.0169, rel=1e-6)
+
+
+def test_calibrate_k_refuses_a_zero_deflection(runner, tmp_path):
+    # a zero signal column leaves no spring constant to fit: refused by
+    # cause, before the least squares divides 0 by 0
+    from casimirlab.forcecurve import ForceCurve, save_scan
+
+    z = np.linspace(2050.0, 3000.0, 40)
+    for j, v in enumerate((0.31, 0.5)):
+        with open(tmp_path / f"stiff_{j:02d}.csv", "w") as fh:
+            save_scan(ForceCurve(f"stiff_{j:02d}", v, z, signal=np.zeros_like(z)), fh)
+    out = tmp_path / "k.json"
+    result = runner.invoke(main, ["calibrate-k", "--scans", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: the deflection is zero at every usable point (80 points" in result.output
+    assert "RuntimeWarning" not in result.output
+    assert not out.exists()
 
 
 def test_exit_code_input_errors(runner, workdir, tmp_path):
@@ -387,7 +404,7 @@ def test_theory_refuses_a_sphere_radius_beyond_1_m(runner, tmp_path):
     # where the Lifshitz force estimate would overflow z**3: the range table
     # refuses the radius first, naming it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sphere_radius_um=1e300\nenable_temperature=false\n")
+    cfg.write_text("sphere_radius_um=1e300\ntemperature_k=0\n")
     out = tmp_path / "theory.csv"
     result = runner.invoke(main, ["theory", "--z", "1e120:2e120:3", "--config", str(cfg),
                                   "--out", str(out)])
@@ -398,11 +415,16 @@ def test_theory_refuses_a_sphere_radius_beyond_1_m(runner, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["theory_cache_lo_nm", "theory_cache_hi_nm"])
-def test_a_config_that_sets_a_removed_key_exits_2(runner, tmp_path, key):
-    # each command derives its theory cache's span from what it reads
+@pytest.mark.parametrize("key,value", [
+    ("theory_cache_lo_nm", "45"), ("theory_cache_hi_nm", "45"),
+    ("enable_roughness", "false"), ("enable_temperature", "false"),
+])
+def test_a_config_that_sets_a_removed_key_exits_2(runner, tmp_path, key, value):
+    # each command derives its theory cache's span from what it reads, and a
+    # correction is left out at its physical zero: roughness_amplitude_nm=0,
+    # temperature_k=0
     cfg = tmp_path / "old.cfg"
-    cfg.write_text(f"seed=1\n{key}=45\n")
+    cfg.write_text(f"seed=1\n{key}={value}\n")
     out = tmp_path / "campaign"
     result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 2
@@ -800,20 +822,33 @@ def around_or_anywhere(lo, hi, **bounds):
 
 
 # grid ends around the default grid, where the z0 fits run; the comparison
-# window, roughness amplitude, sphere radius, residual potential and cap offset
-# around their defaults or anywhere in their ranges. The theory cache's span
+# window, roughness amplitude, temperature, sphere radius, residual potential
+# and cap offset around their defaults or anywhere in their ranges. The theory cache's span
 # depends on the grid, the cap, the window and, through the series regime, the
 # roughness amplitude.
 @settings(max_examples=40, deadline=None)
 @example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
          sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8)
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
+         temperature_k=300.0)
 @example(grid_lo_nm=20.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
          sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8)
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
+         temperature_k=300.0)
 @example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=2.9487474513145085e-245,
          seed=0, sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=0.0,
-         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0)
+         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
+         temperature_k=300.0)
+# a temperature whose eta overflows at the separations the cap offset reaches
+@example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=1.0, seed=0,
+         sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=5.159582356334435e+16,
+         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
+         temperature_k=7.978377701977232e+297)
+# a smooth surface at 0 K, the corrections' physical zeros, at the default grid
+@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=0.0,
+         temperature_k=0.0)
 @given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
        grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
        seed=st.integers(0, 2**32 - 1),
@@ -822,10 +857,12 @@ def around_or_anywhere(lo, hi, **bounds):
        cap_offset_nm=around_or_anywhere(0.0, 40.0, min_value=0.0),
        window_lo_nm=around_or_anywhere(50.0, 200.0),
        window_hi_nm=around_or_anywhere(300.0, 1200.0),
-       roughness_amplitude_nm=around_or_anywhere(0.0, 20.0, min_value=0.0))
+       roughness_amplitude_nm=around_or_anywhere(0.0, 20.0, min_value=0.0),
+       temperature_k=around_or_anywhere(0.0, 400.0, min_value=0.0))
 def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
         grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed, sphere_radius_um,
-        v2_residual_mv, cap_offset_nm, window_lo_nm, window_hi_nm, roughness_amplitude_nm):
+        v2_residual_mv, cap_offset_nm, window_lo_nm, window_hi_nm, roughness_amplitude_nm,
+        temperature_k):
     # every config the range table passes must reach exit 0 with finite
     # results, or 2, 3 or 4 with a message; no command reads the theory
     # outside the cache it built
@@ -833,7 +870,8 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
                   z0_true_nm=z0_true_nm, seed=seed, sphere_radius_um=sphere_radius_um,
                   v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm,
                   window_lo_nm=window_lo_nm, window_hi_nm=window_hi_nm,
-                  roughness_amplitude_nm=roughness_amplitude_nm, n_scans=2)
+                  roughness_amplitude_nm=roughness_amplitude_nm,
+                  temperature_k=temperature_k, n_scans=2)
     try:
         RunConfig(**values)
     except ValueError:   # outside a range rule

@@ -19,10 +19,10 @@ def test_defaults_round_trip():
 
 
 def test_parse_overrides_and_comments():
-    cfg = parse_config("# comment\nseed=42\nnoise_pn=0\nenable_roughness=false\n")
+    cfg = parse_config("# comment\nseed=42\nnoise_pn=0\nroughness_amplitude_nm=0\n")
     assert cfg.seed == 42
     assert cfg.noise_pn == 0.0
-    assert cfg.enable_roughness is False
+    assert cfg.roughness_amplitude_nm == 0.0
     assert cfg.digest() != RunConfig().digest()
 
 
@@ -34,8 +34,6 @@ def test_unknown_key_rejected_with_line():
 def test_bad_values_rejected():
     with pytest.raises(ParseError, match="seed"):
         parse_config("seed=abc\n")
-    with pytest.raises(ParseError, match="boolean"):
-        parse_config("enable_roughness=maybe\n")
     with pytest.raises(ParseError, match="key=value"):
         parse_config("just a line\n")
     with pytest.raises(ParseError, match="'cap_offset_nm'.* at line 2"):
@@ -106,8 +104,6 @@ def test_range_edges_accepted():
 def _near_default(f):
     """Values of one RunConfig field around its default, of the field's type."""
     default = f.default
-    if isinstance(default, bool):
-        return st.booleans()
     if isinstance(default, int):
         return st.integers(0, max(4 * default, 100))
     if isinstance(default, float):

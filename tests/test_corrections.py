@@ -10,10 +10,11 @@ from casimirlab.analysis import ForwardModel
 from casimirlab.config import RunConfig
 from casimirlab.corrections import (TemperatureParams, TheoryCurve, _chebval,
                                     corrected_force, roughness_factor,
-                                    roughness_factor_from_distribution,
                                     temperature_factor)
 from casimirlab.errors import ValidityError
+from casimirlab.lifshitz import casimir_force_sphere_plate
 from casimirlab.synth import campaign_span_nm
+from oracles import roughness_factor_from_distribution
 
 FLAT = ((0.0, 1.0),)
 
@@ -120,12 +121,16 @@ def test_corrections_small_over_window(rough, temp):
 
 
 def test_corrected_force_composition(drude_params):
-    z = 150e-9
-    full = corrected_force(z, drude_params)
-    bare = corrected_force(z, replace(drude_params, enable_roughness=False,
-                                      enable_temperature=False))
-    factor = roughness_factor(z, drude_params.rough) \
-        * temperature_factor(z, drude_params.temp)
+    z, p = 150e-9, drude_params
+    full = corrected_force(z, p)
+    # both factors are exactly 1 at their physical zeros, so a smooth surface
+    # at 0 K leaves the force and its error bound bitwise the quadrature's
+    bare = corrected_force(z, replace(p, rough=replace(p.rough, A=0.0),
+                                      temp=TemperatureParams(T=0.0)))
+    lifshitz = casimir_force_sphere_plate(z, p.geom, p.model, p.quad)
+    assert float(bare) == float(lifshitz)
+    assert bare.error_bound == lifshitz.error_bound
+    factor = roughness_factor(z, p.rough) * temperature_factor(z, p.temp)
     assert full == pytest.approx(bare * factor, rel=1e-12)
     assert abs(full / bare - 1.0) < 0.025
 

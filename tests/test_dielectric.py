@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from casimirlab import assemble
 from casimirlab.config import RunConfig
 from casimirlab.constants import energy_ev_to_angular_frequency
-from casimirlab.dielectric import (ConstantModel, DrudeParams, OpticalTable,
-                                   TabulatedModel, drude_eps_imag_axis,
-                                   load_optical_table)
+from casimirlab.dielectric import (DrudeParams, OpticalTable, TabulatedModel,
+                                   drude_eps_imag_axis, load_optical_table)
 from casimirlab.errors import ParseError
+from oracles import ConstantModel
 
 TABLE_PATH = str(importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv")
 CFG = RunConfig()

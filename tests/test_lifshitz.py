@@ -8,12 +8,11 @@ from numpy.polynomial.legendre import leggauss
 
 from casimirlab import assemble, lifshitz
 from casimirlab.config import RunConfig
-from casimirlab.dielectric import ConstantModel
 from casimirlab.errors import ConvergenceError, ValidityError
 from casimirlab.lifshitz import (U_CUT, SphereGeometry,
-                                 casimir_force_sphere_plate,
-                                 ideal_casimir_parallel_plates,
-                                 ideal_casimir_sphere_plate, reflection_terms)
+                                 casimir_force_sphere_plate, reflection_terms)
+from oracles import (ConstantModel, ideal_casimir_parallel_plates,
+                     ideal_casimir_sphere_plate)
 
 Z_GRID = np.array([100e-9, 150e-9, 200e-9, 300e-9, 500e-9])
 

@@ -77,3 +77,36 @@ def test_synth_and_analyze_reach_the_traced_functions(monkeypatch, tmp_path):
         assert result.exit_code == 0, result.output
     assert {name: calls[name] for name in REACHED_BY_SYNTH_AND_ANALYZE
             if not calls[name]} == {}
+
+
+REFERENCE = TRACER.with_name("reference.py")
+
+
+def reference_imports():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "casimirlab"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module_name,name", reference_imports())
+def test_reference_import_resolves(module_name, name):
+    # perfbench/reference.py imports from the package inside its functions,
+    # so a removed name would fail only when the benchmark runs
+    module = importlib.import_module(module_name)
+    if not hasattr(module, name):   # a submodule, as in `from casimirlab import assemble`
+        importlib.import_module(f"{module_name}.{name}")
+
+
+def test_reference_dielectric_model_keywords():
+    from casimirlab import assemble
+    from casimirlab.config import RunConfig
+    from casimirlab.dielectric import DrudeModel, TabulatedModel
+
+    table = Path(assemble.__file__).parent / "data" / "al_eps2_drude.csv"
+    cfg = RunConfig()
+    assert isinstance(assemble.dielectric_model(cfg, force_drude=True), DrudeModel)
+    assert isinstance(assemble.dielectric_model(cfg, material_csv=str(table)), TabulatedModel)
+    assert isinstance(assemble.dielectric_model(cfg, force_drude=True, material_csv=str(table)),
+                      DrudeModel)

@@ -14,9 +14,9 @@ from casimirlab.config import RunConfig
 from casimirlab.constants import CONST
 from casimirlab.errors import DataError, ParseError
 from casimirlab.forcecurve import load_scan, save_scan
-from casimirlab.synth import (DEFAULT_CAL_VOLTAGES, generate_stiffness_scans,
-                              load_campaign, write_campaign)
+from casimirlab.synth import DEFAULT_CAL_VOLTAGES, load_campaign, write_campaign
 from conftest import campaign_scans, traced_peak_above_inputs
+from oracles import generate_stiffness_scans
 
 
 def small_cfg(**kw):
