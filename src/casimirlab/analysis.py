@@ -127,27 +127,34 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     Curves must carry raw signal with the piezo axis holding absolute
     separations > 2 um. Returns (k, k_sigma) in N/m.
     """
-    deflections, forces = [], []
+    signals, forces = [], []
     for curve in curves:
         if curve.has_force:
             raise CalibrationError("calibration curves must carry raw signal")
         if curve.applied_voltage == 0:
             raise CalibrationError(f"scan {curve.scan_id}: zero applied voltage")
         mask = curve.piezo_nm > CALIBRATION_MIN_SEPARATION_NM
-        deflections.append(curve.signal[mask] * cal.deflection_sensitivity * 1e-9)  # m
+        signals.append(curve.signal[mask])
         forces += [sphere_plane_force_exact(z_nm * 1e-9, cfg, curve.applied_voltage)
                    for z_nm in curve.piezo_nm[mask]]  # N
     if len(forces) < MIN_CALIBRATION_POINTS:
         raise DataError(
             f"need >= {MIN_CALIBRATION_POINTS} usable points, got {len(forces)}"
         )
-    dz = np.concatenate(deflections)
     f = np.array(forces)
-    dz2 = np.dot(dz, dz)
+    usable = f"{f.size} points beyond {CALIBRATION_MIN_SEPARATION_NM:g} nm"
+    with np.errstate(over="ignore", invalid="ignore"):
+        dz = np.concatenate(signals) * cal.deflection_sensitivity * 1e-9  # m
+        dz2 = np.dot(dz, dz)
+        fdz = np.dot(f, dz)
+    if not (math.isfinite(dz2) and math.isfinite(fdz)):
+        raise DataError(f"the deflection is too large at the usable points ({usable}, "
+                        f"largest |deflection| {np.abs(dz).max():.3g} m): "
+                        f"its least squares overflow")
     if dz2 == 0:
-        raise DataError(f"the deflection is zero at every usable point ({dz.size} points "
-                        f"beyond {CALIBRATION_MIN_SEPARATION_NM:g} nm): no spring constant to fit")
-    k = float(np.dot(f, dz) / dz2)
+        raise DataError(f"the deflection is zero at every usable point ({usable}): "
+                        f"no spring constant to fit")
+    k = float(fdz / dz2)
     resid = f - k * dz
     k_sigma = float(np.sqrt(np.dot(resid, resid) / ((dz.size - 1) * dz2)))
     return k, k_sigma

@@ -10,10 +10,15 @@ or from tabulated eps''(omega) data through the dispersion integral
 
 with a Drude low-frequency segment below the table, trapezoid quadrature on a
 log-omega grid over the table, and an analytic eps'' ~ omega^-3 tail beyond the
-last table point. Optical tables are read with the package's CSV reader
-(``forcecurve._read_csv``): a source is a path or a file object, never CSV
-text in a string. The Drude parameters, the crossover energy and the
-table refinement come from ``RunConfig`` through ``assemble``.
+last table point. The table sum runs over blocks of xi rows, each block's
+(rows, table nodes) temporary at most ``EPS_BLOCK_ELEMENTS`` float64 (128 KiB,
+small enough to stay in cache; one row if the table is larger), written into
+one preallocated result. Each row is still reduced over its own contiguous
+table nodes, so every eps value is bitwise the one-shot broadcast sum's.
+Optical tables are read with the package's CSV reader (``forcecurve._read_csv``):
+a source is a path or a file object, never CSV text in a string. The Drude
+parameters, the crossover energy and the table refinement come from
+``RunConfig`` through ``assemble``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ import numpy as np
 from .constants import energy_ev_to_angular_frequency
 from .errors import ParseError, names_its_file
 from .forcecurve import _read_csv
+
+# elements per block of the tabulated dispersion integral: at most 2**14
+# float64 (128 KiB) per temporary, the size of analysis.COARSE_BLOCK_ELEMENTS
+EPS_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -166,8 +175,14 @@ class TabulatedModel(DielectricModel):
         self._eps2_end = eps2[-1]
 
     def _eps(self, xi):
-        x = xi[..., None]
-        total = np.sum(self._weights / (self._omega_sq + x * x), axis=-1)
+        x = xi.reshape(-1, 1)
+        rows = max(1, EPS_BLOCK_ELEMENTS // self._weights.size)
+        total = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], rows):
+            xb = x[start:start + rows]
+            total[start:start + rows] = np.sum(self._weights / (self._omega_sq + xb * xb),
+                                               axis=-1)
+        total = total.reshape(xi.shape)
         if self.drude is not None:
             total += _drude_segment_integral(xi, self.drude, self._omega_start)
         total += _powerlaw_tail_integral(xi, self._omega_end, self._eps2_end)

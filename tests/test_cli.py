@@ -257,6 +257,44 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert proc.stdout.strip() == ""
 
 
+def test_commands_but_synth_load_no_openssl(workdir, campaign_dir, analysis_dir, tmp_path):
+    # config_hash comes from CPython's built-in SHA-256, so no command loads
+    # OpenSSL's libcrypto (_hashlib) for it. synth is the exception: it draws
+    # from numpy.random, which imports secrets -> hmac -> _hashlib.
+    from casimirlab.assemble import electrostatic_config
+    from casimirlab.forcecurve import save_scan
+    from oracles import generate_stiffness_scans
+
+    stiff_dir = tmp_path / "stiff"
+    stiff_dir.mkdir()
+    for scan in generate_stiffness_scans(RunConfig(), electrostatic_config(RunConfig())):
+        with open(stiff_dir / f"{scan.scan_id}.csv", "w") as fh:
+            save_scan(scan, fh)
+    table = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
+    cfg = str(workdir / "run.cfg")
+    commands = [
+        ["theory", "--material", table, "--z", "100:500:5", "--config", cfg],
+        ["epsilon", "--material", table, "--xi-ev", "0.01:100:5"],
+        ["electro", "--z", "100:500:5"],
+        ["calibrate-k", "--scans", str(stiff_dir)],
+        ["analyze", "--scans", str(campaign_dir), "--config", cfg],
+        ["compare", "--curve", str(analysis_dir / "mean_curve.csv"), "--config", cfg],
+        ["fit-z0", "--scan", str(campaign_dir / "cal_00.csv"), "--config", cfg],
+    ]
+    commands = [c + ["--out", str(tmp_path / f"out{i}")] for i, c in enumerate(commands)]
+    script = f"""
+import sys
+from casimirlab.cli import main
+for args in {commands!r}:
+    main(args, standalone_mode=False)
+print("_hashlib" in sys.modules)
+"""
+    proc = run_fresh(script, os.environ)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f"out{i}").exists() for i in range(len(commands)))
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 @pytest.mark.parametrize("setting", [None, "2"])
@@ -341,6 +379,28 @@ def test_calibrate_k_refuses_a_zero_deflection(runner, tmp_path):
     result = runner.invoke(main, ["calibrate-k", "--scans", str(tmp_path), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "error: the deflection is zero at every usable point (80 points" in result.output
+    assert "RuntimeWarning" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("signal, sensitivity", [(1e200, 1.0), (1e10, 1e300)])
+def test_calibrate_k_refuses_an_overflowing_deflection(runner, tmp_path, signal, sensitivity):
+    # a huge but finite deflection overflows the sum of squares, or the
+    # signal-to-metres conversion itself: refused by cause, naming the
+    # deflection, not written as a spring constant of -0.0
+    from casimirlab.forcecurve import ForceCurve, save_scan
+
+    z = np.linspace(2050.0, 3000.0, 40)
+    for j, v in enumerate((0.31, 0.5)):
+        with open(tmp_path / f"stiff_{j:02d}.csv", "w") as fh:
+            save_scan(ForceCurve(f"stiff_{j:02d}", v, z, signal=np.full_like(z, signal)), fh)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"deflection_sensitivity_nm={sensitivity!r}\n")
+    out = tmp_path / "k.json"
+    result = runner.invoke(main, ["calibrate-k", "--scans", str(tmp_path), "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: the deflection is too large at the usable points (80 points" in result.output
     assert "RuntimeWarning" not in result.output
     assert not out.exists()
 

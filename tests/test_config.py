@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import math
 from dataclasses import fields, replace
@@ -47,6 +48,18 @@ def test_digest_stable():
     b = RunConfig(seed=7)
     assert a.digest() == b.digest()
     assert len(a.digest()) == 16
+
+
+@pytest.mark.parametrize("edit", [
+    {},
+    {"seed": 7},
+    {"material_csv": "al_eps2_drude.csv", "theory_cache_points": 40},
+    {"n_scans": 270, "grid_points": 4910, "noise_pn": 0.0, "cap_offset_nm": 0.0},
+])
+def test_digest_is_sha256_of_the_canonical_text(edit):
+    # the built-in SHA-256 gives hashlib's value, so no config_hash moves
+    cfg = replace(RunConfig(), **edit)
+    assert cfg.digest() == hashlib.sha256(cfg.to_text().encode()).hexdigest()[:16]
 
 
 def test_synth_ranges_rejected():

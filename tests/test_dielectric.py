@@ -12,8 +12,10 @@ from casimirlab import assemble
 from casimirlab.config import RunConfig
 from casimirlab.constants import energy_ev_to_angular_frequency
 from casimirlab.dielectric import (DrudeParams, OpticalTable, TabulatedModel,
+                                   _drude_segment_integral, _powerlaw_tail_integral,
                                    drude_eps_imag_axis, load_optical_table)
 from casimirlab.errors import ParseError
+from conftest import traced_peak_above_inputs
 from oracles import ConstantModel
 
 TABLE_PATH = str(importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv")
@@ -207,3 +209,36 @@ def test_array_eps_thread_determinism():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda m: m.eps(grid).tolist(), ARRAY_MODELS * 8))
     assert results == expected * 8
+
+
+# the xi rows the order-16 quadrature rule evaluates eps at in one call
+RULE_ROWS = 176
+
+
+def xi_span(n):
+    """n xi from 1 meV to 60 eV, log-spaced, in rad/s."""
+    return energy_ev_to_angular_frequency(1.0) * np.geomspace(1e-3, 60.0, n)
+
+
+def one_shot_eps(model, xi):
+    """The tabulated eps with the table sum taken in one broadcast piece."""
+    x = xi[..., None]
+    total = np.sum(model._weights / (model._omega_sq + x * x), axis=-1)
+    total += _drude_segment_integral(xi, model.drude, model._omega_start)
+    total += _powerlaw_tail_integral(xi, model._omega_end, model._eps2_end)
+    return 1.0 + (2.0 / np.pi) * total
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (RULE_ROWS,), (3, 70)])
+def test_blocked_tabulated_eps_is_the_one_shot_sum_bitwise(shape):
+    xi = xi_span(int(np.prod(shape))).reshape(shape)
+    eps = TABULATED.eps(xi)
+    assert np.shape(eps) == shape
+    assert np.asarray(eps).tolist() == one_shot_eps(TABULATED, xi).tolist()
+
+
+def test_tabulated_eps_memory_stays_in_blocks():
+    # the (rows, table nodes) temporaries are built a block of rows at a time,
+    # not as (176, table nodes) pieces of about 1.4 MiB each
+    xi = xi_span(RULE_ROWS)
+    assert traced_peak_above_inputs(lambda: TABULATED.eps(xi)) < 512 * 1024
