@@ -23,9 +23,7 @@ def dielectric_model(cfg: RunConfig, force_drude: bool = False,
     path = material_csv if material_csv else cfg.material_csv
     if force_drude or not path:
         return DrudeModel(drude)
-    table = load_optical_table(path)
-    return tabulated_with_drude_tail(table, drude, cfg.crossover_ev,
-                                     cfg.table_refine)
+    return tabulated_with_drude_tail(load_optical_table(path), drude)
 
 
 def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
@@ -36,8 +34,7 @@ def theory_params(cfg: RunConfig, model: DielectricModel) -> TheoryParams:
                             coeffs=(cfg.roughness_c2, cfg.roughness_c3,
                                     cfg.roughness_c4)),
         temp=TemperatureParams(T=cfg.temperature_k),
-        quad=QuadratureParams(rel_tol=cfg.rel_tol,
-                              xi_cut_multiplier=cfg.xi_cut_multiplier),
+        quad=QuadratureParams(rel_tol=cfg.rel_tol),
     )
 
 

@@ -29,7 +29,8 @@ from .analysis import (analyze_campaign, calibrate_spring_constant,
 from .config import RunConfig, load_config
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
-                     DataError, FitError, ParseError, ValidityError)
+                     DataError, FitError, ParseError, ValidityError,
+                     names_its_file)
 from .forcecurve import (ForceCurve, _csv_rows, _read_csv, load_scan,
                          signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
@@ -289,6 +290,14 @@ def analyze(scans_dir, out_dir, config_path):
                           (mean_curve.piezo_nm, mean_curve.force_pn, std)))
 
 
+@names_its_file
+def _load_mean_curve(path):
+    """(separation_nm, force_pn, std_pn) columns of a mean-curve CSV."""
+    table = _read_csv(path, 3, (MEAN_CURVE_COLUMNS,))
+    table.reject(table.columns[2] < 0, "negative std_pn")
+    return table.columns
+
+
 @main.command()
 @click.option("--curve", "curve_path", required=True, type=click.Path(exists=True),
               help="mean-curve CSV (separation_nm,force_pn,std_pn)")
@@ -302,7 +311,7 @@ def analyze(scans_dir, out_dir, config_path):
 def compare(curve_path, n_scans, emit_curve, config_path, out):
     """Compare an extracted mean force curve against the theory."""
     cfg = _load_cfg(config_path)
-    axis, force, std = _read_csv(curve_path, 3, (MEAN_CURVE_COLUMNS,)).columns
+    axis, force, std = _load_mean_curve(curve_path)
     mean_curve = ForceCurve("mean", 0.0, axis, force_pn=force)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
     th = assemble.theory_curve(cfg, theory_span_nm([axis], 0.0, window, (0.0, 0.0)))

@@ -1,10 +1,12 @@
 """Plain-text key=value run configuration.
 
 Every default of the pipeline lives here, and only here: the physics
-objects take their values from ``RunConfig`` through ``assemble``. Unknown
-keys are rejected, every value is checked against one range table (below
-the defaults), and the canonical rendering of the config is hashed into
-output metadata so reruns are attributable.
+objects take their values from ``RunConfig`` through ``assemble``. A value
+that moves no result is not a key but a constant of the module that uses it
+(``lifshitz.Y_CUT``, ``lifshitz.BASE_ORDER``, ``dielectric.TABLE_REFINE``).
+Unknown keys are rejected, every value is checked against one range table
+(below the defaults), and the canonical rendering of the config is hashed
+into output metadata so reruns are attributable.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ except ImportError:
 
 from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_NM
 from .errors import ParseError, names_its_file
-from .lifshitz import U_CUT
 
 
 @dataclass
@@ -30,8 +31,6 @@ class RunConfig:
     drude_wp_ev: float = 12.398
     drude_gamma_ev: float = 0.063
     material_csv: str = ""
-    crossover_ev: float = 0.04
-    table_refine: int = 4
     # corrections
     roughness_amplitude_nm: float = 11.8
     roughness_c2: float = 0.86
@@ -41,7 +40,6 @@ class RunConfig:
     cap_offset_nm: float = 15.8
     # quadrature
     rel_tol: float = 1e-4
-    xi_cut_multiplier: float = 40.0
     # theory cache: Chebyshev nodes over the separations a command reads
     theory_cache_points: int = 20
     # electrostatics / calibration
@@ -106,12 +104,9 @@ _RANGES = (
     (("sphere_radius_um",), "in (0, 1e6]", lambda c: 0 < c.sphere_radius_um <= 1e6),
     (("drude_wp_ev",), "> 0", lambda c: c.drude_wp_ev > 0),
     (("drude_gamma_ev",), ">= 0", lambda c: c.drude_gamma_ev >= 0),
-    (("table_refine",), ">= 1", lambda c: c.table_refine >= 1),
     (("roughness_amplitude_nm",), ">= 0", lambda c: c.roughness_amplitude_nm >= 0),
     (("temperature_k",), ">= 0", lambda c: c.temperature_k >= 0),
     (("rel_tol",), "in (0, 1e-2]", lambda c: 0 < c.rel_tol <= 1e-2),
-    (("xi_cut_multiplier",), f"in [20, {U_CUT:g})",
-     lambda c: 20 <= c.xi_cut_multiplier < U_CUT),
     (("theory_cache_points",), ">= 2", lambda c: c.theory_cache_points >= 2),
     (("spring_constant_n_per_m",), "> 0", lambda c: c.spring_constant_n_per_m > 0),
     (("deflection_sensitivity_nm",), "> 0",

@@ -8,17 +8,17 @@ or from tabulated eps''(omega) data through the dispersion integral
 
     eps(i*xi) = 1 + (2/pi) * int_0^inf  omega * eps''(omega) / (omega^2 + xi^2) domega
 
-with a Drude low-frequency segment below the table, trapezoid quadrature on a
-log-omega grid over the table, and an analytic eps'' ~ omega^-3 tail beyond the
-last table point. The table sum runs over blocks of xi rows, each block's
+with a Drude low-frequency segment below the table's first energy, trapezoid
+quadrature on a log-omega grid over the table (each interval split into
+``TABLE_REFINE`` = 4), and an analytic eps'' ~ omega^-3 tail beyond the last
+table point. The table sum runs over blocks of xi rows, each block's
 (rows, table nodes) temporary at most ``EPS_BLOCK_ELEMENTS`` float64 (128 KiB,
 small enough to stay in cache; one row if the table is larger), written into
 one preallocated result. Each row is still reduced over its own contiguous
 table nodes, so every eps value is bitwise the one-shot broadcast sum's.
 Optical tables are read with the package's CSV reader (``forcecurve._read_csv``):
 a source is a path or a file object, never CSV text in a string. The Drude
-parameters, the crossover energy and the table refinement come from
-``RunConfig`` through ``assemble``.
+parameters come from ``RunConfig`` through ``assemble``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .forcecurve import _read_csv
 # elements per block of the tabulated dispersion integral: at most 2**14
 # float64 (128 KiB) per temporary, the size of analysis.COARSE_BLOCK_ELEMENTS
 EPS_BLOCK_ELEMENTS = 2**14
+# log-omega intervals per table interval in the trapezoid pass
+TABLE_REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -137,33 +139,18 @@ class DrudeModel(DielectricModel):
 
 
 class TabulatedModel(DielectricModel):
-    """Dispersion integral over tabulated eps'' with optional Drude tail.
+    """Dispersion integral over tabulated eps'' with an optional Drude segment
+    below the table's first energy.
 
-    ``refine`` subdivides each table interval in log omega before the
-    trapezoid pass (eps'' interpolated log-log); doubling it is the
-    quadrature-resolution knob used by the convergence tests.
+    Each table interval is subdivided into ``TABLE_REFINE`` intervals in
+    log omega before the trapezoid pass (eps'' interpolated log-log).
     """
 
-    def __init__(self, table: OpticalTable, drude: DrudeParams | None,
-                 crossover_ev: float, refine: int):
-        if crossover_ev < table.energies_ev[0] - 1e-12:
-            raise ValueError(
-                f"crossover {crossover_ev} eV below the table's lower edge "
-                f"{table.energies_ev[0]} eV"
-            )
-        if crossover_ev >= table.energies_ev[-1]:
-            raise ValueError("crossover above the table's upper edge")
-        if refine < 1:
-            raise ValueError("refine must be >= 1")
-        self.table = table
+    def __init__(self, table: OpticalTable, drude: DrudeParams | None):
         self.drude = drude
-        self.crossover_ev = float(crossover_ev)
-        self.refine = int(refine)
 
-        keep = table.energies_ev >= crossover_ev - 1e-12
-        omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev[keep]
-        eps2 = table.eps2[keep]
-        w, s = _refine_log_grid(omega, eps2, self.refine)
+        omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev
+        w, s = _refine_log_grid(omega, table.eps2, TABLE_REFINE)
         # trapezoid rule in ln(omega) on omega * eps''/(omega^2 + xi^2), whose
         # xi-independent factors are folded into the weights
         h = np.diff(np.log(w))
@@ -172,7 +159,7 @@ class TabulatedModel(DielectricModel):
         self._weights = trapezoid * w * w * s
         self._omega_start = omega[0]
         self._omega_end = omega[-1]
-        self._eps2_end = eps2[-1]
+        self._eps2_end = table.eps2[-1]
 
     def _eps(self, xi):
         x = xi.reshape(-1, 1)
@@ -191,8 +178,6 @@ class TabulatedModel(DielectricModel):
 
 def _refine_log_grid(omega, eps2, refine):
     """Insert ``refine - 1`` log-spaced nodes per interval, eps'' log-log interpolated."""
-    if refine == 1:
-        return omega, eps2
     lw = np.log(omega)
     segs = np.linspace(lw[:-1], lw[1:], refine + 1, axis=1)[:, :-1].ravel()
     lw_fine = np.append(segs, lw[-1])
@@ -232,6 +217,6 @@ def _powerlaw_tail_integral(xi, omega_n, eps2_n):
     return eps2_n * omega_n**3 / xi**2 * bracket
 
 
-def tabulated_with_drude_tail(table: OpticalTable, drude: DrudeParams | None,
-                              crossover_ev: float, refine: int) -> TabulatedModel:
-    return TabulatedModel(table, drude, crossover_ev, refine)
+def tabulated_with_drude_tail(table: OpticalTable,
+                              drude: DrudeParams | None) -> TabulatedModel:
+    return TabulatedModel(table, drude)

@@ -14,14 +14,17 @@ this form reproduces analytically as eps -> inf.
 
 Quadrature is nested Gauss-Legendre on geometric panels, evaluated as one
 2-D array per separation. With u = p*y the inner axis runs over [y, U_CUT],
-U_CUT = 60; the y axis is truncated at xi_max = multiplier * c/(2z). Both
-truncations leave exponentially small remainders. The Drude eps(i xi) grows
-like 1/(gamma xi) as y -> 0, so the first y panel [0, 0.5] is graded
-geometrically toward 0 (edges 0.5 * 10^-k, k = 1..3); this makes the rule
-converge geometrically in the order instead of algebraically. The order is
-doubled until two successive estimates agree to the tolerance, and their
-difference is the error estimate. The tolerance and the multiplier come from
-``RunConfig`` (``rel_tol``, ``xi_cut_multiplier``) through ``assemble``.
+U_CUT = 60; the y axis is truncated at Y_CUT = 40, i.e. xi_max = 40 c/(2z).
+Both truncations leave exponentially small remainders: raising Y_CUT to 59
+changes no force bit at 30-1135 nm, Drude or tabulated, and lowering it to
+30 moves the force by at most 6.2e-13 relative (at 1135 nm), where the
+reported bound is 2.8e-7. The Drude eps(i xi) grows like 1/(gamma xi) as
+y -> 0, so the first y panel [0, 0.5] is graded geometrically toward 0
+(edges 0.5 * 10^-k, k = 1..3); this makes the rule converge geometrically
+in the order instead of algebraically. The order starts at BASE_ORDER = 8
+and is doubled until two successive estimates agree to the tolerance, and
+their difference is the error estimate. The tolerance comes from
+``RunConfig`` (``rel_tol``) through ``assemble``.
 A Gauss-Legendre rule depends only on its order (Golub & Welsch, Math.
 Comp. 23, 221 (1969)), so each order's rule is computed once and mapped onto
 every y panel and every inner row.
@@ -42,6 +45,8 @@ from .errors import ConvergenceError, ValidityError
 PROXIMITY_RATIO_MAX = 0.05  # z/R guard for the proximity regime
 Y_GRADED_EDGES = (5e-4, 5e-3, 5e-2)  # interior edges of the graded y panel [0, 0.5]
 U_CUT = 60.0    # upper end of the inner axis u = 2 p xi z / c
+Y_CUT = 40.0    # upper end of the y axis, below U_CUT: xi_max = Y_CUT * c/(2z)
+BASE_ORDER = 8  # the first Gauss-Legendre order; each refinement doubles it
 ABS_TOL = 1e-18  # N, added to rel_tol * |F| in the convergence test
 
 
@@ -59,21 +64,13 @@ class SphereGeometry:
 @dataclass(frozen=True)
 class QuadratureParams:
     rel_tol: float
-    xi_cut_multiplier: float  # xi_max = multiplier * c/(2z)
     max_refinements: int = 6
-    base_order: int = 8
 
     def __post_init__(self):
         if not (0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
         if self.max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
-        if self.base_order < 1:
-            raise ValueError(f"base_order must be >= 1, got {self.base_order}")
-        # the inner axis runs over u in [y, U_CUT] for every y up to the multiplier
-        if not 20 <= self.xi_cut_multiplier < U_CUT:
-            raise ValueError(f"xi_cut_multiplier must be in [20, {U_CUT:g}), "
-                             f"got {self.xi_cut_multiplier}")
 
 
 def reflection_terms(eps, p):
@@ -113,7 +110,7 @@ def _geometric_edges(lo, hi, first=1.0):
 
 
 @functools.lru_cache(maxsize=32)
-def _rule(y_max, order):
+def _rule(order):
     """The (y, u) rule at one order, independent of the separation.
 
     Returns the y nodes and, on a (y, u) grid, p = u/y, e^-u and the
@@ -122,7 +119,7 @@ def _rule(y_max, order):
     The arrays are read-only because every caller shares them.
     """
     gl = leggauss(order)  # one rule per order, mapped onto every panel
-    y_edges = np.concatenate(([0.0], Y_GRADED_EDGES, _geometric_edges(0.5, y_max)))
+    y_edges = np.concatenate(([0.0], Y_GRADED_EDGES, _geometric_edges(0.5, Y_CUT)))
     ys, yw = _gauss_panels(y_edges, *gl)
     rows = [_gauss_panels(_geometric_edges(y, U_CUT), *gl) for y in ys]
     width = max(len(u) for u, _ in rows)
@@ -137,8 +134,8 @@ def _rule(y_max, order):
     return arrays
 
 
-def _force_estimate(z, geom, model, q, order):
-    ys, p, damp, weight = _rule(q.xi_cut_multiplier, order)
+def _force_estimate(z, geom, model, order):
+    ys, p, damp, weight = _rule(order)
     xi = ys * (CONST.c / (2.0 * z))
     # A tuple, not an array: perfbench/tracer.py counts distinct eps
     # arguments in a set, so the argument has to be hashable.
@@ -150,17 +147,17 @@ def _force_estimate(z, geom, model, q, order):
 
 
 def _force_with_error(z, geom, model, q):
-    """(force, error bound) in N by order doubling from q.base_order.
+    """(force, error bound) in N by order doubling from BASE_ORDER.
 
     The bound is the difference of the last two estimates. Raises
     ConvergenceError carrying both once q.max_refinements doublings
     have not met q.rel_tol * |F| + ABS_TOL.
     """
-    order = q.base_order
-    prev = _force_estimate(z, geom, model, q, order)
+    order = BASE_ORDER
+    prev = _force_estimate(z, geom, model, order)
     for _ in range(q.max_refinements):
         order *= 2
-        cur = _force_estimate(z, geom, model, q, order)
+        cur = _force_estimate(z, geom, model, order)
         err = abs(cur - prev)
         if err <= q.rel_tol * abs(cur) + ABS_TOL:
             return cur, err

@@ -440,13 +440,10 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("pooled_noise_pn=0", "pooled_noise_pn"),
     ("spring_constant_n_per_m=0", "spring_constant_n_per_m"),
     ("deflection_sensitivity_nm=0", "deflection_sensitivity_nm"),
-    ("table_refine=0", "table_refine"),
     ("rel_tol=0", "rel_tol"),
     ("rel_tol=0.02", "rel_tol"),
     ("sphere_radius_um=-5", "sphere_radius_um"),
     ("sphere_radius_um=1.0000001e6", "sphere_radius_um"),
-    ("xi_cut_multiplier=5", "xi_cut_multiplier"),
-    ("xi_cut_multiplier=60", "xi_cut_multiplier"),
     ("temperature_k=-1", "temperature_k"),
     ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
     ("drude_wp_ev=0", "drude_wp_ev"),
@@ -478,11 +475,13 @@ def test_theory_refuses_a_sphere_radius_beyond_1_m(runner, tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("theory_cache_lo_nm", "45"), ("theory_cache_hi_nm", "45"),
     ("enable_roughness", "false"), ("enable_temperature", "false"),
+    ("xi_cut_multiplier", "40"), ("table_refine", "4"), ("crossover_ev", "0.04"),
 ])
 def test_a_config_that_sets_a_removed_key_exits_2(runner, tmp_path, key, value):
     # each command derives its theory cache's span from what it reads, and a
     # correction is left out at its physical zero: roughness_amplitude_nm=0,
-    # temperature_k=0
+    # temperature_k=0; the y cut, the table refinement and the Drude crossover
+    # (the table's first energy) are fixed where they are used
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"seed=1\n{key}={value}\n")
     out = tmp_path / "campaign"
@@ -626,6 +625,23 @@ def test_compare_rejects_bad_mean_curve(runner, workdir, analysis_dir, tmp_path,
                                   "--out", str(out)])
     assert result.exit_code == 2
     assert f"at line {lineno}" in result.output
+    assert not out.exists()
+
+
+def test_compare_rejects_a_negative_std(runner, workdir, analysis_dir, tmp_path):
+    # the chi2 weights floor a negative standard error at 1e-30 pN, so a
+    # negated std column gave reduced_chi2 ~ 1e60 and exit 0
+    lines = (analysis_dir / "mean_curve.csv").read_text().splitlines()
+    sep, force, std = lines[4].split(",")
+    lines[4] = f"{sep},{force},-{std}"
+    curve = tmp_path / "mean_curve.csv"
+    curve.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "compare.json"
+    result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{curve}: negative std_pn at line 5" in result.output
     assert not out.exists()
 
 

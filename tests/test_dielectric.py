@@ -1,14 +1,13 @@
 import importlib.resources
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirlab import assemble
+from casimirlab import assemble, dielectric
 from casimirlab.config import RunConfig
 from casimirlab.constants import energy_ev_to_angular_frequency
 from casimirlab.dielectric import (DrudeParams, OpticalTable, TabulatedModel,
@@ -65,10 +64,10 @@ def test_tabulated_matches_drude_closed_form():
         assert TABULATED.eps(xi) == pytest.approx(closed, rel=5e-3)
 
 
-def test_quadrature_doubling_within_tolerance():
+def test_quadrature_doubling_within_tolerance(monkeypatch):
     coarse = TABULATED
-    fine = assemble.dielectric_model(replace(CFG, table_refine=2 * CFG.table_refine),
-                                     material_csv=TABLE_PATH)
+    monkeypatch.setattr(dielectric, "TABLE_REFINE", 2 * dielectric.TABLE_REFINE)
+    fine = assemble.dielectric_model(CFG, material_csv=TABLE_PATH)
     for xi in XI_GRID:
         assert fine.eps(xi) == pytest.approx(coarse.eps(xi), rel=1e-4)
 
@@ -79,8 +78,7 @@ def test_tail_insensitivity():
     table = shipped_table()
     eps2 = table.eps2.copy()
     eps2[-1] = 0.0
-    no_tail = TabulatedModel(OpticalTable(table.energies_ev, eps2), TABULATED.drude,
-                             TABULATED.crossover_ev, TABULATED.refine)
+    no_tail = TabulatedModel(OpticalTable(table.energies_ev, eps2), TABULATED.drude)
     for xi in XI_GRID:
         assert no_tail.eps(xi) == pytest.approx(TABULATED.eps(xi), rel=1e-3)
 
@@ -95,7 +93,7 @@ def test_degenerate_xi_near_gamma_branch_continuous():
 
 def test_all_zero_table_without_drude_gives_vacuum():
     table = OpticalTable(np.array([0.04, 1.0, 100.0]), np.zeros(3))
-    model = TabulatedModel(table, None, TABULATED.crossover_ev, TABULATED.refine)
+    model = TabulatedModel(table, None)
     assert model.eps(energy_ev_to_angular_frequency(1.0)) == pytest.approx(1.0)
 
 
@@ -104,17 +102,6 @@ def test_constant_model_validation():
         ConstantModel(0.5)
     with pytest.raises(ValueError):
         DRUDE.eps(0.0)
-
-
-def test_crossover_bounds_checked():
-    table = shipped_table()
-    d, crossover, refine = TABULATED.drude, TABULATED.crossover_ev, TABULATED.refine
-    with pytest.raises(ValueError):
-        TabulatedModel(table, d, 0.001, refine)
-    with pytest.raises(ValueError):
-        TabulatedModel(table, d, 2000.0, refine)
-    with pytest.raises(ValueError):
-        TabulatedModel(table, d, crossover, 0)
 
 
 def test_load_optical_table_dialect():

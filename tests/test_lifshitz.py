@@ -109,8 +109,9 @@ def test_tight_tolerance_converges(drude_params):
     assert f == pytest.approx(REFERENCE_FORCES["drude"][0], rel=1e-8)
 
 
-def test_nonconvergence_carries_estimate_and_bound(drude_params):
-    q = replace(drude_params.quad, rel_tol=1e-8, max_refinements=1, base_order=2)
+def test_nonconvergence_carries_estimate_and_bound(monkeypatch, drude_params):
+    monkeypatch.setattr(lifshitz, "BASE_ORDER", 2)
+    q = replace(drude_params.quad, rel_tol=1e-8, max_refinements=1)
     with pytest.raises(ConvergenceError) as info:
         casimir_force_sphere_plate(100e-9, drude_params.geom, drude_params.model, q)
     assert info.value.estimate < 0
@@ -153,13 +154,7 @@ def test_guards(drude_params):
     with pytest.raises(ValueError):
         replace(q, rel_tol=0.5)
     with pytest.raises(ValueError):
-        replace(q, xi_cut_multiplier=10.0)
-    with pytest.raises(ValueError):
-        replace(q, xi_cut_multiplier=U_CUT)   # the inner axis must reach past it
-    with pytest.raises(ValueError):
         replace(q, max_refinements=0)
-    with pytest.raises(ValueError):
-        replace(q, base_order=0)
 
 
 def test_geometry_linearity(drude_params):
@@ -171,7 +166,7 @@ def test_geometry_linearity(drude_params):
     assert f2 == pytest.approx(2.0 * f1, rel=1e-9)
 
 
-def _per_row_rule(y_max, order):
+def _per_row_rule(order):
     """The (y, u) rule with a Gauss-Legendre rule computed afresh for every
     panel set: the bitwise reference for ``lifshitz._rule``."""
     def panels(edges):
@@ -180,7 +175,7 @@ def _per_row_rule(y_max, order):
         return (0.5 * (b - a) * x + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * w).ravel()
 
     y_edges = np.concatenate(([0.0], lifshitz.Y_GRADED_EDGES,
-                              lifshitz._geometric_edges(0.5, y_max)))
+                              lifshitz._geometric_edges(0.5, lifshitz.Y_CUT)))
     ys, yw = panels(y_edges)
     rows = [panels(lifshitz._geometric_edges(y, U_CUT)) for y in ys]
     width = max(len(u) for u, _ in rows)
@@ -200,15 +195,39 @@ def test_rule_computes_one_gauss_legendre_rule_per_order(monkeypatch):
         return leggauss(order)
 
     monkeypatch.setattr(lifshitz, "leggauss", counting_leggauss)
-    y_max = RunConfig().xi_cut_multiplier
     lifshitz._rule.cache_clear()
     try:
         for order in (8, 16, 32):
-            rule = lifshitz._rule(y_max, order)
-            reference = _per_row_rule(y_max, order)
+            rule = lifshitz._rule(order)
+            reference = _per_row_rule(order)
             for got, want in zip(rule, reference, strict=True):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         assert calls == [8, 16, 32]
     finally:
         lifshitz._rule.cache_clear()
+
+
+def test_y_cut_remainder_below_float_resolution(monkeypatch):
+    # raising the y cut to the inner axis's end moves no force by more than
+    # 1e-12 relative, Drude or tabulated, from 30 nm to 1135 nm
+    table = importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv"
+    cfg = RunConfig()
+    models = [assemble.dielectric_model(cfg, force_drude=True),
+              assemble.dielectric_model(cfg, material_csv=str(table))]
+    params = assemble.theory_params(cfg, models[0])
+    zs = (30e-9, 100e-9, 500e-9, 1135e-9)
+
+    def forces():
+        lifshitz._rule.cache_clear()   # the rule is cached by order alone
+        return [casimir_force_sphere_plate(z, params.geom, m, params.quad)
+                for m in models for z in zs]
+
+    try:
+        default = forces()
+        monkeypatch.setattr(lifshitz, "Y_CUT", U_CUT - 1)
+        raised = forces()
+    finally:
+        lifshitz._rule.cache_clear()
+    for f, g in zip(default, raised, strict=True):
+        assert g == pytest.approx(f, rel=1e-12, abs=0)

@@ -1,17 +1,21 @@
 """The benchmark's tracer wraps package functions by name; every name it
 lists must still resolve, or every traced benchmark run fails at install,
 and the ones a campaign passes through must still be called, or the
-per-layer metrics they feed read 0."""
+per-layer metrics they feed read 0. The config texts the benchmark writes
+and the keywords its reference script passes must still be accepted."""
 
 import ast
 import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from casimirlab.cli import main
+from casimirlab.config import RunConfig, parse_config
+from casimirlab.lifshitz import QuadratureParams
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -110,3 +114,42 @@ def test_reference_dielectric_model_keywords():
     assert isinstance(assemble.dielectric_model(cfg, material_csv=str(table)), TabulatedModel)
     assert isinstance(assemble.dielectric_model(cfg, force_drude=True, material_csv=str(table)),
                       DrudeModel)
+
+
+RUN = TRACER.with_name("run.py")
+
+
+def written_configs():
+    """SMOKE_CONFIG and the config text of every Campaign in perfbench/run.py."""
+    texts = []
+    for node in ast.walk(ast.parse(RUN.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) \
+                and getattr(node.targets[0], "id", None) == "SMOKE_CONFIG":
+            texts.append(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Campaign":
+            texts.append(ast.literal_eval(node.args[1]))
+    assert len(texts) >= 3 and "" in texts   # the smoke, default and large campaigns
+    return texts
+
+
+@pytest.mark.parametrize("text", written_configs())
+def test_benchmark_configs_parse(text):
+    # a key the benchmark sets that the config no longer knows would exit 2
+    # in every pass of its workload
+    parse_config(text)
+
+
+def test_reference_keywords_are_fields():
+    # perfbench/reference.py builds its RunConfig and quadrature by keyword
+    keywords = {"RunConfig": set(), "quad": set()}
+    for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", None) == "RunConfig":
+            keywords["RunConfig"] |= {k.arg for k in node.keywords}
+        elif getattr(node.func, "id", None) == "replace" \
+                and getattr(node.args[0], "attr", None) == "quad":
+            keywords["quad"] |= {k.arg for k in node.keywords}
+    assert keywords["RunConfig"] and keywords["quad"]
+    assert keywords["RunConfig"] <= {f.name for f in fields(RunConfig)}
+    assert keywords["quad"] <= {f.name for f in fields(QuadratureParams)}
