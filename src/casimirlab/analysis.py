@@ -84,6 +84,13 @@ class ComparisonStats:
     reduced_chi2: float
     variants: dict
 
+    def record(self, window_nm) -> dict:
+        """The statistics over ``window_nm`` as ``compare`` writes them and
+        ``results.json`` holds them."""
+        return {"sigma_rms_pn": self.sigma_rms_pn, "reduced_chi2": self.reduced_chi2,
+                "n_points": self.n_points, "variants": self.variants,
+                "window_nm": [float(w) for w in window_nm]}
+
 
 @dataclass(frozen=True)
 class ForwardModel:
@@ -513,11 +520,7 @@ def analyze_campaign(read_campaign, model_for, window_nm, n_nodes: int,
         "z0_fits": [fit.record() for fit in z0_fits],
         "spring_constant_n_per_m": spring,
         "drift_pn_per_nm": float(np.mean(drifts)),
-        "sigma_rms_pn": stats.sigma_rms_pn,
-        "reduced_chi2": stats.reduced_chi2,
-        "n_points": stats.n_points,
-        "variants": stats.variants,
-        "window_nm": [float(window_nm[0]), float(window_nm[1])],
+        **stats.record(window_nm),
     }
     return results, mean_curve, std
 

@@ -31,7 +31,7 @@ from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
                      DataError, FitError, ParseError, ValidityError,
                      names_its_file)
-from .forcecurve import (ForceCurve, _csv_rows, _read_csv, load_scan,
+from .forcecurve import (MIN_SAMPLES, ForceCurve, _csv_rows, _read_csv, load_scan,
                          signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
 
@@ -93,18 +93,16 @@ def meta_header(cfg: RunConfig, seed=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_text(cfg: RunConfig, header_cols, columns, seed=None) -> str:
+def csv_text(cfg: RunConfig, header_cols, columns) -> str:
     rows = _csv_rows(f"the {', '.join(header_cols)} output", *columns)
-    return meta_header(cfg, seed) + ",".join(header_cols) + "\n" + rows
+    return meta_header(cfg) + ",".join(header_cols) + "\n" + rows
 
 
-def json_text(cfg: RunConfig, payload: dict, seed=None) -> str:
+def json_text(cfg: RunConfig, payload: dict) -> str:
     bad = _non_finite_key(payload)
     if bad is not None:
         raise ValueError(f"non-finite value at {bad!r} in the JSON output")
     doc = {"meta": {"version": __version__, "config_hash": cfg.digest()}}
-    if seed is not None:
-        doc["meta"]["seed"] = seed
     doc.update(payload)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -294,7 +292,11 @@ def analyze(scans_dir, out_dir, config_path):
 def _load_mean_curve(path):
     """(separation_nm, force_pn, std_pn) columns of a mean-curve CSV."""
     table = _read_csv(path, 3, (MEAN_CURVE_COLUMNS,))
-    table.reject(table.columns[2] < 0, "negative std_pn")
+    separation, _, std = table.columns
+    table.reject(np.diff(separation, prepend=-np.inf) <= 0, "non-increasing separation_nm")
+    table.reject(std < 0, "negative std_pn")
+    if separation.size < MIN_SAMPLES:
+        raise ParseError(f"need at least {MIN_SAMPLES} rows, got {separation.size}")
     return table.columns
 
 
@@ -318,13 +320,7 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     stats = compare_to_theory(mean_curve, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
                               window, cfg.window_points)
-    atomic_write(out, json_text(cfg, {
-        "sigma_rms_pn": stats.sigma_rms_pn,
-        "reduced_chi2": stats.reduced_chi2,
-        "n_points": stats.n_points,
-        "variants": stats.variants,
-        "window_nm": list(window),
-    }))
+    atomic_write(out, json_text(cfg, stats.record(window)))
     if emit_curve:
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],

@@ -18,9 +18,7 @@ interpolant of log|F| in log z (numpy only), over the separations a command
 reads (``analysis.theory_span_nm``). The force is analytic in z, so
 the series converges geometrically and its trailing coefficients estimate
 the interpolation error (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013). The fits evaluate it thousands of times per command,
-so the series is summed by an in-place Clenshaw recurrence that is bitwise
-``chebyshev.chebval`` without its per-coefficient temporaries.
+Practice, SIAM 2013).
 """
 
 from __future__ import annotations
@@ -115,28 +113,6 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     return ForceEstimate(force * factor, force.error_bound * factor)
 
 
-def _chebval(x, coef):
-    """``chebyshev.chebval(x, coef)`` for at least two coefficients, in place.
-
-    The same Clenshaw recurrence in the same order (Clenshaw, Math. Comp. 9,
-    118 (1955)), so the result is bitwise chebval's; the c0 buffer and the
-    rotating c1 / product pair are allocated once instead of three
-    temporaries per coefficient.
-    """
-    x = np.asarray(x, dtype=float)
-    x2 = x * 2
-    c0 = np.full_like(x, coef[-2])
-    c1 = np.full_like(x, coef[-1])
-    tmp = np.empty_like(x)
-    for c in coef[-3::-1]:
-        np.multiply(c1, x2, out=tmp)
-        np.add(c0, tmp, out=tmp)       # new c1 = c0 + c1 * 2x
-        np.subtract(c, c1, out=c0)     # new c0 = c - c1
-        c1, tmp = tmp, c1
-    np.multiply(c1, x, out=tmp)
-    return np.add(c0, tmp, out=tmp)
-
-
 class TheoryCurve:
     """Chebyshev cache of the corrected theory force over a separation range.
 
@@ -169,8 +145,7 @@ class TheoryCurve:
             raise ValueError("theory force must be finite and attractive on the grid")
         self.max_rel_error = max(f.error_bound / abs(f) for f in estimates)
         self._coef = chebyshev.chebfit(x, np.log(-forces), n_nodes - 1)
-        # a trailing zero keeps n_nodes = 2 at the two coefficients _chebval needs
-        self._dcoef = np.append(chebyshev.chebder(self._coef), 0.0)
+        self._dcoef = chebyshev.chebder(self._coef)
         self.interp_rel_error = float(np.max(np.abs(self._coef[-2:])))
 
     def __call__(self, z_metal):
@@ -182,7 +157,7 @@ class TheoryCurve:
                 f"theory range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm"
             )
         x = (np.log(z) - self._log_mid) / self._log_half
-        out = -np.exp(_chebval(x, self._coef))
+        out = -np.exp(chebyshev.chebval(x, self._coef))
         return float(out) if np.isscalar(z_metal) else out
 
     def force_and_slope(self, z_metal):
@@ -193,7 +168,7 @@ class TheoryCurve:
         z = np.asarray(z_metal, dtype=float)
         force = self(z)
         x = (np.log(z) - self._log_mid) / self._log_half
-        slope = force * _chebval(x, self._dcoef) / (self._log_half * z)
+        slope = force * chebyshev.chebval(x, self._dcoef) / (self._log_half * z)
         if np.isscalar(z_metal):
             return float(force), float(slope)
         return force, slope

@@ -139,14 +139,14 @@ class DrudeModel(DielectricModel):
 
 
 class TabulatedModel(DielectricModel):
-    """Dispersion integral over tabulated eps'' with an optional Drude segment
-    below the table's first energy.
+    """Dispersion integral over tabulated eps'' with a Drude segment below the
+    table's first energy.
 
     Each table interval is subdivided into ``TABLE_REFINE`` intervals in
     log omega before the trapezoid pass (eps'' interpolated log-log).
     """
 
-    def __init__(self, table: OpticalTable, drude: DrudeParams | None):
+    def __init__(self, table: OpticalTable, drude: DrudeParams):
         self.drude = drude
 
         omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev
@@ -170,8 +170,7 @@ class TabulatedModel(DielectricModel):
             total[start:start + rows] = np.sum(self._weights / (self._omega_sq + xb * xb),
                                                axis=-1)
         total = total.reshape(xi.shape)
-        if self.drude is not None:
-            total += _drude_segment_integral(xi, self.drude, self._omega_start)
+        total += _drude_segment_integral(xi, self.drude, self._omega_start)
         total += _powerlaw_tail_integral(xi, self._omega_end, self._eps2_end)
         return 1.0 + (2.0 / np.pi) * total
 
@@ -217,6 +216,5 @@ def _powerlaw_tail_integral(xi, omega_n, eps2_n):
     return eps2_n * omega_n**3 / xi**2 * bracket
 
 
-def tabulated_with_drude_tail(table: OpticalTable,
-                              drude: DrudeParams | None) -> TabulatedModel:
+def tabulated_with_drude_tail(table: OpticalTable, drude: DrudeParams) -> TabulatedModel:
     return TabulatedModel(table, drude)

@@ -68,7 +68,7 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> f
     raises ValidityError naming it.
     """
     if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
+        raise ValueError(f"separation must be > 0, got {z * 1e9:.6g} nm")
     dv = V1 - cfg.V2
     if dv == 0.0:
         return 0.0
@@ -102,7 +102,7 @@ def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig, V1: float):
     """Proximity form -pi eps0 R (V1-V2)^2 / z in N at plate voltage V1, for
     z in m, a scalar or an array; requires z/R < 0.05 at every separation."""
     if np.any(z <= 0):
-        raise ValueError(f"separation must be > 0, got {np.min(z)}")
+        raise ValueError(f"separation must be > 0, got {np.min(z) * 1e9:.6g} nm")
     if np.any(z >= PROXIMITY_RATIO_MAX * cfg.R):  # z / R overflows at a tiny R
         raise ValidityError(
             f"z/R = {float(np.max(z)) / cfg.R:.3g} outside the proximity regime "

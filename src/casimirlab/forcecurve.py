@@ -217,7 +217,7 @@ class _Lines:
 
 @names_its_file
 def _read_csv(source, ncols: int, headers=None) -> _Csv:
-    """Read the package's CSV dialect from a path or a text/binary file object.
+    """Read the package's CSV dialect from a path or a text file object.
 
     With ``headers`` (a tuple of accepted column-name tuples) the first line
     that is neither blank nor a comment must be one of them. Every other line
@@ -228,8 +228,6 @@ def _read_csv(source, ncols: int, headers=None) -> _Csv:
             text = fh.read()
     else:
         text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
     lines = text.splitlines()
     kinds = _Lines(headers)
     start = len(lines)

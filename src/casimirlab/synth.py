@@ -69,11 +69,8 @@ def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
     it is asked for, so a caller that drops each one holds one scan at a time.
     """
     z = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)
-    plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
-    plan += [(f"cal_{j:02d}", v, 10_000 + j, 0.0)
-             for j, v in enumerate(DEFAULT_CAL_VOLTAGES)]
     models = {}
-    for scan_id, voltage, stream, drift in plan[share]:
+    for scan_id, voltage, stream, drift in _plan(cfg)[share]:
         # one noiseless model per (voltage, drift): all grounded scans share one
         if (voltage, drift) not in models:
             models[voltage, drift] = model.force_pn(z, cfg.z0_true_nm, voltage, drift)
@@ -83,6 +80,13 @@ def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
             force = force + rng.normal(0.0, cfg.noise_pn, z.size)
         yield ForceCurve(scan_id, voltage, z, force_pn=force,
                          spring_constant=cfg.spring_constant_n_per_m)
+
+
+def _plan(cfg: RunConfig):
+    """(scan id, applied voltage, noise stream, drift) of each scan, in write order."""
+    plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
+    return plan + [(f"cal_{j:02d}", v, 10_000 + j, 0.0)
+                   for j, v in enumerate(DEFAULT_CAL_VOLTAGES)]
 
 
 def campaign_span_nm(cfg: RunConfig):
@@ -192,8 +196,16 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     are shared out interleaved between this process and forked workers
     (``_processes``), each drawing only its own; the files are the same. A
     failure raises the error of the earliest scan in write order that fails.
+    A directory that holds a scan file this campaign does not write (another
+    campaign's, which ``load_campaign`` would read with these) is refused
+    before anything is written.
     """
     outdir = Path(outdir)
+    planned = {f"{scan_id}.csv" for scan_id, *_ in _plan(cfg)}
+    foreign = sorted(p.name for p in outdir.glob("*.csv") if p.name not in planned)
+    if foreign:
+        raise DataError(f"{outdir} holds {len(foreign)} scan file(s) this campaign does "
+                        f"not write, the first {foreign[0]}: write it into another directory")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write_share(share, processes):
@@ -205,7 +217,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
             tmp.replace(outdir / f"{curve.scan_id}.csv")
             yield None
 
-    files = cfg.n_scans + len(DEFAULT_CAL_VOLTAGES)
+    files = len(planned)
     for _ in _in_shares(write_share, files,
                         _processes(files * cfg.grid_points, SPLIT_MIN_ROWS)):
         pass

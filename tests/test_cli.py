@@ -166,6 +166,25 @@ def test_electro_refuses_a_separation_the_image_series_cannot_sum(runner, tmp_pa
     assert not out.exists()
 
 
+def test_electro_names_a_non_positive_separation_in_nm(runner, tmp_path):
+    # --z is in nm, as every separation in an error message
+    out = tmp_path / "electro.csv"
+    result = runner.invoke(main, ["electro", "--z", "-5:500:5", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: separation must be > 0, got -5 nm\n"
+    assert not out.exists()
+
+
+def test_electro_exits_3_on_a_series_that_does_not_converge(runner, tmp_path):
+    # at 1e-12 nm, e^-alpha = 1 - 4.5e-9: the terms decay too slowly to sum
+    out = tmp_path / "electro.csv"
+    result = runner.invoke(main, ["electro", "--z", "1e-12:1:3", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: series not converged after 100000 terms "
+                                    "at separation 1e-12 nm")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["-10:500:5", "0:500:5"])
 def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
     # refused before any log of the separation: no RuntimeWarning on the way
@@ -177,6 +196,19 @@ def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
     assert not out.exists()
 
 
+def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
+    # gamma = 0: the Drude segment below the table has no closed-form part
+    table = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theory_cache_points=40\ndrude_gamma_ev=0\n")
+    out = tmp_path / "theory.csv"
+    result = runner.invoke(main, ["theory", "--material", table, "--z", "100:500:5",
+                                  "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    forces = _read_csv(out, 2, (("separation_nm", "force_pn"),)).columns[1]
+    assert forces.size == 5 and np.all(forces < 0)
+
+
 def test_synth_campaign_layout(campaign_dir):
     assert (campaign_dir / "truth.json").exists()
     assert (campaign_dir / "manifest.txt").exists()
@@ -184,6 +216,23 @@ def test_synth_campaign_layout(campaign_dir):
     assert len(scans) == 2 + 6   # grounded + voltage scans
     meta = read_meta(campaign_dir / "manifest.txt")
     assert meta["seed"] == "11"
+
+
+def test_synth_refuses_a_directory_that_holds_another_campaign(runner, tmp_path):
+    # three scans over five would leave scan_003 and scan_004 of the first
+    # campaign, and analyze would average all five grounded scans
+    cfg, out = tmp_path / "run.cfg", tmp_path / "campaign"
+    for n_scans, seed in ((5, "1"), (5, "1"), (3, "2")):
+        cfg.write_text(FAST_CONFIG.replace("n_scans=2", f"n_scans={n_scans}"))
+        result = runner.invoke(main, ["synth", "--seed", seed, "--config", str(cfg),
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: {out} holds 2 scan file(s) this campaign does not "
+                             "write, the first scan_003.csv: write it into another "
+                             "directory\n")
+    truth = json.loads((out / "truth.json").read_text())
+    assert (truth["n_scans"], truth["seed"]) == (5, 1)
+    assert read_meta(out / "manifest.txt")["seed"] == "1"
 
 
 def test_analyze_outputs(analysis_dir):
@@ -206,7 +255,9 @@ def test_compare_command(runner, workdir, analysis_dir):
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
-    assert doc["sigma_rms_pn"] > 0
+    assert set(doc) == {"meta", "sigma_rms_pn", "reduced_chi2", "n_points", "variants",
+                        "window_nm"}
+    assert doc["sigma_rms_pn"] > 0 and doc["window_nm"] == [100.0, 500.0]
     assert (workdir / "compare.curve.csv").exists()
 
 
@@ -611,6 +662,7 @@ def test_analyze_names_the_scan_whose_grid_differs(runner, workdir, campaign_dir
     (3, "separation_nm,force_pn,sigma_pn"),
     (5, "100.5,-160.2"),
     (5, "100.5,-160.2,abc"),
+    (6, "1,-160.2,0.5"),   # below line 5's separation
 ])
 def test_compare_rejects_bad_mean_curve(runner, workdir, analysis_dir, tmp_path,
                                         lineno, bad):
@@ -624,6 +676,7 @@ def test_compare_rejects_bad_mean_curve(runner, workdir, analysis_dir, tmp_path,
                                   "--config", str(workdir / "run.cfg"),
                                   "--out", str(out)])
     assert result.exit_code == 2
+    assert result.output.startswith(f"error: {curve}: ")
     assert f"at line {lineno}" in result.output
     assert not out.exists()
 
@@ -642,6 +695,20 @@ def test_compare_rejects_a_negative_std(runner, workdir, analysis_dir, tmp_path)
                                   "--out", str(out)])
     assert result.exit_code == 2
     assert f"{curve}: negative std_pn at line 5" in result.output
+    assert not out.exists()
+
+
+def test_compare_names_a_mean_curve_with_too_few_rows(runner, workdir, analysis_dir,
+                                                      tmp_path):
+    lines = (analysis_dir / "mean_curve.csv").read_text().splitlines()
+    curve = tmp_path / "mean_curve.csv"
+    curve.write_text("\n".join(lines[:3 + 5]) + "\n")   # metadata, header, 5 rows
+    out = tmp_path / "compare.json"
+    result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {curve}: need at least 10 rows, got 5\n"
     assert not out.exists()
 
 
@@ -740,6 +807,34 @@ def test_analyze_names_the_missing_side_of_a_campaign(runner, workdir, campaign_
                                   "--scans", str(scans), "--out", str(out)])
     assert result.exit_code == 2
     assert result.output == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_analyze_on_one_voltage_scan_takes_its_fit(runner, workdir, campaign_dir,
+                                                    tmp_path):
+    # with one z0 fit there is no scatter over voltages: z0 carries the fit's sigma
+    scans = copy_campaign(campaign_dir, tmp_path)
+    for j in range(1, len(DEFAULT_CAL_VOLTAGES)):
+        (scans / f"cal_{j:02d}.csv").unlink()
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "results.json").read_text())
+    [fit] = doc["z0_fits"]
+    assert fit["voltage_v"] == DEFAULT_CAL_VOLTAGES[0]
+    assert (doc["z0_nm"], doc["z0_sigma_nm"]) == (fit["z0_nm"], fit["z0_sigma_nm"])
+    assert doc["z0_rms_over_voltages_nm"] == 0.0
+
+
+def test_calibrate_k_names_a_directory_without_a_raw_signal_scan(runner, campaign_dir,
+                                                                 tmp_path):
+    # a synthetic campaign holds force scans only
+    out = tmp_path / "k.json"
+    result = runner.invoke(main, ["calibrate-k", "--scans", str(campaign_dir),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"error: no raw-signal scans in {campaign_dir}\n"
     assert not out.exists()
 
 

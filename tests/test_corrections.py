@@ -3,14 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
 
 from casimirlab import assemble
 from casimirlab.analysis import ForwardModel
 from casimirlab.config import RunConfig
-from casimirlab.corrections import (TemperatureParams, TheoryCurve, _chebval,
-                                    corrected_force, roughness_factor,
-                                    temperature_factor)
+from casimirlab.corrections import (TemperatureParams, TheoryCurve, corrected_force,
+                                    roughness_factor, temperature_factor)
 from casimirlab.errors import ValidityError
 from casimirlab.lifshitz import casimir_force_sphere_plate
 from casimirlab.synth import campaign_span_nm
@@ -202,17 +200,6 @@ def test_theory_params_validation(drude_params, default_cfg):
     for z_min in (0.0, -1e-8):
         with pytest.raises(ValueError, match=r"separation \S+ nm must be > 0"):
             TheoryCurve(drude_params, z_min, 1e-7, default_cfg.theory_cache_points)
-
-
-@pytest.mark.parametrize("n_coef", range(2, 41))
-def test_in_place_clenshaw_is_bitwise_chebval(n_coef):
-    rng = np.random.default_rng(n_coef)
-    coef = rng.normal(size=n_coef) * 0.5 ** np.arange(n_coef)
-    block = rng.uniform(-1, 1, size=(3, 50))
-    for x in (0.37, np.float64(-0.81), np.array(0.5), block[0], block):
-        ours, ref = _chebval(x, coef), chebyshev.chebval(x, coef)
-        assert np.shape(ours) == np.shape(ref)
-        assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("n_nodes", [2, 20])

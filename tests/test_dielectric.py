@@ -91,12 +91,6 @@ def test_degenerate_xi_near_gamma_branch_continuous():
     assert at == pytest.approx(DRUDE.eps(g), rel=5e-3)
 
 
-def test_all_zero_table_without_drude_gives_vacuum():
-    table = OpticalTable(np.array([0.04, 1.0, 100.0]), np.zeros(3))
-    model = TabulatedModel(table, None)
-    assert model.eps(energy_ev_to_angular_frequency(1.0)) == pytest.approx(1.0)
-
-
 def test_constant_model_validation():
     with pytest.raises(ValueError):
         ConstantModel(0.5)
