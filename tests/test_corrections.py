@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from casimirlab import assemble
 from casimirlab.analysis import ForwardModel
@@ -200,6 +201,27 @@ def test_theory_params_validation(drude_params, default_cfg):
     for z_min in (0.0, -1e-8):
         with pytest.raises(ValueError, match=r"separation \S+ nm must be > 0"):
             TheoryCurve(drude_params, z_min, 1e-7, default_cfg.theory_cache_points)
+
+
+@pytest.mark.parametrize("n_nodes", range(2, 41))
+def test_theory_cache_interpolates_its_nodes(drude_params, n_nodes):
+    # the series through n_nodes Chebyshev points in log z returns the
+    # corrected force at those points, whatever the cache size
+    curve = TheoryCurve(drude_params, CACHE_Z[0], CACHE_Z[-1], n_nodes)
+    log_lo, log_hi = np.log(CACHE_Z[0]), np.log(CACHE_Z[-1])
+    nodes = np.exp((log_hi + log_lo) / 2 + (log_hi - log_lo) / 2 * chebyshev.chebpts1(n_nodes))
+    direct = np.array([float(corrected_force(z, drude_params)) for z in nodes])
+    np.testing.assert_allclose(curve(nodes), direct, rtol=1e-12)
+    # a scalar in gives a float, an array of any shape the same shape, and
+    # force_and_slope's force is the call's bit for bit
+    block = np.geomspace(CACHE_Z[0], CACHE_Z[-1], 150).reshape(3, 50)
+    for z in (float(nodes[0]), np.float64(nodes[-1]), np.array(2e-7), block[0], block):
+        force, slope = curve.force_and_slope(z)
+        assert np.shape(force) == np.shape(slope) == np.shape(z)
+        if np.isscalar(z):
+            assert type(force) is float and type(slope) is float
+        assert np.asarray(force).tobytes() == np.asarray(curve(z)).tobytes()
+        assert np.all(np.asarray(slope) > 0)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 20])

@@ -91,6 +91,28 @@ def test_degenerate_xi_near_gamma_branch_continuous():
     assert at == pytest.approx(DRUDE.eps(g), rel=5e-3)
 
 
+def test_all_zero_table_with_undamped_drude_gives_vacuum():
+    # gamma = 0 puts no Drude absorption below the table, so nothing is left
+    table = OpticalTable(np.array([0.04, 1.0, 100.0]), np.zeros(3))
+    model = TabulatedModel(table, DrudeParams(DRUDE.drude.omega_p, 0.0))
+    assert model.eps(energy_ev_to_angular_frequency(1.0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("xi_ev", [0.01, 0.063, 1.0, 20.0])
+def test_all_zero_table_leaves_the_drude_segment(xi_ev):
+    # eps - 1 is then (2/pi) int_0^omega_0 omega eps''_Drude / (omega^2 + xi^2),
+    # summed here by 400-point Gauss-Legendre instead of the closed form
+    table = OpticalTable(np.array([0.04, 1.0, 100.0]), np.zeros(3))
+    d = DRUDE.drude
+    omega_0 = energy_ev_to_angular_frequency(0.04)
+    xi = energy_ev_to_angular_frequency(xi_ev)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    w = omega_0 * (nodes + 1) / 2
+    integrand = d.omega_p**2 * d.gamma / ((w**2 + d.gamma**2) * (w**2 + xi**2))
+    expected = 1.0 + (2.0 / np.pi) * (omega_0 / 2) * np.dot(weights, integrand)
+    assert TabulatedModel(table, d).eps(xi) == pytest.approx(expected, rel=1e-12)
+
+
 def test_constant_model_validation():
     with pytest.raises(ValueError):
         ConstantModel(0.5)
