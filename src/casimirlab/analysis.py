@@ -456,52 +456,42 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
 DRIFT_REGION_MIN_NM = 516.0
 
 
-def analyze_campaign(read_campaign, model_for, window_nm, n_nodes: int,
+def analyze_campaign(scans, model_for, window_nm, n_nodes: int,
                      pooled_noise_pn: float, cal: CalibrationParams
                      ) -> tuple[dict, ForceCurve, np.ndarray]:
-    """End-to-end pipeline on a campaign, streamed one scan at a time.
+    """End-to-end pipeline on a campaign, in one pass over its scans.
 
-    ``read_campaign()`` gives the campaign's scans in file-name order, as
-    ``synth.load_campaign`` reads them: force-valued scans at applied
-    voltages 0.3-0.8 V for the z0 fits, grounded scans on one shared axis,
-    and raw stiffness scans for the spring constant (with ``cal``).
-    ``model_for(axes)`` is the forward model over the separation-from-contact
-    axes a pass reads.
-
-    The scans up to the first grounded one are read first: their voltage
-    scans give z0, and with the first grounded scan's axis the model. Then
-    each grounded scan, the first included, is drift-fitted and extracted,
-    folded into ``average_scans``'s sums and dropped. A voltage scan after
-    the first grounded one would change z0: a second pass then reads the
-    campaign again and fits z0 on every voltage scan. Errors are raised in
-    the order the stream meets them: a z0 fit failure once the voltage scans
-    before the first grounded scan are read, a bad file when its turn comes.
+    ``scans`` yields them in ``synth.load_campaign``'s order: force-valued
+    scans at 0.3-0.8 V for the z0 fits and raw stiffness scans for the spring
+    constant (with ``cal``), then the grounded scans on one shared axis.
+    ``model_for(axes)`` is the forward model over the axes read. The voltage
+    scans give z0, and with the first grounded scan's axis the model; then
+    each grounded scan is drift-fitted, extracted, folded into
+    ``average_scans``'s sums and dropped, and any other scan after it raises
+    DataError naming it. Errors come in the order the stream meets them: a
+    missing side of the campaign or a z0 fit failure at the first grounded
+    scan, a bad file when its turn comes.
     """
-    z0_scans = None  # every voltage scan, once a pass has found one after the first grounded
-    while True:
-        voltage_scans, stiffness, drifts = [], [], []
-        with closing(_grounded_scans(read_campaign(), voltage_scans, stiffness)) as grounded:
-            first = next(grounded, None)
-            fitted = list(voltage_scans) if z0_scans is None else z0_scans
-            if first is None or not fitted:  # nothing to extract yet: read on
-                for _ in grounded:
-                    pass
-            else:
-                model = model_for([c.piezo_nm for c in (*fitted, first)])
-                z0_fits = [fit_contact_separation(c, model, pooled_noise_pn) for c in fitted]
-                z0_values = np.array([fit.z0_nm for fit in z0_fits])
-                z0 = float(z0_values.mean())
-                extracted = _extracted(first, grounded, z0, model, drifts)
-                head = next(extracted)  # its fields and extracted axis go to the mean curve
-                mean_curve, std = average_scans(
-                    head, (c.force_pn for c in chain([head], extracted)))
-        if z0_scans is not None or len(voltage_scans) == len(fitted):
-            break
-        z0_scans = voltage_scans
-    if not voltage_scans:
-        raise DataError("no voltage scans for the z0 fit")
-    if first is None:
-        raise DataError("no grounded scans to analyze")
+    voltage_scans, stiffness, drifts = [], [], []
+    scans = (curve for curve in scans)  # closing it drops the stream, even from a traceback
+    with closing(scans):
+        for first in scans:
+            if first.grounded:
+                break
+            (voltage_scans if first.has_force else stiffness).append(first)
+        else:
+            first = None
+        if not voltage_scans:
+            raise DataError("no voltage scans for the z0 fit")
+        if first is None:
+            raise DataError("no grounded scans to analyze")
+        model = model_for([c.piezo_nm for c in (*voltage_scans, first)])
+        z0_fits = [fit_contact_separation(c, model, pooled_noise_pn) for c in voltage_scans]
+        z0_values = np.array([fit.z0_nm for fit in z0_fits])
+        z0 = float(z0_values.mean())
+        extracted = _extracted(first, scans, z0, model, drifts)
+        head = next(extracted)  # its fields and extracted axis go to the mean curve
+        mean_curve, std = average_scans(head, (c.force_pn for c in chain([head], extracted)))
 
     if z0_values.size > 1:
         z0_rms = float(z0_values.std(ddof=1))
@@ -525,23 +515,15 @@ def analyze_campaign(read_campaign, model_for, window_nm, n_nodes: int,
     return results, mean_curve, std
 
 
-def _grounded_scans(scans, voltage_scans: list, stiffness: list):
-    """The grounded scans of ``scans``, in order; each other scan is appended
-    to voltage_scans (force-valued) or stiffness (raw signal) as it passes."""
-    for curve in scans:
-        if curve.grounded:
-            yield curve
-        else:
-            (voltage_scans if curve.has_force else stiffness).append(curve)
-
-
-def _extracted(first: ForceCurve, grounded, z0_nm: float, model: ForwardModel, drifts: list):
-    """``first`` and then each scan of ``grounded``, drift-fitted over region 3
+def _extracted(first: ForceCurve, rest, z0_nm: float, model: ForwardModel, drifts: list):
+    """``first``, then each scan of ``rest`` (all grounded), drift-fitted over region 3
     and extracted on the axis of ``first``; each drift C is appended to drifts."""
     region3 = first.piezo_nm > DRIFT_REGION_MIN_NM
     z3 = first.piezo_nm[region3]
     model_pn = model.force_pn(z3, z0_nm, 0.0)
-    for curve in chain([first], grounded):
+    for curve in chain([first], rest):
+        if not curve.grounded:
+            raise DataError(f"scan {curve.scan_id}: not grounded, after the first grounded scan")
         drift = fit_drift_coefficient(z3, curve.force_pn[region3], model_pn)
         drifts.append(drift.C_pn_per_nm)
         yield extract_casimir(replace(first, force_pn=curve.force_pn), z0_nm, drift, model)

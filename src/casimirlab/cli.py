@@ -283,7 +283,7 @@ def analyze(scans_dir, out_dir, config_path):
         return assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
 
     results, mean_curve, std = analyze_campaign(
-        functools.partial(load_campaign, scans_dir), model_for, window, cfg.window_points,
+        load_campaign(scans_dir), model_for, window, cfg.window_points,
         cfg.pooled_noise_pn, assemble.calibration_params(cfg))
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))

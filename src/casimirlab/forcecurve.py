@@ -113,6 +113,22 @@ def load_scan(source) -> ForceCurve:
         raise ParseError(str(exc)) from exc
 
 
+@names_its_file
+def scan_is_grounded(path) -> bool:
+    """``load_scan(path).grounded``, from the lines before the first row when
+    they hold a well-formed voltage, else from ``load_scan`` itself."""
+    kinds = _Lines(SCAN_HEADERS)
+    with open(path, "r", encoding="utf-8") as fh:  # lines split as _read_csv splits them
+        for lineno, line in enumerate((s for raw in fh for s in raw.splitlines()), start=1):
+            if kinds.row(lineno, line) is not None:
+                break
+    try:
+        voltage = float(kinds.meta["applied_voltage_v"])
+    except (KeyError, ValueError):  # among the rows, or malformed: read it or report it
+        return load_scan(path).grounded
+    return kinds.header == SCAN_HEADERS[1] and voltage == 0.0
+
+
 def save_scan(curve: ForceCurve, fh) -> None:
     """Write a curve in the CSV dialect accepted by load_scan, in one write."""
     head = f"# scan_id={curve.scan_id}\n# applied_voltage_v={curve.applied_voltage:.9g}\n"

@@ -98,9 +98,9 @@ def _gauss_panels(edges, x, w):
     return nodes, weights
 
 
-def _geometric_edges(lo, hi, first=1.0):
+def _geometric_edges(lo, hi):
     edges = [lo]
-    v = first
+    v = 1.0
     while v < hi:
         if v > lo:
             edges.append(v)

@@ -11,9 +11,9 @@ scan's stream), shaped into normals by the Box-Muller transform in numpy
 is not imported, as it loads OpenSSL (through ``secrets``) and eleven
 extension modules, 5.6 MiB of resident memory. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
-``load_campaign`` is a stream of the scans in file-name order, which
-``analysis.analyze_campaign`` folds into its running sums one scan at a
-time. The theory cache spans what ``analyze`` will read
+``load_campaign`` is a stream of the scans, the grounded ones last, which
+``analysis.analyze_campaign`` reads in one pass, folding each grounded scan
+into its running sums. The theory cache spans what ``analyze`` will read
 (``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
 
 A large campaign's scans are shared out, interleaved, between this process
@@ -40,7 +40,7 @@ import numpy as np
 from .analysis import COARSE_Z0_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
-from .forcecurve import ForceCurve, load_scan, save_scan
+from .forcecurve import ForceCurve, load_scan, save_scan, scan_is_grounded
 
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # The work from which a forked worker pays for itself, measured on a
@@ -48,12 +48,11 @@ DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # 30 ms of wall time (the fork, its copy-on-write faults, the second CPU
 # taking it up) and at best halves the work it shares; a split needs about
 # 120 ms of work, four times that cost, to pay on a host whose other CPU is
-# often busy. Drawing and writing a scan takes about 0.5 us per row and
-# parsing one about 16 ns per byte (23 bytes per row). So a campaign of
-# 276 files x 4910 rows (30.6 MB) splits, and the default one, 33 x 982
-# rows (0.73 MB), stays in one process.
-SPLIT_MIN_ROWS = 250_000      # rows to draw and write: scan files x grid points
-SPLIT_MIN_BYTES = 7_500_000   # bytes of scan files to parse
+# often busy. A row costs about 0.5 us to draw and write and 0.37 us to parse
+# (16 ns per byte, 23 bytes per row): a write splits from 125 ms of work and a
+# read from 90 ms. So a campaign of 276 files x 4910 rows splits both ways,
+# and the default one, 33 x 982 rows, stays in one process.
+SPLIT_MIN_ROWS = 250_000   # rows to draw and write, or to parse: scans x grid points
 # Capacity asked for each worker's result pipe: a dozen pickled 4910-point
 # scans (79 KB each) rather than Linux's default 64 KiB, less than one, so a
 # worker that runs ahead does not wait for this process to take each scan.
@@ -115,11 +114,11 @@ def campaign_span_nm(cfg: RunConfig):
                           cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm), z0_nm)
 
 
-def _processes(work: int, break_even: int) -> int:
-    """Processes to share ``work`` between: this one, plus a forked worker
-    for each full ``break_even`` of work, at most one per further allowed CPU."""
+def _processes(rows: int) -> int:
+    """Processes to share ``rows`` of work between: this one, plus a forked worker
+    for each full ``SPLIT_MIN_ROWS``, at most one per further allowed CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, 1 + work // break_even))
+    return max(1, min(cpus, 1 + rows // SPLIT_MIN_ROWS))
 
 
 def _in_shares(work, n: int, processes: int):
@@ -237,8 +236,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
             yield None
 
     files = len(planned)
-    for _ in _in_shares(write_share, files,
-                        _processes(files * cfg.grid_points, SPLIT_MIN_ROWS)):
+    for _ in _in_shares(write_share, files, _processes(files * cfg.grid_points)):
         pass
     truth = {
         "z0_true_nm": cfg.z0_true_nm,
@@ -260,50 +258,52 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
 
 
 def load_campaign(indir):
-    """The scans of a campaign directory, read one file at a time in name order.
+    """The scans of a campaign directory: the voltage and stiffness scans,
+    then the grounded ones, each in file-name order.
 
-    Returns an iterator over the scans as ForceCurves; it reads a file only
-    when its scan is asked for, so a caller that drops each scan holds one at
-    a time. Signal-valued curves are stiffness-calibration scans; force-valued
-    ones split on applied voltage. Every grounded scan after the first must
-    share the first one's axis (``DataError`` naming the scan and its file
-    otherwise). ``truth.json``, the generator's record, is not read.
+    Every file is classified first, from the lines before its first row
+    (``scan_is_grounded``), so an unrecognized header raises here, naming the
+    file. Returns an iterator over the scans as ForceCurves; it reads a file
+    only when its scan is asked for, so a caller that drops each scan holds
+    one at a time. Every grounded scan after the first must share the first
+    one's axis (``DataError`` naming the scan and its file otherwise).
+    ``truth.json``, the generator's record, is not read.
 
     The files up to the first grounded scan are read in this process. From
-    ``SPLIT_MIN_BYTES`` bytes of further files on, those are shared out
-    interleaved between this process and forked workers (``_processes``), and
-    the workers are forked when the scan after the first grounded one is
-    asked for: a caller that fits z0 and builds its model on the scans before
-    that does so once, and the workers start from it. The scans still come in
-    name order, and each error is raised when its file's turn comes, so the
-    error raised is the one of the first failing file in name order, as
-    reading the files in turn would raise.
+    ``SPLIT_MIN_ROWS`` rows of further scans on (their number times the first
+    grounded scan's rows), those are shared out interleaved between this
+    process and forked workers (``_processes``), forked when the scan after
+    the first grounded one is asked for: a caller that fits z0 and builds its
+    model on the scans before that does so once, and the workers start from
+    it. Each error is raised when its file's turn comes, so the error raised
+    is the one of the first failing file in this order.
     """
     indir = Path(indir)
-    paths = sorted(indir.glob("*.csv"))
-    if not paths:
+    # names, not paths: a path opened keeps its text, and every file is opened here
+    names = sorted(path.name for path in indir.glob("*.csv"))
+    if not names:
         raise DataError(f"no scan files found in {indir}")
-    return _read_in_order(paths)
+    names.sort(key=lambda name: scan_is_grounded(indir / name))  # stable: grounded last
+    return _read_in_order(indir, names)
 
 
-def _read_in_order(paths):
-    for g, path in enumerate(paths):
-        curve = load_scan(path)
+def _read_in_order(indir, names):
+    for g, name in enumerate(names):
+        curve = load_scan(indir / name)
         yield curve
         if curve.grounded:
             break
     else:
         return
-    first, rest = curve, paths[g + 1:]
+    first, rest = curve, names[g + 1:]
 
     def read_share(share, processes):
-        for path in rest[share::processes]:
-            curve = load_scan(path)
+        for name in rest[share::processes]:
+            curve = load_scan(indir / name)
             if curve.grounded and (curve.piezo_nm.size != first.piezo_nm.size
                                    or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
-                raise DataError(f"scan {curve.scan_id} ({path.name}): scan grids differ "
+                raise DataError(f"scan {curve.scan_id} ({name}): scan grids differ "
                                 f"from scan {first.scan_id}'s; resample before averaging")
             yield curve
 
-    processes = _processes(sum(path.stat().st_size for path in rest), SPLIT_MIN_BYTES)
-    yield from _in_shares(read_share, len(rest), processes)
+    yield from _in_shares(read_share, len(rest), _processes(len(rest) * first.piezo_nm.size))

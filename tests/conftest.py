@@ -22,10 +22,10 @@ def campaign_scans(cfg, model):
 
 
 def analyze_scans(voltage_scans, grounded, model, cfg):
-    """``analyze_campaign`` on scans held in memory, in the file-name order
-    ``load_campaign`` reads a campaign in (cal_* before scan_*), with
+    """``analyze_campaign`` on scans held in memory, in the order
+    ``load_campaign`` reads a campaign in (the grounded scans last), with
     ``model`` for every span and cfg's window, noise and calibration."""
-    return analyze_campaign(lambda: [*voltage_scans, *grounded], lambda axes: model,
+    return analyze_campaign([*voltage_scans, *grounded], lambda axes: model,
                             (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
                             cfg.pooled_noise_pn, assemble.calibration_params(cfg))
 
@@ -44,10 +44,9 @@ def traced_peak_above_inputs(fn):
 @pytest.fixture
 def split(monkeypatch):
     """Share every campaign between processes, whatever its size: the
-    break-even constants drop to one row and one byte."""
+    break-even drops to one row."""
     monkeypatch.setattr(synth, "SPLIT_MIN_ROWS", 1)
-    monkeypatch.setattr(synth, "SPLIT_MIN_BYTES", 1)
-    if synth._processes(1, 1) < 2:
+    if synth._processes(1) < 2:
         pytest.skip("one allowed CPU: a campaign is never split")
 
 

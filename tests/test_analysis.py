@@ -421,6 +421,17 @@ def test_analyze_campaign_memory_stays_flat_as_the_scans_double(default_cfg, for
     assert peaks[1] - peaks[0] <= 2 * row_bytes, peaks
 
 
+def test_a_voltage_scan_after_a_grounded_one_is_refused(default_cfg, forward_model):
+    # z0 is fitted at the first grounded scan: a later voltage scan is named,
+    # not dropped
+    cfg = replace(default_cfg, n_scans=3, grid_points=160)
+    grounded, voltage_scans = campaign_scans(cfg, forward_model)
+    late = replace(voltage_scans[0], scan_id="cal_late")
+    with pytest.raises(DataError, match="^scan cal_late: not grounded, after the first "
+                                        "grounded scan"):
+        analyze_scans(voltage_scans, [grounded[0], late, *grounded[1:]], forward_model, cfg)
+
+
 def test_resample_force_guards():
     z = np.linspace(0, 10, 11)
     with pytest.raises(DataError):

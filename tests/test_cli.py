@@ -20,10 +20,10 @@ from casimirlab import __version__
 from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main, parse_grid
 from casimirlab.analysis import COARSE_Z0_NM
 from casimirlab.config import RunConfig, parse_config
-from casimirlab.corrections import ROUGHNESS_SERIES_MAX_RATIO
+from casimirlab.corrections import ROUGHNESS_SERIES_MAX_RATIO, TemperatureParams
 from casimirlab.errors import ParseError
 from casimirlab.forcecurve import _read_csv
-from casimirlab.synth import DEFAULT_CAL_VOLTAGES
+from casimirlab.synth import DEFAULT_CAL_VOLTAGES, campaign_span_nm
 
 FAST_CONFIG = """\
 theory_cache_points=40
@@ -966,7 +966,7 @@ import os, sys
 from casimirlab import synth
 from casimirlab.cli import main
 if {split}:
-    synth.SPLIT_MIN_BYTES = 1
+    synth.SPLIT_MIN_ROWS = 1
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 try:
@@ -1167,3 +1167,58 @@ def test_synth_analyze_compare_around_the_defaults_ends_in_finite_results(values
         for doc in ("analysis/results.json", "compare.json"):
             assert finite_floats(json.loads((tmp / doc).read_text())), doc
         assert np.isfinite(_read_csv(curve, 3, (MEAN_CURVE_COLUMNS,)).columns).all()
+
+
+@st.composite
+def runnable_wide_values(draw):
+    """Config values on which synth -> analyze is defined, at smoke size.
+
+    The grid and window ends, the cap offset, the sphere radius and the
+    residual potential lie within +-20% of their defaults. The roughness
+    amplitude and the temperature lie inside their series regimes (A/z < 0.3,
+    eta < 0.5) over the span the commands read the theory on, with 1% to
+    spare. The noise, the pooled noise, the drift, the seed and z0 are wide.
+    """
+    values = {key: draw(near_default(key)) for key in (
+        "grid_lo_nm", "grid_hi_nm", "window_lo_nm", "window_hi_nm", "cap_offset_nm",
+        "sphere_radius_um", "v2_residual_mv")}
+    values.update(SMOKE_KEYS)
+    # the mean curve starts at grid_lo + z0 + cap, with z0 as fitted, and
+    # must cover the window: 2 nm is 8 times the fit's rms error at 100 pN of
+    # noise. Below 3 nm the chi2 minimum nears the coarse scan's first z0, 1 nm.
+    values["z0_true_nm"] = draw(st.floats(3.0, values["window_lo_nm"] - values["grid_lo_nm"]
+                                          - values["cap_offset_nm"] - 2.0))
+    lo_nm, hi_nm = campaign_span_nm(RunConfig(**values))
+    values["roughness_amplitude_nm"] = draw(
+        st.floats(0.0, 0.99 * ROUGHNESS_SERIES_MAX_RATIO * lo_nm))
+    values["temperature_k"] = draw(
+        st.floats(0.0, 0.99 * 0.5 / TemperatureParams(1.0).eta(hi_nm * 1e-9)))
+    # the pooled noise only scales chi2, which overflows below about 1e-150;
+    # the drift fit removes the drift, whose force keeps 9 digits in a scan file
+    values.update(noise_pn=draw(st.floats(0.0, 100.0)),
+                  pooled_noise_pn=draw(st.floats(1e-100, 1e100)),
+                  c_true_pn_per_nm=draw(st.floats(-1e100, 1e100)),
+                  seed=draw(st.integers(0, 2**32 - 1)))
+    return values
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=runnable_wide_values())
+def test_synth_analyze_over_the_wide_keys_runs_to_finite_results(values):
+    # the runnable side of the config-key property above, whose wide draws
+    # end mostly in a refusal: where the loop is defined it exits 0, with
+    # finite outputs and no warning
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
+        cfg = ["--config", str(tmp / "run.cfg")]
+        for args in (["synth", "--out", str(tmp / "campaign")],
+                     ["analyze", "--scans", str(tmp / "campaign"),
+                      "--out", str(tmp / "analysis")]):
+            result = runner.invoke(main, [*args, *cfg])
+            assert result.exit_code == 0, (args[0], result.output)
+            assert "Warning" not in result.output, (args[0], result.output)
+        assert finite_floats(json.loads((tmp / "analysis" / "results.json").read_text()))
+        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+        assert np.isfinite(curve.columns).all()

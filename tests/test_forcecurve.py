@@ -10,7 +10,7 @@ from casimirlab import assemble
 from casimirlab.config import RunConfig
 from casimirlab.errors import CalibrationError, ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
-                                   load_scan, save_scan, signal_to_force)
+                                   load_scan, save_scan, scan_is_grounded, signal_to_force)
 
 
 def make_curve(n=20, observable="force_pn", voltage=0.31):
@@ -151,6 +151,47 @@ def test_load_scan_errors(text, fragment):
 
 
 CLEAN_ROWS = [f"{z:g},{-z / 10:g}" for z in range(1, 13)]
+
+
+@pytest.mark.parametrize("head,tail,grounded", [
+    (SCAN_HEAD, "", True),
+    ("\n# scan_id=a\n# note\n\n#  applied_voltage_v = -0.0 \n piezo_nm ,\tforce_pn \n", "", True),
+    ("# scan_id=a\n# applied_voltage_v=0.5\npiezo_nm,force_pn\n", "", False),
+    ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,signal\n", "", False),
+    # a voltage after the rows, which only the full read sees
+    ("# scan_id=a\npiezo_nm,force_pn\n", "# applied_voltage_v=0\n", True),
+    ("# scan_id=a\npiezo_nm,force_pn\n", "# applied_voltage_v=0.5\n", False),
+])
+def test_scan_is_grounded_is_the_grounded_of_load_scan(tmp_path, head, tail, grounded):
+    path = tmp_path / "scan.csv"
+    path.write_text(head + "\n".join(CLEAN_ROWS) + "\n" + tail)
+    assert scan_is_grounded(path) is load_scan(path).grounded is grounded
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# scan_id=a\npiezo_nm,force_pn\n1,2\n", "missing metadata key 'applied_voltage_v'"),
+    ("# scan_id=a\n# applied_voltage_v=zz\npiezo_nm,force_pn\n1,2\n",
+     "malformed applied_voltage_v at line 2"),
+    # a form feed splits a line for both readers, so both name line 4
+    ("# scan_id=a\n\x0c# applied_voltage_v=0\npiezo_nm,force\n1,2\n",
+     "unrecognized header 'piezo_nm,force', expected piezo_nm,signal or piezo_nm,force_pn "
+     "at line 4"),
+])
+def test_scan_is_grounded_raises_what_load_scan_raises(tmp_path, text, message):
+    path = tmp_path / "scan.csv"
+    path.write_text(text)
+    for read in (scan_is_grounded, load_scan):
+        with pytest.raises(ParseError) as error:
+            read(path)
+        assert str(error.value) == f"{path}: {message}"
+
+
+def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("# scan_id=a\n# applied_voltage_v=0\n")
+    assert scan_is_grounded(path) is False
+    with pytest.raises(ParseError, match="missing column header"):
+        load_scan(path)
 
 
 @pytest.mark.parametrize("body", [

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 from dataclasses import replace
@@ -148,12 +147,47 @@ def write_with_extra_scans(outdir, cfg, model, e_cfg):
             save_scan(scan, fh)
 
 
+def test_load_campaign_reads_the_grounded_scans_last(tmp_path, forward_model, e_cfg):
+    # the voltage and stiffness scans come first, wherever their names sort
+    write_with_extra_scans(tmp_path, small_cfg(n_scans=3), forward_model, e_cfg)
+    scans = list(load_campaign(tmp_path))
+    assert [c.grounded for c in scans] == 9 * [False] + 3 * [True]
+    assert [c.scan_id for c in scans if c.has_force] == [
+        *(f"cal_{j:02d}" for j in range(len(DEFAULT_CAL_VOLTAGES))), "cal_mid",
+        "scan_000", "scan_001", "scan_002"]
+
+
+def test_load_campaign_classifies_every_file_before_it_reads_one(tmp_path, forward_model):
+    write_campaign(tmp_path, small_cfg(n_scans=3), forward_model)
+    path = tmp_path / "scan_002.csv"
+    path.write_text(path.read_text().replace("piezo_nm,force_pn", "piezo_nm,force"))
+    with pytest.raises(ParseError) as error:
+        load_campaign(tmp_path)   # no scan asked for yet
+    assert (str(error.value), error.value.path) == (
+        f"{path}: unrecognized header 'piezo_nm,force', expected piezo_nm,signal or "
+        f"piezo_nm,force_pn at line 4", path)
+
+
+def test_analyze_parses_each_scan_file_once(tmp_path, forward_model, e_cfg, monkeypatch):
+    # a voltage scan whose name sorts among the grounded scans is read with
+    # the other voltage scans, not in a second read of the campaign
+    t = small_cfg(n_scans=2)
+    campaign = tmp_path / "campaign"
+    write_with_extra_scans(campaign, t, forward_model, e_cfg)
+    parsed = []
+    monkeypatch.setattr(synth, "load_scan", lambda path: parsed.append(path.name)
+                        or load_scan(path))
+    analyze_bytes(campaign, t, tmp_path / "analysis")
+    files = sorted(p.name for p in campaign.glob("*.csv"))
+    assert len(files) == 11 and sorted(parsed) == files
+
+
 @pytest.mark.parametrize("ways", [None, 4])
 def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
                                                 monkeypatch, split, ways):
     # ways=4: three workers, more processes than this host may have CPUs
     if ways:
-        monkeypatch.setattr(synth, "_processes", lambda work, break_even: ways)
+        monkeypatch.setattr(synth, "_processes", lambda rows: ways)
     t = small_cfg(n_scans=5)
     write_with_extra_scans(tmp_path / "split", t, forward_model, e_cfg)
     loaded = list(load_campaign(tmp_path / "split"))
@@ -253,7 +287,7 @@ def test_analyze_memory_stays_flat_as_the_campaign_doubles(tmp_path, default_cfg
         write_campaign(tmp_path / str(n), RunConfig(n_scans=n), forward_model)
     window = (default_cfg.window_lo_nm, default_cfg.window_hi_nm)
     rows = rows_added_by_doubling(lambda n: analyze_campaign(
-        functools.partial(load_campaign, tmp_path / str(n)), lambda axes: forward_model,
+        load_campaign(tmp_path / str(n)), lambda axes: forward_model,
         window, default_cfg.window_points, default_cfg.pooled_noise_pn,
         assemble.calibration_params(default_cfg)))
     assert rows <= 2, rows
@@ -272,7 +306,7 @@ def analyze_bytes(campaign, cfg, out):
 @pytest.mark.parametrize("layout", ["plain", "late_voltage_scan"])
 def test_analyze_writes_the_same_bytes_in_1_2_and_4_processes(tmp_path, forward_model,
                                                               e_cfg, monkeypatch, layout):
-    # the scans are merged back in name order, so the split moves no bit
+    # the scans are merged back in the serial read's order, so the split moves no bit
     t = small_cfg(n_scans=5)
     campaign = tmp_path / "campaign"
     if layout == "plain":
@@ -281,16 +315,16 @@ def test_analyze_writes_the_same_bytes_in_1_2_and_4_processes(tmp_path, forward_
         write_with_extra_scans(campaign, t, forward_model, e_cfg)
     outputs = {}
     for ways in (1, 2, 4):
-        monkeypatch.setattr(synth, "_processes", lambda work, break_even: ways)
+        monkeypatch.setattr(synth, "_processes", lambda rows: ways)
         outputs[ways] = analyze_bytes(campaign, t, tmp_path / f"analysis{ways}")
     assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
 
 
 def test_a_late_voltage_scan_gives_the_results_of_one_read_first(tmp_path, forward_model,
                                                                   e_cfg):
-    # scan_002v sorts among the grounded scans: analyze reads the campaign a
-    # second time with z0 fitted on every voltage scan, and writes what it
-    # writes when the same scan sorts before them (cal_mid, after cal_05)
+    # scan_002v sorts among the grounded scans: analyze reads it before them,
+    # with the other voltage scans, and writes what it writes when the same
+    # scan sorts before them (cal_mid, after cal_05)
     t = small_cfg(n_scans=5)
     late, early = tmp_path / "late", tmp_path / "early"
     write_with_extra_scans(late, t, forward_model, e_cfg)
