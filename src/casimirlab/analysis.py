@@ -81,7 +81,7 @@ class DriftFit:
 class ComparisonStats:
     sigma_rms_pn: float
     n_points: int
-    reduced_chi2: float
+    reduced_chi2: float | None  # None where some in-window std is 0
     variants: dict
 
     def record(self, window_nm) -> dict:
@@ -136,8 +136,6 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     """
     signals, forces = [], []
     for curve in curves:
-        if curve.has_force:
-            raise CalibrationError("calibration curves must carry raw signal")
         if curve.applied_voltage == 0:
             raise CalibrationError(f"scan {curve.scan_id}: zero applied voltage")
         mask = curve.piezo_nm > CALIBRATION_MIN_SEPARATION_NM
@@ -220,8 +218,6 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel,
     ``ForwardModel.force_and_dz0_pn``, stops at a step below 1e-10 nm;
     sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
     """
-    if not curve.has_force:
-        raise DataError("curve must be force-valued")
     v = curve.applied_voltage
     if not Z0_VOLTAGE_RANGE[0] <= v <= Z0_VOLTAGE_RANGE[1]:
         raise DataError(f"applied voltage {v} V outside {Z0_VOLTAGE_RANGE}")
@@ -291,8 +287,6 @@ def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
     Returns a curve whose axis is the metal-to-metal separation
     z + z0 + cap and whose force is the measured Casimir force.
     """
-    if not curve.has_force:
-        raise DataError("curve must be force-valued")
     z = curve.piezo_nm
     sep = z + z0_nm
     force = curve.force_pn - model.electrostatic_pn(sep, 0.0) - drift.C_pn_per_nm * z
@@ -347,17 +341,6 @@ def _compensated_add(total, carry, x, y, t):
     total[...] = t
 
 
-def resample_force(z_nm, force_pn, grid_nm):
-    """Linear interpolation of a force curve onto a new separation grid."""
-    z = np.asarray(z_nm, dtype=float)
-    if not np.all(np.diff(z) > 0):
-        raise DataError("separation axis must be strictly increasing")
-    grid = np.asarray(grid_nm, dtype=float)
-    if grid[0] < z[0] - 1e-9 or grid[-1] > z[-1] + 1e-9:
-        raise DataError("target grid extends beyond the curve")
-    return np.interp(grid, z, np.asarray(force_pn, dtype=float))
-
-
 # Variant separation shifts in nm: +-3 nm axis uncertainty, and the
 # opaque-cap scenario where the 15.8 nm transparent-cap offset collapses
 # to 0.9 nm (axis overstated by 14.9 nm).
@@ -374,13 +357,11 @@ def theory_span_nm(axes_nm, cap_offset_nm=0.0, window_nm=None, z0_nm=COARSE_Z0_N
 
     A z0 fit over an axis z of separations from contact reads the model at
     z + z0 > 0 for z0 in [z0_nm[0], z0_nm[1]] and the theory at z + z0 + cap.
-    A mean curve inside that span that covers the window (to resample_force's
+    A mean curve inside that span that covers the window (to compare_to_theory's
     1e-9 nm; 2e-9 here allows for rounding) is compared at its points bracketing
     it, at most one axis step outside, unshifted and at ``VARIANT_SHIFTS_NM``. A
     metal-to-metal axis (``compare``'s mean curve) passes z0_nm = (0, 0).
     """
-    if not axes_nm:
-        raise DataError("no force scans to read the theory over")
     closest = min(float(np.min(a)) for a in axes_nm) + z0_nm[0]
     if closest <= 0:
         raise DataError(f"the model would be read at a separation of {closest:.6g} nm, at or "
@@ -404,13 +385,13 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
     both sides identically. sigma_rms = sqrt(sum (F_th - F_exp)^2 / N).
     Reduced chi2 uses per-point standard errors std/sqrt(n_scans) on the
     curve's own in-window points: interpolating correlated residuals onto
-    the canonical grid would bias chi2 low by ~2/3.
+    the canonical grid would bias chi2 low by ~2/3. It is None, undefined,
+    where some of those points have std 0, as where every scan holds the
+    same value.
     """
-    if not mean_curve.has_force:
-        raise DataError("mean curve must be force-valued")
     axis = mean_curve.piezo_nm
     lo, hi = window_nm
-    if axis[0] > lo + 1e-9 or axis[-1] < hi - 1e-9:  # resample_force's tolerance
+    if axis[0] > lo + 1e-9 or axis[-1] < hi - 1e-9:
         raise DataError(
             f"mean curve spans [{axis[0]:.6g}, {axis[-1]:.6g}] nm and does not cover "
             f"the comparison window [{lo:.6g}, {hi:.6g}] nm (window_lo_nm, window_hi_nm)"
@@ -422,30 +403,28 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
             f"(< {MIN_WINDOW_POINTS})"
         )
     grid = np.linspace(lo, hi, n_nodes)
-    exp = resample_force(axis, mean_curve.force_pn, grid)
+    exp = np.interp(grid, axis, mean_curve.force_pn)
     # the theory is needed only on the curve points that bracket the window:
     # linear resampling onto the window grid reads no other point
     near = axis[max(int(np.searchsorted(axis, lo, side="right")) - 1, 0):
                 int(np.searchsorted(axis, hi, side="left")) + 1]
-    th = resample_force(near, theory(near * 1e-9) * 1e12, grid)
+    th = np.interp(grid, near, theory(near * 1e-9) * 1e12)
     resid = th - exp
     sigma_rms = float(np.sqrt(np.mean(resid**2)))
 
-    std = np.asarray(std_pn, dtype=float)
-    if std.shape != axis.shape:
-        raise DataError("std array must match the mean-curve grid")
     native_resid = (theory(axis[in_window] * 1e-9) * 1e12
                     - mean_curve.force_pn[in_window])
-    stderr = np.maximum(std[in_window] / np.sqrt(n_scans), 1e-30)
-    reduced_chi2 = float(np.mean((native_resid / stderr) ** 2))
+    stderr = std_pn[in_window] / np.sqrt(n_scans)
+    reduced_chi2 = (float(np.mean((native_resid / stderr) ** 2))
+                    if np.all(stderr > 0) else None)
 
     variants = {}
     for label, shift in VARIANT_SHIFTS_NM.items():
-        th_s = resample_force(near, theory((near + shift) * 1e-9) * 1e12, grid)
+        th_s = np.interp(grid, near, theory((near + shift) * 1e-9) * 1e12)
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
     for name, value in {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
                         **variants}.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise DataError(f"comparison statistic '{name}' overflows: {value:g}")
 
     return ComparisonStats(sigma_rms_pn=sigma_rms, n_points=int(grid.size),

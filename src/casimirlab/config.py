@@ -102,8 +102,10 @@ _RANGES = (
     # 1 m: above any Casimir lens, and below radii whose proximity guard lets
     # separations through that overflow the Lifshitz force estimate
     (("sphere_radius_um",), "in (0, 1e6]", lambda c: 0 < c.sphere_radius_um <= 1e6),
-    (("drude_wp_ev",), "> 0", lambda c: c.drude_wp_ev > 0),
-    (("drude_gamma_ev",), ">= 0", lambda c: c.drude_gamma_ev >= 0),
+    # 1 MeV: far above any metal's Drude energies (aluminium's plasma energy
+    # is 15 eV), and far below those whose squares overflow in the Drude forms
+    (("drude_wp_ev",), "in (0, 1e6]", lambda c: 0 < c.drude_wp_ev <= 1e6),
+    (("drude_gamma_ev",), "in [0, 1e6]", lambda c: 0 <= c.drude_gamma_ev <= 1e6),
     (("roughness_amplitude_nm",), ">= 0", lambda c: c.roughness_amplitude_nm >= 0),
     (("temperature_k",), ">= 0", lambda c: c.temperature_k >= 0),
     (("rel_tol",), "in (0, 1e-2]", lambda c: 0 < c.rel_tol <= 1e-2),

@@ -44,12 +44,6 @@ class RoughnessSpec:
     A: float
     coeffs: tuple
 
-    def __post_init__(self):
-        if self.A < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.A}")
-        if len(self.coeffs) != 3:
-            raise ValueError("coeffs must be (c2, c3, c4)")
-
 
 @dataclass(frozen=True)
 class TemperatureParams:
@@ -57,18 +51,12 @@ class TemperatureParams:
 
     T: float
 
-    def __post_init__(self):
-        if self.T < 0:
-            raise ValueError(f"temperature must be >= 0 K, got {self.T}")
-
     def eta(self, z: float) -> float:
         return 2.0 * np.pi * CONST.kB * self.T * z / (CONST.planck_h * CONST.c)
 
 
 def roughness_factor(z: float, rough: RoughnessSpec) -> float:
     """Quartic-series roughness multiplier; valid for A/z < 0.3."""
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
     x = rough.A / float(z)  # Python's division overflows to inf without a warning
     if x >= ROUGHNESS_SERIES_MAX_RATIO:
         raise ValidityError(
@@ -81,8 +69,6 @@ def roughness_factor(z: float, rough: RoughnessSpec) -> float:
 
 def temperature_factor(z: float, temp: TemperatureParams) -> float:
     """Finite-temperature multiplier 1 + (720/pi^2) f(eta); valid for eta < 0.5."""
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z}")
     eta = temp.eta(float(z))  # Python's arithmetic overflows to inf without a warning
     if eta >= 0.5:
         raise ValidityError(f"eta = {eta:.3g} at {z * 1e9:.6g} nm outside the series "

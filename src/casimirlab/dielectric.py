@@ -17,8 +17,10 @@ small enough to stay in cache; one row if the table is larger), written into
 one preallocated result. Each row is still reduced over its own contiguous
 table nodes, so every eps value is bitwise the one-shot broadcast sum's.
 Optical tables are read with the package's CSV reader (``forcecurve._read_csv``):
-a source is a path or a file object, never CSV text in a string. The Drude
-parameters come from ``RunConfig`` through ``assemble``.
+a source is a path or a file object, never CSV text in a string. The loader
+refuses a non-positive or non-increasing energy and a negative eps'', naming
+the line, and ``TabulatedModel`` a table whose integral overflows float64.
+The Drude parameters come from ``RunConfig`` through ``assemble``.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ class DrudeParams:
     omega_p: float
     gamma: float
 
-    def __post_init__(self):
-        if self.omega_p <= 0:
-            raise ValueError(f"omega_p must be > 0, got {self.omega_p}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-
     @staticmethod
     def from_ev(omega_p_ev: float, gamma_ev: float) -> "DrudeParams":
         return DrudeParams(
@@ -67,20 +63,6 @@ class OpticalTable:
     eps2: np.ndarray
     material_label: str = ""
 
-    def __post_init__(self):
-        e = np.asarray(self.energies_ev, dtype=float)
-        s = np.asarray(self.eps2, dtype=float)
-        object.__setattr__(self, "energies_ev", e)
-        object.__setattr__(self, "eps2", s)
-        if e.size < 2:
-            raise ValueError("optical table needs at least 2 points")
-        if e.size != s.size:
-            raise ValueError("energy and eps2 columns differ in length")
-        if not np.all(np.diff(e) > 0):
-            raise ValueError("energies must be strictly increasing")
-        if np.any(s < 0):
-            raise ValueError("negative eps2")
-
 
 @names_its_file
 def load_optical_table(source) -> OpticalTable:
@@ -92,23 +74,12 @@ def load_optical_table(source) -> OpticalTable:
     """
     table = _read_csv(source, 2)
     energies, eps2 = table.columns
+    table.reject(energies <= 0, "energy must be > 0 eV")
     table.reject(np.diff(energies, prepend=-np.inf) <= 0, "non-increasing energy")
     table.reject(eps2 < 0, "negative eps2")
     if energies.size < 2:
         raise ParseError("optical table needs at least 2 data rows")
     return OpticalTable(energies, eps2, table.meta.get("material", ""))
-
-
-def drude_eps_imag_axis(xi, d: DrudeParams):
-    """Drude closed form eps(i*xi) = 1 + omega_p^2/(xi^2 + gamma*xi), elementwise."""
-    _check_xi(xi)
-    return 1.0 + d.omega_p**2 / (xi**2 + d.gamma * xi)
-
-
-def _check_xi(xi):
-    xi = np.asarray(xi)
-    if not np.all(xi > 0):
-        raise ValueError(f"xi must be > 0, got min {xi.min()}")
 
 
 class DielectricModel:
@@ -120,7 +91,8 @@ class DielectricModel:
     def eps(self, xi):
         """eps(i*xi) for xi in rad/s: a float for a scalar, else an array of xi's shape."""
         x = np.asarray(xi, dtype=float)
-        _check_xi(x)
+        if not np.all(x > 0):
+            raise ValueError(f"xi must be > 0, got min {x.min()}")
         out = self._eps(x)
         return float(out) if x.ndim == 0 else out
 
@@ -129,13 +101,14 @@ class DielectricModel:
 
 
 class DrudeModel(DielectricModel):
-    """Pure Drude closed form."""
+    """Pure Drude closed form eps(i*xi) = 1 + omega_p^2/(xi^2 + gamma*xi)."""
 
     def __init__(self, drude: DrudeParams):
         self.drude = drude
 
     def _eps(self, xi):
-        return drude_eps_imag_axis(xi, self.drude)
+        d = self.drude
+        return 1.0 + d.omega_p**2 / (xi**2 + d.gamma * xi)
 
 
 class TabulatedModel(DielectricModel):
@@ -149,14 +122,21 @@ class TabulatedModel(DielectricModel):
     def __init__(self, table: OpticalTable, drude: DrudeParams):
         self.drude = drude
 
-        omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev
-        w, s = _refine_log_grid(omega, table.eps2, TABLE_REFINE)
-        # trapezoid rule in ln(omega) on omega * eps''/(omega^2 + xi^2), whose
-        # xi-independent factors are folded into the weights
-        h = np.diff(np.log(w))
-        trapezoid = np.concatenate(([h[0]], h[:-1] + h[1:], [h[-1]])) / 2
-        self._omega_sq = w * w
-        self._weights = trapezoid * w * w * s
+        with np.errstate(all="ignore"):  # an overflow is reported just below
+            omega = energy_ev_to_angular_frequency(1.0) * table.energies_ev
+            w, s = _refine_log_grid(omega, table.eps2, TABLE_REFINE)
+            # trapezoid rule in ln(omega) on omega * eps''/(omega^2 + xi^2), whose
+            # xi-independent factors are folded into the weights
+            h = np.diff(np.log(w))
+            trapezoid = np.concatenate(([h[0]], h[:-1] + h[1:], [h[-1]])) / 2
+            self._omega_sq = w * w
+            self._weights = trapezoid * w * w * s
+            # the table sum at xi = 0, its largest value, and the tail's scale
+            scales = (np.sum(trapezoid * s), table.eps2[-1] * omega[-1] ** 3)
+        if not (np.isfinite(self._weights).all() and np.isfinite(scales).all()):
+            raise ValueError(f"the optical table overflows its dispersion integral "
+                             f"in float64: energies up to {table.energies_ev[-1]:.3g} eV, "
+                             f"eps2 up to {table.eps2.max():.3g}")
         self._omega_start = omega[0]
         self._omega_end = omega[-1]
         self._eps2_end = table.eps2[-1]

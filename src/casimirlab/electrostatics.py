@@ -39,10 +39,6 @@ class ElectrostaticConfig:
 
 def alpha(z: float, R: float) -> float:
     """acosh(1 + z/R) via the log1p-stable form ln(1 + x + sqrt(x^2 + 2x))."""
-    if z < 0:
-        raise ValueError(f"separation must be >= 0, got {z}")
-    if R <= 0:
-        raise ValueError(f"radius must be > 0, got {R}")
     x = z / R
     return math.log1p(x + math.sqrt(x * x + 2.0 * x))
 

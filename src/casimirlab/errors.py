@@ -61,4 +61,4 @@ class DataError(CasimirLabError, ValueError):
 
 
 class CalibrationError(CasimirLabError, ValueError):
-    """Calibration inputs are unusable (zero voltage, force already present, ...)."""
+    """Calibration inputs are unusable (a zero applied voltage, ...)."""

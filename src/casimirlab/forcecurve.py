@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, ParseError, names_its_file
+from .errors import ParseError, names_its_file
 
 MIN_SAMPLES = 10
 
@@ -83,12 +83,6 @@ class CalibrationParams:
 
     k: float                        # N/m
     deflection_sensitivity: float   # nm per signal unit
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"spring constant must be > 0, got {self.k}")
-        if self.deflection_sensitivity <= 0:
-            raise ValueError("deflection sensitivity must be > 0")
 
 
 SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
@@ -303,9 +297,8 @@ def _bulk_columns(rows, ncols: int) -> np.ndarray | None:
 
 
 def signal_to_force(curve: ForceCurve, cal: CalibrationParams) -> ForceCurve:
-    """Hooke's-law conversion: F = k * deflection, attraction negative."""
-    if curve.has_force:
-        raise CalibrationError("curve already carries force")
+    """Hooke's-law conversion of a raw-signal curve: F = k * deflection,
+    attraction negative."""
     deflection_nm = curve.signal * cal.deflection_sensitivity
     force_pn = cal.k * deflection_nm * 1e3  # N/m * nm -> pN
     return replace(curve, signal=None, force_pn=force_pn, spring_constant=cal.k)

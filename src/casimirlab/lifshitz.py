@@ -66,12 +66,6 @@ class QuadratureParams:
     rel_tol: float
     max_refinements: int = 6
 
-    def __post_init__(self):
-        if not (0 < self.rel_tol <= 1e-2):
-            raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.max_refinements < 1:
-            raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
-
 
 def reflection_terms(eps, p):
     """(s, r_te, r_tm) for eps >= 1 and p >= 1, broadcast against each other.
@@ -80,8 +74,6 @@ def reflection_terms(eps, p):
     without the cancellation of s - p when eps is close to 1.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 1):
-        raise ValueError(f"eps must be >= 1, got min {eps.min()}")
     p = np.asarray(p, dtype=float)
     s = np.sqrt(eps - 1.0 + p * p)
     r_te = (eps - 1.0) / (s + p) ** 2

@@ -204,7 +204,9 @@ def _unpickled(pid: int, fh):
             raise RuntimeError(f"campaign worker {pid} exited without a result") from None
 
 
-@np.errstate(over="ignore")  # an overflowing model gives non-finite cells, refused below
+# an overflowing model or noise gives non-finite cells (NaN where an infinite
+# model meets infinite noise), refused below
+@np.errstate(over="ignore", invalid="ignore")
 def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     """Emit a campaign directory: scan CSVs plus the truth.json sidecar.
 

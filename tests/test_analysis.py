@@ -10,8 +10,7 @@ from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
                                  Z0_BRACKET_NM, ForwardModel, _coarse_chi2,
                                  average_scans, calibrate_spring_constant,
                                  compare_to_theory, extract_casimir,
-                                 fit_contact_separation, fit_drift_coefficient,
-                                 resample_force)
+                                 fit_contact_separation, fit_drift_coefficient)
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import CalibrationError, DataError, FitError
@@ -432,16 +431,6 @@ def test_a_voltage_scan_after_a_grounded_one_is_refused(default_cfg, forward_mod
         analyze_scans(voltage_scans, [grounded[0], late, *grounded[1:]], forward_model, cfg)
 
 
-def test_resample_force_guards():
-    z = np.linspace(0, 10, 11)
-    with pytest.raises(DataError):
-        resample_force(z, z, np.array([-1.0, 5.0]))
-    with pytest.raises(DataError):
-        resample_force(z[::-1], z, z)
-    out = resample_force(z, 2 * z, np.array([0.25, 9.75]))
-    np.testing.assert_allclose(out, [0.5, 19.5])
-
-
 def test_sigma_rms_scales_with_residual(drude_curve, window):
     axis = np.linspace(95.0, 505.0, 300)
     theory_pn = drude_curve(axis * 1e-9) * 1e12
@@ -502,10 +491,6 @@ def test_calibrate_spring_constant_guards(default_cfg, e_cfg):
     cal = assemble.calibration_params(default_cfg)
     quiet = replace(default_cfg, noise_pn=0.0)
     scans = generate_stiffness_scans(quiet, e_cfg)
-    forced = ForceCurve("f", 0.31, scans[0].piezo_nm,
-                        force_pn=np.ones_like(scans[0].piezo_nm))
-    with pytest.raises(CalibrationError, match="raw signal"):
-        calibrate_spring_constant([forced], e_cfg, cal)
     grounded = replace(scans[0], applied_voltage=0.0)
     with pytest.raises(CalibrationError, match="zero"):
         calibrate_spring_constant([grounded], e_cfg, cal)

@@ -31,6 +31,7 @@ n_scans=2
 grid_points=120
 seed=11
 """
+TABLE = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +200,10 @@ def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
 
 def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     # gamma = 0: the Drude segment below the table has no closed-form part
-    table = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theory_cache_points=40\ndrude_gamma_ev=0\n")
     out = tmp_path / "theory.csv"
-    result = runner.invoke(main, ["theory", "--material", table, "--z", "100:500:5",
+    result = runner.invoke(main, ["theory", "--material", TABLE, "--z", "100:500:5",
                                   "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
     forces = _read_csv(out, 2, (("separation_nm", "force_pn"),)).columns[1]
@@ -297,6 +297,25 @@ def test_compare_defaults_to_config_n_scans(runner, workdir, analysis_dir):
                                                      rel=1e-6)
 
 
+def test_a_noiseless_campaign_writes_reduced_chi2_as_null(runner, tmp_path):
+    # every scan holds the same value, so each in-window std is 0 and the
+    # chi2 per standard error is undefined
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("noise_pn=0\nn_scans=2\ngrid_points=120\ntheory_cache_points=8\n")
+    args = ["--config", str(cfg)]
+    for command in (["synth", "--out", str(tmp_path / "campaign")],
+                    ["analyze", "--scans", str(tmp_path / "campaign"),
+                     "--out", str(tmp_path / "analysis")],
+                    ["compare", "--curve", str(tmp_path / "analysis" / "mean_curve.csv"),
+                     "--out", str(tmp_path / "compare.json")]):
+        result = runner.invoke(main, [*command, *args])
+        assert result.exit_code == 0, result.output
+    for doc in (tmp_path / "analysis" / "results.json", tmp_path / "compare.json"):
+        stats = json.loads(doc.read_text())
+        assert stats["reduced_chi2"] is None, doc
+        assert math.isfinite(stats["sigma_rms_pn"])
+
+
 @pytest.mark.parametrize("n_scans", ["0", "-3"])
 def test_compare_rejects_non_positive_n_scans(runner, workdir, analysis_dir, tmp_path,
                                               n_scans):
@@ -344,12 +363,11 @@ def test_no_command_loads_openssl_or_numpy_random(workdir, campaign_dir, analysi
     for scan in generate_stiffness_scans(RunConfig(), electrostatic_config(RunConfig())):
         with open(stiff_dir / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
-    table = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
     cfg = str(workdir / "run.cfg")
     commands = [
         ["synth", "--seed", "3", "--config", cfg],
-        ["theory", "--material", table, "--z", "100:500:5", "--config", cfg],
-        ["epsilon", "--material", table, "--xi-ev", "0.01:100:5"],
+        ["theory", "--material", TABLE, "--z", "100:500:5", "--config", cfg],
+        ["epsilon", "--material", TABLE, "--xi-ev", "0.01:100:5"],
         ["electro", "--z", "100:500:5"],
         ["calibrate-k", "--scans", str(stiff_dir)],
         ["analyze", "--scans", str(campaign_dir), "--config", cfg],
@@ -522,7 +540,9 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("temperature_k=-1", "temperature_k"),
     ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
     ("drude_wp_ev=0", "drude_wp_ev"),
+    ("drude_wp_ev=1.0000001e6", "drude_wp_ev"),
     ("drude_gamma_ev=-0.01", "drude_gamma_ev"),
+    ("drude_gamma_ev=1.0000001e6", "drude_gamma_ev"),
     ("window_hi_nm=50", "window_hi_nm"),
     ("seed=-1", "seed"),
     ("z0_true_nm=250", "z0_true_nm"),
@@ -544,6 +564,43 @@ def test_theory_refuses_a_sphere_radius_beyond_1_m(runner, tmp_path):
     assert "bad value for 'sphere_radius_um': must be in (0, 1e6]" in result.output
     assert "at line 1" in result.output
     assert "RuntimeWarning" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0.0,1.0\n1.0,2.0\n", "energy must be > 0 eV at line 2"),
+    ("0.04,1e308\n1.0,2.0\n", "overflows its dispersion integral"),
+    ("0.04,1.0\n1e300,2.0\n", "overflows its dispersion integral"),
+    ("0.04,1.0\n1e100,2.0\n", "overflows its dispersion integral"),  # the tail's omega^3
+])
+@pytest.mark.parametrize("command", [["theory", "--z", "100:500:3"], ["epsilon"]])
+def test_a_bad_optical_table_exits_2_before_any_quadrature(runner, tmp_path, rows, message,
+                                                           command):
+    # refused before np.log or the quadrature meets the table: no RuntimeWarning
+    table = tmp_path / "table.csv"
+    table.write_text("# material=x\n" + rows)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [*command, "--material", str(table), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    if "line" in message:
+        assert str(table) in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["drude_wp_ev=1e200", "drude_gamma_ev=1e290"])
+@pytest.mark.parametrize("command", [["theory"], ["theory", "--material", TABLE], ["synth"]])
+def test_drude_energies_beyond_1_mev_exit_2_naming_the_key(runner, tmp_path, line, command):
+    # omega_p**2 and gamma**2 overflow a Python float in the Drude forms: the
+    # range table refuses the energies first, naming the key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    key = line.partition("=")[0]
+    assert f"bad value for '{key}': must be in " in result.output
+    assert "at line 1" in result.output
     assert not out.exists()
 
 
@@ -1017,76 +1074,80 @@ def around_or_anywhere(lo, hi, **bounds):
 
 
 # grid ends around the default grid, where the z0 fits run; the comparison
-# window, roughness amplitude, temperature, sphere radius, residual potential,
-# cap offset, drift and the two noise levels around their defaults or anywhere
-# in their ranges. The theory cache's span depends on the grid, the cap, the
+# window, roughness amplitude and coefficients, temperature, sphere radius,
+# Drude energies, quadrature tolerance, residual potential, cap offset,
+# calibration, drift and the two noise levels around their defaults or
+# anywhere in their ranges; the cache nodes, window points and scans within
+# cost bounds. The theory cache's span depends on the grid, the cap, the
 # window and, through the series regime, the roughness amplitude.
+CONFIG_KEY_DRAWS = {
+    "grid_lo_nm": st.floats(-60.0, 120.0), "grid_hi_nm": st.floats(100.0, 1300.0),
+    "grid_points": st.integers(10, 600), "z0_true_nm": st.floats(0.0, 200.0),
+    "seed": st.integers(0, 2**32 - 1),
+    "sphere_radius_um": around_or_anywhere(10.0, 1000.0, min_value=0.0, exclude_min=True),
+    "drude_wp_ev": around_or_anywhere(5.0, 20.0, min_value=0.0, exclude_min=True,
+                                      max_value=1e6),
+    "drude_gamma_ev": around_or_anywhere(0.0, 0.2, min_value=0.0, max_value=1e6),
+    "roughness_c2": around_or_anywhere(0.0, 3.0),
+    "roughness_c3": around_or_anywhere(0.0, 3.0),
+    "roughness_c4": around_or_anywhere(0.0, 3.0),
+    # down to 1e-10 the force converges by order 64 (2 nm to 1 mm, R up to
+    # 1 m); at 1e-15 a 1 m sphere at 2 nm runs to order 512, 154 MiB per array
+    "rel_tol": around_or_anywhere(1e-6, 1e-2, min_value=1e-10, max_value=1e-2),
+    "theory_cache_points": st.integers(2, 40),
+    "v2_residual_mv": around_or_anywhere(-100.0, 100.0),
+    "spring_constant_n_per_m": around_or_anywhere(0.01, 0.03, min_value=0.0,
+                                                  exclude_min=True),
+    "deflection_sensitivity_nm": around_or_anywhere(0.5, 2.0, min_value=0.0,
+                                                    exclude_min=True),
+    "cap_offset_nm": around_or_anywhere(0.0, 40.0, min_value=0.0),
+    "window_lo_nm": around_or_anywhere(50.0, 200.0),
+    "window_hi_nm": around_or_anywhere(300.0, 1200.0),
+    "window_points": st.integers(10, 2000),
+    "roughness_amplitude_nm": around_or_anywhere(0.0, 20.0, min_value=0.0),
+    "temperature_k": around_or_anywhere(0.0, 400.0, min_value=0.0),
+    "noise_pn": around_or_anywhere(0.0, 20.0, min_value=0.0),
+    "pooled_noise_pn": around_or_anywhere(1.0, 20.0, min_value=0.0, exclude_min=True),
+    "n_scans": st.integers(1, 4),
+    "c_true_pn_per_nm": around_or_anywhere(-0.01, 0.01),
+}
+
+
+def config_keys_at(**changes):
+    """An explicit example: the drawn keys at their defaults, 120 grid points,
+    2 scans and seed 5, with ``changes``."""
+    values = {key: getattr(RunConfig(), key) for key in CONFIG_KEY_DRAWS}
+    values.update({"grid_points": 120, "n_scans": 2, "seed": 5, **changes})
+    return example(values=values)
+
+
 @settings(max_examples=40, deadline=None)
 # noise that overflows the scan (synth exits 2), noise that overflows the
 # fits (analyze exits 4), and the least noise there is (exit 0)
-@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0, noise_pn=1e308, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0, noise_pn=1e300, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0, noise_pn=5e-324, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=1e160, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@example(grid_lo_nm=20.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=11.8,
-         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=2.9487474513145085e-245,
-         seed=0, sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=0.0,
-         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
-         temperature_k=300.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
+@config_keys_at(noise_pn=1e308)
+@config_keys_at(noise_pn=1e300)
+@config_keys_at(noise_pn=5e-324)
+@config_keys_at(v2_residual_mv=1e160)
+@config_keys_at(grid_lo_nm=20.0)
+@config_keys_at(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10,
+                z0_true_nm=2.9487474513145085e-245, seed=0, sphere_radius_um=10.0,
+                v2_residual_mv=0.0, cap_offset_nm=0.0, window_lo_nm=50.0,
+                window_hi_nm=300.0, roughness_amplitude_nm=0.0)
 # a temperature whose eta overflows at the separations the cap offset reaches
-@example(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=1.0, seed=0,
-         sphere_radius_um=10.0, v2_residual_mv=0.0, cap_offset_nm=5.159582356334435e+16,
-         window_lo_nm=50.0, window_hi_nm=300.0, roughness_amplitude_nm=0.0,
-         temperature_k=7.978377701977232e+297, noise_pn=7.0, pooled_noise_pn=7.0,
-         c_true_pn_per_nm=0.001)
+@config_keys_at(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=1.0, seed=0,
+                sphere_radius_um=10.0, v2_residual_mv=0.0,
+                cap_offset_nm=5.159582356334435e+16, window_lo_nm=50.0,
+                window_hi_nm=300.0, roughness_amplitude_nm=0.0,
+                temperature_k=7.978377701977232e+297)
 # a smooth surface at 0 K, the corrections' physical zeros, at the default grid
-@example(grid_lo_nm=30.0, grid_hi_nm=920.0, grid_points=120, z0_true_nm=48.9, seed=5,
-         sphere_radius_um=100.85, v2_residual_mv=7.9, cap_offset_nm=15.8,
-         window_lo_nm=100.0, window_hi_nm=500.0, roughness_amplitude_nm=0.0,
-         temperature_k=0.0, noise_pn=7.0, pooled_noise_pn=7.0, c_true_pn_per_nm=0.001)
-@given(grid_lo_nm=st.floats(-60.0, 120.0), grid_hi_nm=st.floats(100.0, 1300.0),
-       grid_points=st.integers(10, 600), z0_true_nm=st.floats(0.0, 200.0),
-       seed=st.integers(0, 2**32 - 1),
-       sphere_radius_um=around_or_anywhere(10.0, 1000.0, min_value=0.0, exclude_min=True),
-       v2_residual_mv=around_or_anywhere(-100.0, 100.0),
-       cap_offset_nm=around_or_anywhere(0.0, 40.0, min_value=0.0),
-       window_lo_nm=around_or_anywhere(50.0, 200.0),
-       window_hi_nm=around_or_anywhere(300.0, 1200.0),
-       roughness_amplitude_nm=around_or_anywhere(0.0, 20.0, min_value=0.0),
-       temperature_k=around_or_anywhere(0.0, 400.0, min_value=0.0),
-       noise_pn=around_or_anywhere(0.0, 20.0, min_value=0.0),
-       pooled_noise_pn=around_or_anywhere(1.0, 20.0, min_value=0.0, exclude_min=True),
-       c_true_pn_per_nm=around_or_anywhere(-0.01, 0.01))
-def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(
-        grid_lo_nm, grid_hi_nm, grid_points, z0_true_nm, seed, sphere_radius_um,
-        v2_residual_mv, cap_offset_nm, window_lo_nm, window_hi_nm, roughness_amplitude_nm,
-        temperature_k, noise_pn, pooled_noise_pn, c_true_pn_per_nm):
+@config_keys_at(roughness_amplitude_nm=0.0, temperature_k=0.0)
+# the largest Drude energies the range table accepts
+@config_keys_at(drude_wp_ev=1e6, drude_gamma_ev=1e6)
+@given(values=st.fixed_dictionaries(CONFIG_KEY_DRAWS))
+def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
     # every config the range table passes must reach exit 0 with finite
     # results, or 2, 3 or 4 with a message; no command reads the theory
     # outside the cache it built
-    values = dict(grid_lo_nm=grid_lo_nm, grid_hi_nm=grid_hi_nm, grid_points=grid_points,
-                  z0_true_nm=z0_true_nm, seed=seed, sphere_radius_um=sphere_radius_um,
-                  v2_residual_mv=v2_residual_mv, cap_offset_nm=cap_offset_nm,
-                  window_lo_nm=window_lo_nm, window_hi_nm=window_hi_nm,
-                  roughness_amplitude_nm=roughness_amplitude_nm,
-                  temperature_k=temperature_k, noise_pn=noise_pn,
-                  pooled_noise_pn=pooled_noise_pn, c_true_pn_per_nm=c_true_pn_per_nm,
-                  n_scans=2)
     try:
         RunConfig(**values)
     except ValueError:   # outside a range rule

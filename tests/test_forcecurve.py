@@ -1,14 +1,11 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirlab import assemble
-from casimirlab.config import RunConfig
-from casimirlab.errors import CalibrationError, ParseError
+from casimirlab.errors import ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
                                    load_scan, save_scan, scan_is_grounded, signal_to_force)
 
@@ -217,16 +214,6 @@ def test_signal_to_force_hooke():
     np.testing.assert_allclose(out.force_pn, curve.signal * 2.0 * 0.0169 * 1e3)
     assert np.all(out.force_pn < 0)
     assert out.spring_constant == 0.0169
-    with pytest.raises(CalibrationError):
-        signal_to_force(out, cal)
     # pN -> N -> pN round trip
     np.testing.assert_allclose(out.force_pn * 1e-12 * 1e12, out.force_pn,
                                rtol=1e-12)
-
-
-def test_calibration_params_validation():
-    cal = assemble.calibration_params(RunConfig())
-    with pytest.raises(ValueError):
-        replace(cal, k=0.0)
-    with pytest.raises(ValueError):
-        replace(cal, deflection_sensitivity=0.0)
