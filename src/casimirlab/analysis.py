@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -280,34 +279,28 @@ def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> DriftFit:
     return DriftFit(C_pn_per_nm=c, C_sigma_pn_per_nm=c_sigma)
 
 
-def extract_casimir(curve: ForceCurve, z0_nm: float, drift: DriftFit,
-                    model: ForwardModel) -> ForceCurve:
-    """Subtract the model's grounded electrostatic and drift terms from one scan.
-
-    Returns a curve whose axis is the metal-to-metal separation
-    z + z0 + cap and whose force is the measured Casimir force.
-    """
-    z = curve.piezo_nm
-    sep = z + z0_nm
-    force = curve.force_pn - model.electrostatic_pn(sep, 0.0) - drift.C_pn_per_nm * z
-    return replace(curve, piezo_nm=sep + model.cap_offset_nm, force_pn=force)
+def extract_casimir(force_pn, z_nm, electrostatic_pn, drift: DriftFit):
+    """The measured Casimir force of one scan: its force on the axis z_nm of
+    separations from contact, less the model's grounded electrostatic term
+    there and the fitted drift."""
+    return force_pn - electrostatic_pn - drift.C_pn_per_nm * z_nm
 
 
-def average_scans(first: ForceCurve, rows):
-    """Arithmetic mean and per-point sample standard deviation over scans.
+def average_scans(rows):
+    """(mean, sample standard deviation) per point over scans.
 
-    ``rows`` yields one scan's force at a time on the axis of ``first``,
-    whose fields the mean curve carries; a matrix works too. Each row is
-    folded into running sums and dropped, so the memory is a few rows
-    whatever the number of scans. The mean is the row sum, in row order,
-    over n: bitwise ``np.mean(axis=0)`` of the stacked rows. The variance
-    sums the deviations d = x - x_0 from the first row and their squares,
-    var = (sum d^2 - (sum d)^2 / n) / (n - 1): a fixed shift (Chan, Golub &
-    LeVeque, Am. Stat. 37, 242 (1983)) taken from the data, so d is exact
-    where x and x_0 are within a factor of 2 and a large common offset costs
-    no digits. Both sums are compensated (``_compensated_add``): measured
-    against the exact std, plain sums were up to 74 eps off at 270 scans,
-    compensated ones up to 12 eps and numpy's two-pass std up to 3 eps.
+    ``rows`` yields one scan's force at a time, all on one axis; a matrix
+    works too. Each row is folded into running sums and dropped, so the
+    memory is a few rows whatever the number of scans. The mean is the row
+    sum, in row order, over n: bitwise ``np.mean(axis=0)`` of the stacked
+    rows. The variance sums the deviations d = x - x_0 from the first row
+    and their squares, var = (sum d^2 - (sum d)^2 / n) / (n - 1): a fixed
+    shift (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)) taken from the
+    data, so d is exact where x and x_0 are within a factor of 2 and a large
+    common offset costs no digits. Both sums are compensated
+    (``_compensated_add``): measured against the exact std, plain sums were
+    up to 74 eps off at 270 scans, compensated ones up to 12 eps and numpy's
+    two-pass std up to 3 eps.
     """
     n = 0
     for row in rows:
@@ -327,7 +320,7 @@ def average_scans(first: ForceCurve, rows):
     var = dev2 - dev * dev / n
     var /= n - 1
     std = np.sqrt(np.maximum(var, 0.0, out=var), out=var)  # rounding may dip below 0
-    return replace(first, scan_id="mean", force_pn=total / n), std
+    return total / n, std
 
 
 def _compensated_add(total, carry, x, y, t):
@@ -376,20 +369,20 @@ def theory_span_nm(axes_nm, cap_offset_nm=0.0, window_nm=None, z0_nm=COARSE_Z0_N
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
-def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
+def compare_to_theory(axis, mean_pn, std_pn, n_scans: int,
                       theory: TheoryCurve, window_nm, n_nodes: int) -> ComparisonStats:
     """Statistics of experiment vs theory over the comparison window.
 
-    The mean curve (metal-to-metal axis) and the theory sampled on its grid
-    are both resampled onto the canonical window grid, so binning affects
-    both sides identically. sigma_rms = sqrt(sum (F_th - F_exp)^2 / N).
+    The mean curve ``mean_pn``, with per-point ``std_pn``, on ``axis``
+    (increasing metal-to-metal separations in nm) and the theory sampled on
+    that axis are both resampled onto the canonical window grid, so binning
+    affects both sides identically. sigma_rms = sqrt(sum (F_th - F_exp)^2 / N).
     Reduced chi2 uses per-point standard errors std/sqrt(n_scans) on the
     curve's own in-window points: interpolating correlated residuals onto
     the canonical grid would bias chi2 low by ~2/3. It is None, undefined,
     where some of those points have std 0, as where every scan holds the
     same value.
     """
-    axis = mean_curve.piezo_nm
     lo, hi = window_nm
     if axis[0] > lo + 1e-9 or axis[-1] < hi - 1e-9:
         raise DataError(
@@ -403,7 +396,7 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
             f"(< {MIN_WINDOW_POINTS})"
         )
     grid = np.linspace(lo, hi, n_nodes)
-    exp = np.interp(grid, axis, mean_curve.force_pn)
+    exp = np.interp(grid, axis, mean_pn)
     # the theory is needed only on the curve points that bracket the window:
     # linear resampling onto the window grid reads no other point
     near = axis[max(int(np.searchsorted(axis, lo, side="right")) - 1, 0):
@@ -412,8 +405,7 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
     resid = th - exp
     sigma_rms = float(np.sqrt(np.mean(resid**2)))
 
-    native_resid = (theory(axis[in_window] * 1e-9) * 1e12
-                    - mean_curve.force_pn[in_window])
+    native_resid = theory(axis[in_window] * 1e-9) * 1e12 - mean_pn[in_window]
     stderr = std_pn[in_window] / np.sqrt(n_scans)
     reduced_chi2 = (float(np.mean((native_resid / stderr) ** 2))
                     if np.all(stderr > 0) else None)
@@ -435,42 +427,47 @@ def compare_to_theory(mean_curve: ForceCurve, std_pn, n_scans: int,
 DRIFT_REGION_MIN_NM = 516.0
 
 
-def analyze_campaign(scans, model_for, window_nm, n_nodes: int,
-                     pooled_noise_pn: float, cal: CalibrationParams
-                     ) -> tuple[dict, ForceCurve, np.ndarray]:
-    """End-to-end pipeline on a campaign, in one pass over its scans.
+def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
+                     pooled_noise_pn: float, cal: CalibrationParams):
+    """End-to-end pipeline on a campaign, in one pass over its grounded scans.
 
-    ``scans`` yields them in ``synth.load_campaign``'s order: force-valued
-    scans at 0.3-0.8 V for the z0 fits and raw stiffness scans for the spring
-    constant (with ``cal``), then the grounded scans on one shared axis.
-    ``model_for(axes)`` is the forward model over the axes read. The voltage
-    scans give z0, and with the first grounded scan's axis the model; then
-    each grounded scan is drift-fitted, extracted, folded into
-    ``average_scans``'s sums and dropped, and any other scan after it raises
-    DataError naming it. Errors come in the order the stream meets them: a
-    missing side of the campaign or a z0 fit failure at the first grounded
-    scan, a bad file when its turn comes.
+    ``scans``, ``axis`` and ``forces`` are ``synth.load_campaign``'s: the
+    force-valued scans at 0.3-0.8 V for the z0 fits and the raw stiffness
+    scans for the spring constant (with ``cal``); the grounded scans' axis,
+    None without one; and a closable stream of their force columns, closed
+    however this ends. ``model_for(axes)`` is the forward model over the
+    axes read. The voltage scans give z0, and with the grounded axis the
+    model and the 0 V electrostatic term; then each force column is
+    drift-fitted over region 3, extracted, folded into ``average_scans``'s
+    sums and dropped. A missing side of the campaign or a z0 fit failure
+    raises before the stream is read, a bad file when its turn comes.
+    Returns the results.json payload and the mean curve's columns
+    (separation_nm, force_pn, std_pn) on the metal-to-metal axis.
     """
-    voltage_scans, stiffness, drifts = [], [], []
-    scans = (curve for curve in scans)  # closing it drops the stream, even from a traceback
-    with closing(scans):
-        for first in scans:
-            if first.grounded:
-                break
-            (voltage_scans if first.has_force else stiffness).append(first)
-        else:
-            first = None
+    with closing(forces):
+        voltage_scans = [c for c in scans if c.has_force]
         if not voltage_scans:
             raise DataError("no voltage scans for the z0 fit")
-        if first is None:
+        if axis is None:
             raise DataError("no grounded scans to analyze")
-        model = model_for([c.piezo_nm for c in (*voltage_scans, first)])
+        model = model_for([*(c.piezo_nm for c in voltage_scans), axis])
         z0_fits = [fit_contact_separation(c, model, pooled_noise_pn) for c in voltage_scans]
         z0_values = np.array([fit.z0_nm for fit in z0_fits])
         z0 = float(z0_values.mean())
-        extracted = _extracted(first, scans, z0, model, drifts)
-        head = next(extracted)  # its fields and extracted axis go to the mean curve
-        mean_curve, std = average_scans(head, (c.force_pn for c in chain([head], extracted)))
+        region3 = axis > DRIFT_REGION_MIN_NM
+        z3 = axis[region3]
+        model_pn = model.force_pn(z3, z0, 0.0)
+        sep = axis + z0
+        electrostatic_pn = model.electrostatic_pn(sep, 0.0)
+        drifts = []
+
+        def extracted():
+            for force in forces:
+                drift = fit_drift_coefficient(z3, force[region3], model_pn)
+                drifts.append(drift.C_pn_per_nm)
+                yield extract_casimir(force, axis, electrostatic_pn, drift)
+
+        mean, std = average_scans(extracted())
 
     if z0_values.size > 1:
         z0_rms = float(z0_values.std(ddof=1))
@@ -478,9 +475,11 @@ def analyze_campaign(scans, model_for, window_nm, n_nodes: int,
     else:
         z0_rms = 0.0
         z0_sigma = z0_fits[0].z0_sigma_nm
+    stiffness = [c for c in scans if not c.has_force]
     spring = (calibrate_spring_constant(stiffness, model.electro, cal)[0]
               if stiffness else None)
-    stats = compare_to_theory(mean_curve, std, len(drifts), model.theory,
+    separation = sep + model.cap_offset_nm
+    stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
                               window_nm, n_nodes)
     results = {
         "z0_nm": z0,
@@ -491,18 +490,4 @@ def analyze_campaign(scans, model_for, window_nm, n_nodes: int,
         "drift_pn_per_nm": float(np.mean(drifts)),
         **stats.record(window_nm),
     }
-    return results, mean_curve, std
-
-
-def _extracted(first: ForceCurve, rest, z0_nm: float, model: ForwardModel, drifts: list):
-    """``first``, then each scan of ``rest`` (all grounded), drift-fitted over region 3
-    and extracted on the axis of ``first``; each drift C is appended to drifts."""
-    region3 = first.piezo_nm > DRIFT_REGION_MIN_NM
-    z3 = first.piezo_nm[region3]
-    model_pn = model.force_pn(z3, z0_nm, 0.0)
-    for curve in chain([first], rest):
-        if not curve.grounded:
-            raise DataError(f"scan {curve.scan_id}: not grounded, after the first grounded scan")
-        drift = fit_drift_coefficient(z3, curve.force_pn[region3], model_pn)
-        drifts.append(drift.C_pn_per_nm)
-        yield extract_casimir(replace(first, force_pn=curve.force_pn), z0_nm, drift, model)
+    return results, (separation, mean, std)

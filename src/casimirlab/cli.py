@@ -31,8 +31,7 @@ from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
                      DataError, FitError, ParseError, ValidityError,
                      names_its_file)
-from .forcecurve import (MIN_SAMPLES, ForceCurve, _csv_rows, _read_csv, load_scan,
-                         signal_to_force)
+from .forcecurve import MIN_SAMPLES, _csv_rows, _read_csv, load_scan, signal_to_force
 from .synth import campaign_span_nm, load_campaign, write_campaign
 
 EXIT_INPUT = 2
@@ -73,6 +72,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ParseError(f"malformed grid spec {spec!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ParseError(f"need finite lo and hi in {spec!r}")
+    if not np.isfinite(hi - lo):   # numpy would overflow spacing the grid
+        raise ParseError(f"need hi - lo finite in {spec!r}")
     if not (lo < hi and n >= 2):
         raise ParseError(f"need lo < hi and n >= 2 in {spec!r}")
     return np.linspace(lo, hi, n)
@@ -158,11 +159,17 @@ def main():
 @guarded
 def epsilon(xi_spec, material, config_path, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
-    from .constants import energy_ev_to_angular_frequency
+    from .constants import CONST, energy_ev_to_angular_frequency
+    from .dielectric import XI_RANGE
 
     cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
+    lo, hi = (xi * CONST.hbar / CONST.ev for xi in XI_RANGE)
+    outside = grid[(grid < lo) | (grid > hi)]
+    if outside.size:
+        raise ParseError(f"xi = {outside[0]:.6g} eV in {xi_spec!r} is outside [{lo:.3g}, "
+                         f"{hi:.3g}] eV, where the eps(i xi) formulas hold in float64")
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
     # the eps arguments in a set
     eps = model.eps(tuple(energy_ev_to_angular_frequency(e) for e in grid))
@@ -282,14 +289,12 @@ def analyze(scans_dir, out_dir, config_path):
     def model_for(axes):
         return assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
 
-    results, mean_curve, std = analyze_campaign(
-        load_campaign(scans_dir), model_for, window, cfg.window_points,
+    results, mean_curve = analyze_campaign(
+        *load_campaign(scans_dir), model_for, window, cfg.window_points,
         cfg.pooled_noise_pn, assemble.calibration_params(cfg))
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))
-    atomic_write(out_dir / "mean_curve.csv",
-                 csv_text(cfg, MEAN_CURVE_COLUMNS,
-                          (mean_curve.piezo_nm, mean_curve.force_pn, std)))
+    atomic_write(out_dir / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))
 
 
 @names_its_file
@@ -318,10 +323,9 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     """Compare an extracted mean force curve against the theory."""
     cfg = _load_cfg(config_path)
     axis, force, std = _load_mean_curve(curve_path)
-    mean_curve = ForceCurve("mean", 0.0, axis, force_pn=force)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
     th = assemble.theory_curve(cfg, theory_span_nm([axis], 0.0, window, (0.0, 0.0)))
-    stats = compare_to_theory(mean_curve, std,
+    stats = compare_to_theory(axis, force, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
                               window, cfg.window_points)
     atomic_write(out, json_text(cfg, stats.record(window)))

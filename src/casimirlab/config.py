@@ -108,7 +108,9 @@ _RANGES = (
     (("drude_gamma_ev",), "in [0, 1e6]", lambda c: 0 <= c.drude_gamma_ev <= 1e6),
     (("roughness_amplitude_nm",), ">= 0", lambda c: c.roughness_amplitude_nm >= 0),
     (("temperature_k",), ">= 0", lambda c: c.temperature_k >= 0),
-    (("rel_tol",), "in (0, 1e-2]", lambda c: 0 < c.rel_tol <= 1e-2),
+    # down to 1e-10 the Lifshitz force converges by order 64 from 2 nm to 1 mm
+    # with R up to 1 m, inside lifshitz's largest order, 128
+    (("rel_tol",), "in [1e-10, 1e-2]", lambda c: 1e-10 <= c.rel_tol <= 1e-2),
     (("theory_cache_points",), ">= 2", lambda c: c.theory_cache_points >= 2),
     (("spring_constant_n_per_m",), "> 0", lambda c: c.spring_constant_n_per_m > 0),
     (("deflection_sensitivity_nm",), "> 0",

@@ -38,6 +38,10 @@ from .forcecurve import _read_csv
 EPS_BLOCK_ELEMENTS = 2**14
 # log-omega intervals per table interval in the trapezoid pass
 TABLE_REFINE = 4
+# xi in rad/s where the formulas here hold in float64: from sqrt(tiny * max)
+# = 2.0, where (xi / omega)**2 is a normal float for every table energy omega
+# with a finite square, to 1e150; the theory reads 1e2 (5 cm) to 6e18 (1 nm)
+XI_RANGE = (2.0, 1e150)
 
 
 @dataclass(frozen=True)
@@ -171,18 +175,20 @@ def _refine_log_grid(omega, eps2, refine):
 def _drude_segment_integral(xi, d, omega_c):
     """int_0^omega_c omega*eps''_Drude/(omega^2+xi^2) domega, closed form, elementwise."""
     g = d.gamma
+    out = np.zeros_like(xi)
     if g == 0:
-        return np.zeros_like(xi)
+        return out
     near = np.abs(xi - g) <= 1e-6 * g
-    x = np.where(near, 2 * g, xi)  # keeps the discarded general branch finite
-    general = d.omega_p**2 * g / (x**2 - g**2) * (
-        np.arctan(omega_c / g) / g - np.arctan(omega_c / x) / x
-    )
-    # degenerate xi ~ gamma: int omega_p^2 g / (w^2+g^2)^2 dw
-    degenerate = d.omega_p**2 * g * (
-        omega_c / (2 * g**2 * (omega_c**2 + g**2)) + np.arctan(omega_c / g) / (2 * g**3)
-    )
-    return np.where(near, degenerate, general)
+    x = xi[~near]
+    with np.errstate(over="ignore"):  # omega_c / g beyond float64: arctan gives pi/2
+        arctan_g = np.arctan(omega_c / g)
+    out[~near] = d.omega_p**2 * g / (x**2 - g**2) * (arctan_g / g - np.arctan(omega_c / x) / x)
+    if near.any():  # only then: its 1/g^3 underflows for a tiny gamma no xi is near
+        # degenerate xi ~ gamma: int omega_p^2 g / (w^2+g^2)^2 dw
+        out[near] = d.omega_p**2 * g * (
+            omega_c / (2 * g**2 * (omega_c**2 + g**2)) + arctan_g / (2 * g**3)
+        )
+    return out
 
 
 def _powerlaw_tail_integral(xi, omega_n, eps2_n):
@@ -190,9 +196,11 @@ def _powerlaw_tail_integral(xi, omega_n, eps2_n):
     if eps2_n == 0:
         return np.zeros_like(xi)
     u = xi / omega_n
-    bracket = np.where(u < 1e-4,
-                       (u * u / 3 - u**4 / 5 + u**6 / 7) / omega_n,  # series: no cancellation
-                       1.0 / omega_n - np.arctan(u) / xi)
+    series = u < 1e-4  # series: no cancellation; each form only where selected
+    bracket = np.empty_like(xi)
+    us = u[series]
+    bracket[series] = (us * us / 3 - us**4 / 5 + us**6 / 7) / omega_n
+    bracket[~series] = 1.0 / omega_n - np.arctan(u[~series]) / xi[~series]
     return eps2_n * omega_n**3 / xi**2 * bracket
 
 

@@ -22,8 +22,8 @@ reported bound is 2.8e-7. The Drude eps(i xi) grows like 1/(gamma xi) as
 y -> 0, so the first y panel [0, 0.5] is graded geometrically toward 0
 (edges 0.5 * 10^-k, k = 1..3); this makes the rule converge geometrically
 in the order instead of algebraically. The order starts at BASE_ORDER = 8
-and is doubled until two successive estimates agree to the tolerance, and
-their difference is the error estimate. The tolerance comes from
+and is doubled, at most to 128, until two successive estimates agree to the
+tolerance, and their difference is the error estimate. The tolerance comes from
 ``RunConfig`` (``rel_tol``) through ``assemble``.
 A Gauss-Legendre rule depends only on its order (Golub & Welsch, Math.
 Comp. 23, 221 (1969)), so each order's rule is computed once and mapped onto
@@ -64,7 +64,9 @@ class SphereGeometry:
 @dataclass(frozen=True)
 class QuadratureParams:
     rel_tol: float
-    max_refinements: int = 6
+    # doublings of BASE_ORDER, to 128 at most: the order-128 rule's arrays
+    # take 10 MiB each, and each doubling multiplies them by 4
+    max_refinements: int = 4
 
 
 def reflection_terms(eps, p):

@@ -11,16 +11,17 @@ scan's stream), shaped into normals by the Box-Muller transform in numpy
 is not imported, as it loads OpenSSL (through ``secrets``) and eleven
 extension modules, 5.6 MiB of resident memory. Both directions hold one scan
 at a time: ``write_campaign`` writes each scan as it is drawn, and
-``load_campaign`` is a stream of the scans, the grounded ones last, which
-``analysis.analyze_campaign`` reads in one pass, folding each grounded scan
-into its running sums. The theory cache spans what ``analyze`` will read
+``load_campaign`` streams the grounded scans' force columns, on their one
+axis, which ``analysis.analyze_campaign`` folds into its running sums one at
+a time. The theory cache spans what ``analyze`` will read
 (``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
 and parsing the scan CSVs is about half of a large campaign's run, and
 serially it is at numpy's floor. The workers send their results back in
-turn, so either direction sees the scans in the serial loop's order.
+turn (a reading worker only each scan's force column), so either direction
+sees the scans in the serial loop's order.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # read from 90 ms. So a campaign of 276 files x 4910 rows splits both ways,
 # and the default one, 33 x 982 rows, stays in one process.
 SPLIT_MIN_ROWS = 250_000   # rows to draw and write, or to parse: scans x grid points
-# Capacity asked for each worker's result pipe: a dozen pickled 4910-point
-# scans (79 KB each) rather than Linux's default 64 KiB, less than one, so a
-# worker that runs ahead does not wait for this process to take each scan.
+# Capacity asked for each worker's result pipe: two dozen pickled 4910-point
+# force columns (39 KB each) rather than Linux's default 64 KiB, one, so a
+# worker that runs ahead does not wait for this process to take each column.
 PIPE_BYTES = 1 << 20
 
 
@@ -260,52 +261,51 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
 
 
 def load_campaign(indir):
-    """The scans of a campaign directory: the voltage and stiffness scans,
-    then the grounded ones, each in file-name order.
+    """The scans of a campaign directory, as ``(scans, axis, forces)``: the
+    voltage and stiffness scans as ForceCurves, the first grounded scan's
+    piezo axis (None without a grounded scan), and a closable stream of the
+    grounded scans' force columns; each in file-name order.
 
     Every file is classified first, from the lines before its first row
     (``scan_is_grounded``), so an unrecognized header raises here, naming the
-    file. Returns an iterator over the scans as ForceCurves; it reads a file
-    only when its scan is asked for, so a caller that drops each scan holds
-    one at a time. Every grounded scan after the first must share the first
-    one's axis (``DataError`` naming the scan and its file otherwise).
-    ``truth.json``, the generator's record, is not read.
+    file. The scans and the first grounded one are read here, and each later
+    grounded scan only when its column is asked for, so a caller that drops
+    each column holds one at a time. Each must share the first one's axis
+    (``DataError`` naming the scan and its file otherwise). ``truth.json``,
+    the generator's record, is not read.
 
-    The files up to the first grounded scan are read in this process. From
-    ``SPLIT_MIN_ROWS`` rows of further scans on (their number times the first
-    grounded scan's rows), those are shared out interleaved between this
-    process and forked workers (``_processes``), forked when the scan after
-    the first grounded one is asked for: a caller that fits z0 and builds its
-    model on the scans before that does so once, and the workers start from
-    it. Each error is raised when its file's turn comes, so the error raised
-    is the one of the first failing file in this order.
+    From ``SPLIT_MIN_ROWS`` rows of grounded scans after the first on (their
+    number times the axis's points), those are shared out interleaved
+    between this process and forked workers (``_processes``), forked when the
+    second column is asked for: a caller that fits z0 and builds its model
+    first does so once, and the workers start from it. A worker checks the
+    axis of each scan it parses and sends back only its force column. Each
+    error is raised when its file's turn comes, so the error raised is the
+    one of the first failing file in this order.
     """
     indir = Path(indir)
     # names, not paths: a path opened keeps its text, and every file is opened here
     names = sorted(path.name for path in indir.glob("*.csv"))
     if not names:
         raise DataError(f"no scan files found in {indir}")
-    names.sort(key=lambda name: scan_is_grounded(indir / name))  # stable: grounded last
-    return _read_in_order(indir, names)
-
-
-def _read_in_order(indir, names):
-    for g, name in enumerate(names):
-        curve = load_scan(indir / name)
-        yield curve
-        if curve.grounded:
-            break
-    else:
-        return
-    first, rest = curve, names[g + 1:]
+    is_grounded = [scan_is_grounded(indir / name) for name in names]
+    scans = [load_scan(indir / name) for name, g in zip(names, is_grounded) if not g]
+    grounded = [name for name, g in zip(names, is_grounded) if g]
+    if not grounded:
+        return scans, None, (force for force in ())
+    first, rest = load_scan(indir / grounded[0]), grounded[1:]
 
     def read_share(share, processes):
         for name in rest[share::processes]:
             curve = load_scan(indir / name)
-            if curve.grounded and (curve.piezo_nm.size != first.piezo_nm.size
-                                   or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
+            if (curve.piezo_nm.size != first.piezo_nm.size
+                    or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
                 raise DataError(f"scan {curve.scan_id} ({name}): scan grids differ "
                                 f"from scan {first.scan_id}'s; resample before averaging")
-            yield curve
+            yield curve.force_pn
 
-    yield from _in_shares(read_share, len(rest), _processes(len(rest) * first.piezo_nm.size))
+    def forces():
+        yield first.force_pn
+        yield from _in_shares(read_share, len(rest), _processes(len(rest) * first.piezo_nm.size))
+
+    return scans, first.piezo_nm, forces()

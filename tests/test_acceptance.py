@@ -115,7 +115,7 @@ def test_criterion_07_electrostatic_pfa_convergence(e_cfg):
 
 
 def test_criterion_08_end_to_end_statistics(campaign_results, default_cfg):
-    results, _, _ = campaign_results
+    results, _ = campaign_results
     dz = abs(results["z0_nm"] - default_cfg.z0_true_nm)
     chi2 = results["reduced_chi2"]
     srms = results["sigma_rms_pn"]
@@ -126,7 +126,7 @@ def test_criterion_08_end_to_end_statistics(campaign_results, default_cfg):
 
 
 def test_criterion_09_sensitivity_monotonicity(campaign_results):
-    results, _, _ = campaign_results
+    results, _ = campaign_results
     base = results["sigma_rms_pn"]
     v = results["variants"]
     ok = (v["shift_minus_3nm"] >= 1.2 * base
@@ -167,7 +167,7 @@ def test_criterion_10_determinism(tmp_path):
 def test_criterion_11_noiseless_inversion(default_cfg, forward_model):
     quiet = replace(default_cfg, noise_pn=0.0, n_scans=2)
     grounded, voltage_scans = conftest.campaign_scans(quiet, forward_model)
-    results, _, _ = conftest.analyze_scans(voltage_scans, grounded, forward_model, quiet)
+    results, _ = conftest.analyze_scans(voltage_scans, grounded, forward_model, quiet)
     dz0 = abs(results["z0_nm"] / quiet.z0_true_nm - 1.0)
     dc = abs(results["drift_pn_per_nm"] / quiet.c_true_pn_per_nm - 1.0)
     srms = results["sigma_rms_pn"]

@@ -158,6 +158,48 @@ def test_grids_refuse_an_infinite_bound(runner, tmp_path, command, option, spec)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,option", [("theory", "--z"), ("electro", "--z"),
+                                            ("epsilon", "--xi-ev")])
+def test_grids_refuse_a_span_that_overflows(runner, tmp_path, command, option):
+    # finite ends whose difference is not: refused before numpy spaces the grid
+    out = tmp_path / "out.csv"
+    spec = "-1e308:1e308:5"
+    result = runner.invoke(main, [command, option, spec, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: need hi - lo finite in {spec!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,value", [("1e-300:1:5", "1e-300"), ("1:1e300:3", "5e+299"),
+                                        ("0:1:3", "0"), ("-1:1:3", "-1")])
+def test_epsilon_refuses_an_xi_its_formulas_cannot_represent(runner, tmp_path, spec, value):
+    # 1e-300 eV squares to 0 in the tail beyond the table, and 5e299 eV
+    # overflows in rad/s: refused, naming the value, before eps is computed
+    out = tmp_path / "eps.csv"
+    result = runner.invoke(main, ["epsilon", "--material", TABLE, "--xi-ev", spec,
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: xi = {value} eV in {spec!r} is outside [1.32e-15, "
+                             f"6.58e+134] eV, where the eps(i xi) formulas hold in float64\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,spec,header", [
+    ("theory", "--z", "100:500:5", ("separation_nm", "force_pn")),
+    ("epsilon", "--xi-ev", "0.01:100:5", ("xi_ev", "eps"))])
+def test_a_tiny_drude_gamma_gives_the_table_model_without_a_warning(runner, tmp_path, command,
+                                                                    option, spec, header):
+    # no xi is near gamma = 1e-300 eV, so the Drude segment's degenerate
+    # branch, which divides by gamma^3, is not evaluated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("drude_gamma_ev=1e-300\ntheory_cache_points=4\n")
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [command, "--material", TABLE, option, spec,
+                                  "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert np.isfinite(_read_csv(out, 2, (header,)).columns).all()
+
+
 def test_electro_refuses_a_separation_the_image_series_cannot_sum(runner, tmp_path):
     # at 1e-30 nm, acosh(1 + z/R) = 4.5e-18 and e^-acosh rounds to 1: the
     # terms would not decay, and their denominators 1 - e^-2na would be 0
@@ -535,6 +577,7 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("deflection_sensitivity_nm=0", "deflection_sensitivity_nm"),
     ("rel_tol=0", "rel_tol"),
     ("rel_tol=0.02", "rel_tol"),
+    ("rel_tol=1e-11", "rel_tol"),
     ("sphere_radius_um=-5", "sphere_radius_um"),
     ("sphere_radius_um=1.0000001e6", "sphere_radius_um"),
     ("temperature_k=-1", "temperature_k"),
@@ -549,6 +592,24 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
 ])
 def test_config_range_entry_exits_2(runner, tmp_path, line, key):
     assert_config_line_exits_2(runner, tmp_path, line, key)
+
+
+def test_a_force_that_does_not_converge_exits_3_in_bounded_memory(tmp_path):
+    # with a negative absolute tolerance no estimate converges, so the order
+    # is doubled to the largest, 128, whose rule takes 10 MiB an array
+    src = str(Path(casimirlab.__file__).resolve().parents[1])
+    script = ("import sys; from casimirlab import cli, lifshitz; lifshitz.ABS_TOL = -1.0; "
+              "cli.main(sys.argv[1:])")
+    with subprocess.Popen([sys.executable, "-c", script, "theory", "--z", "100:500:5",
+                           "--out", str(tmp_path / "theory.csv")],
+                          env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stderr = proc.stderr.read().decode()
+    assert proc.returncode == 3
+    assert stderr == "error: no convergence to rel_tol=0.0001 within 4 refinements\n"
+    assert usage.ru_maxrss < 256 * 1024   # KiB
 
 
 def test_theory_refuses_a_sphere_radius_beyond_1_m(runner, tmp_path):
@@ -802,8 +863,9 @@ def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, anal
         raise AssertionError("package-written CSV read line by line")
 
     monkeypatch.setattr(forcecurve, "_read_body_by_line", refuse)
-    scans = list(load_campaign(campaign_dir))
-    assert [c.applied_voltage == 0.0 for c in scans] == [False] * 6 + [True] * 2
+    scans, _, forces = load_campaign(campaign_dir)
+    assert [c.applied_voltage == 0.0 for c in scans] == [False] * 6
+    assert len(list(forces)) == 2
     table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
     assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
 
@@ -1091,8 +1153,7 @@ CONFIG_KEY_DRAWS = {
     "roughness_c2": around_or_anywhere(0.0, 3.0),
     "roughness_c3": around_or_anywhere(0.0, 3.0),
     "roughness_c4": around_or_anywhere(0.0, 3.0),
-    # down to 1e-10 the force converges by order 64 (2 nm to 1 mm, R up to
-    # 1 m); at 1e-15 a 1 m sphere at 2 nm runs to order 512, 154 MiB per array
+    # the range table's floor, 1e-10, bounds the quadrature's order
     "rel_tol": around_or_anywhere(1e-6, 1e-2, min_value=1e-10, max_value=1e-2),
     "theory_cache_points": st.integers(2, 40),
     "v2_residual_mv": around_or_anywhere(-100.0, 100.0),
@@ -1171,6 +1232,41 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
         assert all(math.isfinite(v) for v in results.values() if isinstance(v, float))
         curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
         assert np.isfinite(curve.columns).all()
+
+
+@settings(max_examples=40, deadline=None)
+# a gamma no xi is near (the Drude segment's degenerate branch divides by
+# gamma^3), the plasma limit at the tolerance floor, and an xi grid from
+# below the representable range
+@example(values={"drude_wp_ev": 12.398, "drude_gamma_ev": 1e-300, "rel_tol": 1e-4},
+         xi_ev=[0.01, 100.0])
+@example(values={"drude_wp_ev": 12.398, "drude_gamma_ev": 0.0, "rel_tol": 1e-10},
+         xi_ev=[1e-300, 1.0])
+@given(values=st.fixed_dictionaries({key: CONFIG_KEY_DRAWS[key] for key in (
+           "drude_wp_ev", "drude_gamma_ev", "rel_tol")}),
+       xi_ev=st.lists(around_or_anywhere(1e-3, 1e3), min_size=2, max_size=2,
+                      unique=True).map(sorted))
+def test_theory_and_epsilon_over_the_dielectric_keys_end_in_a_documented_exit(values, xi_ev):
+    # with the packaged table, every Drude pair and tolerance the range table
+    # passes and every xi grid --xi-ev parses reach exit 0, or 2 or 3 with a
+    # message on stderr
+    try:
+        RunConfig(**values)
+    except ValueError:   # outside a range rule
+        assume(False)
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text("theory_cache_points=4\n" + "".join(
+            f"{k}={v!r}\n" for k, v in values.items()))
+        for args in (["theory", "--z", "100:500:5"],
+                     ["epsilon", "--xi-ev", f"{xi_ev[0]!r}:{xi_ev[1]!r}:5"]):
+            result = runner.invoke(main, [*args, "--material", TABLE, "--config",
+                                          str(tmp / "run.cfg"), "--out", str(tmp / "out.csv")])
+            assert result.exit_code in (0, 2, 3), (args[0], result.output)
+            assert "Traceback" not in result.output and "RuntimeWarning" not in result.output
+            if result.exit_code:
+                assert result.stderr.startswith("error: "), (args[0], result.output)
 
 
 # smoke size, as perfbench's smoke config

@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from casimirlab.cli import main
 from casimirlab.config import RunConfig
 from casimirlab.constants import CONST
 from casimirlab.errors import DataError, ParseError
-from casimirlab.forcecurve import load_scan, save_scan
+from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
 from casimirlab.synth import DEFAULT_CAL_VOLTAGES, load_campaign, write_campaign
 from conftest import campaign_scans, traced_peak_above_inputs
 from oracles import generate_stiffness_scans
@@ -89,18 +91,18 @@ def test_ensemble_mean_converges_at_root_n(forward_model):
     assert rms[108] < rms[27]
 
 
-def sorted_out(scans):
-    """(grounded, applied-voltage, stiffness) scans of a campaign stream, each in order."""
-    scans = list(scans)
-    return ([c for c in scans if c.grounded],
-            [c for c in scans if c.has_force and not c.grounded],
+def sorted_out(campaign):
+    """(grounded axis, grounded force columns, applied-voltage scans, stiffness
+    scans) of a ``load_campaign`` result, each in order."""
+    scans, axis, forces = campaign
+    return (axis, list(forces), [c for c in scans if c.has_force],
             [c for c in scans if not c.has_force])
 
 
 def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
     t = small_cfg(n_scans=2)
     write_campaign(tmp_path, t, forward_model)
-    grounded, voltage_scans, stiffness = sorted_out(load_campaign(tmp_path))
+    axis, grounded, voltage_scans, stiffness = sorted_out(load_campaign(tmp_path))
     truth_doc = json.loads((tmp_path / "truth.json").read_text())
     assert len(grounded) == 2
     assert len(voltage_scans) == len(DEFAULT_CAL_VOLTAGES)
@@ -113,11 +115,14 @@ def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
         "grid_nm": [t.grid_lo_nm, t.grid_hi_nm, t.grid_points], "seed": 5,
         "cap_offset_nm": t.cap_offset_nm}
     fresh_g, fresh_v = campaign_scans(t, forward_model)
-    for disk, fresh in zip(grounded + voltage_scans, fresh_g + fresh_v):
+    for disk, fresh in zip(voltage_scans, fresh_v):
         assert disk.scan_id == fresh.scan_id
         np.testing.assert_allclose(disk.piezo_nm, fresh.piezo_nm, rtol=1e-8)
         np.testing.assert_allclose(disk.force_pn, fresh.force_pn, rtol=1e-8,
                                    atol=1e-7)
+    for force, fresh in zip(grounded, fresh_g):
+        np.testing.assert_allclose(axis, fresh.piezo_nm, rtol=1e-8)
+        np.testing.assert_allclose(force, fresh.force_pn, rtol=1e-8, atol=1e-7)
 
 
 def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
@@ -126,7 +131,7 @@ def test_load_campaign_classifies_stiffness(tmp_path, forward_model, e_cfg):
     for scan in generate_stiffness_scans(t, e_cfg):
         with open(tmp_path / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
-    _, _, stiffness = sorted_out(load_campaign(tmp_path))
+    *_, stiffness = sorted_out(load_campaign(tmp_path))
     assert len(stiffness) == 2
     assert all(not s.has_force for s in stiffness)
 
@@ -150,11 +155,13 @@ def write_with_extra_scans(outdir, cfg, model, e_cfg):
 def test_load_campaign_reads_the_grounded_scans_last(tmp_path, forward_model, e_cfg):
     # the voltage and stiffness scans come first, wherever their names sort
     write_with_extra_scans(tmp_path, small_cfg(n_scans=3), forward_model, e_cfg)
-    scans = list(load_campaign(tmp_path))
-    assert [c.grounded for c in scans] == 9 * [False] + 3 * [True]
+    scans, axis, forces = load_campaign(tmp_path)
+    assert [c.grounded for c in scans] == 9 * [False]
     assert [c.scan_id for c in scans if c.has_force] == [
-        *(f"cal_{j:02d}" for j in range(len(DEFAULT_CAL_VOLTAGES))), "cal_mid",
-        "scan_000", "scan_001", "scan_002"]
+        *(f"cal_{j:02d}" for j in range(len(DEFAULT_CAL_VOLTAGES))), "cal_mid"]
+    grounded = [load_scan(tmp_path / f"scan_{k:03d}.csv") for k in range(3)]
+    np.testing.assert_array_equal(axis, grounded[0].piezo_nm)
+    np.testing.assert_array_equal(list(forces), [c.force_pn for c in grounded])
 
 
 def test_load_campaign_classifies_every_file_before_it_reads_one(tmp_path, forward_model):
@@ -162,7 +169,7 @@ def test_load_campaign_classifies_every_file_before_it_reads_one(tmp_path, forwa
     path = tmp_path / "scan_002.csv"
     path.write_text(path.read_text().replace("piezo_nm,force_pn", "piezo_nm,force"))
     with pytest.raises(ParseError) as error:
-        load_campaign(tmp_path)   # no scan asked for yet
+        load_campaign(tmp_path)   # raised before any file is read
     assert (str(error.value), error.value.path) == (
         f"{path}: unrecognized header 'piezo_nm,force', expected piezo_nm,signal or "
         f"piezo_nm,force_pn at line 4", path)
@@ -182,6 +189,55 @@ def test_analyze_parses_each_scan_file_once(tmp_path, forward_model, e_cfg, monk
     assert len(files) == 11 and sorted(parsed) == files
 
 
+def test_analyze_builds_one_curve_per_file_it_reads(tmp_path, forward_model, e_cfg,
+                                                    monkeypatch):
+    # the grounded scans travel from the reader to the mean curve as force
+    # columns on one axis: no scan is rebuilt as a curve on the way
+    t = small_cfg(n_scans=2)
+    campaign = tmp_path / "campaign"
+    write_with_extra_scans(campaign, t, forward_model, e_cfg)
+    built = []
+    check = ForceCurve.__post_init__
+    monkeypatch.setattr(ForceCurve, "__post_init__",
+                        lambda curve: built.append(curve.scan_id) or check(curve))
+    analyze_bytes(campaign, t, tmp_path / "analysis")
+    assert len(list(campaign.glob("*.csv"))) == 11 and len(built) == 11, built
+
+
+def test_a_read_worker_sends_back_only_force_columns(tmp_path, forward_model, monkeypatch,
+                                                     split):
+    write_campaign(tmp_path, small_cfg(n_scans=6), forward_model)
+    sizes = tmp_path / "sizes.txt"   # a forked worker's list would stay in the worker
+
+    def dumps(result, protocol):
+        data = pickle.dumps(result, protocol)
+        with open(sizes, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(data)}\n")
+        return data
+
+    monkeypatch.setattr(synth, "pickle", SimpleNamespace(
+        dumps=dumps, load=pickle.load, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+    _, axis, forces = load_campaign(tmp_path)
+    assert len(list(forces)) == 6
+    sent = [int(n) for n in sizes.read_text().split()]
+    assert sent and max(sent) <= axis.nbytes + 1024, (sent, axis.nbytes)
+
+
+def test_a_grounded_scan_that_sets_its_voltage_again_is_refused(tmp_path, forward_model):
+    # a scan is classified from its voltage before the rows; one that sets
+    # another voltage among them is refused when it is read, naming its file
+    write_campaign(tmp_path, small_cfg(n_scans=3), forward_model)
+    path = tmp_path / "scan_001.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(9, "# applied_voltage_v=0.31")
+    path.write_text("\n".join(lines) + "\n")
+    _, _, forces = load_campaign(tmp_path)
+    with pytest.raises(ParseError) as error:
+        list(forces)
+    assert str(error.value) == (f"{path}: metadata key 'applied_voltage_v' set again, "
+                                f"to another value (first at line 2) at line 10")
+
+
 @pytest.mark.parametrize("ways", [None, 4])
 def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
                                                 monkeypatch, split, ways):
@@ -190,7 +246,8 @@ def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
         monkeypatch.setattr(synth, "_processes", lambda rows: ways)
     t = small_cfg(n_scans=5)
     write_with_extra_scans(tmp_path / "split", t, forward_model, e_cfg)
-    loaded = list(load_campaign(tmp_path / "split"))
+    loaded = load_campaign(tmp_path / "split")
+    axis, grounded, voltage_scans, stiffness = sorted_out(loaded)
     monkeypatch.undo()   # back to the break-even: this campaign stays inline
     write_with_extra_scans(tmp_path / "inline", t, forward_model, e_cfg)
     files = sorted(p.name for p in (tmp_path / "inline").iterdir())
@@ -198,21 +255,19 @@ def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
     for name in files:
         assert ((tmp_path / "split" / name).read_bytes()
                 == (tmp_path / "inline" / name).read_bytes()), name
-    inline = list(load_campaign(tmp_path / "inline"))
-    assert [c.scan_id for c in loaded] == [c.scan_id for c in inline]
-    grounded, voltage_scans, stiffness = sorted_out(loaded)
+    inline = load_campaign(tmp_path / "inline")
+    assert [c.scan_id for c in loaded[0]] == [c.scan_id for c in inline[0]]
     inline = sorted_out(inline)
-    first = grounded[0]
-    assert first.scan_id == inline[0][0].scan_id == "scan_000"
-    np.testing.assert_array_equal(first.piezo_nm, inline[0][0].piezo_nm)
-    forces = np.vstack([c.force_pn for c in grounded])
-    np.testing.assert_array_equal(forces, np.vstack([c.force_pn for c in inline[0]]))
+    np.testing.assert_array_equal(axis, inline[0])
+    np.testing.assert_array_equal(axis, load_scan(tmp_path / "split" / "scan_000.csv").piezo_nm)
+    forces = np.vstack(grounded)
+    np.testing.assert_array_equal(forces, np.vstack(inline[1]))
     assert forces.shape == (5, t.grid_points)
     for k, row in enumerate(forces):
         np.testing.assert_array_equal(
             row, load_scan(tmp_path / "split" / f"scan_{k:03d}.csv").force_pn)
     assert voltage_scans[-1].scan_id == "cal_mid"
-    for got, want in ((voltage_scans, inline[1]), (stiffness, inline[2])):
+    for got, want in ((voltage_scans, inline[2]), (stiffness, inline[3])):
         assert [c.scan_id for c in got] == [c.scan_id for c in want]
         for a, b in zip(got, want):
             assert a.applied_voltage == b.applied_voltage
@@ -238,10 +293,10 @@ def test_a_split_read_raises_the_first_failing_file(tmp_path, forward_model, mon
     write_campaign(tmp_path, small_cfg(n_scans=6), forward_model)
     lines = [corrupt(tmp_path / f"{name}.csv") for name in bad]
     with pytest.raises(ParseError) as split_error:
-        list(load_campaign(tmp_path))
+        list(load_campaign(tmp_path)[2])
     monkeypatch.undo()
     with pytest.raises(ParseError) as inline_error:
-        list(load_campaign(tmp_path))
+        list(load_campaign(tmp_path)[2])
     for exc in (split_error.value, inline_error.value):
         assert (str(exc), exc.line, exc.path) == (
             f"{tmp_path / (bad[0] + '.csv')}: non-finite value at line {lines[0]}",
@@ -256,7 +311,7 @@ def test_a_split_read_names_the_scan_whose_grid_differs(tmp_path, forward_model,
         save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
     with pytest.raises(DataError, match=r"scan scan_004 \(scan_004.csv\): scan grids "
                                         r"differ from scan scan_000's"):
-        list(load_campaign(tmp_path))
+        list(load_campaign(tmp_path)[2])
 
 
 def rows_added_by_doubling(fn):
@@ -287,7 +342,7 @@ def test_analyze_memory_stays_flat_as_the_campaign_doubles(tmp_path, default_cfg
         write_campaign(tmp_path / str(n), RunConfig(n_scans=n), forward_model)
     window = (default_cfg.window_lo_nm, default_cfg.window_hi_nm)
     rows = rows_added_by_doubling(lambda n: analyze_campaign(
-        load_campaign(tmp_path / str(n)), lambda axes: forward_model,
+        *load_campaign(tmp_path / str(n)), lambda axes: forward_model,
         window, default_cfg.window_points, default_cfg.pooled_noise_pn,
         assemble.calibration_params(default_cfg)))
     assert rows <= 2, rows
