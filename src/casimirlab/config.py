@@ -102,15 +102,20 @@ _RANGES = (
     # 1 m: above any Casimir lens, and below radii whose proximity guard lets
     # separations through that overflow the Lifshitz force estimate
     (("sphere_radius_um",), "in (0, 1e6]", lambda c: 0 < c.sphere_radius_um <= 1e6),
-    # 1 MeV: far above any metal's Drude energies (aluminium's plasma energy
-    # is 15 eV), and far below those whose squares overflow in the Drude forms
-    (("drude_wp_ev",), "in (0, 1e6]", lambda c: 0 < c.drude_wp_ev <= 1e6),
-    (("drude_gamma_ev",), "in [0, 1e6]", lambda c: 0 <= c.drude_gamma_ev <= 1e6),
+    # a metal's Drude energies (aluminium's plasma energy is 15 eV): a plasma
+    # energy from 1 eV to 1 MeV, far below those whose squares overflow in
+    # the Drude forms, and a damping up to 10 eV. With less plasma energy or
+    # more damping eps(i xi) - 1 is small except at an xi below what the
+    # Lifshitz rule resolves, and the force converges slowly in the order
+    (("drude_wp_ev",), "in [1, 1e6]", lambda c: 1 <= c.drude_wp_ev <= 1e6),
+    (("drude_gamma_ev",), "in [0, 10]", lambda c: 0 <= c.drude_gamma_ev <= 10),
     (("roughness_amplitude_nm",), ">= 0", lambda c: c.roughness_amplitude_nm >= 0),
     (("temperature_k",), ">= 0", lambda c: c.temperature_k >= 0),
-    # down to 1e-10 the Lifshitz force converges by order 64 from 2 nm to 1 mm
-    # with R up to 1 m, inside lifshitz's largest order, 128
-    (("rel_tol",), "in [1e-10, 1e-2]", lambda c: 1e-10 <= c.rel_tol <= 1e-2),
+    # down to 1e-8 the Lifshitz force converges by lifshitz's largest order,
+    # 128, for the Drude energies above, with or without the packaged table,
+    # from 1 nm to 5 cm at R = 1 m: its last two orders agree to 3.9e-9 at
+    # worst (wp = 1 eV, gamma = 10 eV, at 1 nm)
+    (("rel_tol",), "in [1e-8, 1e-2]", lambda c: 1e-8 <= c.rel_tol <= 1e-2),
     (("theory_cache_points",), ">= 2", lambda c: c.theory_cache_points >= 2),
     (("spring_constant_n_per_m",), "> 0", lambda c: c.spring_constant_n_per_m > 0),
     (("deflection_sensitivity_nm",), "> 0",

@@ -38,10 +38,6 @@ from .forcecurve import _read_csv
 EPS_BLOCK_ELEMENTS = 2**14
 # log-omega intervals per table interval in the trapezoid pass
 TABLE_REFINE = 4
-# xi in rad/s where the formulas here hold in float64: from sqrt(tiny * max)
-# = 2.0, where (xi / omega)**2 is a normal float for every table energy omega
-# with a finite square, to 1e150; the theory reads 1e2 (5 cm) to 6e18 (1 nm)
-XI_RANGE = (2.0, 1e150)
 
 
 @dataclass(frozen=True)
@@ -87,16 +83,21 @@ def load_optical_table(source) -> OpticalTable:
 
 
 class DielectricModel:
-    """Base class; subclasses implement ``_eps`` elementwise on an array of xi > 0.
+    """Base class; subclasses implement ``_eps`` elementwise on an array of xi
+    in ``xi_range``, (lo, hi] in rad/s.
 
     Instances are immutable, so one model may be shared between threads.
     """
 
+    xi_range = (0.0, np.inf)
+
     def eps(self, xi):
         """eps(i*xi) for xi in rad/s: a float for a scalar, else an array of xi's shape."""
         x = np.asarray(xi, dtype=float)
-        if not np.all(x > 0):
-            raise ValueError(f"xi must be > 0, got min {x.min()}")
+        lo, hi = self.xi_range
+        outside = x[~((x > lo) & (x <= hi))]
+        if outside.size:
+            raise ValueError(f"xi must be in ({lo:g}, {hi:g}] rad/s, got {outside[0]:.6g}")
         out = self._eps(x)
         return float(out) if x.ndim == 0 else out
 
@@ -122,6 +123,12 @@ class TabulatedModel(DielectricModel):
     Each table interval is subdivided into ``TABLE_REFINE`` intervals in
     log omega before the trapezoid pass (eps'' interpolated log-log).
     """
+
+    # where the formulas here hold in float64: from sqrt(tiny * max) = 2.0,
+    # where (xi / omega)**2 is a normal float for every table energy omega
+    # with a finite square, to 1e150; the theory reads 1e2 (5 cm, order 128)
+    # to 6e18 (1 nm)
+    xi_range = (2.0, 1e150)
 
     def __init__(self, table: OpticalTable, drude: DrudeParams):
         self.drude = drude

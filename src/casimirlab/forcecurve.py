@@ -110,8 +110,7 @@ def load_scan(source) -> ForceCurve:
 @names_its_file
 def scan_is_grounded(path) -> bool:
     """``load_scan(path).grounded``, from the lines before the first row when
-    they hold a well-formed voltage (which no later line can change), else
-    from ``load_scan`` itself."""
+    they hold a well-formed voltage, else from ``load_scan`` itself."""
     kinds = _Lines(SCAN_HEADERS)
     with open(path, "r", encoding="utf-8") as fh:  # lines split as _read_csv splits them
         for lineno, line in enumerate((s for raw in fh for s in raw.splitlines()), start=1):
@@ -203,9 +202,7 @@ class _Lines:
         """The stripped data row on line ``lineno``; None for any other line.
 
         Blank and comment lines are skipped, a ``# key=value`` line registers
-        its key (set again to another value, it is refused: a file states
-        each value once), and with ``headers`` the first other line must be
-        one of them.
+        its key, and with ``headers`` the first other line must be one of them.
         """
         stripped = raw.strip()
         if not stripped:
@@ -213,11 +210,9 @@ class _Lines:
         if stripped[0] == "#":
             key, eq, value = stripped[1:].partition("=")
             if eq:
-                key, value = key.strip(), value.strip()
-                if self.meta.setdefault(key, value) != value:
-                    raise ParseError(f"metadata key '{key}' set again, to another value "
-                                     f"(first at line {self.meta_line[key]})", line=lineno)
-                self.meta_line.setdefault(key, lineno)
+                key = key.strip()
+                self.meta[key] = value.strip()
+                self.meta_line[key] = lineno
             return None
         if self.headers is not None and self.header is None:
             header = tuple(c.strip() for c in stripped.split(","))

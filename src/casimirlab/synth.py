@@ -270,9 +270,10 @@ def load_campaign(indir):
     (``scan_is_grounded``), so an unrecognized header raises here, naming the
     file. The scans and the first grounded one are read here, and each later
     grounded scan only when its column is asked for, so a caller that drops
-    each column holds one at a time. Each must share the first one's axis
-    (``DataError`` naming the scan and its file otherwise). ``truth.json``,
-    the generator's record, is not read.
+    each column holds one at a time. Each must share the first one's axis,
+    and keep the 0 V it states before its rows (``DataError`` naming the
+    scan and its file otherwise). ``truth.json``, the generator's record, is
+    not read.
 
     From ``SPLIT_MIN_ROWS`` rows of grounded scans after the first on (their
     number times the axis's points), those are shared out interleaved
@@ -293,11 +294,19 @@ def load_campaign(indir):
     grounded = [name for name, g in zip(names, is_grounded) if g]
     if not grounded:
         return scans, None, (force for force in ())
-    first, rest = load_scan(indir / grounded[0]), grounded[1:]
+
+    def grounded_scan(name):
+        curve = load_scan(indir / name)
+        if not curve.grounded:  # a voltage set again among its rows
+            raise DataError(f"scan {curve.scan_id} ({name}): applied_voltage_v set "
+                            f"to {curve.applied_voltage:g} V among its rows, after 0 V")
+        return curve
+
+    first, rest = grounded_scan(grounded[0]), grounded[1:]
 
     def read_share(share, processes):
         for name in rest[share::processes]:
-            curve = load_scan(indir / name)
+            curve = grounded_scan(name)
             if (curve.piezo_nm.size != first.piezo_nm.size
                     or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
                 raise DataError(f"scan {curve.scan_id} ({name}): scan grids differ "

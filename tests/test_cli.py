@@ -170,18 +170,28 @@ def test_grids_refuse_a_span_that_overflows(runner, tmp_path, command, option):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec,value", [("1e-300:1:5", "1e-300"), ("1:1e300:3", "5e+299"),
-                                        ("0:1:3", "0"), ("-1:1:3", "-1")])
-def test_epsilon_refuses_an_xi_its_formulas_cannot_represent(runner, tmp_path, spec, value):
+@pytest.mark.parametrize("spec,message", [
+    ("1e-300:1:5", "xi must be in (2, 1e+150] rad/s, got 1.51925e-285"),
+    ("1:1e300:3", "xi must be in (2, 1e+150] rad/s, got inf"),
+    ("0:1:3", "xi must be in (2, 1e+150] rad/s, got 0"),
+    ("-1:1:3", "energy must be >= 0 eV, got -1.0")])
+def test_epsilon_refuses_an_xi_its_formulas_cannot_represent(runner, tmp_path, spec, message):
     # 1e-300 eV squares to 0 in the tail beyond the table, and 5e299 eV
     # overflows in rad/s: refused, naming the value, before eps is computed
     out = tmp_path / "eps.csv"
     result = runner.invoke(main, ["epsilon", "--material", TABLE, "--xi-ev", spec,
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert result.output == (f"error: xi = {value} eV in {spec!r} is outside [1.32e-15, "
-                             f"6.58e+134] eV, where the eps(i xi) formulas hold in float64\n")
+    assert result.output == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_epsilon_drude_takes_an_xi_below_the_tables_range(runner, tmp_path):
+    # the Drude closed form has no squared ratio to underflow: any xi > 0
+    out = tmp_path / "eps.csv"
+    result = runner.invoke(main, ["epsilon", "--xi-ev", "1e-20:1e-16:3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert np.isfinite(_read_csv(out, 2, (("xi_ev", "eps"),)).columns).all()
 
 
 @pytest.mark.parametrize("command,option,spec,header", [
@@ -578,12 +588,15 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("rel_tol=0", "rel_tol"),
     ("rel_tol=0.02", "rel_tol"),
     ("rel_tol=1e-11", "rel_tol"),
+    ("rel_tol=9e-9", "rel_tol"),
     ("sphere_radius_um=-5", "sphere_radius_um"),
     ("sphere_radius_um=1.0000001e6", "sphere_radius_um"),
     ("temperature_k=-1", "temperature_k"),
     ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
     ("drude_wp_ev=0", "drude_wp_ev"),
     ("drude_wp_ev=1.0000001e6", "drude_wp_ev"),
+    ("drude_wp_ev=0.99", "drude_wp_ev"),
+    ("drude_gamma_ev=10.01", "drude_gamma_ev"),
     ("drude_gamma_ev=-0.01", "drude_gamma_ev"),
     ("drude_gamma_ev=1.0000001e6", "drude_gamma_ev"),
     ("window_hi_nm=50", "window_hi_nm"),
@@ -1147,14 +1160,13 @@ CONFIG_KEY_DRAWS = {
     "grid_points": st.integers(10, 600), "z0_true_nm": st.floats(0.0, 200.0),
     "seed": st.integers(0, 2**32 - 1),
     "sphere_radius_um": around_or_anywhere(10.0, 1000.0, min_value=0.0, exclude_min=True),
-    "drude_wp_ev": around_or_anywhere(5.0, 20.0, min_value=0.0, exclude_min=True,
-                                      max_value=1e6),
-    "drude_gamma_ev": around_or_anywhere(0.0, 0.2, min_value=0.0, max_value=1e6),
+    "drude_wp_ev": around_or_anywhere(5.0, 20.0, min_value=1.0, max_value=1e6),
+    "drude_gamma_ev": around_or_anywhere(0.0, 0.2, min_value=0.0, max_value=10.0),
     "roughness_c2": around_or_anywhere(0.0, 3.0),
     "roughness_c3": around_or_anywhere(0.0, 3.0),
     "roughness_c4": around_or_anywhere(0.0, 3.0),
-    # the range table's floor, 1e-10, bounds the quadrature's order
-    "rel_tol": around_or_anywhere(1e-6, 1e-2, min_value=1e-10, max_value=1e-2),
+    # the range table's floor, 1e-8, is met by the quadrature's largest order
+    "rel_tol": around_or_anywhere(1e-6, 1e-2, min_value=1e-8, max_value=1e-2),
     "theory_cache_points": st.integers(2, 40),
     "v2_residual_mv": around_or_anywhere(-100.0, 100.0),
     "spring_constant_n_per_m": around_or_anywhere(0.01, 0.03, min_value=0.0,
@@ -1203,7 +1215,7 @@ def config_keys_at(**changes):
 # a smooth surface at 0 K, the corrections' physical zeros, at the default grid
 @config_keys_at(roughness_amplitude_nm=0.0, temperature_k=0.0)
 # the largest Drude energies the range table accepts
-@config_keys_at(drude_wp_ev=1e6, drude_gamma_ev=1e6)
+@config_keys_at(drude_wp_ev=1e6, drude_gamma_ev=10.0)
 @given(values=st.fixed_dictionaries(CONFIG_KEY_DRAWS))
 def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
     # every config the range table passes must reach exit 0 with finite
@@ -1240,7 +1252,7 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
 # below the representable range
 @example(values={"drude_wp_ev": 12.398, "drude_gamma_ev": 1e-300, "rel_tol": 1e-4},
          xi_ev=[0.01, 100.0])
-@example(values={"drude_wp_ev": 12.398, "drude_gamma_ev": 0.0, "rel_tol": 1e-10},
+@example(values={"drude_wp_ev": 12.398, "drude_gamma_ev": 0.0, "rel_tol": 1e-8},
          xi_ev=[1e-300, 1.0])
 @given(values=st.fixed_dictionaries({key: CONFIG_KEY_DRAWS[key] for key in (
            "drude_wp_ev", "drude_gamma_ev", "rel_tol")}),

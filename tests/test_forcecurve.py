@@ -141,12 +141,6 @@ def test_csv_rows_follows_a_changing_axis():
     (SCAN_HEAD + "1\n", "expected 2 columns, got '1' at line 4"),
     (SCAN_HEAD + "1,2\n3,4,\n", "expected 2 columns, got '3,4,' at line 5"),
     (SCAN_HEAD + "nan,2\n3,4\n", "non-finite value at line 4"),
-    # a value set again, to another one, before or among the rows
-    (SCAN_HEAD + "1,2\n# applied_voltage_v=0.5\n2,3\n",
-     r"metadata key 'applied_voltage_v' set again, to another value \(first at line 2\) "
-     r"at line 5"),
-    ("# scan_id=a\n# scan_id=b\n# applied_voltage_v=0\npiezo_nm,force_pn\n1,2\n",
-     r"metadata key 'scan_id' set again, to another value \(first at line 1\) at line 2"),
 ])
 def test_load_scan_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -200,7 +194,6 @@ def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):
 @pytest.mark.parametrize("body", [
     "\n".join(CLEAN_ROWS[:4] + ["# note"] + CLEAN_ROWS[4:]),
     "\n".join(CLEAN_ROWS[:4] + ["# spring_constant_n_per_m=0.02"] + CLEAN_ROWS[4:]),
-    "\n".join(CLEAN_ROWS[:4] + ["# applied_voltage_v = 0"] + CLEAN_ROWS[4:]),
     "\n".join(CLEAN_ROWS[:4] + [""] + CLEAN_ROWS[4:] + [""]),
     "\n".join(CLEAN_ROWS[:4] + [" \t "] + CLEAN_ROWS[4:]),
     "\n".join(" " + row.replace(",", " ,\t") + "\t" for row in CLEAN_ROWS),

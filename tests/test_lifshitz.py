@@ -123,6 +123,18 @@ def test_tight_tolerance_converges(drude_params):
     assert f == pytest.approx(REFERENCE_FORCES["drude"][0], rel=1e-8)
 
 
+@pytest.mark.parametrize("wp,gamma,z", [(1.0, 10.0, 1e-9), (1e6, 10.0, 1.6e-9),
+                                        (46.6, 5.9e-7, 2.4e-8)])
+def test_the_drude_range_converges_at_the_rel_tol_floor(wp, gamma, z):
+    # the pairs the range table accepts that converge slowest, where they do,
+    # on a 1 m sphere at the rel_tol floor: converged by the largest order, 128
+    cfg = RunConfig(drude_wp_ev=wp, drude_gamma_ev=gamma, rel_tol=1e-8, sphere_radius_um=1e6)
+    model = assemble.dielectric_model(cfg)
+    params = assemble.theory_params(cfg, model)
+    f = casimir_force_sphere_plate(z, params.geom, model, params.quad)
+    assert f.error_bound <= 1e-8 * abs(f)
+
+
 def test_nonconvergence_carries_estimate_and_bound(monkeypatch, drude_params):
     monkeypatch.setattr(lifshitz, "BASE_ORDER", 2)
     q = replace(drude_params.quad, rel_tol=1e-8, max_refinements=1)

@@ -120,7 +120,8 @@ def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
         np.testing.assert_allclose(disk.piezo_nm, fresh.piezo_nm, rtol=1e-8)
         np.testing.assert_allclose(disk.force_pn, fresh.force_pn, rtol=1e-8,
                                    atol=1e-7)
-    for force, fresh in zip(grounded, fresh_g):
+    for k, (force, fresh) in enumerate(zip(grounded, fresh_g)):
+        assert load_scan(tmp_path / f"scan_{k:03d}.csv").scan_id == fresh.scan_id
         np.testing.assert_allclose(axis, fresh.piezo_nm, rtol=1e-8)
         np.testing.assert_allclose(force, fresh.force_pn, rtol=1e-8, atol=1e-7)
 
@@ -223,19 +224,19 @@ def test_a_read_worker_sends_back_only_force_columns(tmp_path, forward_model, mo
     assert sent and max(sent) <= axis.nbytes + 1024, (sent, axis.nbytes)
 
 
-def test_a_grounded_scan_that_sets_its_voltage_again_is_refused(tmp_path, forward_model):
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_grounded_scan_that_sets_its_voltage_again_is_refused(tmp_path, forward_model, k):
     # a scan is classified from its voltage before the rows; one that sets
     # another voltage among them is refused when it is read, naming its file
     write_campaign(tmp_path, small_cfg(n_scans=3), forward_model)
-    path = tmp_path / "scan_001.csv"
+    path = tmp_path / f"scan_{k:03d}.csv"
     lines = path.read_text().splitlines()
     lines.insert(9, "# applied_voltage_v=0.31")
     path.write_text("\n".join(lines) + "\n")
-    _, _, forces = load_campaign(tmp_path)
-    with pytest.raises(ParseError) as error:
-        list(forces)
-    assert str(error.value) == (f"{path}: metadata key 'applied_voltage_v' set again, "
-                                f"to another value (first at line 2) at line 10")
+    with pytest.raises(DataError) as error:
+        list(load_campaign(tmp_path)[2])
+    assert str(error.value) == (f"scan scan_{k:03d} (scan_{k:03d}.csv): applied_voltage_v "
+                                f"set to 0.31 V among its rows, after 0 V")
 
 
 @pytest.mark.parametrize("ways", [None, 4])
@@ -258,8 +259,10 @@ def test_a_split_campaign_equals_the_inline_one(tmp_path, forward_model, e_cfg,
     inline = load_campaign(tmp_path / "inline")
     assert [c.scan_id for c in loaded[0]] == [c.scan_id for c in inline[0]]
     inline = sorted_out(inline)
+    first = load_scan(tmp_path / "split" / "scan_000.csv")
+    assert first.scan_id == load_scan(tmp_path / "inline" / "scan_000.csv").scan_id == "scan_000"
     np.testing.assert_array_equal(axis, inline[0])
-    np.testing.assert_array_equal(axis, load_scan(tmp_path / "split" / "scan_000.csv").piezo_nm)
+    np.testing.assert_array_equal(axis, first.piezo_nm)
     forces = np.vstack(grounded)
     np.testing.assert_array_equal(forces, np.vstack(inline[1]))
     assert forces.shape == (5, t.grid_points)
