@@ -334,44 +334,51 @@ def _compensated_add(total, carry, x, y, t):
     total[...] = t
 
 
-# Variant separation shifts in nm: +-3 nm axis uncertainty, and the
-# opaque-cap scenario where the 15.8 nm transparent-cap offset collapses
-# to 0.9 nm (axis overstated by 14.9 nm).
-VARIANT_SHIFTS_NM = {
-    "shift_minus_3nm": -3.0,
-    "shift_plus_3nm": 3.0,
-    "opaque_cap": -14.9,
-}
+# The cap offset of the opaque-cap variant: the transparent cap's offset
+# (cap_offset_nm, 15.8 nm by default) collapses to 0.9 nm.
+OPAQUE_CAP_NM = 0.9
 
 
-def theory_span_nm(axes_nm, cap_offset_nm=0.0, window_nm=None, z0_nm=COARSE_Z0_NM):
+def variant_shifts_nm(cap_offset_nm: float) -> dict:
+    """Separation shifts in nm of the comparison's variants: +-3 nm of axis
+    uncertainty, and the opaque cap, which overstates the axis by the cap
+    offset less ``OPAQUE_CAP_NM``."""
+    return {"shift_minus_3nm": -3.0, "shift_plus_3nm": 3.0,
+            "opaque_cap": OPAQUE_CAP_NM - cap_offset_nm}
+
+
+def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, z0_nm=COARSE_Z0_NM):
     """(lo, hi): the metal-to-metal separations in nm at which a command reads
     the theory, and so caches it, from the axes it reads.
 
     A z0 fit over an axis z of separations from contact reads the model at
     z + z0 > 0 for z0 in [z0_nm[0], z0_nm[1]] and the theory at z + z0 + cap.
-    A mean curve inside that span that covers the window (to compare_to_theory's
-    1e-9 nm; 2e-9 here allows for rounding) is compared at its points bracketing
-    it, at most one axis step outside, unshifted and at ``VARIANT_SHIFTS_NM``. A
-    metal-to-metal axis (``compare``'s mean curve) passes z0_nm = (0, 0).
+    A metal-to-metal axis (``compare``'s mean curve) passes z0_nm = None: it is
+    read where it lies. A mean curve inside that span that covers the window
+    (to compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared
+    at its points bracketing it, at most one axis step outside, unshifted and
+    at ``variant_shifts_nm(cap_offset_nm)``.
     """
+    z0_nm, cap = ((0.0, 0.0), 0.0) if z0_nm is None else (z0_nm, cap_offset_nm)
     closest = min(float(np.min(a)) for a in axes_nm) + z0_nm[0]
     if closest <= 0:
         raise DataError(f"the model would be read at a separation of {closest:.6g} nm, at or "
                         f"below contact (grid_lo_nm in synth, plus z0 = {z0_nm[0]:g} nm)")
-    lo = closest + cap_offset_nm
-    hi = max(float(np.max(a)) for a in axes_nm) + z0_nm[1] + cap_offset_nm
+    lo = closest + cap
+    hi = max(float(np.max(a)) for a in axes_nm) + z0_nm[1] + cap
     if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:
         step = max(float(np.diff(a).max(initial=0.0)) for a in axes_nm)
-        lo = min(lo, window_nm[0] - step + min(0.0, *VARIANT_SHIFTS_NM.values()))
-        hi = max(hi, window_nm[1] + step + max(0.0, *VARIANT_SHIFTS_NM.values()))
+        shifts = variant_shifts_nm(cap_offset_nm).values()
+        lo = min(lo, window_nm[0] - step + min(0.0, *shifts))
+        hi = max(hi, window_nm[1] + step + max(0.0, *shifts))
     return lo, hi
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
-def compare_to_theory(axis, mean_pn, std_pn, n_scans: int,
-                      theory: TheoryCurve, window_nm, n_nodes: int) -> ComparisonStats:
-    """Statistics of experiment vs theory over the comparison window.
+def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
+                      window_nm, n_nodes: int, cap_offset_nm: float) -> ComparisonStats:
+    """Statistics of experiment vs theory over the comparison window, and at
+    the separation shifts of ``variant_shifts_nm(cap_offset_nm)``.
 
     The mean curve ``mean_pn``, with per-point ``std_pn``, on ``axis``
     (increasing metal-to-metal separations in nm) and the theory sampled on
@@ -411,7 +418,7 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int,
                     if np.all(stderr > 0) else None)
 
     variants = {}
-    for label, shift in VARIANT_SHIFTS_NM.items():
+    for label, shift in variant_shifts_nm(cap_offset_nm).items():
         th_s = np.interp(grid, near, theory((near + shift) * 1e-9) * 1e12)
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
     for name, value in {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
@@ -480,7 +487,7 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
               if stiffness else None)
     separation = sep + model.cap_offset_nm
     stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
-                              window_nm, n_nodes)
+                              window_nm, n_nodes, model.cap_offset_nm)
     results = {
         "z0_nm": z0,
         "z0_sigma_nm": z0_sigma,

@@ -29,9 +29,9 @@ from .analysis import (analyze_campaign, calibrate_spring_constant,
 from .config import RunConfig, load_config
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
-                     DataError, FitError, ParseError, ValidityError,
-                     names_its_file)
-from .forcecurve import MIN_SAMPLES, _csv_rows, _read_csv, load_scan, signal_to_force
+                     DataError, FitError, ParseError, names_its_file)
+from .forcecurve import (MIN_SAMPLES, _csv_rows, _read_csv, atomic_write, load_scan,
+                         signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
 
 EXIT_INPUT = 2
@@ -53,8 +53,7 @@ def guarded(fn):
         except (FitError, CalibrationError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FIT)
-        except (ParseError, DataError, ValidityError, CasimirLabError,
-                ValueError, OSError) as exc:
+        except (CasimirLabError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
 
@@ -77,14 +76,6 @@ def parse_grid(spec: str) -> np.ndarray:
     if not (lo < hi and n >= 2):
         raise ParseError(f"need lo < hi and n >= 2 in {spec!r}")
     return np.linspace(lo, hi, n)
-
-
-def atomic_write(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def meta_header(cfg: RunConfig, seed=None) -> str:
@@ -319,10 +310,10 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     cfg = _load_cfg(config_path)
     axis, force, std = _load_mean_curve(curve_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
-    th = assemble.theory_curve(cfg, theory_span_nm([axis], 0.0, window, (0.0, 0.0)))
+    th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window, None))
     stats = compare_to_theory(axis, force, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
-                              window, cfg.window_points)
+                              window, cfg.window_points, cfg.cap_offset_nm)
     atomic_write(out, json_text(cfg, stats.record(window)))
     if emit_curve:
         atomic_write(Path(out).with_suffix(".curve.csv"),

@@ -100,8 +100,10 @@ _RANGES = (
     (("z0_true_nm",), f"in the z0 fit bracket {Z0_BRACKET_NM}",
      lambda c: Z0_BRACKET_NM[0] < c.z0_true_nm < Z0_BRACKET_NM[1]),
     # 1 m: above any Casimir lens, and below radii whose proximity guard lets
-    # separations through that overflow the Lifshitz force estimate
-    (("sphere_radius_um",), "in (0, 1e6]", lambda c: 0 < c.sphere_radius_um <= 1e6),
+    # separations through that overflow the Lifshitz force estimate; the
+    # radius must also stay above 0 once scaled to metres, as assemble scales it
+    (("sphere_radius_um",), "in (0, 1e6], and > 0 in metres",
+     lambda c: 0 < c.sphere_radius_um * 1e-6 and c.sphere_radius_um <= 1e6),
     # a metal's Drude energies (aluminium's plasma energy is 15 eV): a plasma
     # energy from 1 eV to 1 MeV, far below those whose squares overflow in
     # the Drude forms, and a damping up to 10 eV. With less plasma energy or

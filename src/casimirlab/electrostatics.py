@@ -32,10 +32,6 @@ class ElectrostaticConfig:
     R: float
     V2: float                   # residual potential of the grounded sphere
 
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"sphere radius must be > 0, got {self.R}")
-
 
 def alpha(z: float, R: float) -> float:
     """acosh(1 + z/R) via the log1p-stable form ln(1 + x + sqrt(x^2 + 2x))."""

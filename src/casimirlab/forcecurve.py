@@ -8,16 +8,18 @@ negative.
 
 All three CSV inputs (scans here, optical tables in ``dielectric``, mean
 curves in ``cli``) share one dialect, read by ``_read_csv``: ``# key=value``
-metadata lines, other ``#`` comment lines, blank lines, an optional column
-header, then comma-separated rows of finite floats. The reader walks the
-lines up to the first row, then parses the rest in one numpy call; only a
-body that call refuses (a comment or blank line among the rows, or a bad
-row) is read line by line, which finds the line of a bad row.
+metadata lines, each key set once, other ``#`` comment lines, blank lines,
+an optional column header, then comma-separated rows of finite floats. The
+reader walks the lines up to the first row, then parses the rest in one
+numpy call; only a body that call refuses (a comment or blank line among the
+rows, or a bad row) is read line by line, which finds the line of a bad row.
+One ``_Csv`` holds a parse: its metadata, header, columns and row lines.
 
 ``_csv_rows`` formats every row of the package's writers with one ``%``
 template, memoised for the last axis seen with the axis text written into
 it: all scans of a campaign share one piezo grid, so it is formatted once.
-It refuses a NaN or infinite cell, so no writer emits one.
+It refuses a NaN or infinite cell, so no writer emits one. Every file the
+package writes goes through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -110,17 +112,16 @@ def load_scan(source) -> ForceCurve:
 @names_its_file
 def scan_is_grounded(path) -> bool:
     """``load_scan(path).grounded``, from the lines before the first row when
-    they hold a well-formed voltage, else from ``load_scan`` itself."""
-    kinds = _Lines(SCAN_HEADERS)
+    they hold a well-formed voltage, else from ``load_scan`` itself. A key is
+    set once, so a voltage stated there is the scan's."""
+    table = _Csv(SCAN_HEADERS)
     with open(path, "r", encoding="utf-8") as fh:  # lines split as _read_csv splits them
-        for lineno, line in enumerate((s for raw in fh for s in raw.splitlines()), start=1):
-            if kinds.row(lineno, line) is not None:
-                break
+        table.head(s for raw in fh for s in raw.splitlines())
     try:
-        voltage = float(kinds.meta["applied_voltage_v"])
+        voltage = float(table.meta["applied_voltage_v"])
     except (KeyError, ValueError):  # among the rows, or malformed: read it or report it
         return load_scan(path).grounded
-    return kinds.header == SCAN_HEADERS[1] and voltage == 0.0
+    return table.header == SCAN_HEADERS[1] and voltage == 0.0
 
 
 def save_scan(curve: ForceCurve, fh) -> None:
@@ -132,6 +133,16 @@ def save_scan(curve: ForceCurve, fh) -> None:
     values = curve.force_pn if curve.has_force else curve.signal
     rows = _csv_rows(f"scan {curve.scan_id}", curve.piezo_nm, values)
     fh.write(f"{head}piezo_nm,{column}\n" + rows)
+
+
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory: into ``path.tmp``,
+    then renamed over ``path``, so the file is the old one or the whole new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
 
 
 def _csv_rows(what: str, *columns) -> str:
@@ -165,15 +176,53 @@ def _row_template(axis: bytes, width: int) -> str:
     return "".join(["%.9g" % v + cells for v in np.frombuffer(axis).tolist()])
 
 
-@dataclass(frozen=True)
 class _Csv:
-    """One parsed CSV input, with the source line of every entry."""
+    """One parse of the dialect: the metadata and header of the lines read so
+    far, then the columns and the source line of every data row."""
 
-    meta: dict           # '# key=value' lines
-    meta_line: dict      # line number of each metadata key
-    header: tuple | None
-    columns: np.ndarray  # (columns, rows) float, each column contiguous
-    line: Sequence[int]  # line number of each data row
+    def __init__(self, headers):
+        self.headers, self.header = headers, None
+        self.meta, self.meta_line = {}, {}   # '# key=value' lines, and the line of each
+        self.columns = None                  # (columns, rows) float, each column contiguous
+        self.line = ()                       # line number of each data row
+
+    def row(self, lineno: int, raw: str) -> str | None:
+        """The stripped data row on line ``lineno``; None for any other line.
+
+        Blank and comment lines are skipped, a ``# key=value`` line registers
+        its key (a key set before raises ParseError naming both lines), and
+        with ``headers`` the first other line must be one of them.
+        """
+        stripped = raw.strip()
+        if not stripped:
+            return None
+        if stripped[0] == "#":
+            key, eq, value = stripped[1:].partition("=")
+            if eq:
+                key = key.strip()
+                if key in self.meta:
+                    raise ParseError(f"metadata key '{key}' set at line "
+                                     f"{self.meta_line[key]} and again", line=lineno)
+                self.meta[key] = value.strip()
+                self.meta_line[key] = lineno
+            return None
+        if self.headers is not None and self.header is None:
+            header = tuple(c.strip() for c in stripped.split(","))
+            if header not in self.headers:
+                expected = " or ".join(",".join(h) for h in self.headers)
+                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
+                                 line=lineno)
+            self.header = header
+            return None
+        return stripped
+
+    def head(self, lines) -> int:
+        """Classify ``lines`` up to the first data row; the number of lines before it."""
+        index = -1
+        for index, raw in enumerate(lines):
+            if self.row(index + 1, raw) is not None:
+                return index
+        return index + 1
 
     def reject(self, bad: np.ndarray, message: str) -> None:
         """Raise ParseError at the first data row where ``bad`` holds."""
@@ -191,40 +240,6 @@ class _Csv:
         return value
 
 
-class _Lines:
-    """The line classification of the dialect, with the metadata and header seen."""
-
-    def __init__(self, headers):
-        self.headers, self.header = headers, None
-        self.meta, self.meta_line = {}, {}
-
-    def row(self, lineno: int, raw: str) -> str | None:
-        """The stripped data row on line ``lineno``; None for any other line.
-
-        Blank and comment lines are skipped, a ``# key=value`` line registers
-        its key, and with ``headers`` the first other line must be one of them.
-        """
-        stripped = raw.strip()
-        if not stripped:
-            return None
-        if stripped[0] == "#":
-            key, eq, value = stripped[1:].partition("=")
-            if eq:
-                key = key.strip()
-                self.meta[key] = value.strip()
-                self.meta_line[key] = lineno
-            return None
-        if self.headers is not None and self.header is None:
-            header = tuple(c.strip() for c in stripped.split(","))
-            if header not in self.headers:
-                expected = " or ".join(",".join(h) for h in self.headers)
-                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
-                                 line=lineno)
-            self.header = header
-            return None
-        return stripped
-
-
 @names_its_file
 def _read_csv(source, ncols: int, headers=None) -> _Csv:
     """Read the package's CSV dialect from a path or a text file object.
@@ -239,24 +254,20 @@ def _read_csv(source, ncols: int, headers=None) -> _Csv:
     else:
         text = source.read()
     lines = text.splitlines()
-    kinds = _Lines(headers)
-    start = len(lines)
-    for index, raw in enumerate(lines):
-        if kinds.row(index + 1, raw) is not None:
-            start = index
-            break
-    if headers is not None and kinds.header is None:
+    table = _Csv(headers)
+    start = table.head(lines)
+    if headers is not None and table.header is None:
         raise ParseError("missing column header")
     # one row per remaining line parses in one call; else classify each line
     columns, line = _bulk_columns(lines[start:], ncols), range(start + 1, len(lines) + 1)
     if columns is None:
-        columns, line = _read_body_by_line(lines, start, ncols, kinds)
-    table = _Csv(kinds.meta, kinds.meta_line, kinds.header, columns, line)
+        columns, line = _read_body_by_line(lines, start, ncols, table)
+    table.columns, table.line = columns, line
     table.reject(~np.isfinite(table.columns).all(axis=0), "non-finite value")
     return table
 
 
-def _read_body_by_line(lines, start: int, ncols: int, kinds: _Lines):
+def _read_body_by_line(lines, start: int, ncols: int, table: _Csv):
     """(columns, line numbers) of the rows from ``lines[start]`` on, line by line.
 
     Comment, metadata and blank lines among the rows are classified as in the
@@ -264,7 +275,7 @@ def _read_body_by_line(lines, start: int, ncols: int, kinds: _Lines):
     """
     rows, line = [], []
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        row = kinds.row(lineno, raw)
+        row = table.row(lineno, raw)
         if row is not None:
             rows.append(row)
             line.append(lineno)

@@ -56,10 +56,6 @@ class SphereGeometry:
 
     R: float
 
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"sphere radius must be > 0, got {self.R}")
-
 
 @dataclass(frozen=True)
 class QuadratureParams:

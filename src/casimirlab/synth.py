@@ -41,7 +41,7 @@ import numpy as np
 from .analysis import COARSE_Z0_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
-from .forcecurve import ForceCurve, load_scan, save_scan, scan_is_grounded
+from .forcecurve import ForceCurve, atomic_write, load_scan, save_scan, scan_is_grounded
 
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # The work from which a forked worker pays for itself, measured on a
@@ -233,9 +233,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
         for curve in generate_scans(cfg, model, slice(share, None, processes)):
             text = io.StringIO()
             save_scan(curve, text)
-            tmp = outdir / f"{curve.scan_id}.csv.tmp"
-            tmp.write_text(text.getvalue(), encoding="utf-8")
-            tmp.replace(outdir / f"{curve.scan_id}.csv")
+            atomic_write(outdir / f"{curve.scan_id}.csv", text.getvalue())
             yield None
 
     files = len(planned)
@@ -253,11 +251,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
         "seed": cfg.seed,
         "cap_offset_nm": cfg.cap_offset_nm,
     }
-    tmp = outdir / "truth.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tmp.replace(outdir / "truth.json")
+    atomic_write(outdir / "truth.json", json.dumps(truth, indent=2, sort_keys=True) + "\n")
 
 
 def load_campaign(indir):
@@ -270,10 +264,10 @@ def load_campaign(indir):
     (``scan_is_grounded``), so an unrecognized header raises here, naming the
     file. The scans and the first grounded one are read here, and each later
     grounded scan only when its column is asked for, so a caller that drops
-    each column holds one at a time. Each must share the first one's axis,
-    and keep the 0 V it states before its rows (``DataError`` naming the
-    scan and its file otherwise). ``truth.json``, the generator's record, is
-    not read.
+    each column holds one at a time. Each must share the first one's axis
+    (``DataError`` naming the scan and its file otherwise). The reader refuses
+    a key set twice, so a scan classified grounded reads as grounded.
+    ``truth.json``, the generator's record, is not read.
 
     From ``SPLIT_MIN_ROWS`` rows of grounded scans after the first on (their
     number times the axis's points), those are shared out interleaved
@@ -294,19 +288,11 @@ def load_campaign(indir):
     grounded = [name for name, g in zip(names, is_grounded) if g]
     if not grounded:
         return scans, None, (force for force in ())
-
-    def grounded_scan(name):
-        curve = load_scan(indir / name)
-        if not curve.grounded:  # a voltage set again among its rows
-            raise DataError(f"scan {curve.scan_id} ({name}): applied_voltage_v set "
-                            f"to {curve.applied_voltage:g} V among its rows, after 0 V")
-        return curve
-
-    first, rest = grounded_scan(grounded[0]), grounded[1:]
+    first, rest = load_scan(indir / grounded[0]), grounded[1:]
 
     def read_share(share, processes):
         for name in rest[share::processes]:
-            curve = grounded_scan(name)
+            curve = load_scan(indir / name)
             if (curve.piezo_nm.size != first.piezo_nm.size
                     or np.abs(curve.piezo_nm - first.piezo_nm).max() > 1e-9):
                 raise DataError(f"scan {curve.scan_id} ({name}): scan grids differ "

@@ -86,10 +86,11 @@ def drude_curve(default_cfg):
 
 
 @pytest.fixture(scope="session")
-def window(default_cfg):
-    """(window_nm, n_nodes) of the default config."""
+def comparison(default_cfg):
+    """(window_nm, n_nodes, cap_offset_nm): compare_to_theory's last arguments
+    at the default config."""
     return ((default_cfg.window_lo_nm, default_cfg.window_hi_nm),
-            default_cfg.window_points)
+            default_cfg.window_points, default_cfg.cap_offset_nm)
 
 
 @pytest.fixture(scope="session")

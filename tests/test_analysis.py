@@ -417,16 +417,30 @@ def test_analyze_campaign_memory_stays_flat_as_the_scans_double(default_cfg, for
     assert peaks[1] - peaks[0] <= 2 * row_bytes, peaks
 
 
-def test_sigma_rms_scales_with_residual(drude_curve, window):
+def test_sigma_rms_scales_with_residual(drude_curve, comparison):
     axis = np.linspace(95.0, 505.0, 300)
     theory_pn = drude_curve(axis * 1e-9) * 1e12
     rng = np.random.default_rng(3)
     resid = rng.normal(0.0, 1.0, axis.size)
     std = np.ones_like(axis)
-    s1 = compare_to_theory(axis, theory_pn + resid, std, 27, drude_curve, *window)
-    s2 = compare_to_theory(axis, theory_pn + 2 * resid, std, 27, drude_curve, *window)
+    s1 = compare_to_theory(axis, theory_pn + resid, std, 27, drude_curve, *comparison)
+    s2 = compare_to_theory(axis, theory_pn + 2 * resid, std, 27, drude_curve, *comparison)
     assert s2.sigma_rms_pn == pytest.approx(2.0 * s1.sigma_rms_pn, rel=1e-9)
     assert s1.n_points == 441
+
+
+def test_the_opaque_cap_variant_follows_the_configured_cap(drude_curve, comparison):
+    # the opaque cap collapses the cap offset to 0.9 nm: at a 5 nm cap the
+    # theory is read 4.1 nm closer, not at the default cap's 14.9 nm
+    window_nm, n_nodes, _ = comparison
+    axis = np.linspace(95.0, 505.0, 300)
+    mean = drude_curve(axis * 1e-9) * 1e12 + np.random.default_rng(3).normal(0.0, 1.0, 300)
+    stats = compare_to_theory(axis, mean, np.ones_like(axis), 27, drude_curve,
+                              window_nm, n_nodes, 5.0)
+    grid = np.linspace(*window_nm, n_nodes)
+    shifted = np.interp(grid, axis, drude_curve((axis - 4.1) * 1e-9) * 1e12)
+    expected = np.sqrt(np.mean((shifted - np.interp(grid, axis, mean)) ** 2))
+    assert stats.variants["opaque_cap"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_axis_shift_increases_sigma_rms(campaign_results):
@@ -436,11 +450,11 @@ def test_axis_shift_increases_sigma_rms(campaign_results):
         assert value > base
 
 
-def test_compare_names_an_overflowing_statistic(drude_curve, window):
+def test_compare_names_an_overflowing_statistic(drude_curve, comparison):
     axis = np.linspace(95.0, 505.0, 300)
     huge = np.full_like(axis, 1e300)
     with pytest.raises(DataError, match="'sigma_rms_pn' overflows: inf"):
-        compare_to_theory(axis, huge, np.ones_like(axis), 27, drude_curve, *window)
+        compare_to_theory(axis, huge, np.ones_like(axis), 27, drude_curve, *comparison)
 
 
 def test_drift_fit_names_an_overflow(forward_model):
@@ -450,11 +464,11 @@ def test_drift_fit_names_an_overflow(forward_model):
                               forward_model.force_pn(z, 48.9, 0.0))
 
 
-def test_compare_window_guard(drude_curve, window):
+def test_compare_window_guard(drude_curve, comparison):
     axis = np.linspace(495.0, 600.0, 12)
     with pytest.raises(DataError, match="window"):
         compare_to_theory(axis, drude_curve(axis * 1e-9) * 1e12, np.ones(12), 27,
-                          drude_curve, *window)
+                          drude_curve, *comparison)
 
 
 def test_calibrate_spring_constant(default_cfg, e_cfg):

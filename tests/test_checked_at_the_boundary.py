@@ -16,6 +16,8 @@ BUILT_ONLY_IN = {
     "TemperatureParams": {"assemble"},
     "QuadratureParams": {"assemble"},
     "CalibrationParams": {"assemble"},
+    "SphereGeometry": {"assemble"},
+    "ElectrostaticConfig": {"assemble"},
     "OpticalTable": {"dielectric.load_optical_table"},
 }
 

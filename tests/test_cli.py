@@ -591,6 +591,7 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("rel_tol=9e-9", "rel_tol"),
     ("sphere_radius_um=-5", "sphere_radius_um"),
     ("sphere_radius_um=1.0000001e6", "sphere_radius_um"),
+    ("sphere_radius_um=1e-320", "sphere_radius_um"),   # 0 m once scaled to metres
     ("temperature_k=-1", "temperature_k"),
     ("roughness_amplitude_nm=-1", "roughness_amplitude_nm"),
     ("drude_wp_ev=0", "drude_wp_ev"),

@@ -70,8 +70,6 @@ def test_guards_and_validation(e_cfg):
         sphere_plane_force_pfa(np.array([100e-9, 10e-6]), e_cfg, V1)
     with pytest.raises(ValueError):
         sphere_plane_force_pfa(np.array([100e-9, 0.0]), e_cfg, V1)
-    with pytest.raises(ValueError):
-        replace(e_cfg, R=-1.0)
 
 
 def test_convergence_error_carries_estimate(monkeypatch, e_cfg):

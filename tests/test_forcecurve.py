@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimirlab.cli import _load_mean_curve
+from casimirlab.dielectric import load_optical_table
 from casimirlab.errors import ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
                                    load_scan, save_scan, scan_is_grounded, signal_to_force)
@@ -173,6 +175,11 @@ def test_scan_is_grounded_is_the_grounded_of_load_scan(tmp_path, head, tail, gro
     ("# scan_id=a\n\x0c# applied_voltage_v=0\npiezo_nm,force\n1,2\n",
      "unrecognized header 'piezo_nm,force', expected piezo_nm,signal or piezo_nm,force_pn "
      "at line 4"),
+    # a header that sets the voltage twice, to the same value or another
+    ("# scan_id=a\n# applied_voltage_v=0\n# applied_voltage_v=0\npiezo_nm,force_pn\n1,2\n",
+     "metadata key 'applied_voltage_v' set at line 2 and again at line 3"),
+    ("# applied_voltage_v=0.31\n# scan_id=a\n\n #applied_voltage_v = 0\npiezo_nm,force_pn\n",
+     "metadata key 'applied_voltage_v' set at line 1 and again at line 4"),
 ])
 def test_scan_is_grounded_raises_what_load_scan_raises(tmp_path, text, message):
     path = tmp_path / "scan.csv"
@@ -181,6 +188,28 @@ def test_scan_is_grounded_raises_what_load_scan_raises(tmp_path, text, message):
         with pytest.raises(ParseError) as error:
             read(path)
         assert str(error.value) == f"{path}: {message}"
+
+
+MEAN_CURVE_ROWS = "".join(f"{z},{-z / 10:g},0.5\n" for z in range(100, 110))
+
+
+@pytest.mark.parametrize("read,text,key,lines", [
+    # a key set twice before the rows, among them and after them
+    (load_scan, "# scan_id=a\n# applied_voltage_v=0\n# scan_id=b\npiezo_nm,force_pn\n"
+     + "\n".join(CLEAN_ROWS) + "\n", "scan_id", (1, 3)),
+    (load_optical_table, "# material=Al\n0.04,1.0\n# material=Au\n1.0,2.0\n",
+     "material", (1, 3)),
+    (_load_mean_curve, "# version=0.1.0\n# config_hash=ab\nseparation_nm,force_pn,std_pn\n"
+     + MEAN_CURVE_ROWS + "# config_hash=cd\n", "config_hash", (2, 14)),
+])
+def test_every_reader_refuses_a_key_set_twice(tmp_path, read, text, key, lines):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as error:
+        read(path)
+    assert (str(error.value), error.value.line) == (
+        f"{path}: metadata key '{key}' set at line {lines[0]} and again at line {lines[1]}",
+        lines[1])
 
 
 def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):

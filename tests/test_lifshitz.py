@@ -175,8 +175,6 @@ def test_guards(drude_params):
         casimir_force_sphere_plate(1e-16, geom, model, q)   # no quadrature converges there
     with pytest.raises(ValueError):
         casimir_force_sphere_plate(-1e-9, geom, model, q)
-    with pytest.raises(ValueError):
-        SphereGeometry(R=0.0)
 
 
 def test_geometry_linearity(drude_params):

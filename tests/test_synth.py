@@ -226,17 +226,18 @@ def test_a_read_worker_sends_back_only_force_columns(tmp_path, forward_model, mo
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_grounded_scan_that_sets_its_voltage_again_is_refused(tmp_path, forward_model, k):
-    # a scan is classified from its voltage before the rows; one that sets
-    # another voltage among them is refused when it is read, naming its file
+    # a scan is classified from its voltage before the rows; the reader refuses
+    # one that sets it again among them, naming its file and both lines
     write_campaign(tmp_path, small_cfg(n_scans=3), forward_model)
     path = tmp_path / f"scan_{k:03d}.csv"
     lines = path.read_text().splitlines()
     lines.insert(9, "# applied_voltage_v=0.31")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError) as error:
+    with pytest.raises(ParseError) as error:
         list(load_campaign(tmp_path)[2])
-    assert str(error.value) == (f"scan scan_{k:03d} (scan_{k:03d}.csv): applied_voltage_v "
-                                f"set to 0.31 V among its rows, after 0 V")
+    assert (str(error.value), error.value.path, error.value.line) == (
+        f"{path}: metadata key 'applied_voltage_v' set at line 2 and again at line 10",
+        path, 10)
 
 
 @pytest.mark.parametrize("ways", [None, 4])
