@@ -53,21 +53,31 @@ GAUSS_NEWTON_MAX_STEPS = 20
 
 @dataclass(frozen=True)
 class Z0FitResult:
+    """A z0 fit at unit weight: its residual sum of squares rss_pn2 (pN^2)
+    and J^T J (pN^2/nm^2) at z0, from which ``record`` states sigma and chi2
+    for a given noise."""
+
     z0_nm: float
-    z0_sigma_nm: float
-    chi2: float
+    rss_pn2: float
+    jtj: float
     n_points: int
     voltage: float
 
     def __post_init__(self):
-        if self.z0_nm <= 0 or self.z0_sigma_nm <= 0:
-            raise ValueError("z0 and its uncertainty must be positive")
+        if not (self.z0_nm > 0 and 0 < self.jtj < math.inf):
+            raise ValueError("z0 and J^T J must be positive, J^T J finite")
 
-    def record(self) -> dict:
-        """The fit as ``fit-z0`` writes it and ``results.json`` lists it."""
+    def record(self, noise_pn: float) -> dict:
+        """The fit as ``fit-z0`` writes it and ``results.json`` lists it, for
+        residuals of standard deviation noise_pn: z0_sigma_nm = noise /
+        sqrt(J^T J) (delta-chi2 = 1) and chi2 = rss / noise^2, both None at a
+        noise of 0."""
+        sigma = chi2 = None
+        if noise_pn > 0:
+            sigma = noise_pn / math.sqrt(self.jtj)
+            chi2 = self.rss_pn2 / noise_pn / noise_pn  # noise_pn**2 may underflow to 0
         return {"voltage_v": self.voltage, "z0_nm": self.z0_nm,
-                "z0_sigma_nm": self.z0_sigma_nm, "chi2": self.chi2,
-                "n_points": self.n_points}
+                "z0_sigma_nm": sigma, "chi2": chi2, "n_points": self.n_points}
 
 
 @dataclass(frozen=True)
@@ -164,8 +174,9 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
-def _coarse_chi2(z, f, voltage, model: ForwardModel, sigma):
-    """Coarse z0 values about 1 nm apart, and the no-drift chi2 at each.
+def _coarse_chi2(z, f, voltage, model: ForwardModel):
+    """Coarse z0 values about 1 nm apart, and the no-drift chi2 at each, at
+    unit weight.
 
     With h the axis step, the joint step g = h / ceil(h) divides h, and the
     coarse step m * g is the multiple of g nearest 1 nm, so every separation
@@ -202,32 +213,32 @@ def _coarse_chi2(z, f, voltage, model: ForwardModel, sigma):
     values = np.empty(coarse.size)
     for start in range(0, coarse.size, rows):
         block = slice(start, start + rows)
-        r = (f - model_rows(block)) / sigma
+        r = f - model_rows(block)
         values[block] = [float(np.dot(ri, ri)) for ri in r]
     return coarse, values
 
 
-def fit_contact_separation(curve: ForceCurve, model: ForwardModel,
-                           pooled_noise_pn: float) -> Z0FitResult:
-    """Chi-squared fit of the separation on contact from one voltage scan.
+def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResult:
+    """Least-squares fit of the separation on contact from one voltage scan.
 
-    The model is ``model`` at the scan's voltage, without drift. A coarse
-    scan of about 1 nm steps on the scan's joint grid (``_coarse_chi2``)
-    brackets the minimum; Gauss-Newton from there, on
-    ``ForwardModel.force_and_dz0_pn``, stops at a step below 1e-10 nm;
-    sigma = pooled_noise / sqrt(J^T J) (delta-chi2 = 1).
+    The model is ``model`` at the scan's voltage, without drift. The fit runs
+    at unit weight: with a constant noise neither the coarse argmin nor the
+    Gauss-Newton steps depend on its value, so ``Z0FitResult.record`` scales
+    sigma and chi2 by the noise afterwards. A coarse scan of about 1 nm steps
+    on the scan's joint grid (``_coarse_chi2``) brackets the minimum;
+    Gauss-Newton from there, on ``ForwardModel.force_and_dz0_pn``, stops at a
+    step below 1e-10 nm.
     """
     v = curve.applied_voltage
     if not Z0_VOLTAGE_RANGE[0] <= v <= Z0_VOLTAGE_RANGE[1]:
         raise DataError(f"applied voltage {v} V outside {Z0_VOLTAGE_RANGE}")
     z = curve.piezo_nm
     f = curve.force_pn
-    sigma = pooled_noise_pn
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        coarse, values = _coarse_chi2(z, f, v, model, sigma)
+        coarse, values = _coarse_chi2(z, f, v, model)
     if not np.isfinite(values).all():
         raise FitError(f"scan {curve.scan_id}: non-finite chi2 over the coarse scan "
-                       f"(pooled_noise_pn={sigma:g} pN)")
+                       f"(largest |force| {np.abs(f).max():.3g} pN)")
     imin = int(np.argmin(values))
     if imin in (0, values.size - 1):
         raise FitError(f"scan {curve.scan_id}: chi2 minimum at the bracket edge")
@@ -237,9 +248,8 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel,
 
     z0 = float(coarse[imin])
     for _ in range(GAUSS_NEWTON_MAX_STEPS):
-        force, dz0 = model.force_and_dz0_pn(z, z0, v)
-        r = (f - force) / sigma
-        jac = dz0 / sigma
+        force, jac = model.force_and_dz0_pn(z, z0, v)
+        r = f - force
         jtj = np.dot(jac, jac)
         with np.errstate(all="ignore"):  # a non-finite step is reported just below
             step = float(np.dot(jac, r) / jtj)
@@ -249,9 +259,9 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel,
         if not coarse[imin - 1] <= z0 <= coarse[imin + 1]:
             raise FitError(f"scan {curve.scan_id}: Gauss-Newton left the coarse bracket "
                            f"[{coarse[imin - 1]:.6g}, {coarse[imin + 1]:.6g}] nm")
-        if abs(step) < 1e-10:  # r and J, from < 1e-10 nm back, give chi2 and sigma at z0
-            return Z0FitResult(z0_nm=z0, z0_sigma_nm=1.0 / math.sqrt(jtj),
-                               chi2=float(np.dot(r, r)), n_points=int(z.size), voltage=v)
+        if abs(step) < 1e-10:  # r and J, from < 1e-10 nm back, give rss and J^T J at z0
+            return Z0FitResult(z0_nm=z0, rss_pn2=float(np.dot(r, r)), jtj=float(jtj),
+                               n_points=int(z.size), voltage=v)
     raise FitError(f"scan {curve.scan_id}: Gauss-Newton not converged in "
                    f"{GAUSS_NEWTON_MAX_STEPS} steps")
 
@@ -435,7 +445,7 @@ DRIFT_REGION_MIN_NM = 516.0
 
 
 def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
-                     pooled_noise_pn: float, cal: CalibrationParams):
+                     cal: CalibrationParams):
     """End-to-end pipeline on a campaign, in one pass over its grounded scans.
 
     ``scans``, ``axis`` and ``forces`` are ``synth.load_campaign``'s: the
@@ -447,7 +457,9 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
     model and the 0 V electrostatic term; then each force column is
     drift-fitted over region 3, extracted, folded into ``average_scans``'s
     sums and dropped. A missing side of the campaign or a z0 fit failure
-    raises before the stream is read, a bad file when its turn comes.
+    raises before the stream is read, a bad file when its turn comes. Each
+    z0 fit's sigma and chi2 are stated for the measured noise: the grounded
+    scans' std pooled over the window, sqrt(mean(std^2)), None where it is 0.
     Returns the results.json payload and the mean curve's columns
     (separation_nm, force_pn, std_pn) on the metal-to-metal axis.
     """
@@ -458,7 +470,7 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
         if axis is None:
             raise DataError("no grounded scans to analyze")
         model = model_for([*(c.piezo_nm for c in voltage_scans), axis])
-        z0_fits = [fit_contact_separation(c, model, pooled_noise_pn) for c in voltage_scans]
+        z0_fits = [fit_contact_separation(c, model) for c in voltage_scans]
         z0_values = np.array([fit.z0_nm for fit in z0_fits])
         z0 = float(z0_values.mean())
         region3 = axis > DRIFT_REGION_MIN_NM
@@ -476,24 +488,33 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
 
         mean, std = average_scans(extracted())
 
+    stiffness = [c for c in scans if not c.has_force]
+    spring, spring_sigma = (calibrate_spring_constant(stiffness, model.electro, cal)
+                            if stiffness else (None, None))
+    separation = sep + model.cap_offset_nm
+    stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
+                              window_nm, n_nodes, model.cap_offset_nm)
+    # the noise per point, pooled over the grounded scans' std at the points
+    # compare_to_theory's reduced chi2 reads; an overflow is refused as a
+    # non-finite value of the results
+    in_window = (separation >= window_nm[0]) & (separation <= window_nm[1])
+    with np.errstate(over="ignore"):
+        noise = float(np.sqrt(np.mean(std[in_window] ** 2)))
+    fits = [fit.record(noise) for fit in z0_fits]
     if z0_values.size > 1:
         z0_rms = float(z0_values.std(ddof=1))
         z0_sigma = z0_rms / math.sqrt(z0_values.size)
     else:
         z0_rms = 0.0
-        z0_sigma = z0_fits[0].z0_sigma_nm
-    stiffness = [c for c in scans if not c.has_force]
-    spring = (calibrate_spring_constant(stiffness, model.electro, cal)[0]
-              if stiffness else None)
-    separation = sep + model.cap_offset_nm
-    stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
-                              window_nm, n_nodes, model.cap_offset_nm)
+        z0_sigma = fits[0]["z0_sigma_nm"]
     results = {
         "z0_nm": z0,
         "z0_sigma_nm": z0_sigma,
         "z0_rms_over_voltages_nm": z0_rms,
-        "z0_fits": [fit.record() for fit in z0_fits],
+        "z0_fits": fits,
+        "measured_noise_pn": noise,
         "spring_constant_n_per_m": spring,
+        "spring_constant_sigma_n_per_m": spring_sigma,
         "drift_pn_per_nm": float(np.mean(drifts)),
         **stats.record(window_nm),
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -192,8 +193,10 @@ def electro(z_spec, voltage, config_path, out):
     cfg = _load_cfg(config_path)
     e_cfg = assemble.electrostatic_config(cfg)
     grid = parse_grid(z_spec)
-    exact = [sphere_plane_force_exact(z * 1e-9, e_cfg, voltage) * 1e12 for z in grid]
+    # the proximity form's z/R guard first: at a radius too small for the grid
+    # it names the separation, where the image series would overflow alpha
     pfa = sphere_plane_force_pfa(grid * 1e-9, e_cfg, voltage) * 1e12
+    exact = [sphere_plane_force_exact(z * 1e-9, e_cfg, voltage) * 1e12 for z in grid]
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_exact_pn",
                                      "force_pfa_pn"], (grid, exact, pfa)))
 
@@ -235,8 +238,11 @@ def fit_z0(scan_path, emit_curve, config_path, out):
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
     model = assemble.forward_model(cfg, theory_span_nm([curve.piezo_nm], cfg.cap_offset_nm))
-    fit = fit_contact_separation(curve, model, cfg.pooled_noise_pn)
-    atomic_write(out, json_text(cfg, fit.record()))
+    fit = fit_contact_separation(curve, model)
+    # one scan and no grounded one: the noise is the fit's own residual rms,
+    # so chi2 = n_points - 1 and checks no model
+    atomic_write(out, json_text(cfg, fit.record(
+        math.sqrt(fit.rss_pn2 / (fit.n_points - 1)))))
     if emit_curve:
         model_pn = model.force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage)
         columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
@@ -277,7 +283,7 @@ def analyze(scans_dir, out_dir, config_path):
 
     results, mean_curve = analyze_campaign(
         *load_campaign(scans_dir), model_for, window, cfg.window_points,
-        cfg.pooled_noise_pn, assemble.calibration_params(cfg))
+        assemble.calibration_params(cfg))
     out_dir = Path(out_dir)
     atomic_write(out_dir / "results.json", json_text(cfg, results))
     atomic_write(out_dir / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))

@@ -50,7 +50,6 @@ class RunConfig:
     window_lo_nm: float = 100.0
     window_hi_nm: float = 500.0
     window_points: int = 441
-    pooled_noise_pn: float = 7.0
     # synthesis
     noise_pn: float = 7.0
     n_scans: int = 27
@@ -126,7 +125,6 @@ _RANGES = (
      lambda c: c.window_hi_nm > c.window_lo_nm),
     (("window_points",), f">= {MIN_WINDOW_POINTS}",
      lambda c: c.window_points >= MIN_WINDOW_POINTS),
-    (("pooled_noise_pn",), "> 0", lambda c: c.pooled_noise_pn > 0),
 )
 
 

@@ -96,9 +96,10 @@ def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig, V1: float):
     if np.any(z <= 0):
         raise ValueError(f"separation must be > 0, got {np.min(z) * 1e9:.6g} nm")
     if np.any(z >= PROXIMITY_RATIO_MAX * cfg.R):  # z / R overflows at a tiny R
+        z_max = float(np.max(z))
         raise ValidityError(
-            f"z/R = {float(np.max(z)) / cfg.R:.3g} outside the proximity regime "
-            f"(< {PROXIMITY_RATIO_MAX})"
+            f"separation {z_max * 1e9:.6g} nm: z/R = {z_max / cfg.R:.3g} outside the "
+            f"proximity regime (< {PROXIMITY_RATIO_MAX}) at R = {cfg.R * 1e6:.6g} um"
         )
     dv = V1 - cfg.V2
     return -math.pi * CONST.eps0 * cfg.R * dv * dv / z

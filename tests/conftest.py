@@ -25,11 +25,11 @@ def analyze_scans(voltage_scans, grounded, model, cfg):
     """``analyze_campaign`` on scans held in memory, in the shape
     ``load_campaign`` reads a campaign in (the voltage scans, then the
     grounded scans' axis and a stream of their force columns), with
-    ``model`` for every span and cfg's window, noise and calibration."""
+    ``model`` for every span and cfg's window and calibration."""
     return analyze_campaign(voltage_scans, grounded[0].piezo_nm,
                             (c.force_pn for c in grounded), lambda axes: model,
                             (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
-                            cfg.pooled_noise_pn, assemble.calibration_params(cfg))
+                            assemble.calibration_params(cfg))
 
 
 def traced_peak_above_inputs(fn):

@@ -47,16 +47,14 @@ def voltage_scan(default_cfg, forward_model, grid_points):
 
 
 def coarse_scan(scan, cfg, model):
-    """(coarse z0 values, chi2 at each) of the scan's coarse z0 scan."""
-    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, model,
-                        cfg.pooled_noise_pn)
+    """(coarse z0 values, unit-weight chi2 at each) of the scan's coarse z0 scan."""
+    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, model)
 
 
 def one_at_a_time_chi2(z, scan, cfg, model, z0_values):
-    """chi2 of the no-drift model on axis z, one model call per z0."""
+    """Unit-weight chi2 of the no-drift model on axis z, one model call per z0."""
     def chi2(z0):
-        model_pn = model.force_pn(z, z0, scan.applied_voltage)
-        r = (scan.force_pn - model_pn) / cfg.pooled_noise_pn
+        r = scan.force_pn - model.force_pn(z, z0, scan.applied_voltage)
         return float(np.dot(r, r))
     return np.array([chi2(z0) for z0 in z0_values])
 
@@ -162,28 +160,27 @@ def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n
 
 def test_fit_contact_separation_noiseless(noiseless_scans, forward_model):
     quiet, (_, voltage_scans) = noiseless_scans
-    fit = fit_contact_separation(voltage_scans[0], forward_model, quiet.pooled_noise_pn)
+    fit = fit_contact_separation(voltage_scans[0], forward_model)
     assert fit.z0_nm == pytest.approx(quiet.z0_true_nm, rel=1e-6)
-    assert fit.z0_sigma_nm > 0
+    assert fit.jtj > 0
     assert fit.voltage == voltage_scans[0].applied_voltage
 
 
-def test_fit_matches_bounded_brent(campaign, forward_model, default_cfg):
-    # reference: scipy's bounded Brent on the same chi2 and +-1 nm bracket
+def test_fit_matches_bounded_brent(campaign, forward_model):
+    # reference: scipy's bounded Brent on the same unit-weight chi2 and +-1 nm bracket
     from scipy.optimize import minimize_scalar
 
-    sigma = default_cfg.pooled_noise_pn
     for scan in campaign[1]:
-        fit = fit_contact_separation(scan, forward_model, sigma)
+        fit = fit_contact_separation(scan, forward_model)
 
         def chi2(z0):
             model = forward_model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
-            return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
+            return float(np.sum((scan.force_pn - model) ** 2))
 
         ref = minimize_scalar(chi2, bounds=(round(fit.z0_nm) - 1.0, round(fit.z0_nm) + 1.0),
                               method="bounded", options={"xatol": 1e-9})
         assert abs(fit.z0_nm - ref.x) <= 1e-6
-        assert fit.chi2 == pytest.approx(ref.fun, rel=1e-10)
+        assert fit.rss_pn2 == pytest.approx(ref.fun, rel=1e-10)
 
 
 def test_a_gauss_newton_step_evaluates_the_theory_once(monkeypatch, default_cfg,
@@ -206,44 +203,46 @@ def test_a_gauss_newton_step_evaluates_the_theory_once(monkeypatch, default_cfg,
     monkeypatch.setattr(TheoryCurve, "__call__", counted_theory)
     monkeypatch.setattr(TheoryCurve, "force_and_slope", counted_step)
     for scan in voltage_scans:
-        fit_contact_separation(scan, forward_model, cfg.pooled_noise_pn)
+        fit_contact_separation(scan, forward_model)
     steps = calls["steps"]
     assert calls["theory"] == len(voltage_scans) + steps
     assert steps == 19
 
 
 @pytest.fixture(scope="module")
-def cal_fits(campaign, forward_model, default_cfg):
-    """(scan id, z0 fit, chi2 as a function of z0) for each cal scan."""
-    sigma = default_cfg.pooled_noise_pn
+def cal_fits(campaign, forward_model):
+    """(scan id, z0 fit at unit noise, unit-weight chi2 as a function of z0)
+    for each cal scan."""
     fits = []
     for scan in campaign[1]:
         def chi2(z0, scan=scan):
             model = forward_model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
-            return float(np.sum(((scan.force_pn - model) / sigma) ** 2))
+            return float(np.sum((scan.force_pn - model) ** 2))
 
-        fit = fit_contact_separation(scan, forward_model, sigma)
+        fit = fit_contact_separation(scan, forward_model).record(1.0)
         fits.append((scan.scan_id, fit, chi2))
     return fits
 
 
 def test_fit_z0_is_a_stationary_point_of_chi2(cal_fits):
     # the offset to the minimum that the chi2 slope implies, slope * sigma^2 / 2,
-    # is far below z0_sigma (>= 4e-3 nm): the fit stops on the minimum, not near it
+    # is far below z0_sigma (>= 4e-3 nm at 7 pN): the fit stops on the
+    # minimum, not near it
     h = 1e-4
     for scan_id, fit, chi2 in cal_fits:
-        slope = (chi2(fit.z0_nm + h) - chi2(fit.z0_nm - h)) / (2 * h)
-        assert abs(slope * fit.z0_sigma_nm**2 / 2) < 1e-9, scan_id
+        slope = (chi2(fit["z0_nm"] + h) - chi2(fit["z0_nm"] - h)) / (2 * h)
+        assert abs(slope * fit["z0_sigma_nm"]**2 / 2) < 1e-9, scan_id
 
 
 def test_fit_z0_sigma_is_the_delta_chi2_of_one(cal_fits):
     for scan_id, fit, chi2 in cal_fits:
-        rise = (chi2(fit.z0_nm + fit.z0_sigma_nm) + chi2(fit.z0_nm - fit.z0_sigma_nm)) / 2
-        assert rise - fit.chi2 == pytest.approx(1.0, abs=1e-3), scan_id
+        z0, sigma = fit["z0_nm"], fit["z0_sigma_nm"]
+        rise = (chi2(z0 + sigma) + chi2(z0 - sigma)) / 2
+        assert rise - fit["chi2"] == pytest.approx(1.0, abs=1e-3), scan_id
 
 
 @pytest.fixture()
-def balanced_scan(default_cfg, forward_model):
+def balanced_scan(forward_model):
     """A noiseless scan at z0 = 48.9 nm whose voltage equals the residual
     potential, so the Jacobian is the theory slope alone; with its model."""
     model = replace(forward_model, electro=replace(forward_model.electro, V2=0.5))
@@ -252,24 +251,17 @@ def balanced_scan(default_cfg, forward_model):
     return ForceCurve("balanced", 0.5, z, force_pn=force), model
 
 
-def fit_balanced(balanced_scan, default_cfg):
-    scan, model = balanced_scan
-    return fit_contact_separation(scan, model, default_cfg.pooled_noise_pn)
-
-
 @pytest.mark.parametrize("fill", [0.0, np.nan])
-def test_gauss_newton_refuses_a_non_finite_step(monkeypatch, balanced_scan, default_cfg,
-                                                fill):
+def test_gauss_newton_refuses_a_non_finite_step(monkeypatch, balanced_scan, fill):
     # a zero slope makes J^T J = 0, a NaN slope a NaN Jacobian
     force_and_slope = TheoryCurve.force_and_slope
     monkeypatch.setattr(TheoryCurve, "force_and_slope", lambda self, z: (
         force_and_slope(self, z)[0], np.full_like(z, fill)))
     with pytest.raises(FitError, match="scan balanced: non-finite Gauss-Newton step"):
-        fit_balanced(balanced_scan, default_cfg)
+        fit_contact_separation(*balanced_scan)
 
 
-def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_scan,
-                                                        default_cfg):
+def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_scan):
     # a slope 1e6 times too flat turns the 0.1 nm step into 1e5 nm
     force_and_slope = TheoryCurve.force_and_slope
 
@@ -279,30 +271,30 @@ def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_sc
     monkeypatch.setattr(TheoryCurve, "force_and_slope", flat)
     with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the coarse "
                                        r"bracket \[[0-9.]+, [0-9.]+\] nm"):
-        fit_balanced(balanced_scan, default_cfg)
+        fit_contact_separation(*balanced_scan)
 
 
-def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan, default_cfg):
+def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan):
     # the scan the failure tests patch fits unpatched
-    assert fit_balanced(balanced_scan, default_cfg).z0_nm == pytest.approx(48.9, abs=1e-9)
+    assert fit_contact_separation(*balanced_scan).z0_nm == pytest.approx(48.9, abs=1e-9)
     monkeypatch.setattr(analysis, "GAUSS_NEWTON_MAX_STEPS", 1)
     with pytest.raises(FitError, match="scan balanced: Gauss-Newton not converged in 1 "):
-        fit_balanced(balanced_scan, default_cfg)
+        fit_contact_separation(*balanced_scan)
 
 
-def test_fit_voltage_range_guard(noiseless_scans, forward_model, default_cfg):
+def test_fit_voltage_range_guard(noiseless_scans, forward_model):
     quiet, (_, voltage_scans) = noiseless_scans
     bad = replace(voltage_scans[0], applied_voltage=0.9)
     with pytest.raises(DataError, match="voltage"):
-        fit_contact_separation(bad, forward_model, default_cfg.pooled_noise_pn)
+        fit_contact_separation(bad, forward_model)
 
 
-def test_fit_bracket_edge_raises(forward_model, default_cfg):
+def test_fit_bracket_edge_raises(forward_model):
     # zero data pulls chi2 monotonically toward the far bracket edge
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
     with pytest.raises(FitError, match="scan flat: chi2 minimum at the bracket edge"):
-        fit_contact_separation(flat, forward_model, default_cfg.pooled_noise_pn)
+        fit_contact_separation(flat, forward_model)
 
 
 def test_drift_fit_matches_normal_equations(noiseless_scans, forward_model, drude_curve,
@@ -342,6 +334,50 @@ def test_extract_casimir_axis(noiseless_scans, forward_model, drude_curve):
     np.testing.assert_allclose(out,
                                drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12,
                                atol=1e-6)
+
+
+def test_z0_fits_state_the_noise_the_grounded_scans_measure(default_cfg, forward_model):
+    # a campaign drawn at twice the default noise: each fit's chi2 per point
+    # is near 1, and its sigma that of a fit weighted by the true 14 pN,
+    # 14 / sqrt(J^T J)
+    loud = replace(default_cfg, noise_pn=14.0)
+    grounded, voltage_scans = campaign_scans(loud, forward_model)
+    results, _ = analyze_scans(voltage_scans, grounded, forward_model, loud)
+    assert results["measured_noise_pn"] == pytest.approx(14.0, rel=0.02)
+    for scan, fit in zip(voltage_scans, results["z0_fits"], strict=True):
+        assert 0.8 <= fit["chi2"] / fit["n_points"] <= 1.2, scan.scan_id
+        _, jac = forward_model.force_and_dz0_pn(scan.piezo_nm, fit["z0_nm"],
+                                                scan.applied_voltage)
+        assert fit["z0_sigma_nm"] == pytest.approx(14.0 / np.sqrt(np.dot(jac, jac)),
+                                                   rel=0.02), scan.scan_id
+
+
+def test_a_noiseless_campaign_states_no_fit_sigma_or_chi2(noiseless_scans, forward_model):
+    # the grounded scans measure no noise: no fit states a sigma or a chi2,
+    # nor z0 a sigma of one fit; z0 itself is recovered
+    quiet, (grounded, voltage_scans) = noiseless_scans
+    for scans in (voltage_scans, voltage_scans[:1]):
+        results, _ = analyze_scans(scans, grounded, forward_model, quiet)
+        assert results["measured_noise_pn"] == 0.0
+        assert results["z0_nm"] == pytest.approx(quiet.z0_true_nm, rel=1e-6)
+        assert [(fit["z0_sigma_nm"], fit["chi2"]) for fit in results["z0_fits"]] == \
+            [(None, None)] * len(scans)
+    assert results["z0_sigma_nm"] is None
+
+
+def test_analyze_campaign_keeps_the_spring_constant_sigma(campaign, campaign_results,
+                                                          forward_model, default_cfg, e_cfg):
+    # null without a stiffness scan, calibrate_spring_constant's sigma with them
+    assert campaign_results[0]["spring_constant_sigma_n_per_m"] is None
+    grounded, voltage_scans = campaign
+    stiffness = generate_stiffness_scans(default_cfg, e_cfg)
+    results, _ = analyze_scans([*voltage_scans, *stiffness], grounded, forward_model,
+                               default_cfg)
+    k, k_sigma = calibrate_spring_constant(stiffness, e_cfg,
+                                           assemble.calibration_params(default_cfg))
+    assert (results["spring_constant_n_per_m"],
+            results["spring_constant_sigma_n_per_m"]) == (k, k_sigma)
+    assert 0 < k_sigma < 0.01 * k
 
 
 def test_average_scans():

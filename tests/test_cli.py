@@ -239,6 +239,47 @@ def test_electro_exits_3_on_a_series_that_does_not_converge(runner, tmp_path):
     assert not out.exists()
 
 
+def test_electro_names_the_separation_a_tiny_radius_leaves_outside_the_proximity_regime(
+        tmp_path):
+    # at R = 1e-300 um, z/R overflows the image series' alpha to inf, whose
+    # terms are all 0: the proximity guard refuses the grid first, with no
+    # RuntimeWarning on stderr (a subprocess: pytest turns warnings into errors)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("sphere_radius_um=1e-300\n")
+    out = tmp_path / "electro.csv"
+    src = str(Path(casimirlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "casimirlab.cli", "electro", "--z",
+                           "100:500:5", "--config", str(cfg), "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: separation 500 nm: z/R = 5e+299 outside the proximity "
+                           "regime (< 0.05) at R = 1e-300 um\n")
+    assert not out.exists()
+
+
+@settings(max_examples=20, deadline=None)
+@example(radius_um=1e-300)
+@example(radius_um=1e-320)  # 0 m once scaled: the range table refuses it
+@example(radius_um=1e6)     # the series' slowest decay the range table allows
+@given(radius_um=st.floats(0.0, 1e6, exclude_min=True))
+def test_electro_over_the_sphere_radius_ends_in_a_documented_exit(radius_um):
+    # exit 0 with finite forces, or 2 or 3 with a message; a RuntimeWarning
+    # fails the test (pytest turns it into an error)
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "electro.csv"
+        cfg.write_text(f"sphere_radius_um={radius_um!r}\n")
+        result = runner.invoke(main, ["electro", "--z", "100:500:3", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code in (0, 2, 3), result.output
+        if result.exit_code:
+            assert result.output.startswith("error: ") and not out.exists()
+        else:
+            assert np.isfinite(_read_csv(out, 3, (
+                ("separation_nm", "force_exact_pn", "force_pfa_pn"),)).columns).all()
+
+
 @pytest.mark.parametrize("spec", ["-10:500:5", "0:500:5"])
 def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
     # refused before any log of the separation: no RuntimeWarning on the way
@@ -478,6 +519,17 @@ def test_analyze_lists_each_z0_fit_as_fit_z0_writes_it(runner, workdir, campaign
     assert single["z0_nm"] == pytest.approx(fits[0]["z0_nm"], rel=1e-9)
 
 
+def test_fit_z0_weights_by_its_own_residual_rms(runner, workdir, campaign_dir, tmp_path):
+    # with no grounded scan to measure the noise, fit-z0 takes its own
+    # residual rms over n - 1 degrees of freedom: chi2 is n - 1 by construction
+    out = tmp_path / "z0.json"
+    result = runner.invoke(main, ["fit-z0", "--scan", str(campaign_dir / "cal_00.csv"),
+                                  "--config", str(workdir / "run.cfg"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    fit = json.loads(out.read_text())
+    assert fit["chi2"] == pytest.approx(fit["n_points"] - 1, rel=1e-9)
+
+
 def test_fit_z0_command(runner, workdir, campaign_dir):
     out = workdir / "z0.json"
     scan = sorted(campaign_dir.glob("cal_*.csv"))[0]
@@ -582,7 +634,6 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
 @pytest.mark.parametrize("line,key", [
     ("theory_cache_points=1", "theory_cache_points"),
     ("window_points=9", "window_points"),
-    ("pooled_noise_pn=0", "pooled_noise_pn"),
     ("spring_constant_n_per_m=0", "spring_constant_n_per_m"),
     ("deflection_sensitivity_nm=0", "deflection_sensitivity_nm"),
     ("rel_tol=0", "rel_tol"),
@@ -683,12 +734,14 @@ def test_drude_energies_beyond_1_mev_exit_2_naming_the_key(runner, tmp_path, lin
     ("theory_cache_lo_nm", "45"), ("theory_cache_hi_nm", "45"),
     ("enable_roughness", "false"), ("enable_temperature", "false"),
     ("xi_cut_multiplier", "40"), ("table_refine", "4"), ("crossover_ev", "0.04"),
+    ("pooled_noise_pn", "7"),
 ])
 def test_a_config_that_sets_a_removed_key_exits_2(runner, tmp_path, key, value):
     # each command derives its theory cache's span from what it reads, and a
     # correction is left out at its physical zero: roughness_amplitude_nm=0,
     # temperature_k=0; the y cut, the table refinement and the Drude crossover
-    # (the table's first energy) are fixed where they are used
+    # (the table's first energy) are fixed where they are used; the z0 fits'
+    # noise is measured on the grounded scans
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"seed=1\n{key}={value}\n")
     out = tmp_path / "campaign"
@@ -1029,15 +1082,20 @@ def test_a_window_below_the_mean_curve_is_named_by_analyze(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["fit-z0", "analyze"])
 def test_z0_fit_names_an_overflowing_chi2(runner, workdir, campaign_dir, tmp_path, command):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAST_CONFIG + "pooled_noise_pn=1e-300\n")
-    args = (["fit-z0", "--scan", str(campaign_dir / "cal_00.csv"),
+    # a force cell of 1e200 pN squares past the largest float at every coarse z0
+    scans = copy_campaign(campaign_dir, tmp_path)
+    lines = (scans / "cal_00.csv").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("piezo_nm")) + 5
+    lines[row] = lines[row].partition(",")[0] + ",1e200"
+    (scans / "cal_00.csv").write_text("\n".join(lines) + "\n")
+    args = (["fit-z0", "--scan", str(scans / "cal_00.csv"),
              "--out", str(tmp_path / "z.json")] if command == "fit-z0" else
-            ["analyze", "--scans", str(campaign_dir), "--out", str(tmp_path / "analysis")])
-    result = runner.invoke(main, [*args, "--config", str(cfg)])
-    assert result.exit_code == 4
-    assert "non-finite chi2" in result.output and "pooled_noise_pn" in result.output
-    assert not any(p.suffix == ".json" for p in tmp_path.rglob("*"))
+            ["analyze", "--scans", str(scans), "--out", str(tmp_path / "analysis")])
+    result = runner.invoke(main, [*args, "--config", str(workdir / "run.cfg")])
+    assert result.exit_code == 4, result.output
+    assert result.output == ("error: scan cal_00: non-finite chi2 over the coarse scan "
+                             "(largest |force| 1e+200 pN)\n")
+    assert not any(p.suffix == ".json" for p in tmp_path.rglob("*") if p.parent != scans)
 
 
 def test_synth_refuses_a_model_that_overflows(runner, tmp_path):
@@ -1152,7 +1210,7 @@ def around_or_anywhere(lo, hi, **bounds):
 # grid ends around the default grid, where the z0 fits run; the comparison
 # window, roughness amplitude and coefficients, temperature, sphere radius,
 # Drude energies, quadrature tolerance, residual potential, cap offset,
-# calibration, drift and the two noise levels around their defaults or
+# calibration, drift and the noise level around their defaults or
 # anywhere in their ranges; the cache nodes, window points and scans within
 # cost bounds. The theory cache's span depends on the grid, the cap, the
 # window and, through the series regime, the roughness amplitude.
@@ -1181,7 +1239,6 @@ CONFIG_KEY_DRAWS = {
     "roughness_amplitude_nm": around_or_anywhere(0.0, 20.0, min_value=0.0),
     "temperature_k": around_or_anywhere(0.0, 400.0, min_value=0.0),
     "noise_pn": around_or_anywhere(0.0, 20.0, min_value=0.0),
-    "pooled_noise_pn": around_or_anywhere(1.0, 20.0, min_value=0.0, exclude_min=True),
     "n_scans": st.integers(1, 4),
     "c_true_pn_per_nm": around_or_anywhere(-0.01, 0.01),
 }
@@ -1347,7 +1404,7 @@ def runnable_wide_values(draw):
     residual potential lie within +-20% of their defaults. The roughness
     amplitude and the temperature lie inside their series regimes (A/z < 0.3,
     eta < 0.5) over the span the commands read the theory on, with 1% to
-    spare. The noise, the pooled noise, the drift, the seed and z0 are wide.
+    spare. The noise, the drift, the seed and z0 are wide.
     """
     values = {key: draw(near_default(key)) for key in (
         "grid_lo_nm", "grid_hi_nm", "window_lo_nm", "window_hi_nm", "cap_offset_nm",
@@ -1363,10 +1420,8 @@ def runnable_wide_values(draw):
         st.floats(0.0, 0.99 * ROUGHNESS_SERIES_MAX_RATIO * lo_nm))
     values["temperature_k"] = draw(
         st.floats(0.0, 0.99 * 0.5 / TemperatureParams(1.0).eta(hi_nm * 1e-9)))
-    # the pooled noise only scales chi2, which overflows below about 1e-150;
     # the drift fit removes the drift, whose force keeps 9 digits in a scan file
     values.update(noise_pn=draw(st.floats(0.0, 100.0)),
-                  pooled_noise_pn=draw(st.floats(1e-100, 1e100)),
                   c_true_pn_per_nm=draw(st.floats(-1e100, 1e100)),
                   seed=draw(st.integers(0, 2**32 - 1)))
     return values
