@@ -386,7 +386,7 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, z0_nm=COARSE_Z0_NM):
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
 def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
-                      window_nm, n_nodes: int, cap_offset_nm: float) -> ComparisonStats:
+                      window_nm, window_points: int, cap_offset_nm: float) -> ComparisonStats:
     """Statistics of experiment vs theory over the comparison window, and at
     the separation shifts of ``variant_shifts_nm(cap_offset_nm)``.
 
@@ -412,7 +412,7 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
             f"window [{lo}, {hi}] nm contains {int(in_window.sum())} points "
             f"(< {MIN_WINDOW_POINTS})"
         )
-    grid = np.linspace(lo, hi, n_nodes)
+    grid = np.linspace(lo, hi, window_points)
     exp = np.interp(grid, axis, mean_pn)
     # the theory is needed only on the curve points that bracket the window:
     # linear resampling onto the window grid reads no other point
@@ -444,7 +444,7 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
 DRIFT_REGION_MIN_NM = 516.0
 
 
-def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
+def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: int,
                      cal: CalibrationParams):
     """End-to-end pipeline on a campaign, in one pass over its grounded scans.
 
@@ -493,7 +493,7 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, n_nodes: int,
                             if stiffness else (None, None))
     separation = sep + model.cap_offset_nm
     stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
-                              window_nm, n_nodes, model.cap_offset_nm)
+                              window_nm, window_points, model.cap_offset_nm)
     # the noise per point, pooled over the grounded scans' std at the points
     # compare_to_theory's reduced chi2 reads; an overflow is refused as a
     # non-finite value of the results

@@ -13,12 +13,12 @@ physical zero (A = 0, T = 0). The roughness polynomial's brute-force oracle,
 the z^-3 sphere-plate law averaged over independent zero-mean surface-height
 distributions, is in ``tests/oracles.py``.
 
-``TheoryCurve`` caches the composed force for the fits as a Chebyshev
-interpolant of log|F| in log z (numpy only), over the separations a command
-reads (``analysis.theory_span_nm``). The force is analytic in z, so
-the series converges geometrically and its trailing coefficients estimate
-the interpolation error (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013).
+``TheoryCurve`` caches the composed force for the fits, over the separations
+a command reads (``analysis.theory_span_nm``), as a ``LogChebyshev``: a
+Chebyshev interpolant of log|F| in log z (numpy only). The force is analytic
+in z, so the series converges geometrically and its trailing coefficients
+estimate the interpolation error (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013).
 """
 
 from __future__ import annotations
@@ -99,38 +99,35 @@ def corrected_force(z: float, params: TheoryParams) -> ForceEstimate:
     return ForceEstimate(force * factor, force.error_bound * factor)
 
 
-class TheoryCurve:
-    """Chebyshev cache of the corrected theory force over a separation range.
+class LogChebyshev:
+    """Chebyshev interpolant of log|f| in log z, for a function f of z of one sign.
 
-    The Lifshitz double integral is too slow to sit inside chi-squared loops;
-    the pipeline evaluates it once at ``n_nodes`` first-kind Chebyshev points
-    in log z and interpolates log|F| with the Chebyshev series through them.
-    Callable with z in meters (scalar or array), returning N; a separation
-    outside [z_min, z_max] raises ValueError, since a polynomial extrapolates
-    without warning. ``max_rel_error`` is the largest quadrature error bound
-    relative to the force over the nodes; ``interp_rel_error`` estimates the
-    interpolation's relative error as the size of the series' last two
-    coefficients, which decay geometrically for the analytic log|F|.
+    f is evaluated once at ``n_nodes`` first-kind Chebyshev points in log z
+    and kept in ``node_values``; log|f| is interpolated with the Chebyshev
+    series through them, and the sign is that of the node values. Callable
+    with z in meters (scalar or array), returning f; a separation outside
+    [z_min, z_max] raises ValueError, since a polynomial extrapolates
+    without warning. ``interp_rel_error`` estimates the interpolation's
+    relative error as the size of the series' last two coefficients, which
+    decay geometrically for an analytic log|f|. ``what`` names f in the
+    error messages.
     """
 
-    def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int):
+    def __init__(self, f, z_min: float, z_max: float, n_nodes: int, what: str):
         if not z_min > 0:
-            raise ValueError(f"theory cache separation {z_min * 1e9:.6g} nm must be > 0")
+            raise ValueError(f"{what} cache separation {z_min * 1e9:.6g} nm must be > 0")
         if not z_min < z_max:
             raise ValueError("need z_min < z_max")
-        self.params = params
-        self.z_min = float(z_min)
-        self.z_max = float(z_max)
+        self.what, self.z_min, self.z_max = what, float(z_min), float(z_max)
         log_lo, log_hi = np.log(self.z_min), np.log(self.z_max)
         self._log_mid, self._log_half = (log_hi + log_lo) / 2, (log_hi - log_lo) / 2
         x = chebyshev.chebpts1(n_nodes)
-        estimates = [corrected_force(z, params)
-                     for z in np.exp(self._log_mid + self._log_half * x)]
-        forces = np.array(estimates)
-        if np.any(~np.isfinite(forces)) or np.any(forces >= 0):
-            raise ValueError("theory force must be finite and attractive on the grid")
-        self.max_rel_error = max(f.error_bound / abs(f) for f in estimates)
-        self._coef = chebyshev.chebfit(x, np.log(-forces), n_nodes - 1)
+        self.node_values = [f(z) for z in np.exp(self._log_mid + self._log_half * x)]
+        values = np.array(self.node_values)
+        self._sign = np.sign(values[0])
+        if not np.all(np.isfinite(values) & (values * self._sign > 0)):
+            raise ValueError(f"{what} values must be finite and of one sign on the nodes")
+        self._coef = chebyshev.chebfit(x, np.log(values * self._sign), n_nodes - 1)
         self._dcoef = chebyshev.chebder(self._coef)
         self.interp_rel_error = float(np.max(np.abs(self._coef[-2:])))
 
@@ -140,21 +137,32 @@ class TheoryCurve:
         if np.any(outside):
             raise ValueError(
                 f"separation {z[outside][0] * 1e9:.6g} nm outside the cached "
-                f"theory range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm"
+                f"{self.what} range [{self.z_min * 1e9:.6g}, {self.z_max * 1e9:.6g}] nm"
             )
         x = (np.log(z) - self._log_mid) / self._log_half
-        out = -np.exp(chebyshev.chebval(x, self._coef))
+        out = self._sign * np.exp(chebyshev.chebval(x, self._coef))
         return float(out) if np.isscalar(z_metal) else out
 
     def force_and_slope(self, z_metal):
-        """(F in N, dF/dz in N/m) from one force call, with
-        dF/dz = F P'(x) / (half-width of log z * z), P the log|F| series.
+        """(f, df/dz) from one call of the interpolant, with
+        df/dz = f P'(x) / (half-width of log z * z), P the log|f| series.
 
-        The force call checks the range before any log is taken."""
+        The call checks the range before any log is taken."""
         z = np.asarray(z_metal, dtype=float)
         force = self(z)
         x = (np.log(z) - self._log_mid) / self._log_half
         slope = force * chebyshev.chebval(x, self._dcoef) / (self._log_half * z)
-        if np.isscalar(z_metal):
-            return float(force), float(slope)
-        return force, slope
+        return (float(force), float(slope)) if np.isscalar(z_metal) else (force, slope)
+
+
+class TheoryCurve(LogChebyshev):
+    """The corrected force in N (dF/dz in N/m) at z in m, from ``corrected_force`` at each
+    node: the Lifshitz double integral is too slow to sit inside chi-squared loops.
+    The force must be attractive at every node. ``max_rel_error`` is the largest
+    quadrature error bound relative to the force over the nodes."""
+
+    def __init__(self, params: TheoryParams, z_min: float, z_max: float, n_nodes: int):
+        super().__init__(lambda z: corrected_force(z, params), z_min, z_max, n_nodes, "theory")
+        if self._sign > 0:
+            raise ValueError("theory force must be attractive on the nodes")
+        self.max_rel_error = max(f.error_bound / abs(f) for f in self.node_values)

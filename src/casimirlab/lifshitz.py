@@ -136,28 +136,6 @@ def _force_estimate(z, geom, model, order):
     return CONST.hbar * geom.R * CONST.c / (16.0 * np.pi * z**3) * total
 
 
-def _force_with_error(z, geom, model, q):
-    """(force, error bound) in N by order doubling from BASE_ORDER.
-
-    The bound is the difference of the last two estimates. Raises
-    ConvergenceError carrying both once q.max_refinements doublings
-    have not met q.rel_tol * |F| + ABS_TOL.
-    """
-    order = BASE_ORDER
-    prev = _force_estimate(z, geom, model, order)
-    for _ in range(q.max_refinements):
-        order *= 2
-        cur = _force_estimate(z, geom, model, order)
-        err = abs(cur - prev)
-        if err <= q.rel_tol * abs(cur) + ABS_TOL:
-            return cur, err
-        prev = cur
-    raise ConvergenceError(
-        f"no convergence to rel_tol={q.rel_tol} within {q.max_refinements} refinements",
-        estimate=prev, error_bound=err,
-    )
-
-
 class ForceEstimate(float):
     """A force in N that carries the quadrature's error bound, also in N."""
 
@@ -171,10 +149,10 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
                                q: QuadratureParams) -> ForceEstimate:
     """Lifshitz sphere-plate force in N (attractive = negative).
 
-    Converged by order-doubling until successive estimates agree to
-    q.rel_tol (plus ABS_TOL); the returned float carries that difference
-    as ``error_bound``. Raises ConvergenceError carrying the last estimate
-    and error bound otherwise.
+    The order doubles from BASE_ORDER until two successive estimates agree to
+    q.rel_tol * |F| + ABS_TOL; the returned float carries their difference as
+    ``error_bound``. Raises ConvergenceError carrying the last estimate and
+    error bound once q.max_refinements doublings have not met it.
     """
     if not z >= 1e-9:  # closer, a dielectric function no longer describes the plates
         raise ValidityError(f"z = {z * 1e9:.3g} nm below the continuum regime (>= 1 nm)")
@@ -183,4 +161,16 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
         raise ValidityError(
             f"z/R = {ratio:.3g} outside the proximity regime (< {PROXIMITY_RATIO_MAX})"
         )
-    return ForceEstimate(*_force_with_error(z, geom, model, q))
+    order = BASE_ORDER
+    prev = _force_estimate(z, geom, model, order)
+    for _ in range(q.max_refinements):
+        order *= 2
+        cur = _force_estimate(z, geom, model, order)
+        err = abs(cur - prev)
+        if err <= q.rel_tol * abs(cur) + ABS_TOL:
+            return ForceEstimate(cur, err)
+        prev = cur
+    raise ConvergenceError(
+        f"no convergence to rel_tol={q.rel_tol} within {q.max_refinements} refinements",
+        estimate=prev, error_bound=err,
+    )

@@ -14,7 +14,8 @@ at a time: ``write_campaign`` writes each scan as it is drawn, and
 ``load_campaign`` streams the grounded scans' force columns, on their one
 axis, which ``analysis.analyze_campaign`` folds into its running sums one at
 a time. The theory cache spans what ``analyze`` will read
-(``campaign_span_nm``): a grid the z0 fit cannot use is refused before any write.
+(``campaign_span_nm``): a grid the z0 fit cannot use, one whose fit would reach
+contact or read a correction outside its regime, is refused before any write.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
@@ -219,7 +220,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     failure raises the error of the earliest scan in write order that fails.
     A directory that holds a scan file this campaign does not write (another
     campaign's, which ``load_campaign`` would read with these) is refused
-    before anything is written.
+    before anything is written; this campaign's own files are written over.
     """
     outdir = Path(outdir)
     planned = {f"{scan_id}.csv" for scan_id, *_ in _plan(cfg)}

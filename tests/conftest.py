@@ -87,7 +87,7 @@ def drude_curve(default_cfg):
 
 @pytest.fixture(scope="session")
 def comparison(default_cfg):
-    """(window_nm, n_nodes, cap_offset_nm): compare_to_theory's last arguments
+    """(window_nm, window_points, cap_offset_nm): compare_to_theory's last arguments
     at the default config."""
     return ((default_cfg.window_lo_nm, default_cfg.window_hi_nm),
             default_cfg.window_points, default_cfg.cap_offset_nm)

@@ -8,8 +8,8 @@ from numpy.polynomial import chebyshev
 from casimirlab import assemble
 from casimirlab.analysis import ForwardModel
 from casimirlab.config import RunConfig
-from casimirlab.corrections import (TemperatureParams, TheoryCurve, corrected_force,
-                                    roughness_factor, temperature_factor)
+from casimirlab.corrections import (LogChebyshev, TemperatureParams, TheoryCurve,
+                                    corrected_force, roughness_factor, temperature_factor)
 from casimirlab.errors import ValidityError
 from casimirlab.lifshitz import casimir_force_sphere_plate
 from casimirlab.synth import campaign_span_nm
@@ -248,3 +248,53 @@ def test_theory_slope_refuses_what_the_cache_refuses(drude_curve):
         with pytest.raises(ValueError) as slope:
             drude_curve.force_and_slope(z)
         assert str(slope.value) == str(force.value)
+
+
+def test_theory_cache_refuses_a_repulsive_force(drude_params):
+    # c2 = -100 turns the roughness factor, and the force, positive below 118 nm
+    params = replace(drude_params, rough=replace(drude_params.rough, coeffs=(-100.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="^theory force must be attractive on the nodes$"):
+        TheoryCurve(params, 50e-9, 100e-9, 4)
+
+
+# LogChebyshev on functions of z other than the theory, over [10, 1000] nm
+SPAN = (10e-9, 1000e-9)
+DENSE_Z = np.geomspace(*SPAN, 501)
+
+
+def test_log_chebyshev_is_exact_for_a_power_law():
+    # -A z^-3 is linear in log z, so two coefficients hold it
+    a = 1e-30
+    curve = LogChebyshev(lambda z: -a * z**-3, *SPAN, 16, "power law")
+    force, slope = curve.force_and_slope(DENSE_Z)
+    np.testing.assert_allclose(force, -a * DENSE_Z**-3, rtol=1e-13)
+    np.testing.assert_allclose(slope, 3 * a * DENSE_Z**-4, rtol=1e-12)
+    assert curve.interp_rel_error < 1e-12
+
+
+@pytest.mark.parametrize("n_nodes", [6, 10, 14, 18])
+def test_log_chebyshev_error_estimate_covers_a_positive_function(n_nodes):
+    # 1/(1 + z/R) is no power law of z: its log bends once z passes R
+    r = 100e-9
+    curve = LogChebyshev(lambda z: 1 / (1 + z / r), *SPAN, n_nodes, "ratio")
+    values = curve(DENSE_Z)
+    assert np.all(values > 0) and all(v > 0 for v in curve.node_values)
+    measured = np.max(np.abs(values * (1 + DENSE_Z / r) - 1))
+    assert 0 < measured <= curve.interp_rel_error
+
+
+@pytest.mark.parametrize("f", [lambda z: np.nan, lambda z: -np.inf, lambda z: 0.0,
+                               lambda z: z - 100e-9, lambda z: np.sin(z / 1e-8)])
+def test_log_chebyshev_refuses_node_values_not_finite_and_of_one_sign(f):
+    with pytest.raises(ValueError, match="^ratio values must be finite and of one sign "
+                                         "on the nodes$"):
+        LogChebyshev(f, *SPAN, 12, "ratio")
+
+
+def test_log_chebyshev_names_its_function_in_its_range_errors():
+    curve = LogChebyshev(lambda z: z, *SPAN, 4, "ratio")
+    with pytest.raises(ValueError, match=r"^separation 5 nm outside the cached ratio range "
+                                         r"\[10, 1000\] nm$"):
+        curve.force_and_slope(5e-9)
+    with pytest.raises(ValueError, match="^ratio cache separation 0 nm must be > 0$"):
+        LogChebyshev(lambda z: z, 0.0, 1e-6, 4, "ratio")
