@@ -35,16 +35,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .corrections import TheoryCurve
 from .electrostatics import (ElectrostaticConfig, sphere_plane_force_exact,
                              sphere_plane_force_pfa)
-from .errors import CalibrationError, DataError, FitError
+from .errors import DataError, FitError
 from .forcecurve import CalibrationParams, ForceCurve
 
 MIN_CALIBRATION_POINTS = 20
 MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
-Z0_BRACKET_NM = (0.0, 200.0)
-# first and last z0 of the coarse scan, in nm
-COARSE_Z0_NM = (max(Z0_BRACKET_NM[0], 1.0), Z0_BRACKET_NM[1])
+# first and last z0 of the coarse scan, in nm: a z0 fit's bracket
+Z0_BRACKET_NM = (1.0, 200.0)
 # model values per block of the coarse z0 scan: at most 2**14 float64
 # (128 KiB) per temporary array, small enough to stay in cache
 COARSE_BLOCK_ELEMENTS = 2**14
@@ -84,21 +83,6 @@ class Z0FitResult:
 class DriftFit:
     C_pn_per_nm: float
     C_sigma_pn_per_nm: float
-
-
-@dataclass(frozen=True)
-class ComparisonStats:
-    sigma_rms_pn: float
-    n_points: int
-    reduced_chi2: float | None  # None where some in-window std is 0
-    variants: dict
-
-    def record(self, window_nm) -> dict:
-        """The statistics over ``window_nm`` as ``compare`` writes them and
-        ``results.json`` holds them."""
-        return {"sigma_rms_pn": self.sigma_rms_pn, "reduced_chi2": self.reduced_chi2,
-                "n_points": self.n_points, "variants": self.variants,
-                "window_nm": [float(w) for w in window_nm]}
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,7 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     signals, forces = [], []
     for curve in curves:
         if curve.applied_voltage == 0:
-            raise CalibrationError(f"scan {curve.scan_id}: zero applied voltage")
+            raise FitError(f"scan {curve.scan_id}: zero applied voltage")
         mask = curve.piezo_nm > CALIBRATION_MIN_SEPARATION_NM
         signals.append(curve.signal[mask])
         forces += [sphere_plane_force_exact(z_nm * 1e-9, cfg, curve.applied_voltage)
@@ -194,7 +178,7 @@ def _coarse_chi2(z, f, voltage, model: ForwardModel):
     q = max(1, math.ceil(h))
     g = h / q
     m = max(1, round(1 / g))
-    lo, hi = COARSE_Z0_NM
+    lo, hi = Z0_BRACKET_NM
     coarse = lo + m * g * np.arange(int((hi - lo) / (m * g)) + 1)
     coarse = coarse[coarse <= hi]
     width = (n - 1) * q + 1
@@ -231,7 +215,8 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResul
     """
     v = curve.applied_voltage
     if not Z0_VOLTAGE_RANGE[0] <= v <= Z0_VOLTAGE_RANGE[1]:
-        raise DataError(f"applied voltage {v} V outside {Z0_VOLTAGE_RANGE}")
+        raise DataError(f"scan {curve.scan_id}: applied voltage {v} V outside "
+                        f"{Z0_VOLTAGE_RANGE}")
     z = curve.piezo_nm
     f = curve.force_pn
     with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -357,25 +342,28 @@ def variant_shifts_nm(cap_offset_nm: float) -> dict:
             "opaque_cap": OPAQUE_CAP_NM - cap_offset_nm}
 
 
-def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, z0_nm=COARSE_Z0_NM):
+def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
+                   first_name="the first separation read"):
     """(lo, hi): the metal-to-metal separations in nm at which a command reads
     the theory, and so caches it, from the axes it reads.
 
     A z0 fit over an axis z of separations from contact reads the model at
-    z + z0 > 0 for z0 in [z0_nm[0], z0_nm[1]] and the theory at z + z0 + cap.
-    A metal-to-metal axis (``compare``'s mean curve) passes z0_nm = None: it is
-    read where it lies. A mean curve inside that span that covers the window
-    (to compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared
-    at its points bracketing it, at most one axis step outside, unshifted and
-    at ``variant_shifts_nm(cap_offset_nm)``.
+    z + z0 > 0 for z0 in ``Z0_BRACKET_NM`` and the theory at z + z0 + cap.
+    A metal-to-metal axis (``compare``'s mean curve) is read where it lies.
+    A mean curve inside that span that covers the window (to
+    compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared at
+    its points bracketing it, at most one axis step outside, unshifted and at
+    ``variant_shifts_nm(cap_offset_nm)``. A span that reaches contact is
+    refused, naming the axes' first separation as ``first_name``.
     """
-    z0_nm, cap = ((0.0, 0.0), 0.0) if z0_nm is None else (z0_nm, cap_offset_nm)
-    closest = min(float(np.min(a)) for a in axes_nm) + z0_nm[0]
-    if closest <= 0:
-        raise DataError(f"the model would be read at a separation of {closest:.6g} nm, at or "
-                        f"below contact (grid_lo_nm in synth, plus z0 = {z0_nm[0]:g} nm)")
-    lo = closest + cap
-    hi = max(float(np.max(a)) for a in axes_nm) + z0_nm[1] + cap
+    z0_lo, z0_hi, cap = (0.0, 0.0, 0.0) if metal_to_metal else (*Z0_BRACKET_NM, cap_offset_nm)
+    first = min(float(np.min(a)) for a in axes_nm)
+    if first + z0_lo <= 0:
+        raise DataError(f"the model would be read at a separation of {first + z0_lo:.6g} nm, "
+                        f"at or below contact ({first_name} = {first:.6g} nm, "
+                        f"plus z0 = {z0_lo:g} nm)")
+    lo = first + z0_lo + cap
+    hi = max(float(np.max(a)) for a in axes_nm) + z0_hi + cap
     if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:
         step = max(float(np.diff(a).max(initial=0.0)) for a in axes_nm)
         shifts = variant_shifts_nm(cap_offset_nm).values()
@@ -386,9 +374,10 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, z0_nm=COARSE_Z0_NM):
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
 def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
-                      window_nm, window_points: int, cap_offset_nm: float) -> ComparisonStats:
+                      window_nm, window_points: int, cap_offset_nm: float) -> dict:
     """Statistics of experiment vs theory over the comparison window, and at
-    the separation shifts of ``variant_shifts_nm(cap_offset_nm)``.
+    the separation shifts of ``variant_shifts_nm(cap_offset_nm)``, as
+    ``compare`` writes them and ``results.json`` holds them.
 
     The mean curve ``mean_pn``, with per-point ``std_pn``, on ``axis``
     (increasing metal-to-metal separations in nm) and the theory sampled on
@@ -436,8 +425,9 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
         if value is not None and not math.isfinite(value):
             raise DataError(f"comparison statistic '{name}' overflows: {value:g}")
 
-    return ComparisonStats(sigma_rms_pn=sigma_rms, n_points=int(grid.size),
-                           reduced_chi2=reduced_chi2, variants=variants)
+    return {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
+            "n_points": int(grid.size), "variants": variants,
+            "window_nm": [float(w) for w in window_nm]}
 
 
 # Region 3, where the drift is fitted: separation from contact > 516 nm.
@@ -516,6 +506,6 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
         "spring_constant_n_per_m": spring,
         "spring_constant_sigma_n_per_m": spring_sigma,
         "drift_pn_per_nm": float(np.mean(drifts)),
-        **stats.record(window_nm),
+        **stats,
     }
     return results, (separation, mean, std)

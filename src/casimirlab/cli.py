@@ -29,8 +29,8 @@ from .analysis import (analyze_campaign, calibrate_spring_constant,
                        compare_to_theory, fit_contact_separation, theory_span_nm)
 from .config import RunConfig, load_config
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
-from .errors import (CalibrationError, CasimirLabError, ConvergenceError,
-                     DataError, FitError, ParseError, names_its_file)
+from .errors import (CasimirLabError, ConvergenceError, DataError, FitError,
+                     ParseError, names_its_file)
 from .forcecurve import (MIN_SAMPLES, _csv_rows, _read_csv, atomic_write, load_scan,
                          signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
@@ -51,7 +51,7 @@ def guarded(fn):
         except ConvergenceError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except (FitError, CalibrationError) as exc:
+        except FitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FIT)
         except (CasimirLabError, ValueError, OSError) as exc:
@@ -316,11 +316,12 @@ def compare(curve_path, n_scans, emit_curve, config_path, out):
     cfg = _load_cfg(config_path)
     axis, force, std = _load_mean_curve(curve_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
-    th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window, None))
+    th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window,
+                                                   metal_to_metal=True))
     stats = compare_to_theory(axis, force, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
                               window, cfg.window_points, cfg.cap_offset_nm)
-    atomic_write(out, json_text(cfg, stats.record(window)))
+    atomic_write(out, json_text(cfg, stats))
     if emit_curve:
         atomic_write(Path(out).with_suffix(".curve.csv"),
                      csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],

@@ -16,6 +16,8 @@ table point. The table sum runs over blocks of xi rows, each block's
 small enough to stay in cache; one row if the table is larger), written into
 one preallocated result. Each row is still reduced over its own contiguous
 table nodes, so every eps value is bitwise the one-shot broadcast sum's.
+Each closed form's branch, the Drude segment's degenerate xi ~ gamma one and
+the tail's small-argument series, is evaluated only at the xi that select it.
 Optical tables are read with the package's CSV reader (``forcecurve._read_csv``):
 a source is a path or a file object, never CSV text in a string. The loader
 refuses a non-positive or non-increasing energy and a negative eps'', naming

@@ -53,12 +53,10 @@ class ConvergenceError(CasimirLabError, RuntimeError):
 
 
 class FitError(CasimirLabError, RuntimeError):
-    """A fit failed (bracket edge, non-unimodal objective, ...)."""
+    """A fit failed (bracket edge, non-unimodal objective, ...), or its inputs
+    cannot be fitted, as a spring-constant calibration from a scan at zero
+    applied voltage."""
 
 
 class DataError(CasimirLabError, ValueError):
     """Data does not satisfy the preconditions of an analysis step."""
-
-
-class CalibrationError(CasimirLabError, ValueError):
-    """Calibration inputs are unusable (a zero applied voltage, ...)."""

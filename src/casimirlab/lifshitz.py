@@ -23,8 +23,10 @@ y -> 0, so the first y panel [0, 0.5] is graded geometrically toward 0
 (edges 0.5 * 10^-k, k = 1..3); this makes the rule converge geometrically
 in the order instead of algebraically. The order starts at BASE_ORDER = 8
 and is doubled, at most to 128, until two successive estimates agree to the
-tolerance, and their difference is the error estimate. The tolerance comes from
-``RunConfig`` (``rel_tol``) through ``assemble``.
+tolerance, and their difference is the error estimate; a force not converged
+at order 128, whose rule takes 10 MiB an array, raises ConvergenceError. The
+tolerance comes from ``RunConfig`` (``rel_tol``, whose range floor, 1e-8,
+order 128 meets; see ``config``) through ``assemble``.
 A Gauss-Legendre rule depends only on its order (Golub & Welsch, Math.
 Comp. 23, 221 (1969)), so each order's rule is computed once and mapped onto
 every y panel and every inner row.

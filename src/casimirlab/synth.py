@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import COARSE_Z0_NM, ForwardModel, theory_span_nm
+from .analysis import ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
 from .forcecurve import ForceCurve, atomic_write, load_scan, save_scan, scan_is_grounded
@@ -110,10 +110,12 @@ def _plan(cfg: RunConfig):
 
 
 def campaign_span_nm(cfg: RunConfig):
-    """``analyze``'s span on the campaign of cfg, widened to the draws at z0_true_nm."""
-    z0_nm = (min(COARSE_Z0_NM[0], cfg.z0_true_nm), max(COARSE_Z0_NM[1], cfg.z0_true_nm))
+    """``analyze``'s span on the campaign of cfg: ``theory_span_nm`` on its grid.
+    It holds the draws at z0_true_nm, which the range table keeps inside
+    ``analysis.Z0_BRACKET_NM``."""
     return theory_span_nm([np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)],
-                          cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm), z0_nm)
+                          cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm),
+                          first_name="grid_lo_nm")
 
 
 def _processes(rows: int) -> int:

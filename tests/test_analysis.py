@@ -13,7 +13,7 @@ from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
                                  fit_contact_separation, fit_drift_coefficient)
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
-from casimirlab.errors import CalibrationError, DataError, FitError
+from casimirlab.errors import DataError, FitError
 from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
 from conftest import analyze_scans, campaign_scans, traced_peak_above_inputs
 from oracles import generate_stiffness_scans
@@ -152,7 +152,7 @@ def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n
     z = np.linspace(lo, hi, n)
     scan = ForceCurve("axis", 0.5, z, force_pn=np.zeros_like(z))
     coarse, _ = coarse_scan(scan, default_cfg, forward_model)
-    assert max(Z0_BRACKET_NM[0], 1.0) == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
+    assert Z0_BRACKET_NM[0] == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
     step = np.diff(coarse)
     np.testing.assert_allclose(step, step[0], rtol=1e-12)
     assert 0.5 <= step[0] <= 1.5 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
@@ -461,8 +461,8 @@ def test_sigma_rms_scales_with_residual(drude_curve, comparison):
     std = np.ones_like(axis)
     s1 = compare_to_theory(axis, theory_pn + resid, std, 27, drude_curve, *comparison)
     s2 = compare_to_theory(axis, theory_pn + 2 * resid, std, 27, drude_curve, *comparison)
-    assert s2.sigma_rms_pn == pytest.approx(2.0 * s1.sigma_rms_pn, rel=1e-9)
-    assert s1.n_points == 441
+    assert s2["sigma_rms_pn"] == pytest.approx(2.0 * s1["sigma_rms_pn"], rel=1e-9)
+    assert s1["n_points"] == 441
 
 
 def test_the_opaque_cap_variant_follows_the_configured_cap(drude_curve, comparison):
@@ -476,7 +476,7 @@ def test_the_opaque_cap_variant_follows_the_configured_cap(drude_curve, comparis
     grid = np.linspace(*window_nm, window_points)
     shifted = np.interp(grid, axis, drude_curve((axis - 4.1) * 1e-9) * 1e12)
     expected = np.sqrt(np.mean((shifted - np.interp(grid, axis, mean)) ** 2))
-    assert stats.variants["opaque_cap"] == pytest.approx(expected, rel=1e-12)
+    assert stats["variants"]["opaque_cap"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_axis_shift_increases_sigma_rms(campaign_results):
@@ -526,7 +526,7 @@ def test_calibrate_spring_constant_guards(default_cfg, e_cfg):
     quiet = replace(default_cfg, noise_pn=0.0)
     scans = generate_stiffness_scans(quiet, e_cfg)
     grounded = replace(scans[0], applied_voltage=0.0)
-    with pytest.raises(CalibrationError, match="zero"):
+    with pytest.raises(FitError, match="scan stiff_00: zero applied voltage"):
         calibrate_spring_constant([grounded], e_cfg, cal)
     short = generate_stiffness_scans(quiet, e_cfg,
                                      separations_nm=(2050.0, 2400.0, 12),

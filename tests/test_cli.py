@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import casimirlab
 from casimirlab import __version__
 from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main, parse_grid
-from casimirlab.analysis import COARSE_Z0_NM
+from casimirlab.analysis import Z0_BRACKET_NM
 from casimirlab.config import RunConfig, parse_config
 from casimirlab.corrections import ROUGHNESS_SERIES_MAX_RATIO, TemperatureParams
 from casimirlab.errors import ParseError
@@ -654,6 +654,8 @@ def test_config_out_of_range_exits_2(runner, tmp_path):
     ("window_hi_nm=50", "window_hi_nm"),
     ("seed=-1", "seed"),
     ("z0_true_nm=250", "z0_true_nm"),
+    ("z0_true_nm=0.5", "z0_true_nm"),   # below the coarse scan's first z0, 1 nm
+    ("z0_true_nm=1.0", "z0_true_nm"),
 ])
 def test_config_range_entry_exits_2(runner, tmp_path, line, key):
     assert_config_line_exits_2(runner, tmp_path, line, key)
@@ -774,6 +776,47 @@ def test_fit_z0_on_an_axis_whose_span_overflows_exits_2(runner, workdir, tmp_pat
                                   "--out", str(tmp_path / "z.json")])
     assert result.exit_code == 2, result.output
     assert "model would be read at a separation of -1e+308 nm" in result.output
+
+
+def test_fit_z0_names_the_axis_that_starts_below_contact(runner, workdir, tmp_path):
+    # the scan's own axis, not a synth key, puts the model at -4 nm
+    lines = ["# scan_id=low", "# applied_voltage_v=0.5", "piezo_nm,force_pn"]
+    lines += [f"{z!r},1" for z in np.linspace(-5.0, 500.0, 60).tolist()]
+    scan = tmp_path / "low.csv"
+    scan.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["fit-z0", "--scan", str(scan),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(tmp_path / "z.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: the model would be read at a separation of -4 nm, at or "
+                             "below contact (the first separation read = -5 nm, plus z0 = 1 nm)\n")
+
+
+def test_compare_names_the_mean_curve_that_starts_below_contact(runner, workdir, tmp_path):
+    curve = tmp_path / "mean_curve.csv"
+    axis = np.linspace(-5.0, 600.0, 200)
+    curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
+                              (axis, np.ones_like(axis), np.ones_like(axis))))
+    result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                  "--config", str(workdir / "run.cfg"),
+                                  "--out", str(tmp_path / "c.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: the model would be read at a separation of -5 nm, at or "
+                             "below contact (the first separation read = -5 nm, plus z0 = 0 nm)\n")
+
+
+def test_analyze_names_the_scan_whose_voltage_is_outside_the_z0_range(runner, workdir,
+                                                                      campaign_dir, tmp_path):
+    scans = copy_campaign(campaign_dir, tmp_path)
+    text = (scans / "cal_04.csv").read_text()
+    (scans / "cal_04.csv").write_text(text.replace("# applied_voltage_v=0.7\n",
+                                                   "# applied_voltage_v=0.9\n"))
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                  "--scans", str(scans), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: scan cal_04: applied voltage 0.9 V outside (0.3, 0.8)\n"
+    assert not out.exists()
 
 
 def test_analyze_names_the_scan_whose_z0_fit_failed(monkeypatch, runner, workdir,
@@ -1126,6 +1169,7 @@ def test_synth_refuses_a_grid_whose_z0_fit_reaches_contact(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ") and "grid_lo_nm" in result.output
     assert "separation of -9 nm" in result.output
+    assert "(grid_lo_nm = -10 nm, plus z0 = 1 nm)" in result.output
     assert not out.exists()
 
 
@@ -1261,11 +1305,12 @@ def config_keys_at(**changes):
 @config_keys_at(v2_residual_mv=1e160)
 @config_keys_at(grid_lo_nm=20.0)
 @config_keys_at(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10,
-                z0_true_nm=2.9487474513145085e-245, seed=0, sphere_radius_um=10.0,
+                z0_true_nm=1.0000000000000002, seed=0, sphere_radius_um=10.0,
                 v2_residual_mv=0.0, cap_offset_nm=0.0, window_lo_nm=50.0,
                 window_hi_nm=300.0, roughness_amplitude_nm=0.0)
 # a temperature whose eta overflows at the separations the cap offset reaches
-@config_keys_at(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10, z0_true_nm=1.0, seed=0,
+@config_keys_at(grid_lo_nm=0.0, grid_hi_nm=100.0, grid_points=10,
+                z0_true_nm=1.0000000000000002, seed=0,
                 sphere_radius_um=10.0, v2_residual_mv=0.0,
                 cap_offset_nm=5.159582356334435e+16, window_lo_nm=50.0,
                 window_hi_nm=300.0, roughness_amplitude_nm=0.0,
@@ -1376,7 +1421,7 @@ def test_synth_analyze_compare_around_the_defaults_ends_in_finite_results(values
     offset = values["z0_true_nm"] + values["cap_offset_nm"]
     assume(values["grid_lo_nm"] + offset + 1 <= values["window_lo_nm"])
     assume(values["window_hi_nm"] <= values["grid_hi_nm"] + offset - 1)
-    closest = values["grid_lo_nm"] + COARSE_Z0_NM[0] + values["cap_offset_nm"]
+    closest = values["grid_lo_nm"] + Z0_BRACKET_NM[0] + values["cap_offset_nm"]
     assume(values["roughness_amplitude_nm"] < ROUGHNESS_SERIES_MAX_RATIO * closest)
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:

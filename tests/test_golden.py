@@ -1,10 +1,11 @@
 """Golden outputs: every file the pipeline's commands write at a small
 config, pinned by its sha256.
 
-``synth``, ``analyze``, ``compare --emit-curve``, ``fit-z0 --emit-curve`` and
-``theory`` (Drude and ``--material``) run through click's ``CliRunner`` at
-``test_cli.FAST_CONFIG`` (2 scans of 120 points, a 40-node theory cache,
-seed 11). Criterion 10 checks that one commit reproduces its own bytes; this
+``synth``, ``analyze``, ``compare --emit-curve``, ``fit-z0 --emit-curve``,
+``theory`` and ``epsilon`` (each Drude and ``--material``), ``electro`` at
+0.31 V and ``calibrate-k`` (on ``oracles.generate_stiffness_scans`` at the
+config's seed) run through click's ``CliRunner`` at ``test_cli.FAST_CONFIG``
+(2 scans of 120 points, a 40-node theory cache, seed 11). Criterion 10 checks that one commit reproduces its own bytes; this
 test checks that a refactor which claims byte-identical outputs reproduces
 the bytes of the commit before it, and it passes on both.
 
@@ -18,12 +19,17 @@ import hashlib
 
 from click.testing import CliRunner
 
+from casimirlab.assemble import electrostatic_config
 from casimirlab.cli import main
+from casimirlab.config import parse_config
+from casimirlab.forcecurve import save_scan
+from oracles import generate_stiffness_scans
 from test_cli import FAST_CONFIG, TABLE
 
 GOLDEN = {
     "analysis/mean_curve.csv": "ac2aada8fd6a2a19ed4afe57645e82f43d43d6c11c183d4dcf821eb723e3a8c6",
     "analysis/results.json": "e9383992ed5f0077aec6fe98813b2f03076f0480dc06335b59ba0cc26ac17392",
+    "calibrate_k.json": "a6083d1815fdf63b32893ace3ed3c20e6861c1bbcfe8fbae2e62e246094fa68b",
     "campaign/cal_00.csv": "5d58cefe40427e7ec95642f95e56b756f51282e8e21d666c5ab345c51c985e84",
     "campaign/cal_01.csv": "4570b2fd4a5eb114b0e4ba3ef2e45716a08d3ca8c8766f2cdc80592ff78cc6b4",
     "campaign/cal_02.csv": "f181ab3485dc515cab2dea925ef85b7ce779d0a66f66b2ccbd051ed5d247d157",
@@ -36,6 +42,9 @@ GOLDEN = {
     "campaign/truth.json": "afd603a0d4eed57cc7cdbfab2827ef042fc242445beca98e2002daebf831fdcc",
     "compare.curve.csv": "041bede4c3b601ef557aea9eeb50305f53009bdc60c09ca2d5d888f62b640482",
     "compare.json": "5750acc85d9127070a42a23f7dc829ac313e443d6cee6b38f188c4e698ddef58",
+    "electro.csv": "c7ed03b3eed8ac7b20b2551b78e62e09fa393ca1bc475b6ced5e0f89a122e4fd",
+    "epsilon_drude.csv": "440c1fed4c34fd490a7a7274e35f835668c3ca70e0d772be5b47750f772c5e3a",
+    "epsilon_table.csv": "6d147c43358c1c961b65acf71ee18f82a93e3449e4a4938fc6302a68d471e82d",
     "fit_z0.curve.csv": "dc310db595dc5f0db017d5dc60ff602338ead0b7c0e0c1e22c34c413b549ba60",
     "fit_z0.json": "754ab1e5701baba77d807c60fedf3adb971519a46875f18fdd2d22d0545a94c9",
     "theory_drude.csv": "9b8d4c79d95bb1d28d0c5a450fc42c87d5cea8ab0d986b07ee2d6790e5a8327b",
@@ -56,18 +65,30 @@ def commands(d):
          "--config", cfg, "--out", str(d / "fit_z0.json")],
         ["theory", "--config", cfg, "--out", str(d / "theory_drude.csv")],
         ["theory", "--material", TABLE, "--config", cfg, "--out", str(d / "theory_table.csv")],
+        ["epsilon", "--config", cfg, "--out", str(d / "epsilon_drude.csv")],
+        ["epsilon", "--material", TABLE, "--config", cfg,
+         "--out", str(d / "epsilon_table.csv")],
+        ["electro", "--voltage", "0.31", "--config", cfg, "--out", str(d / "electro.csv")],
+        ["calibrate-k", "--scans", str(d / "stiff"), "--config", cfg,
+         "--out", str(d / "calibrate_k.json")],
     ]
 
 
 def written_digests(d):
     """{path relative to d: sha256} of every file the commands write into d."""
     (d / "run.cfg").write_text(FAST_CONFIG)
+    cfg = parse_config(FAST_CONFIG)
+    (d / "stiff").mkdir()
+    for scan in generate_stiffness_scans(cfg, electrostatic_config(cfg)):
+        with open(d / "stiff" / f"{scan.scan_id}.csv", "w") as fh:
+            save_scan(scan, fh)
+    inputs = {d / "run.cfg", *(d / "stiff").iterdir()}
     runner = CliRunner()
     for args in commands(d):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args[0], result.output)
     return {p.relative_to(d).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(d.rglob("*")) if p.is_file() and p.name != "run.cfg"}
+            for p in sorted(d.rglob("*")) if p.is_file() and p not in inputs}
 
 
 def test_every_written_file_matches_its_pinned_digest(tmp_path):
