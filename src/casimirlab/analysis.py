@@ -42,8 +42,14 @@ MIN_CALIBRATION_POINTS = 20
 MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
-# first and last z0 of the coarse scan, in nm: a z0 fit's bracket
+# a z0 fit's bracket, in nm: the coarse scan's first z0, and the bound that
+# its last z0 lies below by up to one coarse step (4/3 nm at most)
 Z0_BRACKET_NM = (1.0, 200.0)
+# the range table keeps z0_true_nm this far inside the bracket, in nm. The fit
+# refuses a chi2 minimum on the coarse scan's first or last z0, so the truth
+# must lie half a step (2/3 nm) above the first and a step and a half (2 nm)
+# below 200 nm; the other 0.5 nm leaves the noise room to move the minimum
+Z0_BRACKET_MARGIN_NM = 2.5
 # model values per block of the coarse z0 scan: at most 2**14 float64
 # (128 KiB) per temporary array, small enough to stay in cache
 COARSE_BLOCK_ELEMENTS = 2**14
@@ -349,7 +355,8 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
 
     A z0 fit over an axis z of separations from contact reads the model at
     z + z0 > 0 for z0 in ``Z0_BRACKET_NM`` and the theory at z + z0 + cap.
-    A metal-to-metal axis (``compare``'s mean curve) is read where it lies.
+    A metal-to-metal axis (``compare``'s mean curve, ``theory``'s grid) is
+    read where it lies.
     A mean curve inside that span that covers the window (to
     compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared at
     its points bracketing it, at most one axis step outside, unshifted and at
@@ -359,9 +366,9 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
     z0_lo, z0_hi, cap = (0.0, 0.0, 0.0) if metal_to_metal else (*Z0_BRACKET_NM, cap_offset_nm)
     first = min(float(np.min(a)) for a in axes_nm)
     if first + z0_lo <= 0:
+        plus_z0 = "" if metal_to_metal else f", plus z0 = {z0_lo:g} nm"
         raise DataError(f"the model would be read at a separation of {first + z0_lo:.6g} nm, "
-                        f"at or below contact ({first_name} = {first:.6g} nm, "
-                        f"plus z0 = {z0_lo:g} nm)")
+                        f"at or below contact ({first_name} = {first:.6g} nm{plus_z0})")
     lo = first + z0_lo + cap
     hi = max(float(np.max(a)) for a in axes_nm) + z0_hi + cap
     if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:

@@ -29,8 +29,7 @@ from .analysis import (analyze_campaign, calibrate_spring_constant,
                        compare_to_theory, fit_contact_separation, theory_span_nm)
 from .config import RunConfig, load_config
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
-from .errors import (CasimirLabError, ConvergenceError, DataError, FitError,
-                     ParseError, names_its_file)
+from .errors import ConvergenceError, DataError, FitError, ParseError, names_its_file
 from .forcecurve import (MIN_SAMPLES, _csv_rows, _read_csv, atomic_write, load_scan,
                          signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
@@ -54,7 +53,7 @@ def guarded(fn):
         except FitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FIT)
-        except (CasimirLabError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
 
@@ -175,7 +174,8 @@ def theory(z_spec, material, config_path, out):
     cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(z_spec)
-    curve = assemble.theory_curve(cfg, (grid[0] / 1.001, grid[-1] * 1.001), model)
+    curve = assemble.theory_curve(
+        cfg, theory_span_nm([grid], cfg.cap_offset_nm, metal_to_metal=True), model)
     force = curve(grid * 1e-9) * 1e12
     atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], (grid, force)))
 

@@ -19,7 +19,7 @@ try:
 except ImportError:
     from _sha256 import sha256  # CPython 3.10-3.11
 
-from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_NM
+from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
 from .errors import ParseError, names_its_file
 
 
@@ -96,8 +96,11 @@ _RANGES = (
     (("grid_lo_nm", "z0_true_nm"), "> -z0_true_nm (above contact)",
      lambda c: c.grid_lo_nm > -c.z0_true_nm),
     (("seed",), ">= 0", lambda c: c.seed >= 0),
-    (("z0_true_nm",), f"in the z0 fit bracket {Z0_BRACKET_NM}",
-     lambda c: Z0_BRACKET_NM[0] < c.z0_true_nm < Z0_BRACKET_NM[1]),
+    (("z0_true_nm",), f"in [{Z0_BRACKET_NM[0] + Z0_BRACKET_MARGIN_NM:g}, "
+     f"{Z0_BRACKET_NM[1] - Z0_BRACKET_MARGIN_NM:g}], the z0 fit bracket {Z0_BRACKET_NM} "
+     f"less {Z0_BRACKET_MARGIN_NM:g} nm at each end",
+     lambda c: (Z0_BRACKET_NM[0] + Z0_BRACKET_MARGIN_NM <= c.z0_true_nm
+                <= Z0_BRACKET_NM[1] - Z0_BRACKET_MARGIN_NM)),
     # 1 m: above any Casimir lens, and below radii whose proximity guard lets
     # separations through that overflow the Lifshitz force estimate; the
     # radius must also stay above 0 once scaled to metres, as assemble scales it

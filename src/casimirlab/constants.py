@@ -31,10 +31,3 @@ def energy_ev_to_angular_frequency(energy_ev: float) -> float:
     if energy_ev < 0:
         raise ValueError(f"energy must be >= 0 eV, got {energy_ev}")
     return energy_ev * CONST.ev / CONST.hbar
-
-
-def _selfcheck():
-    assert abs(CONST.planck_h - 2 * math.pi * CONST.hbar) <= 1e-12 * CONST.planck_h
-
-
-_selfcheck()

@@ -30,7 +30,7 @@ from numpy.polynomial import chebyshev
 
 from .constants import CONST
 from .dielectric import DielectricModel
-from .errors import ValidityError
+from .errors import DataError
 from .lifshitz import (ForceEstimate, QuadratureParams, SphereGeometry,
                        casimir_force_sphere_plate)
 
@@ -59,10 +59,8 @@ def roughness_factor(z: float, rough: RoughnessSpec) -> float:
     """Quartic-series roughness multiplier; valid for A/z < 0.3."""
     x = rough.A / float(z)  # Python's division overflows to inf without a warning
     if x >= ROUGHNESS_SERIES_MAX_RATIO:
-        raise ValidityError(
-            f"A/z = {x:.3g} at {z * 1e9:.6g} nm outside the series regime "
-            f"(< {ROUGHNESS_SERIES_MAX_RATIO})"
-        )
+        raise DataError(f"A/z = {x:.3g} at {z * 1e9:.6g} nm outside the series regime "
+                        f"(< {ROUGHNESS_SERIES_MAX_RATIO})")
     c2, c3, c4 = rough.coeffs
     return 1.0 + c2 * x**2 + c3 * x**3 + c4 * x**4
 
@@ -71,8 +69,8 @@ def temperature_factor(z: float, temp: TemperatureParams) -> float:
     """Finite-temperature multiplier 1 + (720/pi^2) f(eta); valid for eta < 0.5."""
     eta = temp.eta(float(z))  # Python's arithmetic overflows to inf without a warning
     if eta >= 0.5:
-        raise ValidityError(f"eta = {eta:.3g} at {z * 1e9:.6g} nm outside the series "
-                            "regime (< 0.5)")
+        raise DataError(f"eta = {eta:.3g} at {z * 1e9:.6g} nm outside the series "
+                        "regime (< 0.5)")
     f = CONST.zeta3 / (2.0 * np.pi) * eta**3 - np.pi**2 / 45.0 * eta**4
     return 1.0 + 720.0 / np.pi**2 * f
 

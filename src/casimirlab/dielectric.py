@@ -63,16 +63,15 @@ class OpticalTable:
 
     energies_ev: np.ndarray
     eps2: np.ndarray
-    material_label: str = ""
 
 
 @names_its_file
 def load_optical_table(source) -> OpticalTable:
     """Parse the optical-table CSV dialect from a path or a file object.
 
-    '#'-prefixed comment lines, an optional '# material=<label>' line, then
-    one 'energy_ev,eps2' pair per line. Ordering violations are reported,
-    not silently repaired.
+    '#'-prefixed comment and metadata lines (the packaged table names its
+    material in a '# material=' line), then one 'energy_ev,eps2' pair per
+    line. Ordering violations are reported, not silently repaired.
     """
     table = _read_csv(source, 2)
     energies, eps2 = table.columns
@@ -81,7 +80,7 @@ def load_optical_table(source) -> OpticalTable:
     table.reject(eps2 < 0, "negative eps2")
     if energies.size < 2:
         raise ParseError("optical table needs at least 2 data rows")
-    return OpticalTable(energies, eps2, table.meta.get("material", ""))
+    return OpticalTable(energies, eps2)
 
 
 class DielectricModel:

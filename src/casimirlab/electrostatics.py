@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONST
-from .errors import ConvergenceError, ValidityError
+from .errors import ConvergenceError, DataError
 from .lifshitz import PROXIMITY_RATIO_MAX
 
 SERIES_TOL = 1e-9  # relative size of the last term and of the tail bound
@@ -57,7 +57,8 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> f
     below SERIES_TOL and the geometric tail bound confirms the
     truncation. Invariant under V -> -V. A separation whose e^{-a} rounds
     to 1 leaves the series and its tail bound without a decay to sum, and
-    raises ValidityError naming it.
+    raises DataError naming it; a series not converged after MAX_TERMS terms
+    raises ConvergenceError stating its last estimate and last term.
     """
     if z <= 0:
         raise ValueError(f"separation must be > 0, got {z * 1e9:.6g} nm")
@@ -67,11 +68,10 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> f
     a = alpha(z, cfg.R)
     ratio = math.exp(-a)
     if ratio == 1.0:
-        raise ValidityError(
-            f"separation {z * 1e9:.6g} nm too small for the image series at "
-            f"R = {cfg.R * 1e6:.6g} um: e^-alpha rounds to 1 at alpha = {a:.3g}"
-        )
+        raise DataError(f"separation {z * 1e9:.6g} nm too small for the image series at "
+                        f"R = {cfg.R * 1e6:.6g} um: e^-alpha rounds to 1 at alpha = {a:.3g}")
     coth_a = _coth(a)
+    scale = 2.0 * math.pi * CONST.eps0 * dv * dv
     total = 0.0
     for n in range(1, MAX_TERMS + 1):
         term = _csch(n * a) * (coth_a - n * _coth(n * a))
@@ -83,11 +83,9 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> f
     else:
         raise ConvergenceError(
             f"series not converged after {MAX_TERMS} terms at separation "
-            f"{z * 1e9:.6g} nm (alpha={a:.3g})",
-            estimate=2.0 * math.pi * CONST.eps0 * dv * dv * total,
-            error_bound=abs(term),
-        )
-    return 2.0 * math.pi * CONST.eps0 * dv * dv * total
+            f"{z * 1e9:.6g} nm (alpha={a:.3g}): last estimate "
+            f"{scale * total:.6g} N, last term {scale * term:.3g} N")
+    return scale * total
 
 
 def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig, V1: float):
@@ -97,9 +95,8 @@ def sphere_plane_force_pfa(z, cfg: ElectrostaticConfig, V1: float):
         raise ValueError(f"separation must be > 0, got {np.min(z) * 1e9:.6g} nm")
     if np.any(z >= PROXIMITY_RATIO_MAX * cfg.R):  # z / R overflows at a tiny R
         z_max = float(np.max(z))
-        raise ValidityError(
-            f"separation {z_max * 1e9:.6g} nm: z/R = {z_max / cfg.R:.3g} outside the "
-            f"proximity regime (< {PROXIMITY_RATIO_MAX}) at R = {cfg.R * 1e6:.6g} um"
-        )
+        raise DataError(f"separation {z_max * 1e9:.6g} nm: z/R = {z_max / cfg.R:.3g} outside "
+                        f"the proximity regime (< {PROXIMITY_RATIO_MAX}) at "
+                        f"R = {cfg.R * 1e6:.6g} um")
     dv = V1 - cfg.V2
     return -math.pi * CONST.eps0 * cfg.R * dv * dv / z

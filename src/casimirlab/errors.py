@@ -39,17 +39,9 @@ def names_its_file(read):
     return wrapper
 
 
-class ValidityError(CasimirLabError, ValueError):
-    """Input is outside the validity regime of a model or series."""
-
-
 class ConvergenceError(CasimirLabError, RuntimeError):
-    """Numerical scheme failed to converge; carries the last estimate."""
-
-    def __init__(self, message, estimate=None, error_bound=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    """A numerical scheme failed to converge; the message states where, and
+    its last estimate and last change."""
 
 
 class FitError(CasimirLabError, RuntimeError):
@@ -59,4 +51,6 @@ class FitError(CasimirLabError, RuntimeError):
 
 
 class DataError(CasimirLabError, ValueError):
-    """Data does not satisfy the preconditions of an analysis step."""
+    """A value outside what a model, a series or an analysis step can use:
+    a separation outside a correction's or the proximity regime, or data
+    that does not satisfy an analysis step's preconditions."""

@@ -24,7 +24,8 @@ y -> 0, so the first y panel [0, 0.5] is graded geometrically toward 0
 in the order instead of algebraically. The order starts at BASE_ORDER = 8
 and is doubled, at most to 128, until two successive estimates agree to the
 tolerance, and their difference is the error estimate; a force not converged
-at order 128, whose rule takes 10 MiB an array, raises ConvergenceError. The
+at order 128, whose rule takes 10 MiB an array, raises ConvergenceError
+stating the separation, the last estimate and the last change. The
 tolerance comes from ``RunConfig`` (``rel_tol``, whose range floor, 1e-8,
 order 128 meets; see ``config``) through ``assemble``.
 A Gauss-Legendre rule depends only on its order (Golub & Welsch, Math.
@@ -42,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CONST
 from .dielectric import DielectricModel
-from .errors import ConvergenceError, ValidityError
+from .errors import ConvergenceError, DataError
 
 PROXIMITY_RATIO_MAX = 0.05  # z/R guard for the proximity regime
 Y_GRADED_EDGES = (5e-4, 5e-3, 5e-2)  # interior edges of the graded y panel [0, 0.5]
@@ -153,16 +154,15 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
 
     The order doubles from BASE_ORDER until two successive estimates agree to
     q.rel_tol * |F| + ABS_TOL; the returned float carries their difference as
-    ``error_bound``. Raises ConvergenceError carrying the last estimate and
-    error bound once q.max_refinements doublings have not met it.
+    ``error_bound``. Raises ConvergenceError naming z, the last estimate and
+    the last change once q.max_refinements doublings have not met it.
     """
     if not z >= 1e-9:  # closer, a dielectric function no longer describes the plates
-        raise ValidityError(f"z = {z * 1e9:.3g} nm below the continuum regime (>= 1 nm)")
+        raise DataError(f"z = {z * 1e9:.3g} nm below the continuum regime (>= 1 nm)")
     ratio = float(z) / geom.R  # Python's division overflows to inf without a warning
     if ratio >= PROXIMITY_RATIO_MAX:
-        raise ValidityError(
-            f"z/R = {ratio:.3g} outside the proximity regime (< {PROXIMITY_RATIO_MAX})"
-        )
+        raise DataError(f"z/R = {ratio:.3g} outside the proximity regime "
+                        f"(< {PROXIMITY_RATIO_MAX})")
     order = BASE_ORDER
     prev = _force_estimate(z, geom, model, order)
     for _ in range(q.max_refinements):
@@ -173,6 +173,5 @@ def casimir_force_sphere_plate(z: float, geom: SphereGeometry, model: Dielectric
             return ForceEstimate(cur, err)
         prev = cur
     raise ConvergenceError(
-        f"no convergence to rel_tol={q.rel_tol} within {q.max_refinements} refinements",
-        estimate=prev, error_bound=err,
-    )
+        f"no convergence to rel_tol={q.rel_tol} within {q.max_refinements} refinements "
+        f"at {z * 1e9:.6g} nm: last estimate {prev:.6g} N, last change {err:.3g} N")

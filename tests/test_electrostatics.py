@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from casimirlab import electrostatics
 from casimirlab.constants import CONST
 from casimirlab.electrostatics import (alpha, sphere_plane_force_exact,
                                        sphere_plane_force_pfa)
-from casimirlab.errors import ConvergenceError, ValidityError
+from casimirlab.errors import ConvergenceError, DataError
 
 
 V1 = 0.31  # the first calibration voltage
@@ -64,9 +65,9 @@ def test_residual_potential_negligible(e_cfg, drude_curve):
 def test_guards_and_validation(e_cfg):
     with pytest.raises(ValueError):
         sphere_plane_force_exact(0.0, e_cfg, V1)
-    with pytest.raises(ValidityError):
+    with pytest.raises(DataError):
         sphere_plane_force_pfa(10e-6, e_cfg, V1)
-    with pytest.raises(ValidityError):
+    with pytest.raises(DataError):
         sphere_plane_force_pfa(np.array([100e-9, 10e-6]), e_cfg, V1)
     with pytest.raises(ValueError):
         sphere_plane_force_pfa(np.array([100e-9, 0.0]), e_cfg, V1)
@@ -77,5 +78,12 @@ def test_convergence_error_carries_estimate(monkeypatch, e_cfg):
     monkeypatch.setattr(electrostatics, "MAX_TERMS", 10)
     with pytest.raises(ConvergenceError) as err:
         sphere_plane_force_exact(100e-9, e_cfg, V1)
-    assert err.value.estimate is not None
-    assert err.value.error_bound is not None
+    # the message states the sum and the last of the 10 terms
+    found = re.search(r": last estimate (\S+) N, last term (\S+) N$", str(err.value))
+    assert found, str(err.value)
+    a = alpha(100e-9, e_cfg.R)
+    terms = [(1 / math.tanh(a) - n / math.tanh(n * a)) / math.sinh(n * a)
+             for n in range(1, 11)]
+    scale = 2 * math.pi * CONST.eps0 * (V1 - e_cfg.V2) ** 2
+    assert float(found[1]) == pytest.approx(scale * sum(terms), rel=1e-5)
+    assert float(found[2]) == pytest.approx(scale * terms[-1], rel=1e-2)

@@ -1,4 +1,5 @@
 import importlib.resources
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from casimirlab import assemble, lifshitz
 from casimirlab.config import RunConfig
-from casimirlab.errors import ConvergenceError, ValidityError
+from casimirlab.errors import ConvergenceError, DataError
 from casimirlab.lifshitz import (U_CUT, SphereGeometry,
                                  casimir_force_sphere_plate, reflection_terms)
 from oracles import (ConstantModel, ideal_casimir_parallel_plates,
@@ -140,8 +141,16 @@ def test_nonconvergence_carries_estimate_and_bound(monkeypatch, drude_params):
     q = replace(drude_params.quad, rel_tol=1e-8, max_refinements=1)
     with pytest.raises(ConvergenceError) as info:
         casimir_force_sphere_plate(100e-9, drude_params.geom, drude_params.model, q)
-    assert info.value.estimate < 0
-    assert info.value.error_bound > 1e-8 * abs(info.value.estimate)
+    # the message states where, the last estimate (order 2) and the last change
+    found = re.fullmatch(r"no convergence to rel_tol=1e-08 within 1 refinements at 100 nm: "
+                         r"last estimate (\S+) N, last change (\S+) N", str(info.value))
+    assert found, str(info.value)
+    estimate, change = float(found[1]), float(found[2])
+    orders = [lifshitz._force_estimate(100e-9, drude_params.geom, drude_params.model, n)
+              for n in (2, 4)]
+    assert estimate == pytest.approx(orders[0], rel=1e-5) and estimate < 0
+    assert change == pytest.approx(abs(orders[1] - orders[0]), rel=1e-2)
+    assert change > 1e-8 * abs(estimate)
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_FORCES))
@@ -169,9 +178,9 @@ def test_parallel_grid_bitwise_identical(drude_params):
 def test_guards(drude_params):
     geom, q = drude_params.geom, drude_params.quad
     model = ConstantModel(10.0)
-    with pytest.raises(ValidityError):
+    with pytest.raises(DataError):
         casimir_force_sphere_plate(10e-6, geom, model, q)   # z/R too large
-    with pytest.raises(ValidityError, match=r"z = 1e-07 nm below the continuum regime"):
+    with pytest.raises(DataError, match=r"z = 1e-07 nm below the continuum regime"):
         casimir_force_sphere_plate(1e-16, geom, model, q)   # no quadrature converges there
     with pytest.raises(ValueError):
         casimir_force_sphere_plate(-1e-9, geom, model, q)
