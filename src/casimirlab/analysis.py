@@ -361,11 +361,13 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
     compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared at
     its points bracketing it, at most one axis step outside, unshifted and at
     ``variant_shifts_nm(cap_offset_nm)``. A span that reaches contact is
-    refused, naming the axes' first separation as ``first_name``.
+    refused, naming the axes' first separation as ``first_name``, or the
+    window, step and shift that widened it there. So every cache span is
+    positive and increasing.
     """
     z0_lo, z0_hi, cap = (0.0, 0.0, 0.0) if metal_to_metal else (*Z0_BRACKET_NM, cap_offset_nm)
     first = min(float(np.min(a)) for a in axes_nm)
-    if first + z0_lo <= 0:
+    if (first + z0_lo) * 1e-9 <= 0:  # in m, as the cache reads it: 1e-320 nm is 0 m
         plus_z0 = "" if metal_to_metal else f", plus z0 = {z0_lo:g} nm"
         raise DataError(f"the model would be read at a separation of {first + z0_lo:.6g} nm, "
                         f"at or below contact ({first_name} = {first:.6g} nm{plus_z0})")
@@ -373,13 +375,18 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
     hi = max(float(np.max(a)) for a in axes_nm) + z0_hi + cap
     if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:
         step = max(float(np.diff(a).max(initial=0.0)) for a in axes_nm)
-        shifts = variant_shifts_nm(cap_offset_nm).values()
-        lo = min(lo, window_nm[0] - step + min(0.0, *shifts))
-        hi = max(hi, window_nm[1] + step + max(0.0, *shifts))
+        shifts = variant_shifts_nm(cap_offset_nm).values()  # -3 and +3 nm among them
+        lo = min(lo, window_nm[0] - step + min(shifts))
+        hi = max(hi, window_nm[1] + step + max(shifts))
+        if lo <= 0:
+            raise DataError(f"the comparison would read the theory at {lo:.6g} nm, at or "
+                            f"below contact (window_lo_nm = {window_nm[0]:.6g} nm, less one "
+                            f"axis step of {step:.6g} nm, at the variant shift "
+                            f"{min(shifts):.6g} nm)")
     return lo, hi
 
 
-@np.errstate(over="ignore")  # an overflow is reported as a non-finite statistic
+@np.errstate(over="ignore")  # an overflow is inf, which cli.json_text refuses naming it
 def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
                       window_nm, window_points: int, cap_offset_nm: float) -> dict:
     """Statistics of experiment vs theory over the comparison window, and at
@@ -427,11 +434,6 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
     for label, shift in variant_shifts_nm(cap_offset_nm).items():
         th_s = np.interp(grid, near, theory((near + shift) * 1e-9) * 1e12)
         variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
-    for name, value in {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
-                        **variants}.items():
-        if value is not None and not math.isfinite(value):
-            raise DataError(f"comparison statistic '{name}' overflows: {value:g}")
-
     return {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
             "n_points": int(grid.size), "variants": variants,
             "window_nm": [float(w) for w in window_nm]}

@@ -3,13 +3,12 @@
 One subcommand per pipeline stage: epsilon, theory, electro, calibrate-k,
 fit-z0, analyze, synth, compare. All outputs are written atomically and
 carry a metadata header (version, config hash, seed) so identical inputs
-reproduce identical bytes. Exit codes: 2 input/parse, 3 numerical
-non-convergence, 4 fit failure.
+reproduce identical bytes. The command group maps errors onto the exit
+codes: 2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -38,26 +37,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_FIT = 4
 MEAN_CURVE_COLUMNS = ("separation_nm", "force_pn", "std_pn")
-
-
-def guarded(fn):
-    """Map package exceptions onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConvergenceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except FitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_FIT)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-
-    return wrapper
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -123,19 +102,33 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
-def _load_cfg(config_path) -> RunConfig:
-    return load_config(config_path) if config_path else RunConfig()
+def _config(ctx, param, path) -> RunConfig:
+    """Click callback: the checked RunConfig of --config, the defaults without one."""
+    return load_config(path) if path else RunConfig()
 
 
-config_option = click.option("--config", "config_path", type=click.Path(exists=True),
-                             default=None, help="key=value run configuration file")
+config_option = click.option("--config", "cfg", type=click.Path(exists=True), default=None,
+                             callback=_config, help="key=value run configuration file")
 material_option = click.option("--material", "material", type=click.Path(exists=True),
                                default=None, help="optical table CSV")
 out_option = click.option("--out", "out", required=True, type=click.Path(),
                           help="output path")
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """Map package exceptions, raised while a command's options are read (a bad
+    --config) or while it runs, onto the documented exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConvergenceError, FitError, ValueError, OSError, MemoryError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL if isinstance(exc, ConvergenceError)
+                     else EXIT_FIT if isinstance(exc, FitError) else EXIT_INPUT)
+
+
+@click.group(cls=_ExitCodes)
 @click.version_option(__version__)
 def main():
     """Casimir-force theory engine and AFM force-curve analysis pipeline."""
@@ -147,12 +140,10 @@ def main():
 @material_option
 @config_option
 @out_option
-@guarded
-def epsilon(xi_spec, material, config_path, out):
+def epsilon(xi_spec, material, cfg, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
     from .constants import energy_ev_to_angular_frequency
 
-    cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
@@ -168,10 +159,8 @@ def epsilon(xi_spec, material, config_path, out):
 @material_option
 @config_option
 @out_option
-@guarded
-def theory(z_spec, material, config_path, out):
+def theory(z_spec, material, cfg, out):
     """Tabulate the corrected theory force versus separation."""
-    cfg = _load_cfg(config_path)
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(z_spec)
     curve = assemble.theory_curve(
@@ -187,10 +176,8 @@ def theory(z_spec, material, config_path, out):
               help="plate voltage V1 in volts")
 @config_option
 @out_option
-@guarded
-def electro(z_spec, voltage, config_path, out):
+def electro(z_spec, voltage, cfg, out):
     """Tabulate the exact and proximity electrostatic forces."""
-    cfg = _load_cfg(config_path)
     e_cfg = assemble.electrostatic_config(cfg)
     grid = parse_grid(z_spec)
     # the proximity form's z/R guard first: at a radius too small for the grid
@@ -206,10 +193,8 @@ def electro(z_spec, voltage, config_path, out):
               help="directory of raw stiffness scans")
 @config_option
 @out_option
-@guarded
-def calibrate_k(scans_dir, config_path, out):
+def calibrate_k(scans_dir, cfg, out):
     """Fit the cantilever spring constant from large-separation scans."""
-    cfg = _load_cfg(config_path)
     curves = [load_scan(p) for p in sorted(Path(scans_dir).glob("*.csv"))]
     curves = [c for c in curves if not c.has_force]
     if not curves:
@@ -230,10 +215,8 @@ def calibrate_k(scans_dir, config_path, out):
               help="also write the data-vs-model curve CSV")
 @config_option
 @out_option
-@guarded
-def fit_z0(scan_path, emit_curve, config_path, out):
+def fit_z0(scan_path, emit_curve, cfg, out):
     """Fit the separation on contact from one applied-voltage scan."""
-    cfg = _load_cfg(config_path)
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
@@ -254,10 +237,8 @@ def fit_z0(scan_path, emit_curve, config_path, out):
 @click.option("--seed", type=int, default=None, help="override the config seed")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @config_option
-@guarded
-def synth(seed, out_dir, config_path):
+def synth(seed, out_dir, cfg):
     """Generate a deterministic synthetic campaign directory."""
-    cfg = _load_cfg(config_path)
     run = cfg if seed is None else replace(cfg, seed=seed)
     write_campaign(out_dir, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
@@ -268,14 +249,12 @@ def synth(seed, out_dir, config_path):
 @click.option("--scans", "scans_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @config_option
-@guarded
-def analyze(scans_dir, out_dir, config_path):
+def analyze(scans_dir, out_dir, cfg):
     """Run the full pipeline on a campaign directory."""
     if Path(out_dir).resolve() == Path(scans_dir).resolve():
         # its outputs would sit among the scans and break every later read of them
         raise DataError(f"--out {out_dir} is the --scans directory {scans_dir}: "
                         "write the results into another directory")
-    cfg = _load_cfg(config_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 
     def model_for(axes):
@@ -310,10 +289,8 @@ def _load_mean_curve(path):
               help="also write experiment-vs-theory plot data")
 @config_option
 @out_option
-@guarded
-def compare(curve_path, n_scans, emit_curve, config_path, out):
+def compare(curve_path, n_scans, emit_curve, cfg, out):
     """Compare an extracted mean force curve against the theory."""
-    cfg = _load_cfg(config_path)
     axis, force, std = _load_mean_curve(curve_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
     th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window,

@@ -101,10 +101,11 @@ class LogChebyshev:
     """Chebyshev interpolant of log|f| in log z, for a function f of z of one sign.
 
     f is evaluated once at ``n_nodes`` first-kind Chebyshev points in log z
-    and kept in ``node_values``; log|f| is interpolated with the Chebyshev
-    series through them, and the sign is that of the node values. Callable
-    with z in meters (scalar or array), returning f; a separation outside
-    [z_min, z_max] raises ValueError, since a polynomial extrapolates
+    over 0 < z_min < z_max (``analysis.theory_span_nm`` refuses any other
+    span) and kept in ``node_values``; log|f| is interpolated with the
+    Chebyshev series through them, and the sign is that of the node values.
+    Callable with z in meters (scalar or array), returning f; a separation
+    outside [z_min, z_max] raises ValueError, since a polynomial extrapolates
     without warning. ``interp_rel_error`` estimates the interpolation's
     relative error as the size of the series' last two coefficients, which
     decay geometrically for an analytic log|f|. ``what`` names f in the
@@ -112,10 +113,6 @@ class LogChebyshev:
     """
 
     def __init__(self, f, z_min: float, z_max: float, n_nodes: int, what: str):
-        if not z_min > 0:
-            raise ValueError(f"{what} cache separation {z_min * 1e9:.6g} nm must be > 0")
-        if not z_min < z_max:
-            raise ValueError("need z_min < z_max")
         self.what, self.z_min, self.z_max = what, float(z_min), float(z_max)
         log_lo, log_hi = np.log(self.z_min), np.log(self.z_max)
         self._log_mid, self._log_half = (log_hi + log_lo) / 2, (log_hi - log_lo) / 2

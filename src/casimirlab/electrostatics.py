@@ -50,8 +50,9 @@ def _coth(x):
 
 
 def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> float:
-    """Converged image-series force in N at plate voltage V1; attractive =
-    negative.
+    """Converged image-series force in N at plate voltage V1 and separation
+    z > 0 (``electro`` passes its grid through the proximity form's check
+    first); attractive = negative.
 
     Terms decay like e^{-n a}; summation stops when the relative term drops
     below SERIES_TOL and the geometric tail bound confirms the
@@ -60,8 +61,6 @@ def sphere_plane_force_exact(z: float, cfg: ElectrostaticConfig, V1: float) -> f
     raises DataError naming it; a series not converged after MAX_TERMS terms
     raises ConvergenceError stating its last estimate and last term.
     """
-    if z <= 0:
-        raise ValueError(f"separation must be > 0, got {z * 1e9:.6g} nm")
     dv = V1 - cfg.V2
     if dv == 0.0:
         return 0.0

@@ -39,7 +39,9 @@ MIN_SAMPLES = 10
 
 @dataclass(frozen=True)
 class ForceCurve:
-    """One approach scan: piezo axis plus either raw signal or force."""
+    """One approach scan: piezo axis plus either raw signal or force, one
+    column on that axis (each of ``load_scan``, ``synth.generate_scans`` and
+    ``signal_to_force`` passes one)."""
 
     scan_id: str
     applied_voltage: float
@@ -51,17 +53,12 @@ class ForceCurve:
     def __post_init__(self):
         piezo = np.asarray(self.piezo_nm, dtype=float)
         object.__setattr__(self, "piezo_nm", piezo)
-        if (self.signal is None) == (self.force_pn is None):
-            raise ValueError("exactly one of signal/force must be present")
         for name in ("signal", "force_pn"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, np.asarray(val, dtype=float))
-        obs = self.signal if self.signal is not None else self.force_pn
         if piezo.size < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples, got {piezo.size}")
-        if obs.size != piezo.size:
-            raise ValueError("piezo and observable columns differ in length")
         if not np.all(np.diff(piezo) > 0):
             raise ValueError("piezo axis must be strictly increasing")
 

@@ -489,13 +489,6 @@ def test_axis_shift_increases_sigma_rms(campaign_results):
         assert value > base
 
 
-def test_compare_names_an_overflowing_statistic(drude_curve, comparison):
-    axis = np.linspace(95.0, 505.0, 300)
-    huge = np.full_like(axis, 1e300)
-    with pytest.raises(DataError, match="'sigma_rms_pn' overflows: inf"):
-        compare_to_theory(axis, huge, np.ones_like(axis), 27, drude_curve, *comparison)
-
-
 def test_drift_fit_names_an_overflow(forward_model):
     z = np.linspace(520.0, 920.0, 50)
     with pytest.raises(DataError, match="drift fit overflows"):

@@ -295,6 +295,17 @@ def test_theory_rejects_non_positive_separation(runner, tmp_path, spec):
     assert not out.exists()
 
 
+
+def test_theory_refuses_a_separation_that_is_0_in_metres(runner, tmp_path):
+    # 1e-320 nm is above 0 in nm and 0 in m, where the cache takes its log
+    out = tmp_path / "theory.csv"
+    result = runner.invoke(main, ["theory", "--z", "1e-320:1:5", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: the model would be read at a separation of 9.99989e-321 "
+                             "nm, at or below contact (the first separation read = "
+                             "9.99989e-321 nm)\n")
+    assert not out.exists()
+
 def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     # gamma = 0: the Drude segment below the table has no closed-form part
     cfg = tmp_path / "run.cfg"
@@ -306,6 +317,20 @@ def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     forces = _read_csv(out, 2, (("separation_nm", "force_pn"),)).columns[1]
     assert forces.size == 5 and np.all(forces < 0)
 
+
+
+@pytest.mark.parametrize("c2,message", [
+    # the roughness factor changes sign inside the span, or is negative over all of it
+    (-100, "theory values must be finite and of one sign on the nodes"),
+    (-10000, "theory force must be attractive on the nodes")])
+def test_theory_refuses_a_cache_that_is_not_attractive(runner, tmp_path, c2, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"roughness_c2={c2}\n")
+    out = tmp_path / "theory.csv"
+    result = runner.invoke(main, ["theory", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
+    assert not out.exists()
 
 def test_synth_campaign_layout(campaign_dir):
     assert (campaign_dir / "truth.json").exists()
@@ -642,6 +667,33 @@ def test_exit_code_input_errors(runner, workdir, tmp_path):
     assert result.exit_code == 2
 
 
+
+# a size numpy refuses at once, 7.11 PiB of float64: no host grants it lazily
+UNALLOCATABLE = 10**15
+
+
+@pytest.mark.parametrize("command,option", [("theory", "--z"), ("electro", "--z"),
+                                            ("epsilon", "--xi-ev")])
+def test_a_grid_no_machine_can_allocate_exits_2(runner, tmp_path, command, option):
+    out = tmp_path / "g.csv"
+    result = runner.invoke(main, [command, option, f"100:500:{UNALLOCATABLE}",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: Unable to allocate 7.11 PiB")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,command", [("theory_cache_points", "theory"),
+                                         ("grid_points", "synth")])
+def test_a_config_size_no_machine_can_allocate_exits_2(runner, tmp_path, key, command):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{key}={UNALLOCATABLE}\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: Unable to allocate 7.11 PiB")
+    assert not out.exists()
+
 def assert_config_line_exits_2(runner, tmp_path, line, key):
     """`electro` with ``line`` on line 2 of its config exits 2 naming key and line."""
     cfg = tmp_path / "bad.cfg"
@@ -857,6 +909,38 @@ def test_compare_names_the_mean_curve_that_starts_below_contact(runner, workdir,
     assert result.output == ("error: the model would be read at a separation of -5 nm, at or "
                              "below contact (the first separation read = -5 nm)\n")
 
+
+
+def test_compare_names_the_variant_shift_that_reaches_contact(runner, tmp_path):
+    # the window's first bracketing point, 10 nm less one step of 590/199 nm,
+    # read at the opaque cap's 0.9 - 15.8 nm shift, lies below contact
+    curve, cfg = tmp_path / "mean_curve.csv", tmp_path / "run.cfg"
+    axis = np.linspace(10.0, 600.0, 200)
+    curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
+                              (axis, np.ones_like(axis), np.ones_like(axis))))
+    cfg.write_text("window_lo_nm=10\n")
+    out = tmp_path / "c.json"
+    result = runner.invoke(main, ["compare", "--curve", str(curve), "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: the comparison would read the theory at -7.86483 nm, at "
+                             "or below contact (window_lo_nm = 10 nm, less one axis step of "
+                             "2.96483 nm, at the variant shift -14.9 nm)\n")
+    assert not out.exists()
+
+
+def test_compare_names_an_overflowing_statistic(runner, workdir, tmp_path):
+    # (F_theory - 1e300 pN)^2 overflows: the JSON writer names the statistic
+    curve = tmp_path / "mean_curve.csv"
+    axis = np.linspace(95.0, 505.0, 300)
+    curve.write_text(csv_text(RunConfig(), MEAN_CURVE_COLUMNS,
+                              (axis, np.full_like(axis, 1e300), np.ones_like(axis))))
+    out = tmp_path / "c.json"
+    result = runner.invoke(main, ["compare", "--curve", str(curve),
+                                  "--config", str(workdir / "run.cfg"), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: non-finite value at 'sigma_rms_pn' in the JSON output\n"
+    assert not out.exists()
 
 def test_analyze_names_the_scan_whose_voltage_is_outside_the_z0_range(runner, workdir,
                                                                       campaign_dir, tmp_path):
@@ -1211,6 +1295,28 @@ def test_synth_refuses_a_model_that_overflows(runner, tmp_path):
 def test_a_split_synth_refuses_a_model_that_overflows(runner, tmp_path, split):
     test_synth_refuses_a_model_that_overflows(runner, tmp_path)
 
+
+
+def test_synth_refuses_a_grid_narrower_than_its_rounding(runner, tmp_path):
+    # 120 points over one float64 step from 30 nm round onto two values
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_scans=2\ngrid_points=120\ngrid_hi_nm=30.000000000000004\n")
+    out = tmp_path / "campaign"
+    result = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: piezo axis must be strictly increasing\n"
+    assert not any(out.iterdir())
+
+
+def test_fit_z0_refuses_a_scan_of_9_rows(runner, tmp_path):
+    scan = tmp_path / "short.csv"
+    scan.write_text("# scan_id=s\n# applied_voltage_v=0.5\npiezo_nm,force_pn\n"
+                    + "".join(f"{30 + i},-1\n" for i in range(9)))
+    out = tmp_path / "z.json"
+    result = runner.invoke(main, ["fit-z0", "--scan", str(scan), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {scan}: need at least 10 samples, got 9\n"
+    assert not out.exists()
 
 def test_synth_refuses_a_grid_whose_z0_fit_reaches_contact(runner, tmp_path):
     # the coarse z0 scan starts at z0 = 1 nm: at grid_lo_nm = -10 the model

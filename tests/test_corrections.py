@@ -185,14 +185,6 @@ def test_theory_curve_error_within_tolerance(drude_params, drude_curve):
     assert 0 < drude_curve.max_rel_error <= drude_params.quad.rel_tol
 
 
-def test_theory_params_validation(drude_params, default_cfg):
-    with pytest.raises(ValueError):
-        TheoryCurve(drude_params, 2e-7, 1e-7, default_cfg.theory_cache_points)
-    for z_min in (0.0, -1e-8):
-        with pytest.raises(ValueError, match=r"separation \S+ nm must be > 0"):
-            TheoryCurve(drude_params, z_min, 1e-7, default_cfg.theory_cache_points)
-
-
 @pytest.mark.parametrize("n_nodes", range(2, 41))
 def test_theory_cache_interpolates_its_nodes(drude_params, n_nodes):
     # the series through n_nodes Chebyshev points in log z returns the
@@ -296,5 +288,3 @@ def test_log_chebyshev_names_its_function_in_its_range_errors():
     with pytest.raises(ValueError, match=r"^separation 5 nm outside the cached ratio range "
                                          r"\[10, 1000\] nm$"):
         curve.force_and_slope(5e-9)
-    with pytest.raises(ValueError, match="^ratio cache separation 0 nm must be > 0$"):
-        LogChebyshev(lambda z: z, 0.0, 1e-6, 4, "ratio")

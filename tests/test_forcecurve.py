@@ -20,14 +20,8 @@ def make_curve(n=20, observable="force_pn", voltage=0.31):
 
 def test_curve_validation():
     piezo = np.linspace(0, 10, 12)
-    with pytest.raises(ValueError, match="exactly one"):
-        ForceCurve("t", 0.0, piezo, signal=piezo, force_pn=piezo)
-    with pytest.raises(ValueError, match="exactly one"):
-        ForceCurve("t", 0.0, piezo)
     with pytest.raises(ValueError, match="at least"):
         ForceCurve("t", 0.0, piezo[:5], force_pn=piezo[:5])
-    with pytest.raises(ValueError, match="length"):
-        ForceCurve("t", 0.0, piezo, force_pn=piezo[:-1])
     with pytest.raises(ValueError, match="increasing"):
         ForceCurve("t", 0.0, piezo[::-1], force_pn=piezo)
 
