@@ -45,10 +45,9 @@ Z0_VOLTAGE_RANGE = (0.3, 0.8)
 # a z0 fit's bracket, in nm: the coarse scan's first z0, and the bound that
 # its last z0 lies below by up to one coarse step (4/3 nm at most)
 Z0_BRACKET_NM = (1.0, 200.0)
-# the range table keeps z0_true_nm this far inside the bracket, in nm. The fit
-# refuses a chi2 minimum on the coarse scan's first or last z0, so the truth
-# must lie half a step (2/3 nm) above the first and a step and a half (2 nm)
-# below 200 nm; the other 0.5 nm leaves the noise room to move the minimum
+# z0_true_nm's margin inside the bracket, in nm: a truth 2/3 nm above 1 or 2 nm below
+# 200 keeps the chi2 minimum off the coarse scan's ends; the margin is about 90 stated
+# sigmas at the default grid and noise (0.0286 nm at 0.31 V), fewer at 120 points and 2-4x noise
 Z0_BRACKET_MARGIN_NM = 2.5
 # model values per block of the coarse z0 scan: at most 2**14 float64
 # (128 KiB) per temporary array, small enough to stay in cache
@@ -232,7 +231,9 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResul
                        f"(largest |force| {np.abs(f).max():.3g} pN)")
     imin = int(np.argmin(values))
     if imin in (0, values.size - 1):
-        raise FitError(f"scan {curve.scan_id}: chi2 minimum at the bracket edge")
+        raise FitError(f"scan {curve.scan_id}: chi2 minimum at the bracket edge, the coarse "
+                       f"scan's {('first', 'last')[imin > 0]} z0 of {coarse[imin]:.5g} nm: the "
+                       "contact separation lies at or beyond it within the scan's noise")
     interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
     if int(interior.sum()) > 1:
         raise FitError(f"scan {curve.scan_id}: non-unimodal chi2 over the coarse scan")
@@ -383,6 +384,8 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
                             f"below contact (window_lo_nm = {window_nm[0]:.6g} nm, less one "
                             f"axis step of {step:.6g} nm, at the variant shift "
                             f"{min(shifts):.6g} nm)")
+    if not math.log(lo * 1e-9) < math.log(hi * 1e-9):  # the cache's half-width in log z
+        raise DataError(f"the theory would be cached over [{lo!r}, {hi!r}] nm, one point in log z")
     return lo, hi
 
 

@@ -42,7 +42,8 @@ import numpy as np
 from .analysis import ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
-from .forcecurve import ForceCurve, atomic_write, load_scan, save_scan, scan_is_grounded
+from .forcecurve import (ForceCurve, _row_template, atomic_write, load_scan, save_scan,
+                         scan_is_grounded)
 
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # The work from which a forked worker pays for itself, measured on a
@@ -220,10 +221,16 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     are shared out interleaved between this process and forked workers
     (``_processes``), each drawing only its own; the files are the same. A
     failure raises the error of the earliest scan in write order that fails.
-    A directory that holds a scan file this campaign does not write (another
-    campaign's, which ``load_campaign`` would read with these) is refused
-    before anything is written; this campaign's own files are written over.
+    A grid whose 9-digit text does not strictly increase, which ``load_scan``
+    refuses, and a directory that holds a scan file this campaign does not write
+    (``load_campaign`` would read it with these) are refused before anything is
+    written; this campaign's own files are written over.
     """
+    axis = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)  # as generate_scans
+    written = _row_template(axis.tobytes(), 2).replace(",%.9g", "").split()  # save_scan's memo
+    if not np.all(np.diff(np.array(written, dtype=float)) > 0):
+        raise DataError(f"grid_lo_nm = {cfg.grid_lo_nm!r}, grid_hi_nm = {cfg.grid_hi_nm!r}, "
+                        f"grid_points = {cfg.grid_points}: piezo axis not increasing in 9 digits")
     outdir = Path(outdir)
     planned = {f"{scan_id}.csv" for scan_id, *_ in _plan(cfg)}
     foreign = sorted(p.name for p in outdir.glob("*.csv") if p.name not in planned)

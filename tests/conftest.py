@@ -1,14 +1,28 @@
-"""Shared fixtures: the expensive theory-curve cache and a reference
-synthetic campaign, built once per session."""
+"""Shared fixtures, built once per session: the expensive theory-curve cache,
+a reference synthetic campaign, and the commands' campaign and analysis at
+FAST_CONFIG."""
 
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+import casimirlab
 from casimirlab import assemble, synth
 from casimirlab.analysis import ForwardModel, analyze_campaign
 from casimirlab.config import RunConfig
+from casimirlab.cli import main
 from casimirlab.synth import campaign_span_nm, generate_scans
+
+# the commands' small config: 2 scans of 120 points, a 40-node theory cache, seed 11
+FAST_CONFIG = """\
+theory_cache_points=40
+n_scans=2
+grid_points=120
+seed=11
+"""
+TABLE = str(Path(casimirlab.__file__).parent / "data" / "al_eps2_drude.csv")
 
 
 def campaign_scans(cfg, model):
@@ -114,3 +128,29 @@ def campaign(default_cfg, forward_model):
 def campaign_results(forward_model, default_cfg, campaign):
     grounded, voltage_scans = campaign
     return analyze_scans(voltage_scans, grounded, forward_model, default_cfg)
+
+
+@pytest.fixture(scope="session")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    (d / "run.cfg").write_text(FAST_CONFIG)
+    return d
+
+
+@pytest.fixture(scope="session")
+def campaign_dir(workdir):
+    """``synth`` at FAST_CONFIG; tests copy it before they change it."""
+    out = workdir / "campaign"
+    result = CliRunner().invoke(main, ["synth", "--config", str(workdir / "run.cfg"),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.fixture(scope="session")
+def analysis_dir(workdir, campaign_dir):
+    out = workdir / "analysis"
+    result = CliRunner().invoke(main, ["analyze", "--config", str(workdir / "run.cfg"),
+                                       "--scans", str(campaign_dir), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out

@@ -4,7 +4,7 @@ config, pinned by its sha256.
 ``synth``, ``analyze``, ``compare --emit-curve``, ``fit-z0 --emit-curve``,
 ``theory`` and ``epsilon`` (each Drude and ``--material``), ``electro`` at
 0.31 V and ``calibrate-k`` (on ``oracles.generate_stiffness_scans`` at the
-config's seed) run through click's ``CliRunner`` at ``test_cli.FAST_CONFIG``
+config's seed) run through click's ``CliRunner`` at ``conftest.FAST_CONFIG``
 (2 scans of 120 points, a 40-node theory cache, seed 11). Criterion 10 checks that one commit reproduces its own bytes; this
 test checks that a refactor which claims byte-identical outputs reproduces
 the bytes of the commit before it, and it passes on both.
@@ -24,7 +24,7 @@ from casimirlab.cli import main
 from casimirlab.config import parse_config
 from casimirlab.forcecurve import save_scan
 from oracles import generate_stiffness_scans
-from test_cli import FAST_CONFIG, TABLE
+from conftest import FAST_CONFIG, TABLE
 
 GOLDEN = {
     "analysis/mean_curve.csv": "ac2aada8fd6a2a19ed4afe57645e82f43d43d6c11c183d4dcf821eb723e3a8c6",
