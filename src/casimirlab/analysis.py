@@ -16,9 +16,9 @@ the synthetic generator draws its scans from it, the z0 and drift fits fit
 it and extraction subtracts its electrostatic term, so the loop closes on
 the same expression. The z0 fit needs no optimisation library: a coarse
 chi2 scan of about 1 nm steps on the scan's joint grid brackets the minimum
-and Gauss-Newton on the model's closed-form dF/dz0 refines it (Numerical
-Recipes 3rd ed. 15.5). Without drift the model depends on z + z0 alone, so
-on a uniform axis the coarse scan evaluates it once, on a grid that holds
+and ``gauss_newton``, the one Gauss-Newton loop, refines it on the model's
+closed-form dF/dz0. Without drift the model depends on z + z0 alone, so on
+a uniform axis the coarse scan evaluates it once, on a grid that holds
 every z + z0 it needs, and reads each z0's row as a strided window of that
 one array.
 """
@@ -82,12 +82,6 @@ class Z0FitResult:
             chi2 = self.rss_pn2 / noise_pn / noise_pn  # noise_pn**2 may underflow to 0
         return {"voltage_v": self.voltage, "z0_nm": self.z0_nm,
                 "z0_sigma_nm": sigma, "chi2": chi2, "n_points": self.n_points}
-
-
-@dataclass(frozen=True)
-class DriftFit:
-    C_pn_per_nm: float
-    C_sigma_pn_per_nm: float
 
 
 @dataclass(frozen=True)
@@ -214,9 +208,9 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResul
     at unit weight: with a constant noise neither the coarse argmin nor the
     Gauss-Newton steps depend on its value, so ``Z0FitResult.record`` scales
     sigma and chi2 by the noise afterwards. A coarse scan of about 1 nm steps
-    on the scan's joint grid (``_coarse_chi2``) brackets the minimum;
-    Gauss-Newton from there, on ``ForwardModel.force_and_dz0_pn``, stops at a
-    step below 1e-10 nm.
+    on the scan's joint grid (``_coarse_chi2``) brackets the minimum, and
+    ``gauss_newton`` refines it on ``ForwardModel.force_and_dz0_pn``, in the
+    box of the coarse z0 on either side.
     """
     v = curve.applied_voltage
     if not Z0_VOLTAGE_RANGE[0] <= v <= Z0_VOLTAGE_RANGE[1]:
@@ -238,54 +232,69 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResul
     if int(interior.sum()) > 1:
         raise FitError(f"scan {curve.scan_id}: non-unimodal chi2 over the coarse scan")
 
-    z0 = float(coarse[imin])
+    def residual_jacobian(p):
+        force, jac = model.force_and_dz0_pn(z, p[0], v)
+        return f - force, jac[:, None]
+    box = ((coarse[imin - 1], coarse[imin + 1], "nm"),)
+    (z0,), r, jtj = gauss_newton(residual_jacobian, [coarse[imin]], box, f"scan {curve.scan_id}")
+    return Z0FitResult(float(z0), float(np.dot(r, r)), float(jtj[0, 0]), z.size, v)
+
+
+def gauss_newton(residual_jacobian, p0, box, what):
+    """Least squares from p0 by Gauss-Newton (Numerical Recipes 3rd ed. 15.5):
+    ``residual_jacobian(p)`` returns the residuals r, shape (n,), and the
+    model's Jacobian J, shape (n, k), and each step solves J^T J step = J^T r.
+    At the first step with every component below 1e-10 it returns (p, r,
+    J^T J), r and J^T J from that step back. A non-finite step (a singular
+    J^T J too), a p outside ``box``, one (lo, hi, unit) per parameter, and no
+    stop in ``GAUSS_NEWTON_MAX_STEPS`` steps raise FitError naming ``what``.
+    """
+    p = np.array(p0, dtype=float)
     for _ in range(GAUSS_NEWTON_MAX_STEPS):
-        force, jac = model.force_and_dz0_pn(z, z0, v)
-        r = f - force
-        jtj = np.dot(jac, jac)
+        r, jac = residual_jacobian(p)
         with np.errstate(all="ignore"):  # a non-finite step is reported just below
-            step = float(np.dot(jac, r) / jtj)
-        if not math.isfinite(step):
-            raise FitError(f"scan {curve.scan_id}: non-finite Gauss-Newton step (J^T J = {jtj:g})")
-        z0 += step
-        if not coarse[imin - 1] <= z0 <= coarse[imin + 1]:
-            raise FitError(f"scan {curve.scan_id}: Gauss-Newton left the coarse bracket "
-                           f"[{coarse[imin - 1]:.6g}, {coarse[imin + 1]:.6g}] nm")
-        if abs(step) < 1e-10:  # r and J, from < 1e-10 nm back, give rss and J^T J at z0
-            return Z0FitResult(z0_nm=z0, rss_pn2=float(np.dot(r, r)), jtj=float(jtj),
-                               n_points=int(z.size), voltage=v)
-    raise FitError(f"scan {curve.scan_id}: Gauss-Newton not converged in "
-                   f"{GAUSS_NEWTON_MAX_STEPS} steps")
+            jtj = jac.T @ jac
+            try:
+                step = np.linalg.solve(jtj, jac.T @ r)
+            except np.linalg.LinAlgError:  # a singular J^T J
+                step = np.full_like(p, np.nan)
+        if not np.isfinite(step).all():
+            raise FitError(f"{what}: non-finite Gauss-Newton step (J^T J = {jtj.tolist()})")
+        p += step
+        if not all(lo <= x <= hi for x, (lo, hi, _) in zip(p, box)):
+            raise FitError(f"{what}: Gauss-Newton left the coarse bracket " + " x ".join(
+                f"[{lo:.6g}, {hi:.6g}] {unit}" for lo, hi, unit in box))
+        if np.all(np.abs(step) < 1e-10):
+            return p, r, jtj
+    raise FitError(f"{what}: Gauss-Newton not converged in {GAUSS_NEWTON_MAX_STEPS} steps")
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a non-finite C sigma
-def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> DriftFit:
-    """Closed-form linear least squares for the scattered-light/drift slope C.
+def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> float:
+    """Closed-form linear least squares for the scattered-light/drift slope C in pN/nm.
 
     grounded_pn, the model without drift (``ForwardModel.force_pn`` at 0 V) on
     z_nm, is subtracted first; the remaining F = C * z is solved by the
     normal equation.
     """
     z = np.asarray(z_nm, dtype=float)
-    f = np.asarray(force_pn, dtype=float)
     if z.size == 0:
         raise DataError("region 3 is empty")
-    resid = f - grounded_pn
+    resid = np.asarray(force_pn, dtype=float) - grounded_pn
     denom = float(np.dot(z, z))
     c = float(np.dot(z, resid) / denom)
     r = resid - c * z
-    dof = max(z.size - 1, 1)
-    c_sigma = float(np.sqrt(np.dot(r, r) / (dof * denom)))
+    c_sigma = float(np.sqrt(np.dot(r, r) / (max(z.size - 1, 1) * denom)))
     if not math.isfinite(c_sigma):  # also when C is not finite
         raise DataError(f"drift fit overflows: C = {c:g} +- {c_sigma:g} pN/nm")
-    return DriftFit(C_pn_per_nm=c, C_sigma_pn_per_nm=c_sigma)
+    return c
 
 
-def extract_casimir(force_pn, z_nm, electrostatic_pn, drift: DriftFit):
+def extract_casimir(force_pn, z_nm, electrostatic_pn, drift_pn_per_nm: float):
     """The measured Casimir force of one scan: its force on the axis z_nm of
     separations from contact, less the model's grounded electrostatic term
     there and the fitted drift."""
-    return force_pn - electrostatic_pn - drift.C_pn_per_nm * z_nm
+    return force_pn - electrostatic_pn - drift_pn_per_nm * z_nm
 
 
 def average_scans(rows):
@@ -454,15 +463,15 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
     force-valued scans at 0.3-0.8 V for the z0 fits and the raw stiffness
     scans for the spring constant (with ``cal``); the grounded scans' axis,
     None without one; and a closable stream of their force columns, closed
-    however this ends. ``model_for(axes)`` is the forward model over the
-    axes read. The voltage scans give z0, and with the grounded axis the
-    model and the 0 V electrostatic term; then each force column is
-    drift-fitted over region 3, extracted, folded into ``average_scans``'s
-    sums and dropped. A missing side of the campaign or a z0 fit failure
-    raises before the stream is read, a bad file when its turn comes. Each
-    z0 fit's sigma and chi2 are stated for the measured noise: the grounded
-    scans' std pooled over the window, sqrt(mean(std^2)), None where it is 0.
-    Returns the results.json payload and the mean curve's columns
+    however this ends. ``model_for(axes)`` is the forward model over the axes
+    read. The voltage scans give z0, and with the grounded axis the model and
+    the 0 V electrostatic term; then each force column is drift-fitted over
+    region 3, extracted, folded into ``average_scans``'s sums and dropped. A
+    missing side of the campaign, a grounded axis short of region 3 or a z0
+    fit failure raises before the stream is read, a bad file when its turn
+    comes. Each z0 fit's sigma and chi2 are stated for the measured noise: the
+    grounded scans' std pooled over the window, sqrt(mean(std^2)), None where
+    it is 0. Returns the results.json payload and the mean curve's columns
     (separation_nm, force_pn, std_pn) on the metal-to-metal axis.
     """
     with closing(forces):
@@ -471,6 +480,9 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
             raise DataError("no voltage scans for the z0 fit")
         if axis is None:
             raise DataError("no grounded scans to analyze")
+        if not axis[-1] > DRIFT_REGION_MIN_NM:
+            raise DataError(f"the grounded scans end at {axis[-1]:.6g} nm, short of region 3 "
+                            f"(beyond {DRIFT_REGION_MIN_NM:g} nm), where the drift is fitted")
         model = model_for([*(c.piezo_nm for c in voltage_scans), axis])
         z0_fits = [fit_contact_separation(c, model) for c in voltage_scans]
         z0_values = np.array([fit.z0_nm for fit in z0_fits])
@@ -484,9 +496,8 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
 
         def extracted():
             for force in forces:
-                drift = fit_drift_coefficient(z3, force[region3], model_pn)
-                drifts.append(drift.C_pn_per_nm)
-                yield extract_casimir(force, axis, electrostatic_pn, drift)
+                drifts.append(fit_drift_coefficient(z3, force[region3], model_pn))
+                yield extract_casimir(force, axis, electrostatic_pn, drifts[-1])
 
         mean, std = average_scans(extracted())
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import ForwardModel, theory_span_nm
+from .analysis import DRIFT_REGION_MIN_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
 from .forcecurve import (ForceCurve, _row_template, atomic_write, load_scan, save_scan,
@@ -222,7 +222,8 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     (``_processes``), each drawing only its own; the files are the same. A
     failure raises the error of the earliest scan in write order that fails.
     A grid whose 9-digit text does not strictly increase, which ``load_scan``
-    refuses, and a directory that holds a scan file this campaign does not write
+    refuses, or ends short of region 3, which ``analyze_campaign`` refuses, and a
+    directory that holds a scan file this campaign does not write
     (``load_campaign`` would read it with these) are refused before anything is
     written; this campaign's own files are written over.
     """
@@ -231,6 +232,9 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     if not np.all(np.diff(np.array(written, dtype=float)) > 0):
         raise DataError(f"grid_lo_nm = {cfg.grid_lo_nm!r}, grid_hi_nm = {cfg.grid_hi_nm!r}, "
                         f"grid_points = {cfg.grid_points}: piezo axis not increasing in 9 digits")
+    if not float(written[-1]) > DRIFT_REGION_MIN_NM:
+        raise DataError(f"grid_hi_nm = {cfg.grid_hi_nm!r}: no scan point beyond "
+                        f"{DRIFT_REGION_MIN_NM:g} nm, the region 3 where analyze fits the drift")
     outdir = Path(outdir)
     planned = {f"{scan_id}.csv" for scan_id, *_ in _plan(cfg)}
     foreign = sorted(p.name for p in outdir.glob("*.csv") if p.name not in planned)

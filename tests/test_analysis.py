@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirlab import analysis, assemble
 from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
                                  Z0_BRACKET_NM, ForwardModel, _coarse_chi2,
                                  average_scans, calibrate_spring_constant,
                                  compare_to_theory, extract_casimir,
-                                 fit_contact_separation, fit_drift_coefficient)
+                                 fit_contact_separation, fit_drift_coefficient,
+                                 gauss_newton)
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import DataError, FitError
@@ -285,6 +288,65 @@ def test_gauss_newton_refuses_to_stop_unconverged(monkeypatch, balanced_scan):
         fit_contact_separation(*balanced_scan)
 
 
+def exponential(x, y):
+    """residual_jacobian of the model a exp(-b x) against data y on x."""
+    def residual_jacobian(p):
+        a, b = p
+        e = np.exp(-b * x)
+        return y - a * e, np.column_stack([e, -a * x * e])
+    return residual_jacobian
+
+
+def test_gauss_newton_finds_a_two_parameter_minimum():
+    # noiseless 2 exp(-0.3 x): the minimum is the truth, where J^T J has the
+    # closed form below; at unit noise the Schur complement of its a row is 1 / sigma_b^2
+    x = np.linspace(0.0, 10.0, 50)
+    e = np.exp(-0.3 * x)
+    box = ((1.0, 3.0, "pN"), (0.1, 0.5, "1/nm"))
+    p, r, jtj = gauss_newton(exponential(x, 2.0 * e), [1.5, 0.2], box, "decay")
+    np.testing.assert_allclose(p, [2.0, 0.3], rtol=1e-12)
+    assert np.abs(r).max() < 1e-9
+    ab = -2.0 * np.sum(x * e * e)
+    closed = np.array([[np.sum(e * e), ab], [ab, 4.0 * np.sum(x * x * e * e)]])
+    np.testing.assert_allclose(jtj, closed, rtol=1e-12)
+    schur = jtj[1, 1] - jtj[1, 0] * jtj[0, 1] / jtj[0, 0]
+    assert schur == pytest.approx(1.0 / np.linalg.inv(jtj)[1, 1], rel=1e-12)
+    # the first step, to b = 0.295, leaves a box that ends at 0.25
+    narrow = ((1.0, 3.0, "pN"), (0.15, 0.25, "1/nm"))
+    with pytest.raises(FitError, match=r"^decay: Gauss-Newton left the coarse bracket "
+                                       r"\[1, 3\] pN x \[0.15, 0.25\] 1/nm$"):
+        gauss_newton(exponential(x, 2.0 * e), [1.5, 0.2], narrow, "decay")
+    # two equal columns: J^T J is singular
+    with pytest.raises(FitError, match=r"^decay: non-finite Gauss-Newton step"):
+        gauss_newton(lambda p: (e, np.column_stack([e, e])), [1.5, 0.2], box, "decay")
+
+
+class Stepped(Exception):
+    """The loop's second call, at p0 + step."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+       scales=st.tuples(st.floats(-100, 100), st.floats(-100, 100)))
+def test_a_one_parameter_step_is_the_scalar_division_bit_for_bit(seed, n, scales):
+    # at k = 1 the z0 fit is byte-identical to the scalar step dot(J, r) / dot(J, J)
+    # only while a 1 x 1 solve of J^T J reproduces that division: from p0 = 0
+    # the point after one step is the step itself
+    rng = np.random.default_rng(seed)
+    r, jac = (rng.standard_normal(n) * 10.0**scale for scale in scales)
+
+    def residual_jacobian(p):
+        if p[0] != 0.0:
+            raise Stepped(p[0])
+        return r, jac[:, None]
+    expected = np.dot(jac, r) / np.dot(jac, jac)
+    try:
+        step = gauss_newton(residual_jacobian, [0.0], ((-np.inf, np.inf, ""),), "draw")[0][0]
+    except Stepped as stepped:
+        step = stepped.args[0]
+    assert step == expected
+
+
 def test_fit_voltage_range_guard(noiseless_scans, forward_model):
     quiet, (_, voltage_scans) = noiseless_scans
     bad = replace(voltage_scans[0], applied_voltage=0.9)
@@ -309,13 +371,13 @@ def test_drift_fit_matches_normal_equations(noiseless_scans, forward_model, drud
     f = scan.force_pn[mask]
     grounded_pn = forward_model.force_pn(z, quiet.z0_true_nm, 0.0)
     drift = fit_drift_coefficient(z, f, grounded_pn)
-    assert drift.C_pn_per_nm == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
+    assert drift == pytest.approx(quiet.c_true_pn_per_nm, rel=1e-9)
     # independent least-squares check on the same residuals
     sep = z + quiet.z0_true_nm
     resid = f - (sphere_plane_force_pfa(sep * 1e-9, e_cfg, 0.0) * 1e12
                  + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12)
     lstsq_c = float(np.linalg.lstsq(z[:, None], resid, rcond=None)[0][0])
-    assert drift.C_pn_per_nm == pytest.approx(lstsq_c, rel=1e-12)
+    assert drift == pytest.approx(lstsq_c, rel=1e-12)
     with pytest.raises(DataError):
         fit_drift_coefficient(np.array([]), np.array([]), np.array([]))
 

@@ -141,6 +141,18 @@ def shift_axis(scans):
         save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
 
 
+def cut_grounded_axis(top_nm):
+    """The grounded scans keep their points up to ``top_nm``."""
+    def edit(scans):
+        for path in scans.glob("scan_*.csv"):
+            scan = load_scan(path)
+            keep = scan.piezo_nm <= top_nm
+            with open(path, "w", encoding="utf-8") as fh:
+                save_scan(replace(scan, piezo_nm=scan.piezo_nm[keep],
+                                  force_pn=scan.force_pn[keep]), fh)
+    return edit
+
+
 # -- the rows -----------------------------------------------------------------
 
 GRID_OPTIONS = (("theory", "--z"), ("electro", "--z"), ("epsilon", "--xi-ev"))
@@ -428,6 +440,15 @@ CASES = [
          "mean curve spans [94.6842, 984.684] nm and does not cover the comparison window "
          "[10, 500] nm (window_lo_nm, window_hi_nm)",
          config="n_scans=2\ngrid_points=120\nwindow_lo_nm=10\n", inputs=(synth_campaign(),)),
+    # region 3, beyond 516 nm, is where analyze fits the drift: synth writes no
+    # campaign without it, and analyze refuses one before it reads a force column
+    Case("synth-no-region-3", "synth", 2, "grid_hi_nm = 450.0: no scan point beyond 516 nm, "
+         "the region 3 where analyze fits the drift",
+         config="n_scans=2\ngrid_points=120\ngrid_hi_nm=450\n"),
+    Case("analyze-no-region-3", "analyze --scans {tmp}/campaign", 2,
+         "the grounded scans end at 508.655 nm, short of region 3 (beyond 516 nm), where the "
+         "drift is fitted", config=FAST_CONFIG,
+         inputs=(campaign_copy(cut_grounded_axis(516.0)),)),
     Case("analyze-one-grounded-scan", "analyze --scans {tmp}/campaign", 2,
          "need at least 2 scans to average", config="n_scans=1\ngrid_points=120\n",
          inputs=(synth_campaign(),)),

@@ -5,9 +5,12 @@ config, pinned by its sha256.
 ``theory`` and ``epsilon`` (each Drude and ``--material``), ``electro`` at
 0.31 V and ``calibrate-k`` (on ``oracles.generate_stiffness_scans`` at the
 config's seed) run through click's ``CliRunner`` at ``conftest.FAST_CONFIG``
-(2 scans of 120 points, a 40-node theory cache, seed 11). Criterion 10 checks that one commit reproduces its own bytes; this
-test checks that a refactor which claims byte-identical outputs reproduces
-the bytes of the commit before it, and it passes on both.
+(2 scans of 120 points, a 40-node theory cache, seed 11), and ``synth
+--seed 5`` plus ``analyze`` run at the default config (27 scans of 982
+points), the benchmark's ``campaign-default`` run. Criterion 10 checks that
+one commit reproduces its own bytes; this test checks that a refactor which
+claims byte-identical outputs reproduces the bytes of the commit before it,
+and it passes on both.
 
 A documented re-baseline updates the pins: a change that moves the outputs
 on purpose (the exact sphere-plane electrostatics in the forward model, an
@@ -51,6 +54,11 @@ GOLDEN = {
     "theory_table.csv": "df99262e5b84f4f38e236bc763e3b2cb1f4ec3ab68b9df3d16999902b02b697a",
 }
 
+DEFAULT_CONFIG_GOLDEN = {
+    "results/mean_curve.csv": "b7ba915641bf00c5c8cc8fe1c3138064d79915b7e186192c0d3872cf877f29ef",
+    "results/results.json": "29b914fbb45cb271e1b409be187ba4558a38a3adfec787850fed31ee466fe26c",
+}
+
 
 def commands(d):
     """The argument lists, in order, each reading what the ones before wrote."""
@@ -83,8 +91,14 @@ def written_digests(d):
         with open(d / "stiff" / f"{scan.scan_id}.csv", "w") as fh:
             save_scan(scan, fh)
     inputs = {d / "run.cfg", *(d / "stiff").iterdir()}
+    return digests_after(d, commands(d), inputs)
+
+
+def digests_after(d, argvs, inputs=()):
+    """{path relative to d: sha256} of every file under d but ``inputs`` after
+    the commands ``argvs`` ran, in order."""
     runner = CliRunner()
-    for args in commands(d):
+    for args in argvs:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args[0], result.output)
     return {p.relative_to(d).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -93,3 +107,10 @@ def written_digests(d):
 
 def test_every_written_file_matches_its_pinned_digest(tmp_path):
     assert written_digests(tmp_path) == GOLDEN
+
+
+def test_the_default_config_analysis_matches_its_pinned_digests(tmp_path):
+    campaign, results = str(tmp_path / "campaign"), str(tmp_path / "results")
+    digests = digests_after(tmp_path, [["synth", "--seed", "5", "--out", campaign],
+                                       ["analyze", "--scans", campaign, "--out", results]])
+    assert {k: v for k, v in digests.items() if k.startswith("results/")} == DEFAULT_CONFIG_GOLDEN
