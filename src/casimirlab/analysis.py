@@ -275,11 +275,10 @@ def fit_drift_coefficient(z_nm, force_pn, grounded_pn) -> float:
 
     grounded_pn, the model without drift (``ForwardModel.force_pn`` at 0 V) on
     z_nm, is subtracted first; the remaining F = C * z is solved by the
-    normal equation.
+    normal equation. z_nm holds a point or more: ``analyze_campaign`` refuses
+    a grounded axis that ends short of region 3.
     """
     z = np.asarray(z_nm, dtype=float)
-    if z.size == 0:
-        raise DataError("region 3 is empty")
     resid = np.asarray(force_pn, dtype=float) - grounded_pn
     denom = float(np.dot(z, z))
     c = float(np.dot(z, resid) / denom)

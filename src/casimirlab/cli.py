@@ -271,12 +271,10 @@ def analyze(scans_dir, out_dir, cfg):
 @names_its_file
 def _load_mean_curve(path):
     """(separation_nm, force_pn, std_pn) columns of a mean-curve CSV."""
-    table = _read_csv(path, 3, (MEAN_CURVE_COLUMNS,))
+    table = _read_csv(path, 3, MIN_SAMPLES, (MEAN_CURVE_COLUMNS,))
     separation, _, std = table.columns
     table.reject(np.diff(separation, prepend=-np.inf) <= 0, "non-increasing separation_nm")
     table.reject(std < 0, "negative std_pn")
-    if separation.size < MIN_SAMPLES:
-        raise ParseError(f"need at least {MIN_SAMPLES} rows, got {separation.size}")
     return table.columns
 
 

@@ -18,10 +18,10 @@ one preallocated result. Each row is still reduced over its own contiguous
 table nodes, so every eps value is bitwise the one-shot broadcast sum's.
 Each closed form's branch, the Drude segment's degenerate xi ~ gamma one and
 the tail's small-argument series, is evaluated only at the xi that select it.
-Optical tables are read with the package's CSV reader (``forcecurve._read_csv``):
-a source is a path or a file object, never CSV text in a string. The loader
-refuses a non-positive or non-increasing energy and a negative eps'', naming
-the line, and ``TabulatedModel`` a table whose integral overflows float64.
+Optical tables are read from a path with the package's CSV reader
+(``forcecurve._read_csv``), which refuses a table of fewer than 2 rows. The
+loader refuses a non-positive or non-increasing energy and a negative eps'',
+naming the line, and ``TabulatedModel`` a table whose integral overflows float64.
 The Drude parameters come from ``RunConfig`` through ``assemble``.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import energy_ev_to_angular_frequency
-from .errors import ParseError, names_its_file
+from .errors import names_its_file
 from .forcecurve import _read_csv
 
 # elements per block of the tabulated dispersion integral: at most 2**14
@@ -66,20 +66,18 @@ class OpticalTable:
 
 
 @names_its_file
-def load_optical_table(source) -> OpticalTable:
-    """Parse the optical-table CSV dialect from a path or a file object.
+def load_optical_table(path) -> OpticalTable:
+    """Parse the optical-table CSV dialect from the file at a path.
 
     '#'-prefixed comment and metadata lines (the packaged table names its
     material in a '# material=' line), then one 'energy_ev,eps2' pair per
     line. Ordering violations are reported, not silently repaired.
     """
-    table = _read_csv(source, 2)
+    table = _read_csv(path, 2, min_rows=2)
     energies, eps2 = table.columns
     table.reject(energies <= 0, "energy must be > 0 eV")
     table.reject(np.diff(energies, prepend=-np.inf) <= 0, "non-increasing energy")
     table.reject(eps2 < 0, "negative eps2")
-    if energies.size < 2:
-        raise ParseError("optical table needs at least 2 data rows")
     return OpticalTable(energies, eps2)
 
 

@@ -2,17 +2,19 @@
 conversion.
 
 A ForceCurve is immutable: every transform returns a new curve. The piezo
-axis is plate displacement toward the sphere in nm, strictly increasing, so
-contact (if reached) sits at the end of the arrays. Attractive forces are
-negative.
+axis is plate displacement toward the sphere in nm, strictly increasing
+(``load_scan`` refuses any other, and ``synth`` writes only a grid whose
+9-digit text increases), so contact (if reached) sits at the end of the
+arrays. Attractive forces are negative.
 
 All three CSV inputs (scans here, optical tables in ``dielectric``, mean
 curves in ``cli``) share one dialect, read by ``_read_csv``: ``# key=value``
 metadata lines, each key set once, other ``#`` comment lines, blank lines,
-an optional column header, then comma-separated rows of finite floats. The
-reader walks the lines up to the first row, then parses the rest in one
-numpy call; only a body that call refuses (a comment or blank line among the
-rows, or a bad row) is read line by line, which finds the line of a bad row.
+an optional column header, then comma-separated rows of finite floats, at
+least as many as each reader's minimum. The reader takes a path, walks the
+lines up to the first row, then parses the rest in one numpy call; only a
+body that call refuses (a comment or blank line among the rows, or a bad
+row) is read line by line, which finds the line of a bad row.
 One ``_Csv`` holds a parse: its metadata, header, columns and row lines.
 
 ``_csv_rows`` formats every row of the package's writers with one ``%``
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,9 +40,10 @@ MIN_SAMPLES = 10
 
 @dataclass(frozen=True)
 class ForceCurve:
-    """One approach scan: piezo axis plus either raw signal or force, one
-    column on that axis (each of ``load_scan``, ``synth.generate_scans`` and
-    ``signal_to_force`` passes one)."""
+    """One approach scan: a piezo axis plus one column on it, raw signal or
+    force, float arrays from each builder (``load_scan``, ``signal_to_force``,
+    ``synth.generate_scans``). The axis increases and holds ``MIN_SAMPLES``
+    points or more: ``load_scan`` and ``synth``'s grid rule make it so."""
 
     scan_id: str
     applied_voltage: float
@@ -49,18 +51,6 @@ class ForceCurve:
     signal: np.ndarray | None = None
     force_pn: np.ndarray | None = None
     spring_constant: float | None = None
-
-    def __post_init__(self):
-        piezo = np.asarray(self.piezo_nm, dtype=float)
-        object.__setattr__(self, "piezo_nm", piezo)
-        for name in ("signal", "force_pn"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, np.asarray(val, dtype=float))
-        if piezo.size < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {piezo.size}")
-        if not np.all(np.diff(piezo) > 0):
-            raise ValueError("piezo axis must be strictly increasing")
 
     @property
     def has_force(self) -> bool:
@@ -88,9 +78,9 @@ SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
 
 
 @names_its_file
-def load_scan(source) -> ForceCurve:
+def load_scan(path) -> ForceCurve:
     """Parse the scan CSV dialect (see save_scan for the writer)."""
-    table = _read_csv(source, 2, SCAN_HEADERS)
+    table = _read_csv(path, 2, MIN_SAMPLES, SCAN_HEADERS)
     for key in ("scan_id", "applied_voltage_v"):
         if key not in table.meta:
             raise ParseError(f"missing metadata key '{key}'")
@@ -99,11 +89,8 @@ def load_scan(source) -> ForceCurve:
               if "spring_constant_n_per_m" in table.meta else None)
     piezo, obs = table.columns
     table.reject(np.diff(piezo, prepend=-np.inf) <= 0, "non-monotone piezo")
-    try:
-        return ForceCurve(table.meta["scan_id"], voltage, piezo,
-                          **{table.header[1]: obs}, spring_constant=spring)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return ForceCurve(table.meta["scan_id"], voltage, piezo,
+                      **{table.header[1]: obs}, spring_constant=spring)
 
 
 @names_its_file
@@ -238,19 +225,16 @@ class _Csv:
 
 
 @names_its_file
-def _read_csv(source, ncols: int, headers=None) -> _Csv:
-    """Read the package's CSV dialect from a path or a text file object.
+def _read_csv(path, ncols: int, min_rows: int, headers=None) -> _Csv:
+    """Read the package's CSV dialect from the file at a path.
 
     With ``headers`` (a tuple of accepted column-name tuples) the first line
     that is neither blank nor a comment must be one of them. Every other line
-    is a row of ``ncols`` finite floats. Errors tied to a line carry its number.
+    is a row of ``ncols`` finite floats, and a file of fewer than ``min_rows``
+    rows is refused. Errors tied to a line carry its number.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    lines = text.splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     table = _Csv(headers)
     start = table.head(lines)
     if headers is not None and table.header is None:
@@ -261,6 +245,8 @@ def _read_csv(source, ncols: int, headers=None) -> _Csv:
         columns, line = _read_body_by_line(lines, start, ncols, table)
     table.columns, table.line = columns, line
     table.reject(~np.isfinite(table.columns).all(axis=0), "non-finite value")
+    if len(line) < min_rows:
+        raise ParseError(f"need at least {min_rows} rows, got {len(line)}")
     return table
 
 

@@ -74,7 +74,7 @@ def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
     scan is the same in every share that holds it. A scan is drawn only when
     it is asked for, so a caller that drops each one holds one scan at a time.
     """
-    z = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)
+    z = _axis(cfg)
     models = {}
     for scan_id, voltage, stream, drift in _plan(cfg)[share]:
         # one noiseless model per (voltage, drift): all grounded scans share one
@@ -103,6 +103,11 @@ def _normal(seed: int, stream: int, n: int):
     return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n]
 
 
+def _axis(cfg: RunConfig) -> np.ndarray:
+    """The piezo axis in nm that every scan of the campaign of cfg is drawn on."""
+    return np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)
+
+
 def _plan(cfg: RunConfig):
     """(scan id, applied voltage, noise stream, drift) of each scan, in write order."""
     plan = [(f"scan_{i:03d}", 0.0, i, cfg.c_true_pn_per_nm) for i in range(cfg.n_scans)]
@@ -114,8 +119,7 @@ def campaign_span_nm(cfg: RunConfig):
     """``analyze``'s span on the campaign of cfg: ``theory_span_nm`` on its grid.
     It holds the draws at z0_true_nm, which the range table keeps inside
     ``analysis.Z0_BRACKET_NM``."""
-    return theory_span_nm([np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)],
-                          cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm),
+    return theory_span_nm([_axis(cfg)], cfg.cap_offset_nm, (cfg.window_lo_nm, cfg.window_hi_nm),
                           first_name="grid_lo_nm")
 
 
@@ -227,8 +231,8 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     (``load_campaign`` would read it with these) are refused before anything is
     written; this campaign's own files are written over.
     """
-    axis = np.linspace(cfg.grid_lo_nm, cfg.grid_hi_nm, cfg.grid_points)  # as generate_scans
-    written = _row_template(axis.tobytes(), 2).replace(",%.9g", "").split()  # save_scan's memo
+    # the axis text of save_scan's memo
+    written = _row_template(_axis(cfg).tobytes(), 2).replace(",%.9g", "").split()
     if not np.all(np.diff(np.array(written, dtype=float)) > 0):
         raise DataError(f"grid_lo_nm = {cfg.grid_lo_nm!r}, grid_hi_nm = {cfg.grid_hi_nm!r}, "
                         f"grid_points = {cfg.grid_points}: piezo axis not increasing in 9 digits")

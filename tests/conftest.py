@@ -46,6 +46,13 @@ def analyze_scans(voltage_scans, grounded, model, cfg):
                             assemble.calibration_params(cfg))
 
 
+def read_text(reader, directory, text):
+    """``reader`` on a file in ``directory`` that holds ``text``."""
+    path = directory / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    return reader(path)
+
+
 def traced_peak_above_inputs(fn):
     """Peak traced memory, in bytes, that ``fn()`` allocates above what exists."""
     tracemalloc.start()

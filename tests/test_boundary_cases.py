@@ -256,7 +256,7 @@ CASES = [
          "{tmp}/bad.csv: unrecognized header 'not,a,scan', expected piezo_nm,signal or "
          "piezo_nm,force_pn at line 1", inputs=(text_file("bad.csv", "not,a,scan\n"),)),
     Case("scan-9-rows", "fit-z0 --scan {tmp}/short.csv", 2,
-         "{tmp}/short.csv: need at least 10 samples, got 9",
+         "{tmp}/short.csv: need at least 10 rows, got 9",
          inputs=(scan_file("short", 0.5, range(30, 39), -1),)),
     Case("scan-non-monotone", "fit-z0 --scan {tmp}/unsorted.csv", 2,
          "{tmp}/unsorted.csv: non-monotone piezo at line 5",
@@ -275,7 +275,7 @@ CASES = [
           ("energy-order", "0.04,1.0\n0.02,2.0\n",
            "{tmp}/table.csv: non-increasing energy at line 3"),
           ("negative-eps2", "0.04,1.0\n0.05,-2.0\n", "{tmp}/table.csv: negative eps2 at line 3"),
-          ("one-row", "0.04,1.0\n", "{tmp}/table.csv: optical table needs at least 2 data rows"),
+          ("one-row", "0.04,1.0\n", "{tmp}/table.csv: need at least 2 rows, got 1"),
           *((f"overflow-{n}", rows, "the optical table overflows its dispersion integral in "
              f"float64: energies up to {top}") for n, rows, top in (
                 ("eps2", "0.04,1e308\n1.0,2.0\n", "1 eV, eps2 up to 1e+308"),

@@ -104,7 +104,7 @@ def test_epsilon_drude_takes_an_xi_below_the_tables_range(runner, tmp_path):
     out = tmp_path / "eps.csv"
     result = runner.invoke(main, ["epsilon", "--xi-ev", "1e-20:1e-16:3", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert np.isfinite(_read_csv(out, 2, (("xi_ev", "eps"),)).columns).all()
+    assert np.isfinite(_read_csv(out, 2, 1, (("xi_ev", "eps"),)).columns).all()
 
 
 @pytest.mark.parametrize("command,option,spec,header", [
@@ -120,7 +120,7 @@ def test_a_tiny_drude_gamma_gives_the_table_model_without_a_warning(runner, tmp_
     result = runner.invoke(main, [command, "--material", TABLE, option, spec,
                                   "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert np.isfinite(_read_csv(out, 2, (header,)).columns).all()
+    assert np.isfinite(_read_csv(out, 2, 1, (header,)).columns).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -141,7 +141,7 @@ def test_electro_over_the_sphere_radius_ends_in_a_documented_exit(radius_um):
         if result.exit_code:
             assert result.output.startswith("error: ") and not out.exists()
         else:
-            assert np.isfinite(_read_csv(out, 3, (
+            assert np.isfinite(_read_csv(out, 3, 1, (
                 ("separation_nm", "force_exact_pn", "force_pfa_pn"),)).columns).all()
 
 
@@ -153,7 +153,7 @@ def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     result = runner.invoke(main, ["theory", "--material", TABLE, "--z", "100:500:5",
                                   "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    forces = _read_csv(out, 2, (("separation_nm", "force_pn"),)).columns[1]
+    forces = _read_csv(out, 2, 1, (("separation_nm", "force_pn"),)).columns[1]
     assert forces.size == 5 and np.all(forces < 0)
 
 
@@ -480,7 +480,7 @@ def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, anal
     scans, _, forces = load_campaign(campaign_dir)
     assert [c.applied_voltage == 0.0 for c in scans] == [False] * 6
     assert len(list(forces)) == 2
-    table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+    table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
     assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
 
 
@@ -502,7 +502,7 @@ def test_a_grid_read_beyond_45_to_1250_nm_runs_the_loop(runner, tmp_path, line):
     for path, header in ((tmp_path / "analysis" / "mean_curve.csv", MEAN_CURVE_COLUMNS),
                          (out.with_suffix(".curve.csv"),
                           ("separation_nm", "force_exp_pn", "force_theory_pn"))):
-        assert np.isfinite(_read_csv(path, 3, (header,)).columns).all()
+        assert np.isfinite(_read_csv(path, 3, 1, (header,)).columns).all()
 
 
 def test_synth_and_analyze_build_the_same_cache(runner, tmp_path, monkeypatch):
@@ -723,7 +723,7 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
             return
         results = json.loads((tmp / "analysis" / "results.json").read_text())
         assert all(math.isfinite(v) for v in results.values() if isinstance(v, float))
-        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
         assert np.isfinite(curve.columns).all()
 
 
@@ -816,7 +816,7 @@ def test_synth_analyze_compare_around_the_defaults_ends_in_finite_results(values
             assert "RuntimeWarning" not in result.output
         for doc in ("analysis/results.json", "compare.json"):
             assert finite_floats(json.loads((tmp / doc).read_text())), doc
-        assert np.isfinite(_read_csv(curve, 3, (MEAN_CURVE_COLUMNS,)).columns).all()
+        assert np.isfinite(_read_csv(curve, 3, 1, (MEAN_CURVE_COLUMNS,)).columns).all()
 
 
 @st.composite
@@ -868,5 +868,5 @@ def test_synth_analyze_over_the_wide_keys_runs_to_finite_results(values):
             assert result.exit_code == 0, (args[0], result.output)
             assert "Warning" not in result.output, (args[0], result.output)
         assert finite_floats(json.loads((tmp / "analysis" / "results.json").read_text()))
-        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, (MEAN_CURVE_COLUMNS,))
+        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
         assert np.isfinite(curve.columns).all()

@@ -1,5 +1,4 @@
 import importlib.resources
-import io
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,7 +13,7 @@ from casimirlab.dielectric import (DrudeParams, OpticalTable, TabulatedModel,
                                    _drude_segment_integral, _powerlaw_tail_integral,
                                    load_optical_table)
 from casimirlab.errors import ParseError
-from conftest import traced_peak_above_inputs
+from conftest import read_text, traced_peak_above_inputs
 from oracles import ConstantModel
 
 TABLE_PATH = str(importlib.resources.files("casimirlab") / "data" / "al_eps2_drude.csv")
@@ -113,9 +112,9 @@ def test_constant_model_validation():
         DRUDE.eps(0.0)
 
 
-def test_load_optical_table_dialect():
+def test_load_optical_table_dialect(tmp_path):
     text = "# comment\n# material=Al\n0.04,100.0\n1.0,2.5\n"
-    table = load_optical_table(io.StringIO(text))
+    table = read_text(load_optical_table, tmp_path, text)
     assert table.energies_ev.tolist() == [0.04, 1.0]
 
 
@@ -126,7 +125,8 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @given(energies=st.lists(POSITIVE, min_size=2, max_size=30, unique=True).map(sorted),
        data=st.data(),
        label=st.text("Al-gold_2 (ref)", max_size=12).map(str.strip))
-def test_load_optical_table_round_trips_written_values(energies, data, label):
+def test_load_optical_table_round_trips_written_values(tmp_path_factory, energies, data,
+                                                       label):
     # any positive, strictly increasing grid with eps2 >= 0, written in the
     # dialect with repr (shortest exact digits) after a metadata line of any
     # label, loads back to the same floats
@@ -134,7 +134,7 @@ def test_load_optical_table_round_trips_written_values(energies, data, label):
                               min_size=len(energies), max_size=len(energies)))
     text = (f"# optical table\n# material={label}\n\n"
             + "".join(f"{e!r},{s!r}\n" for e, s in zip(energies, eps2)))
-    table = load_optical_table(io.StringIO(text))
+    table = read_text(load_optical_table, tmp_path_factory.mktemp("table"), text)
     assert table.energies_ev.tolist() == energies
     assert table.eps2.tolist() == eps2
 
@@ -158,9 +158,9 @@ def test_load_optical_table_round_trips_written_values(energies, data, label):
     (" 0.04,1.0 \n\t1.0,-2.0\n", "negative eps2 at line 2"),
     ("0.04,1.0\n1.0,2.0x\n", "malformed number in '1.0,2.0x' at line 2"),
 ])
-def test_load_optical_table_errors(text, fragment):
+def test_load_optical_table_errors(tmp_path, text, fragment):
     with pytest.raises(ParseError, match=fragment):
-        load_optical_table(io.StringIO(text))
+        read_text(load_optical_table, tmp_path, text)
 
 
 @pytest.mark.parametrize("text", [
@@ -169,8 +169,8 @@ def test_load_optical_table_errors(text, fragment):
     "0.04,1.0\n\n \t\n1.0,2.0\n\n",
     " 0.04 ,\t1.0\t\n\t1.0 , 2.0 \n",
 ])
-def test_load_optical_table_accepts_the_dialect_among_the_rows(text):
-    table = load_optical_table(io.StringIO(text))
+def test_load_optical_table_accepts_the_dialect_among_the_rows(tmp_path, text):
+    table = read_text(load_optical_table, tmp_path, text)
     assert table.energies_ev.tolist() == [0.04, 1.0]
     assert table.eps2.tolist() == [1.0, 2.0]
 

@@ -10,6 +10,7 @@ from casimirlab.dielectric import load_optical_table
 from casimirlab.errors import ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
                                    load_scan, save_scan, scan_is_grounded, signal_to_force)
+from conftest import read_text
 
 
 def make_curve(n=20, observable="force_pn", voltage=0.31):
@@ -18,21 +19,13 @@ def make_curve(n=20, observable="force_pn", voltage=0.31):
     return ForceCurve("t", voltage, piezo, **{observable: values})
 
 
-def test_curve_validation():
-    piezo = np.linspace(0, 10, 12)
-    with pytest.raises(ValueError, match="at least"):
-        ForceCurve("t", 0.0, piezo[:5], force_pn=piezo[:5])
-    with pytest.raises(ValueError, match="increasing"):
-        ForceCurve("t", 0.0, piezo[::-1], force_pn=piezo)
-
-
-def test_save_load_round_trip():
+def test_save_load_round_trip(tmp_path):
     curve = ForceCurve("rt", 0.31, np.linspace(5.0, 400.0, 40),
                        force_pn=np.sin(np.arange(40)) * 100.0,
                        spring_constant=0.0169)
     buf = io.StringIO()
     save_scan(curve, buf)
-    back = load_scan(io.StringIO(buf.getvalue()))
+    back = read_text(load_scan, tmp_path, buf.getvalue())
     assert back.scan_id == "rt"
     assert back.applied_voltage == pytest.approx(0.31, rel=1e-9)
     assert back.spring_constant == pytest.approx(0.0169, rel=1e-9)
@@ -41,6 +34,9 @@ def test_save_load_round_trip():
 
 
 SCAN_HEAD = "# scan_id=a\n# applied_voltage_v=0\npiezo_nm,force_pn\n"
+# rows after every row of a case: the reader refuses fewer than MIN_SAMPLES
+# rows before load_scan reads the metadata and the order of the rows
+MORE_ROWS = "".join(f"{z},1\n" for z in range(100, 110))
 
 
 def written(x):
@@ -56,13 +52,14 @@ FINITE = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
                       unique_by=written).map(sorted),
        obs=st.data(), voltage=FINITE, spring=st.none() | st.floats(1e-4, 1.0),
        observable=st.sampled_from(["force_pn", "signal"]))
-def test_save_load_round_trips_written_values(piezo, obs, voltage, spring, observable):
+def test_save_load_round_trips_written_values(tmp_path_factory, piezo, obs, voltage, spring,
+                                              observable):
     values = obs.draw(st.lists(FINITE, min_size=len(piezo), max_size=len(piezo)))
     curve = ForceCurve("scan_07", voltage, piezo, **{observable: values},
                        spring_constant=spring)
     buf = io.StringIO()
     save_scan(curve, buf)
-    back = load_scan(io.StringIO(buf.getvalue()))
+    back = read_text(load_scan, tmp_path_factory.mktemp("scan"), buf.getvalue())
     assert back.scan_id == "scan_07"
     assert back.applied_voltage == written(voltage)
     assert back.spring_constant == (None if spring is None else written(spring))
@@ -102,35 +99,35 @@ def test_csv_rows_follows_a_changing_axis():
 
 
 @pytest.mark.parametrize("text,fragment", [
-    ("piezo_nm,force_pn\n1,2\n", "missing metadata"),
+    ("piezo_nm,force_pn\n1,2\n" + MORE_ROWS, "missing metadata"),
     ("# scan_id=a\n# applied_voltage_v=0\n1,2\n", "unrecognized header"),
     ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,signal,force_pn\n",
      "unrecognized header .* at line 3"),
     ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,signal\n1,x\n",
      "line 4"),
-    ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,signal\n2,1\n1,1\n",
+    ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,signal\n2,1\n1,1\n" + MORE_ROWS,
      "non-monotone"),
-    ("# scan_id=a\n# applied_voltage_v=zz\npiezo_nm,signal\n1,1\n",
+    ("# scan_id=a\n# applied_voltage_v=zz\npiezo_nm,signal\n1,1\n" + MORE_ROWS,
      "applied_voltage_v"),
     ("# scan_id=a\n# applied_voltage_v=0\n", "missing column header"),
     ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,force_pn\n1,2\n2,nan\n",
      "non-finite value at line 5"),
     ("# scan_id=a\n# applied_voltage_v=0\npiezo_nm,force_pn\n1,2,3\n",
      "expected 2 columns.* at line 4"),
-    ("# scan_id=a\n# applied_voltage_v=inf\npiezo_nm,signal\n1,1\n",
+    ("# scan_id=a\n# applied_voltage_v=inf\npiezo_nm,signal\n1,1\n" + MORE_ROWS,
      "non-finite applied_voltage_v at line 2"),
     ("# scan_id=a\n# applied_voltage_v=0\n# spring_constant_n_per_m=nan\n"
-     "piezo_nm,signal\n1,1\n", "non-finite spring_constant_n_per_m at line 3"),
+     "piezo_nm,signal\n1,1\n" + MORE_ROWS, "non-finite spring_constant_n_per_m at line 3"),
     # comment, metadata, blank and whitespace lines among the rows
     (SCAN_HEAD + "1,2\n# note\n2,x\n", "malformed number in '2,x' at line 6"),
-    (SCAN_HEAD + "1,2\n# spring_constant_n_per_m=nan\n2,3\n",
+    (SCAN_HEAD + "1,2\n# spring_constant_n_per_m=nan\n2,3\n" + MORE_ROWS,
      "non-finite spring_constant_n_per_m at line 5"),
-    ("# scan_id=a\npiezo_nm,force_pn\n1,2\n# applied_voltage_v=zz\n",
+    ("# scan_id=a\npiezo_nm,force_pn\n1,2\n# applied_voltage_v=zz\n" + MORE_ROWS,
      "malformed applied_voltage_v at line 4"),
     (SCAN_HEAD + "1,2\n\n2,x\n", "malformed number in '2,x' at line 6"),
     (SCAN_HEAD + "1,2\n   \t\n3,4,5\n", "expected 2 columns, got '3,4,5' at line 6"),
     (SCAN_HEAD + "1,2\n\n3,nan\n", "non-finite value at line 6"),
-    (SCAN_HEAD + "2,1\n# note\n1,1\n", "non-monotone piezo at line 6"),
+    (SCAN_HEAD + "2,1\n# note\n1,1\n" + MORE_ROWS, "non-monotone piezo at line 6"),
     # leading and trailing spaces or tabs, bad numbers and column counts
     (SCAN_HEAD + " 1 ,\t2\t\n\t2,nan \n", "non-finite value at line 5"),
     (SCAN_HEAD + "1,2\n1e,3\n", "malformed number in '1e,3' at line 5"),
@@ -138,9 +135,9 @@ def test_csv_rows_follows_a_changing_axis():
     (SCAN_HEAD + "1,2\n3,4,\n", "expected 2 columns, got '3,4,' at line 5"),
     (SCAN_HEAD + "nan,2\n3,4\n", "non-finite value at line 4"),
 ])
-def test_load_scan_errors(text, fragment):
+def test_load_scan_errors(tmp_path, text, fragment):
     with pytest.raises(ParseError, match=fragment):
-        load_scan(io.StringIO(text))
+        read_text(load_scan, tmp_path, text)
 
 
 CLEAN_ROWS = [f"{z:g},{-z / 10:g}" for z in range(1, 13)]
@@ -162,8 +159,9 @@ def test_scan_is_grounded_is_the_grounded_of_load_scan(tmp_path, head, tail, gro
 
 
 @pytest.mark.parametrize("text,message", [
-    ("# scan_id=a\npiezo_nm,force_pn\n1,2\n", "missing metadata key 'applied_voltage_v'"),
-    ("# scan_id=a\n# applied_voltage_v=zz\npiezo_nm,force_pn\n1,2\n",
+    ("# scan_id=a\npiezo_nm,force_pn\n1,2\n" + MORE_ROWS,
+     "missing metadata key 'applied_voltage_v'"),
+    ("# scan_id=a\n# applied_voltage_v=zz\npiezo_nm,force_pn\n1,2\n" + MORE_ROWS,
      "malformed applied_voltage_v at line 2"),
     # a form feed splits a line for both readers, so both name line 4
     ("# scan_id=a\n\x0c# applied_voltage_v=0\npiezo_nm,force\n1,2\n",
@@ -206,6 +204,20 @@ def test_every_reader_refuses_a_key_set_twice(tmp_path, read, text, key, lines):
         lines[1])
 
 
+@pytest.mark.parametrize("read,head,row,minimum", [
+    (load_scan, SCAN_HEAD, "{},-1\n", 10),
+    (_load_mean_curve, "separation_nm,force_pn,std_pn\n", "{},-1,0.5\n", 10),
+    (load_optical_table, "# material=Al\n", "{},1.0\n", 2),
+])
+def test_every_reader_states_its_row_minimum(tmp_path, read, head, row, minimum):
+    rows = [row.format(z) for z in range(1, minimum + 1)]
+    read_text(read, tmp_path, head + "".join(rows))
+    with pytest.raises(ParseError) as error:
+        read_text(read, tmp_path, head + "".join(rows[1:]))
+    assert str(error.value) == (f"{tmp_path / 'input.csv'}: need at least {minimum} rows, "
+                                f"got {minimum - 1}")
+
+
 def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_text("# scan_id=a\n# applied_voltage_v=0\n")
@@ -221,9 +233,9 @@ def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):
     "\n".join(CLEAN_ROWS[:4] + [" \t "] + CLEAN_ROWS[4:]),
     "\n".join(" " + row.replace(",", " ,\t") + "\t" for row in CLEAN_ROWS),
 ])
-def test_load_scan_accepts_the_dialect_among_the_rows(body):
-    clean = load_scan(io.StringIO(SCAN_HEAD + "\n".join(CLEAN_ROWS) + "\n"))
-    curve = load_scan(io.StringIO(SCAN_HEAD + body + "\n"))
+def test_load_scan_accepts_the_dialect_among_the_rows(tmp_path, body):
+    clean = read_text(load_scan, tmp_path, SCAN_HEAD + "\n".join(CLEAN_ROWS) + "\n")
+    curve = read_text(load_scan, tmp_path, SCAN_HEAD + body + "\n")
     assert curve.piezo_nm.tolist() == clean.piezo_nm.tolist()
     assert curve.force_pn.tolist() == clean.force_pn.tolist()
     assert curve.spring_constant == (0.02 if "spring" in body else None)

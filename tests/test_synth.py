@@ -198,9 +198,9 @@ def test_analyze_builds_one_curve_per_file_it_reads(tmp_path, forward_model, e_c
     campaign = tmp_path / "campaign"
     write_with_extra_scans(campaign, t, forward_model, e_cfg)
     built = []
-    check = ForceCurve.__post_init__
-    monkeypatch.setattr(ForceCurve, "__post_init__",
-                        lambda curve: built.append(curve.scan_id) or check(curve))
+    init = ForceCurve.__init__
+    monkeypatch.setattr(ForceCurve, "__init__", lambda curve, scan_id, *args, **kwargs:
+                        built.append(scan_id) or init(curve, scan_id, *args, **kwargs))
     analyze_bytes(campaign, t, tmp_path / "analysis")
     assert len(list(campaign.glob("*.csv"))) == 11 and len(built) == 11, built
 
