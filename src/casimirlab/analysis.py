@@ -124,7 +124,7 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     """Least-squares spring constant from large-separation electrostatic scans.
 
     Curves must carry raw signal with the piezo axis holding absolute
-    separations > 2 um. Returns (k, k_sigma) in N/m.
+    separations > 2 um. Returns (k, k_sigma) in N/m; FitError unless k > 0.
     """
     signals, forces = [], []
     for curve in curves:
@@ -152,6 +152,10 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
         raise DataError(f"the deflection is zero at every usable point ({usable}): "
                         f"no spring constant to fit")
     k = float(fdz / dz2)
+    if not k > 0:
+        cause = ("there is no force, with V1 = V2 at every scan" if not f.any() else
+                 "the deflection does not follow the attractive electrostatic force")
+        raise FitError(f"spring constant {k:.6g} N/m from the usable points ({usable}): {cause}")
     resid = f - k * dz
     k_sigma = float(np.sqrt(np.dot(resid, resid) / ((dz.size - 1) * dz2)))
     return k, k_sigma

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .analysis import ForwardModel
 from .config import RunConfig
+from .constants import energy_ev_to_angular_frequency
 from .corrections import (RoughnessSpec, TemperatureParams, TheoryCurve,
                           TheoryParams)
 from .dielectric import (DielectricModel, DrudeModel, DrudeParams,
@@ -19,7 +20,8 @@ from .lifshitz import QuadratureParams, SphereGeometry
 
 def dielectric_model(cfg: RunConfig, force_drude: bool = False,
                      material_csv: str | None = None) -> DielectricModel:
-    drude = DrudeParams.from_ev(cfg.drude_wp_ev, cfg.drude_gamma_ev)
+    drude = DrudeParams(energy_ev_to_angular_frequency(cfg.drude_wp_ev),
+                        energy_ev_to_angular_frequency(cfg.drude_gamma_ev))
     path = material_csv if material_csv else cfg.material_csv
     if force_drude or not path:
         return DrudeModel(drude)

@@ -28,7 +28,7 @@ from .analysis import (analyze_campaign, calibrate_spring_constant,
                        compare_to_theory, fit_contact_separation, theory_span_nm)
 from .config import RunConfig, load_config
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
-from .errors import ConvergenceError, DataError, FitError, ParseError, names_its_file
+from .errors import ConvergenceError, DataError, FitError, ParseError
 from .forcecurve import (MIN_SAMPLES, _csv_rows, _read_csv, atomic_write, load_scan,
                          signal_to_force)
 from .synth import campaign_span_nm, load_campaign, write_campaign
@@ -104,7 +104,24 @@ def _finite(ctx, param, value: float) -> float:
 
 def _config(ctx, param, path) -> RunConfig:
     """Click callback: the checked RunConfig of --config, the defaults without one."""
+    ctx.meta["--config"] = path   # for _refuse_overwrite
     return load_config(path) if path else RunConfig()
+
+
+def _refuse_overwrite(out, inputs=(), emit_curve=False) -> None:
+    """Refuse (exit 2), before a command reads its data or writes, ``out`` and
+    with ``emit_curve`` its ``.curve.csv`` where one resolves to the --config
+    path or to that of an (option, path) of ``inputs``: it would destroy it."""
+    outputs = [("--out", out)]
+    if emit_curve:
+        outputs.append(("--emit-curve", Path(out).with_suffix(".curve.csv")))
+    inputs = [*inputs, ("--config", click.get_current_context().meta["--config"])]
+    for out_option, target in outputs:
+        for in_option, path in inputs:
+            if path is not None and Path(target).resolve() == Path(path).resolve():
+                kind = "directory" if Path(path).is_dir() else "file"
+                raise DataError(f"{out_option} {target} is the {in_option} {kind} {path}: "
+                                f"write the results into another {kind}")
 
 
 config_option = click.option("--config", "cfg", type=click.Path(exists=True), default=None,
@@ -144,6 +161,7 @@ def epsilon(xi_spec, material, cfg, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
     from .constants import energy_ev_to_angular_frequency
 
+    _refuse_overwrite(out, [("--material", material)])
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
@@ -161,6 +179,7 @@ def epsilon(xi_spec, material, cfg, out):
 @out_option
 def theory(z_spec, material, cfg, out):
     """Tabulate the corrected theory force versus separation."""
+    _refuse_overwrite(out, [("--material", material)])
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(z_spec)
     curve = assemble.theory_curve(
@@ -178,6 +197,7 @@ def theory(z_spec, material, cfg, out):
 @out_option
 def electro(z_spec, voltage, cfg, out):
     """Tabulate the exact and proximity electrostatic forces."""
+    _refuse_overwrite(out)
     e_cfg = assemble.electrostatic_config(cfg)
     grid = parse_grid(z_spec)
     # the proximity form's z/R guard first: at a radius too small for the grid
@@ -195,6 +215,7 @@ def electro(z_spec, voltage, cfg, out):
 @out_option
 def calibrate_k(scans_dir, cfg, out):
     """Fit the cantilever spring constant from large-separation scans."""
+    _refuse_overwrite(out, [("--scans", scans_dir)])
     curves = [load_scan(p) for p in sorted(Path(scans_dir).glob("*.csv"))]
     curves = [c for c in curves if not c.has_force]
     if not curves:
@@ -217,6 +238,7 @@ def calibrate_k(scans_dir, cfg, out):
 @out_option
 def fit_z0(scan_path, emit_curve, cfg, out):
     """Fit the separation on contact from one applied-voltage scan."""
+    _refuse_overwrite(out, [("--scan", scan_path)], emit_curve)
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
@@ -239,6 +261,7 @@ def fit_z0(scan_path, emit_curve, cfg, out):
 @config_option
 def synth(seed, out_dir, cfg):
     """Generate a deterministic synthetic campaign directory."""
+    _refuse_overwrite(out_dir)
     run = cfg if seed is None else replace(cfg, seed=seed)
     write_campaign(out_dir, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
@@ -251,10 +274,7 @@ def synth(seed, out_dir, cfg):
 @config_option
 def analyze(scans_dir, out_dir, cfg):
     """Run the full pipeline on a campaign directory."""
-    if Path(out_dir).resolve() == Path(scans_dir).resolve():
-        # its outputs would sit among the scans and break every later read of them
-        raise DataError(f"--out {out_dir} is the --scans directory {scans_dir}: "
-                        "write the results into another directory")
+    _refuse_overwrite(out_dir, [("--scans", scans_dir)])
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 
     def model_for(axes):
@@ -268,7 +288,6 @@ def analyze(scans_dir, out_dir, cfg):
     atomic_write(out_dir / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))
 
 
-@names_its_file
 def _load_mean_curve(path):
     """(separation_nm, force_pn, std_pn) columns of a mean-curve CSV."""
     table = _read_csv(path, 3, MIN_SAMPLES, (MEAN_CURVE_COLUMNS,))
@@ -289,6 +308,7 @@ def _load_mean_curve(path):
 @out_option
 def compare(curve_path, n_scans, emit_curve, cfg, out):
     """Compare an extracted mean force curve against the theory."""
+    _refuse_overwrite(out, [("--curve", curve_path)], emit_curve)
     axis, force, std = _load_mean_curve(curve_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
     th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window,

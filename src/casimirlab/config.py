@@ -20,7 +20,7 @@ except ImportError:
     from _sha256 import sha256  # CPython 3.10-3.11
 
 from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
-from .errors import ParseError, names_its_file
+from .errors import ParseError
 
 
 @dataclass
@@ -173,7 +173,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-@names_its_file
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except ParseError as exc:  # parse_config reads text: name its file
+        raise ParseError(exc.reason, exc.line, path) from exc

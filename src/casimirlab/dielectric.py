@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import energy_ev_to_angular_frequency
-from .errors import names_its_file
 from .forcecurve import _read_csv
 
 # elements per block of the tabulated dispersion integral: at most 2**14
@@ -49,13 +48,6 @@ class DrudeParams:
     omega_p: float
     gamma: float
 
-    @staticmethod
-    def from_ev(omega_p_ev: float, gamma_ev: float) -> "DrudeParams":
-        return DrudeParams(
-            energy_ev_to_angular_frequency(omega_p_ev),
-            energy_ev_to_angular_frequency(gamma_ev),
-        )
-
 
 @dataclass(frozen=True)
 class OpticalTable:
@@ -65,7 +57,6 @@ class OpticalTable:
     eps2: np.ndarray
 
 
-@names_its_file
 def load_optical_table(path) -> OpticalTable:
     """Parse the optical-table CSV dialect from the file at a path.
 

@@ -1,6 +1,4 @@
-"""Exception types shared across the package."""
-
-import functools
+"""The package's four exception classes; the code raising a ParseError sets its file."""
 
 
 class ParseError(ValueError):
@@ -16,22 +14,6 @@ class ParseError(ValueError):
 
     def __reduce__(self):  # pickled with its line and file, not the joined message
         return type(self), (self.reason, self.line, self.path)
-
-
-def names_its_file(read):
-    """Decorate a reader whose first argument is a path: a ParseError raised
-    while it reads names that file."""
-
-    @functools.wraps(read)
-    def wrapper(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except ParseError as exc:
-            if exc.path is not None:
-                raise
-            raise ParseError(exc.reason, exc.line, path) from exc
-
-    return wrapper
 
 
 class ConvergenceError(RuntimeError):

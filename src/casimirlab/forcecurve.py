@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, names_its_file
+from .errors import ParseError
 
 MIN_SAMPLES = 10
 
@@ -77,13 +77,12 @@ class CalibrationParams:
 SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
 
 
-@names_its_file
 def load_scan(path) -> ForceCurve:
     """Parse the scan CSV dialect (see save_scan for the writer)."""
     table = _read_csv(path, 2, MIN_SAMPLES, SCAN_HEADERS)
     for key in ("scan_id", "applied_voltage_v"):
         if key not in table.meta:
-            raise ParseError(f"missing metadata key '{key}'")
+            raise table.error(f"missing metadata key '{key}'")
     voltage = table.meta_float("applied_voltage_v")
     spring = (table.meta_float("spring_constant_n_per_m")
               if "spring_constant_n_per_m" in table.meta else None)
@@ -93,12 +92,11 @@ def load_scan(path) -> ForceCurve:
                       **{table.header[1]: obs}, spring_constant=spring)
 
 
-@names_its_file
 def scan_is_grounded(path) -> bool:
     """``load_scan(path).grounded``, from the lines before the first row when
     they hold a well-formed voltage, else from ``load_scan`` itself. A key is
     set once, so a voltage stated there is the scan's."""
-    table = _Csv(SCAN_HEADERS)
+    table = _Csv(path, SCAN_HEADERS)
     with open(path, "r", encoding="utf-8") as fh:  # lines split as _read_csv splits them
         table.head(s for raw in fh for s in raw.splitlines())
     try:
@@ -161,11 +159,12 @@ def _row_template(axis: bytes, width: int) -> str:
 
 
 class _Csv:
-    """One parse of the dialect: the metadata and header of the lines read so
-    far, then the columns and the source line of every data row."""
+    """One parse of the dialect from the file at ``path``: the metadata and
+    header of the lines read so far, then the columns and the source line of
+    every data row. ``error`` builds every ParseError of the parse."""
 
-    def __init__(self, headers):
-        self.headers, self.header = headers, None
+    def __init__(self, path, headers):
+        self.path, self.headers, self.header = path, headers, None
         self.meta, self.meta_line = {}, {}   # '# key=value' lines, and the line of each
         self.columns = None                  # (columns, rows) float, each column contiguous
         self.line = ()                       # line number of each data row
@@ -185,8 +184,8 @@ class _Csv:
             if eq:
                 key = key.strip()
                 if key in self.meta:
-                    raise ParseError(f"metadata key '{key}' set at line "
-                                     f"{self.meta_line[key]} and again", line=lineno)
+                    raise self.error(f"metadata key '{key}' set at line "
+                                     f"{self.meta_line[key]} and again", lineno)
                 self.meta[key] = value.strip()
                 self.meta_line[key] = lineno
             return None
@@ -194,8 +193,8 @@ class _Csv:
             header = tuple(c.strip() for c in stripped.split(","))
             if header not in self.headers:
                 expected = " or ".join(",".join(h) for h in self.headers)
-                raise ParseError(f"unrecognized header {stripped!r}, expected {expected}",
-                                 line=lineno)
+                raise self.error(f"unrecognized header {stripped!r}, expected {expected}",
+                                 lineno)
             self.header = header
             return None
         return stripped
@@ -208,37 +207,40 @@ class _Csv:
                 return index
         return index + 1
 
+    def error(self, message: str, line: int | None = None) -> ParseError:
+        """A ParseError of this file, at ``line`` when given."""
+        return ParseError(message, line, self.path)
+
     def reject(self, bad: np.ndarray, message: str) -> None:
         """Raise ParseError at the first data row where ``bad`` holds."""
         if bad.any():
-            raise ParseError(message, line=self.line[int(np.argmax(bad))])
+            raise self.error(message, self.line[int(np.argmax(bad))])
 
     def meta_float(self, key: str) -> float:
         """A metadata value that must be a finite number."""
         try:
             value = float(self.meta[key])
         except ValueError:
-            raise ParseError(f"malformed {key}", line=self.meta_line[key]) from None
+            raise self.error(f"malformed {key}", self.meta_line[key]) from None
         if not math.isfinite(value):
-            raise ParseError(f"non-finite {key}", line=self.meta_line[key])
+            raise self.error(f"non-finite {key}", self.meta_line[key])
         return value
 
 
-@names_its_file
 def _read_csv(path, ncols: int, min_rows: int, headers=None) -> _Csv:
     """Read the package's CSV dialect from the file at a path.
 
     With ``headers`` (a tuple of accepted column-name tuples) the first line
     that is neither blank nor a comment must be one of them. Every other line
     is a row of ``ncols`` finite floats, and a file of fewer than ``min_rows``
-    rows is refused. Errors tied to a line carry its number.
+    rows is refused. Every error names the file, and one tied to a line its number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    table = _Csv(headers)
+    table = _Csv(path, headers)
     start = table.head(lines)
     if headers is not None and table.header is None:
-        raise ParseError("missing column header")
+        raise table.error("missing column header")
     # one row per remaining line parses in one call; else classify each line
     columns, line = _bulk_columns(lines[start:], ncols), range(start + 1, len(lines) + 1)
     if columns is None:
@@ -246,7 +248,7 @@ def _read_csv(path, ncols: int, min_rows: int, headers=None) -> _Csv:
     table.columns, table.line = columns, line
     table.reject(~np.isfinite(table.columns).all(axis=0), "non-finite value")
     if len(line) < min_rows:
-        raise ParseError(f"need at least {min_rows} rows, got {len(line)}")
+        raise table.error(f"need at least {min_rows} rows, got {len(line)}")
     return table
 
 
@@ -267,12 +269,12 @@ def _read_body_by_line(lines, start: int, ncols: int, table: _Csv):
         return columns, line
     for row, lineno in zip(rows, line):
         if row.count(",") != ncols - 1:
-            raise ParseError(f"expected {ncols} columns, got {row!r}", line=lineno)
+            raise table.error(f"expected {ncols} columns, got {row!r}", lineno)
         try:
             np.loadtxt([row], delimiter=",", comments=None)
         except ValueError:
-            raise ParseError(f"malformed number in {row!r}", line=lineno) from None
-    raise ParseError("malformed rows")  # not reached: some row fails above
+            raise table.error(f"malformed number in {row!r}", lineno) from None
+    raise table.error("malformed rows")  # not reached: some row fails above
 
 
 def _bulk_columns(rows, ncols: int) -> np.ndarray | None:

@@ -35,7 +35,6 @@ import os
 import pickle
 import random
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -137,17 +136,17 @@ def _in_shares(work, n: int, processes: int):
     ``work(share, processes)`` yields the results of its share's items in
     order. Share 0 runs in this process and every other share in a forked
     worker, which sends each result back pickled over its pipe as soon as it
-    has it; the pipe's capacity (``PIPE_BYTES``) bounds how far it runs
-    ahead. A share that raises sends the exception in place of its next
-    result, and it is raised when that item's turn comes, so the error raised
-    is the one a serial loop over the items raises first. The workers are
-    forked at the first result asked for, so they start from this process's
-    state then (the model, the first scan) at no import cost; the commands
-    run one thread (``cli`` sets one BLAS thread), so forking them is safe. A
-    worker leaves only through ``os._exit``. When the stream ends, fails or
-    is closed, the pipes are closed, so a worker still running stops at its
-    next result, and every worker is reaped. The objects that exist at the
-    fork are frozen out of the garbage collector until then: a collection
+    has it; the pipe's capacity (``PIPE_BYTES``) bounds how far it runs ahead.
+    A share that raises sends the exception itself in place of its next result
+    (``_reported``), and it is raised when that item's turn comes, so the
+    error raised is the one a serial loop over the items raises first. The
+    workers are forked at the first result asked for, so they start from this
+    process's state then (the model, the first scan) at no import cost; the
+    commands run one thread (``cli`` sets one BLAS thread), so forking them is
+    safe. A worker leaves only through ``os._exit``. When the stream ends,
+    fails or is closed, the pipes are closed, so a worker still running stops
+    at its next result, and every worker is reaped. The objects that exist at
+    the fork are frozen out of the garbage collector until then: a collection
     would write to every one of them, copying the pages the processes share.
     """
     if processes == 1:
@@ -181,8 +180,8 @@ def _in_shares(work, n: int, processes: int):
         shares = [_reported(work(0, processes)), *(_unpickled(*w) for w in workers)]
         for i in range(n):
             result = next(shares[i % processes])
-            if isinstance(result, _Failure):
-                raise result.exc
+            if isinstance(result, Exception):
+                raise result
             yield result
     finally:
         for pid, fh in workers:
@@ -191,17 +190,14 @@ def _in_shares(work, n: int, processes: int):
         gc.unfreeze()
 
 
-class _Failure(NamedTuple):
-    """The exception a share raised, sent in place of its next result."""
-    exc: Exception
-
-
 def _reported(results):
-    """``results``, with the exception it raises, if any, as a last ``_Failure``."""
+    """``results``, then the exception it raises, if any, in place of its next
+    result; no result is an exception (a write share yields None, a read share
+    float arrays), so ``_in_shares`` raises any result that is."""
     try:
         yield from results
     except Exception as exc:
-        yield _Failure(exc)
+        yield exc
 
 
 def _unpickled(pid: int, fh):

@@ -28,8 +28,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @dataclass(frozen=True)
 class Case:
-    """One refused input. ``argv`` is split on spaces; ``{tmp}`` in it and in
-    ``message`` is the row's directory, where ``--out {tmp}/out`` goes."""
+    """One refused input. ``argv`` is split on spaces; ``{tmp}`` in it, in
+    ``out`` and in ``message`` is the row's directory."""
     id: str
     argv: str
     exit: int
@@ -40,6 +40,7 @@ class Case:
     patch: tuple = ()          # (target, value) set for the run
     split: bool = False        # also run with every campaign shared between processes
     empty_out: bool = False    # the command leaves --out as an empty directory
+    out: str = "{tmp}/out"     # passed as --out
 
 
 # -- input builders ----------------------------------------------------------
@@ -57,8 +58,8 @@ def scan_file(scan_id, voltage, axis, force):
     return text_file(f"{scan_id}.csv", head + "".join(f"{z!r},{force}\n" for z in axis))
 
 
-def mean_curve(axis, force=1.0, std=1.0, lines=()):
-    """{tmp}/mean_curve.csv as ``compare`` reads it, with (line number, text) ``lines``
+def mean_curve(axis, force=1.0, std=1.0, lines=(), name="mean_curve.csv"):
+    """{tmp}/<name> as ``compare`` reads it, with (line number, text) ``lines``
     put in place of those lines."""
     def build(tmp, fixture):
         columns = [np.broadcast_to(np.asarray(c, dtype=float), np.shape(axis))
@@ -66,7 +67,7 @@ def mean_curve(axis, force=1.0, std=1.0, lines=()):
         text = csv_text(RunConfig(), MEAN_CURVE_COLUMNS, columns).splitlines()
         for lineno, line in lines:
             text[lineno - 1] = line
-        (tmp / "mean_curve.csv").write_text("\n".join(text) + "\n")
+        (tmp / name).write_text("\n".join(text) + "\n")
     return build
 
 
@@ -75,14 +76,14 @@ def optical_table(rows):
     return text_file("table.csv", "# material=x\n" + rows)
 
 
-def stiffness_scans(signal, voltages=(0.31, 0.5), span_nm=(2050.0, 3000.0)):
-    """{tmp}/stiff: raw-signal scans, one at each of ``voltages``, of ``signal``
+def stiffness_scans(signal, voltages=(0.31, 0.5), span_nm=(2050.0, 3000.0), into="stiff"):
+    """{tmp}/<into>: raw-signal scans, one at each of ``voltages``, of ``signal``
     at 40 points over ``span_nm``."""
     def build(tmp, fixture):
-        (tmp / "stiff").mkdir()
+        (tmp / into).mkdir(exist_ok=True)
         z = np.linspace(*span_nm, 40)
         for j, v in enumerate(voltages):
-            with open(tmp / "stiff" / f"stiff_{j:02d}.csv", "w") as fh:
+            with open(tmp / into / f"stiff_{j:02d}.csv", "w") as fh:
                 save_scan(ForceCurve(f"stiff_{j:02d}", v, z, signal=np.full_like(z, signal)), fh)
     return build
 
@@ -474,6 +475,39 @@ CASES = [
            f"largest |deflection| {largest} m): its least squares overflow",
            config=f"deflection_sensitivity_nm={sensitivity}\n", inputs=(stiffness_scans(signal),))
       for signal, sensitivity, largest in ((1e200, 1.0, "1e+191"), (1e10, 1e300, "inf"))),
+    # a spring constant that is not positive: no force at V1 = V2 (7.9 mV),
+    # or a deflection of the sign of a repulsion
+    Case("calibrate-k-voltage-at-v2", "calibrate-k --scans {tmp}/stiff", 4,
+         "spring constant 0 N/m from the usable points (80 points beyond 2000 nm): there is "
+         "no force, with V1 = V2 at every scan", inputs=(stiffness_scans(1.0, (0.0079, 0.0079)),)),
+    *(Case(f"{command}-{row}", f"{command} --scans {{tmp}}/{into}", 4,
+           "spring constant -319.166 N/m from the usable points (80 points beyond 2000 nm): "
+           "the deflection does not follow the attractive electrostatic force",
+           config=FAST_CONFIG, inputs=(*setup, stiffness_scans(1e-3, (0.5, 0.6), into=into)))
+      for command, row, into, setup in (
+          ("calibrate-k", "repulsive-deflection", "stiff", ()),
+          ("analyze", "stiffness-repulsive", "campaign", (campaign_copy(),)))),
+    # an output path that is an input: written over, the input would be lost
+    Case("compare-out-is-curve", "compare --curve {tmp}/m.csv", 2, "--out {tmp}/m.csv is the "
+         "--curve file {tmp}/m.csv: write the results into another file", config=FAST_CONFIG,
+         inputs=(mean_curve(np.linspace(95.0, 505.0, 300), name="m.csv"),), out="{tmp}/m.csv"),
+    Case("compare-emit-curve-is-curve", "compare --curve {tmp}/x.curve.csv --emit-curve", 2,
+         "--emit-curve {tmp}/x.curve.csv is the --curve file {tmp}/x.curve.csv: write the "
+         "results into another file", config=FAST_CONFIG, out="{tmp}/x.json",
+         inputs=(mean_curve(np.linspace(95.0, 505.0, 300), name="x.curve.csv"),)),
+    Case("fit-z0-out-is-scan", "fit-z0 --scan {tmp}/s.csv", 2, "--out {tmp}/s.csv is the "
+         "--scan file {tmp}/s.csv: write the results into another file", config=FAST_CONFIG,
+         inputs=(scan_file("s", 0.5, np.linspace(30.0, 920.0, 60).tolist(), -1),),
+         out="{tmp}/s.csv"),
+    Case("theory-out-is-material", "theory --material {tmp}/table.csv", 2, "--out "
+         "{tmp}/table.csv is the --material file {tmp}/table.csv: write the results into "
+         "another file", inputs=(optical_table("0.04,1.0\n1.0,2.0\n"),), out="{tmp}/table.csv"),
+    Case("epsilon-out-is-config", "epsilon", 2, "--out {tmp}/run.cfg is the --config file "
+         "{tmp}/run.cfg: write the results into another file", config="seed=1\n",
+         out="{tmp}/run.cfg"),
+    Case("analyze-out-is-scans", "analyze --scans {tmp}/campaign", 2, "--out {tmp}/campaign "
+         "is the --scans directory {tmp}/campaign: write the results into another directory",
+         config=FAST_CONFIG, inputs=(campaign_copy(),), out="{tmp}/campaign"),
 ]
 IDS = [case.id for case in CASES]
 
@@ -500,7 +534,8 @@ def test_a_refused_input_exits_with_its_code_and_message_and_writes_nothing(
     argv = [word.replace("{tmp}", str(tmp_path)) for word in case.argv.split()]
     if case.config is not None:
         argv += ["--config", str(tmp_path / "run.cfg")]
-    result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path / "out")])
+    out = case.out.replace("{tmp}", str(tmp_path))
+    result = CliRunner().invoke(main, [*argv, "--out", out])
     assert result.exit_code == case.exit, result.output
     message = case.message.replace("{tmp}", str(tmp_path))
     if case.exact:

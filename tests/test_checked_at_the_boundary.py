@@ -11,7 +11,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casimirlab"
 # class -> the only places that may build it: a module (any code in it) or a
 # module.function / module.Class.method
 BUILT_ONLY_IN = {
-    "DrudeParams": {"assemble", "dielectric.DrudeParams.from_ev"},
+    "DrudeParams": {"assemble"},
     "RoughnessSpec": {"assemble"},
     "TemperatureParams": {"assemble"},
     "QuadratureParams": {"assemble"},

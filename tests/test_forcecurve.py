@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimirlab.cli import _load_mean_curve
+from casimirlab.config import load_config
 from casimirlab.dielectric import load_optical_table
 from casimirlab.errors import ParseError
 from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
@@ -216,6 +218,25 @@ def test_every_reader_states_its_row_minimum(tmp_path, read, head, row, minimum)
         read_text(read, tmp_path, head + "".join(rows[1:]))
     assert str(error.value) == (f"{tmp_path / 'input.csv'}: need at least {minimum} rows, "
                                 f"got {minimum - 1}")
+
+
+@pytest.mark.parametrize("read,text", [
+    # an error load_scan itself raises, past _read_csv
+    pytest.param(load_scan, "# scan_id=a\npiezo_nm,force_pn\n" + MORE_ROWS, id="scan"),
+    pytest.param(load_optical_table, "# material=Al\n0.04,1.0\n0.05,-2.0\n", id="table"),
+    pytest.param(_load_mean_curve, "separation_nm,force_pn,std_pn\n" + MEAN_CURVE_ROWS
+                 + "1,2\n", id="mean-curve"),
+    # parse_config reads text: load_config names its file
+    pytest.param(load_config, "seed=abc\n", id="config"),
+])
+@pytest.mark.parametrize("as_given", [str, Path])
+def test_every_reader_names_the_path_it_was_passed(tmp_path, read, text, as_given):
+    path = as_given(tmp_path / "input")
+    (tmp_path / "input").write_text(text)
+    with pytest.raises(ParseError) as error:
+        read(path)
+    assert error.value.path == path
+    assert str(error.value).startswith(f"{path}: ")
 
 
 def test_scan_is_grounded_leaves_a_missing_header_to_load_scan(tmp_path):
