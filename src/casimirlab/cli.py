@@ -3,8 +3,9 @@
 One subcommand per pipeline stage: epsilon, theory, electro, calibrate-k,
 fit-z0, analyze, synth, compare. All outputs are written atomically and
 carry a metadata header (version, config hash, seed) so identical inputs
-reproduce identical bytes. The command group maps errors onto the exit
-codes: 2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
+reproduce identical bytes. Each command's ``_Command`` loads its config,
+refuses an output over an input, and maps errors onto the exit codes:
+2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -102,42 +103,42 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
-def _config(ctx, param, path) -> RunConfig:
-    """Click callback: the checked RunConfig of --config, the defaults without one."""
-    ctx.meta["--config"] = path   # for _refuse_overwrite
-    return load_config(path) if path else RunConfig()
-
-
-def _refuse_overwrite(out, inputs=(), emit_curve=False) -> None:
-    """Refuse (exit 2), before a command reads its data or writes, ``out`` and
-    with ``emit_curve`` its ``.curve.csv`` where one resolves to the --config
-    path or to that of an (option, path) of ``inputs``: it would destroy it."""
-    outputs = [("--out", out)]
-    if emit_curve:
-        outputs.append(("--emit-curve", Path(out).with_suffix(".curve.csv")))
-    inputs = [*inputs, ("--config", click.get_current_context().meta["--config"])]
-    for out_option, target in outputs:
-        for in_option, path in inputs:
-            if path is not None and Path(target).resolve() == Path(path).resolve():
-                kind = "directory" if Path(path).is_dir() else "file"
-                raise DataError(f"{out_option} {target} is the {in_option} {kind} {path}: "
-                                f"write the results into another {kind}")
+def _curve_path(out) -> Path:
+    """The ``--emit-curve`` file written next to ``out``."""
+    return Path(out).with_suffix(".curve.csv")
 
 
 config_option = click.option("--config", "cfg", type=click.Path(exists=True), default=None,
-                             callback=_config, help="key=value run configuration file")
+                             help="key=value run configuration file")
 material_option = click.option("--material", "material", type=click.Path(exists=True),
                                default=None, help="optical table CSV")
 out_option = click.option("--out", "out", required=True, type=click.Path(),
                           help="output path")
 
 
-class _ExitCodes(click.Group):
-    """Map package exceptions, raised while a command's options are read (a bad
-    --config) or while it runs, onto the documented exit codes."""
+class _Command(click.Command):
+    """A command whose ``invoke`` holds its boundary: (1) its inputs are its
+    ``click.Path(exists=True)`` options; (2) ``cfg`` becomes the RunConfig of
+    --config or the defaults, its ``material_csv``, if set, an input; (3) an
+    output (--out, the --emit-curve file) that resolves to an input exits 2;
+    (4) an error of any step or of the command exits with its code."""
 
     def invoke(self, ctx):
+        params = ctx.params
         try:
+            inputs = [(p.opts[0], params[p.name]) for p in self.params
+                      if isinstance(p.type, click.Path) and p.type.exists]
+            cfg = params["cfg"] = load_config(params["cfg"]) if params["cfg"] else RunConfig()
+            inputs.append(("material_csv", cfg.material_csv))
+            outputs = [("--out", params["out"])]
+            if params.get("emit_curve"):
+                outputs.append(("--emit-curve", _curve_path(params["out"])))
+            for out_option, target in outputs:
+                for in_option, source in inputs:
+                    if source and Path(target).resolve() == Path(source).resolve():
+                        kind = "directory" if Path(source).is_dir() else "file"
+                        raise DataError(f"{out_option} {target} is the {in_option} {kind} "
+                                        f"{source}: write the results into another {kind}")
             return super().invoke(ctx)
         except (ConvergenceError, FitError, ValueError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -145,10 +146,13 @@ class _ExitCodes(click.Group):
                      else EXIT_FIT if isinstance(exc, FitError) else EXIT_INPUT)
 
 
-@click.group(cls=_ExitCodes)
+@click.group()
 @click.version_option(__version__)
 def main():
     """Casimir-force theory engine and AFM force-curve analysis pipeline."""
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -161,7 +165,6 @@ def epsilon(xi_spec, material, cfg, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
     from .constants import energy_ev_to_angular_frequency
 
-    _refuse_overwrite(out, [("--material", material)])
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
@@ -179,7 +182,6 @@ def epsilon(xi_spec, material, cfg, out):
 @out_option
 def theory(z_spec, material, cfg, out):
     """Tabulate the corrected theory force versus separation."""
-    _refuse_overwrite(out, [("--material", material)])
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(z_spec)
     curve = assemble.theory_curve(
@@ -197,7 +199,6 @@ def theory(z_spec, material, cfg, out):
 @out_option
 def electro(z_spec, voltage, cfg, out):
     """Tabulate the exact and proximity electrostatic forces."""
-    _refuse_overwrite(out)
     e_cfg = assemble.electrostatic_config(cfg)
     grid = parse_grid(z_spec)
     # the proximity form's z/R guard first: at a radius too small for the grid
@@ -215,7 +216,6 @@ def electro(z_spec, voltage, cfg, out):
 @out_option
 def calibrate_k(scans_dir, cfg, out):
     """Fit the cantilever spring constant from large-separation scans."""
-    _refuse_overwrite(out, [("--scans", scans_dir)])
     curves = [load_scan(p) for p in sorted(Path(scans_dir).glob("*.csv"))]
     curves = [c for c in curves if not c.has_force]
     if not curves:
@@ -238,7 +238,6 @@ def calibrate_k(scans_dir, cfg, out):
 @out_option
 def fit_z0(scan_path, emit_curve, cfg, out):
     """Fit the separation on contact from one applied-voltage scan."""
-    _refuse_overwrite(out, [("--scan", scan_path)], emit_curve)
     curve = load_scan(scan_path)
     if not curve.has_force:
         curve = signal_to_force(curve, assemble.calibration_params(cfg))
@@ -251,30 +250,28 @@ def fit_z0(scan_path, emit_curve, cfg, out):
     if emit_curve:
         model_pn = model.force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage)
         columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
-        atomic_write(Path(out).with_suffix(".curve.csv"),
+        atomic_write(_curve_path(out),
                      csv_text(cfg, ["separation_nm", "force_pn", "model_pn"], columns))
 
 
 @main.command()
 @click.option("--seed", type=int, default=None, help="override the config seed")
-@click.option("--out", "out_dir", required=True, type=click.Path())
 @config_option
-def synth(seed, out_dir, cfg):
+@out_option
+def synth(seed, cfg, out):
     """Generate a deterministic synthetic campaign directory."""
-    _refuse_overwrite(out_dir)
     run = cfg if seed is None else replace(cfg, seed=seed)
-    write_campaign(out_dir, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
+    write_campaign(out, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
-    atomic_write(Path(out_dir) / "manifest.txt", meta_header(cfg, seed=run.seed))
+    atomic_write(Path(out) / "manifest.txt", meta_header(cfg, seed=run.seed))
 
 
 @main.command()
 @click.option("--scans", "scans_dir", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", required=True, type=click.Path())
 @config_option
-def analyze(scans_dir, out_dir, cfg):
+@out_option
+def analyze(scans_dir, cfg, out):
     """Run the full pipeline on a campaign directory."""
-    _refuse_overwrite(out_dir, [("--scans", scans_dir)])
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 
     def model_for(axes):
@@ -283,9 +280,8 @@ def analyze(scans_dir, out_dir, cfg):
     results, mean_curve = analyze_campaign(
         *load_campaign(scans_dir), model_for, window, cfg.window_points,
         assemble.calibration_params(cfg))
-    out_dir = Path(out_dir)
-    atomic_write(out_dir / "results.json", json_text(cfg, results))
-    atomic_write(out_dir / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))
+    atomic_write(Path(out) / "results.json", json_text(cfg, results))
+    atomic_write(Path(out) / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))
 
 
 def _load_mean_curve(path):
@@ -308,7 +304,6 @@ def _load_mean_curve(path):
 @out_option
 def compare(curve_path, n_scans, emit_curve, cfg, out):
     """Compare an extracted mean force curve against the theory."""
-    _refuse_overwrite(out, [("--curve", curve_path)], emit_curve)
     axis, force, std = _load_mean_curve(curve_path)
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
     th = assemble.theory_curve(cfg, theory_span_nm([axis], cfg.cap_offset_nm, window,
@@ -318,7 +313,7 @@ def compare(curve_path, n_scans, emit_curve, cfg, out):
                               window, cfg.window_points, cfg.cap_offset_nm)
     atomic_write(out, json_text(cfg, stats))
     if emit_curve:
-        atomic_write(Path(out).with_suffix(".curve.csv"),
+        atomic_write(_curve_path(out),
                      csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],
                               (axis, force, th(axis * 1e-9) * 1e12)))
 

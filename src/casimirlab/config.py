@@ -21,6 +21,7 @@ except ImportError:
 
 from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
 from .errors import ParseError
+from .forcecurve import MIN_SAMPLES
 
 
 @dataclass
@@ -90,7 +91,7 @@ _RANGES = (
       for key, kind in _TYPES.items() if kind is float),
     (("noise_pn",), ">= 0", lambda c: c.noise_pn >= 0),
     (("n_scans",), ">= 1", lambda c: c.n_scans >= 1),
-    (("grid_points",), ">= 10", lambda c: c.grid_points >= 10),
+    (("grid_points",), f">= {MIN_SAMPLES}", lambda c: c.grid_points >= MIN_SAMPLES),
     (("grid_hi_nm", "grid_lo_nm"), "> grid_lo_nm",
      lambda c: c.grid_hi_nm > c.grid_lo_nm),
     (("grid_lo_nm", "z0_true_nm"), "> -z0_true_nm (above contact)",

@@ -123,8 +123,12 @@ def atomic_write(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:   # a failed write or rename leaves no .tmp behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_rows(what: str, *columns) -> str:

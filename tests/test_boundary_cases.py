@@ -14,11 +14,12 @@ import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main
+from casimirlab.cli import MEAN_CURVE_COLUMNS, _Command, csv_text, main
 from casimirlab.config import RunConfig
 from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
 from conftest import FAST_CONFIG, TABLE
@@ -74,6 +75,20 @@ def mean_curve(axis, force=1.0, std=1.0, lines=(), name="mean_curve.csv"):
 def optical_table(rows):
     """{tmp}/table.csv: an optical table of (energy eV, eps'') ``rows``."""
     return text_file("table.csv", "# material=x\n" + rows)
+
+
+def material_config(config=""):
+    """{tmp}/m.cfg: ``config`` and a ``material_csv`` that names {tmp}/table.csv."""
+    def build(tmp, fixture):
+        (tmp / "m.cfg").write_text(f"{config}material_csv={tmp / 'table.csv'}\n")
+    return build
+
+
+def directory(name):
+    """{tmp}/<name>, an empty directory."""
+    def build(tmp, fixture):
+        (tmp / name).mkdir()
+    return build
 
 
 def stiffness_scans(signal, voltages=(0.31, 0.5), span_nm=(2050.0, 3000.0), into="stiff"):
@@ -508,6 +523,20 @@ CASES = [
     Case("analyze-out-is-scans", "analyze --scans {tmp}/campaign", 2, "--out {tmp}/campaign "
          "is the --scans directory {tmp}/campaign: write the results into another directory",
          config=FAST_CONFIG, inputs=(campaign_copy(),), out="{tmp}/campaign"),
+    # the config's optical table is an input too, though no option names it
+    *(Case(f"{command}-out-is-material_csv", f"{command} {args} --config {{tmp}}/m.cfg", 2,
+           "--out {tmp}/table.csv is the material_csv file {tmp}/table.csv: write the results "
+           "into another file", inputs=(optical_table("0.04,1.0\n1.0,2.0\n"),
+                                        material_config(FAST_CONFIG), *setup),
+           out="{tmp}/table.csv")
+      for command, args, setup in (
+          ("theory", "--z 100:500:5", ()),
+          ("compare", "--curve {tmp}/mean_curve.csv",
+           (mean_curve(np.linspace(95.0, 505.0, 300)),)))),
+    # an --out that is a directory: the rename fails, and its .tmp file goes
+    Case("electro-out-is-directory", "electro", 2,
+         "[Errno 21] Is a directory: '{tmp}/odir.tmp' -> '{tmp}/odir'",
+         inputs=(directory("odir"),), out="{tmp}/odir"),
 ]
 IDS = [case.id for case in CASES]
 
@@ -546,6 +575,54 @@ def test_a_refused_input_exits_with_its_code_and_message_and_writes_nothing(
     if case.empty_out:
         assert after.pop(tmp_path / "out") is None
     assert after == before
+
+
+# -- no output over an input, for every input of every command ----------------
+
+def path_inputs(command):
+    """The options of ``command`` that name an existing path."""
+    return [p.opts[0] for p in command.params
+            if isinstance(p.type, click.Path) and p.type.exists]
+
+
+def test_every_command_holds_the_boundary():
+    assert all(isinstance(command, _Command) for command in main.commands.values())
+    assert {o for c in main.commands.values() for o in path_inputs(c)} == {
+        "--config", "--material", "--scans", "--scan", "--curve"}
+
+
+@pytest.mark.parametrize("name,source,via", [
+    pytest.param(name, source, via, id=f"{name}-{via.strip('-')}-is-{source.strip('-')}")
+    for name, command in main.commands.items()
+    for source in [*path_inputs(command), "material_csv"]
+    for via in ("--out", "--emit-curve")[:1 + any(p.name == "emit_curve" for p in command.params)]])
+def test_an_output_over_any_input_of_a_command_is_refused(name, source, via, tmp_path):
+    """--out, or the --emit-curve file, over any input the command names exits 2
+    before anything is read or written. Every input is at
+    {tmp}/<option>.curve.csv (a directory for --scans), so that --out
+    {tmp}/<option>.json makes it the --emit-curve file."""
+    paths = {o: tmp_path / f"{o.strip('-')}.curve.csv"
+             for o in [*path_inputs(main.commands[name]), "material_csv"]}
+    argv = [name]
+    for option, path in paths.items():
+        if option == "--scans":
+            path.mkdir()
+        else:
+            path.write_text("# not read\n")
+        if option != "material_csv":
+            argv += [option, str(path)]
+    paths["--config"].write_text(f"material_csv={paths['material_csv']}\n")
+    if via == "--emit-curve":
+        argv += [via, "--out", str(paths[source].with_name(f"{source.strip('-')}.json"))]
+    else:
+        argv += ["--out", str(paths[source])]
+    before = tree(tmp_path)
+    result = CliRunner().invoke(main, argv)
+    kind = "directory" if source == "--scans" else "file"
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: {via} {paths[source]} is the {source} {kind} "
+                             f"{paths[source]}: write the results into another {kind}\n")
+    assert tree(tmp_path) == before
 
 
 def test_the_readme_names_only_rows():
