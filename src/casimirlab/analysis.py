@@ -14,13 +14,10 @@ All fits run in nm / pN, physics calls in SI.
 the theory, the electrostatics, the cap offset, the units and the drift:
 the synthetic generator draws its scans from it, the z0 and drift fits fit
 it and extraction subtracts its electrostatic term, so the loop closes on
-the same expression. The z0 fit needs no optimisation library: a coarse
-chi2 scan of about 1 nm steps on the scan's joint grid brackets the minimum
-and ``gauss_newton``, the one Gauss-Newton loop, refines it on the model's
-closed-form dF/dz0. Without drift the model depends on z + z0 alone, so on
-a uniform axis the coarse scan evaluates it once, on a grid that holds
-every z + z0 it needs, and reads each z0's row as a strided window of that
-one array.
+the same expression. The z0 fit needs no optimisation library: a
+least-squares line through the scan's proximity electrostatic force gives
+its start in closed form, and ``gauss_newton``, the one Gauss-Newton loop,
+refines it on the model's closed-form dF/dz0.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corrections import TheoryCurve
 from .electrostatics import (ElectrostaticConfig, sphere_plane_force_exact,
@@ -42,16 +38,13 @@ MIN_CALIBRATION_POINTS = 20
 MIN_WINDOW_POINTS = 10
 CALIBRATION_MIN_SEPARATION_NM = 2000.0
 Z0_VOLTAGE_RANGE = (0.3, 0.8)
-# a z0 fit's bracket, in nm: the coarse scan's first z0, and the bound that
-# its last z0 lies below by up to one coarse step (4/3 nm at most)
+# a z0 fit's bracket, in nm: the box its start is clamped into and its
+# Gauss-Newton steps stay in
 Z0_BRACKET_NM = (1.0, 200.0)
-# z0_true_nm's margin inside the bracket, in nm: a truth 2/3 nm above 1 or 2 nm below
-# 200 keeps the chi2 minimum off the coarse scan's ends; the margin is about 90 stated
-# sigmas at the default grid and noise (0.0286 nm at 0.31 V), fewer at 120 points and 2-4x noise
+# z0_true_nm's margin inside the bracket, in nm: it keeps a truth's chi2 minimum inside
+# the box within the noise; the margin is about 90 stated sigmas at the default grid
+# and noise (0.0286 nm at 0.31 V), fewer at 120 points and 2-4x noise
 Z0_BRACKET_MARGIN_NM = 2.5
-# model values per block of the coarse z0 scan: at most 2**14 float64
-# (128 KiB) per temporary array, small enough to stay in cache
-COARSE_BLOCK_ELEMENTS = 2**14
 GAUSS_NEWTON_MAX_STEPS = 20
 
 
@@ -161,60 +154,16 @@ def calibrate_spring_constant(curves, cfg: ElectrostaticConfig,
     return k, k_sigma
 
 
-def _coarse_chi2(z, f, voltage, model: ForwardModel):
-    """Coarse z0 values about 1 nm apart, and the no-drift chi2 at each, at
-    unit weight.
-
-    With h the axis step, the joint step g = h / ceil(h) divides h, and the
-    coarse step m * g is the multiple of g nearest 1 nm, so every separation
-    z_i + z0_k lies on one joint grid z[0] + j g. On a uniform axis the model
-    is evaluated once on that grid and row k is a strided window of it; any
-    other axis, or a joint grid longer than the rows it replaces, evaluates a
-    block of z0 rows per call. An axis is uniform when it lies within
-    1e-8 max|z| of z[0] + i h, as a uniform axis read back from the 9
-    significant digits of the CSV dialect does.
-    Each row's chi2 is one dot product.
-    """
-    n = z.size
-    # finite for any finite axis, where z[-1] - z[0] can overflow
-    h = z[-1] / (n - 1) - z[0] / (n - 1)
-    q = max(1, math.ceil(h))
-    g = h / q
-    m = max(1, round(1 / g))
-    lo, hi = Z0_BRACKET_NM
-    coarse = lo + m * g * np.arange(int((hi - lo) / (m * g)) + 1)
-    coarse = coarse[coarse <= hi]
-    width = (n - 1) * q + 1
-    joint_size = width + (coarse.size - 1) * m
-    uniform = np.abs(z - (z[0] + h * np.arange(n))).max() <= 1e-8 * np.abs(z).max()
-    if uniform and joint_size <= coarse.size * n:
-        joint = model.force_pn(z[0] + g * np.arange(joint_size), lo, voltage)
-        windows = sliding_window_view(joint, width)[::m, ::q]
-
-        def model_rows(block):
-            return windows[block]
-    else:
-        def model_rows(block):
-            return model.force_pn(z, coarse[block, None], voltage)
-    rows = max(1, COARSE_BLOCK_ELEMENTS // n)
-    values = np.empty(coarse.size)
-    for start in range(0, coarse.size, rows):
-        block = slice(start, start + rows)
-        r = f - model_rows(block)
-        values[block] = [float(np.dot(ri, ri)) for ri in r]
-    return coarse, values
-
-
 def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResult:
     """Least-squares fit of the separation on contact from one voltage scan.
 
     The model is ``model`` at the scan's voltage, without drift. The fit runs
-    at unit weight: with a constant noise neither the coarse argmin nor the
+    at unit weight: with a constant noise neither the start nor the
     Gauss-Newton steps depend on its value, so ``Z0FitResult.record`` scales
-    sigma and chi2 by the noise afterwards. A coarse scan of about 1 nm steps
-    on the scan's joint grid (``_coarse_chi2``) brackets the minimum, and
-    ``gauss_newton`` refines it on ``ForwardModel.force_and_dz0_pn``, in the
-    box of the coarse z0 on either side.
+    sigma and chi2 by the noise afterwards. At 0.3-0.8 V the force is mostly
+    the proximity electrostatic force, F (z + z0) ~ -A, so the least-squares
+    line F z = -z0 F - A gives the start, clamped into ``Z0_BRACKET_NM``;
+    ``gauss_newton`` refines it on ``ForwardModel.force_and_dz0_pn`` in that box.
     """
     v = curve.applied_voltage
     if not Z0_VOLTAGE_RANGE[0] <= v <= Z0_VOLTAGE_RANGE[1]:
@@ -222,25 +171,15 @@ def fit_contact_separation(curve: ForceCurve, model: ForwardModel) -> Z0FitResul
                         f"{Z0_VOLTAGE_RANGE}")
     z = curve.piezo_nm
     f = curve.force_pn
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        coarse, values = _coarse_chi2(z, f, v, model)
-    if not np.isfinite(values).all():
-        raise FitError(f"scan {curve.scan_id}: non-finite chi2 over the coarse scan "
-                       f"(largest |force| {np.abs(f).max():.3g} pN)")
-    imin = int(np.argmin(values))
-    if imin in (0, values.size - 1):
-        raise FitError(f"scan {curve.scan_id}: chi2 minimum at the bracket edge, the coarse "
-                       f"scan's {('first', 'last')[imin > 0]} z0 of {coarse[imin]:.5g} nm: the "
-                       "contact separation lies at or beyond it within the scan's noise")
-    interior = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
-    if int(interior.sum()) > 1:
-        raise FitError(f"scan {curve.scan_id}: non-unimodal chi2 over the coarse scan")
+    with np.errstate(all="ignore"):  # a non-finite start gives a non-finite first step
+        line = np.linalg.lstsq(np.column_stack([f, np.ones_like(f)]), f * z, rcond=None)[0]
+    start = np.clip(-line[0], *Z0_BRACKET_NM)
 
     def residual_jacobian(p):
         force, jac = model.force_and_dz0_pn(z, p[0], v)
         return f - force, jac[:, None]
-    box = ((coarse[imin - 1], coarse[imin + 1], "nm"),)
-    (z0,), r, jtj = gauss_newton(residual_jacobian, [coarse[imin]], box, f"scan {curve.scan_id}")
+    box = ((*Z0_BRACKET_NM, "nm"),)
+    (z0,), r, jtj = gauss_newton(residual_jacobian, [start], box, f"scan {curve.scan_id}")
     return Z0FitResult(float(z0), float(np.dot(r, r)), float(jtj[0, 0]), z.size, v)
 
 
@@ -266,7 +205,7 @@ def gauss_newton(residual_jacobian, p0, box, what):
             raise FitError(f"{what}: non-finite Gauss-Newton step (J^T J = {jtj.tolist()})")
         p += step
         if not all(lo <= x <= hi for x, (lo, hi, _) in zip(p, box)):
-            raise FitError(f"{what}: Gauss-Newton left the coarse bracket " + " x ".join(
+            raise FitError(f"{what}: Gauss-Newton left its box " + " x ".join(
                 f"[{lo:.6g}, {hi:.6g}] {unit}" for lo, hi, unit in box))
         if np.all(np.abs(step) < 1e-10):
             return p, r, jtj

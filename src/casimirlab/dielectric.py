@@ -35,7 +35,7 @@ from .constants import energy_ev_to_angular_frequency
 from .forcecurve import _read_csv
 
 # elements per block of the tabulated dispersion integral: at most 2**14
-# float64 (128 KiB) per temporary, the size of analysis.COARSE_BLOCK_ELEMENTS
+# float64 (128 KiB) per temporary, small enough to stay in cache
 EPS_BLOCK_ELEMENTS = 2**14
 # log-omega intervals per table interval in the trapezoid pass
 TABLE_REFINE = 4

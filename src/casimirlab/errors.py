@@ -22,7 +22,7 @@ class ConvergenceError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """A fit failed (bracket edge, non-unimodal objective, ...), or its inputs
+    """A fit failed (a step out of its box, no convergence, ...), or its inputs
     cannot be fitted, as a spring-constant calibration from a scan at zero
     applied voltage."""
 

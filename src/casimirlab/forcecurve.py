@@ -119,12 +119,16 @@ def save_scan(curve: ForceCurve, fh) -> None:
 
 def atomic_write(path, text: str) -> None:
     """Write ``text`` to ``path``, making its directory: into ``path.tmp``,
-    then renamed over ``path``, so the file is the old one or the whole new one."""
+    then renamed over ``path``, so the file is the old one or the whole new one.
+    ``path.tmp`` is created, never replaced: an existing one raises
+    FileExistsError naming it, and is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with fh:
+            fh.write(text)
         tmp.replace(path)
     except BaseException:   # a failed write or rename leaves no .tmp behind
         tmp.unlink(missing_ok=True)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimirlab import analysis, assemble
-from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
-                                 Z0_BRACKET_NM, ForwardModel, _coarse_chi2,
+from casimirlab.analysis import (DRIFT_REGION_MIN_NM, Z0_BRACKET_NM,
                                  average_scans, calibrate_spring_constant,
                                  compare_to_theory, extract_casimir,
                                  fit_contact_separation, fit_drift_coefficient,
@@ -17,7 +16,7 @@ from casimirlab.analysis import (COARSE_BLOCK_ELEMENTS, DRIFT_REGION_MIN_NM,
 from casimirlab.corrections import TheoryCurve
 from casimirlab.electrostatics import sphere_plane_force_pfa
 from casimirlab.errors import DataError, FitError
-from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
+from casimirlab.forcecurve import ForceCurve
 from conftest import analyze_scans, campaign_scans, traced_peak_above_inputs
 from oracles import generate_stiffness_scans
 
@@ -28,140 +27,60 @@ def noiseless_scans(default_cfg, forward_model):
     return quiet, campaign_scans(quiet, forward_model)
 
 
-def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
-    quiet, (_, voltage_scans) = noiseless_scans
-    scan = voltage_scans[0]
-
+def unit_chi2(scan, model):
+    """The no-drift unit-weight chi2 of ``scan`` under ``model`` as a function of z0."""
     def chi2(z0):
-        sep = scan.piezo_nm + z0
-        model = sphere_plane_force_pfa(sep * 1e-9, e_cfg, scan.applied_voltage) * 1e12 \
-            + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12
-        return float(np.sum((scan.force_pn - model) ** 2))
-
-    coarse = np.arange(1.0, 200.5, 1.0)
-    best = coarse[int(np.argmin([chi2(z) for z in coarse]))]
-    assert abs(best - quiet.z0_true_nm) <= 1.0
-
-
-def voltage_scan(default_cfg, forward_model, grid_points):
-    """The first applied-voltage scan of a one-scan campaign, and its config."""
-    cfg = replace(default_cfg, n_scans=1, grid_points=grid_points)
-    return campaign_scans(cfg, forward_model)[1][0], cfg
-
-
-def coarse_scan(scan, cfg, model):
-    """(coarse z0 values, unit-weight chi2 at each) of the scan's coarse z0 scan."""
-    return _coarse_chi2(scan.piezo_nm, scan.force_pn, scan.applied_voltage, model)
-
-
-def one_at_a_time_chi2(z, scan, cfg, model, z0_values):
-    """Unit-weight chi2 of the no-drift model on axis z, one model call per z0."""
-    def chi2(z0):
-        r = scan.force_pn - model.force_pn(z, z0, scan.applied_voltage)
+        r = scan.force_pn - model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
         return float(np.dot(r, r))
-    return np.array([chi2(z0) for z0 in z0_values])
+    return chi2
 
 
-def count_model_calls(monkeypatch):
-    calls = []
-    force_pn = ForwardModel.force_pn
+# the default draw, and truths at both ends of the z0 range at 1 and 10 times
+# the default noise
+@pytest.mark.parametrize("z0_true_nm, noise_pn, grid_points", [
+    (48.9, 7.0, 982),
+    *((z0, noise, n) for z0 in (3.5, 197.5) for noise in (7.0, 70.0) for n in (120, 982))])
+def test_fit_is_the_chi2_minimum_over_the_bracket(default_cfg, forward_model, z0_true_nm,
+                                                  noise_pn, grid_points):
+    # reference: the argmin of chi2 on a 0.1 nm grid over the bracket, refined
+    # by scipy's bounded Brent within a grid step of it, in the offset from the
+    # argmin, so that Brent's relative tolerance is well below 1e-6 nm; a
+    # minimum at the bracket's edge is one the fit must refuse
+    from scipy.optimize import minimize_scalar
 
-    def counted(self, *args, **kwargs):
-        calls.append(args[0].size)
-        return force_pn(self, *args, **kwargs)
-    monkeypatch.setattr(ForwardModel, "force_pn", counted)
-    return calls
-
-
-# 10 points: an axis step of 98.9 nm, split in 99 joint steps (q > 1);
-# 982 points: 0.907 nm, the coarse step (m = 1); 4910 points: 0.181 nm, six of
-# them per coarse step (m > 1)
-@pytest.mark.parametrize("grid_points, coarse_over_axis_step",
-                         [(10, 1 / 99), (120, 1 / 8), (982, 1), (4910, 6)])
-def test_joint_grid_coarse_chi2_is_the_one_at_a_time_chi2(
-        default_cfg, forward_model, grid_points, coarse_over_axis_step):
-    scan, cfg = voltage_scan(default_cfg, forward_model, grid_points)
-    z = scan.piezo_nm
-    coarse, values = coarse_scan(scan, cfg, forward_model)
-    axis_step = (z[-1] - z[0]) / (z.size - 1)
-    assert (coarse[1] - coarse[0]) / axis_step == pytest.approx(coarse_over_axis_step)
-    np.testing.assert_allclose(
-        values, one_at_a_time_chi2(z, scan, cfg, forward_model, coarse), rtol=1e-12)
-
-
-def test_joint_grid_coarse_chi2_on_an_axis_read_back_from_csv(
-        monkeypatch, tmp_path, default_cfg, forward_model):
-    scan, cfg = voltage_scan(default_cfg, forward_model, 982)
-    with open(tmp_path / "cal.csv", "w", encoding="utf-8") as fh:
-        save_scan(scan, fh)
-    back = load_scan(tmp_path / "cal.csv")
-    z = back.piezo_nm
-    assert 0 < np.abs(z - scan.piezo_nm).max() < 1e-6  # the 9 digits of the CSV
-    calls = count_model_calls(monkeypatch)
-    coarse, values = coarse_scan(back, cfg, forward_model)
-    assert len(calls) == 1  # the rounded axis counts as uniform
-    # the joint grid samples the uniform axis the CSV rounds ...
-    uniform = np.linspace(z[0], z[-1], z.size)
-    np.testing.assert_allclose(
-        values, one_at_a_time_chi2(uniform, back, cfg, forward_model, coarse),
-        rtol=1e-12)
-    # ... which moves chi2 by about 1e-8 relative from the chi2 on the rounded
-    # axis (the model's slope times <= 5e-7 nm), far below the steps between
-    # neighbouring coarse values
-    rounded = one_at_a_time_chi2(z, back, cfg, forward_model, coarse)
-    np.testing.assert_allclose(values, rounded, rtol=1e-6)
-    assert np.argmin(values) == np.argmin(rounded)
+    cfg = replace(default_cfg, n_scans=1, grid_points=grid_points, z0_true_nm=z0_true_nm,
+                  noise_pn=noise_pn)
+    lo, hi = Z0_BRACKET_NM
+    grid = np.linspace(lo, hi, 1991)
+    for scan in campaign_scans(cfg, forward_model)[1]:
+        rows = [scan.force_pn - forward_model.force_pn(scan.piezo_nm, block[:, None],
+                                                        scan.applied_voltage)
+                for block in np.array_split(grid, 20)]
+        best = grid[int(np.argmin(np.concatenate([np.einsum("ij,ij->i", r, r) for r in rows])))]
+        chi2 = unit_chi2(scan, forward_model)
+        ref = minimize_scalar(lambda t: chi2(best + t), method="bounded",
+                              bounds=(max(lo - best, -0.1), min(hi - best, 0.1)),
+                              options={"xatol": 1e-9})
+        z0 = best + ref.x
+        if min(z0 - lo, hi - z0) < 1e-6:
+            with pytest.raises(FitError, match=f"scan {scan.scan_id}: Gauss-Newton left its box"):
+                fit_contact_separation(scan, forward_model)
+            continue
+        fit = fit_contact_separation(scan, forward_model)
+        assert abs(fit.z0_nm - z0) <= 1e-6, scan.scan_id
+        assert fit.rss_pn2 == pytest.approx(ref.fun, rel=1e-10), scan.scan_id
 
 
-@pytest.mark.parametrize("grid_points", [982, 3000])
-def test_jittered_axis_coarse_chi2_is_bitwise_the_one_at_a_time_chi2(
-        monkeypatch, default_cfg, forward_model, grid_points):
-    scan, cfg = voltage_scan(default_cfg, forward_model, grid_points)
-    z = scan.piezo_nm.copy()
-    z[1:-1] += np.random.default_rng(1).uniform(-0.1, 0.1, z.size - 2) * (z[1] - z[0])
-    jittered = replace(scan, piezo_nm=z)
-    uniform_coarse, _ = coarse_scan(scan, cfg, forward_model)
-    calls = count_model_calls(monkeypatch)
-    coarse, values = coarse_scan(jittered, cfg, forward_model)
-    # the coarse values of the uniform axis, in blocks of several rows, the
-    # last one short, none filling COARSE_BLOCK_ELEMENTS
-    np.testing.assert_array_equal(coarse, uniform_coarse)
-    rows = COARSE_BLOCK_ELEMENTS // z.size
-    assert 1 < rows and coarse.size % rows and COARSE_BLOCK_ELEMENTS % z.size
-    assert calls == [z.size] * -(-coarse.size // rows)
-    one_at_a_time = one_at_a_time_chi2(z, jittered, cfg, forward_model, coarse)
-    assert values.tobytes() == one_at_a_time.tobytes()
-
-
-def test_coarse_scan_evaluates_the_model_once(monkeypatch, default_cfg, forward_model):
-    scan, cfg = voltage_scan(default_cfg, forward_model, 982)
-    calls = count_model_calls(monkeypatch)
-    coarse, _ = coarse_scan(scan, cfg, forward_model)
-    assert calls == [982 + coarse.size - 1]
-    # a 0.01 nm axis step would need a joint grid of 100 points per coarse
-    # step: one longer than the rows it replaces takes the blocked path
-    z = np.linspace(30.0, 30.09, 10)
-    fine = ForceCurve("fine", scan.applied_voltage, z, force_pn=np.zeros_like(z))
-    calls.clear()
-    coarse, _ = coarse_scan(fine, cfg, forward_model)
-    assert calls == [10] * -(-coarse.size // (COARSE_BLOCK_ELEMENTS // 10))
-
-
-# axis steps 98.9, 7.5, 1 (coarse values on whole nm), 0.907, 0.181 and 0.11 nm,
-# and 0.6666 nm, whose coarse step of two axis steps, 1.3332 nm, nears the
-# largest there is, 4/3 nm, which Z0_BRACKET_MARGIN_NM allows for
-@pytest.mark.parametrize("lo, hi, n", [(30.0, 920.0, 10), (30.0, 920.0, 120),
-                                       (30.0, 920.0, 891), (30.0, 920.0, 982),
-                                       (30.0, 920.0, 4910), (30.0, 31.0, 10),
-                                       (30.0, 35.9994, 10)])
-def test_coarse_values_stay_in_the_bracket(default_cfg, forward_model, lo, hi, n):
-    z = np.linspace(lo, hi, n)
-    scan = ForceCurve("axis", 0.5, z, force_pn=np.zeros_like(z))
-    coarse, _ = coarse_scan(scan, default_cfg, forward_model)
-    assert Z0_BRACKET_NM[0] == coarse[0] < coarse[-1] <= Z0_BRACKET_NM[1]
-    step = np.diff(coarse)
-    np.testing.assert_allclose(step, step[0], rtol=1e-12)
-    assert 0.5 <= step[0] <= 4 / 3 and coarse[-1] + step[0] > Z0_BRACKET_NM[1]
+def test_a_minimum_near_the_top_of_the_bracket_is_fitted(default_cfg, forward_model):
+    # a truth at the top of the z0 range, at 2 times the default noise, whose
+    # cal_00 has its chi2 minimum 1.2 nm below the bracket's top, at 198.78 nm
+    cfg = replace(default_cfg, n_scans=2, grid_points=120, window_lo_nm=250.0,
+                  z0_true_nm=197.5, noise_pn=14.0, seed=4)
+    scan = campaign_scans(cfg, forward_model)[1][0]
+    fit = fit_contact_separation(scan, forward_model)
+    assert fit.z0_nm == pytest.approx(198.78, abs=0.005)
+    chi2, h = unit_chi2(scan, forward_model), 1e-4
+    assert chi2(fit.z0_nm) < min(chi2(fit.z0_nm - h), chi2(fit.z0_nm + h))
 
 
 def test_fit_contact_separation_noiseless(noiseless_scans, forward_model):
@@ -172,28 +91,11 @@ def test_fit_contact_separation_noiseless(noiseless_scans, forward_model):
     assert fit.voltage == voltage_scans[0].applied_voltage
 
 
-def test_fit_matches_bounded_brent(campaign, forward_model):
-    # reference: scipy's bounded Brent on the same unit-weight chi2 and +-1 nm bracket
-    from scipy.optimize import minimize_scalar
-
-    for scan in campaign[1]:
-        fit = fit_contact_separation(scan, forward_model)
-
-        def chi2(z0):
-            model = forward_model.force_pn(scan.piezo_nm, z0, scan.applied_voltage)
-            return float(np.sum((scan.force_pn - model) ** 2))
-
-        ref = minimize_scalar(chi2, bounds=(round(fit.z0_nm) - 1.0, round(fit.z0_nm) + 1.0),
-                              method="bounded", options={"xatol": 1e-9})
-        assert abs(fit.z0_nm - ref.x) <= 1e-6
-        assert fit.rss_pn2 == pytest.approx(ref.fun, rel=1e-10)
-
-
 def test_a_gauss_newton_step_evaluates_the_theory_once(monkeypatch, default_cfg,
                                                       forward_model):
-    # six fits at 4910 points: one theory call per coarse scan and one per
-    # Gauss-Newton step, whose force and slope share it. The step count
-    # belongs to seed 7's noise draw: 19 steps.
+    # six fits at 4910 points: one theory call per Gauss-Newton step, whose
+    # force and slope share it, and none besides. The step count belongs to
+    # seed 7's noise draw: 26 steps.
     cfg = replace(default_cfg, n_scans=1, grid_points=4910, seed=7)
     voltage_scans = campaign_scans(cfg, forward_model)[1]
     calls = {"theory": 0, "steps": 0}
@@ -211,8 +113,8 @@ def test_a_gauss_newton_step_evaluates_the_theory_once(monkeypatch, default_cfg,
     for scan in voltage_scans:
         fit_contact_separation(scan, forward_model)
     steps = calls["steps"]
-    assert calls["theory"] == len(voltage_scans) + steps
-    assert steps == 19
+    assert calls["theory"] == steps
+    assert steps == 26
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +177,8 @@ def test_gauss_newton_refuses_a_step_out_of_the_bracket(monkeypatch, balanced_sc
         force, slope = force_and_slope(self, z)
         return force, slope * 1e-6
     monkeypatch.setattr(TheoryCurve, "force_and_slope", flat)
-    with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left the coarse "
-                                       r"bracket \[[0-9.]+, [0-9.]+\] nm"):
+    with pytest.raises(FitError, match=r"scan balanced: Gauss-Newton left its box "
+                                       r"\[1, 200\] nm"):
         fit_contact_separation(*balanced_scan)
 
 
@@ -313,7 +215,7 @@ def test_gauss_newton_finds_a_two_parameter_minimum():
     assert schur == pytest.approx(1.0 / np.linalg.inv(jtj)[1, 1], rel=1e-12)
     # the first step, to b = 0.295, leaves a box that ends at 0.25
     narrow = ((1.0, 3.0, "pN"), (0.15, 0.25, "1/nm"))
-    with pytest.raises(FitError, match=r"^decay: Gauss-Newton left the coarse bracket "
+    with pytest.raises(FitError, match=r"^decay: Gauss-Newton left its box "
                                        r"\[1, 3\] pN x \[0.15, 0.25\] 1/nm$"):
         gauss_newton(exponential(x, 2.0 * e), [1.5, 0.2], narrow, "decay")
     # two equal columns: J^T J is singular
@@ -354,11 +256,11 @@ def test_fit_voltage_range_guard(noiseless_scans, forward_model):
         fit_contact_separation(bad, forward_model)
 
 
-def test_fit_bracket_edge_raises(forward_model):
-    # zero data pulls chi2 monotonically toward the far bracket edge
+def test_a_flat_scan_leaves_the_box(forward_model):
+    # zero data pulls chi2 monotonically out of the bracket
     z = np.linspace(30.0, 920.0, 120)
     flat = ForceCurve("flat", 0.31, z, force_pn=np.zeros_like(z))
-    with pytest.raises(FitError, match="scan flat: chi2 minimum at the bracket edge"):
+    with pytest.raises(FitError, match=r"^scan flat: Gauss-Newton left its box \[1, 200\] nm$"):
         fit_contact_separation(flat, forward_model)
 
 

@@ -111,8 +111,9 @@ def campaign_copy(edit=lambda scans: None):
     return build
 
 
-def synth_campaign(into="campaign", config=None):
-    """{tmp}/<into>: ``synth`` on ``config``, written to {tmp}/first.cfg, or on the row's."""
+def synth_campaign(into="campaign", config=None, edit=lambda scans: None):
+    """{tmp}/<into>: ``synth`` on ``config``, written to {tmp}/first.cfg, or on the
+    row's, then ``edit(directory)``."""
     def build(tmp, fixture):
         cfg = tmp / "run.cfg"
         if config is not None:
@@ -121,6 +122,7 @@ def synth_campaign(into="campaign", config=None):
         result = CliRunner().invoke(main, ["synth", "--config", str(cfg),
                                            "--out", str(tmp / into)])
         assert result.exit_code == 0, result.output
+        edit(tmp / into)
     return build
 
 
@@ -150,11 +152,13 @@ def remove(pattern):
     return edit
 
 
-def shift_axis(scans):
-    """scan_001's piezo axis moved by 0.5 nm."""
-    scan = load_scan(scans / "scan_001.csv")
-    with open(scans / "scan_001.csv", "w", encoding="utf-8") as fh:
-        save_scan(replace(scan, piezo_nm=scan.piezo_nm + 0.5), fh)
+def shift_axis(name, by_nm):
+    """The piezo axis of scan file ``name`` moved by ``by_nm``."""
+    def edit(scans):
+        scan = load_scan(scans / name)
+        with open(scans / name, "w", encoding="utf-8") as fh:
+            save_scan(replace(scan, piezo_nm=scan.piezo_nm + by_nm), fh)
+    return edit
 
 
 def cut_grounded_axis(top_nm):
@@ -176,8 +180,7 @@ GRID_OPTIONS = (("theory", "--z"), ("electro", "--z"), ("epsilon", "--xi-ev"))
 UNALLOCATABLE = 10**15
 ALLOCATE = "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) and data type"
 Z0_RULE = "in [3.5, 197.5], the z0 fit bracket (1.0, 200.0) less 2.5 nm at each end"
-BRACKET_EDGE = ("chi2 minimum at the bracket edge, the coarse scan's last z0 of {} nm: "
-                "the contact separation lies at or beyond it within the scan's noise")
+OUT_OF_BOX = "Gauss-Newton left its box [1, 200] nm"
 
 
 def range_case(line, requirement, got):
@@ -239,8 +242,8 @@ CASES = [
         ("10.01", "10.01"), ("-0.01", "-0.01"), ("1.0000001e6", "1000000.1"))),
     range_case("window_hi_nm=50", "> window_lo_nm", "50.0"),
     range_case("seed=-1", ">= 0", "-1"),
-    # below and at the coarse scan's first z0, 1 nm, then inside the bracket
-    # but too close to its edges for the z0 fit to bracket
+    # below and at the bracket's first z0, 1 nm, then inside the bracket but
+    # within the margin that keeps a truth's chi2 minimum inside it
     *(range_case(f"z0_true_nm={v}", Z0_RULE, v) for v in ("250.0", "0.5", "1.0", "1.2", "198.9")),
     # omega_p**2 and gamma**2 would overflow a Python float in the Drude forms
     *(Case(f"range-{line}-{name}", command, 2, f"{{tmp}}/run.cfg: bad value for "
@@ -317,7 +320,8 @@ CASES = [
     # a campaign directory
     Case("campaign-grids-differ", "analyze --scans {tmp}/campaign", 2,
          "scan scan_001 (scan_001.csv): scan grids differ from scan scan_000's; resample "
-         "before averaging", config=FAST_CONFIG, inputs=(campaign_copy(shift_axis),)),
+         "before averaging", config=FAST_CONFIG,
+         inputs=(campaign_copy(shift_axis("scan_001.csv", 0.5)),)),
     Case("campaign-no-voltage-scans", "analyze --scans {tmp}/campaign", 2,
          "no voltage scans for the z0 fit", config=FAST_CONFIG,
          inputs=(campaign_copy(remove("cal_*.csv")),)),
@@ -378,7 +382,7 @@ CASES = [
          "(window_lo_nm = 10 nm, less one axis step of 2.96483 nm, at the variant shift "
          "-14.9 nm)", config="window_lo_nm=10\n",
          inputs=(mean_curve(np.linspace(10.0, 600.0, 200)),)),
-    # the coarse z0 scan starts at 1 nm: analyze would read the model at -9 nm
+    # the z0 bracket starts at 1 nm: analyze would read the model at -9 nm
     Case("synth-grid-below-contact", "synth", 2,
          "the model would be read at a separation of -9 nm, at or below contact "
          "(grid_lo_nm = -10 nm, plus z0 = 1 nm)",
@@ -423,20 +427,27 @@ CASES = [
     Case("analyze-voltage-outside-z0-range", "analyze --scans {tmp}/campaign", 2,
          "scan cal_04: applied voltage 0.9 V outside (0.3, 0.8)", config=FAST_CONFIG,
          inputs=(campaign_copy(set_voltage("cal_04.csv", "0.7", "0.9")),)),
-    Case("fit-z0-flat-scan", "fit-z0 --scan {tmp}/flat.csv", 4,
-         "scan flat: " + BRACKET_EDGE.format("199.93"), config=FAST_CONFIG,
+    # no force: the start is z0 = 1 nm, and chi2 falls all the way out of the box
+    Case("fit-z0-flat-scan", "fit-z0 --scan {tmp}/flat.csv", 4, "scan flat: " + OUT_OF_BOX,
+         config=FAST_CONFIG,
          inputs=(scan_file("flat", 0.31, np.linspace(30.0, 920.0, 60).tolist(), 0),)),
-    # a truth at the top of the z0 range, at 2 times the default noise
-    Case("analyze-z0-at-the-bracket-edge", "analyze --scans {tmp}/campaign", 4,
-         "scan cal_00: " + BRACKET_EDGE.format("199.19"),
-         config="n_scans=2\ngrid_points=120\nwindow_lo_nm=250\nz0_true_nm=197.5\nnoise_pn=14\n"
-                "seed=4\n", inputs=(synth_campaign(),)),
-    # a force of 1e200 pN squares past the largest float at every coarse z0
-    *(Case(f"{command}-chi2-overflows", args, 4, "scan cal_00: non-finite chi2 over the coarse "
-           "scan (largest |force| 1e+200 pN)", config=FAST_CONFIG,
+    # a campaign drawn at the top of the z0 range from 40 nm, with cal_00's
+    # axis moved down by 10 nm: cal_00's truth is 207.5 nm, beyond the bracket
+    Case("analyze-z0-beyond-the-bracket", "analyze --scans {tmp}/campaign", 4,
+         "scan cal_00: " + OUT_OF_BOX,
+         config="n_scans=2\ngrid_points=120\ngrid_lo_nm=40\nwindow_lo_nm=260\nz0_true_nm=197.5\n",
+         inputs=(synth_campaign(edit=shift_axis("cal_00.csv", -10.0)),)),
+    # a force of 1e200 pN: chi2 would square past the largest float, and the
+    # first Gauss-Newton step leaves the box
+    *(Case(f"{command}-chi2-overflows", args, 4, "scan cal_00: " + OUT_OF_BOX,
+           config=FAST_CONFIG,
            inputs=(campaign_copy(set_force("cal_00.csv", 9, "1e200")),))
       for command, args in (("fit-z0", "fit-z0 --scan {tmp}/campaign/cal_00.csv"),
                             ("analyze", "analyze --scans {tmp}/campaign"))),
+    # a residual potential of 1e79 mV: J^T J overflows at the start
+    Case("fit-z0-step-overflows", "fit-z0 --scan {tmp}/campaign/cal_00.csv", 4,
+         "scan cal_00: non-finite Gauss-Newton step (J^T J = [[inf]])",
+         config=FAST_CONFIG + "v2_residual_mv=1e79\n", inputs=(campaign_copy(),)),
     Case("analyze-gauss-newton-not-converged", "analyze --scans {tmp}/campaign", 4,
          "scan cal_00: Gauss-Newton not converged in 1 steps", config=FAST_CONFIG,
          inputs=(campaign_copy(),), patch=(("casimirlab.analysis.GAUSS_NEWTON_MAX_STEPS", 1),)),
@@ -537,6 +548,10 @@ CASES = [
     Case("electro-out-is-directory", "electro", 2,
          "[Errno 21] Is a directory: '{tmp}/odir.tmp' -> '{tmp}/odir'",
          inputs=(directory("odir"),), out="{tmp}/odir"),
+    # an input named as --out's temporary file: it is not written over
+    Case("theory-out-tmp-is-material", "theory --z 100:500:5 --material {tmp}/t.csv.tmp", 2,
+         "[Errno 17] File exists: '{tmp}/t.csv.tmp'", out="{tmp}/t.csv",
+         inputs=(text_file("t.csv.tmp", "# material=x\n0.04,1.0\n1.0,2.0\n"),)),
 ]
 IDS = [case.id for case in CASES]
 

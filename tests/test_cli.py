@@ -398,7 +398,7 @@ def test_calibrate_k_command(runner, workdir, tmp_path_factory):
 
 @pytest.mark.parametrize("z0_true_nm", [Z0_LOWEST_NM, Z0_HIGHEST_NM])
 def test_synth_analyze_at_the_ends_of_the_z0_range(runner, tmp_path, z0_true_nm):
-    # the z0 fit brackets a truth at either end of the range the range table
+    # the z0 fit finds a truth at either end of the range the range table
     # accepts; the window starts past the scans' first separation at the top,
     # grid_lo_nm + z0 + cap_offset_nm = 243.3 nm
     cfg = tmp_path / "run.cfg"

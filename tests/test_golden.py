@@ -31,7 +31,7 @@ from conftest import FAST_CONFIG, TABLE
 
 GOLDEN = {
     "analysis/mean_curve.csv": "ac2aada8fd6a2a19ed4afe57645e82f43d43d6c11c183d4dcf821eb723e3a8c6",
-    "analysis/results.json": "e9383992ed5f0077aec6fe98813b2f03076f0480dc06335b59ba0cc26ac17392",
+    "analysis/results.json": "d895fb569f74a698697bcfd9d4f18d960e02348110a103ed5711b0b9acbb0af1",
     "calibrate_k.json": "a6083d1815fdf63b32893ace3ed3c20e6861c1bbcfe8fbae2e62e246094fa68b",
     "campaign/cal_00.csv": "5d58cefe40427e7ec95642f95e56b756f51282e8e21d666c5ab345c51c985e84",
     "campaign/cal_01.csv": "4570b2fd4a5eb114b0e4ba3ef2e45716a08d3ca8c8766f2cdc80592ff78cc6b4",
@@ -49,14 +49,14 @@ GOLDEN = {
     "epsilon_drude.csv": "440c1fed4c34fd490a7a7274e35f835668c3ca70e0d772be5b47750f772c5e3a",
     "epsilon_table.csv": "6d147c43358c1c961b65acf71ee18f82a93e3449e4a4938fc6302a68d471e82d",
     "fit_z0.curve.csv": "dc310db595dc5f0db017d5dc60ff602338ead0b7c0e0c1e22c34c413b549ba60",
-    "fit_z0.json": "754ab1e5701baba77d807c60fedf3adb971519a46875f18fdd2d22d0545a94c9",
+    "fit_z0.json": "2b474b75c1c7d6108f6df6018b016b6fa6f4e4640f13313aca5606f0dd47ed9a",
     "theory_drude.csv": "9b8d4c79d95bb1d28d0c5a450fc42c87d5cea8ab0d986b07ee2d6790e5a8327b",
     "theory_table.csv": "df99262e5b84f4f38e236bc763e3b2cb1f4ec3ab68b9df3d16999902b02b697a",
 }
 
 DEFAULT_CONFIG_GOLDEN = {
     "results/mean_curve.csv": "b7ba915641bf00c5c8cc8fe1c3138064d79915b7e186192c0d3872cf877f29ef",
-    "results/results.json": "29b914fbb45cb271e1b409be187ba4558a38a3adfec787850fed31ee466fe26c",
+    "results/results.json": "344b06910fdb43c0a2fb30b97dcba69774da284ab0ced6cfac50b900511860dc",
 }
 
 
