@@ -27,6 +27,60 @@ def noiseless_scans(default_cfg, forward_model):
     return quiet, campaign_scans(quiet, forward_model)
 
 
+def test_chi2_coarse_argmin_at_truth(noiseless_scans, drude_curve, e_cfg):
+    quiet, (_, voltage_scans) = noiseless_scans
+    scan = voltage_scans[0]
+
+    def chi2(z0):
+        sep = scan.piezo_nm + z0
+        model = sphere_plane_force_pfa(sep * 1e-9, e_cfg, scan.applied_voltage) * 1e12 \
+            + drude_curve((sep + quiet.cap_offset_nm) * 1e-9) * 1e12
+        return float(np.sum((scan.force_pn - model) ** 2))
+
+    coarse = np.arange(1.0, 200.5, 1.0)
+    best = coarse[int(np.argmin([chi2(z) for z in coarse]))]
+    assert abs(best - quiet.z0_true_nm) <= 1.0
+
+
+def fit_starts(monkeypatch):
+    """The start of each ``gauss_newton`` call ``fit_contact_separation`` makes."""
+    starts = []
+    gauss_newton_ = analysis.gauss_newton
+
+    def recorded(residual_jacobian, p0, box, what):
+        starts.append(float(p0[0]))
+        return gauss_newton_(residual_jacobian, p0, box, what)
+    monkeypatch.setattr(analysis, "gauss_newton", recorded)
+    return starts
+
+
+# truths at both ends of the z0 range and the default one, at the default noise;
+# the start lies at most 5.3 nm below the fit. At 3.5 nm the line's z0 at 0.31
+# and 0.4 V is below the bracket, and the start is its bottom
+@pytest.mark.parametrize("z0_true_nm", [3.5, 48.9, 197.5])
+def test_the_start_lies_in_the_bracket_near_the_fit(monkeypatch, default_cfg, forward_model,
+                                                    z0_true_nm):
+    cfg = replace(default_cfg, n_scans=1, z0_true_nm=z0_true_nm)
+    starts = fit_starts(monkeypatch)
+    fits = [fit_contact_separation(scan, forward_model).z0_nm
+            for scan in campaign_scans(cfg, forward_model)[1]]
+    assert len(starts) == len(fits) == 6
+    assert all(Z0_BRACKET_NM[0] <= s <= Z0_BRACKET_NM[1] for s in starts)
+    assert all(0 <= fit - start < 6.0 for start, fit in zip(starts, fits))
+    assert (starts[:2] == [Z0_BRACKET_NM[0]] * 2) == (z0_true_nm == 3.5)
+
+
+def test_a_truth_beyond_the_bracket_starts_at_its_top_and_leaves_the_box(
+        monkeypatch, default_cfg, forward_model):
+    # a draw at 197.5 nm on an axis moved down by 10 nm: a truth of 207.5 nm
+    cfg = replace(default_cfg, n_scans=1, z0_true_nm=197.5)
+    scan = campaign_scans(cfg, forward_model)[1][0]
+    starts = fit_starts(monkeypatch)
+    with pytest.raises(FitError, match=r"^scan cal_00: Gauss-Newton left its box \[1, 200\] nm$"):
+        fit_contact_separation(replace(scan, piezo_nm=scan.piezo_nm - 10.0), forward_model)
+    assert starts == [Z0_BRACKET_NM[1]]
+
+
 def unit_chi2(scan, model):
     """The no-drift unit-weight chi2 of ``scan`` under ``model`` as a function of z0."""
     def chi2(z0):

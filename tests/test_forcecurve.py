@@ -10,7 +10,7 @@ from casimirlab.cli import _load_mean_curve
 from casimirlab.config import load_config
 from casimirlab.dielectric import load_optical_table
 from casimirlab.errors import ParseError
-from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows,
+from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows, atomic_write,
                                    load_scan, save_scan, scan_is_grounded, signal_to_force)
 from conftest import read_text
 
@@ -273,3 +273,30 @@ def test_signal_to_force_hooke():
     # pN -> N -> pN round trip
     np.testing.assert_allclose(out.force_pn * 1e-12 * 1e12, out.force_pn,
                                rtol=1e-12)
+
+
+def test_atomic_write_replaces_the_file_whole(tmp_path):
+    out = tmp_path / "sub" / "out.csv"
+    atomic_write(out, "old\n")
+    atomic_write(out, "new\n")
+    assert out.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in out.parent.iterdir()) == ["out.csv"]
+
+
+def test_atomic_write_refuses_an_existing_tmp_and_leaves_it(tmp_path):
+    out, tmp = tmp_path / "out.csv", tmp_path / "out.csv.tmp"
+    tmp.write_text("an input\n", encoding="utf-8")
+    with pytest.raises(FileExistsError) as err:
+        atomic_write(out, "new\n")
+    assert Path(err.value.filename) == tmp
+    assert tmp.read_text(encoding="utf-8") == "an input\n"
+    assert not out.exists()
+
+
+def test_atomic_write_removes_its_own_tmp_when_the_rename_fails(tmp_path):
+    out = tmp_path / "out.csv"
+    (out / "inside").mkdir(parents=True)  # a rename over a directory fails
+    with pytest.raises(OSError):
+        atomic_write(out, "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert out.is_dir()
