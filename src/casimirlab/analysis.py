@@ -375,20 +375,16 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
     # linear resampling onto the window grid reads no other point
     near = axis[max(int(np.searchsorted(axis, lo, side="right")) - 1, 0):
                 int(np.searchsorted(axis, hi, side="left")) + 1]
-    th = np.interp(grid, near, theory(near * 1e-9) * 1e12)
-    resid = th - exp
-    sigma_rms = float(np.sqrt(np.mean(resid**2)))
-
-    native_resid = theory(axis[in_window] * 1e-9) * 1e12 - mean_pn[in_window]
+    reads = {label: theory((near + shift) * 1e-9) * 1e12
+             for label, shift in {"sigma_rms_pn": 0.0, **variant_shifts_nm(cap_offset_nm)}.items()}
+    variants = {label: float(np.sqrt(np.mean((np.interp(grid, near, th) - exp) ** 2)))
+                for label, th in reads.items()}
+    # near holds every in-window point
+    native_resid = reads["sigma_rms_pn"][(near >= lo) & (near <= hi)] - mean_pn[in_window]
     stderr = std_pn[in_window] / np.sqrt(n_scans)
     reduced_chi2 = (float(np.mean((native_resid / stderr) ** 2))
                     if np.all(stderr > 0) else None)
-
-    variants = {}
-    for label, shift in variant_shifts_nm(cap_offset_nm).items():
-        th_s = np.interp(grid, near, theory((near + shift) * 1e-9) * 1e12)
-        variants[label] = float(np.sqrt(np.mean((th_s - exp) ** 2)))
-    return {"sigma_rms_pn": sigma_rms, "reduced_chi2": reduced_chi2,
+    return {"sigma_rms_pn": variants.pop("sigma_rms_pn"), "reduced_chi2": reduced_chi2,
             "n_points": int(grid.size), "variants": variants,
             "window_nm": [float(w) for w in window_nm]}
 

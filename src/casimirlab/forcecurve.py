@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -118,13 +119,13 @@ def save_scan(curve: ForceCurve, fh) -> None:
 
 
 def atomic_write(path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory: into ``path.tmp``,
-    then renamed over ``path``, so the file is the old one or the whole new one.
-    ``path.tmp`` is created, never replaced: an existing one raises
-    FileExistsError naming it, and is left as it was."""
+    """Write ``text`` to ``path``, making its directory: into ``<name>.<pid>.tmp``,
+    named after this process and created, never replaced, then renamed over
+    ``path``, so the file is the old one or the whole new one. A file named
+    ``<name>.tmp``, or a temporary a killed run left, is never read or refused."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:

@@ -15,7 +15,8 @@ at a time: ``write_campaign`` writes each scan as it is drawn, and
 axis, which ``analysis.analyze_campaign`` folds into its running sums one at
 a time. The theory cache spans what ``analyze`` will read
 (``campaign_span_nm``): a grid the z0 fit cannot use, one whose fit would reach
-contact or read a correction outside its regime, is refused before any write.
+contact or read a correction outside its regime, is refused before any write,
+as is an output directory that is not empty.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
@@ -222,10 +223,10 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     (``_processes``), each drawing only its own; the files are the same. A
     failure raises the error of the earliest scan in write order that fails.
     A grid whose 9-digit text does not strictly increase, which ``load_scan``
-    refuses, or ends short of region 3, which ``analyze_campaign`` refuses, and a
-    directory that holds a scan file this campaign does not write
-    (``load_campaign`` would read it with these) are refused before anything is
-    written; this campaign's own files are written over.
+    refuses, or ends short of region 3, which ``analyze_campaign`` refuses, and
+    an ``outdir`` that exists and is not empty are refused before anything is
+    written: each campaign goes into a new directory, so no file of another
+    campaign or of a killed run is read with it.
     """
     # the axis text of save_scan's memo
     written = _row_template(_axis(cfg).tobytes(), 2).replace(",%.9g", "").split()
@@ -236,11 +237,8 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
         raise DataError(f"grid_hi_nm = {cfg.grid_hi_nm!r}: no scan point beyond "
                         f"{DRIFT_REGION_MIN_NM:g} nm, the region 3 where analyze fits the drift")
     outdir = Path(outdir)
-    planned = {f"{scan_id}.csv" for scan_id, *_ in _plan(cfg)}
-    foreign = sorted(p.name for p in outdir.glob("*.csv") if p.name not in planned)
-    if foreign:
-        raise DataError(f"{outdir} holds {len(foreign)} scan file(s) this campaign does "
-                        f"not write, the first {foreign[0]}: write it into another directory")
+    if outdir.exists() and any(outdir.iterdir()):
+        raise DataError(f"{outdir} is not empty: write the campaign into a new directory")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write_share(share, processes):
@@ -250,7 +248,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
             atomic_write(outdir / f"{curve.scan_id}.csv", text.getvalue())
             yield None
 
-    files = len(planned)
+    files = len(_plan(cfg))
     for _ in _in_shares(write_share, files, _processes(files * cfg.grid_points)):
         pass
     truth = {

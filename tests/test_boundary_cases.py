@@ -9,6 +9,7 @@ row also shows that the refusal comes before numpy warns. The README's
 ``test_the_readme_names_only_rows`` ties the two.
 """
 
+import os
 import re
 import shutil
 from dataclasses import dataclass, replace
@@ -406,12 +407,18 @@ CASES = [
     Case("synth-roughness-regime", "synth", 2,
          "A/z = 0.319 at 36.995 nm outside the series regime (< 0.3)",
          config="n_scans=2\ngrid_points=120\ngrid_lo_nm=20\n"),
-    # three scans over five would leave scan_003 and scan_004 of the first
-    # campaign, and analyze would average all five grounded scans
-    Case("synth-over-another-campaign", "synth --seed 2", 2, "{tmp}/out holds 2 scan file(s) "
-         "this campaign does not write, the first scan_003.csv: write it into another directory",
+    # a campaign is written into a new directory: three scans over five would
+    # leave scan_003 and scan_004 of the first campaign, and analyze would
+    # average all five grounded scans
+    Case("synth-over-another-campaign", "synth --seed 2", 2, "{tmp}/out is not empty: write "
+         "the campaign into a new directory",
          config=FAST_CONFIG.replace("n_scans=2", "n_scans=3"), inputs=(synth_campaign(
              "out", FAST_CONFIG.replace("n_scans=2", "n_scans=5").replace("seed=11", "seed=1")),)),
+    # a killed run's temporary among the scans: refused before one scan is
+    # redrawn, or the campaign would mix two seeds
+    Case("synth-over-a-killed-run", "synth --seed 3", 2, "{tmp}/campaign is not empty: write "
+         "the campaign into a new directory", config=FAST_CONFIG, out="{tmp}/campaign",
+         inputs=(campaign_copy(lambda scans: (scans / "scan_001.csv.tmp").write_text("# a\n")),)),
     # the writer: 9 digits must resolve the grid, here 1e-7 nm wide, or one
     # float64 step from 30 nm, which rounds 120 points onto two values
     *(Case(f"synth-grid-unresolved-{hi}", "synth", 2,
@@ -544,14 +551,11 @@ CASES = [
           ("theory", "--z 100:500:5", ()),
           ("compare", "--curve {tmp}/mean_curve.csv",
            (mean_curve(np.linspace(95.0, 505.0, 300)),)))),
-    # an --out that is a directory: the rename fails, and its .tmp file goes
+    # an --out that is a directory: the rename fails, and its temporary file,
+    # named after this process, goes
     Case("electro-out-is-directory", "electro", 2,
-         "[Errno 21] Is a directory: '{tmp}/odir.tmp' -> '{tmp}/odir'",
+         f"[Errno 21] Is a directory: '{{tmp}}/odir.{os.getpid()}.tmp' -> '{{tmp}}/odir'",
          inputs=(directory("odir"),), out="{tmp}/odir"),
-    # an input named as --out's temporary file: it is not written over
-    Case("theory-out-tmp-is-material", "theory --z 100:500:5 --material {tmp}/t.csv.tmp", 2,
-         "[Errno 17] File exists: '{tmp}/t.csv.tmp'", out="{tmp}/t.csv",
-         inputs=(text_file("t.csv.tmp", "# material=x\n0.04,1.0\n1.0,2.0\n"),)),
 ]
 IDS = [case.id for case in CASES]
 

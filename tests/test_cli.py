@@ -197,6 +197,30 @@ def test_analyze_refuses_to_write_among_its_scans(runner, workdir, campaign_dir,
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("argv,stale,outputs", [
+    ("analyze --scans {campaign} --out {tmp}/results", "results/mean_curve.csv.tmp",
+     ["results/mean_curve.csv", "results/results.json"]),
+    ("fit-z0 --scan {campaign}/cal_00.csv --emit-curve --out {tmp}/z0.json", "z0.curve.csv.tmp",
+     ["z0.curve.csv", "z0.json"]),
+    ("theory --z 100:500:5 --material {tmp}/t.csv.tmp --out {tmp}/t.csv", "t.csv.tmp",
+     ["t.csv"]),
+], ids=["analyze", "fit-z0", "theory"])
+def test_a_file_named_as_an_outputs_tmp_is_left_as_it_was(runner, workdir, campaign_dir,
+                                                          tmp_path, argv, stale, outputs):
+    # a temporary is named after its process: a killed run's stale <out>.tmp,
+    # or an input named so, neither stops a command nor is written over. The
+    # stale file is an optical table, which theory reads.
+    (tmp_path / stale).parent.mkdir(exist_ok=True)
+    (tmp_path / stale).write_text("# material=x\n0.04,1.0\n1.0,2.0\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = argv.format(campaign=campaign_dir, tmp=tmp_path).split()
+    result = runner.invoke(main, [*argv, "--config", str(workdir / "run.cfg")])
+    assert result.exit_code == 0, result.output
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert sorted(str(p.relative_to(tmp_path)) for p in after.keys() - before.keys()) == outputs
+    assert {p: after[p] for p in before} == before
+
+
 def test_compare_command(runner, workdir, analysis_dir):
     out = workdir / "compare.json"
     result = runner.invoke(main, ["compare",

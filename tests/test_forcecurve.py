@@ -1,4 +1,5 @@
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -283,13 +284,26 @@ def test_atomic_write_replaces_the_file_whole(tmp_path):
     assert sorted(p.name for p in out.parent.iterdir()) == ["out.csv"]
 
 
-def test_atomic_write_refuses_an_existing_tmp_and_leaves_it(tmp_path):
+def test_atomic_write_leaves_an_existing_out_tmp_and_writes_out(tmp_path):
     out, tmp = tmp_path / "out.csv", tmp_path / "out.csv.tmp"
     tmp.write_text("an input\n", encoding="utf-8")
+    atomic_write(out, "new\n")
+    assert out.read_text(encoding="utf-8") == "new\n"
+    assert tmp.read_text(encoding="utf-8") == "an input\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_atomic_write_never_writes_through_a_file_at_its_temporary_name(tmp_path):
+    # its own name, as a link planted there: created exclusively, so refused
+    # and left, and the file it points to is untouched
+    out, target = tmp_path / "out.csv", tmp_path / "target.csv"
+    target.write_text("kept\n", encoding="utf-8")
+    tmp = tmp_path / f"out.csv.{os.getpid()}.tmp"
+    tmp.symlink_to(target)
     with pytest.raises(FileExistsError) as err:
         atomic_write(out, "new\n")
     assert Path(err.value.filename) == tmp
-    assert tmp.read_text(encoding="utf-8") == "an input\n"
+    assert tmp.is_symlink() and target.read_text(encoding="utf-8") == "kept\n"
     assert not out.exists()
 
 

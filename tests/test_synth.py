@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -330,9 +331,11 @@ def rows_added_by_doubling(fn):
 def test_write_campaign_memory_holds_one_scan(tmp_path, forward_model):
     # each scan is written as it is drawn: doubling the scans leaves the peak
     # where it was. The scans are noisy because only a drawn scan has a force
-    # array of its own; noiseless ones share their model's.
+    # array of its own; noiseless ones share their model's. Each call writes
+    # into a new directory, as write_campaign refuses one that is not empty.
+    calls = itertools.count()
     rows = rows_added_by_doubling(lambda n: write_campaign(
-        tmp_path / str(n), RunConfig(n_scans=n), forward_model))
+        tmp_path / str(next(calls)), RunConfig(n_scans=n), forward_model))
     assert rows <= 0.5 * 40, rows
 
 
