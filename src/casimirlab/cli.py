@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage: epsilon, theory, electro, calibrate-k,
 fit-z0, analyze, synth, compare. All outputs are written atomically and
-carry a metadata header (version, config hash, seed) so identical inputs
-reproduce identical bytes. Each command's ``_Command`` loads its config,
+carry the version and config hash (``output_meta``; synth's manifest alone
+adds the seed), so identical inputs reproduce identical bytes; every CSV is
+``forcecurve.csv_text``'s. Each command's ``_Command`` loads its config,
 refuses an output over an input, and maps errors onto the exit codes:
 2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
 """
@@ -28,10 +29,10 @@ from . import __version__, assemble
 from .analysis import (analyze_campaign, calibrate_spring_constant,
                        compare_to_theory, fit_contact_separation, theory_span_nm)
 from .config import RunConfig, load_config
+from .constants import energy_ev_to_angular_frequency
 from .electrostatics import sphere_plane_force_exact, sphere_plane_force_pfa
 from .errors import ConvergenceError, DataError, FitError, ParseError
-from .forcecurve import (MIN_SAMPLES, _csv_rows, _read_csv, atomic_write, load_scan,
-                         signal_to_force)
+from .forcecurve import MIN_SAMPLES, atomic_write, csv_text, load_scan, read_csv, signal_to_force
 from .synth import campaign_span_nm, load_campaign, write_campaign
 
 EXIT_INPUT = 2
@@ -58,23 +59,16 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def meta_header(cfg: RunConfig, seed=None) -> str:
-    lines = [f"# version={__version__}", f"# config_hash={cfg.digest()}"]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    return "\n".join(lines) + "\n"
-
-
-def csv_text(cfg: RunConfig, header_cols, columns) -> str:
-    rows = _csv_rows(f"the {', '.join(header_cols)} output", *columns)
-    return meta_header(cfg) + ",".join(header_cols) + "\n" + rows
+def output_meta(cfg: RunConfig) -> dict:
+    """The metadata every output carries: the package version and the config hash."""
+    return {"version": __version__, "config_hash": cfg.digest()}
 
 
 def json_text(cfg: RunConfig, payload: dict) -> str:
     bad = _non_finite_key(payload)
     if bad is not None:
         raise ValueError(f"non-finite value at {bad!r} in the JSON output")
-    doc = {"meta": {"version": __version__, "config_hash": cfg.digest()}}
+    doc = {"meta": output_meta(cfg)}
     doc.update(payload)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -163,15 +157,13 @@ main.command_class = _Command
 @out_option
 def epsilon(xi_spec, material, cfg, out):
     """Tabulate eps(i*xi) for the configured dielectric model."""
-    from .constants import energy_ev_to_angular_frequency
-
     model = assemble.dielectric_model(cfg, material_csv=material)
     grid = parse_grid(xi_spec)
     # one call on the whole grid; a tuple because perfbench/tracer.py keeps
     # the eps arguments in a set, of Python floats, which overflow to inf
     # without a warning, for the model to refuse
     eps = model.eps(tuple(energy_ev_to_angular_frequency(e) for e in grid.tolist()))
-    atomic_write(out, csv_text(cfg, ["xi_ev", "eps"], (grid, eps)))
+    atomic_write(out, csv_text(output_meta(cfg), ("xi_ev", "eps"), (grid, eps)))
 
 
 @main.command()
@@ -187,7 +179,7 @@ def theory(z_spec, material, cfg, out):
     curve = assemble.theory_curve(
         cfg, theory_span_nm([grid], cfg.cap_offset_nm, metal_to_metal=True), model)
     force = curve(grid * 1e-9) * 1e12
-    atomic_write(out, csv_text(cfg, ["separation_nm", "force_pn"], (grid, force)))
+    atomic_write(out, csv_text(output_meta(cfg), ("separation_nm", "force_pn"), (grid, force)))
 
 
 @main.command()
@@ -205,8 +197,8 @@ def electro(z_spec, voltage, cfg, out):
     # it names the separation, where the image series would overflow alpha
     pfa = sphere_plane_force_pfa(grid * 1e-9, e_cfg, voltage) * 1e12
     exact = [sphere_plane_force_exact(z * 1e-9, e_cfg, voltage) * 1e12 for z in grid]
-    atomic_write(out, csv_text(cfg, ["separation_nm", "force_exact_pn",
-                                     "force_pfa_pn"], (grid, exact, pfa)))
+    atomic_write(out, csv_text(output_meta(cfg), ("separation_nm", "force_exact_pn",
+                                                  "force_pfa_pn"), (grid, exact, pfa)))
 
 
 @main.command("calibrate-k")
@@ -250,8 +242,8 @@ def fit_z0(scan_path, emit_curve, cfg, out):
     if emit_curve:
         model_pn = model.force_pn(curve.piezo_nm, fit.z0_nm, fit.voltage)
         columns = (curve.piezo_nm + fit.z0_nm, curve.force_pn, model_pn)
-        atomic_write(_curve_path(out),
-                     csv_text(cfg, ["separation_nm", "force_pn", "model_pn"], columns))
+        atomic_write(_curve_path(out), csv_text(
+            output_meta(cfg), ("separation_nm", "force_pn", "model_pn"), columns))
 
 
 @main.command()
@@ -263,7 +255,7 @@ def synth(seed, cfg, out):
     run = cfg if seed is None else replace(cfg, seed=seed)
     write_campaign(out, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
-    atomic_write(Path(out) / "manifest.txt", meta_header(cfg, seed=run.seed))
+    atomic_write(Path(out) / "manifest.txt", csv_text({**output_meta(cfg), "seed": run.seed}))
 
 
 @main.command()
@@ -281,12 +273,13 @@ def analyze(scans_dir, cfg, out):
         *load_campaign(scans_dir), model_for, window, cfg.window_points,
         assemble.calibration_params(cfg))
     atomic_write(Path(out) / "results.json", json_text(cfg, results))
-    atomic_write(Path(out) / "mean_curve.csv", csv_text(cfg, MEAN_CURVE_COLUMNS, mean_curve))
+    atomic_write(Path(out) / "mean_curve.csv",
+                 csv_text(output_meta(cfg), MEAN_CURVE_COLUMNS, mean_curve))
 
 
 def _load_mean_curve(path):
     """(separation_nm, force_pn, std_pn) columns of a mean-curve CSV."""
-    table = _read_csv(path, 3, MIN_SAMPLES, (MEAN_CURVE_COLUMNS,))
+    table = read_csv(path, 3, MIN_SAMPLES, (MEAN_CURVE_COLUMNS,))
     separation, _, std = table.columns
     table.reject(np.diff(separation, prepend=-np.inf) <= 0, "non-increasing separation_nm")
     table.reject(std < 0, "negative std_pn")
@@ -313,9 +306,9 @@ def compare(curve_path, n_scans, emit_curve, cfg, out):
                               window, cfg.window_points, cfg.cap_offset_nm)
     atomic_write(out, json_text(cfg, stats))
     if emit_curve:
-        atomic_write(_curve_path(out),
-                     csv_text(cfg, ["separation_nm", "force_exp_pn", "force_theory_pn"],
-                              (axis, force, th(axis * 1e-9) * 1e12)))
+        atomic_write(_curve_path(out), csv_text(
+            output_meta(cfg), ("separation_nm", "force_exp_pn", "force_theory_pn"),
+            (axis, force, th(axis * 1e-9) * 1e12)))
 
 
 if __name__ == "__main__":

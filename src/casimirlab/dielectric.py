@@ -19,7 +19,7 @@ table nodes, so every eps value is bitwise the one-shot broadcast sum's.
 Each closed form's branch, the Drude segment's degenerate xi ~ gamma one and
 the tail's small-argument series, is evaluated only at the xi that select it.
 Optical tables are read from a path with the package's CSV reader
-(``forcecurve._read_csv``), which refuses a table of fewer than 2 rows. The
+(``forcecurve.read_csv``), which refuses a table of fewer than 2 rows. The
 loader refuses a non-positive or non-increasing energy and a negative eps'',
 naming the line, and ``TabulatedModel`` a table whose integral overflows float64.
 The Drude parameters come from ``RunConfig`` through ``assemble``.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import energy_ev_to_angular_frequency
-from .forcecurve import _read_csv
+from .forcecurve import read_csv
 
 # elements per block of the tabulated dispersion integral: at most 2**14
 # float64 (128 KiB) per temporary, small enough to stay in cache
@@ -64,7 +64,7 @@ def load_optical_table(path) -> OpticalTable:
     material in a '# material=' line), then one 'energy_ev,eps2' pair per
     line. Ordering violations are reported, not silently repaired.
     """
-    table = _read_csv(path, 2, min_rows=2)
+    table = read_csv(path, 2, min_rows=2)
     energies, eps2 = table.columns
     table.reject(energies <= 0, "energy must be > 0 eV")
     table.reject(np.diff(energies, prepend=-np.inf) <= 0, "non-increasing energy")

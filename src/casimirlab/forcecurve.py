@@ -1,14 +1,13 @@
-"""AFM approach-scan data model, the package's CSV reader, and the Hooke
-conversion.
+"""AFM approach scans, the package's CSV reader and writer, and Hooke's law.
 
 A ForceCurve is immutable: every transform returns a new curve. The piezo
 axis is plate displacement toward the sphere in nm, strictly increasing
 (``load_scan`` refuses any other, and ``synth`` writes only a grid whose
-9-digit text increases), so contact (if reached) sits at the end of the
-arrays. Attractive forces are negative.
+9-digit text, ``axis_text``, increases), so contact (if reached) sits at the
+end of the arrays. Attractive forces are negative.
 
 All three CSV inputs (scans here, optical tables in ``dielectric``, mean
-curves in ``cli``) share one dialect, read by ``_read_csv``: ``# key=value``
+curves in ``cli``) share one dialect, read by ``read_csv``: ``# key=value``
 metadata lines, each key set once, other ``#`` comment lines, blank lines,
 an optional column header, then comma-separated rows of finite floats, at
 least as many as each reader's minimum. The reader takes a path, walks the
@@ -17,11 +16,11 @@ body that call refuses (a comment or blank line among the rows, or a bad
 row) is read line by line, which finds the line of a bad row.
 One ``_Csv`` holds a parse: its metadata, header, columns and row lines.
 
-``_csv_rows`` formats every row of the package's writers with one ``%``
-template, memoised for the last axis seen with the axis text written into
-it: all scans of a campaign share one piezo grid, so it is formatted once.
-It refuses a NaN or infinite cell, so no writer emits one. Every file the
-package writes goes through ``atomic_write``.
+``csv_text`` is the dialect's one writer (the scans here, every CSV of
+``cli``, the metadata lines of synth's manifest). Its rows come from one
+``%`` template, memoised for the last axis with the axis text written into
+it: a campaign's scans share one grid, so it is formatted once. It refuses a
+NaN or infinite cell. Every file the package writes goes through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ SCAN_HEADERS = (("piezo_nm", "signal"), ("piezo_nm", "force_pn"))
 
 def load_scan(path) -> ForceCurve:
     """Parse the scan CSV dialect (see save_scan for the writer)."""
-    table = _read_csv(path, 2, MIN_SAMPLES, SCAN_HEADERS)
+    table = read_csv(path, 2, MIN_SAMPLES, SCAN_HEADERS)
     for key in ("scan_id", "applied_voltage_v"):
         if key not in table.meta:
             raise table.error(f"missing metadata key '{key}'")
@@ -98,7 +97,7 @@ def scan_is_grounded(path) -> bool:
     they hold a well-formed voltage, else from ``load_scan`` itself. A key is
     set once, so a voltage stated there is the scan's."""
     table = _Csv(path, SCAN_HEADERS)
-    with open(path, "r", encoding="utf-8") as fh:  # lines split as _read_csv splits them
+    with open(path, "r", encoding="utf-8") as fh:  # lines split as read_csv splits them
         table.head(s for raw in fh for s in raw.splitlines())
     try:
         voltage = float(table.meta["applied_voltage_v"])
@@ -109,13 +108,34 @@ def scan_is_grounded(path) -> bool:
 
 def save_scan(curve: ForceCurve, fh) -> None:
     """Write a curve in the CSV dialect accepted by load_scan, in one write."""
-    head = f"# scan_id={curve.scan_id}\n# applied_voltage_v={curve.applied_voltage:.9g}\n"
+    meta = {"scan_id": curve.scan_id, "applied_voltage_v": curve.applied_voltage}
     if curve.spring_constant is not None:
-        head += f"# spring_constant_n_per_m={curve.spring_constant:.9g}\n"
+        meta["spring_constant_n_per_m"] = curve.spring_constant
     column = "force_pn" if curve.has_force else "signal"
     values = curve.force_pn if curve.has_force else curve.signal
-    rows = _csv_rows(f"scan {curve.scan_id}", curve.piezo_nm, values)
-    fh.write(f"{head}piezo_nm,{column}\n" + rows)
+    fh.write(csv_text(meta, ("piezo_nm", column), (curve.piezo_nm, values),
+                      f"scan {curve.scan_id}"))
+
+
+def csv_text(meta: dict, header=(), columns=(), what=None) -> str:
+    """A ``# key=value`` line per ``meta`` item, then, given a ``header``, its
+    line and a row per point of the equal-length float ``columns``; a float is
+    written in 9 significant digits (``'%.9g' % v``, ``'{:.9g}'.format(v)``),
+    and a NaN or infinite cell raises ValueError naming ``what``, by default the
+    header's output. One ``%`` template holds the first column's text (``_row_template``)."""
+    text = "".join([f"# {key}={'%.9g' % v if isinstance(v, float) else v}\n"
+                    for key, v in meta.items()])
+    if not header:
+        return text
+    first, *rest = (np.asarray(c, dtype=float) for c in columns)
+    if not all(np.isfinite(c).all() for c in (first, *rest)):
+        what = what or f"the {', '.join(header)} output"
+        raise ValueError(f"non-finite value in {what}")
+    cells = [None] * (first.size * len(rest))
+    for k, column in enumerate(rest):
+        cells[k::len(rest)] = column.tolist()
+    rows = _row_template(first.tobytes(), len(columns)) % tuple(cells)
+    return f"{text}{','.join(header)}\n{rows}"
 
 
 def atomic_write(path, text: str) -> None:
@@ -136,35 +156,22 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def _csv_rows(what: str, *columns) -> str:
-    """Equal-length float columns as CSV rows of 9 significant digits.
+def axis_text(axis) -> str:
+    """The float array ``axis`` as ``csv_text`` writes a first column: each
+    value in 9 significant digits, one a line; memoised for the last axis."""
+    return _axis_text(np.asarray(axis, dtype=float).tobytes())
 
-    The one row formatter of the package's writers (scans here, the command
-    outputs in ``cli``); every row ends in a newline, and a NaN or infinite
-    cell raises ValueError naming ``what``, the output the rows are for. One
-    ``%`` template, which holds the first column's text (``_row_template``),
-    formats the other columns' cells, row by row (``'%.9g' % v`` is
-    ``'{:.9g}'.format(v)`` for every float).
-    """
-    first, *rest = (np.asarray(c, dtype=float) for c in columns)
-    if not all(np.isfinite(c).all() for c in (first, *rest)):
-        raise ValueError(f"non-finite value in {what}")
-    cells = [None] * (first.size * len(rest))
-    for k, column in enumerate(rest):
-        cells[k::len(rest)] = column.tolist()
-    return _row_template(first.tobytes(), len(columns)) % tuple(cells)
+
+@functools.lru_cache(maxsize=1)
+def _axis_text(axis: bytes) -> str:
+    return "".join(["%.9g\n" % v for v in np.frombuffer(axis).tolist()])
 
 
 @functools.lru_cache(maxsize=1)
 def _row_template(axis: bytes, width: int) -> str:
-    """The ``%`` template of ``width``-column rows whose first cells are ``axis``.
-
-    ``axis`` is the raw float64 bytes of the first column, written as
-    ``%.9g`` text (which never holds a ``%``); each other cell is ``%.9g``.
-    A memo of the last axis: every scan a campaign writes shares one grid.
-    """
-    cells = ",%.9g" * (width - 1) + "\n"
-    return "".join(["%.9g" % v + cells for v in np.frombuffer(axis).tolist()])
+    """The ``%`` template of ``width``-column rows whose first cells are the
+    ``_axis_text`` of ``axis`` (never a ``%``); each other cell is ``%.9g``."""
+    return _axis_text(axis).replace("\n", ",%.9g" * (width - 1) + "\n")
 
 
 class _Csv:
@@ -236,7 +243,7 @@ class _Csv:
         return value
 
 
-def _read_csv(path, ncols: int, min_rows: int, headers=None) -> _Csv:
+def read_csv(path, ncols: int, min_rows: int, headers=None) -> _Csv:
     """Read the package's CSV dialect from the file at a path.
 
     With ``headers`` (a tuple of accepted column-name tuples) the first line

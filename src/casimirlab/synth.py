@@ -42,8 +42,7 @@ import numpy as np
 from .analysis import DRIFT_REGION_MIN_NM, ForwardModel, theory_span_nm
 from .config import RunConfig
 from .errors import DataError
-from .forcecurve import (ForceCurve, _row_template, atomic_write, load_scan, save_scan,
-                         scan_is_grounded)
+from .forcecurve import ForceCurve, atomic_write, axis_text, load_scan, save_scan, scan_is_grounded
 
 DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # The work from which a forked worker pays for itself, measured on a
@@ -228,8 +227,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     written: each campaign goes into a new directory, so no file of another
     campaign or of a killed run is read with it.
     """
-    # the axis text of save_scan's memo
-    written = _row_template(_axis(cfg).tobytes(), 2).replace(",%.9g", "").split()
+    written = axis_text(_axis(cfg)).split()   # formatted once, for every scan and worker
     if not np.all(np.diff(np.array(written, dtype=float)) > 0):
         raise DataError(f"grid_lo_nm = {cfg.grid_lo_nm!r}, grid_hi_nm = {cfg.grid_hi_nm!r}, "
                         f"grid_points = {cfg.grid_points}: piezo axis not increasing in 9 digits")

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from casimirlab.cli import MEAN_CURVE_COLUMNS, _Command, csv_text, main
+from casimirlab.cli import MEAN_CURVE_COLUMNS, _Command, main, output_meta
 from casimirlab.config import RunConfig
-from casimirlab.forcecurve import ForceCurve, load_scan, save_scan
+from casimirlab.forcecurve import ForceCurve, csv_text, load_scan, save_scan
 from conftest import FAST_CONFIG, TABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,7 +66,7 @@ def mean_curve(axis, force=1.0, std=1.0, lines=(), name="mean_curve.csv"):
     def build(tmp, fixture):
         columns = [np.broadcast_to(np.asarray(c, dtype=float), np.shape(axis))
                    for c in (axis, force, std)]
-        text = csv_text(RunConfig(), MEAN_CURVE_COLUMNS, columns).splitlines()
+        text = csv_text(output_meta(RunConfig()), MEAN_CURVE_COLUMNS, columns).splitlines()
         for lineno, line in lines:
             text[lineno - 1] = line
         (tmp / name).write_text("\n".join(text) + "\n")
@@ -556,6 +556,13 @@ CASES = [
     Case("electro-out-is-directory", "electro", 2,
          f"[Errno 21] Is a directory: '{{tmp}}/odir.{os.getpid()}.tmp' -> '{{tmp}}/odir'",
          inputs=(directory("odir"),), out="{tmp}/odir"),
+    # an --out directory that is a regular file: synth refuses it before the
+    # first scan, analyze when it writes, after the pipeline has run
+    Case("synth-out-is-a-file", "synth", 2, "[Errno 20] Not a directory: '{tmp}/o.txt'",
+         config=FAST_CONFIG, inputs=(text_file("o.txt", "kept\n"),), out="{tmp}/o.txt"),
+    Case("analyze-out-is-a-file", "analyze --scans {tmp}/campaign", 2,
+         "[Errno 17] File exists: '{tmp}/o.txt'", config=FAST_CONFIG,
+         inputs=(campaign_copy(), text_file("o.txt", "kept\n")), out="{tmp}/o.txt"),
 ]
 IDS = [case.id for case in CASES]
 

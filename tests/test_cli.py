@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import casimirlab
 from casimirlab import __version__
-from casimirlab.cli import MEAN_CURVE_COLUMNS, csv_text, main
+from casimirlab.cli import MEAN_CURVE_COLUMNS, main, output_meta
 from casimirlab.analysis import Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
 from casimirlab.config import RunConfig, parse_config
 from casimirlab.corrections import ROUGHNESS_SERIES_MAX_RATIO, TemperatureParams
-from casimirlab.forcecurve import _read_csv
+from casimirlab.forcecurve import csv_text, read_csv
 from casimirlab.synth import DEFAULT_CAL_VOLTAGES, campaign_span_nm
 from conftest import FAST_CONFIG, TABLE
 
@@ -93,10 +93,11 @@ def test_electro_command(runner, workdir):
 
 
 def test_csv_text_refuses_non_finite_cells():
-    assert csv_text(RunConfig(), ["a", "b"], ([1.0], [2.0])).endswith("a,b\n1,2\n")
+    meta = output_meta(RunConfig())
+    assert csv_text(meta, ("a", "b"), ([1.0], [2.0])).endswith("a,b\n1,2\n")
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            csv_text(RunConfig(), ["a", "b"], ([1.0, 2.0], [3.0, bad]))
+        with pytest.raises(ValueError, match="non-finite value in the a, b output"):
+            csv_text(meta, ("a", "b"), ([1.0, 2.0], [3.0, bad]))
 
 
 def test_epsilon_drude_takes_an_xi_below_the_tables_range(runner, tmp_path):
@@ -104,7 +105,7 @@ def test_epsilon_drude_takes_an_xi_below_the_tables_range(runner, tmp_path):
     out = tmp_path / "eps.csv"
     result = runner.invoke(main, ["epsilon", "--xi-ev", "1e-20:1e-16:3", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert np.isfinite(_read_csv(out, 2, 1, (("xi_ev", "eps"),)).columns).all()
+    assert np.isfinite(read_csv(out, 2, 1, (("xi_ev", "eps"),)).columns).all()
 
 
 @pytest.mark.parametrize("command,option,spec,header", [
@@ -120,7 +121,7 @@ def test_a_tiny_drude_gamma_gives_the_table_model_without_a_warning(runner, tmp_
     result = runner.invoke(main, [command, "--material", TABLE, option, spec,
                                   "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert np.isfinite(_read_csv(out, 2, 1, (header,)).columns).all()
+    assert np.isfinite(read_csv(out, 2, 1, (header,)).columns).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -141,7 +142,7 @@ def test_electro_over_the_sphere_radius_ends_in_a_documented_exit(radius_um):
         if result.exit_code:
             assert result.output.startswith("error: ") and not out.exists()
         else:
-            assert np.isfinite(_read_csv(out, 3, 1, (
+            assert np.isfinite(read_csv(out, 3, 1, (
                 ("separation_nm", "force_exact_pn", "force_pfa_pn"),)).columns).all()
 
 
@@ -153,7 +154,7 @@ def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     result = runner.invoke(main, ["theory", "--material", TABLE, "--z", "100:500:5",
                                   "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    forces = _read_csv(out, 2, 1, (("separation_nm", "force_pn"),)).columns[1]
+    forces = read_csv(out, 2, 1, (("separation_nm", "force_pn"),)).columns[1]
     assert forces.size == 5 and np.all(forces < 0)
 
 
@@ -504,7 +505,7 @@ def test_package_written_csv_takes_the_bulk_path(monkeypatch, campaign_dir, anal
     scans, _, forces = load_campaign(campaign_dir)
     assert [c.applied_voltage == 0.0 for c in scans] == [False] * 6
     assert len(list(forces)) == 2
-    table = forcecurve._read_csv(analysis_dir / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
+    table = forcecurve.read_csv(analysis_dir / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
     assert table.line[0] == 4 and table.columns.shape == (3, 120)  # grid_points
 
 
@@ -526,7 +527,7 @@ def test_a_grid_read_beyond_45_to_1250_nm_runs_the_loop(runner, tmp_path, line):
     for path, header in ((tmp_path / "analysis" / "mean_curve.csv", MEAN_CURVE_COLUMNS),
                          (out.with_suffix(".curve.csv"),
                           ("separation_nm", "force_exp_pn", "force_theory_pn"))):
-        assert np.isfinite(_read_csv(path, 3, 1, (header,)).columns).all()
+        assert np.isfinite(read_csv(path, 3, 1, (header,)).columns).all()
 
 
 def test_synth_and_analyze_build_the_same_cache(runner, tmp_path, monkeypatch):
@@ -747,7 +748,7 @@ def test_synth_analyze_over_the_config_keys_ends_in_a_documented_exit(values):
             return
         results = json.loads((tmp / "analysis" / "results.json").read_text())
         assert all(math.isfinite(v) for v in results.values() if isinstance(v, float))
-        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
+        curve = read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
         assert np.isfinite(curve.columns).all()
 
 
@@ -840,7 +841,7 @@ def test_synth_analyze_compare_around_the_defaults_ends_in_finite_results(values
             assert "RuntimeWarning" not in result.output
         for doc in ("analysis/results.json", "compare.json"):
             assert finite_floats(json.loads((tmp / doc).read_text())), doc
-        assert np.isfinite(_read_csv(curve, 3, 1, (MEAN_CURVE_COLUMNS,)).columns).all()
+        assert np.isfinite(read_csv(curve, 3, 1, (MEAN_CURVE_COLUMNS,)).columns).all()
 
 
 @st.composite
@@ -892,5 +893,5 @@ def test_synth_analyze_over_the_wide_keys_runs_to_finite_results(values):
             assert result.exit_code == 0, (args[0], result.output)
             assert "Warning" not in result.output, (args[0], result.output)
         assert finite_floats(json.loads((tmp / "analysis" / "results.json").read_text()))
-        curve = _read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
+        curve = read_csv(tmp / "analysis" / "mean_curve.csv", 3, 1, (MEAN_CURVE_COLUMNS,))
         assert np.isfinite(curve.columns).all()

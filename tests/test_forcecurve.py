@@ -11,8 +11,9 @@ from casimirlab.cli import _load_mean_curve
 from casimirlab.config import load_config
 from casimirlab.dielectric import load_optical_table
 from casimirlab.errors import ParseError
-from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _csv_rows, atomic_write,
-                                   load_scan, save_scan, scan_is_grounded, signal_to_force)
+from casimirlab.forcecurve import (CalibrationParams, ForceCurve, _axis_text, atomic_write,
+                                   axis_text, csv_text, load_scan, read_csv, save_scan,
+                                   scan_is_grounded, signal_to_force)
 from conftest import read_text
 
 
@@ -77,6 +78,11 @@ def format_rows(*columns):
                                      for c in columns)))
 
 
+def csv_rows(*columns):
+    """The rows ``csv_text`` writes for ``columns``, after its header line."""
+    return csv_text({}, ("c",) * len(columns), columns).partition("\n")[2]
+
+
 # -0, subnormals, +-1e16 and the %g switch to exponent notation (1e-5, 1e9)
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -1e16,
                1e-5, 9.9999999995e-6, 1e9, 999999999.5, -123456789.0, 0.1]
@@ -88,7 +94,7 @@ CELLS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity
 def test_csv_rows_matches_one_format_call_per_row(width, data):
     n = data.draw(st.integers(0, 12))
     columns = [data.draw(st.lists(CELLS, min_size=n, max_size=n)) for _ in range(width)]
-    assert _csv_rows("rows", *columns) == format_rows(*columns)
+    assert csv_rows(*columns) == format_rows(*columns)
 
 
 def test_csv_rows_follows_a_changing_axis():
@@ -96,9 +102,38 @@ def test_csv_rows_follows_a_changing_axis():
     a, b = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11)
     force = np.arange(11.0)
     for axis in (a, b, a, b, b, a):
-        assert _csv_rows("rows", axis, force) == format_rows(axis, force)
-    assert _csv_rows("rows", a[:5], force[:5]) == format_rows(a[:5], force[:5])
-    assert _csv_rows("rows", a[:0], force[:0]) == ""
+        assert csv_rows(axis, force) == format_rows(axis, force)
+    assert csv_rows(a[:5], force[:5]) == format_rows(a[:5], force[:5])
+    assert csv_rows(a[:0], force[:0]) == ""
+
+
+def test_csv_text_writes_the_metadata_then_the_header_and_rows(tmp_path):
+    meta = {"name": "x y", "seed": 12345678901, "v": 0.1 + 0.2, "k": -0.0}
+    head = "# name=x y\n# seed=12345678901\n# v=0.3\n# k=-0\n"
+    assert csv_text(meta) == csv_text(meta, (), ()) == head
+    axis, force = np.linspace(1.0, 2.0, 11), np.arange(11.0) / 3
+    text = csv_text(meta, ("z", "f"), (axis, force))
+    assert text == head + "z,f\n" + format_rows(axis, force)
+    table = read_text(lambda path: read_csv(path, 2, 11, (("z", "f"),)), tmp_path, text)
+    assert table.meta == {"name": "x y", "seed": "12345678901", "v": "0.3", "k": "-0"}
+    assert table.columns.tolist() == [[float(t) for t in axis_text(axis).split()],
+                                      [float(f"{f:.9g}") for f in force]]
+    bad = np.where(axis > 1.5, np.nan, force)
+    with pytest.raises(ValueError, match="^non-finite value in the z, f output$"):
+        csv_text(meta, ("z", "f"), (axis, bad))
+    with pytest.raises(ValueError, match="^non-finite value in scan a$"):
+        csv_text(meta, ("z", "f"), (axis, bad), "scan a")
+
+
+def test_axis_text_is_the_first_column_a_campaign_writes_and_warms_its_memo():
+    axis = np.linspace(30.0, 920.0, 57)
+    assert axis_text(axis) == "".join(row.split(",")[0] + "\n" for row in
+                                      format_rows(axis, axis).splitlines())
+    # the scans a campaign writes after the check format no axis again
+    misses = _axis_text.cache_info().misses
+    for voltage in (0.0, 0.5):
+        save_scan(ForceCurve("s", voltage, axis, force_pn=-axis), io.StringIO())
+    assert _axis_text.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -222,7 +257,7 @@ def test_every_reader_states_its_row_minimum(tmp_path, read, head, row, minimum)
 
 
 @pytest.mark.parametrize("read,text", [
-    # an error load_scan itself raises, past _read_csv
+    # an error load_scan itself raises, past read_csv
     pytest.param(load_scan, "# scan_id=a\npiezo_nm,force_pn\n" + MORE_ROWS, id="scan"),
     pytest.param(load_optical_table, "# material=Al\n0.04,1.0\n0.05,-2.0\n", id="table"),
     pytest.param(_load_mean_curve, "separation_nm,force_pn,std_pn\n" + MEAN_CURVE_ROWS
