@@ -311,11 +311,11 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
     read where it lies.
     A mean curve inside that span that covers the window (to
     compare_to_theory's 1e-9 nm; 2e-9 here allows for rounding) is compared at
-    its points bracketing it, at most one axis step outside, unshifted and at
-    ``variant_shifts_nm(cap_offset_nm)``. A span that reaches contact is
-    refused, naming the axes' first separation as ``first_name``, or the
-    window, step and shift that widened it there. So every cache span is
-    positive and increasing.
+    its in-window points, unshifted and at ``variant_shifts_nm(cap_offset_nm)``,
+    so the span takes in [window_lo + min(shifts), window_hi + max(shifts)].
+    A span that reaches contact is refused, naming the axes' first separation
+    as ``first_name``, or the window and shift that widened it there. So every
+    cache span is positive and increasing.
     """
     z0_lo, z0_hi, cap = (0.0, 0.0, 0.0) if metal_to_metal else (*Z0_BRACKET_NM, cap_offset_nm)
     first = min(float(np.min(a)) for a in axes_nm)
@@ -326,15 +326,13 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
     lo = first + z0_lo + cap
     hi = max(float(np.max(a)) for a in axes_nm) + z0_hi + cap
     if window_nm is not None and lo - 2e-9 <= window_nm[0] and window_nm[1] <= hi + 2e-9:
-        step = max(float(np.diff(a).max(initial=0.0)) for a in axes_nm)
         shifts = variant_shifts_nm(cap_offset_nm).values()  # -3 and +3 nm among them
-        lo = min(lo, window_nm[0] - step + min(shifts))
-        hi = max(hi, window_nm[1] + step + max(shifts))
+        lo = min(lo, window_nm[0] + min(shifts))
+        hi = max(hi, window_nm[1] + max(shifts))
         if lo <= 0:
             raise DataError(f"the comparison would read the theory at {lo:.6g} nm, at or "
-                            f"below contact (window_lo_nm = {window_nm[0]:.6g} nm, less one "
-                            f"axis step of {step:.6g} nm, at the variant shift "
-                            f"{min(shifts):.6g} nm)")
+                            f"below contact (window_lo_nm = {window_nm[0]:.6g} nm, at the "
+                            f"variant shift {min(shifts):.6g} nm)")
     if not math.log(lo * 1e-9) < math.log(hi * 1e-9):  # the cache's half-width in log z
         raise DataError(f"the theory would be cached over [{lo!r}, {hi!r}] nm, one point in log z")
     return lo, hi
@@ -342,20 +340,20 @@ def theory_span_nm(axes_nm, cap_offset_nm, window_nm=None, metal_to_metal=False,
 
 @np.errstate(over="ignore")  # an overflow is inf, which cli.json_text refuses naming it
 def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
-                      window_nm, window_points: int, cap_offset_nm: float) -> dict:
+                      window_nm, cap_offset_nm: float) -> dict:
     """Statistics of experiment vs theory over the comparison window, and at
     the separation shifts of ``variant_shifts_nm(cap_offset_nm)``, as
     ``compare`` writes them and ``results.json`` holds them.
 
-    The mean curve ``mean_pn``, with per-point ``std_pn``, on ``axis``
-    (increasing metal-to-metal separations in nm) and the theory sampled on
-    that axis are both resampled onto the canonical window grid, so binning
-    affects both sides identically. sigma_rms = sqrt(sum (F_th - F_exp)^2 / N).
-    Reduced chi2 uses per-point standard errors std/sqrt(n_scans) on the
-    curve's own in-window points: interpolating correlated residuals onto
-    the canonical grid would bias chi2 low by ~2/3. It is None, undefined,
-    where some of those points have std 0, as where every scan holds the
-    same value.
+    Every statistic is computed on one point set: the points of ``axis``
+    (increasing metal-to-metal separations in nm) inside the window, where
+    the mean curve ``mean_pn``, with per-point ``std_pn``, is compared with
+    the theory read there, unshifted and at each shift. No point is
+    resampled, so the noise in sigma_rms = sqrt(sum (F_th - F_exp)^2 / N)
+    reads its own size, noise^2 / n_scans in sigma_rms^2. Reduced chi2 uses
+    the unshifted residual over per-point standard errors std/sqrt(n_scans).
+    It is None, undefined, where some of those points have std 0, as where
+    every scan holds the same value.
     """
     lo, hi = window_nm
     if axis[0] > lo + 1e-9 or axis[-1] < hi - 1e-9:
@@ -364,28 +362,21 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
             f"the comparison window [{lo:.6g}, {hi:.6g}] nm (window_lo_nm, window_hi_nm)"
         )
     in_window = (axis >= lo) & (axis <= hi)
-    if int(in_window.sum()) < MIN_WINDOW_POINTS:
+    points = axis[in_window]
+    if points.size < MIN_WINDOW_POINTS:
         raise DataError(
-            f"window [{lo}, {hi}] nm contains {int(in_window.sum())} points "
+            f"window [{lo}, {hi}] nm contains {points.size} points "
             f"(< {MIN_WINDOW_POINTS})"
         )
-    grid = np.linspace(lo, hi, window_points)
-    exp = np.interp(grid, axis, mean_pn)
-    # the theory is needed only on the curve points that bracket the window:
-    # linear resampling onto the window grid reads no other point
-    near = axis[max(int(np.searchsorted(axis, lo, side="right")) - 1, 0):
-                int(np.searchsorted(axis, hi, side="left")) + 1]
-    reads = {label: theory((near + shift) * 1e-9) * 1e12
+    exp = mean_pn[in_window]
+    resid = {label: theory((points + shift) * 1e-9) * 1e12 - exp
              for label, shift in {"sigma_rms_pn": 0.0, **variant_shifts_nm(cap_offset_nm)}.items()}
-    variants = {label: float(np.sqrt(np.mean((np.interp(grid, near, th) - exp) ** 2)))
-                for label, th in reads.items()}
-    # near holds every in-window point
-    native_resid = reads["sigma_rms_pn"][(near >= lo) & (near <= hi)] - mean_pn[in_window]
+    variants = {label: float(np.sqrt(np.mean(r ** 2))) for label, r in resid.items()}
     stderr = std_pn[in_window] / np.sqrt(n_scans)
-    reduced_chi2 = (float(np.mean((native_resid / stderr) ** 2))
+    reduced_chi2 = (float(np.mean((resid["sigma_rms_pn"] / stderr) ** 2))
                     if np.all(stderr > 0) else None)
     return {"sigma_rms_pn": variants.pop("sigma_rms_pn"), "reduced_chi2": reduced_chi2,
-            "n_points": int(grid.size), "variants": variants,
+            "n_points": int(points.size), "variants": variants,
             "window_nm": [float(w) for w in window_nm]}
 
 
@@ -393,8 +384,7 @@ def compare_to_theory(axis, mean_pn, std_pn, n_scans: int, theory: TheoryCurve,
 DRIFT_REGION_MIN_NM = 516.0
 
 
-def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: int,
-                     cal: CalibrationParams):
+def analyze_campaign(scans, axis, forces, model_for, window_nm, cal: CalibrationParams):
     """End-to-end pipeline on a campaign, in one pass over its grounded scans.
 
     ``scans``, ``axis`` and ``forces`` are ``synth.load_campaign``'s: the
@@ -407,10 +397,12 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
     region 3, extracted, folded into ``average_scans``'s sums and dropped. A
     missing side of the campaign, a grounded axis short of region 3 or a z0
     fit failure raises before the stream is read, a bad file when its turn
-    comes. Each z0 fit's sigma and chi2 are stated for the measured noise: the
-    grounded scans' std pooled over the window, sqrt(mean(std^2)), None where
-    it is 0. Returns the results.json payload and the mean curve's columns
-    (separation_nm, force_pn, std_pn) on the metal-to-metal axis.
+    comes. The mean curve is compared with the theory at its points inside
+    ``window_nm`` (``compare_to_theory``), and each z0 fit's sigma and chi2 are
+    stated for the noise measured there: the grounded scans' std pooled over
+    those points, sqrt(mean(std^2)), None where it is 0. Returns the
+    results.json payload and the mean curve's columns (separation_nm,
+    force_pn, std_pn) on the metal-to-metal axis.
     """
     with closing(forces):
         voltage_scans = [c for c in scans if c.has_force]
@@ -444,10 +436,10 @@ def analyze_campaign(scans, axis, forces, model_for, window_nm, window_points: i
                             if stiffness else (None, None))
     separation = sep + model.cap_offset_nm
     stats = compare_to_theory(separation, mean, std, len(drifts), model.theory,
-                              window_nm, window_points, model.cap_offset_nm)
+                              window_nm, model.cap_offset_nm)
     # the noise per point, pooled over the grounded scans' std at the points
-    # compare_to_theory's reduced chi2 reads; an overflow is refused as a
-    # non-finite value of the results
+    # compare_to_theory reads; an overflow is refused as a non-finite value
+    # of the results
     in_window = (separation >= window_nm[0]) & (separation <= window_nm[1])
     with np.errstate(over="ignore"):
         noise = float(np.sqrt(np.mean(std[in_window] ** 2)))

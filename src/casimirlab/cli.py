@@ -11,6 +11,7 @@ refuses an output over an input, and maps errors onto the exit codes:
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -264,14 +265,17 @@ def synth(seed, cfg, out):
 @out_option
 def analyze(scans_dir, cfg, out):
     """Run the full pipeline on a campaign directory."""
+    # an --out that is, or lies under, a file is refused before any work, as by synth
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 
     def model_for(axes):
         return assemble.forward_model(cfg, theory_span_nm(axes, cfg.cap_offset_nm, window))
 
     results, mean_curve = analyze_campaign(
-        *load_campaign(scans_dir), model_for, window, cfg.window_points,
-        assemble.calibration_params(cfg))
+        *load_campaign(scans_dir), model_for, window, assemble.calibration_params(cfg))
     atomic_write(Path(out) / "results.json", json_text(cfg, results))
     atomic_write(Path(out) / "mean_curve.csv",
                  csv_text(output_meta(cfg), MEAN_CURVE_COLUMNS, mean_curve))
@@ -303,7 +307,7 @@ def compare(curve_path, n_scans, emit_curve, cfg, out):
                                                    metal_to_metal=True))
     stats = compare_to_theory(axis, force, std,
                               cfg.n_scans if n_scans is None else n_scans, th,
-                              window, cfg.window_points, cfg.cap_offset_nm)
+                              window, cfg.cap_offset_nm)
     atomic_write(out, json_text(cfg, stats))
     if emit_curve:
         atomic_write(_curve_path(out), csv_text(

@@ -19,7 +19,7 @@ try:
 except ImportError:
     from _sha256 import sha256  # CPython 3.10-3.11
 
-from .analysis import MIN_WINDOW_POINTS, Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
+from .analysis import Z0_BRACKET_MARGIN_NM, Z0_BRACKET_NM
 from .errors import ParseError
 from .forcecurve import MIN_SAMPLES
 
@@ -50,7 +50,6 @@ class RunConfig:
     # statistics window
     window_lo_nm: float = 100.0
     window_hi_nm: float = 500.0
-    window_points: int = 441
     # synthesis
     noise_pn: float = 7.0
     n_scans: int = 27
@@ -127,8 +126,6 @@ _RANGES = (
      lambda c: c.deflection_sensitivity_nm > 0),
     (("window_hi_nm", "window_lo_nm"), "> window_lo_nm",
      lambda c: c.window_hi_nm > c.window_lo_nm),
-    (("window_points",), f">= {MIN_WINDOW_POINTS}",
-     lambda c: c.window_points >= MIN_WINDOW_POINTS),
 )
 
 

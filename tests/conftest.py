@@ -42,7 +42,7 @@ def analyze_scans(voltage_scans, grounded, model, cfg):
     ``model`` for every span and cfg's window and calibration."""
     return analyze_campaign(voltage_scans, grounded[0].piezo_nm,
                             (c.force_pn for c in grounded), lambda axes: model,
-                            (cfg.window_lo_nm, cfg.window_hi_nm), cfg.window_points,
+                            (cfg.window_lo_nm, cfg.window_hi_nm),
                             assemble.calibration_params(cfg))
 
 
@@ -108,10 +108,9 @@ def drude_curve(default_cfg):
 
 @pytest.fixture(scope="session")
 def comparison(default_cfg):
-    """(window_nm, window_points, cap_offset_nm): compare_to_theory's last arguments
-    at the default config."""
-    return ((default_cfg.window_lo_nm, default_cfg.window_hi_nm),
-            default_cfg.window_points, default_cfg.cap_offset_nm)
+    """(window_nm, cap_offset_nm): compare_to_theory's last arguments at the
+    default config."""
+    return (default_cfg.window_lo_nm, default_cfg.window_hi_nm), default_cfg.cap_offset_nm
 
 
 @pytest.fixture(scope="session")

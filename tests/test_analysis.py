@@ -481,20 +481,20 @@ def test_sigma_rms_scales_with_residual(drude_curve, comparison):
     s1 = compare_to_theory(axis, theory_pn + resid, std, 27, drude_curve, *comparison)
     s2 = compare_to_theory(axis, theory_pn + 2 * resid, std, 27, drude_curve, *comparison)
     assert s2["sigma_rms_pn"] == pytest.approx(2.0 * s1["sigma_rms_pn"], rel=1e-9)
-    assert s1["n_points"] == 441
+    assert s1["n_points"] == np.count_nonzero((axis >= 100.0) & (axis <= 500.0)) == 292
 
 
 def test_the_opaque_cap_variant_follows_the_configured_cap(drude_curve, comparison):
     # the opaque cap collapses the cap offset to 0.9 nm: at a 5 nm cap the
-    # theory is read 4.1 nm closer, not at the default cap's 14.9 nm
-    window_nm, window_points, _ = comparison
+    # theory is read 4.1 nm closer, not at the default cap's 14.9 nm, at the
+    # curve's own points inside the window
+    window_nm, _ = comparison
     axis = np.linspace(95.0, 505.0, 300)
     mean = drude_curve(axis * 1e-9) * 1e12 + np.random.default_rng(3).normal(0.0, 1.0, 300)
-    stats = compare_to_theory(axis, mean, np.ones_like(axis), 27, drude_curve,
-                              window_nm, window_points, 5.0)
-    grid = np.linspace(*window_nm, window_points)
-    shifted = np.interp(grid, axis, drude_curve((axis - 4.1) * 1e-9) * 1e12)
-    expected = np.sqrt(np.mean((shifted - np.interp(grid, axis, mean)) ** 2))
+    stats = compare_to_theory(axis, mean, np.ones_like(axis), 27, drude_curve, window_nm, 5.0)
+    points = (axis >= window_nm[0]) & (axis <= window_nm[1])
+    shifted = drude_curve((axis[points] - 4.1) * 1e-9) * 1e12
+    expected = np.sqrt(np.mean((shifted - mean[points]) ** 2))
     assert stats["variants"]["opaque_cap"] == pytest.approx(expected, rel=1e-12)
 
 

@@ -227,7 +227,6 @@ CASES = [
     range_case("grid_hi_nm=20", "> grid_lo_nm", "20.0"),
     range_case("grid_lo_nm=-60", "> -z0_true_nm (above contact)", "-60.0"),
     range_case("theory_cache_points=1", ">= 2", "1"),
-    range_case("window_points=9", ">= 10", "9"),
     range_case("spring_constant_n_per_m=0", "> 0", "0.0"),
     range_case("deflection_sensitivity_nm=0", "> 0", "0.0"),
     *(range_case(f"rel_tol={v}", "in [1e-8, 1e-2]", got) for v, got in (
@@ -266,7 +265,7 @@ CASES = [
       for key, v in (("theory_cache_lo_nm", "45"), ("theory_cache_hi_nm", "45"),
                      ("enable_roughness", "false"), ("enable_temperature", "false"),
                      ("xi_cut_multiplier", "40"), ("table_refine", "4"), ("crossover_ev", "0.04"),
-                     ("pooled_noise_pn", "7"))),
+                     ("pooled_noise_pn", "7"), ("window_points", "441"))),
     *(Case(f"config-unallocatable-{key}", command, 2, f"{ALLOCATE} {dtype}",
            config=f"{key}={UNALLOCATABLE}\n")
       for key, command, dtype in (("theory_cache_points", "theory", "int64"),
@@ -376,12 +375,10 @@ CASES = [
          "the model would be read at a separation of -5 nm, at or below contact (the first "
          "separation read = -5 nm)", config=FAST_CONFIG,
          inputs=(mean_curve(np.linspace(-5.0, 600.0, 200)),)),
-    # the window's first bracketing point, 10 nm less one step of 590/199 nm,
-    # read at the opaque cap's 0.9 - 15.8 nm shift
+    # the window's first point, 10 nm, read at the opaque cap's 0.9 - 15.8 nm shift
     Case("compare-variant-shift-below-contact", "compare --curve {tmp}/mean_curve.csv", 2,
-         "the comparison would read the theory at -7.86483 nm, at or below contact "
-         "(window_lo_nm = 10 nm, less one axis step of 2.96483 nm, at the variant shift "
-         "-14.9 nm)", config="window_lo_nm=10\n",
+         "the comparison would read the theory at -4.9 nm, at or below contact "
+         "(window_lo_nm = 10 nm, at the variant shift -14.9 nm)", config="window_lo_nm=10\n",
          inputs=(mean_curve(np.linspace(10.0, 600.0, 200)),)),
     # the z0 bracket starts at 1 nm: analyze would read the model at -9 nm
     Case("synth-grid-below-contact", "synth", 2,
@@ -557,12 +554,19 @@ CASES = [
          f"[Errno 21] Is a directory: '{{tmp}}/odir.{os.getpid()}.tmp' -> '{{tmp}}/odir'",
          inputs=(directory("odir"),), out="{tmp}/odir"),
     # an --out directory that is a regular file: synth refuses it before the
-    # first scan, analyze when it writes, after the pipeline has run
+    # first scan, analyze before it reads a scan, even from a directory it
+    # would refuse
     Case("synth-out-is-a-file", "synth", 2, "[Errno 20] Not a directory: '{tmp}/o.txt'",
          config=FAST_CONFIG, inputs=(text_file("o.txt", "kept\n"),), out="{tmp}/o.txt"),
     Case("analyze-out-is-a-file", "analyze --scans {tmp}/campaign", 2,
-         "[Errno 17] File exists: '{tmp}/o.txt'", config=FAST_CONFIG,
+         "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
          inputs=(campaign_copy(), text_file("o.txt", "kept\n")), out="{tmp}/o.txt"),
+    Case("analyze-out-is-a-file-before-the-scans", "analyze --scans {tmp}/campaign", 2,
+         "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
+         inputs=(directory("campaign"), text_file("o.txt", "kept\n")), out="{tmp}/o.txt"),
+    Case("analyze-out-under-a-file", "analyze --scans {tmp}/campaign", 2,
+         "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
+         inputs=(campaign_copy(), text_file("o.txt", "kept\n")), out="{tmp}/o.txt/results"),
 ]
 IDS = [case.id for case in CASES]
 

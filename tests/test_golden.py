@@ -30,33 +30,33 @@ from oracles import generate_stiffness_scans
 from conftest import FAST_CONFIG, TABLE
 
 GOLDEN = {
-    "analysis/mean_curve.csv": "ac2aada8fd6a2a19ed4afe57645e82f43d43d6c11c183d4dcf821eb723e3a8c6",
-    "analysis/results.json": "d895fb569f74a698697bcfd9d4f18d960e02348110a103ed5711b0b9acbb0af1",
-    "calibrate_k.json": "a6083d1815fdf63b32893ace3ed3c20e6861c1bbcfe8fbae2e62e246094fa68b",
+    "analysis/mean_curve.csv": "b327565b1ee264c75bd0da1b4557ad90b143fcc461ab46fe6ebb04c54d1eb6d4",
+    "analysis/results.json": "5e6e06326613bd1185f61147942731a39e5d69b567c527b90c312f234e65b471",
+    "calibrate_k.json": "ef0b68af4e06d5fefda48bc3dcba6fa8619089506c08ca0efb63c129b26588cb",
     "campaign/cal_00.csv": "5d58cefe40427e7ec95642f95e56b756f51282e8e21d666c5ab345c51c985e84",
     "campaign/cal_01.csv": "4570b2fd4a5eb114b0e4ba3ef2e45716a08d3ca8c8766f2cdc80592ff78cc6b4",
     "campaign/cal_02.csv": "f181ab3485dc515cab2dea925ef85b7ce779d0a66f66b2ccbd051ed5d247d157",
     "campaign/cal_03.csv": "8d76140f74d36abff999443b5c36a50a658fcd49fbcfffc563176a63b876590f",
     "campaign/cal_04.csv": "1fb314c076ba9e8f39599840a078dda0ff4e462f071f84fdf09faecae0231930",
     "campaign/cal_05.csv": "968b1ffad5357066a98046ada9fa49e7130e5408369a47303ffbe6fa5ed9ad3e",
-    "campaign/manifest.txt": "c83e27446f385236cb689a24a1a3114a7eff19132055106bd28be458882def28",
+    "campaign/manifest.txt": "56efa3fdab65e77be94c4d7d9a7d175ce263a57fbce0da5c2ca34991a494060b",
     "campaign/scan_000.csv": "8ca7d56d5440341a137d5c414846e8758837ad777b550a7dcf0493ea73fafe0b",
     "campaign/scan_001.csv": "245bc6cffbc9cef6c88d4ae9c4191bd2a283d33a9c90a9532472bf6384356e6f",
     "campaign/truth.json": "afd603a0d4eed57cc7cdbfab2827ef042fc242445beca98e2002daebf831fdcc",
-    "compare.curve.csv": "041bede4c3b601ef557aea9eeb50305f53009bdc60c09ca2d5d888f62b640482",
-    "compare.json": "5750acc85d9127070a42a23f7dc829ac313e443d6cee6b38f188c4e698ddef58",
-    "electro.csv": "c7ed03b3eed8ac7b20b2551b78e62e09fa393ca1bc475b6ced5e0f89a122e4fd",
-    "epsilon_drude.csv": "440c1fed4c34fd490a7a7274e35f835668c3ca70e0d772be5b47750f772c5e3a",
-    "epsilon_table.csv": "6d147c43358c1c961b65acf71ee18f82a93e3449e4a4938fc6302a68d471e82d",
-    "fit_z0.curve.csv": "dc310db595dc5f0db017d5dc60ff602338ead0b7c0e0c1e22c34c413b549ba60",
-    "fit_z0.json": "2b474b75c1c7d6108f6df6018b016b6fa6f4e4640f13313aca5606f0dd47ed9a",
-    "theory_drude.csv": "9b8d4c79d95bb1d28d0c5a450fc42c87d5cea8ab0d986b07ee2d6790e5a8327b",
-    "theory_table.csv": "df99262e5b84f4f38e236bc763e3b2cb1f4ec3ab68b9df3d16999902b02b697a",
+    "compare.curve.csv": "61e0980e900fa3c915adda4faa0867aaa360da466ef25e6b0ca550aaf79fff98",
+    "compare.json": "80b5f93a261e6dd2ec1b25b42b498dcb04869beb160d6c82fb6db135d1779857",
+    "electro.csv": "6e019f10ed4d3c6e537481312c186dbbfe8bad2277309ee80f0bbb080c762372",
+    "epsilon_drude.csv": "736e867cdc7f17d3fbe0b3f954d67e624f143d3042ec3cc67ffbce83884cd72e",
+    "epsilon_table.csv": "ae7a381b3b1243ee300e49b50b59736f13ea2e2edcaf71cf6ff8ab8e973fc15c",
+    "fit_z0.curve.csv": "35265b447ce107ecce24238c7c3f9cdf1cbddc77c13e08e4c566c0d46287277e",
+    "fit_z0.json": "02bcb3941f27cf1f26a19fd9338fcb57be995613cebc7ff5efc22f31906e694d",
+    "theory_drude.csv": "4a46124d0617eb620d5eca234158e0d1bc7933a94203ad5286b3ec4a0fbedb3f",
+    "theory_table.csv": "78f2fac45ded939278c4bbee98d0dead6155d0a5f136f544f9085c83f03a38e9",
 }
 
 DEFAULT_CONFIG_GOLDEN = {
-    "results/mean_curve.csv": "b7ba915641bf00c5c8cc8fe1c3138064d79915b7e186192c0d3872cf877f29ef",
-    "results/results.json": "344b06910fdb43c0a2fb30b97dcba69774da284ab0ced6cfac50b900511860dc",
+    "results/mean_curve.csv": "2e79f25eb5e844c08bb1243d868f8b1ed154373b7c679b7986260351a8d5b5a3",
+    "results/results.json": "e394a1078e30ec2e3596e511790233b405a05c9f27d0452be19de29073a64a87",
 }
 
 

@@ -350,7 +350,7 @@ def test_analyze_memory_stays_flat_as_the_campaign_doubles(tmp_path, default_cfg
     window = (default_cfg.window_lo_nm, default_cfg.window_hi_nm)
     rows = rows_added_by_doubling(lambda n: analyze_campaign(
         *load_campaign(tmp_path / str(n)), lambda axes: forward_model,
-        window, default_cfg.window_points, assemble.calibration_params(default_cfg)))
+        window, assemble.calibration_params(default_cfg)))
     assert rows <= 2, rows
 
 
