@@ -2,11 +2,11 @@
 
 One subcommand per pipeline stage: epsilon, theory, electro, calibrate-k,
 fit-z0, analyze, synth, compare. All outputs are written atomically and
-carry the version and config hash (``output_meta``; synth's manifest alone
-adds the seed), so identical inputs reproduce identical bytes; every CSV is
-``forcecurve.csv_text``'s. Each command's ``_Command`` loads its config,
-refuses an output over an input, and maps errors onto the exit codes:
-2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
+carry the version and config hash (``output_meta``), so identical inputs
+reproduce identical bytes; every CSV is ``forcecurve.csv_text``'s, every
+JSON ``json_text``'s. Each command's ``_Command`` loads its config, refuses
+an output over an input or under a file, and maps errors onto the exit
+codes: 2 input/parse/allocation, 3 numerical non-convergence, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def output_meta(cfg: RunConfig) -> dict:
 
 
 def json_text(cfg: RunConfig, payload: dict) -> str:
+    """The one JSON writer: ``payload`` after ``output_meta``; a NaN or inf raises."""
     bad = _non_finite_key(payload)
     if bad is not None:
         raise ValueError(f"non-finite value at {bad!r} in the JSON output")
@@ -115,8 +116,9 @@ class _Command(click.Command):
     """A command whose ``invoke`` holds its boundary: (1) its inputs are its
     ``click.Path(exists=True)`` options; (2) ``cfg`` becomes the RunConfig of
     --config or the defaults, its ``material_csv``, if set, an input; (3) an
-    output (--out, the --emit-curve file) that resolves to an input exits 2;
-    (4) an error of any step or of the command exits with its code."""
+    output (--out, the --emit-curve file) that resolves to an input exits 2,
+    and so does one under an existing path that is not a directory, before
+    any work; (4) an error of any step or of the command exits with its code."""
 
     def invoke(self, ctx):
         params = ctx.params
@@ -134,6 +136,10 @@ class _Command(click.Command):
                         kind = "directory" if Path(source).is_dir() else "file"
                         raise DataError(f"{out_option} {target} is the {in_option} {kind} "
                                         f"{source}: write the results into another {kind}")
+                existing = next((p for p in Path(target).parents if p.exists()), None)
+                if existing is not None and not existing.is_dir():
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                             str(existing))
             return super().invoke(ctx)
         except (ConvergenceError, FitError, ValueError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -254,9 +260,9 @@ def fit_z0(scan_path, emit_curve, cfg, out):
 def synth(seed, cfg, out):
     """Generate a deterministic synthetic campaign directory."""
     run = cfg if seed is None else replace(cfg, seed=seed)
-    write_campaign(out, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
+    truth = write_campaign(out, run, assemble.forward_model(cfg, campaign_span_nm(cfg)))
     # the config hash is that of the file as loaded, without the --seed override
-    atomic_write(Path(out) / "manifest.txt", csv_text({**output_meta(cfg), "seed": run.seed}))
+    atomic_write(Path(out) / "truth.json", json_text(cfg, truth))
 
 
 @main.command()
@@ -265,10 +271,9 @@ def synth(seed, cfg, out):
 @out_option
 def analyze(scans_dir, cfg, out):
     """Run the full pipeline on a campaign directory."""
-    # an --out that is, or lies under, a file is refused before any work, as by synth
-    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    # an --out that is a file is refused before any work, as by synth
+    if Path(out).exists() and not Path(out).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(Path(out)))
     window = (cfg.window_lo_nm, cfg.window_hi_nm)
 
     def model_for(axes):

@@ -16,15 +16,16 @@ body that call refuses (a comment or blank line among the rows, or a bad
 row) is read line by line, which finds the line of a bad row.
 One ``_Csv`` holds a parse: its metadata, header, columns and row lines.
 
-``csv_text`` is the dialect's one writer (the scans here, every CSV of
-``cli``, the metadata lines of synth's manifest). Its rows come from one
-``%`` template, memoised for the last axis with the axis text written into
-it: a campaign's scans share one grid, so it is formatted once. It refuses a
-NaN or infinite cell. Every file the package writes goes through ``atomic_write``.
+``csv_text`` is the dialect's one writer (the scans here and every CSV of
+``cli``). Its rows come from one ``%`` template, memoised for the last axis
+with the axis text written into it: a campaign's scans share one grid, so it
+is formatted once. It refuses a NaN or infinite cell. Every file the package
+writes goes through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import os
@@ -117,16 +118,14 @@ def save_scan(curve: ForceCurve, fh) -> None:
                       f"scan {curve.scan_id}"))
 
 
-def csv_text(meta: dict, header=(), columns=(), what=None) -> str:
-    """A ``# key=value`` line per ``meta`` item, then, given a ``header``, its
-    line and a row per point of the equal-length float ``columns``; a float is
-    written in 9 significant digits (``'%.9g' % v``, ``'{:.9g}'.format(v)``),
-    and a NaN or infinite cell raises ValueError naming ``what``, by default the
-    header's output. One ``%`` template holds the first column's text (``_row_template``)."""
+def csv_text(meta: dict, header, columns, what=None) -> str:
+    """A ``# key=value`` line per ``meta`` item, then the ``header`` line and a
+    row per point of the equal-length float ``columns``; a float is written in
+    9 significant digits (``'%.9g' % v``, ``'{:.9g}'.format(v)``), and a NaN or
+    infinite cell raises ValueError naming ``what``, by default the header's
+    output. One ``%`` template holds the first column's text (``_row_template``)."""
     text = "".join([f"# {key}={'%.9g' % v if isinstance(v, float) else v}\n"
                     for key, v in meta.items()])
-    if not header:
-        return text
     first, *rest = (np.asarray(c, dtype=float) for c in columns)
     if not all(np.isfinite(c).all() for c in (first, *rest)):
         what = what or f"the {', '.join(header)} output"
@@ -142,8 +141,11 @@ def atomic_write(path, text: str) -> None:
     """Write ``text`` to ``path``, making its directory: into ``<name>.<pid>.tmp``,
     named after this process and created, never replaced, then renamed over
     ``path``, so the file is the old one or the whole new one. A file named
-    ``<name>.tmp``, or a temporary a killed run left, is never read or refused."""
+    ``<name>.tmp``, or a temporary a killed run left, is never read or refused;
+    a ``path`` that is a directory is refused before anything is created."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")

@@ -10,13 +10,14 @@ scan's stream), shaped into normals by the Box-Muller transform in numpy
 (``_normal``), so identical seeds give byte-identical output; numpy.random
 is not imported, as it loads OpenSSL (through ``secrets``) and eleven
 extension modules, 5.6 MiB of resident memory. Both directions hold one scan
-at a time: ``write_campaign`` writes each scan as it is drawn, and
-``load_campaign`` streams the grounded scans' force columns, on their one
-axis, which ``analysis.analyze_campaign`` folds into its running sums one at
-a time. The theory cache spans what ``analyze`` will read
-(``campaign_span_nm``): a grid the z0 fit cannot use, one whose fit would reach
-contact or read a correction outside its regime, is refused before any write,
-as is an output directory that is not empty.
+at a time: ``write_campaign`` writes each scan as it is drawn (and returns
+the truth, which ``cli.synth`` records as truth.json), and ``load_campaign``
+streams the grounded scans' force columns, on their one axis, which
+``analysis.analyze_campaign`` folds into its running sums one at a time. The
+theory cache spans what ``analyze`` will read (``campaign_span_nm``): a grid
+the z0 fit cannot use, one whose fit would reach contact or read a correction
+outside its regime, is refused before any write, as is an output directory
+that is not empty.
 
 A large campaign's scans are shared out, interleaved, between this process
 and one forked worker per further allowed CPU (``_in_shares``): formatting
@@ -28,10 +29,8 @@ sees the scans in the serial loop's order.
 
 from __future__ import annotations
 
-import fcntl
 import gc
 import io
-import json
 import os
 import pickle
 import random
@@ -55,10 +54,6 @@ DEFAULT_CAL_VOLTAGES = (0.31, 0.4, 0.5, 0.6, 0.7, 0.8)
 # read from 90 ms. So a campaign of 276 files x 4910 rows splits both ways,
 # and the default one, 33 x 982 rows, stays in one process.
 SPLIT_MIN_ROWS = 250_000   # rows to draw and write, or to parse: scans x grid points
-# Capacity asked for each worker's result pipe: two dozen pickled 4910-point
-# force columns (39 KB each) rather than Linux's default 64 KiB, one, so a
-# worker that runs ahead does not wait for this process to take each column.
-PIPE_BYTES = 1 << 20
 
 
 def generate_scans(cfg: RunConfig, model: ForwardModel, share=slice(None)):
@@ -136,7 +131,7 @@ def _in_shares(work, n: int, processes: int):
     ``work(share, processes)`` yields the results of its share's items in
     order. Share 0 runs in this process and every other share in a forked
     worker, which sends each result back pickled over its pipe as soon as it
-    has it; the pipe's capacity (``PIPE_BYTES``) bounds how far it runs ahead.
+    has it; the pipe's capacity bounds how far it runs ahead.
     A share that raises sends the exception itself in place of its next result
     (``_reported``), and it is raised when that item's turn comes, so the
     error raised is the one a serial loop over the items raises first. The
@@ -157,10 +152,6 @@ def _in_shares(work, n: int, processes: int):
     try:
         for share in range(1, processes):
             read_fd, write_fd = os.pipe()
-            try:
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-            except OSError:   # over the user's pipe allowance: the default capacity
-                pass
             pid = os.fork()
             if pid == 0:
                 status = 1
@@ -212,8 +203,9 @@ def _unpickled(pid: int, fh):
 # an overflowing model or noise gives non-finite cells (NaN where an infinite
 # model meets infinite noise), refused below
 @np.errstate(over="ignore", invalid="ignore")
-def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
-    """Emit a campaign directory: scan CSVs plus the truth.json sidecar.
+def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> dict:
+    """Write a campaign directory of scan CSVs, and return the truth they were
+    drawn from: the record ``cli.synth`` writes beside them as truth.json.
 
     Each scan is written as it is drawn, so one scan is held at a time, and
     its text is formatted before its file is opened, so a refused scan leaves
@@ -249,7 +241,7 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
     files = len(_plan(cfg))
     for _ in _in_shares(write_share, files, _processes(files * cfg.grid_points)):
         pass
-    truth = {
+    return {
         "z0_true_nm": cfg.z0_true_nm,
         "c_true_pn_per_nm": cfg.c_true_pn_per_nm,
         "k_true_n_per_m": cfg.spring_constant_n_per_m,
@@ -261,7 +253,6 @@ def write_campaign(outdir, cfg: RunConfig, model: ForwardModel) -> None:
         "seed": cfg.seed,
         "cap_offset_nm": cfg.cap_offset_nm,
     }
-    atomic_write(outdir / "truth.json", json.dumps(truth, indent=2, sort_keys=True) + "\n")
 
 
 def load_campaign(indir):

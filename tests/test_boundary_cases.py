@@ -9,7 +9,6 @@ row also shows that the refusal comes before numpy warns. The README's
 ``test_the_readme_names_only_rows`` ties the two.
 """
 
-import os
 import re
 import shutil
 from dataclasses import dataclass, replace
@@ -548,11 +547,14 @@ CASES = [
           ("theory", "--z 100:500:5", ()),
           ("compare", "--curve {tmp}/mean_curve.csv",
            (mean_curve(np.linspace(95.0, 505.0, 300)),)))),
-    # an --out that is a directory: the rename fails, and its temporary file,
-    # named after this process, goes
-    Case("electro-out-is-directory", "electro", 2,
-         f"[Errno 21] Is a directory: '{{tmp}}/odir.{os.getpid()}.tmp' -> '{{tmp}}/odir'",
+    # an --out that is a directory, however spelled: refused before a temporary
+    # file is made
+    Case("electro-out-is-directory", "electro", 2, "[Errno 21] Is a directory: '{tmp}/odir'",
          inputs=(directory("odir"),), out="{tmp}/odir"),
+    Case("electro-out-is-root", "electro", 2, "[Errno 21] Is a directory: '/'", out="/"),
+    Case("electro-out-is-a-directory-via-dotdot", "electro", 2,
+         "[Errno 21] Is a directory: '{tmp}/odir/..'", inputs=(directory("odir"),),
+         out="{tmp}/odir/.."),
     # an --out directory that is a regular file: synth refuses it before the
     # first scan, analyze before it reads a scan, even from a directory it
     # would refuse
@@ -564,9 +566,20 @@ CASES = [
     Case("analyze-out-is-a-file-before-the-scans", "analyze --scans {tmp}/campaign", 2,
          "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
          inputs=(directory("campaign"), text_file("o.txt", "kept\n")), out="{tmp}/o.txt"),
-    Case("analyze-out-under-a-file", "analyze --scans {tmp}/campaign", 2,
-         "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
-         inputs=(campaign_copy(), text_file("o.txt", "kept\n")), out="{tmp}/o.txt/results"),
+    # an output under a regular file: every command refuses it before any work
+    *(Case(f"{command}-out-under-a-file", f"{command} {args}", 2,
+           "[Errno 20] Not a directory: '{tmp}/o.txt'", config=FAST_CONFIG,
+           inputs=(*setup, text_file("o.txt", "kept\n")), out="{tmp}/o.txt/out")
+      for command, args, setup in (
+          ("epsilon", "", ()),
+          ("theory", "--z 100:500:5", ()),
+          ("electro", "", ()),
+          ("calibrate-k", "--scans {tmp}/stiff", (stiffness_scans(-1e-3, (0.5, 0.6)),)),
+          ("fit-z0", "--scan {tmp}/campaign/cal_00.csv", (campaign_copy(),)),
+          ("synth", "", ()),
+          ("analyze", "--scans {tmp}/campaign", (campaign_copy(),)),
+          ("compare", "--curve {tmp}/mean_curve.csv",
+           (mean_curve(np.linspace(95.0, 505.0, 300)),)))),
 ]
 IDS = [case.id for case in CASES]
 

@@ -158,13 +158,19 @@ def test_theory_with_a_table_and_no_drude_damping_is_finite(runner, tmp_path):
     assert forces.size == 5 and np.all(forces < 0)
 
 
-def test_synth_campaign_layout(campaign_dir):
-    assert (campaign_dir / "truth.json").exists()
-    assert (campaign_dir / "manifest.txt").exists()
+def test_synth_campaign_layout(runner, workdir, campaign_dir, tmp_path):
     scans = sorted(campaign_dir.glob("*.csv"))
     assert len(scans) == 2 + 6   # grounded + voltage scans
-    meta = read_meta(campaign_dir / "manifest.txt")
-    assert meta["seed"] == "11"
+    assert sorted(p.name for p in campaign_dir.iterdir()) == sorted(
+        [p.name for p in scans] + ["truth.json"])
+    truth = json.loads((campaign_dir / "truth.json").read_text())
+    assert truth["meta"] == output_meta(parse_config(FAST_CONFIG)) and truth["seed"] == 11
+    # the config hash is that of the config as loaded, without the --seed override
+    result = runner.invoke(main, ["synth", "--seed", "3", "--config", str(workdir / "run.cfg"),
+                                  "--out", str(tmp_path / "seed3")])
+    assert result.exit_code == 0, result.output
+    reseeded = json.loads((tmp_path / "seed3" / "truth.json").read_text())
+    assert reseeded["meta"] == truth["meta"] and reseeded["seed"] == 3
 
 
 def test_analyze_outputs(analysis_dir):
@@ -585,7 +591,7 @@ def test_a_split_run_writes_the_bytes_of_an_inline_one(runner, workdir, tmp_path
     run_chain(runner, workdir / "run.cfg", tmp_path / "inline")
     files = sorted(p.relative_to(tmp_path / "inline")
                    for p in (tmp_path / "inline").rglob("*") if p.is_file())
-    assert len(files) == 2 + 6 + 2 + 2   # scans, truth and manifest, analysis
+    assert len(files) == 2 + 6 + 1 + 2   # scans, truth, analysis
     assert sorted(p.relative_to(tmp_path / "split")
                   for p in (tmp_path / "split").rglob("*") if p.is_file()) == files
     for name in files:

@@ -39,10 +39,9 @@ GOLDEN = {
     "campaign/cal_03.csv": "8d76140f74d36abff999443b5c36a50a658fcd49fbcfffc563176a63b876590f",
     "campaign/cal_04.csv": "1fb314c076ba9e8f39599840a078dda0ff4e462f071f84fdf09faecae0231930",
     "campaign/cal_05.csv": "968b1ffad5357066a98046ada9fa49e7130e5408369a47303ffbe6fa5ed9ad3e",
-    "campaign/manifest.txt": "56efa3fdab65e77be94c4d7d9a7d175ce263a57fbce0da5c2ca34991a494060b",
     "campaign/scan_000.csv": "8ca7d56d5440341a137d5c414846e8758837ad777b550a7dcf0493ea73fafe0b",
     "campaign/scan_001.csv": "245bc6cffbc9cef6c88d4ae9c4191bd2a283d33a9c90a9532472bf6384356e6f",
-    "campaign/truth.json": "afd603a0d4eed57cc7cdbfab2827ef042fc242445beca98e2002daebf831fdcc",
+    "campaign/truth.json": "0ddbdf4e67ffb17c483d8a95fbd87551128fec2deb074e50f64233592907236f",
     "compare.curve.csv": "61e0980e900fa3c915adda4faa0867aaa360da466ef25e6b0ca550aaf79fff98",
     "compare.json": "80b5f93a261e6dd2ec1b25b42b498dcb04869beb160d6c82fb6db135d1779857",
     "electro.csv": "6e019f10ed4d3c6e537481312c186dbbfe8bad2277309ee80f0bbb080c762372",

@@ -102,9 +102,8 @@ def sorted_out(campaign):
 
 def test_campaign_round_trip(tmp_path, forward_model, e_cfg):
     t = small_cfg(n_scans=2)
-    write_campaign(tmp_path, t, forward_model)
+    truth_doc = write_campaign(tmp_path, t, forward_model)
     axis, grounded, voltage_scans, stiffness = sorted_out(load_campaign(tmp_path))
-    truth_doc = json.loads((tmp_path / "truth.json").read_text())
     assert len(grounded) == 2
     assert len(voltage_scans) == len(DEFAULT_CAL_VOLTAGES)
     assert stiffness == []
@@ -364,11 +363,15 @@ def analyze_bytes(campaign, cfg, out):
     return [(out / name).read_bytes() for name in ("results.json", "mean_curve.csv")]
 
 
-@pytest.mark.parametrize("layout", ["plain", "late_voltage_scan"])
+@pytest.mark.parametrize("layout,points", [
+    pytest.param("plain", 160, id="plain"),
+    pytest.param("late_voltage_scan", 160, id="late_voltage_scan"),
+    pytest.param("plain", 10_000, id="plain-10000-points")])
 def test_analyze_writes_the_same_bytes_in_1_2_and_4_processes(tmp_path, forward_model,
-                                                              e_cfg, monkeypatch, layout):
-    # the scans are merged back in the serial read's order, so the split moves no bit
-    t = small_cfg(n_scans=5)
+                                                              e_cfg, monkeypatch, layout, points):
+    # the scans are merged back in the serial read's order, so the split moves no
+    # bit; a 10 000-point force column pickles to more than a default 64 KiB pipe holds
+    t = small_cfg(n_scans=5, grid_points=points)
     campaign = tmp_path / "campaign"
     if layout == "plain":
         write_campaign(campaign, t, forward_model)

@@ -48,7 +48,7 @@ def test_a_traced_campaign_records_every_layer(smoke):
     campaign = smoke / "campaign"
     trace, spans, counters = traced(smoke, "synth", "drude", "synth", "--out", campaign)
     written = sorted(p.name for p in campaign.iterdir())
-    assert len(written) == 10   # 8 scans, truth.json and manifest.txt
+    assert len(written) == 9   # 8 scans and truth.json
     assert spans.count("cli.atomic_write") == len(written)
     assert {"cli.main", "synth.write_campaign", "synth.generate_scans"} <= set(spans)
     assert {"forcecurve.save_scan", *THEORY[1:]} <= counters
