@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 from pathlib import Path
@@ -341,10 +342,23 @@ def test_atomic_write_never_writes_through_a_file_at_its_temporary_name(tmp_path
     assert not out.exists()
 
 
-def test_atomic_write_removes_its_own_tmp_when_the_rename_fails(tmp_path):
-    out = tmp_path / "out.csv"
-    (out / "inside").mkdir(parents=True)  # a rename over a directory fails
-    with pytest.raises(OSError):
+def test_atomic_write_removes_its_own_tmp_when_the_rename_fails(tmp_path, monkeypatch):
+    out, renamed = tmp_path / "out.csv", []
+
+    def refuse(tmp, target):  # the rename fails after the temporary is whole
+        renamed.append((tmp.name, tmp.read_text(encoding="utf-8"), target))
+        raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(tmp))
+
+    monkeypatch.setattr(Path, "replace", refuse)
+    with pytest.raises(OSError) as err:
         atomic_write(out, "new\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
-    assert out.is_dir()
+    assert err.value.errno == errno.EBUSY
+    assert renamed == [(f"out.csv.{os.getpid()}.tmp", "new\n", out)]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_removes_its_own_tmp_when_the_write_fails(tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(out, "ok\n\ud800\n")  # a lone surrogate has no utf-8 form
+    assert list(tmp_path.iterdir()) == []
